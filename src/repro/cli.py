@@ -74,14 +74,59 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import asyncio
 import json
 import sys
+import time
 
 from repro.algorithms.mpq import optimize_mpq
 from repro.config import Backend, Objective, OptimizerSettings, PlanSpace
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.io import load_query, plan_to_dict, save_query
 from repro.query.query import JoinGraphKind
+
+
+def _add_settings_flags(command: argparse.ArgumentParser, parametric: bool = True) -> None:
+    """The flags :func:`_settings_from_args` reads, declared once."""
+    command.add_argument(
+        "--space",
+        choices=[space.value for space in PlanSpace],
+        default=PlanSpace.LINEAR.value,
+    )
+    command.add_argument(
+        "--objectives",
+        default="time",
+        help="comma-separated cost metrics: time[,buffer]",
+    )
+    command.add_argument("--alpha", type=float, default=1.0)
+    command.add_argument(
+        "--orders", action="store_true", help="track interesting orders"
+    )
+    command.add_argument(
+        "--backend",
+        choices=[backend.value for backend in Backend],
+        default=Backend.AUTO.value,
+        help="enumeration core: auto (fastest capable and available, "
+        "default), the legacy object DP, the fastdp bitset core, or the "
+        "vecdp array core (needs numpy)",
+    )
+    if not parametric:
+        return
+    command.add_argument(
+        "--parametric",
+        action="store_true",
+        help="optimize over the parameter theta in [0,1] weighting the two "
+        "objectives; returns the full lower-envelope frontier unless "
+        "--theta picks one point",
+    )
+    command.add_argument(
+        "--theta",
+        type=float,
+        default=None,
+        metavar="T",
+        help="bind the parametric request at this theta (requires "
+        "--parametric); served from a cached envelope when one exists",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -115,43 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--catalog", default=None, help="catalog JSON file for --sql"
     )
     optimize.add_argument("--workers", type=int, default=1)
-    optimize.add_argument(
-        "--space",
-        choices=[space.value for space in PlanSpace],
-        default=PlanSpace.LINEAR.value,
-    )
-    optimize.add_argument(
-        "--objectives",
-        default="time",
-        help="comma-separated cost metrics: time[,buffer]",
-    )
-    optimize.add_argument("--alpha", type=float, default=1.0)
-    optimize.add_argument(
-        "--orders", action="store_true", help="track interesting orders"
-    )
-    optimize.add_argument(
-        "--backend",
-        choices=[backend.value for backend in Backend],
-        default=Backend.AUTO.value,
-        help="enumeration core: auto (fastest capable and available, "
-        "default), the legacy object DP, the fastdp bitset core, or the "
-        "vecdp array core (needs numpy)",
-    )
-    optimize.add_argument(
-        "--parametric",
-        action="store_true",
-        help="optimize over the parameter theta in [0,1] weighting the two "
-        "objectives; returns the full lower-envelope frontier unless "
-        "--theta picks one point",
-    )
-    optimize.add_argument(
-        "--theta",
-        type=float,
-        default=None,
-        metavar="T",
-        help="bind the parametric request at this theta (requires "
-        "--parametric); served from a cached envelope when one exists",
-    )
+    _add_settings_flags(optimize)
     optimize.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
     )
@@ -162,43 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("queries", nargs="+", help="query JSON files")
     serve.add_argument("--workers", type=int, default=4)
-    serve.add_argument(
-        "--space",
-        choices=[space.value for space in PlanSpace],
-        default=PlanSpace.LINEAR.value,
-    )
-    serve.add_argument(
-        "--objectives",
-        default="time",
-        help="comma-separated cost metrics: time[,buffer]",
-    )
-    serve.add_argument("--alpha", type=float, default=1.0)
-    serve.add_argument(
-        "--orders", action="store_true", help="track interesting orders"
-    )
-    serve.add_argument(
-        "--backend",
-        choices=[backend.value for backend in Backend],
-        default=Backend.AUTO.value,
-        help="enumeration core: auto (fastest capable and available, "
-        "default), the legacy object DP, the fastdp bitset core, or the "
-        "vecdp array core (needs numpy)",
-    )
-    serve.add_argument(
-        "--parametric",
-        action="store_true",
-        help="optimize over the parameter theta in [0,1] weighting the two "
-        "objectives; returns the full lower-envelope frontier unless "
-        "--theta picks one point",
-    )
-    serve.add_argument(
-        "--theta",
-        type=float,
-        default=None,
-        metavar="T",
-        help="bind the parametric request at this theta (requires "
-        "--parametric); served from a cached envelope when one exists",
-    )
+    _add_settings_flags(serve)
     serve.add_argument(
         "--repeat",
         type=int,
@@ -302,28 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="this shard's number (names its cache log and hello frame)",
     )
     shard_server.add_argument("--workers", type=int, default=4)
-    shard_server.add_argument(
-        "--space",
-        choices=[space.value for space in PlanSpace],
-        default=PlanSpace.LINEAR.value,
-    )
-    shard_server.add_argument(
-        "--objectives",
-        default="time",
-        help="comma-separated cost metrics: time[,buffer]",
-    )
-    shard_server.add_argument("--alpha", type=float, default=1.0)
-    shard_server.add_argument(
-        "--orders", action="store_true", help="track interesting orders"
-    )
-    shard_server.add_argument(
-        "--backend",
-        choices=[backend.value for backend in Backend],
-        default=Backend.AUTO.value,
-        help="enumeration core: auto (fastest capable and available, "
-        "default), the legacy object DP, the fastdp bitset core, or the "
-        "vecdp array core (needs numpy)",
-    )
+    _add_settings_flags(shard_server, parametric=False)
     shard_server.add_argument(
         "--cache-size", type=int, default=256, help="plan-cache capacity"
     )
@@ -575,59 +527,147 @@ def _run_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stats_dict(stats) -> dict:
-    """JSON-ready cache counters via the stats object's own ``to_dict``.
+#: ``serve-batch --async`` defaults, applied when the flag is not given.
+_ASYNC_DEFAULTS = {"batch_window_ms": 2.0, "max_batch": 16, "max_pending": 256}
 
-    Every stats type (``CacheStats``, ``TieredStats``) serializes itself;
-    hand-picking dataclass fields here is what once crashed ``--json`` on
-    non-serializable members.  The ``getattr`` fallback keeps hand-rolled
-    stats doubles in tests working.
-    """
-    to_dict = getattr(stats, "to_dict", None)
-    if to_dict is not None:
-        return to_dict()
+
+class _AsyncDoor:
+    """The asyncio front-end behind the blocking ``optimize_batch`` /
+    ``stats`` / ``close`` surface every other front door already has."""
+
+    def __init__(self, **kwargs) -> None:
+        from repro.service import AsyncOptimizerGateway
+
+        self._loop = asyncio.new_event_loop()
+        self._front = AsyncOptimizerGateway(**kwargs)
+
+    async def _submit(self, query):
+        from repro.service import GatewayOverloadedError
+
+        for __ in range(1000):
+            try:
+                return await self._front.optimize(query, tenant="cli")
+            except GatewayOverloadedError as rejection:
+                await asyncio.sleep(rejection.retry_after_s)
+        raise SystemExit("async gateway kept rejecting; raise --max-pending")
+
+    def optimize_batch(self, queries):
+        async def submit_all():
+            return list(await asyncio.gather(*map(self._submit, queries)))
+
+        return self._loop.run_until_complete(submit_all())
+
+    def stats(self):
+        return self._front.stats()
+
+    def close(self) -> None:
+        self._loop.run_until_complete(self._front.close())
+        self._loop.close()
+
+
+def _async_options(args: argparse.Namespace) -> dict:
     return {
-        "hits": stats.hits,
-        "misses": stats.misses,
-        "evictions": stats.evictions,
-        "lookups": stats.hits + stats.misses,
-        "hit_rate": stats.hit_rate,
+        name: default if getattr(args, name) is None else getattr(args, name)
+        for name, default in _ASYNC_DEFAULTS.items()
     }
 
 
-def _tier_totals(gateway_stats) -> dict | None:
-    """Tier counters summed over a gateway's shards, or ``None`` untiered.
+def _connect_specs(args: argparse.Namespace) -> list[str]:
+    return [spec.strip() for spec in args.connect.split(",") if spec.strip()]
 
-    ``GatewayStats`` aggregates only the protocol-level hit/miss/eviction
-    counters; when the shards carry tiered caches (``--cache-dir``), the
-    memory/disk breakdown still matters at the top level — a warm restart
-    is visible as disk hits, not as generic hits.
+
+def _open_door(args: argparse.Namespace, settings: OptimizerSettings):
+    """The front door ``serve-batch``'s flags select.
+
+    All four answer ``optimize_batch(queries)``, ``stats()`` and
+    ``close()``, which is everything :func:`_run_serve_batch` uses.
     """
-    if gateway_stats is None:
-        return None
-    caches = [shard.cache for shard in gateway_stats.shards]
-    if not any(hasattr(cache, "disk_hits") for cache in caches):
-        return None
-    names = (
-        "memory_hits",
-        "disk_hits",
-        "promotions",
-        "demotions",
-        "disk_writes",
-        "invalidated",
+    from repro.cluster.executors import PersistentProcessPoolExecutor
+    from repro.service import (
+        NetworkOptimizerGateway,
+        OptimizerService,
+        ShardedOptimizerGateway,
     )
-    return {
-        name: sum(getattr(cache, name, 0) for cache in caches)
-        for name in names
+    from repro.service.tiers import shard_cache_factory
+
+    if args.connect is not None:
+        specs = _connect_specs(args)
+        if not specs:
+            raise SystemExit("--connect needs at least one endpoint")
+        return NetworkOptimizerGateway(
+            specs,
+            settings=settings,
+            n_workers=args.workers,
+            # The CLI submits the whole batch at once; ride out the servers'
+            # admission control instead of failing the batch on a burst.
+            overload_retries=1000,
+            # Hedging: the flag sets the budget floor; the EWMA multiplier is
+            # fixed at 2x so a healthy shard's own tail does not trip hedges.
+            hedge_multiplier=2.0 if args.hedge_after_ms > 0 else 0.0,
+            hedge_min_s=max(args.hedge_after_ms / 1000.0, 1e-3),
+        )
+
+    def executor():
+        return PersistentProcessPoolExecutor(max_workers=args.workers)
+
+    persistent = args.pool == "persistent"
+    cache_factory = (
+        shard_cache_factory(args.cache_dir, args.cache_size)
+        if args.cache_dir is not None
+        else None
+    )
+    if args.shards == 1 and not args.use_async:
+        return OptimizerService(
+            n_workers=args.workers,
+            settings=settings,
+            executor=executor() if persistent else None,
+            cache_capacity=args.cache_size,
+            cache=cache_factory(0) if cache_factory is not None else None,
+        )
+    gateway_options = dict(
+        n_shards=args.shards,
+        n_workers=args.workers,
+        settings=settings,
+        executor_factory=executor if persistent else None,
+        cache_capacity=args.cache_size,
+        cache_factory=cache_factory,
+        gateway_threads=args.gateway_threads,
+    )
+    if not args.use_async:
+        return ShardedOptimizerGateway(**gateway_options)
+    # The CLI is a single tenant; a fairness share would silently halve
+    # --max-pending for it.
+    return _AsyncDoor(**gateway_options, **_async_options(args), tenant_share=1.0)
+
+
+def _stats_report(args: argparse.Namespace, stats) -> dict:
+    """The ``--json`` stats sections for whichever door served the batch.
+
+    Each stats type prints itself (``to_dict``); this only files the
+    pieces under the keys the report has always used.  The text report is
+    rendered from the same dict, so the two cannot disagree.
+    """
+    from repro.service import AsyncGatewayStats, GatewayStats
+
+    if isinstance(stats, dict):  # the network door's stats are a dict already
+        return {"network": stats}
+    front = stats if isinstance(stats, AsyncGatewayStats) else None
+    service = front.gateway if front is not None else stats
+    sharded = isinstance(service, GatewayStats)  # else one service's ShardStats
+    report = {
+        "cache": service.cache_totals() if sharded else service.cache.to_dict(),
+        "envelope_hits": service.envelope_hits,
     }
+    if args.cache_dir is not None:
+        report["cache_dir"] = args.cache_dir
+    if sharded:
+        report["gateway"] = service.to_dict()
+    if front is not None:
+        report["async_front_end"] = {**_async_options(args), **front.to_dict()}
+    return report
 
 
 def _run_serve_batch(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.cluster.executors import PersistentProcessPoolExecutor
-    from repro.service import OptimizerService, ShardedOptimizerGateway
-
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     if args.gateway_threads is not None and args.shards < 2:
@@ -638,323 +678,56 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
                 "--connect routes to remote shard servers; "
                 "--shards/--async/--cache-dir are server-side options"
             )
-        return _run_serve_batch_remote(args)
-    if not args.use_async and any(
-        value is not None
-        for value in (args.batch_window_ms, args.max_batch, args.max_pending)
+    elif not args.use_async and any(
+        getattr(args, name) is not None for name in _ASYNC_DEFAULTS
     ):
         raise SystemExit(
             "--batch-window-ms/--max-batch/--max-pending require --async"
         )
-    batch_window_ms = args.batch_window_ms if args.batch_window_ms is not None else 2.0
-    max_batch = args.max_batch if args.max_batch is not None else 16
-    max_pending = args.max_pending if args.max_pending is not None else 256
     settings = _settings_from_args(args)
     queries = [load_query(path) for path in args.queries]
-    cache_factory = None
-    if args.cache_dir is not None:
-        from pathlib import Path
-
-        from repro.service import DiskTier, TieredPlanCache
-
-        cache_dir = Path(args.cache_dir)
-
-        def cache_factory(index: int) -> "TieredPlanCache":
-            return TieredPlanCache(
-                memory_capacity=args.cache_size,
-                disk=DiskTier(cache_dir / f"shard-{index}.log"),
-            )
-
-    rounds = []
-    gateway_stats = None
-    async_stats = None
-    if args.use_async:
-        import asyncio
-
-        from repro.service import AsyncOptimizerGateway, GatewayOverloadedError
-
-        executor_factory = (
-            (lambda: PersistentProcessPoolExecutor(max_workers=args.workers))
-            if args.pool == "persistent"
-            else None
-        )
-
-        async def submit(front, query):
-            for __ in range(1000):
-                try:
-                    return await front.optimize(query, tenant="cli")
-                except GatewayOverloadedError as rejection:
-                    await asyncio.sleep(rejection.retry_after_s)
-            raise SystemExit("async gateway kept rejecting; raise --max-pending")
-
-        async def run_rounds():
-            async with AsyncOptimizerGateway(
-                n_shards=args.shards,
-                n_workers=args.workers,
-                settings=settings,
-                executor_factory=executor_factory,
-                cache_capacity=args.cache_size,
-                cache_factory=cache_factory,
-                gateway_threads=args.gateway_threads,
-                batch_window_ms=batch_window_ms,
-                max_batch=max_batch,
-                max_pending=max_pending,
-                # The CLI is a single tenant; a fairness share would
-                # silently halve --max-pending for it.
-                tenant_share=1.0,
-            ) as front:
-                collected = []
-                for __ in range(max(1, args.repeat)):
-                    started = time.perf_counter()
-                    results = await asyncio.gather(
-                        *[submit(front, query) for query in queries]
-                    )
-                    collected.append((time.perf_counter() - started, list(results)))
-                return collected, front.stats()
-
-        rounds, async_stats = asyncio.run(run_rounds())
-        gateway_stats = async_stats.gateway
-        stats = gateway_stats
-    elif args.shards > 1:
-        executor_factory = (
-            (lambda: PersistentProcessPoolExecutor(max_workers=args.workers))
-            if args.pool == "persistent"
-            else None
-        )
-        with ShardedOptimizerGateway(
-            n_shards=args.shards,
-            n_workers=args.workers,
-            settings=settings,
-            executor_factory=executor_factory,
-            cache_capacity=args.cache_size,
-            cache_factory=cache_factory,
-            gateway_threads=args.gateway_threads,
-        ) as gateway:
-            for __ in range(max(1, args.repeat)):
-                started = time.perf_counter()
-                results = gateway.optimize_batch(queries)
-                rounds.append((time.perf_counter() - started, results))
-            gateway_stats = gateway.stats()
-        stats = gateway_stats  # aggregate hits/misses/evictions/hit_rate
-    else:
-        executor = (
-            PersistentProcessPoolExecutor(max_workers=args.workers)
-            if args.pool == "persistent"
-            else None
-        )
-        with OptimizerService(
-            n_workers=args.workers,
-            settings=settings,
-            executor=executor,
-            cache_capacity=args.cache_size,
-            cache=cache_factory(0) if cache_factory is not None else None,
-        ) as service:
-            for __ in range(max(1, args.repeat)):
-                started = time.perf_counter()
-                results = service.optimize_batch(queries)
-                rounds.append((time.perf_counter() - started, results))
-            stats = service.cache.snapshot()
-            envelope_hits = service.envelope_hits
-    if gateway_stats is not None:
-        envelope_hits = gateway_stats.envelope_hits
-    if args.json:
-        payload = {
-            "workers": args.workers,
-            "pool": args.pool,
-            "shards": args.shards,
-            "async": args.use_async,
-            "rounds": [
-                {
-                    "wall_s": wall,
-                    "results": [
-                        {
-                            "query": query.name,
-                            "cached": result.cached,
-                            "fingerprint": result.fingerprint,
-                            "partitions": result.n_partitions,
-                            "backend_used": result.backend_used,
-                            "best_cost": list(result.best.cost),
-                            "plans": len(result.plans),
-                        }
-                        for query, result in zip(queries, results)
-                    ],
-                }
-                for wall, results in rounds
-            ],
-            "cache": _stats_dict(stats),
-        }
-        tier_totals = _tier_totals(gateway_stats)
-        if tier_totals is not None:
-            payload["cache"].update(tier_totals)
-        payload["envelope_hits"] = envelope_hits
-        if args.cache_dir is not None:
-            payload["cache_dir"] = args.cache_dir
-        if gateway_stats is not None:
-            payload["gateway"] = {
-                "requests": gateway_stats.requests,
-                "optimizations": gateway_stats.optimizations,
-                "coalesced": gateway_stats.coalesced,
-                "peak_in_flight": gateway_stats.peak_in_flight,
-                "envelope_hits": gateway_stats.envelope_hits,
-                "shards": [
-                    {
-                        "shard": shard.shard,
-                        "entries": shard.entries,
-                        "envelope_hits": shard.envelope_hits,
-                        **_stats_dict(shard.cache),
-                    }
-                    for shard in gateway_stats.shards
-                ],
-            }
-        if async_stats is not None:
-            payload["async_front_end"] = {
-                "batch_window_ms": batch_window_ms,
-                "max_batch": max_batch,
-                "max_pending": max_pending,
-                "fast_path_hits": async_stats.fast_path_hits,
-                "result_memo_hits": async_stats.result_memo_hits,
-                "admitted": async_stats.admitted,
-                "coalesced": async_stats.coalesced,
-                "batched": async_stats.batched,
-                "dispatched_batches": async_stats.dispatched_batches,
-                "batch_sizes": {
-                    str(size): count
-                    for size, count in sorted(async_stats.batch_sizes.items())
-                },
-                "rejections": {
-                    "queue_full": async_stats.rejected_queue_full,
-                    "tenant_share": async_stats.rejected_tenant_share,
-                },
-                "cancelled": async_stats.cancelled,
-                "tenants": {
-                    tenant: {
-                        "requests": tenant_stats.requests,
-                        "completed": tenant_stats.completed,
-                        "rejected": tenant_stats.rejected,
-                        "cancelled": tenant_stats.cancelled,
-                    }
-                    for tenant, tenant_stats in sorted(async_stats.tenants.items())
-                },
-            }
-        print(json.dumps(payload, indent=2))
-        return 0
-    for round_number, (wall, results) in enumerate(rounds, start=1):
-        print(f"round {round_number}: {len(results)} queries in {wall * 1e3:.1f} ms")
-        for query, result in zip(queries, results):
-            marker = "HIT " if result.cached else "MISS"
-            print(
-                f"  [{marker}] {query.name}: best cost {tuple(result.best.cost)} "
-                f"({result.n_partitions} partitions, "
-                f"backend {result.backend_used})"
-            )
-    print(
-        f"cache: {stats.hits} hits / {stats.misses} misses "
-        f"({stats.hit_rate:.0%} hit rate), {stats.evictions} evictions"
-    )
-    if envelope_hits:
-        print(
-            f"envelopes: {envelope_hits} theta bindings served from cached "
-            "envelopes (no DP run)"
-        )
-    if hasattr(stats, "disk_hits"):
-        print(
-            f"tiers: {stats.memory_hits} memory hits, {stats.disk_hits} disk "
-            f"hits, {stats.promotions} promotions, {stats.demotions} demotions"
-        )
-    else:
-        tier_totals = _tier_totals(gateway_stats)
-        if tier_totals is not None:
-            print(
-                f"tiers: {tier_totals['memory_hits']} memory hits, "
-                f"{tier_totals['disk_hits']} disk hits, "
-                f"{tier_totals['promotions']} promotions, "
-                f"{tier_totals['demotions']} demotions"
-            )
-    if async_stats is not None:
-        sizes = ", ".join(
-            f"{size}x{count}"
-            for size, count in sorted(async_stats.batch_sizes.items())
-        )
-        print(
-            f"async: {async_stats.fast_path_hits} fast-path hits, "
-            f"{async_stats.coalesced} coalesced, "
-            f"{async_stats.dispatched_batches} batches ({sizes or 'none'}), "
-            f"{async_stats.rejections} rejections, "
-            f"{async_stats.cancelled} cancelled"
-        )
-    if gateway_stats is not None:
-        print(
-            f"gateway: {gateway_stats.requests} requests, "
-            f"{gateway_stats.optimizations} optimizations, "
-            f"{gateway_stats.coalesced} coalesced, "
-            f"{gateway_stats.envelope_hits} envelope hits, "
-            f"peak in-flight {gateway_stats.peak_in_flight}"
-        )
-        for shard in gateway_stats.shards:
-            print(
-                f"  shard {shard.shard}: {shard.cache.hits} hits / "
-                f"{shard.cache.misses} misses ({shard.hit_rate:.0%}), "
-                f"{shard.entries} entries"
-            )
-    return 0
-
-
-def _run_serve_batch_remote(args: argparse.Namespace) -> int:
-    """Serve the batch through running shard servers (``--connect``)."""
-    import time
-
-    from repro.service import NetworkOptimizerGateway
-
-    settings = _settings_from_args(args)
-    queries = [load_query(path) for path in args.queries]
-    specs = [spec.strip() for spec in args.connect.split(",") if spec.strip()]
-    if not specs:
-        raise SystemExit("--connect needs at least one endpoint")
-    rounds = []
-    hedge_after_ms = getattr(args, "hedge_after_ms", 0.0)
-    with NetworkOptimizerGateway(
-        specs,
-        settings=settings,
-        n_workers=args.workers,
-        # The CLI submits the whole batch at once; ride out the servers'
-        # admission control instead of failing the batch on a burst.
-        overload_retries=1000,
-        # Hedging: the flag sets the budget floor; the EWMA multiplier is
-        # fixed at 2x so a healthy shard's own tail does not trip hedges.
-        hedge_multiplier=2.0 if hedge_after_ms > 0 else 0.0,
-        hedge_min_s=max(hedge_after_ms / 1000.0, 1e-3),
-    ) as gateway:
+    door = _open_door(args, settings)
+    try:
+        rounds = []
         for __ in range(max(1, args.repeat)):
             started = time.perf_counter()
-            results = gateway.optimize_batch(queries)
+            results = door.optimize_batch(queries)
             rounds.append((time.perf_counter() - started, results))
-        net_stats = gateway.stats()
+        report = _stats_report(args, door.stats())
+    finally:
+        door.close()
+
     if args.json:
-        payload = {
-            "workers": args.workers,
-            "connect": specs,
-            "rounds": [
-                {
-                    "wall_s": wall,
-                    "results": [
-                        {
-                            "query": query.name,
-                            "cached": result.cached,
-                            "fingerprint": result.fingerprint,
-                            "partitions": result.n_partitions,
-                            "backend_used": result.backend_used,
-                            "best_cost": list(result.best.cost),
-                            "plans": len(result.plans),
-                        }
-                        for query, result in zip(queries, results)
-                    ],
-                }
-                for wall, results in rounds
-            ],
-            "network": net_stats,
-        }
-        print(json.dumps(payload, indent=2))
+        if args.connect is not None:
+            header = {"workers": args.workers, "connect": _connect_specs(args)}
+        else:
+            header = {
+                "workers": args.workers,
+                "pool": args.pool,
+                "shards": args.shards,
+                "async": args.use_async,
+            }
+        header["rounds"] = [
+            {
+                "wall_s": wall,
+                "results": [
+                    {
+                        "query": query.name,
+                        "cached": result.cached,
+                        "fingerprint": result.fingerprint,
+                        "partitions": result.n_partitions,
+                        "backend_used": result.backend_used,
+                        "best_cost": list(result.best.cost),
+                        "plans": len(result.plans),
+                    }
+                    for query, result in zip(queries, results)
+                ],
+            }
+            for wall, results in rounds
+        ]
+        print(json.dumps({**header, **report}, indent=2))
         return 0
+
     for round_number, (wall, results) in enumerate(rounds, start=1):
         print(f"round {round_number}: {len(results)} queries in {wall * 1e3:.1f} ms")
         for query, result in zip(queries, results):
@@ -964,23 +737,65 @@ def _run_serve_batch_remote(args: argparse.Namespace) -> int:
                 f"({result.n_partitions} partitions, "
                 f"backend {result.backend_used})"
             )
-    print(
-        f"network: {net_stats['requests']} requests over "
-        f"{len(net_stats['shards'])} shards, "
-        f"{net_stats['breaker_rejections']} breaker rejections, "
-        f"{net_stats['hedged']} hedged "
-        f"({net_stats['hedged_wins']} hedge wins)"
-    )
-    for name, shard in sorted(net_stats["shards"].items()):
-        optimizations = shard.get("optimizations", "?")
-        envelope_hits = shard.get("envelope_hits", 0)
-        shipped = shard.get("snapshot_imported", 0)
+    if "network" in report:
+        network = report["network"]
         print(
-            f"  {name} ({shard['address']}): breaker {shard['breaker']}, "
-            f"{optimizations} DP runs server-side, "
-            f"{envelope_hits} envelope hits, "
-            f"{shipped} snapshot entries imported"
+            f"network: {network['requests']} requests over "
+            f"{len(network['shards'])} shards, "
+            f"{network['breaker_rejections']} breaker rejections, "
+            f"{network['hedged']} hedged "
+            f"({network['hedged_wins']} hedge wins)"
         )
+        for name, shard in sorted(network["shards"].items()):
+            print(
+                f"  {name} ({shard['address']}): breaker {shard['breaker']}, "
+                f"{shard.get('optimizations', '?')} DP runs server-side, "
+                f"{shard.get('envelope_hits', 0)} envelope hits, "
+                f"{shard.get('snapshot_imported', 0)} snapshot entries imported"
+            )
+        return 0
+    cache = report["cache"]
+    print(
+        f"cache: {cache['hits']} hits / {cache['misses']} misses "
+        f"({cache['hit_rate']:.0%} hit rate), {cache['evictions']} evictions"
+    )
+    if report["envelope_hits"]:
+        print(
+            f"envelopes: {report['envelope_hits']} theta bindings served from "
+            "cached envelopes (no DP run)"
+        )
+    if "disk_hits" in cache:
+        print(
+            f"tiers: {cache['memory_hits']} memory hits, {cache['disk_hits']} disk "
+            f"hits, {cache['promotions']} promotions, {cache['demotions']} demotions"
+        )
+    if "async_front_end" in report:
+        front = report["async_front_end"]
+        sizes = ", ".join(
+            f"{size}x{count}" for size, count in front["batch_sizes"].items()
+        )
+        print(
+            f"async: {front['fast_path_hits']} fast-path hits, "
+            f"{front['coalesced']} coalesced, "
+            f"{front['dispatched_batches']} batches ({sizes or 'none'}), "
+            f"{sum(front['rejections'].values())} rejections, "
+            f"{front['cancelled']} cancelled"
+        )
+    if "gateway" in report:
+        gateway = report["gateway"]
+        print(
+            f"gateway: {gateway['requests']} requests, "
+            f"{gateway['optimizations']} optimizations, "
+            f"{gateway['coalesced']} coalesced, "
+            f"{gateway['envelope_hits']} envelope hits, "
+            f"peak in-flight {gateway['peak_in_flight']}"
+        )
+        for shard in gateway["shards"]:
+            print(
+                f"  shard {shard['shard']}: {shard['hits']} hits / "
+                f"{shard['misses']} misses ({shard['hit_rate']:.0%}), "
+                f"{shard['entries']} entries"
+            )
     return 0
 
 
@@ -1040,9 +855,7 @@ def _run_cache(args: argparse.Namespace) -> int:
     from repro.service import DiskTier, InvalidationPredicate
 
     if args.cache_command == "inspect":
-        import time as _time
-
-        now_s = _time.time()
+        now_s = time.time()
         reports = []
         for path in args.logs:
             with DiskTier(path) as tier:

@@ -51,7 +51,7 @@ from repro.service.fleet import (
     ShardHandle,
     run_shard_fleet,
 )
-from repro.service.gateway import GatewayStats, ShardedOptimizerGateway, ShardStats
+from repro.service.gateway import GatewayStats, ShardedOptimizerGateway
 from repro.service.net import (
     Address,
     CircuitBreaker,
@@ -74,7 +74,7 @@ from repro.service.service import (
     CacheEntry,
     OptimizerService,
     ServiceResult,
-    bind_result_theta,
+    ShardStats,
 )
 from repro.service.tiers import (
     DiskTier,
@@ -130,5 +130,4 @@ __all__ = [
     "build_envelope_index",
     "ENVELOPE_ENTRY",
     "SCALAR_ENTRY",
-    "bind_result_theta",
 ]

@@ -6,14 +6,14 @@ thousands of connections wants requests to be *queued*, not *parked on
 threads*.  :class:`AsyncOptimizerGateway` is that tier:
 
 * **adaptive micro-batching** — a cache miss does not dispatch immediately.
-  It joins a per-``(settings, workers, shard)`` window that flushes as one
-  ``optimize_batch`` call per shard when the window is ``max_batch`` entries
-  deep or ``batch_window_ms`` old.  The window is *adaptive*: while the
-  dispatch backend is idle the window flushes on the next event-loop tick
-  (batching would only add latency), and every batch completion drains the
-  queued windows immediately (the backend just proved it has capacity) — so
-  the configured window is an upper bound paid only under sustained load,
-  not a tax on every request;
+  The flight it leads joins a per-``(settings, workers, shard)`` window that
+  flushes as one sub-batch on that shard when the window is ``max_batch``
+  flights deep or ``batch_window_ms`` old.  The window is *adaptive*: while
+  the dispatch backend is idle the window flushes on the next event-loop
+  tick (batching would only add latency), and every batch completion drains
+  the queued windows immediately (the backend just proved it has capacity)
+  — so the configured window is an upper bound paid only under sustained
+  load, not a tax on every request;
   The fast path serves through the threaded gateway's ``serve_if_cached``,
   so on a tiered shard cache a *disk* hit bypasses admission control and
   batching exactly like a memory hit — after a warm restart the whole
@@ -29,15 +29,15 @@ threads*.  :class:`AsyncOptimizerGateway` is that tier:
 * **cancellation-safe futures** — every admitted request is an
   :class:`asyncio.Future`.  A caller that abandons it (``asyncio.wait_for``
   timeout, task cancellation) releases its admission slot at once; a
-  still-queued entry whose waiters all cancelled is dropped from the batch
-  before dispatch (the DP never runs), and a cancellation after dispatch
-  simply discards that waiter's result — the flight, its other waiters, and
-  the in-flight gauges are untouched;
-* **async coalescing** — waiters for the fingerprint of an already-queued
-  entry attach to it instead of occupying a second batch slot, each served
-  from the one result relabeled to its own table numbering.  Together with
-  the threaded gateway's singleflight this preserves the system invariant:
-  *one DP run per unique fingerprint*, no matter how the traffic arrives;
+  still-queued flight whose waiters all cancelled is withdrawn before
+  dispatch (the DP never runs), and a cancellation after dispatch simply
+  discards that waiter's answer — the flight, its other waiters, and the
+  in-flight gauges are untouched;
+* **coalescing without a second table** — singleflight lives in the
+  threaded gateway's one flight table.  A request whose fingerprint is
+  already in flight (queued here, dispatched, or led by a thread) attaches
+  a callback to that flight's future: no batch slot, no dispatch thread.
+  *One DP run per unique fingerprint*, no matter how the traffic arrives;
 * **a served-result edge memo** — the shard caches store plans in
   *canonical* numbering and relabel them on every hit; the front-end
   additionally keeps a small LRU of fully-relabeled answers keyed by
@@ -47,9 +47,9 @@ threads*.  :class:`AsyncOptimizerGateway` is that tier:
   so served answers share plan objects safely; only the result envelope is
   copied per response.
 
-Everything above happens on the event loop — the only blocking work
-(``optimize_batch``) runs on a small dispatch thread pool, so the loop
-stays responsive at any queue depth.  :meth:`AsyncOptimizerGateway.stats`
+Everything above happens on the event loop — the only blocking work (the
+DP sub-batches) runs on a small dispatch thread pool, so the loop stays
+responsive at any queue depth.  :meth:`AsyncOptimizerGateway.stats`
 extends the threaded gateway's snapshot with queue depth, a batch-size
 histogram, rejection counters, and per-tenant accounting.
 """
@@ -60,18 +60,16 @@ import asyncio
 import dataclasses
 import math
 from collections import Counter, OrderedDict
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Any
 
 from repro.config import OptimizerSettings
 from repro.query.query import Query
-from repro.service.fingerprint import (
-    CanonicalForm,
-    canonicalize,
-    fingerprint_canonical,
-)
-from repro.service.gateway import GatewayStats, ShardedOptimizerGateway
-from repro.service.service import ServiceResult, bind_result_theta, serve_from_result
+from repro.service.fingerprint import CanonicalForm
+from repro.service.gateway import GatewayStats, LedFlight, ShardedOptimizerGateway
+from repro.service.service import CacheEntry, ServiceResult, resolve
 
 
 class GatewayOverloadedError(RuntimeError):
@@ -95,57 +93,10 @@ class GatewayOverloadedError(RuntimeError):
         self.tenant = tenant
 
 
-@dataclass(frozen=True)
-class TenantStats:
-    """One tenant's counters at snapshot time."""
-
-    requests: int
-    completed: int
-    rejected: int
-    cancelled: int
-    failed: int
-    outstanding: int
-
-
-@dataclass(frozen=True)
-class AsyncGatewayStats:
-    """A snapshot of the async front-end plus the wrapped threaded gateway.
-
-    ``requests = fast_path_hits + admitted + rejections`` — every call to
-    :meth:`AsyncOptimizerGateway.optimize` lands in exactly one bucket.
-    ``batched`` counts *entries* dispatched inside batches (coalesced
-    waiters share their entry), and ``batch_sizes`` histograms entries per
-    dispatched batch, so the operator can see whether the window actually
-    aggregates traffic or degenerates to singleton batches.
-    """
-
-    requests: int
-    fast_path_hits: int
-    #: Of the fast-path hits, how many were served from the front-end's
-    #: relabeled-result memo without touching the shard cache at all.
-    result_memo_hits: int
-    admitted: int
-    coalesced: int
-    batched: int
-    rejected_queue_full: int
-    rejected_tenant_share: int
-    cancelled: int
-    queue_depth: int
-    outstanding: int
-    dispatched_batches: int
-    in_flight_batches: int
-    batch_sizes: dict[int, int]
-    tenants: dict[str, TenantStats]
-    gateway: GatewayStats
-
-    @property
-    def rejections(self) -> int:
-        """Total rejected requests across both admission-control reasons."""
-        return self.rejected_queue_full + self.rejected_tenant_share
-
-
 @dataclass
-class _TenantState:
+class TenantStats:
+    """One tenant's counters (live in the front-end, copied at snapshot)."""
+
     requests: int = 0
     completed: int = 0
     rejected: int = 0
@@ -154,48 +105,81 @@ class _TenantState:
     outstanding: int = 0
 
 
-class _Waiter:
-    """One admitted request: its future, its own canonical numbering, its θ.
+@dataclass
+class AsyncGatewayStats:
+    """A snapshot of the async front-end plus the wrapped threaded gateway.
 
-    ``theta`` rides on the waiter, not on the queued entry: requests for
-    different θs of one query shape coalesce onto a single dispatched
-    (θ-free) optimization, and each waiter binds its own θ at settlement.
+    ``requests = fast_path_hits + admitted + rejections`` — every call to
+    :meth:`AsyncOptimizerGateway.optimize` lands in exactly one bucket.
+    ``coalesced`` counts admitted requests that attached to a flight
+    already in the table instead of leading one; ``batched`` counts
+    *flights* dispatched inside batches, and ``batch_sizes`` histograms
+    flights per dispatched batch, so the operator can see whether the
+    window actually aggregates traffic or degenerates to singleton batches.
+    (The front-end keeps its live counters in one instance of this type
+    and snapshots by copy; the gauges are filled in at snapshot time.)
     """
 
-    __slots__ = ("future", "canonical", "tenant", "theta")
+    requests: int = 0
+    fast_path_hits: int = 0
+    #: Of the fast-path hits, how many were served from the front-end's
+    #: relabeled-result memo without touching the shard cache at all.
+    result_memo_hits: int = 0
+    admitted: int = 0
+    coalesced: int = 0
+    batched: int = 0
+    rejected_queue_full: int = 0
+    rejected_tenant_share: int = 0
+    cancelled: int = 0
+    queue_depth: int = 0
+    outstanding: int = 0
+    dispatched_batches: int = 0
+    in_flight_batches: int = 0
+    batch_sizes: dict[int, int] = field(default_factory=Counter)
+    tenants: dict[str, TenantStats] = field(default_factory=dict)
+    gateway: GatewayStats = field(default_factory=GatewayStats)
 
-    def __init__(
-        self,
-        future: "asyncio.Future[ServiceResult]",
-        canonical: CanonicalForm,
-        tenant: str,
-        theta: float | None = None,
-    ) -> None:
-        self.future = future
-        self.canonical = canonical
-        self.tenant = tenant
-        self.theta = theta
+    @property
+    def rejections(self) -> int:
+        """Total rejected requests across both admission-control reasons."""
+        return self.rejected_queue_full + self.rejected_tenant_share
 
-
-class _PendingEntry:
-    """One queued unique fingerprint and everyone waiting on it."""
-
-    __slots__ = ("key", "query", "canonical", "waiters")
-
-    def __init__(self, key: str, query: Query, canonical: CanonicalForm) -> None:
-        self.key = key
-        self.query = query
-        self.canonical = canonical
-        self.waiters: list[_Waiter] = []
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-ready front-end counters (the wrapped gateway prints its own)."""
+        return {
+            "fast_path_hits": self.fast_path_hits,
+            "result_memo_hits": self.result_memo_hits,
+            "admitted": self.admitted,
+            "coalesced": self.coalesced,
+            "batched": self.batched,
+            "dispatched_batches": self.dispatched_batches,
+            "batch_sizes": {
+                str(size): count for size, count in sorted(self.batch_sizes.items())
+            },
+            "rejections": {
+                "queue_full": self.rejected_queue_full,
+                "tenant_share": self.rejected_tenant_share,
+            },
+            "cancelled": self.cancelled,
+            "tenants": {
+                tenant: dataclasses.asdict(stats)
+                for tenant, stats in sorted(self.tenants.items())
+            },
+        }
 
 
 class _Window:
-    """The open micro-batch for one ``(settings, workers, shard)`` group."""
+    """The open micro-batch for one ``(settings, workers, shard)`` group.
 
-    __slots__ = ("entries", "timer")
+    ``flights`` holds the led flights not yet dispatched, by fingerprint,
+    each with the asyncio waiters that still want it — the only place a
+    queued flight's liveness is recorded.
+    """
+
+    __slots__ = ("flights", "timer")
 
     def __init__(self) -> None:
-        self.entries: dict[str, _PendingEntry] = {}
+        self.flights: dict[str, tuple[LedFlight, list[asyncio.Future]]] = {}
         self.timer: asyncio.TimerHandle | None = None
 
 
@@ -225,17 +209,18 @@ class AsyncOptimizerGateway:
             function of the fingerprint — it only skips re-relabeling, but
             a memo-served answer does not refresh the shard cache's LRU
             recency for that key.
-        dispatch_threads: size of the thread pool running ``optimize_batch``
-            calls; defaults to the wrapped gateway's shard count (one batch
-            per shard in flight).
+        dispatch_threads: size of the thread pool running dispatched
+            batches; defaults to the wrapped gateway's shard count (one
+            batch per shard in flight).
         own_gateway: close ``gateway`` when this front-end closes.
         **gateway_kwargs: forwarded to :class:`ShardedOptimizerGateway` when
             ``gateway`` is ``None``.
 
     Single-loop discipline: all bookkeeping runs on the event loop that
     first calls :meth:`optimize`; using the instance from a second loop is
-    an error.  The dispatch pool threads only execute ``optimize_batch``
-    (itself thread-safe) and report back via the loop.
+    an error.  The dispatch pool threads only execute the gateway's
+    ``run_claimed`` (itself thread-safe); flights report back to the loop
+    through their futures' callbacks.
     """
 
     def __init__(
@@ -280,9 +265,9 @@ class AsyncOptimizerGateway:
         self._closed = False
         #: Open micro-batches by (settings, workers, shard index).
         self._windows: dict[tuple[OptimizerSettings, int, int], _Window] = {}
-        #: Queued (not yet dispatched) entries by fingerprint, for coalescing.
-        self._queued: dict[str, _PendingEntry] = {}
         self._dispatches: set[asyncio.Future] = set()
+        #: Admitted requests not yet answered (the ``outstanding`` gauge).
+        self._waiters: set[asyncio.Future] = set()
         #: Fully-relabeled answers by (fingerprint, θ): value is (numbering
         #: the plans are in, result to copy from).  θ is part of the memo key
         #: because one θ-free fingerprint serves many bound answers; touched
@@ -291,19 +276,7 @@ class AsyncOptimizerGateway:
             tuple[str, float | None], tuple[tuple[int, ...], ServiceResult]
         ] = OrderedDict()
         self.result_memo_size = result_memo_size
-        self._requests = 0
-        self._fast_path_hits = 0
-        self._result_memo_hits = 0
-        self._admitted = 0
-        self._coalesced = 0
-        self._batched = 0
-        self._rejected_queue_full = 0
-        self._rejected_tenant_share = 0
-        self._cancelled = 0
-        self._outstanding = 0
-        self._dispatched_batches = 0
-        self._batch_sizes: Counter[int] = Counter()
-        self._tenants: dict[str, _TenantState] = {}
+        self._counters = AsyncGatewayStats()
         #: EWMA of batch service time, seeding the retry-after estimate.
         self._ewma_batch_s = max(self.batch_window_s, 1e-3)
 
@@ -322,79 +295,91 @@ class AsyncOptimizerGateway:
         rejects the request (the caller should back off ``retry_after_s``),
         and propagates the optimization's own error if the DP fails.
         Cancelling the returned awaitable releases the admission slot and,
-        when this waiter was the entry's last, withdraws the queued work.
+        when this waiter was a queued flight's last, withdraws the flight.
         """
         self._check_loop()
         if self._closed:
             raise RuntimeError("async gateway is closed")
-        settings = settings if settings is not None else self._gateway.settings
-        workers = n_workers if n_workers is not None else self._gateway.n_workers
-        state = self._tenants.setdefault(tenant, _TenantState())
-        self._requests += 1
+        settings, workers, canonical, key, theta = resolve(
+            self._gateway, query, settings, n_workers
+        )
+        counters = self._counters
+        state = counters.tenants.get(tenant)
+        if state is None:  # not ``setdefault``: no allocation on the hit path
+            state = counters.tenants[tenant] = TenantStats()
+        counters.requests += 1
         state.requests += 1
 
-        theta = settings.theta
-        canonical = canonicalize(query)
-        key = fingerprint_canonical(canonical, settings, workers)
         memo = self._served.get((key, theta))
         if memo is not None and memo[0] == canonical.numbering:
             # Edge-memo hit: the fully-relabeled answer for this exact
             # numbering (and θ binding) was already rendered — serve a fresh
             # envelope over the shared frozen plans.
             self._served.move_to_end((key, theta))
-            self._fast_path_hits += 1
-            self._result_memo_hits += 1
+            counters.fast_path_hits += 1
+            counters.result_memo_hits += 1
             state.completed += 1
             return dataclasses.replace(
                 memo[1], plans=list(memo[1].plans), cached=True
             )
         served = self._gateway.serve_if_cached(canonical, key, theta=theta)
+        if served is None:
+            reason = self._admission_verdict(state)
+            if reason is not None:
+                state.rejected += 1
+                if reason == "queue-full":
+                    counters.rejected_queue_full += 1
+                else:
+                    counters.rejected_tenant_share += 1
+                raise GatewayOverloadedError(reason, self._retry_after_s(), tenant)
+            role, flight = self._gateway.claim(key)
+            if role == "hit":  # the entry landed between the probe and the claim
+                served = self._gateway.finish(role, flight, canonical, key, theta)
         if served is not None:
-            self._fast_path_hits += 1
+            counters.fast_path_hits += 1
             state.completed += 1
             self._remember((key, theta), canonical.numbering, served)
             return served
 
-        reason = self._admission_verdict(state)
-        if reason is not None:
-            state.rejected += 1
-            if reason == "queue-full":
-                self._rejected_queue_full += 1
-            else:
-                self._rejected_tenant_share += 1
-            raise GatewayOverloadedError(reason, self._retry_after_s(), tenant)
-
         assert self._loop is not None
-        waiter = _Waiter(self._loop.create_future(), canonical, tenant, theta)
-        self._admitted += 1
-        self._outstanding += 1
+        waiter: asyncio.Future[ServiceResult] = self._loop.create_future()
+        counters.admitted += 1
         state.outstanding += 1
-        waiter.future.add_done_callback(
-            lambda future, state=state: self._on_waiter_done(state, future)
-        )
-
-        entry = self._queued.get(key)
-        if entry is not None:
-            # Same fingerprint already queued: ride along, one batch slot.
-            # θ is not part of the fingerprint, so requests for *different*
-            # θs of one shape coalesce here too — one DP run materializes
-            # the envelope, and each waiter binds its own θ at settlement.
-            self._coalesced += 1
-            entry.waiters.append(waiter)
+        self._waiters.add(waiter)
+        waiter.add_done_callback(partial(self._on_waiter_done, state))
+        if role == "lead":
+            # Queue θ-free: the run must produce the unbound frontier (and a
+            # single envelope entry), whatever θ this waiter asked.
+            self._enqueue(
+                (query, canonical, key, flight), waiter, settings.without_theta(), workers
+            )
         else:
-            entry = _PendingEntry(key, query, canonical)
-            entry.waiters.append(waiter)
-            self._queued[key] = entry
-            # Dispatch θ-free: the batch must produce the unbound frontier
-            # (and a single envelope entry), whatever θ this waiter asked.
-            self._enqueue(entry, settings.without_theta(), workers)
-        return await waiter.future
+            # Already in flight: ride along — no batch slot, no dispatch
+            # thread.  θ is not part of the fingerprint, so requests for
+            # *different* θs of one shape coalesce here too, and each binds
+            # its own θ when the flight lands.
+            counters.coalesced += 1
+            for window in self._windows.values():
+                if key in window.flights:  # still queued: keep it alive
+                    window.flights[key][1].append(waiter)
+                    break
+        # ``add_done_callback`` (never ``asyncio.wrap_future``): cancelling
+        # this waiter must not propagate into the flight others share.  The
+        # flight resolves on whichever thread ran it; hop to the loop with
+        # ``_settle(waiter, role, canonical, key, theta, flight)``.
+        flight.add_done_callback(
+            partial(
+                self._loop.call_soon_threadsafe,
+                self._settle, waiter, role, canonical, key, theta,
+            )
+        )
+        return await waiter
 
     # --------------------------------------------------------------- admission
 
-    def _admission_verdict(self, state: _TenantState) -> str | None:
+    def _admission_verdict(self, state: TenantStats) -> str | None:
         """The rejection reason for this request, or ``None`` to admit."""
-        if self._outstanding >= self.max_pending:
+        if len(self._waiters) >= self.max_pending:
             return "queue-full"
         if state.outstanding >= self.tenant_cap:
             return "tenant-share"
@@ -402,17 +387,17 @@ class AsyncOptimizerGateway:
 
     def _retry_after_s(self) -> float:
         """Estimated wait until a slot frees: queue depth over drain rate."""
-        batches_ahead = 1 + self._outstanding // self.max_batch
+        batches_ahead = 1 + len(self._waiters) // self.max_batch
         return self.batch_window_s + batches_ahead * self._ewma_batch_s
 
-    def _on_waiter_done(self, state: _TenantState, future: asyncio.Future) -> None:
+    def _on_waiter_done(self, state: TenantStats, waiter: asyncio.Future) -> None:
         """Single accounting point for every way a waiter can finish."""
-        self._outstanding -= 1
+        self._waiters.discard(waiter)
         state.outstanding -= 1
-        if future.cancelled():
-            self._cancelled += 1
+        if waiter.cancelled():
+            self._counters.cancelled += 1
             state.cancelled += 1
-        elif future.exception() is not None:
+        elif waiter.exception() is not None:
             state.failed += 1
         else:
             state.completed += 1
@@ -420,18 +405,23 @@ class AsyncOptimizerGateway:
     # ---------------------------------------------------------------- batching
 
     def _enqueue(
-        self, entry: _PendingEntry, settings: OptimizerSettings, workers: int
+        self,
+        flight: LedFlight,
+        waiter: asyncio.Future,
+        settings: OptimizerSettings,
+        workers: int,
     ) -> None:
-        """Place a fresh entry in its group's window; decide when to flush."""
+        """Place a freshly led flight in its group's window; decide when to flush."""
         assert self._loop is not None
-        group = (settings, workers, self._gateway.shard_for(entry.key))
+        key = flight[2]
+        group = (settings, workers, self._gateway.shard_for(key))
         window = self._windows.get(group)
         if window is None:
             window = self._windows[group] = _Window()
-        window.entries[entry.key] = entry
-        if len(window.entries) >= self.max_batch:
+        window.flights[key] = (flight, [waiter])
+        if len(window.flights) >= self.max_batch:
             self._flush(group)
-        elif self._in_flight_batches() == 0:
+        elif not self._dispatches:
             # Adaptive fast path: the backend is idle, so waiting out the
             # window would be pure added latency.  Flush on the next loop
             # tick — late enough that every task already runnable on this
@@ -444,76 +434,78 @@ class AsyncOptimizerGateway:
                 self.batch_window_s, self._flush, group
             )
 
-    def _in_flight_batches(self) -> int:
-        return len(self._dispatches)
-
     def _flush(self, group: tuple[OptimizerSettings, int, int]) -> None:
-        """Dispatch one group's window as a single per-shard batch."""
+        """Dispatch one group's window as a single sub-batch on its shard."""
         assert self._loop is not None
         window = self._windows.pop(group, None)
         if window is None:
             return
         if window.timer is not None:
             window.timer.cancel()
-        live: list[_PendingEntry] = []
-        for entry in window.entries.values():
-            self._queued.pop(entry.key, None)
-            entry.waiters = [
-                waiter for waiter in entry.waiters if not waiter.future.done()
-            ]
-            if entry.waiters:
-                live.append(entry)
+        live: list[LedFlight] = []
+        for flight, waiters in window.flights.values():
+            if all(waiter.done() for waiter in waiters):
+                self._gateway.withdraw(flight)  # every waiter cancelled: never run
+            else:
+                live.append(flight)
         if not live:
             return
-        settings, workers, __ = group
-        self._dispatched_batches += 1
-        self._batched += len(live)
-        self._batch_sizes[len(live)] += 1
-        started = self._loop.time()
+        settings, workers, shard_index = group
+        counters = self._counters
+        counters.dispatched_batches += 1
+        counters.batched += len(live)
+        counters.batch_sizes[len(live)] += 1
         dispatch = self._loop.run_in_executor(
             self._executor,
-            self._gateway.optimize_batch,
-            [entry.query for entry in live],
+            self._gateway.run_claimed,
+            shard_index,
+            live,
             settings,
             workers,
         )
         self._dispatches.add(dispatch)
-        dispatch.add_done_callback(
-            lambda future, live=live, started=started: self._on_batch_done(
-                live, started, future
-            )
-        )
+        dispatch.add_done_callback(partial(self._on_batch_done, self._loop.time()))
 
-    def _on_batch_done(
-        self,
-        entries: list[_PendingEntry],
-        started: float,
-        dispatch: asyncio.Future,
-    ) -> None:
-        """Settle every waiter of a finished batch; then drain the queue."""
+    def _on_batch_done(self, started: float, dispatch: asyncio.Future) -> None:
+        """Account a finished batch; then drain the queue.
+
+        The batch's waiters are settled by their flights' own callbacks
+        (:meth:`_settle`), scheduled before this one.
+        """
         assert self._loop is not None
         self._dispatches.discard(dispatch)
         elapsed = max(self._loop.time() - started, 1e-6)
         self._ewma_batch_s += 0.25 * (elapsed - self._ewma_batch_s)
-        error: BaseException | None
-        try:
-            results = dispatch.result()
-            error = None
-        except BaseException as failure:  # noqa: BLE001 - delivered to waiters
-            results = []
-            error = failure
-        if error is not None:
-            for entry in entries:
-                for waiter in entry.waiters:
-                    if not waiter.future.done():
-                        waiter.future.set_exception(error)
-        else:
-            for entry, result in zip(entries, results):
-                self._settle_entry(entry, result)
         # The backend just freed capacity: drain queued windows immediately
         # rather than letting them ripen to their timers.
         for group in list(self._windows):
             self._flush(group)
+        dispatch.result()  # run failures travel on the flights; this is bugs only
+
+    def _settle(
+        self,
+        waiter: asyncio.Future,
+        role: str,
+        canonical: CanonicalForm,
+        key: str,
+        theta: float | None,
+        flight: Future[CacheEntry],
+    ) -> None:
+        """Deliver a resolved flight to one waiter: its numbering, its θ.
+
+        A waiter cancelled meanwhile is skipped — only its own answer is
+        discarded.  Each answer is memoized under its ``(key, θ)`` so the
+        next identical request is an edge-memo hit.
+        """
+        if waiter.done():
+            return
+        error = flight.exception()
+        if error is not None:
+            waiter.set_exception(error)
+            return
+        result = self._gateway.finish(role, flight, canonical, key, theta)
+        self._remember((key, theta), canonical.numbering, result)
+        waiter.set_result(result)
 
     def _remember(
         self,
@@ -539,65 +531,20 @@ class AsyncOptimizerGateway:
         while len(self._served) > self.result_memo_size:
             self._served.popitem(last=False)
 
-    def _settle_entry(self, entry: _PendingEntry, result: ServiceResult) -> None:
-        """Deliver one entry's result to each waiter in its own numbering.
-
-        ``result`` is the *unbound* outcome of a θ-free dispatch; each
-        waiter binds its own θ here.  The memo stores the unbound form
-        under ``(key, None)`` — θ-specific repeats are served from the
-        shard's envelope entry on the fast path instead.
-        """
-        self._remember((entry.key, None), entry.canonical.numbering, result)
-        first = True
-        for waiter in entry.waiters:
-            if waiter.future.done():
-                continue
-            if first and waiter.canonical.numbering == entry.canonical.numbering:
-                # The representative: the batch ran (or cache-served) its
-                # exact numbering, so apart from the θ bind — which keeps
-                # the ``cached`` flag truthful — the result passes through.
-                waiter.future.set_result(bind_result_theta(result, waiter.theta))
-            else:
-                waiter.future.set_result(
-                    serve_from_result(
-                        result,
-                        entry.canonical,
-                        waiter.canonical,
-                        entry.key,
-                        theta=waiter.theta,
-                    )
-                )
-            first = False
-
     # ------------------------------------------------------------------- stats
 
     def stats(self) -> AsyncGatewayStats:
         """Snapshot the front-end counters plus the wrapped gateway's."""
-        return AsyncGatewayStats(
-            requests=self._requests,
-            fast_path_hits=self._fast_path_hits,
-            result_memo_hits=self._result_memo_hits,
-            admitted=self._admitted,
-            coalesced=self._coalesced,
-            batched=self._batched,
-            rejected_queue_full=self._rejected_queue_full,
-            rejected_tenant_share=self._rejected_tenant_share,
-            cancelled=self._cancelled,
-            queue_depth=len(self._queued),
-            outstanding=self._outstanding,
-            dispatched_batches=self._dispatched_batches,
-            in_flight_batches=self._in_flight_batches(),
-            batch_sizes=dict(self._batch_sizes),
+        counters = self._counters
+        return dataclasses.replace(
+            counters,
+            queue_depth=sum(len(window.flights) for window in self._windows.values()),
+            outstanding=len(self._waiters),
+            in_flight_batches=len(self._dispatches),
+            batch_sizes=dict(counters.batch_sizes),
             tenants={
-                tenant: TenantStats(
-                    requests=state.requests,
-                    completed=state.completed,
-                    rejected=state.rejected,
-                    cancelled=state.cancelled,
-                    failed=state.failed,
-                    outstanding=state.outstanding,
-                )
-                for tenant, state in self._tenants.items()
+                tenant: dataclasses.replace(state)
+                for tenant, state in counters.tenants.items()
             },
             gateway=self._gateway.stats(),
         )
@@ -622,11 +569,11 @@ class AsyncOptimizerGateway:
     async def close(self) -> None:
         """Stop admitting, flush and drain every queued request, release.
 
-        Queued entries are dispatched (their waiters get real answers, not
-        cancellations), in-flight batches are awaited, and then the dispatch
-        pool — plus the wrapped gateway, when owned — is shut down.
-        Idempotent; concurrent requests racing ``close`` either complete or
-        see the closed error at admission.
+        Queued flights are dispatched (their waiters get real answers, not
+        cancellations), in-flight batches and every outstanding waiter are
+        awaited, and then the dispatch pool — plus the wrapped gateway,
+        when owned — is shut down.  Idempotent; concurrent requests racing
+        ``close`` either complete or see the closed error at admission.
         """
         if self._closed:
             return
@@ -634,11 +581,8 @@ class AsyncOptimizerGateway:
         self._closed = True
         for group in list(self._windows):
             self._flush(group)
-        while self._dispatches:
-            await asyncio.gather(*list(self._dispatches), return_exceptions=True)
-            # Completion callbacks (which settle waiters and may flush the
-            # next wave of windows) run via call_soon; yield so they do.
-            await asyncio.sleep(0)
+        while self._dispatches or self._waiters:
+            await asyncio.wait(self._dispatches | self._waiters)
         self._executor.shutdown(wait=True)
         if self._own_gateway:
             self._gateway.close()

@@ -14,10 +14,13 @@ requests from a thread pool of handlers safely:
 * **in-flight coalescing (singleflight)** — concurrent identical or
   isomorphic misses on one shard share a single optimization: the first
   requester becomes the *leader* and runs the DP, every other requester
-  becomes a *follower* that waits on the leader's completion event and is
-  then served from the finished entry (remapped to its own table
-  numbering).  Without this, N clients racing the same cold fingerprint
-  would run N duplicate DP enumerations;
+  becomes a *follower* of the flight's ``concurrent.futures.Future`` and is
+  answered from the finished entry (remapped to its own table numbering).
+  Threads wait on the future; the asyncio door
+  (:mod:`repro.service.aio`) attaches a callback to the same future, so
+  there is one flight table however the traffic arrives.  Without this, N
+  clients racing the same cold fingerprint would run N duplicate DP
+  enumerations;
 * **aggregated observability** — :meth:`ShardedOptimizerGateway.stats`
   snapshots per-shard cache counters plus gateway-level counters (requests,
   DP runs performed, coalesced requests, current and peak in-flight gauge)
@@ -37,74 +40,57 @@ and a slow disk read never stalls the flight table.
 
 from __future__ import annotations
 
+import concurrent.futures
+import dataclasses
 import threading
-from collections.abc import Callable, Iterable
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Any
 
 from repro.cluster.simulator import DEFAULT_CLUSTER, ClusterModel
 from repro.config import DEFAULT_SETTINGS, OptimizerSettings
 from repro.core.master import PartitionExecutor
 from repro.query.query import Query
-from repro.service.cache import CacheStats, CacheTier
-from repro.service.fingerprint import (
-    CanonicalForm,
-    canonicalize,
-    fingerprint_canonical,
-)
+from repro.service.cache import CacheTier
+from repro.service.fingerprint import CanonicalForm
 from repro.service.service import (
     CacheEntry,
     OptimizerService,
     ServiceResult,
-    bind_result_theta,
-    serve_from_result,
+    ShardStats,
+    resolve,
 )
 
 #: Width (in hex digits) of the fingerprint prefix used for range routing.
 #: 8 hex digits = 32 bits — plenty to spread sha256 prefixes uniformly over
 #: any practical shard count.
 _ROUTE_HEX_DIGITS = 8
-_ROUTE_SPACE = 1 << (4 * _ROUTE_HEX_DIGITS)
+
+#: One led flight as the lead path runs it: the leader's query, its
+#: canonical form, the fingerprint, and the future every follower waits on.
+LedFlight = tuple[Query, CanonicalForm, str, "Future[CacheEntry]"]
 
 
-@dataclass(frozen=True)
-class ShardStats:
-    """One shard's observable state at snapshot time.
-
-    ``cache`` is whatever the shard's tier snapshots —
-    :class:`~repro.service.cache.CacheStats` for the plain LRU,
-    :class:`~repro.service.tiers.TieredStats` for a tiered cache; both
-    expose ``hits``/``misses``/``evictions``/``hit_rate`` and ``to_dict``.
-    """
-
-    shard: int
-    cache: CacheStats
-    entries: int
-    #: θ-bindings served from a cached envelope (no DP run) on this shard.
-    envelope_hits: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """The shard cache's hit rate (0.0 before any lookup)."""
-        return self.cache.hit_rate
-
-
-@dataclass(frozen=True)
+@dataclass
 class GatewayStats:
     """A consistent cross-shard snapshot of the gateway's counters.
 
     ``coalesced`` counts requests that were answered by waiting on another
     request's in-flight optimization; ``optimizations`` counts DP runs the
     gateway actually performed.  ``requests - optimizations`` is therefore
-    the number of answers served without enumerating anything.
+    the number of answers served without enumerating anything.  (The
+    gateway keeps its live counters in one instance of this type and
+    snapshots by copy.)
     """
 
-    shards: tuple[ShardStats, ...]
-    requests: int
-    optimizations: int
-    coalesced: int
-    in_flight: int
-    peak_in_flight: int
+    shards: tuple[ShardStats, ...] = ()
+    requests: int = 0
+    optimizations: int = 0
+    coalesced: int = 0
+    in_flight: int = 0
+    peak_in_flight: int = 0
     #: θ-specific answers bound from cached envelopes, summed over shards.
     #: Every one is a parametric request answered without enumerating.
     envelope_hits: int = 0
@@ -130,28 +116,27 @@ class GatewayStats:
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
 
+    def cache_totals(self) -> dict[str, Any]:
+        """The shards' cache ``to_dict()`` counters summed.
 
-class _Flight:
-    """One in-flight optimization: a key, a completion event, its outcome.
+        With tiered shard caches the memory/disk breakdown sums through
+        too — a warm restart is visible as disk hits, not generic hits.
+        """
+        totals: Counter[str] = Counter()
+        for shard in self.shards:
+            totals.update(shard.cache.to_dict())
+        return {**totals, "hit_rate": self.hit_rate}
 
-    The leader publishes either an answer or ``error`` before setting
-    ``done``; followers wait on ``done`` and then read whichever was
-    published.  The answer has two forms: ``entry`` (the cached canonical
-    plans — the normal case) and, as a fallback for caches that retain
-    nothing (``capacity=0``) or evicted the entry before the leader's peek,
-    the leader's own ``result`` plus the ``canonical`` numbering it was
-    computed in, from which a follower's answer is relabeled directly.
-    """
-
-    __slots__ = ("key", "done", "entry", "error", "result", "canonical")
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-        self.done = threading.Event()
-        self.entry: CacheEntry | None = None
-        self.error: BaseException | None = None
-        self.result: ServiceResult | None = None
-        self.canonical: CanonicalForm | None = None
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-ready gateway counters with each shard's ``to_dict()``."""
+        return {
+            "requests": self.requests,
+            "optimizations": self.optimizations,
+            "coalesced": self.coalesced,
+            "peak_in_flight": self.peak_in_flight,
+            "envelope_hits": self.envelope_hits,
+            "shards": [shard.to_dict() for shard in self.shards],
+        }
 
 
 class ShardedOptimizerGateway:
@@ -214,13 +199,11 @@ class ShardedOptimizerGateway:
         #: condition variable it also lets ``close`` wait for in-flight
         #: requests to drain.
         self._lock = threading.Condition()
-        self._flights: dict[str, _Flight] = {}
+        #: The one singleflight table: fingerprint → the future of the
+        #: entry its in-flight optimization will produce.
+        self._flights: dict[str, Future[CacheEntry]] = {}
         self._closed = False
-        self._requests = 0
-        self._optimizations = 0
-        self._coalesced = 0
-        self._in_flight = 0
-        self._peak_in_flight = 0
+        self._counters = GatewayStats()
 
     # ------------------------------------------------------------------ routing
 
@@ -259,26 +242,16 @@ class ShardedOptimizerGateway:
         A leader is never interrupted (a half-run DP has no safe abort
         point), and a cache hit never waits at all.
         """
-        settings = settings if settings is not None else self.settings
-        workers = n_workers if n_workers is not None else self.n_workers
-        canonical = canonicalize(query)
-        key = fingerprint_canonical(canonical, settings, workers)
-        shard = self.shards[self.shard_for(key)]
+        settings, workers, canonical, key, theta = resolve(
+            self, query, settings, n_workers
+        )
         self._enter_requests(1)
         try:
-            role, payload = self._lookup_or_lead(shard, key)
-            if role == "hit":
-                return shard.serve_entry(payload, canonical, key, theta=settings.theta)
-            if role == "follow":
-                return self._await_flight(
-                    shard,
-                    payload,
-                    canonical,
-                    key,
-                    timeout_s=timeout_s,
-                    theta=settings.theta,
-                )
-            return self._lead(shard, payload, query, canonical, key, settings, workers)
+            role, payload = self._lookup_or_lead(key)
+            if role == "lead":
+                flight = (query, canonical, key, payload)
+                self._lead_shard_batch(self.shard_for(key), [flight], settings, workers)
+            return self.finish(role, payload, canonical, key, theta, timeout_s)
         finally:
             self._exit_requests(1)
 
@@ -290,9 +263,9 @@ class ShardedOptimizerGateway:
         The opportunistic fast path for front-ends (the async gateway) that
         queue misses for batching instead of blocking a thread per request:
         a hit is counted as a request and a shard cache hit; a miss counts
-        *nothing* here — the caller funnels it into :meth:`optimize_batch`,
-        whose lookup does the real miss accounting, so one logical miss is
-        never double-counted.
+        *nothing* here — the caller goes on to :meth:`claim`, whose
+        lookup does the real miss accounting, so one logical miss is never
+        double-counted.
         """
         shard = self.shards[self.shard_for(key)]
         with self._lock:
@@ -305,8 +278,8 @@ class ShardedOptimizerGateway:
         if entry is None:
             return None
         with self._lock:
-            self._requests += 1
-        return shard.serve_entry(entry, canonical, key, theta=theta)
+            self._counters.requests += 1
+        return shard.answer(entry, canonical, key, theta)
 
     # ------------------------------------------------------------------- batch
 
@@ -325,85 +298,125 @@ class ShardedOptimizerGateway:
         handler pool so shard executors run concurrently and partition
         tasks interleave per shard.
         """
-        settings = settings if settings is not None else self.settings
-        workers = n_workers if n_workers is not None else self.n_workers
         requests = list(queries)
-        canonicals = [canonicalize(query) for query in requests]
-        keys = [
-            fingerprint_canonical(canonical, settings, workers)
-            for canonical in canonicals
-        ]
-        results: list[ServiceResult | None] = [None] * len(requests)
-        leaders: dict[int, list[tuple[int, _Flight]]] = {}
-        followers: list[tuple[int, _Flight]] = []
+        resolved = [resolve(self, query, settings, n_workers) for query in requests]
+        claims: list[tuple[str, CacheEntry | Future[CacheEntry]]] = []
+        leaders: dict[int, list[LedFlight]] = {}
         self._enter_requests(len(requests))
         try:
             try:
-                for index, key in enumerate(keys):
-                    shard_index = self.shard_for(key)
-                    role, payload = self._lookup_or_lead(self.shards[shard_index], key)
-                    if role == "hit":
-                        results[index] = self.shards[shard_index].serve_entry(
-                            payload, canonicals[index], key, theta=settings.theta
+                for query, (*__, canonical, key, __) in zip(requests, resolved):
+                    role, payload = self._lookup_or_lead(key)
+                    claims.append((role, payload))
+                    if role == "lead":
+                        leaders.setdefault(self.shard_for(key), []).append(
+                            (query, canonical, key, payload)
                         )
-                    elif role == "follow":
-                        followers.append((index, payload))
-                    else:
-                        leaders.setdefault(shard_index, []).append((index, payload))
             except BaseException as error:  # noqa: BLE001 - resolve flights, re-raise
                 # Leader flights registered before the failure would strand
                 # their followers (possibly in other threads) forever; fail
                 # them explicitly instead.
                 for group in leaders.values():
-                    for __, flight in group:
-                        flight.error = error
-                        with self._lock:
-                            self._flights.pop(flight.key, None)
-                        flight.done.set()
+                    self._resolve_flights(group, error=error)
                 raise
-
-            futures = [
-                self._pool.submit(
-                    self._lead_shard_batch,
-                    shard_index,
-                    group,
-                    requests,
-                    canonicals,
-                    keys,
-                    results,
-                    settings,
-                    workers,
-                )
-                for shard_index, group in leaders.items()
+            if leaders:
+                settings, workers = resolved[0][:2]
+                # Every led group resolves (entry or error published to its
+                # futures) before any follower waits, so followers of *this*
+                # batch's own flights never deadlock; followers of other
+                # threads' flights wait on those threads' progress as usual.
+                for sub_batch in [
+                    self._pool.submit(
+                        self._lead_shard_batch, shard_index, group, settings, workers
+                    )
+                    for shard_index, group in leaders.items()
+                ]:
+                    sub_batch.result()
+            return [
+                self.finish(role, payload, canonical, key, theta)
+                for (role, payload), (*__, canonical, key, theta) in zip(claims, resolved)
             ]
-            errors: list[BaseException] = []
-            for future in futures:
-                try:
-                    future.result()
-                except BaseException as error:  # noqa: BLE001 - re-raised below
-                    errors.append(error)
-            # Leader groups are fully resolved (entries published, events
-            # set) before any follower waits, so followers of *this* batch's
-            # own flights never deadlock; followers of other threads' flights
-            # wait on those threads' progress as usual.
-            for index, flight in followers:
-                shard = self.shards[self.shard_for(flight.key)]
-                results[index] = self._await_flight(
-                    shard, flight, canonicals[index], keys[index], theta=settings.theta
-                )
-            if errors:
-                raise errors[0]
         finally:
             self._exit_requests(len(requests))
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
 
     # -------------------------------------------------------------- singleflight
+    #
+    # The flight protocol: admit → ``_lookup_or_lead`` → (when leading)
+    # ``_lead_shard_batch`` → ``finish`` → release.  The threaded entry
+    # points above run it in one thread.  A queueing front door (the
+    # asyncio one) runs the same steps spread over time: ``claim`` on its
+    # loop, ``run_claimed`` (or ``withdraw``) for what it leads on a
+    # dispatch thread, ``finish`` from the future's callback — same table,
+    # same code.
 
-    def _lookup_or_lead(
-        self, shard: OptimizerService, key: str
-    ) -> tuple[str, CacheEntry | _Flight]:
-        """Classify a request: cache hit, follower, or leader.
+    def claim(self, key: str) -> tuple[str, CacheEntry | Future[CacheEntry]]:
+        """Admit and classify one request without blocking on anything.
+
+        Returns :meth:`_lookup_or_lead`'s verdict for :meth:`finish`.  Only
+        a led flight stays admitted (``close`` waits for it), until
+        :meth:`run_claimed` or :meth:`withdraw` resolves it.
+        """
+        self._enter_requests(1)
+        role = None
+        try:
+            role, payload = self._lookup_or_lead(key)
+            return role, payload
+        finally:
+            if role != "lead":
+                self._exit_requests(1)
+
+    def run_claimed(
+        self,
+        shard_index: int,
+        group: Sequence[LedFlight],
+        settings: OptimizerSettings,
+        workers: int,
+    ) -> None:
+        """Run one shard's claimed (led) flights, releasing their admission."""
+        self._lead_shard_batch(
+            shard_index, group, settings, workers, release=len(group)
+        )
+
+    def withdraw(self, flight: LedFlight) -> None:
+        """Resolve a claimed flight that will never run (its leader gave up).
+
+        Anyone still following it fails with ``CancelledError``; a retry
+        finds no flight and leads afresh.
+        """
+        key = flight[2]
+        error = concurrent.futures.CancelledError(
+            f"flight for {key[:12]}… was withdrawn before it ran"
+        )
+        self._resolve_flights([flight], error=error, release=1)
+
+    def _enter_requests(self, count: int) -> None:
+        """Admit ``count`` requests (refused once closed); raise the gauges.
+
+        Each must be released by :meth:`_exit_requests` — ``close`` waits
+        for the in-flight gauge to drain, which is what guarantees a led
+        flight is resolved before its shard's executor is torn down.
+        """
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("gateway is closed")
+            counters = self._counters
+            counters.requests += count
+            counters.in_flight += count
+            counters.peak_in_flight = max(counters.peak_in_flight, counters.in_flight)
+
+    def _exit_requests(self, count: int) -> None:
+        """Release ``count`` admitted requests; wake ``close`` at zero."""
+        with self._lock:
+            self._counters.in_flight -= count
+            if self._counters.in_flight == 0:
+                self._lock.notify_all()
+
+    def _lookup_or_lead(self, key: str) -> tuple[str, CacheEntry | Future[CacheEntry]]:
+        """Classify an admitted request: ``"hit"`` (with the entry), or
+        ``"follow"`` / ``"lead"`` (with the flight's future).
+
+        A ``"lead"`` verdict registers the flight: the caller must resolve
+        it through :meth:`_lead_shard_batch` (or :meth:`withdraw`).
 
         The cache lookup happens *outside* the gateway lock — on a tiered
         cache it may read the disk tier, and holding the flight-table lock
@@ -417,160 +430,118 @@ class ShardedOptimizerGateway:
         # No closed-check here: requests already admitted (``_enter_requests``)
         # must run to completion, or flights they registered would strand
         # their followers.  Closing is gated at request entry only.
-        entry = shard.cache.get(key)
+        cache = self.shards[self.shard_for(key)].cache
+        entry = cache.get(key)
         if entry is not None:
             return "hit", entry
         with self._lock:
             flight = self._flights.get(key)
             if flight is not None:
-                self._coalesced += 1
+                self._counters.coalesced += 1
                 return "follow", flight
-            resident = shard.cache.peek(key)
+            resident = cache.peek(key)
             if resident is not None:
                 # A leader completed in the window between our miss and this
                 # lock hold.  Its run answered us without a fresh DP, so the
                 # miss our lookup counted is reclassified as the hit it was.
-                shard.cache.reclassify_miss_as_hit()
+                cache.reclassify_miss_as_hit()
                 return "hit", resident
-            flight = _Flight(key)
-            self._flights[key] = flight
+            flight = self._flights[key] = Future()
+            # Running from birth: a follower that gives up (timeout, asyncio
+            # cancellation) can never cancel the flight under the others.
+            flight.set_running_or_notify_cancel()
             return "lead", flight
-
-    def _lead(
-        self,
-        shard: OptimizerService,
-        flight: _Flight,
-        query: Query,
-        canonical: CanonicalForm,
-        key: str,
-        settings: OptimizerSettings,
-        workers: int,
-    ) -> ServiceResult:
-        """Run the optimization this request leads; publish it to followers.
-
-        The flight carries the *unbound* entry and result: followers may ask
-        for different θs than the leader, and each binds its own against the
-        shared envelope.  Only the leader's own return value is θ-bound.
-        """
-        try:
-            result, entry = shard.run_misses_with_entries(
-                [(query, canonical, key)], settings, workers
-            )[0]
-            flight.entry = entry
-            flight.result = result
-            flight.canonical = canonical
-            with self._lock:
-                self._optimizations += 1
-            return bind_result_theta(result, settings.theta, envelope=entry.envelope)
-        except BaseException as error:  # noqa: BLE001 - published, then re-raised
-            flight.error = error
-            raise
-        finally:
-            # Deregister only after ``run_misses`` has filled the cache, so
-            # a concurrent miss either sees the entry or finds this flight.
-            with self._lock:
-                self._flights.pop(key, None)
-            flight.done.set()
 
     def _lead_shard_batch(
         self,
         shard_index: int,
-        group: list[tuple[int, _Flight]],
-        requests: list[Query],
-        canonicals: list[CanonicalForm],
-        keys: list[str],
-        results: list[ServiceResult | None],
+        group: Sequence[LedFlight],
         settings: OptimizerSettings,
         workers: int,
+        release: int = 0,
     ) -> None:
-        """Run one shard's led misses as a single interleaved sub-batch."""
-        shard = self.shards[shard_index]
+        """Run one shard's led flights as a single interleaved sub-batch.
+
+        Each flight's future receives the *unbound* entry — followers may
+        ask for different θs than the leader, and each binds its own
+        against the shared envelope — or the run's error.  Nothing is
+        raised here: leaders read their outcome where followers do, from
+        the future (:meth:`finish`), so a failure reaches every requester
+        exactly once.  ``release`` admitted requests are given back as the
+        flights resolve (claimed flights have no surrounding request scope).
+        """
         try:
-            shard_results = shard.run_misses_with_entries(
-                [(requests[index], canonicals[index], keys[index]) for index, __ in group],
+            entries = self.shards[shard_index].run_misses(
+                [(query, canonical, key) for query, canonical, key, __ in group],
                 settings,
                 workers,
             )
-            for (index, flight), (result, entry) in zip(group, shard_results):
-                flight.entry = entry
-                flight.result = result
-                flight.canonical = canonicals[index]
-                results[index] = bind_result_theta(
-                    result, settings.theta, envelope=entry.envelope
-                )
-            with self._lock:
-                self._optimizations += len(group)
-        except BaseException as error:  # noqa: BLE001 - published, then re-raised
-            for __, flight in group:
-                flight.error = error
-            raise
-        finally:
-            with self._lock:
-                for index, __ in group:
-                    self._flights.pop(keys[index], None)
-            for __, flight in group:
-                flight.done.set()
+        except BaseException as error:  # noqa: BLE001 - re-raised by finish()
+            self._resolve_flights(group, error=error, release=release)
+            return
+        with self._lock:
+            self._counters.optimizations += len(group)
+        self._resolve_flights(group, entries, release=release)
 
-    def _await_flight(
+    def _resolve_flights(
         self,
-        shard: OptimizerService,
-        flight: _Flight,
+        group: Sequence[LedFlight],
+        entries: Sequence[CacheEntry] = (),
+        error: BaseException | None = None,
+        release: int = 0,
+    ) -> None:
+        # Deregister only after ``run_misses`` has filled the cache, so a
+        # concurrent miss either sees the entry or finds this flight — and
+        # release admission before publishing, so whoever an outcome wakes
+        # reads gauges that no longer count its flight.
+        with self._lock:
+            for __, __, key, __ in group:
+                self._flights.pop(key, None)
+            self._exit_requests(release)
+        if error is not None:
+            for *__, future in group:
+                future.set_exception(error)
+        for (*__, future), entry in zip(group, entries):
+            future.set_result(entry)
+
+    def finish(
+        self,
+        role: str,
+        payload: CacheEntry | Future[CacheEntry],
         canonical: CanonicalForm,
         key: str,
+        theta: float | None,
         timeout_s: float | None = None,
-        theta: float | None = None,
     ) -> ServiceResult:
-        """Wait for the in-flight leader, then serve from its published entry.
+        """Answer one classified request once its entry is available.
 
-        With ``timeout_s``, an expired wait abandons the flight: nothing was
-        registered by this follower, so abandonment needs no cleanup beyond
-        raising — the flight, its leader, and its other followers are
-        untouched.  (The follower's probe already counted a cache miss; that
-        stands, since this request was indeed not answered from cache.)
+        A follower waits for the in-flight leader.  With ``timeout_s``, an
+        expired wait abandons the flight: nothing was registered by this
+        follower, so abandonment needs no cleanup beyond raising — the
+        flight, its leader, and its other followers are untouched.  (The
+        follower's lookup already counted a cache miss; that stands, since
+        this request was indeed not answered from cache.)
         """
-        if not flight.done.wait(timeout_s):
-            raise TimeoutError(
-                f"coalesced flight for {flight.key[:12]}… did not complete "
-                f"within {timeout_s}s; the leader is still running"
-            )
-        if flight.error is not None:
-            raise flight.error
-        entry = flight.entry
-        if entry is None:
-            # Nothing cached to serve from: capacity=0 retains nothing, or
-            # the entry was evicted between the leader's cache fill and its
-            # peek.  The leader's own result is still on the flight —
-            # relabel it into this follower's numbering, preserving the
-            # one-DP-run-per-fingerprint invariant even with no cache.
-            assert flight.result is not None and flight.canonical is not None
-            with self._lock:
-                shard.cache.reclassify_miss_as_hit()
-            return serve_from_result(
-                flight.result, flight.canonical, canonical, key, theta=theta
-            )
-        # The follower's probe counted a miss, but no optimization ran for
-        # it — recount so hit rate means "answered without enumerating".
-        # Under the gateway lock so ``stats()`` snapshots never observe the
-        # counters mid-reclassification.
-        with self._lock:
-            shard.cache.reclassify_miss_as_hit()
-        return shard.serve_entry(entry, canonical, key, theta=theta)
+        shard = self.shards[self.shard_for(key)]
+        if role == "hit":
+            entry = payload
+        else:
+            if not concurrent.futures.wait([payload], timeout_s).done:
+                raise TimeoutError(
+                    f"coalesced flight for {key[:12]}… did not complete "
+                    f"within {timeout_s}s; the leader is still running"
+                )
+            entry = payload.result()
+            if role == "follow":
+                # The follower's lookup counted a miss, but no optimization
+                # ran for it — recount so hit rate means "answered without
+                # enumerating".  Under the gateway lock so ``stats()``
+                # snapshots never observe the counters mid-reclassification.
+                with self._lock:
+                    shard.cache.reclassify_miss_as_hit()
+        return shard.answer(entry, canonical, key, theta, cached=role != "lead")
 
     # ------------------------------------------------------------------- stats
-
-    def _enter_requests(self, count: int) -> None:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("gateway is closed")
-            self._requests += count
-            self._in_flight += count
-            self._peak_in_flight = max(self._peak_in_flight, self._in_flight)
-
-    def _exit_requests(self, count: int) -> None:
-        with self._lock:
-            self._in_flight -= count
-            if self._in_flight == 0:
-                self._lock.notify_all()
 
     def stats(self) -> GatewayStats:
         """A consistent snapshot of gateway and per-shard counters.
@@ -586,25 +557,13 @@ class ShardedOptimizerGateway:
         hold exactly, and the tests pin them there.
         """
         with self._lock:
-            shard_stats = []
-            for index, shard in enumerate(self.shards):
-                cache_stats, entries = shard.cache.snapshot_with_size()
-                shard_stats.append(
-                    ShardStats(
-                        shard=index,
-                        cache=cache_stats,
-                        entries=entries,
-                        envelope_hits=shard.envelope_hits,
-                    )
-                )
-            return GatewayStats(
-                shards=tuple(shard_stats),
-                requests=self._requests,
-                optimizations=self._optimizations,
-                coalesced=self._coalesced,
-                in_flight=self._in_flight,
-                peak_in_flight=self._peak_in_flight,
-                envelope_hits=sum(stat.envelope_hits for stat in shard_stats),
+            shards = tuple(
+                shard.stats(index) for index, shard in enumerate(self.shards)
+            )
+            return dataclasses.replace(
+                self._counters,
+                shards=shards,
+                envelope_hits=sum(shard.envelope_hits for shard in shards),
             )
 
     # --------------------------------------------------------------- lifecycle
@@ -622,7 +581,7 @@ class ShardedOptimizerGateway:
         with self._lock:
             already_closed = self._closed
             self._closed = True
-            while not already_closed and self._in_flight:
+            while not already_closed and self._counters.in_flight:
                 self._lock.wait()
         if already_closed:
             return

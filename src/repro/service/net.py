@@ -69,8 +69,7 @@ from repro.config import DEFAULT_SETTINGS, OptimizerSettings
 from repro.query.io import query_to_dict
 from repro.query.query import Query
 from repro.service.aio import GatewayOverloadedError
-from repro.service.fingerprint import canonicalize, fingerprint_canonical
-from repro.service.service import ServiceResult
+from repro.service.service import ServiceResult, resolve
 
 #: Protocol identity exchanged in the hello frame; peers reject mismatches.
 PROTOCOL_FORMAT = "repro-net"
@@ -557,10 +556,13 @@ class NetworkOptimizerGateway:
         self._links: dict[str, _ShardLink] = {}
         self._lock = threading.Lock()
         self._closed = False
-        self._requests = 0
-        self._breaker_rejections = 0
-        self._hedged = 0
-        self._hedged_wins = 0
+        #: Client-side counters, guarded by ``_lock``; ``stats()`` copies them.
+        self._counters = {
+            "requests": 0,
+            "breaker_rejections": 0,
+            "hedged": 0,
+            "hedged_wins": 0,
+        }
         for name, spec in shards.items():
             self.add_shard(name, spec)
         self._health_stop = threading.Event()
@@ -635,10 +637,11 @@ class NetworkOptimizerGateway:
         :class:`RemoteOptimizationError` when the shard's own optimization
         failed.
         """
-        settings = settings if settings is not None else self.settings
-        workers = n_workers if n_workers is not None else self.n_workers
-        canonical = canonicalize(query)
-        key = fingerprint_canonical(canonical, settings, workers)
+        settings, workers, __, key, __ = resolve(self, query, settings, n_workers)
+        with self._lock:
+            # Once per call, not per attempt: overload retries below re-route
+            # but are still the same request.
+            self._counters["requests"] += 1
         payload = {
             "op": "optimize",
             "query": query_to_dict(query),
@@ -694,20 +697,11 @@ class NetworkOptimizerGateway:
             ]
             return [future.result() for future in futures]
 
-    def _link_for(self, key: str) -> _ShardLink:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("network gateway is closed")
-            self._requests += 1
-            name = self._ring.route(key)
-            return self._links[name]
-
     def _route_pair(self, key: str) -> tuple[_ShardLink, _ShardLink | None]:
         """The key's owner and (when the ring has one) its hedging target."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("network gateway is closed")
-            self._requests += 1
             owners = self._ring.owners(key, 2)
             primary = self._links[owners[0]]
             secondary = self._links[owners[1]] if len(owners) > 1 else None
@@ -789,7 +783,7 @@ class NetworkOptimizerGateway:
             ]
         except queue_module.Empty:
             with self._lock:
-                self._hedged += 1
+                self._counters["hedged"] += 1
             threading.Thread(
                 target=run, args=(secondary,), name="net-hedge", daemon=True
             ).start()
@@ -801,7 +795,7 @@ class NetworkOptimizerGateway:
             winner = self._pick_outcome(primary, outcomes)
             if winner[0] is secondary and self._usable(winner):
                 with self._lock:
-                    self._hedged_wins += 1
+                    self._counters["hedged_wins"] += 1
             link, response, error = winner
             if error is not None:
                 raise error
@@ -845,7 +839,7 @@ class NetworkOptimizerGateway:
         """One breaker-guarded request against a shard."""
         if not link.breaker.allow():
             with self._lock:
-                self._breaker_rejections += 1
+                self._counters["breaker_rejections"] += 1
             raise ShardUnavailableError(
                 link.name,
                 "circuit breaker open",
@@ -925,10 +919,7 @@ class NetworkOptimizerGateway:
     def stats(self) -> dict[str, Any]:
         """Client-side counters plus each reachable shard's server stats."""
         with self._lock:
-            requests = self._requests
-            breaker_rejections = self._breaker_rejections
-            hedged = self._hedged
-            hedged_wins = self._hedged_wins
+            counters = dict(self._counters)
             links = list(self._links.values())
         shards: dict[str, Any] = {}
         for link in links:
@@ -949,13 +940,7 @@ class NetworkOptimizerGateway:
             else:
                 entry["reachable"] = False
             shards[link.name] = entry
-        return {
-            "requests": requests,
-            "breaker_rejections": breaker_rejections,
-            "hedged": hedged,
-            "hedged_wins": hedged_wins,
-            "shards": shards,
-        }
+        return {**counters, "shards": shards}
 
     # --------------------------------------------------------------- lifecycle
 

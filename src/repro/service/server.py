@@ -76,6 +76,7 @@ from repro.config import DEFAULT_SETTINGS, OptimizerSettings
 from repro.query.io import query_from_dict
 from repro.service.gateway import ShardedOptimizerGateway
 from repro.service.net import PROTOCOL_FORMAT, PROTOCOL_VERSION, Address, result_to_wire
+from repro.service.tiers import shard_cache_factory
 
 
 class ShardServer:
@@ -142,14 +143,10 @@ class ShardServer:
         )
         cache_factory = None
         if cache_dir is not None:
-            from repro.service.tiers import DiskTier, TieredPlanCache
-
-            log_path = Path(cache_dir) / f"shard-{shard_id}.log"
-
-            def cache_factory(index: int) -> "TieredPlanCache":
-                return TieredPlanCache(
-                    memory_capacity=cache_capacity, disk=DiskTier(log_path)
-                )
+            # The embedded gateway's only shard is index 0; the log is named
+            # after this server's place in the fleet instead.
+            open_log = shard_cache_factory(cache_dir, cache_capacity)
+            cache_factory = lambda __: open_log(shard_id)  # noqa: E731
 
         self.gateway = ShardedOptimizerGateway(
             n_shards=1,
@@ -167,6 +164,7 @@ class ShardServer:
         self._stopped = asyncio.Event()
         self._service_time_ewma_s = 0.05
         self._connections: set[asyncio.StreamWriter] = set()
+        # Counters below are all written on the event loop only.
         self._served = 0
         self._rejected_overload = 0
         self._rejected_draining = 0
@@ -442,9 +440,12 @@ class ShardServer:
         started = time.monotonic()
         loop = asyncio.get_running_loop()
         try:
-            return await loop.run_in_executor(
+            served, frame = await loop.run_in_executor(
                 self._handler_pool, self._optimize_frame, payload
             )
+            # Counted here, on the loop, like every other server counter.
+            self._served += served
+            return frame
         except Exception as error:  # noqa: BLE001 - surfaced as a typed frame
             return self._error("optimization-failed", f"{type(error).__name__}: {error}")
         finally:
@@ -456,8 +457,11 @@ class ShardServer:
             if self._in_flight == 0:
                 self._idle.set()
 
-    def _optimize_frame(self, payload: dict[str, Any]) -> bytes:
+    def _optimize_frame(self, payload: dict[str, Any]) -> tuple[bool, bytes]:
         """Parse, optimize, and encode the response on a handler thread.
+
+        Returns whether the request was served (an ``ok`` frame) alongside
+        the encoded frame.
 
         Keeping the codec work off the event loop matters under load: the
         loop thread then only shuttles opaque bytes, so a pending frame
@@ -478,24 +482,22 @@ class ShardServer:
                 int(payload["workers"]) if payload.get("workers") is not None else None
             )
         except (KeyError, TypeError, ValueError) as error:
-            return encode_frame(
+            return False, encode_frame(
                 self._error("bad-request", f"malformed optimize request: {error}"),
                 self.max_frame_bytes,
             )
         try:
             result = self.gateway.optimize(query, settings, workers)
-            response = encode_frame(
+            return True, encode_frame(
                 {"ok": True, "result": result_to_wire(result)}, self.max_frame_bytes
             )
         except Exception as error:  # noqa: BLE001 - surfaced as a typed frame
-            return encode_frame(
+            return False, encode_frame(
                 self._error(
                     "optimization-failed", f"{type(error).__name__}: {error}"
                 ),
                 self.max_frame_bytes,
             )
-        self._served += 1
-        return response
 
     @staticmethod
     def _error(

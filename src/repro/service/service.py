@@ -17,9 +17,10 @@ a long-lived service suited to heavy query-optimization traffic:
   keeps hits correct even when two clients number the same relations
   differently.
 
-This is the substrate the ROADMAP's sharding/async directions build on: a
-shard is an ``OptimizerService`` owning a fingerprint range, and an async
-gateway is a thin wrapper over :meth:`optimize_batch`.
+This is the substrate every other front door builds on: a gateway shard is
+an ``OptimizerService`` owning a fingerprint range, and all doors turn a
+request into a cache key with :func:`resolve` and an entry into an answer
+with :meth:`OptimizerService.answer` — each decision has this one home.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ from __future__ import annotations
 # the submodule was never imported — e.g. a serial executor raising before
 # any process pool existed.
 from concurrent.futures.process import BrokenProcessPool
-import dataclasses
 import threading
 import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 from repro.cluster.simulator import (
     DEFAULT_CLUSTER,
@@ -55,7 +56,7 @@ from repro.cluster.executors import SerialPartitionExecutor
 from repro.cost.pruning import final_prune, make_pruning
 from repro.plans.plan import Plan, plan_tie_key
 from repro.query.query import Query
-from repro.service.cache import CacheTier, PlanCache
+from repro.service.cache import CacheStats, CacheTier, PlanCache
 from repro.service.fingerprint import (
     CanonicalForm,
     canonicalize,
@@ -154,76 +155,58 @@ class ServiceResult:
         return min(self.plans, key=plan_tie_key)
 
 
-def serve_from_result(
-    result: ServiceResult,
-    source: CanonicalForm,
-    target: CanonicalForm,
-    key: str,
-    theta: float | None = None,
-) -> ServiceResult:
-    """Serve an isomorphic duplicate directly from another request's result.
+@dataclass(frozen=True)
+class ShardStats:
+    """One service's (one gateway shard's) observable state at snapshot time.
 
-    ``result`` holds plans in the *source* request's own table numbering;
-    composing the source numbering with the inverse of the target numbering
-    relabels them into the duplicate requester's numbering without touching
-    the cache — the serving path when no cache entry exists (``capacity=0``,
-    or an entry evicted between the run and the duplicate being served) and
-    for async waiters coalesced onto a batched flight.
-
-    With ``theta``, the unbound frontier is narrowed to its θ-optimal plan
-    *before* relabeling (one remap instead of a frontier's worth).  The
-    selection key never reads table numbers, so binding on the source
-    plans picks the same plan every consumer of this frontier picks.
+    ``cache`` is whatever the service's tier snapshots —
+    :class:`~repro.service.cache.CacheStats` for the plain LRU,
+    :class:`~repro.service.tiers.TieredStats` for a tiered cache; both
+    expose ``hits``/``misses``/``evictions``/``hit_rate`` and ``to_dict``.
     """
-    inverse = invert(target.numbering)
-    mapping = tuple(
-        inverse[source.numbering[original]]
-        for original in range(len(source.numbering))
-    )
-    if theta is not None:
-        source_plans = [
-            result.plans[best_index_at([plan.cost for plan in result.plans], theta)]
-        ]
-    else:
-        source_plans = result.plans
-    if mapping == tuple(range(len(mapping))):
-        # Identical numbering (the common case when one hot query object is
-        # coalesced many times): plans are frozen, so they can be shared
-        # as-is — only the list and the flags are fresh.
-        plans = list(source_plans)
-    else:
-        plans = [remap_plan(plan, mapping) for plan in source_plans]
-    return dataclasses.replace(
-        result,
-        plans=plans,
-        fingerprint=key,
-        cached=True,
-        theta=theta if theta is not None else result.theta,
-    )
+
+    shard: int
+    cache: CacheStats
+    entries: int
+    #: θ-bindings served from a cached envelope (no DP run) on this shard.
+    envelope_hits: int = 0
+
+    @property
+    def hit_rate(self) -> float:
+        """The shard cache's hit rate (0.0 before any lookup)."""
+        return self.cache.hit_rate
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-ready: the shard's own counters over its cache's ``to_dict``."""
+        return {
+            "shard": self.shard,
+            "entries": self.entries,
+            "envelope_hits": self.envelope_hits,
+            **self.cache.to_dict(),
+        }
 
 
-def bind_result_theta(
-    result: ServiceResult,
-    theta: float | None,
-    envelope: EnvelopeIndex | None = None,
-) -> ServiceResult:
-    """Narrow a fresh (unbound) envelope result to its θ-optimal plan.
+def resolve(
+    door,
+    query: Query,
+    settings: OptimizerSettings | None,
+    n_workers: int | None,
+) -> tuple[OptimizerSettings, int, CanonicalForm, str, float | None]:
+    """Turn a request into its θ-free cache key: the one resolver of every door.
 
-    Used by the miss path: the DP always runs θ-free and produces the full
-    frontier; the request that led it may still have asked for a concrete
-    θ.  ``envelope`` (positionally aligned with ``result.plans`` — costs
-    are numbering-invariant, so the entry's canonical index applies to the
-    requester-numbered plans directly) makes the bind O(log n); without it
-    the linear reference rule selects identically.
+    Defaults (``door.settings`` / ``door.n_workers`` of whichever front
+    door received the request) → canonical form → θ-free fingerprint → θ,
+    returned as the plain tuple ``(settings, workers, canonical, key,
+    theta)``: the hit path allocates no per-request object beyond it.  The
+    fingerprint never reads θ, so every θ of one query shape resolves to
+    the same key (and the same cached envelope); θ rides alongside for
+    :meth:`OptimizerService.answer` to bind.
     """
-    if theta is None:
-        return result
-    costs = [plan.cost for plan in result.plans]
-    if envelope is not None:
-        index = envelope.select(costs, theta)
-    else:
-        index = best_index_at(costs, theta)
-    return dataclasses.replace(result, plans=[result.plans[index]], theta=theta)
+    settings = settings if settings is not None else door.settings
+    workers = n_workers if n_workers is not None else door.n_workers
+    canonical = canonicalize(query)
+    key = fingerprint_canonical(canonical, settings, workers)
+    return settings, workers, canonical, key, settings.theta
 
 
 class OptimizerService:
@@ -272,6 +255,12 @@ class OptimizerService:
         with self._counter_lock:
             return self._envelope_hits
 
+    def stats(self, shard: int = 0) -> ShardStats:
+        """Cache counters and entry count (one atomic hold of the tier's own
+        lock, so the pair is untorn) plus ``envelope_hits``."""
+        cache_stats, entries = self.cache.snapshot_with_size()
+        return ShardStats(shard, cache_stats, entries, self.envelope_hits)
+
     # ------------------------------------------------------------------ single
 
     def optimize(
@@ -286,17 +275,14 @@ class OptimizerService:
         same entry as every other θ of its shape; the hit is answered by
         envelope lookup, and only the first request per shape runs a DP.
         """
-        settings = settings if settings is not None else self.settings
-        workers = n_workers if n_workers is not None else self.n_workers
-        canonical = canonicalize(query)
-        key = fingerprint_canonical(canonical, settings, workers)
+        settings, workers, canonical, key, theta = resolve(
+            self, query, settings, n_workers
+        )
         entry = self.cache.get(key)
-        if entry is not None:
-            return self.serve_entry(entry, canonical, key, theta=settings.theta)
-        result, entry = self.run_misses_with_entries(
-            [(query, canonical, key)], settings, workers
-        )[0]
-        return bind_result_theta(result, settings.theta, envelope=entry.envelope)
+        cached = entry is not None
+        if entry is None:
+            [entry] = self.run_misses([(query, canonical, key)], settings, workers)
+        return self.answer(entry, canonical, key, theta, cached)
 
     # ------------------------------------------------------------------- batch
 
@@ -315,94 +301,64 @@ class OptimizerService:
         submitted before any result is awaited, so the warm workers drain
         one interleaved task queue instead of running query-by-query.
         """
-        settings = settings if settings is not None else self.settings
-        workers = n_workers if n_workers is not None else self.n_workers
         requests = list(queries)
-        canonicals = [canonicalize(query) for query in requests]
-        keys = [
-            fingerprint_canonical(canonical, settings, workers)
-            for canonical in canonicals
-        ]
-
-        results: list[ServiceResult | None] = [None] * len(requests)
-        misses: dict[str, list[int]] = {}
-        for index, key in enumerate(keys):
-            entry = self.cache.get(key)
-            if entry is not None:
-                results[index] = self.serve_entry(
-                    entry, canonicals[index], key, theta=settings.theta
-                )
-            else:
-                misses.setdefault(key, []).append(index)
-
+        resolved = [resolve(self, query, settings, n_workers) for query in requests]
+        found = [self.cache.get(key) for *__, key, __ in resolved]
         # One representative query per missing fingerprint actually runs.
-        unique = [(key, indices[0]) for key, indices in misses.items()]
-        miss_outcomes = self.run_misses_with_entries(
-            [
-                (requests[index], canonicals[index], key)
-                for key, index in unique
-            ],
-            settings,
-            workers,
-        )
-        for (key, representative), (entry_result, entry) in zip(unique, miss_outcomes):
-            results[representative] = bind_result_theta(
-                entry_result, settings.theta, envelope=entry.envelope
-            )
-            for index in misses[key][1:]:
-                # Isomorphic duplicate within the batch: computed once above
-                # and served from the run's own entry — present even when
-                # the cache retains nothing (capacity=0) or already evicted
-                # it.  The duplicate's initial lookup counted a miss (the
-                # entry did not exist yet); reclassify it as the hit it
-                # ultimately was, so the operator-facing hit rate agrees
-                # with the ``cached`` flags on the results.
-                self.cache.reclassify_miss_as_hit()
-                results[index] = self.serve_entry(
-                    entry, canonicals[index], key, theta=settings.theta
-                )
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
+        leaders: dict[str, int] = {}
+        for index, ((*__, key, __), entry) in enumerate(zip(resolved, found)):
+            if entry is None:
+                leaders.setdefault(key, index)
+        ran: dict[str, CacheEntry] = {}
+        if leaders:
+            settings, workers = resolved[0][:2]
+            items = [
+                (requests[index], resolved[index][2], key)
+                for key, index in leaders.items()
+            ]
+            ran = dict(zip(leaders, self.run_misses(items, settings, workers)))
+        results = []
+        for index, ((*__, canonical, key, theta), entry) in enumerate(
+            zip(resolved, found)
+        ):
+            led = leaders.get(key) == index
+            if entry is None:
+                # Served from the run's own entry — present even when the
+                # cache retains nothing (capacity=0) or already evicted it.
+                entry = ran[key]
+                if not led:
+                    # Isomorphic duplicate within the batch: its lookup
+                    # counted a miss (the entry did not exist yet);
+                    # reclassify it as the hit it ultimately was, so the
+                    # operator-facing hit rate agrees with the ``cached``
+                    # flags on the results.
+                    self.cache.reclassify_miss_as_hit()
+            results.append(self.answer(entry, canonical, key, theta, cached=not led))
+        return results
 
     # ----------------------------------------------------------------- helpers
 
     def run_misses(
         self,
         items: Sequence[tuple[Query, CanonicalForm, str]],
-        settings: OptimizerSettings | None = None,
-        n_workers: int | None = None,
-    ) -> list[ServiceResult]:
+        settings: OptimizerSettings,
+        workers: int,
+    ) -> list[CacheEntry]:
         """Optimize queries already known to be absent from the cache.
 
         Each item is ``(query, canonical form, fingerprint)`` — the caller
         has done the lookup (and, for the gateway, the in-flight
         registration).  Partition tasks from all items interleave on the
         executor when it supports batching; every completed run is cached
-        under its fingerprint before its result is returned.
-        """
-        return [
-            result
-            for result, __ in self.run_misses_with_entries(items, settings, n_workers)
-        ]
-
-    def run_misses_with_entries(
-        self,
-        items: Sequence[tuple[Query, CanonicalForm, str]],
-        settings: OptimizerSettings | None = None,
-        n_workers: int | None = None,
-    ) -> list[tuple[ServiceResult, CacheEntry]]:
-        """:meth:`run_misses`, returning each run's cache entry alongside.
+        under its fingerprint before its entry is returned.
 
         The DP always runs θ-free — a θ binding on ``settings`` is stripped
         here, so the run materializes the full envelope and *one* run
-        answers every θ of the shape.  Results are correspondingly unbound;
-        callers bind per requester (:func:`bind_result_theta`).  Handing
-        the entry back (rather than making callers re-peek the cache) is
-        what lets the gateway serve coalesced followers their own θ even
-        when the cache retains nothing.
+        answers every θ of the shape; callers bind per requester
+        (:meth:`answer`).  Handing the entry back (rather than making
+        callers re-peek the cache) is what lets the gateway serve coalesced
+        followers their own θ even when the cache retains nothing.
         """
-        settings = settings if settings is not None else self.settings
-        workers = n_workers if n_workers is not None else self.n_workers
         settings = settings.without_theta()
         gathered = self._run_many(
             [(query, workers, settings) for query, __, __ in items]
@@ -455,14 +411,14 @@ class OptimizerService:
         settings: OptimizerSettings,
         workers: int,
         partition_results: list[PartitionResult],
-    ) -> tuple[ServiceResult, CacheEntry]:
-        """Final-prune a miss's partition results, cache them, build the answer.
+    ) -> CacheEntry:
+        """Final-prune a miss's partition results and cache them as an entry.
 
         A parametric run's frontier is cached as an :data:`ENVELOPE_ENTRY`:
         the breakpoint index is extracted once here (and serialized with the
         entry, never recomputed downstream), and the provenance records the
         θ-domain the envelope covers.  ``settings`` is already θ-free (see
-        :meth:`run_misses_with_entries`); the returned result is unbound.
+        :meth:`run_misses`).
         """
         pruning = make_pruning(settings, n_tables=query.n_tables)
         plans = final_prune(pruning, (result.plans for result in partition_results))
@@ -503,44 +459,38 @@ class OptimizerService:
             envelope=envelope,
         )
         self.cache.put(key, entry)
-        result = ServiceResult(
-            plans=plans,
-            n_partitions=master.n_partitions,
-            fingerprint=key,
-            cached=False,
-            simulated_time_ms=simulated.total_ms,
-            network_bytes=simulated.network_bytes,
-            backend_used=master.backend_used,
-        )
-        return result, entry
+        return entry
 
-    def serve_entry(
+    def answer(
         self,
         entry: CacheEntry,
         canonical: CanonicalForm,
         key: str,
-        theta: float | None = None,
+        theta: float | None,
+        cached: bool = True,
     ) -> ServiceResult:
-        """Remap a cached entry's canonical plans into the requester's numbering.
+        """Turn an entry into one requester's answer: the one θ-bind site.
 
-        With ``theta``, the entry's breakpoint index binds the request to
-        its θ-optimal plan first, so only that one plan is remapped — the
-        envelope fast path every front-end's hit serving funnels through;
-        each such bind counts one ``envelope_hits``.
+        θ-narrow → relabel → flags.  With ``theta``, the entry's breakpoint
+        index picks the θ-optimal plan first, so only that one plan is
+        relabeled from canonical numbering into the requester's.  Every
+        front door's hit, follower and leader answers funnel through here;
+        ``cached`` is ``False`` only for the request whose DP run produced
+        ``entry``, and each θ bound without a run counts one
+        ``envelope_hits``.
         """
-        mapping = invert(canonical.numbering)
+        plans = entry.canonical_plans
         if theta is not None:
-            index = entry.select_index(theta)
-            plans = [remap_plan(entry.canonical_plans[index], mapping)]
-            with self._counter_lock:
-                self._envelope_hits += 1
-        else:
-            plans = [remap_plan(plan, mapping) for plan in entry.canonical_plans]
+            plans = [plans[entry.select_index(theta)]]
+            if cached:
+                with self._counter_lock:
+                    self._envelope_hits += 1
+        mapping = invert(canonical.numbering)
         return ServiceResult(
-            plans=plans,
+            plans=[remap_plan(plan, mapping) for plan in plans],
             n_partitions=entry.n_partitions,
             fingerprint=key,
-            cached=True,
+            cached=cached,
             simulated_time_ms=entry.simulated.total_ms,
             network_bytes=entry.simulated.network_bytes,
             backend_used=entry.backend_used,

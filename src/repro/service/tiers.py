@@ -37,7 +37,7 @@ import os
 import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 try:  # POSIX advisory locking; absent on some platforms
     import fcntl
@@ -938,3 +938,22 @@ class TieredPlanCache:
         if self.disk is None:
             return len(self.memory)
         return len(set(self.memory.keys()) | set(self.disk.keys()))
+
+
+def shard_cache_factory(
+    cache_dir: str | os.PathLike, memory_capacity: int
+) -> Callable[[int], TieredPlanCache]:
+    """A gateway ``cache_factory``: shard ``i`` persists to ``shard-<i>.log``.
+
+    The one place the per-shard log naming lives — what ``serve-batch
+    --cache-dir``, a shard server and a supervised fleet must agree on for
+    a restart (or a differently-fronted invocation) to come back warm.
+    """
+
+    def open_shard(index: int) -> TieredPlanCache:
+        return TieredPlanCache(
+            memory_capacity=memory_capacity,
+            disk=DiskTier(Path(cache_dir) / f"shard-{index}.log"),
+        )
+
+    return open_shard

@@ -476,6 +476,60 @@ class TestCancellation:
         run(scenario())
 
 
+class TestOneFlightTable:
+    def test_follower_of_running_flight_parks_no_dispatch_thread(self):
+        # A request for a key already in flight attaches to the flight's
+        # future; it must not occupy the (single) dispatch thread, and
+        # cancelling it must not cancel the flight the others share.
+        class GateSixTableQueries(SerialPartitionExecutor):
+            def __init__(self, gate):
+                self.gate = gate
+
+            def map_partitions(self, query, n_partitions, settings):
+                if query.n_tables == 6:
+                    assert self.gate.wait(timeout=WAIT_S), "test gate never opened"
+                return super().map_partitions(query, n_partitions, settings)
+
+        async def scenario():
+            gated = SteinbrunnGenerator(70).query(6)
+            unrelated = SteinbrunnGenerator(71).query(5)
+            gate = threading.Event()
+            gateway = ShardedOptimizerGateway(
+                n_shards=1,
+                n_workers=2,
+                executor_factory=lambda: GateSixTableQueries(gate),
+            )
+            loop = asyncio.get_running_loop()
+            async with AsyncOptimizerGateway(
+                gateway, own_gateway=True, dispatch_threads=1
+            ) as front:
+                # A thread leads the gated flight straight on the gateway.
+                leader = loop.run_in_executor(None, gateway.optimize, gated)
+                assert await poll(lambda: gateway.stats().in_flight == 1)
+                follower = asyncio.ensure_future(front.optimize(gated))
+                doomed = asyncio.ensure_future(front.optimize(gated))
+                assert await poll(lambda: front.stats().coalesced == 2)
+                # The dispatch thread is free: an unrelated key runs to
+                # completion while the followed flight is still gated.
+                other = await asyncio.wait_for(front.optimize(unrelated), WAIT_S)
+                assert not other.cached and not gate.is_set()
+                doomed.cancel()
+                await asyncio.sleep(0)
+                assert front.stats().cancelled == 1
+                gate.set()
+                led = await asyncio.wait_for(leader, WAIT_S)
+                followed = await asyncio.wait_for(follower, WAIT_S)
+                assert not led.cached and followed.cached
+                assert followed.plans == led.plans
+                stats = front.stats()
+            assert stats.outstanding == 0
+            assert stats.dispatched_batches == 1  # only the unrelated key
+            assert stats.gateway.optimizations == 2
+            assert stats.gateway.in_flight == 0
+
+        run(scenario())
+
+
 class TestSoakReplay:
     def test_64_client_zipf_replay_runs_each_fingerprint_once(self):
         """Acceptance: a seeded 64-client Zipf replay preserves

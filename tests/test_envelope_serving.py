@@ -17,11 +17,14 @@ The refactor's contract has three parts, and each gets its own section:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.pqo import optimize_parametric, parametric_settings
 from repro.config import OptimizerSettings
@@ -34,6 +37,8 @@ from repro.core.envelope import (
 )
 from repro.cost.parametric import envelope_filter, switching_points
 from repro.cluster.serialization import settings_from_wire, settings_to_wire
+from repro.cluster.simulator import SimulatedTiming
+from repro.plans.plan import JoinPlan, ScanPlan
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind
 from repro.service import (
@@ -44,7 +49,10 @@ from repro.service import (
     ShardedOptimizerGateway,
     fingerprint,
 )
+from repro.service.fingerprint import CanonicalForm
 from repro.service.net import result_from_wire, result_to_wire
+from repro.service.remap import invert, remap_plan
+from repro.service.service import CacheEntry
 from repro.service.tiers import entry_from_wire, entry_to_wire
 
 PARAMETRIC = parametric_settings()
@@ -178,6 +186,80 @@ def build_envelope_index_from_costs(costs):
             for low, high in zip(bounds, bounds[1:])
         ),
     )
+
+
+# ------------------------------------------------------- the answer function
+
+
+def left_deep_plan(order, cost):
+    """A left-deep join over ``order`` (table numbers) costing ``cost``."""
+    plan = ScanPlan(mask=1 << order[0], rows=1.0, cost=cost, order=None, table=order[0])
+    for table in order[1:]:
+        scan = ScanPlan(mask=1 << table, rows=1.0, cost=cost, order=None, table=table)
+        plan = JoinPlan(
+            mask=plan.mask | scan.mask, rows=1.0, cost=cost, order=None,
+            left=plan, right=scan,
+        )
+    return plan
+
+
+@st.composite
+def envelope_entries(draw):
+    """A synthetic envelope entry over 2–6 tables: one random left-deep
+    plan per cost vector of a random envelope-filtered frontier."""
+    n_tables = draw(st.integers(2, 6))
+    cost = st.floats(0.0, 100.0, allow_nan=False)
+    lines = draw(st.lists(st.tuples(cost, cost), min_size=1, max_size=9))
+    plans = [
+        left_deep_plan(draw(st.permutations(range(n_tables))), lines[index])
+        for index in envelope_filter(lines)
+    ]
+    return n_tables, CacheEntry(
+        canonical_plans=plans,
+        n_partitions=1,
+        simulated=SimulatedTiming(0.0, 0.0, 0.0, 0.0, 0, 0, []),
+        backend_used="synthetic",
+        kind=ENVELOPE_ENTRY,
+        envelope=build_envelope_index(plans),
+    )
+
+
+class TestAnswerFunction:
+    """``OptimizerService.answer`` is the one θ-bind + relabel site."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawn=envelope_entries(), data=st.data())
+    def test_answer_commutes_with_relabeling_and_matches_linear_reference(
+        self, drawn, data
+    ):
+        n_tables, entry = drawn
+        theta = data.draw(
+            st.sampled_from([None, 0.0, 1.0, *entry.envelope.breakpoints])
+        )
+        form_a, form_b = (
+            CanonicalForm("", tuple(data.draw(st.permutations(range(n_tables)))))
+            for __ in range(2)
+        )
+        service = OptimizerService()
+        answer_a = service.answer(entry, form_a, "k", theta)
+        answer_b = service.answer(entry, form_b, "k", theta)
+        # Answering in numbering A and relabeling A→B is answering in B.
+        a_to_b = tuple(invert(form_b.numbering)[c] for c in form_a.numbering)
+        assert answer_b == dataclasses.replace(
+            answer_a, plans=[remap_plan(plan, a_to_b) for plan in answer_a.plans]
+        )
+        # Without an envelope index (a pre-envelope log's entry) the linear
+        # reference rule answers bit-identically.
+        unindexed = dataclasses.replace(entry, kind=SCALAR_ENTRY, envelope=None)
+        assert service.answer(unindexed, form_b, "k", theta) == answer_b
+        expected = entry.canonical_plans
+        if theta is not None:
+            costs = [plan.cost for plan in expected]
+            expected = [expected[best_index_at(costs, theta)]]
+        to_b = invert(form_b.numbering)
+        assert answer_b.plans == [remap_plan(plan, to_b) for plan in expected]
+        assert answer_b.theta == theta and answer_b.cached
+        assert service.envelope_hits == (0 if theta is None else 3)
 
 
 # ------------------------------------------------------- service envelope

@@ -557,6 +557,29 @@ class TestNetworkGateway:
         finally:
             server.server._in_flight = 0
 
+    def test_requests_counts_calls_not_overload_retries(self, tmp_path):
+        """Regression: ``stats()["requests"]`` was incremented per routed
+        *attempt*, so one call rejected ``overloaded`` N times read N+1."""
+        spec = f"unix:{tmp_path / 'busy.sock'}"
+        first, second = SteinbrunnGenerator(21).queries(2, n_tables=4)
+        with ServerThread(
+            spec, n_workers=2, max_in_flight=1, inject_latency_s=0.3
+        ) as busy, NetworkOptimizerGateway(
+            {"s0": spec}, n_workers=2, overload_retries=1000
+        ) as gateway:
+            holder = threading.Thread(target=gateway.optimize, args=(first,))
+            holder.start()
+            deadline = time.monotonic() + 10
+            while busy.server._in_flight < 1 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert busy.server._in_flight == 1  # the shard is held busy
+            assert gateway.optimize(second).plans  # rejected, retried, served
+            holder.join(10)
+            assert not holder.is_alive()
+            stats = gateway.stats()
+        assert stats["shards"]["s0"]["rejected_overload"] >= 1
+        assert stats["requests"] == 2
+
     def test_remote_failure_is_typed(self, server, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
             raise RuntimeError("injected enumeration failure")
