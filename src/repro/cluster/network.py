@@ -50,16 +50,29 @@ def _reject_constant(token: str) -> float:
     )
 
 
-def encode_frame(
-    payload: dict[str, Any], max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
-) -> bytes:
-    """Encode one message as a length-prefixed strict-JSON frame."""
-    body = json.dumps(payload, separators=(",", ":"), allow_nan=False).encode()
+def encode_body(payload: dict[str, Any]) -> bytes:
+    """Encode one message as a strict-JSON frame body (no length prefix)."""
+    return json.dumps(payload, separators=(",", ":"), allow_nan=False).encode()
+
+
+def frame_body(body: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> bytes:
+    """Length-prefix an already-encoded body, enforcing the frame-size bound.
+
+    For senders that splice pre-encoded bytes (a shard's memoised answers)
+    into a frame instead of re-encoding them per request.
+    """
     if len(body) > max_frame_bytes:
         raise OversizedFrameError(
             f"frame of {len(body)} bytes exceeds the {max_frame_bytes}-byte limit"
         )
     return _FRAME_HEADER.pack(len(body)) + body
+
+
+def encode_frame(
+    payload: dict[str, Any], max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES
+) -> bytes:
+    """Encode one message as a length-prefixed strict-JSON frame."""
+    return frame_body(encode_body(payload), max_frame_bytes)
 
 
 def decode_frame_payload(body: bytes) -> dict[str, Any]:

@@ -63,11 +63,10 @@ from repro.cluster.network import (
 )
 from repro.cluster.serialization import snapshot_from_wire, snapshot_to_wire
 from repro.service.net import (
-    PROTOCOL_FORMAT,
-    PROTOCOL_VERSION,
     Address,
     ConsistentHashRing,
     NetworkOptimizerGateway,
+    handshake,
 )
 
 #: Identity of the membership file written at ``membership_path``.
@@ -355,16 +354,7 @@ class ShardFleet:
         sock = address.connect(timeout_s)
         try:
             sock.settimeout(timeout_s)
-            hello = recv_frame(sock, self.max_frame_bytes)
-            if (
-                hello is None
-                or hello.get("format") != PROTOCOL_FORMAT
-                or hello.get("version") != PROTOCOL_VERSION
-            ):
-                raise FrameError(
-                    f"endpoint {spec} did not speak "
-                    f"{PROTOCOL_FORMAT} v{PROTOCOL_VERSION} (hello: {hello!r})"
-                )
+            handshake(sock, self.max_frame_bytes)
             send_frame(sock, payload, self.max_frame_bytes)
             response = recv_frame(sock, self.max_frame_bytes)
         finally:

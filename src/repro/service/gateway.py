@@ -255,17 +255,16 @@ class ShardedOptimizerGateway:
         finally:
             self._exit_requests(1)
 
-    def serve_if_cached(
-        self, canonical: CanonicalForm, key: str, theta: float | None = None
-    ) -> ServiceResult | None:
-        """Serve ``key`` from its shard's cache if resident; else ``None``.
+    def probe(self, key: str) -> tuple[OptimizerService, CacheEntry | None]:
+        """``key``'s owning shard and its cached entry (``None`` if absent).
 
-        The opportunistic fast path for front-ends (the async gateway) that
-        queue misses for batching instead of blocking a thread per request:
-        a hit is counted as a request and a shard cache hit; a miss counts
-        *nothing* here — the caller goes on to :meth:`claim`, whose
-        lookup does the real miss accounting, so one logical miss is never
-        double-counted.
+        The opportunistic fast path for front-ends that do not block a
+        thread per miss (the async gateway queues misses for batching, the
+        shard server leaves them to the client's ``optimize`` frame): a hit
+        is counted as a request and a shard cache hit; a miss counts
+        *nothing* here — whatever serves it later (:meth:`claim`,
+        :meth:`optimize`) does the real miss accounting, so one logical
+        miss is never double-counted.
         """
         shard = self.shards[self.shard_for(key)]
         with self._lock:
@@ -275,11 +274,17 @@ class ShardedOptimizerGateway:
         # may read the disk tier, and a disk read must never stall the
         # flight table or the stats snapshot.  The tier locks itself.
         entry = shard.cache.probe(key)
-        if entry is None:
-            return None
-        with self._lock:
-            self._counters.requests += 1
-        return shard.answer(entry, canonical, key, theta)
+        if entry is not None:
+            with self._lock:
+                self._counters.requests += 1
+        return shard, entry
+
+    def serve_if_cached(
+        self, canonical: CanonicalForm, key: str, theta: float | None = None
+    ) -> ServiceResult | None:
+        """:meth:`probe`, answered for one requester; ``None`` when absent."""
+        shard, entry = self.probe(key)
+        return None if entry is None else shard.answer(entry, canonical, key, theta)
 
     # ------------------------------------------------------------------- batch
 

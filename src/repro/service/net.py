@@ -37,9 +37,15 @@ is the front door:
   the key's next ring owner, first usable response wins, and the loser
   finishes its round trip in the background (never interrupted mid-frame).
 
-Plans come back in the *requester's* table numbering — the full query ships
-with the request, so the shard optimizes (or cache-remaps) directly into
-the numbering it was given and no client-side remap is needed.
+The wire asks by **fingerprint first**.  ``optimize`` has already computed
+the canonical form and the cache key, so it sends a ~100-byte ``lookup``
+frame carrying only the key (and θ); a shard whose cache holds the key
+answers with the plans in *canonical* numbering and this client relabels
+them into the requester's numbering with the ``canonical.numbering`` it
+already holds.  Only an ``unknown-key`` reply makes the client ship the full
+``optimize`` frame, whose reply comes back in the requester's numbering —
+the shard then canonicalises and fingerprints the query itself, trusting
+nothing the client computed.
 """
 
 from __future__ import annotations
@@ -47,8 +53,10 @@ from __future__ import annotations
 import bisect
 import hashlib
 import socket
+import queue
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -69,11 +77,12 @@ from repro.config import DEFAULT_SETTINGS, OptimizerSettings
 from repro.query.io import query_to_dict
 from repro.query.query import Query
 from repro.service.aio import GatewayOverloadedError
-from repro.service.service import ServiceResult, resolve
+from repro.service.fingerprint import CanonicalForm
+from repro.service.service import ServiceResult, relabel, resolve
 
 #: Protocol identity exchanged in the hello frame; peers reject mismatches.
 PROTOCOL_FORMAT = "repro-net"
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Floor on the overload-retry sleep.  A shard advertising
 #: ``retry_after_s=0`` (or a malformed field defaulting low) must not turn
@@ -112,8 +121,12 @@ class Address:
         """Open a blocking socket to this endpoint."""
         if self.kind == "unix":
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(timeout_s)
-            sock.connect(self.path)
+            try:
+                sock.settimeout(timeout_s)
+                sock.connect(self.path)
+            except BaseException:
+                sock.close()
+                raise
             return sock
         sock = socket.create_connection((self.host, self.port), timeout=timeout_s)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -123,6 +136,28 @@ class Address:
         if self.kind == "unix":
             return f"unix:{self.path}"
         return f"{self.host}:{self.port}"
+
+
+def handshake(sock: socket.socket, max_frame_bytes: int) -> dict[str, Any]:
+    """Read and validate a freshly connected shard's hello frame.
+
+    The one place the protocol identity is enforced: a peer announcing
+    anything but :data:`PROTOCOL_FORMAT` at :data:`PROTOCOL_VERSION` is
+    refused with :class:`FrameError` (the caller owns — and closes — the
+    socket).  There is no negotiation: router and shards ship from one
+    checkout.
+    """
+    hello = recv_frame(sock, max_frame_bytes)
+    if (
+        hello is None
+        or hello.get("format") != PROTOCOL_FORMAT
+        or hello.get("version") != PROTOCOL_VERSION
+    ):
+        raise FrameError(
+            f"peer {sock.getpeername()!r} did not speak "
+            f"{PROTOCOL_FORMAT} v{PROTOCOL_VERSION} (hello: {hello!r})"
+        )
+    return hello
 
 
 # ---------------------------------------------------------------- result codec
@@ -391,19 +426,12 @@ class _ShardLink:
 
     def _connect(self) -> socket.socket:
         sock = self.address.connect(self.connect_timeout_s)
-        sock.settimeout(self.request_timeout_s)
-        hello = recv_frame(sock, self.max_frame_bytes)
-        if (
-            hello is None
-            or hello.get("format") != PROTOCOL_FORMAT
-            or hello.get("version") != PROTOCOL_VERSION
-        ):
+        try:
+            sock.settimeout(self.request_timeout_s)
+            self.hello = handshake(sock, self.max_frame_bytes)
+        except BaseException:
             sock.close()
-            raise FrameError(
-                f"shard {self.name!r} at {self.address} did not speak "
-                f"{PROTOCOL_FORMAT} v{PROTOCOL_VERSION} (hello: {hello!r})"
-            )
-        self.hello = hello
+            raise
         return sock
 
     def request(self, payload: dict[str, Any]) -> dict[str, Any]:
@@ -636,39 +664,67 @@ class NetworkOptimizerGateway:
         or drain (both carry ``retry_after_s``), and
         :class:`RemoteOptimizationError` when the shard's own optimization
         failed.
+
+        The owning shard is first asked for the key alone (``lookup``); the
+        full query ships only when the shard answers ``unknown-key``.
         """
-        settings, workers, __, key, __ = resolve(self, query, settings, n_workers)
+        settings, workers, canonical, key, theta = resolve(
+            self, query, settings, n_workers
+        )
         with self._lock:
-            # Once per call, not per attempt: overload retries below re-route
-            # but are still the same request.
+            # Once per call, not per attempt: the lookup, the optimize frame
+            # a miss follows it with, and overload retries (which re-route)
+            # are all the same request.
             self._counters["requests"] += 1
-        payload = {
-            "op": "optimize",
-            "query": query_to_dict(query),
-            "settings": settings_to_wire(settings),
-            "workers": workers,
-            "tenant": tenant,
-        }
-        for attempt in range(self._overload_retries + 1):
+
+        def optimize_frame() -> dict[str, Any]:
+            return {
+                "op": "optimize",
+                "query": query_to_dict(query),
+                "settings": settings_to_wire(settings),
+                "workers": workers,
+            }
+
+        payload: dict[str, Any] = {"op": "lookup", "key": key, "theta": theta}
+        retries_left = self._overload_retries
+        while True:
             # Re-route every attempt: the ring may have changed, and after a
             # removal the key's new owner is who should see the retry.
-            shard_name, response = self._attempt(key, payload)
+            shard_name, response = self._attempt(key, payload, optimize_frame)
             if response.get("ok"):
-                return result_from_wire(response["result"])
-            error = self._typed_error(shard_name, response)
-            if (
-                isinstance(error, GatewayOverloadedError)
-                and attempt < self._overload_retries
-            ):
+                return self._result(response, canonical)
+            error = self._typed_error(shard_name, response, tenant)
+            if isinstance(error, GatewayOverloadedError):
+                if retries_left == 0:
+                    raise error
+                retries_left -= 1
                 # Clamp below as well as above: a shard advertising
                 # retry_after_s=0 would otherwise busy-spin this loop,
                 # hammering the exact shard that asked for breathing room.
                 time.sleep(
                     min(max(error.retry_after_s, OVERLOAD_RETRY_FLOOR_S), 1.0)
                 )
-                continue
-            raise error
-        raise AssertionError("unreachable")  # pragma: no cover
+            elif payload["op"] == "lookup" and error.error_type == "unknown-key":
+                # The miss path, and the only one: the shard sees the whole
+                # query and runs (or coalesces onto) the DP.
+                payload = optimize_frame()
+            else:
+                raise error
+
+    @staticmethod
+    def _result(response: dict[str, Any], canonical: CanonicalForm) -> ServiceResult:
+        """Decode an ``ok`` response into the requester's numbering.
+
+        An ``optimize`` reply is already there; a ``lookup`` reply carries
+        the shard's canonical answer (θ beside it, outside the bytes the
+        shard memoises) and is relabelled here.
+        """
+        answer = response.get("canonical")
+        if answer is None:
+            return result_from_wire(response["result"])
+        result = result_from_wire({**answer, "theta": response.get("theta")})
+        result.plans = relabel(result.plans, canonical.numbering)
+        return result
 
     def optimize_batch(
         self,
@@ -683,8 +739,6 @@ class NetworkOptimizerGateway:
         run per unique fingerprint.  Results return in input order; the
         first failure propagates after all requests finish.
         """
-        from concurrent.futures import ThreadPoolExecutor
-
         requests = list(queries)
         if not requests:
             return []
@@ -707,15 +761,21 @@ class NetworkOptimizerGateway:
             secondary = self._links[owners[1]] if len(owners) > 1 else None
         return primary, secondary
 
-    def _attempt(self, key: str, payload: dict[str, Any]) -> tuple[str, dict[str, Any]]:
-        """One routed request attempt, hedged when enabled; returns (shard, response)."""
+    def _attempt(
+        self, key: str, payload: dict[str, Any], optimize_frame: Callable[[], dict[str, Any]]
+    ) -> tuple[str, dict[str, Any]]:
+        """One routed request attempt, hedged when enabled; returns (shard, response).
+
+        ``optimize_frame`` builds the request's full ``optimize`` frame —
+        what a hedge sends whatever ``payload`` the primary got.
+        """
         primary, secondary = self._route_pair(key)
         if self._hedge_multiplier <= 0 or secondary is None:
             started = time.monotonic()
             response = self._call(primary, payload)
             self._record_latency(primary, time.monotonic() - started)
             return primary.name, response
-        return self._hedged_call(primary, secondary, payload)
+        return self._hedged_call(primary, secondary, payload, optimize_frame)
 
     @staticmethod
     def _record_latency(link: _ShardLink, elapsed_s: float) -> None:
@@ -747,24 +807,24 @@ class NetworkOptimizerGateway:
         primary: _ShardLink,
         secondary: _ShardLink,
         payload: dict[str, Any],
+        optimize_frame: Callable[[], dict[str, Any]],
     ) -> tuple[str, dict[str, Any]]:
         """First-response-wins duplicate dispatch past the latency budget.
 
         The primary runs in a helper thread while this thread waits out the
-        EWMA-derived budget; on expiry the same request fires at the next
-        ring owner and the first *usable* (``ok``) response wins.  The loser
-        is cancelled safely by never being interrupted: its round trip
-        completes on its own pooled socket in the background and the result
-        is discarded, so no frame is ever torn mid-stream and the
-        connection returns to its pool for the next request.
+        EWMA-derived budget; on expiry the request's full ``optimize`` frame
+        fires at the next ring owner and the first *usable* (``ok``)
+        response wins.  The hedge never carries a ``lookup``: the next owner
+        normally does not hold the key, and an ``unknown-key`` reply wins
+        nothing.  The loser is cancelled safely by never being interrupted:
+        its round trip completes on its own pooled socket in the background
+        and the result is discarded, so no frame is ever torn mid-stream and
+        the connection returns to its pool for the next request.
         """
-        import queue as queue_module
+        #: ``(link, response, error)`` outcomes, in completion order.
+        responses: queue.Queue = queue.Queue()
 
-        responses: "queue_module.Queue[tuple[_ShardLink, dict[str, Any] | None, Exception | None]]" = (
-            queue_module.Queue()
-        )
-
-        def run(link: _ShardLink) -> None:
+        def run(link: _ShardLink, payload: dict[str, Any]) -> None:
             started = time.monotonic()
             try:
                 response = self._call(link, payload)
@@ -775,18 +835,15 @@ class NetworkOptimizerGateway:
             responses.put((link, response, None))
 
         threading.Thread(
-            target=run, args=(primary,), name="net-hedge-primary", daemon=True
+            target=run, args=(primary, payload), name="net-hedge-primary", daemon=True
         ).start()
         try:
-            outcomes = [
-                responses.get(timeout=self._hedge_budget_s(primary, secondary))
-            ]
-        except queue_module.Empty:
+            winner = responses.get(timeout=self._hedge_budget_s(primary, secondary))
+        except queue.Empty:
             with self._lock:
                 self._counters["hedged"] += 1
-            threading.Thread(
-                target=run, args=(secondary,), name="net-hedge", daemon=True
-            ).start()
+            hedge = (secondary, optimize_frame())
+            threading.Thread(target=run, args=hedge, name="net-hedge", daemon=True).start()
             outcomes = [responses.get()]
             if not self._usable(outcomes[0]):
                 # The faster responder was an error; the slower one may
@@ -796,12 +853,7 @@ class NetworkOptimizerGateway:
             if winner[0] is secondary and self._usable(winner):
                 with self._lock:
                     self._counters["hedged_wins"] += 1
-            link, response, error = winner
-            if error is not None:
-                raise error
-            assert response is not None
-            return link.name, response
-        link, response, error = outcomes[0]
+        link, response, error = winner
         if error is not None:
             raise error
         assert response is not None
@@ -858,15 +910,16 @@ class NetworkOptimizerGateway:
         return response
 
     @staticmethod
-    def _typed_error(shard: str, response: dict[str, Any]) -> Exception:
-        """Map a shard's error response onto the client-side exception."""
+    def _typed_error(shard: str, response: dict[str, Any], tenant: str) -> Exception:
+        """Map a shard's error response onto the client-side exception.
+
+        ``tenant`` is the caller's own label: it never crosses the wire.
+        """
         error = response.get("error") or {}
         error_type = error.get("type", "unknown")
         if error_type in ("overloaded", "draining"):
             return GatewayOverloadedError(
-                error_type,
-                float(error.get("retry_after_s", 0.05)),
-                error.get("tenant", "default"),
+                error_type, float(error.get("retry_after_s", 0.05)), tenant
             )
         return RemoteOptimizationError(
             shard, error_type, error.get("message", "no message")

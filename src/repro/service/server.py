@@ -14,15 +14,28 @@ client processes.
 Protocol (all frames are strict-JSON objects):
 
 * on connect the server sends a **hello** frame
-  ``{"op": "hello", "format": "repro-net", "version": 1, "shard_id": ...}``;
-  a client that reads anything else hangs up;
+  ``{"op": "hello", "format": "repro-net", "version": 2, "shard_id": ...}``;
+  a client that reads anything else hangs up
+  (:func:`repro.service.net.handshake`);
+* **lookup** ``{"op": "lookup", "key": <fingerprint>, "theta": θ|null}`` —
+  what a client sends first.  A shard whose cache holds the key answers
+  ``{"ok": true, "theta": θ, "canonical": <result>}`` (``theta`` omitted
+  when unbound): the θ-narrowed plans in *canonical* numbering, which the
+  client relabels with the numbering it computed the key from.  No query
+  is decoded and nothing is canonicalised; a memory-resident key is
+  answered on the event loop from bytes memoised on its cache entry, a
+  disk-resident one on a handler thread.  An absent key is ``{"ok":
+  false, "error": {"type": "unknown-key", ...}}`` and counts nothing — the
+  client follows with **optimize**;
 * **optimize** ``{"op": "optimize", "query": ..., "settings": ...,
-  "workers": n}`` → ``{"ok": true, "result": ...}`` or ``{"ok": false,
-  "error": {"type": ..., "message": ..., "retry_after_s": ...}}``.  Error
-  types: ``overloaded`` (admission control: in-flight optimizations at
-  ``max_in_flight``; ``retry_after_s`` estimates one service time),
-  ``draining`` (shutdown in progress), ``bad-request`` (malformed query or
-  settings), ``optimization-failed`` (the DP itself raised);
+  "workers": n}`` → ``{"ok": true, "result": ...}`` (plans in the
+  requester's numbering) or ``{"ok": false, "error": {"type": ...,
+  "message": ..., "retry_after_s": ...}}``.  Error types: ``overloaded``
+  (admission control: in-flight optimizations at ``max_in_flight``;
+  ``retry_after_s`` estimates one service time), ``draining`` (shutdown in
+  progress), ``bad-request`` (malformed query or settings),
+  ``optimization-failed`` (the DP itself raised).  The only path a miss
+  can take: the shard canonicalises and fingerprints the query itself;
 * **health** → ``{"ok": true, "status": "serving"|"draining",
   "in_flight": n, "shard_id": ...}``;
 * **snapshot** — cache-state shipping for live rebalancing, four modes:
@@ -44,9 +57,10 @@ Protocol (all frames are strict-JSON objects):
   then stop accepting and exit the serve loop.
 
 Blocking DP runs execute on a bounded handler thread pool via
-``run_in_executor``; the asyncio loop itself only frames, dispatches, and
-enforces admission, so health checks stay responsive while every handler
-thread is deep in an enumeration.  A connection that violates the protocol
+``run_in_executor``; the asyncio loop itself only frames, dispatches,
+enforces admission, and answers memory-resident lookups (a dict probe and
+a byte splice — cheaper than the thread hop), so health checks stay
+responsive while every handler thread is deep in an enumeration.  A connection that violates the protocol
 (torn frame, malformed JSON, oversized frame) gets a best-effort
 ``protocol`` error frame and is closed; other connections are unaffected.
 """
@@ -64,7 +78,9 @@ from typing import Any
 from repro.cluster.network import (
     DEFAULT_MAX_FRAME_BYTES,
     FrameError,
+    encode_body,
     encode_frame,
+    frame_body,
     read_frame,
 )
 from repro.cluster.serialization import (
@@ -76,7 +92,7 @@ from repro.config import DEFAULT_SETTINGS, OptimizerSettings
 from repro.query.io import query_from_dict
 from repro.service.gateway import ShardedOptimizerGateway
 from repro.service.net import PROTOCOL_FORMAT, PROTOCOL_VERSION, Address, result_to_wire
-from repro.service.tiers import shard_cache_factory
+from repro.service.tiers import entry_from_wire, entry_to_wire, shard_cache_factory
 
 
 class ShardServer:
@@ -103,8 +119,8 @@ class ShardServer:
             ``max_in_flight``).
         max_frame_bytes: protocol frame-size bound.
         inject_latency_s: fault injection for tests and benchmarks — every
-            optimize handler sleeps this long before running, simulating a
-            degraded shard (the hedging gate's "deliberately slow shard").
+            optimize and lookup sleeps this long before running, simulating
+            a degraded shard (the hedging gate's "deliberately slow shard").
             0 (default) injects nothing.
     """
 
@@ -273,13 +289,18 @@ class ShardServer:
                     return
                 if payload is None:
                     return  # clean close between frames
-                response = await self._dispatch(payload)
-                if isinstance(response, bytes):  # pre-encoded off-loop
+                try:
+                    response = await self._dispatch(payload)
+                except Exception as error:  # noqa: BLE001 - surfaced as a typed frame
+                    # A handler bug must cost one request, not the
+                    # connection (the client would read a bare EOF).
+                    response = self._error("internal", f"{type(error).__name__}: {error}")
+                if isinstance(response, bytes):  # pre-encoded
                     writer.write(response)
                     await writer.drain()
                 else:
                     await self._send(writer, response)
-                if payload.get("op") == "drain":
+                if isinstance(response, dict) and "drained" in response:
                     # The drain response was this connection's last frame;
                     # now that the client has its answer, stop the listener
                     # and every other connection.
@@ -303,8 +324,10 @@ class ShardServer:
 
     async def _dispatch(self, payload: dict[str, Any]) -> dict[str, Any] | bytes:
         op = payload.get("op")
+        if op == "lookup":
+            return await self._handle_lookup(payload)
         if op == "optimize":
-            return await self._handle_optimize(payload)
+            return await self._admitted(self._optimize_frame, payload)
         if op == "health":
             return {
                 "ok": True,
@@ -317,8 +340,11 @@ class ShardServer:
         if op == "snapshot":
             return await self._handle_snapshot(payload)
         if op == "drain":
-            drained = await self._quiesce(float(payload.get("timeout_s", 30.0)))
-            return {"ok": True, "drained": drained}
+            try:
+                timeout_s = float(payload.get("timeout_s", 30.0))
+            except (TypeError, ValueError):
+                return self._error("bad-request", "drain timeout_s must be a number")
+            return {"ok": True, "drained": await self._quiesce(timeout_s)}
         return self._error("bad-request", f"unknown op {op!r}")
 
     async def _handle_snapshot(self, payload: dict[str, Any]) -> dict[str, Any]:
@@ -393,8 +419,6 @@ class ShardServer:
             return cache.export_records(keys)
         # Memory-only tiers: encode resident entries on the fly with the
         # same record schema the disk tier logs.
-        from repro.service.tiers import entry_to_wire
-
         wanted = sorted(cache.keys()) if keys is None else list(keys)
         records = []
         for key in wanted:
@@ -407,8 +431,6 @@ class ShardServer:
         cache = self._cache()
         if hasattr(cache, "import_records"):
             return cache.import_records(records)
-        from repro.service.tiers import entry_from_wire
-
         imported = 0
         for record in records:
             if record.get("t") != "put":
@@ -421,7 +443,63 @@ class ShardServer:
         cache = self._cache()
         return sum(1 for key in keys if cache.evict(str(key)))
 
-    async def _handle_optimize(self, payload: dict[str, Any]) -> dict[str, Any] | bytes:
+    async def _handle_lookup(self, payload: dict[str, Any]) -> dict[str, Any] | bytes:
+        """Answer by fingerprint alone; ``unknown-key`` sends the client to ``optimize``.
+
+        Only what is I/O-free by contract runs here on the loop: ``peek``
+        says the key is memory-resident, so the probe and the byte splice
+        cost less than a thread hop and skip admission (as asyncio-door
+        hits do).  Anything else — a tiered cache's disk read, or a plain
+        miss — goes to the handler pool under admission, counted in
+        ``_in_flight`` so a drain waits for it before closing the cache.
+        """
+        key, theta = payload.get("key"), payload.get("theta")
+        # ``type() in``, not ``isinstance``: JSON ``true`` is not a θ.
+        bound = theta is None or (type(theta) in (int, float) and 0.0 <= theta <= 1.0)
+        if not isinstance(key, str) or not bound:
+            return self._error(
+                "bad-request", "lookup needs a string key and a theta in [0, 1] or null"
+            )
+        if self.inject_latency_s > 0:
+            # A degraded shard is slow for everything — but never by
+            # blocking the loop.
+            await asyncio.sleep(self.inject_latency_s)
+        if self._draining or self._cache().peek(key) is None:
+            # (``_admitted`` is also who refuses a draining shard's work.)
+            return await self._admitted(self._lookup_frame, key, theta)
+        served, frame = self._lookup_frame(key, theta)
+        self._served += served
+        return frame
+
+    def _lookup_frame(
+        self, key: str, theta: float | None
+    ) -> tuple[bool, bytes | dict[str, Any]]:
+        """Probe the cache for ``key``: whether it was served, and the frame.
+
+        A hit is one logical request (one cache hit, one gateway request,
+        one ``envelope_hits`` when θ-bound); a miss counts nothing — the
+        ``optimize`` frame that follows counts the one miss.  The encoded
+        canonical answer is memoised on the entry per selected plan (the
+        entry owns its plans, so a plan's ``id`` names its index for the
+        memo's whole life); θ rides outside those bytes, so a parametric
+        answer still comes back carrying its θ.
+        """
+        shard, entry = self.gateway.probe(key)
+        if entry is None:
+            return False, self._error("unknown-key", f"no cached entry for {key[:12]}…")
+        result = shard.answer(entry, None, key, theta)
+        slot = None if theta is None else id(result.plans[0])
+        answer = entry.wire_memo.get(slot)
+        if answer is None:
+            result.theta = None
+            answer = entry.wire_memo[slot] = encode_body(result_to_wire(result))
+        head = {"ok": True} if theta is None else {"ok": True, "theta": theta}
+        body = encode_body(head)[:-1] + b',"canonical":' + answer + b"}"
+        return True, frame_body(body, self.max_frame_bytes)
+
+    async def _admitted(self, work, *args: Any) -> dict[str, Any] | bytes:
+        """Run blocking ``work(*args) -> (served, frame)`` on the handler
+        pool, under admission control and counted in ``_in_flight``."""
         if self._draining:
             self._rejected_draining += 1
             return self._error(
@@ -441,7 +519,7 @@ class ShardServer:
         loop = asyncio.get_running_loop()
         try:
             served, frame = await loop.run_in_executor(
-                self._handler_pool, self._optimize_frame, payload
+                self._handler_pool, work, *args
             )
             # Counted here, on the loop, like every other server counter.
             self._served += served
@@ -457,16 +535,20 @@ class ShardServer:
             if self._in_flight == 0:
                 self._idle.set()
 
-    def _optimize_frame(self, payload: dict[str, Any]) -> tuple[bool, bytes]:
+    def _optimize_frame(
+        self, payload: dict[str, Any]
+    ) -> tuple[bool, bytes | dict[str, Any]]:
         """Parse, optimize, and encode the response on a handler thread.
 
         Returns whether the request was served (an ``ok`` frame) alongside
-        the encoded frame.
+        the frame; a DP failure propagates to :meth:`_admitted`, which
+        types it.
 
         Keeping the codec work off the event loop matters under load: the
-        loop thread then only shuttles opaque bytes, so a pending frame
-        read or write never waits behind another request's JSON encoding
-        for the GIL while DP threads are busy.
+        loop thread then only shuttles opaque bytes (and tiny error
+        frames), so a pending frame read or write never waits behind
+        another request's JSON encoding for the GIL while DP threads are
+        busy.
         """
         if self.inject_latency_s > 0:
             # Fault injection: a degraded shard answers correctly, slowly.
@@ -482,22 +564,10 @@ class ShardServer:
                 int(payload["workers"]) if payload.get("workers") is not None else None
             )
         except (KeyError, TypeError, ValueError) as error:
-            return False, encode_frame(
-                self._error("bad-request", f"malformed optimize request: {error}"),
-                self.max_frame_bytes,
-            )
-        try:
-            result = self.gateway.optimize(query, settings, workers)
-            return True, encode_frame(
-                {"ok": True, "result": result_to_wire(result)}, self.max_frame_bytes
-            )
-        except Exception as error:  # noqa: BLE001 - surfaced as a typed frame
-            return False, encode_frame(
-                self._error(
-                    "optimization-failed", f"{type(error).__name__}: {error}"
-                ),
-                self.max_frame_bytes,
-            )
+            return False, self._error("bad-request", f"malformed optimize request: {error}")
+        result = self.gateway.optimize(query, settings, workers)
+        response = {"ok": True, "result": result_to_wire(result)}
+        return True, encode_frame(response, self.max_frame_bytes)
 
     @staticmethod
     def _error(

@@ -33,7 +33,7 @@ from concurrent.futures.process import BrokenProcessPool
 import threading
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.cluster.simulator import (
@@ -108,6 +108,14 @@ class CacheEntry:
     kind: str = SCALAR_ENTRY
     #: Breakpoint index over ``canonical_plans`` for envelope entries.
     envelope: EnvelopeIndex | None = None
+    #: The shard server's encoded canonical answers, one per selected plan
+    #: (:meth:`repro.service.server.ShardServer._lookup_frame`).  It rides
+    #: the entry object so it dies with it: an entry that is invalidated,
+    #: re-run, re-read from disk or imported is a new object with an empty
+    #: memo (``init=False`` keeps ``dataclasses.replace`` from sharing one).
+    wire_memo: dict[int | None, bytes] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def select_index(self, theta: float) -> int:
         """Position of the θ-optimal plan in ``canonical_plans``.
@@ -184,6 +192,17 @@ class ShardStats:
             "envelope_hits": self.envelope_hits,
             **self.cache.to_dict(),
         }
+
+
+def relabel(plans: list[Plan], numbering: tuple[int, ...]) -> list[Plan]:
+    """Canonical plans in the numbering of the requester ``numbering`` came from.
+
+    ``numbering`` is that requester's ``CanonicalForm.numbering``.  The one
+    place answers leave canonical numbering: :meth:`OptimizerService.answer`
+    in process, the network client for a shard's canonical ``lookup`` reply.
+    """
+    mapping = invert(numbering)
+    return [remap_plan(plan, mapping) for plan in plans]
 
 
 def resolve(
@@ -464,7 +483,7 @@ class OptimizerService:
     def answer(
         self,
         entry: CacheEntry,
-        canonical: CanonicalForm,
+        canonical: CanonicalForm | None,
         key: str,
         theta: float | None,
         cached: bool = True,
@@ -477,7 +496,9 @@ class OptimizerService:
         front door's hit, follower and leader answers funnel through here;
         ``cached`` is ``False`` only for the request whose DP run produced
         ``entry``, and each θ bound without a run counts one
-        ``envelope_hits``.
+        ``envelope_hits``.  ``canonical=None`` leaves the plans canonical
+        (the entry's own objects): the shard server answers a ``lookup``
+        that way and the requester, who holds the numbering, relabels.
         """
         plans = entry.canonical_plans
         if theta is not None:
@@ -485,9 +506,10 @@ class OptimizerService:
             if cached:
                 with self._counter_lock:
                     self._envelope_hits += 1
-        mapping = invert(canonical.numbering)
+        if canonical is not None:
+            plans = relabel(plans, canonical.numbering)
         return ServiceResult(
-            plans=[remap_plan(plan, mapping) for plan in plans],
+            plans=plans,
             n_partitions=entry.n_partitions,
             fingerprint=key,
             cached=cached,

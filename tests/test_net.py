@@ -516,6 +516,124 @@ class TestProtocolFaults:
         finally:
             server.server._draining = False
 
+    def test_malformed_drain_timeout_is_bad_request(self, server):
+        """Regression: ``float("abc")`` escaped ``_dispatch``; the client read
+        a bare EOF and asyncio logged an unhandled task exception."""
+        with connect_raw(server) as sock:
+            send_frame(sock, {"op": "drain", "timeout_s": "abc"})
+            response = recv_frame(sock)
+            assert response["ok"] is False
+            assert response["error"]["type"] == "bad-request"
+            # Nothing drained: same connection, same serving shard.
+            send_frame(sock, {"op": "health"})
+            assert recv_frame(sock)["status"] == "serving"
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"op": "lookup"},
+            {"op": "lookup", "key": 17},
+            {"op": "lookup", "key": ["a" * 64]},
+            {"op": "lookup", "key": "a" * 64, "theta": "0.5"},
+            {"op": "lookup", "key": "a" * 64, "theta": True},
+            {"op": "lookup", "key": "a" * 64, "theta": 1.5},
+        ],
+    )
+    def test_malformed_lookup_is_bad_request(self, server, frame):
+        with connect_raw(server) as sock:
+            send_frame(sock, frame)
+            response = recv_frame(sock)
+            assert response["ok"] is False
+            assert response["error"]["type"] == "bad-request"
+            send_frame(sock, {"op": "health"})  # the connection is kept
+            assert recv_frame(sock)["status"] == "serving"
+
+    def test_unknown_key_lookup_is_typed_and_counts_nothing(self, server):
+        with connect_raw(server) as sock:
+            send_frame(sock, {"op": "lookup", "key": "f" * 64, "theta": None})
+            response = recv_frame(sock)
+            assert response["ok"] is False
+            assert response["error"]["type"] == "unknown-key"
+            send_frame(sock, {"op": "stats"})
+            stats = recv_frame(sock)["stats"]
+        assert stats["served"] == stats["requests"] == 0
+        assert stats["cache_misses"] == stats["cache_hits"] == 0
+        assert stats["in_flight"] == 0
+
+    def test_lookup_while_draining_is_refused_like_optimize(self, server):
+        server.server._draining = True
+        try:
+            with connect_raw(server) as sock:
+                send_frame(sock, {"op": "lookup", "key": "f" * 64})
+                response = recv_frame(sock)
+                assert response["error"]["type"] == "draining"
+                assert response["error"]["retry_after_s"] > 0
+                send_frame(sock, {"op": "health"})
+                assert recv_frame(sock)["status"] == "draining"
+            assert server.server._rejected_draining == 1
+        finally:
+            server.server._draining = False
+
+    def test_handler_bug_costs_one_request_not_the_connection(self, server, monkeypatch):
+        def explode():
+            raise RuntimeError("injected stats failure")
+
+        monkeypatch.setattr(server.server, "_stats", explode)
+        with connect_raw(server) as sock:
+            send_frame(sock, {"op": "stats"})
+            response = recv_frame(sock)
+            assert response["error"]["type"] == "internal"
+            assert "injected" in response["error"]["message"]
+            send_frame(sock, {"op": "health"})
+            assert recv_frame(sock)["ok"] is True
+
+    def test_version_1_peer_is_refused_at_hello(self, tmp_path):
+        """No negotiation: a peer announcing another protocol version fails
+        the handshake with a clear message, and the socket is closed."""
+        from repro.service.net import PROTOCOL_VERSION, handshake
+
+        assert PROTOCOL_VERSION == 2
+        left, right = socket.socketpair()
+        with left, right:
+            send_frame(left, {"op": "hello", "format": "repro-net", "version": 1})
+            with pytest.raises(FrameError, match="did not speak repro-net v2"):
+                handshake(right, 1 << 20)
+
+
+class TestConnectLeaks:
+    def test_failed_hello_closes_the_socket(self, tmp_path, monkeypatch):
+        """Regression: a hello that timed out (or was torn) leaked the
+        connected socket; so did a unix ``connect`` that raised."""
+        import repro.service.net as net_module
+
+        opened: list[socket.socket] = []
+        real_socket = socket.socket
+
+        def tracking(*args, **kwargs):
+            sock = real_socket(*args, **kwargs)
+            opened.append(sock)
+            return sock
+
+        monkeypatch.setattr(net_module.socket, "socket", tracking)
+        path = tmp_path / "mute.sock"
+        with real_socket(socket.AF_UNIX, socket.SOCK_STREAM) as listener:
+            listener.bind(str(path))
+            listener.listen(1)  # accepts the connection, never says hello
+            link = net_module._ShardLink(
+                "mute",
+                Address.parse(f"unix:{path}"),
+                CircuitBreaker(),
+                connect_timeout_s=1.0,
+                request_timeout_s=0.05,
+                max_frame_bytes=1 << 20,
+            )
+            with pytest.raises(OSError):
+                link.request({"op": "health"})
+        with pytest.raises(OSError):
+            Address.parse(f"unix:{tmp_path / 'nobody.sock'}").connect(0.5)
+        assert len(opened) == 2
+        assert all(sock.fileno() == -1 for sock in opened)
+
 
 # --------------------------------------------------------- client-side gateway
 
@@ -557,22 +675,42 @@ class TestNetworkGateway:
         finally:
             server.server._in_flight = 0
 
-    def test_requests_counts_calls_not_overload_retries(self, tmp_path):
+    def test_requests_counts_calls_not_overload_retries(self, tmp_path, monkeypatch):
         """Regression: ``stats()["requests"]`` was incremented per routed
-        *attempt*, so one call rejected ``overloaded`` N times read N+1."""
+        *attempt*, so one call rejected ``overloaded`` N times read N+1.
+
+        No injected latency and no polling: the leader is held *inside* its
+        DP on an event, and the client's first overload back-off — the one
+        ``time.sleep`` in this scenario — is what releases it.
+        """
+        import repro.service.net as net_module
+
         spec = f"unix:{tmp_path / 'busy.sock'}"
         first, second = SteinbrunnGenerator(21).queries(2, n_tables=4)
-        with ServerThread(
-            spec, n_workers=2, max_in_flight=1, inject_latency_s=0.3
-        ) as busy, NetworkOptimizerGateway(
-            {"s0": spec}, n_workers=2, overload_retries=1000
+        entered, release = threading.Event(), threading.Event()
+        real_sleep = time.sleep
+
+        def back_off(seconds: float) -> None:
+            release.set()
+            real_sleep(seconds)
+
+        with ServerThread(spec, n_workers=2, max_in_flight=1) as busy, (
+            NetworkOptimizerGateway({"s0": spec}, n_workers=2, overload_retries=1000)
         ) as gateway:
+            shard = busy.server.gateway.shards[0]
+            run_misses = shard.run_misses
+
+            def held(items, settings, workers):
+                entered.set()
+                assert release.wait(10), "no request was ever told to back off"
+                return run_misses(items, settings, workers)
+
+            monkeypatch.setattr(shard, "run_misses", held)
             holder = threading.Thread(target=gateway.optimize, args=(first,))
             holder.start()
-            deadline = time.monotonic() + 10
-            while busy.server._in_flight < 1 and time.monotonic() < deadline:
-                time.sleep(0.005)
+            assert entered.wait(10)
             assert busy.server._in_flight == 1  # the shard is held busy
+            monkeypatch.setattr(net_module.time, "sleep", back_off)
             assert gateway.optimize(second).plans  # rejected, retried, served
             holder.join(10)
             assert not holder.is_alive()
@@ -670,7 +808,7 @@ class TestNetworkGateway:
                     "error": {"type": "overloaded", "retry_after_s": retry_after_s},
                 }
                 monkeypatch.setattr(
-                    gateway, "_attempt", lambda key, payload: ("s0", response)
+                    gateway, "_attempt", lambda key, *frames: ("s0", response)
                 )
                 with pytest.raises(GatewayOverloadedError):
                     gateway.optimize(SteinbrunnGenerator(7).query(4))
