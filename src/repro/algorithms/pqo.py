@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from repro.algorithms.mpq import MPQReport, optimize_mpq
 from repro.cluster.simulator import DEFAULT_CLUSTER, ClusterModel
 from repro.config import PARAMETRIC_OBJECTIVES, Backend, OptimizerSettings, PlanSpace
+from repro.core.envelope import best_index_at
 from repro.core.master import PartitionExecutor
 from repro.cost.parametric import scalarize, switching_points
 from repro.plans.plan import Plan
@@ -42,10 +43,17 @@ class PQOResult:
         return self.report.plans
 
     def best_plan_for(self, theta: float) -> Plan:
-        """The cheapest plan at a concrete parameter value."""
+        """The cheapest plan at a concrete parameter value.
+
+        Ties at a switching θ resolve by
+        :func:`repro.core.envelope.best_index_at`, the rule every serving
+        door binds θ with, so the library and a served answer name the
+        same plan.
+        """
         if not self.plans:
             raise ValueError("optimization produced no plan")
-        return min(self.plans, key=lambda plan: scalarize(plan.cost, theta))
+        costs = [plan.cost for plan in self.plans]
+        return self.plans[best_index_at(costs, theta)]
 
     def cost_at(self, theta: float) -> float:
         """Scalarized cost of the optimal plan at θ (the envelope value)."""

@@ -39,13 +39,21 @@ Full query-class coverage (no legacy fallback):
   bit-peeling replication of ``Query.predicates_between``'s scan order, so
   the chosen sort-merge key is byte-identical to the legacy backend's;
 * **parametric costs** — piecewise-linear lower-envelope frontiers stored
-  in the same packed (cost vector, back-pointer) lists, pruned with the
-  single-objective dominance short-circuit generalized to parameter
-  intervals: a kept line that bounds the candidate at both θ-endpoints
-  rejects it before any envelope arithmetic runs; the exact envelope tests
+  in the same packed (cost vector, back-pointer) lists and kept by
+  :class:`~repro.cost.parametric.IncrementalEnvelope`, the parametric
+  frontier policy.  The reference functions
   (:func:`~repro.cost.parametric.needed_on_envelope`,
-  :func:`~repro.cost.parametric.envelope_filter`) are shared with the
-  legacy pruning policy, so keep/evict decisions cannot drift.
+  :func:`~repro.cost.parametric.envelope_filter`) are the *specification*:
+  the legacy policy, ``FinalPrune`` and the differential oracle execute
+  them literally, while this core runs their incremental form — the same
+  float expressions, evaluated once per entry-list version instead of once
+  per candidate, behind the dominance short-circuit generalized to
+  parameter intervals (a kept line that bounds the candidate at both
+  θ-endpoints rejects it before any envelope arithmetic runs).  The
+  exactness argument sits beside the class; equality of every keep / evict
+  decision and of entry order is checked by the Hypothesis replay property
+  in ``tests/test_parametric.py``, the partitioned parity matrix in
+  ``tests/test_fastdp.py`` and the differential sweep.
 
 Equivalence contract (checked by ``repro.testing`` and
 ``tests/test_fastdp.py``):
@@ -71,6 +79,7 @@ for every settings value.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from math import inf, log2
 
 from repro.config import Backend, OptimizerSettings, PlanSpace
@@ -88,7 +97,7 @@ from repro.core.worker import (
 )
 from repro.cost.costmodel import CostModel
 from repro.cost.metrics import HASH_FACTOR, ExecutionTimeMetric
-from repro.cost.parametric import envelope_filter, needed_on_envelope
+from repro.cost.parametric import IncrementalEnvelope
 from repro.cost.pruning import per_level_alpha
 from repro.plans.operators import ALL_JOIN_ALGORITHMS
 from repro.plans.orders import UNSORTED, OrderInterner, SortOrder
@@ -787,6 +796,24 @@ def _build_single_orders(
 # ---------------------------------------------------------------------- multi
 
 
+def _vector_join_cost(joins: list[Callable[..., float]]) -> Callable[..., tuple]:
+    """One candidate's cost vector from the per-metric ``join_cost`` methods.
+
+    Chosen once per run by metric arity: the two-metric form (parametric,
+    time/buffer) makes the same calls with the same arguments as the
+    generic one, without a generator object per candidate.
+    """
+    if len(joins) == 2:
+        first, second = joins
+        return lambda left, right, *shared: (
+            first(left[0], right[0], *shared),
+            second(left[1], right[1], *shared),
+        )
+    return lambda left, right, *shared: tuple(
+        join(left[i], right[i], *shared) for i, join in enumerate(joins)
+    )
+
+
 def _run_frontier(
     query: Query,
     constraints: tuple,
@@ -807,12 +834,11 @@ def _run_frontier(
       append) over candidates generated in the legacy order, so kept
       frontiers and their order match the legacy backend even for α > 1,
       where pruning is order-sensitive;
-    * **parametric** (``parametric=True``) — replicates
-      :class:`~repro.cost.pruning.ParametricPruning` with the exact shared
-      envelope tests, preceded by a dominance short-circuit generalized to
-      parameter intervals: a kept line below the candidate at both
-      θ-endpoints bounds it for every θ ∈ [0, 1], so the candidate is
-      rejected before any crossing-point arithmetic.
+    * **parametric** (``parametric=True``) — one
+      :class:`~repro.cost.parametric.IncrementalEnvelope` per table set,
+      which makes :class:`~repro.cost.pruning.ParametricPruning`'s
+      decisions without rebuilding the envelope on every accepted
+      candidate; its ``payloads`` list *is* the table set's entry list.
 
     Interesting orders ride on interned ids: when orders are not tracked
     every entry carries :data:`~repro.plans.orders.UNSORTED` and the
@@ -822,8 +848,9 @@ def _run_frontier(
     """
     n = query.n_tables
     settings = cost_model.settings
-    metrics = cost_model.metrics
-    metric_joins = tuple(metric.join_cost for metric in metrics)
+    join_costs = _vector_join_cost(
+        [metric.join_cost for metric in cost_model.metrics]
+    )
     est_rows = cost_model.cardinality.rows
     algos_all = settings.use_all_join_algorithms
     bnl, hash_join, sort_merge = ALL_JOIN_ALGORITHMS
@@ -844,6 +871,8 @@ def _run_frontier(
     entries_get = entries.get  # hoisted: one method lookup, not one per call
 
     if parametric:
+        envelopes: dict[int, IncrementalEnvelope] = {}
+        envelopes_get = envelopes.get
 
         def consider(
             mask: int,
@@ -852,26 +881,11 @@ def _run_frontier(
             pointer: object,
         ) -> bool:
             """ParametricPruning.consider; True iff the candidate was kept."""
-            entry = entries_get(mask)
-            if entry is None:
-                entries[mask] = [(candidate, order_id, pointer)]
-                return True
-            at_zero, at_one = candidate
-            kept_costs = []
-            for item in entry:
-                kept_cost = item[0]
-                if kept_cost[0] <= at_zero and kept_cost[1] <= at_one:
-                    # The kept line bounds the candidate's at both ends of
-                    # the parameter interval, hence everywhere on it; the
-                    # envelope test below could only confirm the rejection.
-                    return False
-                kept_costs.append(kept_cost)
-            if not needed_on_envelope(candidate, kept_costs):
-                return False
-            candidates = [*entry, (candidate, order_id, pointer)]
-            keep = envelope_filter([item[0] for item in candidates])
-            entries[mask] = [candidates[index] for index in keep]
-            return len(candidates) - 1 in keep
+            envelope = envelopes_get(mask)
+            if envelope is None:
+                envelope = envelopes[mask] = IncrementalEnvelope()
+                entries[mask] = envelope.payloads
+            return envelope.offer(candidate, (candidate, order_id, pointer))
 
     elif exact:
 
@@ -1015,13 +1029,9 @@ def _run_frontier(
                         considered += 1
                         if consider(
                             mask,
-                            tuple(
-                                join(
-                                    left_cost[i], right_cost[i],
-                                    left_rows, right_rows, out_rows,
-                                    bnl, False, False,
-                                )
-                                for i, join in enumerate(metric_joins)
+                            join_costs(
+                                left_cost, right_cost, left_rows, right_rows,
+                                out_rows, bnl, False, False,
                             ),
                             UNSORTED,
                             (left_mask, left_index, right_mask,
@@ -1033,13 +1043,9 @@ def _run_frontier(
                         considered += 2
                         if consider(
                             mask,
-                            tuple(
-                                join(
-                                    left_cost[i], right_cost[i],
-                                    left_rows, right_rows, out_rows,
-                                    hash_join, False, False,
-                                )
-                                for i, join in enumerate(metric_joins)
+                            join_costs(
+                                left_cost, right_cost, left_rows, right_rows,
+                                out_rows, hash_join, False, False,
                             ),
                             UNSORTED,
                             (left_mask, left_index, right_mask,
@@ -1055,13 +1061,9 @@ def _run_frontier(
                             sm_order = UNSORTED
                         if consider(
                             mask,
-                            tuple(
-                                join(
-                                    left_cost[i], right_cost[i],
-                                    left_rows, right_rows, out_rows,
-                                    sort_merge, sort_left, sort_right,
-                                )
-                                for i, join in enumerate(metric_joins)
+                            join_costs(
+                                left_cost, right_cost, left_rows, right_rows,
+                                out_rows, sort_merge, sort_left, sort_right,
                             ),
                             sm_order,
                             (left_mask, left_index, right_mask,

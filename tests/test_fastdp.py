@@ -24,17 +24,21 @@ from repro.config import (
     PlanSpace,
 )
 from repro.core import fastdp
+from repro.core.constraints import partition_constraints
+from repro.core.partitioning import admissible_results_by_size
 from repro.core.serial import optimize_serial
 from repro.core.worker import (
     ALL_CAPABILITIES,
     Capability,
     EnumerationBackend,
+    WorkerStats,
     capability_matrix,
     optimize_partition,
     registered_backends,
     required_capabilities,
     resolve_backend,
 )
+from repro.cost.costmodel import CostModel
 from repro.plans.plan import plan_signature
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind
@@ -231,6 +235,86 @@ class TestPlanTreeEquality:
         assert len(legacy.plans) == len(fast.plans)
         for legacy_plan, fast_plan in zip(legacy.plans, fast.plans):
             assert plan_signature(legacy_plan) == plan_signature(fast_plan)
+
+
+class TestParametricPartitionedParity:
+    """The incremental envelope against the literal legacy policy, per
+    partition: the 320-query differential sweep runs one partition only."""
+
+    @pytest.mark.parametrize(
+        "kind", [JoinGraphKind.STAR, JoinGraphKind.CHAIN, JoinGraphKind.CYCLE]
+    )
+    @pytest.mark.parametrize("space", list(PlanSpace))
+    @pytest.mark.parametrize("n_partitions", [1, 2, 4])
+    def test_counters_and_trees_per_partition(self, kind, space, n_partitions):
+        query = SteinbrunnGenerator(seed=36).query(7, kind)
+        settings = OptimizerSettings(
+            plan_space=space, objectives=PARAMETRIC_OBJECTIVES, parametric=True
+        )
+        for partition_id in range(n_partitions):
+            legacy, fast = _pair(query, settings, partition_id, n_partitions)
+            context = f"{kind.value}/{space.value}/{partition_id}of{n_partitions}"
+            _assert_stats_equal(legacy, fast, context)
+            assert [plan.cost for plan in legacy.plans] == [
+                plan.cost for plan in fast.plans
+            ], context
+            assert [plan_signature(plan) for plan in legacy.plans] == [
+                plan_signature(plan) for plan in fast.plans
+            ], context
+
+
+def _run_frontier_directly(query, settings):
+    """``fastdp._run_frontier`` on one partition, whatever the dispatcher
+    would have picked for ``settings`` (it never sends one metric there)."""
+    constraints = partition_constraints(query.n_tables, 0, 1, settings.plan_space)
+    stats = WorkerStats(partition_id=0, n_partitions=1, n_constraints=0)
+    plans = fastdp._run_frontier(
+        query,
+        constraints,
+        admissible_results_by_size(query.n_tables, constraints, settings.plan_space),
+        CostModel(query, settings),
+        fastdp._adjacency_masks(query),
+        stats,
+    )
+    return plans, stats
+
+
+class TestCostVectorBuilderArity:
+    """One, two and three metrics through ``_run_frontier``: the unrolled
+    two-metric builder and the generic one cost candidates identically."""
+
+    THREE = (Objective.EXECUTION_TIME, Objective.BUFFER_SPACE, Objective.OUTPUT_ROWS)
+
+    @pytest.mark.parametrize(
+        "objectives,alpha,orders",
+        [
+            ((Objective.EXECUTION_TIME,), 1.0, False),
+            (MULTI_OBJECTIVE, 1.0, False),
+            (MULTI_OBJECTIVE, 10.0, False),
+            (MULTI_OBJECTIVE, 1.0, True),
+            (THREE, 1.0, False),
+            (THREE, 10.0, True),
+        ],
+        ids=["one", "two", "two-alpha", "two-orders", "three", "three-alpha-orders"],
+    )
+    def test_matches_legacy(self, objectives, alpha, orders):
+        query = SteinbrunnGenerator(seed=37, clustered_tables=True).query(
+            6, JoinGraphKind.CYCLE
+        )
+        settings = OptimizerSettings(
+            objectives=objectives, alpha=alpha, consider_orders=orders
+        )
+        legacy = optimize_partition(
+            query, 0, 1, settings.replace(backend=Backend.LEGACY)
+        )
+        plans, stats = _run_frontier_directly(query, settings)
+        for field in ("splits_considered", "plans_considered", "plans_kept",
+                      "table_entries", "stored_plans"):
+            assert getattr(stats, field) == getattr(legacy.stats, field), field
+        assert [plan.cost for plan in plans] == [plan.cost for plan in legacy.plans]
+        assert [plan_signature(plan) for plan in plans] == [
+            plan_signature(plan) for plan in legacy.plans
+        ]
 
 
 @pytest.mark.skipif(not HAS_NUMPY, reason="vecdp requires numpy")

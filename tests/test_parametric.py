@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +21,14 @@ from repro.core.master import optimize_parallel
 from repro.core.serial import best_plan, optimize_serial
 from repro.cost.metrics import OutputRowsMetric
 from repro.cost.parametric import (
+    IncrementalEnvelope,
     envelope_filter,
     needed_on_envelope,
     scalarize,
     switching_points,
 )
+from repro.cost.pruning import ParametricPruning
+from repro.plans.plan import ScanPlan
 from repro.query.generator import SteinbrunnGenerator
 
 cost_vectors = st.tuples(
@@ -197,3 +204,161 @@ class TestParametricOptimality:
         result = optimize_parametric(query, 4)
         assert result.report.n_partitions == 4
         assert result.report.network_bytes > 0
+
+
+class TestBestPlanTieRule:
+    """``best_plan_for`` binds θ the way the serving doors do."""
+
+    def test_breakpoint_tie_follows_the_serving_rule(self):
+        from repro.algorithms.pqo import PQOResult
+        from repro.core.envelope import best_index_at
+
+        # Both lines cost 5.0 at θ = 0.5; frontier order lists the one with
+        # the larger cost vector first, which a bare min(scalarize) returns.
+        plans = [
+            ScanPlan(mask=1, rows=1.0, cost=(10.0, 0.0), order=None, table=0),
+            ScanPlan(mask=1, rows=1.0, cost=(0.0, 10.0), order=None, table=0),
+        ]
+        result = PQOResult(report=SimpleNamespace(plans=plans))
+        costs = [plan.cost for plan in plans]
+        assert scalarize(costs[0], 0.5) == scalarize(costs[1], 0.5)
+        assert result.best_plan_for(0.5) is plans[best_index_at(costs, 0.5)]
+        assert result.best_plan_for(0.5) is plans[1]
+        assert result.best_plan_for(0.0) is plans[1]
+        assert result.best_plan_for(1.0) is plans[0]
+
+
+# ------------------------------------------------- incremental envelope
+
+
+def replay_reference(lines):
+    """Feed ``lines`` to ``ParametricPruning.consider``, the specification.
+
+    Yields per step the keep / reject answer and the entry as
+    ``(cost, step)`` pairs; ``rows`` carries the step so kept plans can be
+    told apart even when their costs are equal.
+    """
+    policy, table = ParametricPruning(), {}
+    for step, cost in enumerate(lines):
+        kept = policy.consider(
+            table, 1, cost, None,
+            lambda: ScanPlan(mask=1, rows=float(step), cost=cost, order=None, table=0),
+        )
+        yield kept, [(plan.cost, int(plan.rows)) for plan in table[1]]
+
+
+def assert_replays_like_reference(lines):
+    envelope = IncrementalEnvelope()
+    for step, (kept, entry) in enumerate(replay_reference(lines)):
+        assert envelope.offer(lines[step], step) == kept, (step, lines)
+        assert list(zip(envelope.lines, envelope.payloads)) == entry, (step, lines)
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+_scales = st.sampled_from([1.0, 2.0, 1e3, 1e9, 1e19])
+_fresh_lines = st.one_of(
+    st.tuples(_unit, _unit),  # below the max(1.0, .) kink of the slack
+    st.builds(lambda a, b, k: (a * k, b * k), _unit, _unit, _scales),
+    st.builds(lambda a, k: (a * k, 0.0), _unit, _scales),  # scan-shaped
+    st.builds(lambda a, b, k, m: (a * k, b * m), _unit, _unit, _scales, _scales),
+)
+_nudges = st.sampled_from(
+    ["same", "ulp-up", "ulp-down", 5e-10, -5e-10, 2e-9, -2e-9, 1e-9, -1e-9]
+)
+
+
+def _nudged(value, nudge):
+    if nudge == "same":
+        return value
+    if nudge == "ulp-up":
+        return math.nextafter(value, math.inf)
+    if nudge == "ulp-down":
+        return max(math.nextafter(value, -math.inf), 0.0)
+    return value * (1.0 + nudge)
+
+
+@st.composite
+def insertion_sequences(draw):
+    """Lines in insertion order, later ones often a near-tie of an earlier.
+
+    Near-ties are 1 ulp, 5e-10 and 2e-9 relative (either side of the 1e-9
+    slack) and 1e-9 itself, per coordinate; ``same``/``same`` is an exact
+    duplicate; a parallel shift gives equal slopes.
+    """
+    lines = [draw(_fresh_lines)]
+    for _ in range(draw(st.integers(min_value=1, max_value=9))):
+        kind = draw(st.sampled_from(["fresh", "near", "parallel"]))
+        base = draw(st.sampled_from(lines))
+        if kind == "near":
+            lines.append((_nudged(base[0], draw(_nudges)), _nudged(base[1], draw(_nudges))))
+        elif kind == "parallel":
+            shift = draw(_unit) * draw(st.sampled_from([1e-9, 1e-3, 1.0, 1e9]))
+            lines.append((base[0] + shift, base[1] + shift))
+        else:
+            lines.append(draw(_fresh_lines))
+    return lines
+
+
+class TestIncrementalEnvelope:
+    """The kernel's envelope equals replaying the reference policy."""
+
+    @given(insertion_sequences())
+    @settings(max_examples=400, deadline=None)
+    def test_replays_like_the_reference(self, lines):
+        assert_replays_like_reference(lines)
+
+    def test_realistic_magnitudes(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            lines = [
+                (rng.uniform(0.0, 1e6), rng.uniform(0.0, 1e4))
+                for _ in range(rng.randint(2, 12))
+            ]
+            assert_replays_like_reference(lines)
+
+    def test_own_crossing_can_be_the_only_witness(self):
+        """With endpoints 1e11 apart a line's own crossing, computed a few
+        ulp off, is where it undercuts the envelope by more than the slack
+        — those θ cannot be skipped."""
+        left = (188293315846.10068, 7.792288961444344)
+        right = (198460722508.71512, 3.77534100279966)
+        line = (197066675769.48358, 4.3260979591672495)
+        assert needed_on_envelope(line, [left, right])
+        assert_replays_like_reference([left, right, line])
+
+    #: Sequences (found by random search) whose stored list the reference
+    #: does *not* reproduce when it replays it on the next accept: the
+    #: last line is accepted against a shorter list than the one stored.
+    NON_IDENTITY_REPLAYS = [
+        [
+            (3.8272734416749967e18, 0.0),
+            (5.28210936622041e18, 3.4442049800639252e16),
+            (58376066.86554915, 78691215690.38849),
+            (58376066.86554914, 78691215690.3885),
+            (5.282109371501991e18, 3.4442049800639256e16),
+            (1.128973139794548e18, 4.87337425898832e18),
+            (3.946328842294289e18, 2.832455967839934e18),
+            (5.282109371501991e18, 3.4442049783418228e16),
+            (58376066.74879701, 78691215769.07971),
+            (1.6777294244810314e18, 0.0),
+            (3.205612606619363e16, 0.0),
+        ],
+        [
+            (0.1468943297044244, 0.9999136077186841),
+            (1562992817739863.5, 0.06207575573234867),
+            (0.6073111754668884, 0.21699809487768895),
+            (4845866647976.621, 1660099179.9021788),
+            (0.67067613566503, 0.9748130726217129),
+            (0.7142049067011226, 0.754928302303272),
+            (1.2946382190815304, 0.06365887510435497),
+            (0.05878182071084748, 0.35449361419292214),
+            (0.0, 0.5101380514788434),
+        ],
+    ]
+
+    @pytest.mark.parametrize("lines", NON_IDENTITY_REPLAYS)
+    def test_stored_list_the_reference_does_not_reproduce(self, lines):
+        stored = [entry for _, entry in replay_reference(lines[:-1])][-1]
+        costs = [cost for cost, _ in stored]
+        assert len(envelope_filter(costs)) < len(costs)
+        assert_replays_like_reference(lines)

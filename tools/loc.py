@@ -2,9 +2,10 @@
 
 A code line is non-blank, not a ``#`` comment, and outside module / class /
 function docstrings.  ``--max-serving N`` exits non-zero when
-``service/`` + ``cli.py`` exceeds ``N`` — the ceiling ``ci.yml`` commits.
+``service/`` + ``cli.py`` exceeds ``N``, ``--max-core N`` when ``core/`` +
+``cost/`` does — the ceilings ``ci.yml`` commits.
 
-    python tools/loc.py [--root src/repro] [--max-serving N]
+    python tools/loc.py [--root src/repro] [--max-serving N] [--max-core N]
 """
 
 import argparse
@@ -37,24 +38,30 @@ def main() -> int:
     default_root = Path(__file__).resolve().parents[1] / "src" / "repro"
     parser.add_argument("--root", type=Path, default=default_root)
     parser.add_argument("--max-serving", type=int, default=None)
+    parser.add_argument("--max-core", type=int, default=None)
     args = parser.parse_args()
     counts: Counter[str] = Counter()
     for path in sorted(args.root.rglob("*.py")):
         parts = path.relative_to(args.root).parts
         counts[parts[0] + "/" if len(parts) > 1 else parts[0]] += code_lines(path)
-    serving = counts["service/"] + counts["cli.py"]
+    groups = {
+        "service/ + cli.py": (counts["service/"] + counts["cli.py"], args.max_serving),
+        "core/ + cost/": (counts["core/"] + counts["cost/"], args.max_core),
+    }
     for package, count in sorted(counts.items()):
         print(f"{count:7d}  {package}")
-    print(f"{serving:7d}  service/ + cli.py")
+    for label, (count, _) in groups.items():
+        print(f"{count:7d}  {label}")
     print(f"{sum(counts.values()):7d}  total")
-    if args.max_serving is not None and serving > args.max_serving:
-        print(
-            f"error: service/ + cli.py is {serving} code lines, "
-            f"ceiling {args.max_serving}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    status = 0
+    for label, (count, ceiling) in groups.items():
+        if ceiling is not None and count > ceiling:
+            print(
+                f"error: {label} is {count} code lines, ceiling {ceiling}",
+                file=sys.stderr,
+            )
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
