@@ -9,46 +9,62 @@ same plan space under exactly the same partition constraints as the
 statistics; the differential-testing oracle in :mod:`repro.testing`
 enforces the equivalence plan-for-plan.
 
+Every partition — constrained or not — runs the same array path.  The
+admissible masks of a level are ``arange(2**n)`` filtered by each
+constraint's ``excludes`` rule and bucketed by popcount (at p = 2 a
+partition keeps three quarters of the masks — 196,590 of 262,125 at 18
+tables — so enumerating them one by one costs more than the DP), and
+``rows``/``sort_term`` are prefilled for the whole dense state: values of
+masks that never store an entry are dead, every read is gated on a stored
+entry.
+
 Flat-array state layout (single objective):
 
 * ``cost``   — dense ``float64[2**n]`` indexed by table-set bitmask;
   ``+inf`` means "no stored plan" (the dict-miss of the scalar cores);
-* ``rows``   — estimated cardinality per stored mask, filled level by level
-  from a vectorized replication of the cardinality estimator;
-* ``sort_term`` — ``rows·log2(max(rows, 2))`` per stored mask, precomputed
+* ``rows``   — estimated cardinality per mask, a vectorized replication of
+  the cardinality estimator over the dense state;
+* ``sort_term`` — ``rows·log2(max(rows, 2))`` per mask, precomputed
   with ``math.log2`` (numpy's ``log2`` is *not* bit-identical to the
   scalar library's, so the only transcendental in the cost model is kept
-  out of the array expressions entirely — one scalar call per stored mask,
+  out of the array expressions entirely — one scalar call per mask,
   every per-candidate operation a pure elementwise IEEE add/mul/max);
 * ``bp_left``/``bp_right``/``bp_algo`` — packed back-pointers (operand
   masks plus an index into ``ALL_JOIN_ALGORITHMS``) from which plan trees
   are materialized once, at the end.
 
-Per level, candidate joins are generated in bulk: a ``(masks, splits, 3)``
-cost cube whose row-major order replicates the scalar candidate order —
-splits ascending (bit-peel order for linear, ``bushy_operands`` order for
-bushy), operators in ``ALL_JOIN_ALGORITHMS`` order — with ``+inf``
-placeholders for inapplicable cells.  ``argmin`` over the flattened rows
-then lands on the *first* candidate achieving the minimum, which is
-exactly the strict-``<`` running-minimum tie rule of the scalar cores, and
-an exclusive prefix-minimum recovers ``plans_kept`` (the number of
-improvements the scalar loop would have counted).
+Per level, candidate joins are generated in bulk from one ``(masks,
+splits)`` operand rectangle (:class:`_Splits`: each mask's set bits in
+ascending order for linear spaces — a partition constraint only masks
+cells out — and ``bushy_operands`` order, padded, for bushy ones): a
+``(masks, splits, 3)`` cost cube whose row-major order replicates the
+scalar candidate order — splits ascending, operators in
+``ALL_JOIN_ALGORITHMS`` order — with ``+inf`` placeholders for
+inapplicable cells.  ``argmin`` over the flattened rows then lands on the
+*first* candidate achieving the minimum, which is exactly the strict-``<``
+running-minimum tie rule of the scalar cores, and an exclusive
+prefix-minimum recovers ``plans_kept`` (the number of improvements the
+scalar loop would have counted).
 
-Multi-objective frontiers (α = 1 only) use the same bulk candidate
-generation followed by an incremental blockwise Pareto filter.  Weak
-dominance is transitive, so a candidate is rejected iff *some earlier
-candidate* weakly dominates it — a property of the candidate stream alone,
-independent of the evolving frontier — and the final frontier is the
-accepted candidates not weakly dominated by any later accepted one, in
-acceptance order.  Both conditions are whole-array broadcast comparisons
-per block; the decisions, counters, and entry order match
-:class:`~repro.cost.pruning.ParetoPruning` fed the same stream.  α > 1 is
-*not* vectorizable this way — α-dominance is not transitive, so pruning
-decisions depend on arrival order — which is why this backend declares
-:class:`~repro.core.worker.Capability` ``MULTI_OBJECTIVE | BUSHY_SPACE``
-and leaves ``ALPHA_APPROXIMATION``, ``INTERESTING_ORDERS``, and
-``PARAMETRIC_COSTS`` honestly undeclared: ``AUTO`` routes those query
-classes to fastdp.
+Multi-objective frontiers (α = 1 only) keep their state in CSR form:
+``first``/``count`` are dense per-mask arrays pointing into one flat
+``(entries, K)`` cost array, and every entry carries ``(left entry, right
+entry, algorithm)`` back-pointers.  A level's whole candidate stream is
+generated by ``repeat``/``cumsum`` index arithmetic over the same operand
+rectangles, in the scalar order (mask → split → left entry → right entry →
+operator), and pruned by one order-faithful weak-Pareto filter batched
+over masks (:func:`_pareto_filter`).  Weak dominance is transitive, so a
+candidate is rejected iff *some earlier candidate* weakly dominates it — a
+property of the candidate stream alone, independent of the evolving
+frontier — and the final frontier is the accepted candidates not weakly
+dominated by any later accepted one, in acceptance order; the decisions,
+counters, and entry order match :class:`~repro.cost.pruning.ParetoPruning`
+fed the same stream.  α > 1 is *not* vectorizable this way — α-dominance
+is not transitive, so pruning decisions depend on arrival order — which is
+why this backend declares :class:`~repro.core.worker.Capability`
+``MULTI_OBJECTIVE | BUSHY_SPACE`` and leaves ``ALPHA_APPROXIMATION``,
+``INTERESTING_ORDERS``, and ``PARAMETRIC_COSTS`` honestly undeclared:
+``AUTO`` routes those query classes to fastdp.
 
 The module self-registers with the backend registry at import with
 ``speed_rank`` 5 (below fastdp's 10) and ``requires=("numpy",)``: the
@@ -61,13 +77,11 @@ the first partition run.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from math import inf, log2
 
 from repro.config import Backend, OptimizerSettings, PlanSpace
-from repro.core.constraints import partition_constraints
-from repro.core.fastdp import _adjacency_masks, _connected
-from repro.core.partitioning import admissible_results_by_size
+from repro.core.constraints import LinearConstraint, partition_constraints
+from repro.core.fastdp import _adjacency_masks
 from repro.core.worker import (
     Capability,
     EnumerationBackend,
@@ -95,12 +109,15 @@ from repro.query.query import Query
 #: costs, and α-approximate pruning stay undeclared (see module docstring).
 CAPABILITIES = Capability.MULTI_OBJECTIVE | Capability.BUSHY_SPACE
 
-#: Cap on cells per single-objective candidate cube; levels whose cube
-#: would exceed it are processed in row chunks (rows are independent).
+#: Cap on cells per candidate cube, candidate stream, or dominance
+#: rectangle; levels that would exceed it are processed in row chunks
+#: (level masks are independent of each other).
 _CELL_BUDGET = 1 << 22
 
-#: Rows per block of the incremental Pareto filter (block² comparisons).
-_PARETO_BLOCK = 512
+#: Columns per block of the Pareto filter (block² comparisons per mask),
+#: and candidates per cell of its first pass.
+_PARETO_BLOCK = 256
+_PARETO_CELL = 32
 
 _NUMPY = None
 
@@ -139,22 +156,13 @@ def optimize_partition_vecdp(
         n_constraints=len(constraints),
         backend_used=Backend.VECDP.value,
     )
-    by_size = _levels(np, n, constraints, settings.plan_space, stats)
-
-    cost_model = CostModel(query, settings)
-    adjacency = _adjacency_masks(query)
+    by_size = _levels(np, n, constraints, stats)
+    run = _run_frontier_vec if settings.is_multi_objective else _run_single_vec
     # Genuine candidate costs may overflow to +inf (the scalar cores
     # produce the same IEEE inf silently); placeholder cells add inf to
     # finite garbage.  Neither is an error worth a RuntimeWarning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if settings.is_multi_objective:
-            plans = _run_frontier_vec(
-                np, query, constraints, by_size, cost_model, adjacency, stats
-            )
-        else:
-            plans = _run_single_vec(
-                np, query, constraints, by_size, cost_model, adjacency, stats
-            )
+        plans = run(np, query, constraints, by_size, CostModel(query, settings), stats)
     stats.result_plans = len(plans)
     stats.wall_time_s = time.perf_counter() - started
     return PartitionResult(plans=plans, stats=stats)
@@ -163,32 +171,45 @@ def optimize_partition_vecdp(
 # ------------------------------------------------------------ shared helpers
 
 
-def _levels(np, n: int, constraints: tuple, plan_space, stats: WorkerStats):
+def _popcount(np, masks):
+    """Set bits per mask; shift-and-sum where numpy < 2 lacks the ufunc."""
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(masks)
+    counts = np.zeros_like(masks)
+    rest = masks.copy()
+    while rest.any():
+        counts += rest & 1
+        rest >>= 1
+    return counts
+
+
+def _levels(np, n: int, constraints: tuple, stats: WorkerStats):
     """Per-level admissible-mask arrays, plus ``stats.admissible_results``.
 
-    An unconstrained partition (serial runs, partition 0 of 1) admits every
-    table subset, so its levels are one bulk popcount-bucketing of
-    ``arange(2**n)`` — the scalar Cartesian-product enumeration would cost
-    more than the whole DP at this backend's speed.  Constrained partitions
-    (already far smaller) reuse the shared scalar enumeration, so the two
-    backends cannot drift on which splits a partition admits.  Mask *order*
-    within a level is irrelevant to results: every level mask is costed
-    independently from strictly smaller levels.
+    One bulk popcount-bucketing of ``arange(2**n)``, minus the masks some
+    constraint excludes (linear ``before ≺ after``: has ``after``, lacks
+    ``before``; bushy ``x ⪯ y|z``: has ``y`` and ``z``, lacks ``x``) —
+    the set :func:`repro.core.partitioning.admissible_results_by_size`
+    builds by Cartesian product, which stays the specification the tests
+    compare against.  Mask *order* within a level is irrelevant to
+    results: every level mask is costed independently from strictly
+    smaller levels.
     """
-    if not constraints and hasattr(np, "bitwise_count"):
-        masks = np.arange(1 << n, dtype=np.int64)
-        sizes = np.bitwise_count(masks)
-        stats.admissible_results = (1 << n) - n - 1
-        return {
-            size: masks[sizes == size] for size in range(2, n + 1)
-        }
-    by_size = admissible_results_by_size(n, constraints, plan_space)
-    stats.admissible_results = sum(len(masks) for masks in by_size.values())
-    return {
-        size: np.asarray(level, dtype=np.int64)
-        for size, level in by_size.items()
-        if level
-    }
+    masks = np.arange(1 << n, dtype=np.int64)
+    if constraints:
+        keep = np.ones(1 << n, dtype=bool)
+        for constraint in constraints:
+            if isinstance(constraint, LinearConstraint):
+                has, lacks = 1 << constraint.after, 1 << constraint.before
+            else:
+                has = (1 << constraint.y) | (1 << constraint.z)
+                lacks = 1 << constraint.x
+            keep &= ((masks & has) != has) | ((masks & lacks) != 0)
+        masks = masks[keep]
+    sizes = _popcount(np, masks)
+    by_size = {size: masks[sizes == size] for size in range(2, n + 1)}
+    stats.admissible_results = sum(len(level) for level in by_size.values())
+    return by_size
 
 
 def _metric_kind(metric) -> str:
@@ -204,16 +225,21 @@ def _metric_kind(metric) -> str:
     )  # pragma: no cover - make_metrics only builds the three above
 
 
-def _dense_rows(np, query: Query, n: int):
-    """``CardinalityEstimator.rows`` for every mask of a dense 2**n state.
+def _prefill(np, query: Query, cost_model: CostModel, with_sort: bool):
+    """Dense ``rows`` / ``sort_term`` for all ``2**n`` masks, and the scans.
 
-    Same multiplication sequence as :func:`_level_rows`, but the masks with
-    a given bit (or bit pair) set form regular strided slices of the dense
+    ``rows`` replicates ``CardinalityEstimator.rows``: the masks with a
+    given bit (or bit pair) set form regular strided slices of the dense
     layout, so each factor is one in-place strided multiply of exactly the
-    selected elements — no compares, no temporaries.  Multiplying only the
-    selected elements in the same factor order keeps every element
-    bit-identical to the scalar estimator's memoized value.
+    selected elements — base cardinalities in ascending table order, then
+    predicate selectivities in query order, then the ``max(·, 1.0)`` floor
+    — which keeps every element bit-identical to the scalar estimator's
+    memoized value.  ``sort_term`` is the only transcendental: one scalar
+    ``math.log2`` per mask, then one vectorized multiply of the exact
+    operand pairs the scalar cores multiply (``max(rows, 2.0)`` is the
+    scalar clamp, applied in bulk).
     """
+    n = query.n_tables
     rows = np.ones(1 << n, dtype=np.float64)
     for number, table in enumerate(query.tables):
         view = rows.reshape(1 << (n - 1 - number), 2, 1 << number)
@@ -225,69 +251,93 @@ def _dense_rows(np, query: Query, n: int):
             1 << (n - 1 - high), 2, 1 << (high - 1 - low), 2, 1 << low
         )
         view[:, 1, :, 1, :] *= predicate.selectivity
-    return np.maximum(rows, 1.0, out=rows)
-
-
-def _level_rows(np, query: Query, masks):
-    """``CardinalityEstimator.rows`` for a whole array of masks (size ≥ 2).
-
-    Applies the exact same multiplication sequence per mask — base
-    cardinalities in ascending table order, then predicate selectivities in
-    query order where both endpoints are present, then the ``max(·, 1.0)``
-    floor — as ``np.where`` chains, so every element is bit-identical to
-    the scalar estimator's memoized value.
-    """
-    rows = np.ones(masks.shape[0], dtype=np.float64)
-    for number, table in enumerate(query.tables):
-        bit = np.int64(1 << number)
-        rows = np.where(masks & bit != 0, rows * float(table.cardinality), rows)
-    for predicate in query.predicates:
-        pair = np.int64(
-            (1 << predicate.left_table) | (1 << predicate.right_table)
+    np.maximum(rows, 1.0, out=rows)
+    scans = [cost_model.scan_plans(number)[0] for number in range(n)]
+    for number, scan in enumerate(scans):
+        rows[1 << number] = scan.rows
+    if with_sort:
+        sort_term = rows * np.fromiter(
+            map(log2, np.maximum(rows, 2.0).tolist()),
+            dtype=np.float64,
+            count=1 << n,
         )
-        rows = np.where(masks & pair == pair, rows * predicate.selectivity, rows)
-    return np.maximum(rows, 1.0)
+    else:
+        sort_term = np.zeros(1 << n, dtype=np.float64)
+    return rows, sort_term, scans
 
 
-def _connected_array(np, query: Query, left, right):
-    """Vectorized ``_connected``: any predicate straddling each (L, R) pair."""
-    connected = np.zeros(left.shape, dtype=bool)
-    for predicate in query.predicates:
-        left_bit = np.int64(1 << predicate.left_table)
-        right_bit = np.int64(1 << predicate.right_table)
-        connected |= ((left & left_bit) != 0) & ((right & right_bit) != 0)
-        connected |= ((left & right_bit) != 0) & ((right & left_bit) != 0)
-    return connected
+class _Splits:
+    """The ``(masks, splits)`` operand rectangles of one partition.
 
-
-def _bushy_split_rect(np, level_masks: list[int], groups):
-    """Padded ``(masks, max splits)`` operand rectangles for a bushy level.
-
-    Row ``i`` lists the admissible ``(left, right)`` splits of
-    ``level_masks[i]`` in ``bushy_operands`` order; ``real`` marks
-    non-padding cells.  Padding cells carry mask 0, whose dense-state cost
-    is ``+inf``, so they can never validate.
+    Shared by both DPs.  In the linear space the right operand is always a
+    singleton, so adjacency and the constraints' "must be joined after"
+    sets are dense arrays keyed by singleton *mask* — the rectangles hold
+    bit values, not bit numbers.
     """
-    split_lists = []
-    width = 1
-    for mask in level_masks:
-        operands = [
-            left
-            for left in bushy_operands(mask, groups)
-            if left != 0 and left != mask
+
+    def __init__(self, np, query: Query, constraints: tuple, settings):
+        self.np = np
+        self.query = query
+        self.linear = settings.plan_space is PlanSpace.LINEAR
+        self.constrained = self.linear and bool(constraints)
+        n = query.n_tables
+        if self.linear:
+            bit_values = np.int64(1) << np.arange(n, dtype=np.int64)
+            self.adjacency = np.zeros(1 << n, dtype=np.int64)
+            self.adjacency[bit_values] = _adjacency_masks(query)
+            self.after = np.zeros(1 << n, dtype=np.int64)
+            self.after[bit_values] = linear_after_masks(n, constraints)
+        else:
+            self.groups = _bushy_groups(n, constraints)
+
+    def rect(self, masks, size: int):
+        """``(left, right)`` operands, one row per mask, in split order.
+
+        Linear: every mask has exactly ``size`` candidate splits, its set
+        bits in ascending order — the scalar bit-peel order.  Bushy: the
+        admissible splits in ``bushy_operands`` order, padded with left
+        operand 0, which never holds an entry and so can never validate.
+        """
+        np = self.np
+        if self.linear:
+            right = np.empty((masks.shape[0], size), dtype=np.int64)
+            remaining = masks.copy()
+            for column in range(size):
+                low = remaining & -remaining
+                right[:, column] = low
+                remaining ^= low
+            return masks[:, None] ^ right, right
+        split_lists = [
+            [
+                left
+                for left in bushy_operands(mask, self.groups)
+                if left != 0 and left != mask
+            ]
+            for mask in masks.tolist()
         ]
-        split_lists.append(operands)
-        if len(operands) > width:
-            width = len(operands)
-    left = np.zeros((len(level_masks), width), dtype=np.int64)
-    real = np.zeros(left.shape, dtype=bool)
-    for index, operands in enumerate(split_lists):
-        if operands:
+        left = np.zeros(
+            (len(split_lists), max(1, *map(len, split_lists))), dtype=np.int64
+        )
+        for index, operands in enumerate(split_lists):
             left[index, : len(operands)] = operands
-            real[index, : len(operands)] = True
-    masks = np.asarray(level_masks, dtype=np.int64)
-    right = np.where(real, masks[:, None] ^ left, 0)
-    return left, right, real
+        return left, masks[:, None] ^ left
+
+    def unblocked(self, masks, right):
+        """Cells whose singleton may be joined last (constrained linear)."""
+        return (self.after[right] & masks[:, None]) == 0
+
+    def equi(self, left, right):
+        """Cells with a predicate straddling the operands (``_connected``)."""
+        if self.linear:
+            return (self.adjacency[right] & left) != 0
+        np = self.np
+        connected = np.zeros(left.shape, dtype=bool)
+        for predicate in self.query.predicates:
+            left_bit = np.int64(1 << predicate.left_table)
+            right_bit = np.int64(1 << predicate.right_table)
+            connected |= ((left & left_bit) != 0) & ((right & right_bit) != 0)
+            connected |= ((left & right_bit) != 0) & ((right & left_bit) != 0)
+        return connected
 
 
 # --------------------------------------------------------------------- single
@@ -297,9 +347,8 @@ def _run_single_vec(
     np,
     query: Query,
     constraints: tuple,
-    by_size: dict[int, list[int]],
+    by_size: dict,
     cost_model: CostModel,
-    adjacency: list[int],
     stats: WorkerStats,
 ) -> list[Plan]:
     """Single-objective DP on dense per-mask arrays.
@@ -318,136 +367,47 @@ def _run_single_vec(
     bp_left = np.zeros(state, dtype=np.int64)
     bp_right = np.zeros(state, dtype=np.int64)
     bp_algo = np.full(state, -1, dtype=np.int8)
-
-    # An unconstrained partition admits every mask, so cardinalities (and
-    # the sort terms derived from them) can be prefilled for the whole
-    # dense state in one shot; constrained partitions fill them level by
-    # level as entries are stored.  Values for masks that never store an
-    # entry are dead — every read is gated on a finite stored cost.
-    prefill = not constraints and hasattr(np, "bitwise_count")
-    if prefill:
-        rows = _dense_rows(np, query, n)
-    else:
-        rows = np.zeros(state, dtype=np.float64)
-    if prefill and kind == "time":
-        # The only transcendental: one scalar math.log2 per mask (numpy's
-        # log2 is not bit-identical to the scalar library's), then one
-        # vectorized multiply of the exact operand pairs the scalar cores
-        # multiply.  max(rows, 2.0) is the scalar clamp, applied in bulk.
-        sort_term = rows * np.fromiter(
-            map(log2, np.maximum(rows, 2.0).tolist()),
-            dtype=np.float64,
-            count=state,
-        )
-    else:
-        sort_term = np.zeros(state, dtype=np.float64)
-
+    rows, sort_term, scan_list = _prefill(np, query, cost_model, kind == "time")
     scans: dict[int, Plan] = {}
-    for table_number in range(n):
-        scan = cost_model.scan_plans(table_number)[0]
-        mask = 1 << table_number
-        scans[mask] = scan
-        cost[mask] = scan.cost[0]
-        rows[mask] = scan.rows
-        sort_term[mask] = scan.rows * log2(
-            scan.rows if scan.rows > 2.0 else 2.0
-        )
+    for table_number, scan in enumerate(scan_list):
+        scans[1 << table_number] = scan
+        cost[1 << table_number] = scan.cost[0]
 
+    source = _Splits(np, query, constraints, settings)
     splits = considered = kept = 0
     stored = n
-    linear = settings.plan_space is PlanSpace.LINEAR
-    if linear:
-        after = np.asarray(
-            linear_after_masks(n, constraints), dtype=np.int64
-        )
-        bit_values = np.int64(1) << np.arange(n, dtype=np.int64)
-        # Singleton state never changes after init; in the linear space the
-        # right operand is always a singleton, so its cost/rows/sort-term
-        # columns are n-vectors broadcast over every level.  The dense
-        # ``cost``/``rows``/``sort_term`` arrays double as lookups keyed by
-        # singleton *mask*; adjacency gets the same dense keying for the
-        # compact path, whose rectangles hold bit values, not bit numbers.
-        scan_cost_v = cost[bit_values]
-        scan_rows_v = rows[bit_values]
-        scan_sort_v = sort_term[bit_values]
-        adjacency_by_mask = np.zeros(state, dtype=np.int64)
-        adjacency_by_mask[bit_values] = np.asarray(adjacency, dtype=np.int64)
-    else:
-        groups = _bushy_groups(n, constraints)
-    adjacency_arr = np.asarray(adjacency, dtype=np.int64)
     # True while every admissible mask so far stored an entry — the normal
     # case, since the always-applicable BNL candidate only fails by
-    # overflowing to +inf.  Lets the compact path skip validity scans.
-    all_stored = True
+    # overflowing to +inf.  Lets unconstrained linear levels skip validity
+    # scans altogether: each of their cells then joins two stored entries.
+    all_stored = source.linear and not constraints
 
     for size in range(2, n + 1):
-        masks = by_size.get(size)
-        if masks is None or masks.shape[0] == 0:
+        masks = by_size[size]
+        if masks.shape[0] == 0:
             continue
         level_entries = 0
-        level_est = None if prefill else _level_rows(np, query, masks)
-        compact = linear and prefill
-        if compact:
-            # Unconstrained linear level: every mask admits exactly `size`
-            # splits, so the candidate table is a dense (masks, size)
-            # rectangle of each mask's set bits in ascending order — the
-            # scalar bit-peel order — with no padding cells at all.
-            bit_rect = np.empty((masks.shape[0], size), dtype=np.int64)
-            remaining = masks.copy()
-            for column in range(size):
-                low = remaining & -remaining
-                bit_rect[:, column] = low
-                remaining ^= low
-            left_all = masks[:, None] ^ bit_rect
-            usable_all = None
-        elif linear:
-            left_all = masks[:, None] ^ bit_values[None, :]
-            usable_all = ((masks[:, None] & bit_values[None, :]) != 0) & (
-                (after[None, :] & masks[:, None]) == 0
-            )
-        else:
-            left_all, right_all, usable_all = _bushy_split_rect(
-                np, masks.tolist(), groups
-            )
-        width = left_all.shape[1]
-        chunk = max(1, _CELL_BUDGET // (3 * width))
+        left_all, right_all = source.rect(masks, size)
+        chunk = max(1, _CELL_BUDGET // (3 * left_all.shape[1]))
         for start in range(0, masks.shape[0], chunk):
             stop = start + chunk
             left = left_all[start:stop]
+            right = right_all[start:stop]
             left_cost = cost[left]
-            if compact:
-                right = None
-                rbits = bit_rect[start:stop]
-                right_cost = cost[rbits]
-                right_rows = rows[rbits]
-                adjacency_cols = adjacency_by_mask[rbits]
-                # Every admissible mask normally stores an entry (the BNL
-                # candidate is always applicable), so validity gating is
-                # skipped until a level fails to — only possible when every
-                # candidate cost overflows to +inf.
-                valid = None if all_stored else (left_cost < inf)
-            elif linear:
-                right = None
-                right_cost = scan_cost_v
-                right_rows = scan_rows_v
-                adjacency_cols = adjacency_arr[None, :]
-                valid = usable_all[start:stop] & (left_cost < inf)
+            right_cost = cost[right]
+            right_rows = rows[right]
+            if all_stored:
+                valid = None
+            elif source.linear:
+                valid = left_cost < inf
+                if source.constrained:
+                    valid &= source.unblocked(masks[start:stop], right)
             else:
-                right = right_all[start:stop]
-                right_cost = cost[right]
-                right_rows = rows[right]
-                valid = (
-                    usable_all[start:stop]
-                    & (left_cost < inf)
-                    & (right_cost < inf)
-                )
+                valid = (left_cost < inf) & (right_cost < inf)
             if algos_all:
                 # For "io" the equi-join candidates can never win (below),
                 # but they still count toward plans_considered.
-                if linear:
-                    equi = (adjacency_cols & left) != 0
-                else:
-                    equi = _connected_array(np, query, left, right)
+                equi = source.equi(left, right)
                 if valid is not None:
                     equi &= valid
                 equi_total = int(equi.sum())
@@ -465,12 +425,7 @@ def _run_single_vec(
                     c_hash = base + HASH_FACTOR * (left_rows + right_rows)
                     operator = left_rows + right_rows
                     operator = operator + sort_term[left]
-                    if compact:
-                        operator = operator + sort_term[rbits]
-                    elif linear:
-                        operator = operator + scan_sort_v
-                    else:
-                        operator = operator + sort_term[right]
+                    operator = operator + sort_term[right]
                     c_sm = base + operator
             elif kind == "buffer":
                 pair = np.maximum(left_cost, right_cost)
@@ -484,11 +439,7 @@ def _run_single_vec(
                 # and sort-merge candidates can never strictly improve on
                 # the block-nested-loop one generated just before them —
                 # they contribute to plans_considered (above) only.
-                if prefill:
-                    est_col = rows[masks[start:stop]][:, None]
-                else:
-                    est_col = level_est[start:stop][:, None]
-                c_bnl = (left_cost + right_cost) + est_col
+                c_bnl = (left_cost + right_cost) + rows[masks[start:stop]][:, None]
 
             if valid is not None and valid_total != valid.size:
                 np.copyto(c_bnl, inf, where=~valid)
@@ -542,33 +493,10 @@ def _run_single_vec(
             entry_masks = masks[start:stop][entry_rows]
             cost[entry_masks] = entry_best
             bp_left[entry_masks] = left[entry_rows, win_split]
-            if compact:
-                bp_right[entry_masks] = bit_rect[start:stop][
-                    entry_rows, win_split
-                ]
-            elif linear:
-                bp_right[entry_masks] = bit_values[win_split]
-            else:
-                bp_right[entry_masks] = right[entry_rows, win_split]
+            bp_right[entry_masks] = right[entry_rows, win_split]
             bp_algo[entry_masks] = win_algo
             stored += entry_masks.shape[0]
             level_entries += entry_masks.shape[0]
-            if not prefill:
-                entry_est = level_est[start:stop][entry_rows]
-                rows[entry_masks] = entry_est
-                if kind == "time":
-                    # The only transcendental: one math.log2 per stored
-                    # mask (numpy's log2 is not bit-identical to the
-                    # scalar library's), then one vectorized multiply of
-                    # the exact same operand pairs the scalar cores
-                    # multiply.
-                    sort_term[entry_masks] = entry_est * np.asarray(
-                        [
-                            log2(row_est) if row_est > 2.0 else 1.0
-                            for row_est in entry_est.tolist()
-                        ],
-                        dtype=np.float64,
-                    )
         if level_entries != masks.shape[0]:
             all_stored = False
 
@@ -630,277 +558,289 @@ def _build_single_vec(
 # ---------------------------------------------------------------------- multi
 
 
-def _pareto_order_filter(np, candidates):
-    """Order-faithful weak-Pareto filter over a candidate stream.
+def _weak_le(np, dominators, dominated):
+    """``out[m, j, i]``: row ``j`` of the first weakly dominates row ``i`` of
+    the second, per mask ``m`` — per-metric ANDs, which cost a fraction of an
+    ``.all(axis=-1)`` reduction over the short trailing axis."""
+    out = dominators[:, :, None, 0] <= dominated[:, None, :, 0]
+    for metric in range(1, dominators.shape[2]):
+        out &= dominators[:, :, None, metric] <= dominated[:, None, :, metric]
+    return out
 
-    Returns ``(survivor costs, survivor candidate indices, accepted)``
-    where *accepted* counts every candidate the sequential
+
+def _pareto_filter(np, candidates, widths):
+    """Order-faithful weak-Pareto filter over many masks' candidate streams.
+
+    ``candidates`` is the flat ``(total, K)`` concatenation of one stream
+    per mask, ``widths`` the streams' lengths.  Returns ``(accepted,
+    survivors)``: *accepted* counts every candidate the sequential
     :class:`~repro.cost.pruning.ParetoPruning` (α = 1, no orders) would
-    have appended — its ``plans_kept`` contribution — and the survivors
-    are the final frontier in acceptance order.
+    have appended — its ``plans_kept`` contribution — and *survivors* are
+    the flat indices of the final frontiers, ascending, i.e. per mask in
+    acceptance order.
 
     Correctness rests on transitivity of weak dominance: a candidate is
     rejected by the sequential filter iff *some earlier candidate* weakly
     dominates it (chase the dominator through evictions/rejections to a
-    live entry), so acceptance is decided by blockwise broadcast
-    comparisons against the running frontier plus the in-block prefix; a
-    survivor is an accepted candidate no later accepted one dominates.
+    live entry), so acceptance is decided by broadcast comparisons against
+    the still-alive earlier columns plus the in-block prefix; a survivor is
+    an accepted candidate no later accepted one dominates.
+
+    The same argument lets a cheap first pass shrink the streams: a
+    candidate some earlier one *of its own cell* (``_PARETO_CELL``
+    consecutive candidates) dominates is rejected whatever else arrives,
+    and whatever it would have rejected or evicted its dominator does too,
+    so it is dropped before the quadratic part — half to two thirds of a
+    DP level's candidates at ``_PARETO_CELL`` comparisons each.
+
+    The remaining streams are bucketed by length (within 2× of each other,
+    under the cell budget) into ``(masks, width, K)`` rectangles,
+    ``+inf``-padded *after* the real rows; a ``real`` mask keeps padding
+    from ever being accepted, evicting, or being counted — an overflowed
+    real candidate is all ``+inf`` too and must still count.  Rectangles
+    wider than ``_PARETO_BLOCK`` are swept blockwise against the alive
+    columns so far.
     """
     total, n_metrics = candidates.shape
-    frontier = np.empty((0, n_metrics), dtype=np.float64)
-    frontier_idx = np.empty(0, dtype=np.int64)
+    owner = np.repeat(np.arange(widths.shape[0]), widths)
+    padding = -total % _PARETO_CELL
+    cells = np.concatenate([candidates, np.full((padding, n_metrics), inf)])
+    cells = cells.reshape(-1, _PARETO_CELL, n_metrics)
+    cell_owner = np.concatenate([owner, np.full(padding, -1)]).reshape(-1, _PARETO_CELL)
+    beaten = _weak_le(np, cells, cells)
+    beaten &= np.tri(_PARETO_CELL, k=-1, dtype=bool).T  # by earlier rows only
+    beaten &= cell_owner[:, :, None] == cell_owner[:, None, :]
+    shortlist = np.flatnonzero(~beaten.any(axis=1).reshape(-1)[:total])
+    candidates = candidates[shortlist]
+    widths = np.bincount(owner[shortlist], minlength=widths.shape[0])
+
+    order = np.argsort(widths, kind="stable")
+    order = order[widths[order] > 0]
+    sorted_widths = widths[order]
+    offsets = np.cumsum(widths) - widths
     accepted = 0
-    for start in range(0, total, _PARETO_BLOCK):
-        block = candidates[start : start + _PARETO_BLOCK]
-        size = block.shape[0]
-        indices = np.arange(start, start + size, dtype=np.int64)
-        if frontier.shape[0]:
-            dominated = (
-                (frontier[:, None, :] <= block[None, :, :])
-                .all(axis=2)
-                .any(axis=0)
-            )
-        else:
-            dominated = np.zeros(size, dtype=bool)
-        # weak_le[j, i]: candidate j dominates candidate i (within block).
-        weak_le = (block[:, None, :] <= block[None, :, :]).all(axis=2)
-        earlier = np.tri(size, k=-1, dtype=bool).T  # earlier[j, i] ⇔ j < i
-        dominated |= (weak_le & earlier).any(axis=0)
-        keep = ~dominated
-        new_costs = block[keep]
-        new_idx = indices[keep]
-        accepted += new_costs.shape[0]
-        if not new_costs.shape[0]:
-            continue
-        if frontier.shape[0]:
-            evicted = (
-                (new_costs[:, None, :] <= frontier[None, :, :])
-                .all(axis=2)
-                .any(axis=0)
-            )
-            frontier = frontier[~evicted]
-            frontier_idx = frontier_idx[~evicted]
-        # Among the block's accepted rows, a later accept evicts an
-        # earlier one it weakly dominates.
-        new_le = (new_costs[:, None, :] <= new_costs[None, :, :]).all(axis=2)
-        later = np.tri(new_costs.shape[0], k=-1, dtype=bool)  # later[k, i] ⇔ k > i
-        evicted_new = (new_le & later).any(axis=0)
-        frontier = np.concatenate([frontier, new_costs[~evicted_new]])
-        frontier_idx = np.concatenate([frontier_idx, new_idx[~evicted_new]])
-    return frontier, frontier_idx, accepted
+    survivors = [np.empty(0, dtype=np.intp)]
+    low = 0
+    while low < order.shape[0]:
+        high = int(np.searchsorted(sorted_widths, 2 * sorted_widths[low], "right"))
+        width = int(sorted_widths[high - 1])
+        cap = max(1, _CELL_BUDGET // (width * min(width, _PARETO_BLOCK)))
+        high = min(high, low + cap)
+        width = int(sorted_widths[high - 1])
+        bucket = order[low:high]
+        low = high
+        columns = np.arange(width)
+        real = columns[None, :] < widths[bucket][:, None]
+        index = np.where(real, offsets[bucket][:, None] + columns[None, :], 0)
+        rect = candidates[index]
+        rect[~real] = inf
+        alive = np.zeros(real.shape, dtype=bool)
+        front = np.empty(0, dtype=np.intp)  # columns alive for some mask
+        for start in range(0, width, _PARETO_BLOCK):
+            block = rect[:, start : start + _PARETO_BLOCK]
+            size = block.shape[1]
+            within = _weak_le(np, block, block)
+            earlier = np.tri(size, k=-1, dtype=bool).T  # earlier[j, i] ⇔ j < i
+            dominated = (within & earlier).any(axis=1)
+            if front.shape[0]:
+                front_alive = alive[:, front]
+                dominated |= (
+                    _weak_le(np, rect[:, front], block) & front_alive[:, :, None]
+                ).any(axis=1)
+            keep = real[:, start : start + size] & ~dominated
+            accepted += int(keep.sum())
+            # A later accept evicts every earlier one it weakly dominates.
+            evictor = keep[:, :, None]
+            alive[:, start : start + size] = keep & ~(
+                within & earlier.T & evictor
+            ).any(axis=1)
+            if front.shape[0]:
+                front_alive &= ~(
+                    _weak_le(np, block, rect[:, front]) & evictor
+                ).any(axis=1)
+                alive[:, front] = front_alive
+                front = front[front_alive.any(axis=0)]
+            if start + size < width:
+                front = np.concatenate(
+                    [front, start + np.flatnonzero(alive[:, start : start + size].any(axis=0))]
+                )
+        survivors.append(index[alive])
+    return accepted, shortlist[np.sort(np.concatenate(survivors))]
 
 
 def _run_frontier_vec(
     np,
     query: Query,
     constraints: tuple,
-    by_size: dict[int, list[int]],
+    by_size: dict,
     cost_model: CostModel,
-    adjacency: list[int],
     stats: WorkerStats,
 ) -> list[Plan]:
-    """Exact (α = 1) Pareto-frontier DP with blockwise dominance filtering.
+    """Exact (α = 1) Pareto-frontier DP, one level of masks at a time.
 
-    Per split the operator cost is a *scalar* (it depends only on the
-    operand masks' cardinalities), so each candidate block is one
-    broadcast ``(left frontier) ⊕ (right frontier)`` per metric — built in
-    the scalar candidate order (splits, then left index, then right index,
-    then operators) so the order-faithful filter sees the same stream the
-    sequential pruning would.
+    Frontier state is CSR: mask ``m`` owns entries ``first[m] … first[m] +
+    count[m]`` of the flat ``entry_*`` arrays (entries ``0 … n-1`` are the
+    scans).  Per split the operator cost depends only on the operand
+    masks' cardinalities, so a level's candidates are gathers of operand
+    entry costs plus a per-split ``(splits, 3)`` operator table, laid out
+    in the scalar candidate order (mask, split, left entry, right entry,
+    operator) so the order-faithful filter sees the same stream the
+    sequential pruning would, with the reference's float association
+    (``(l + r) + op``; ``max(max(l, r), op)``).
     """
     n = query.n_tables
     settings = cost_model.settings
     kinds = [_metric_kind(metric) for metric in cost_model.metrics]
-    n_metrics = len(kinds)
-    algos_all = settings.use_all_join_algorithms
+    rows, sort_term, scans = _prefill(np, query, cost_model, "time" in kinds)
+    source = _Splits(np, query, constraints, settings)
 
-    entry_costs: dict[int, object] = {}
-    entry_ptrs: dict[int, list] = {}
-    rows_of: dict[int, float] = {}
-    for table_number in range(n):
-        scan = cost_model.scan_plans(table_number)[0]
-        mask = 1 << table_number
-        entry_costs[mask] = np.asarray([scan.cost], dtype=np.float64)
-        entry_ptrs[mask] = [scan]
-        rows_of[mask] = scan.rows
+    singletons = np.int64(1) << np.arange(n, dtype=np.int64)
+    first = np.zeros(1 << n, dtype=np.int64)
+    count = np.zeros(1 << n, dtype=np.int64)
+    first[singletons] = np.arange(n)
+    count[singletons] = 1
+    entry_cost = np.asarray([scan.cost for scan in scans], dtype=np.float64)
+    # Per-entry (mask, left entry, right entry, algorithm) columns.
+    entry_ptr = np.zeros((n, 4), dtype=np.int64)
+    entry_ptr[:, 0] = singletons
 
     splits = considered = kept = 0
-    linear = settings.plan_space is PlanSpace.LINEAR
-    if linear:
-        after = linear_after_masks(n, constraints)
-    else:
-        groups = _bushy_groups(n, constraints)
-
     for size in range(2, n + 1):
-        level = by_size.get(size)
-        if level is None or level.shape[0] == 0:
+        masks = by_size[size]
+        if masks.shape[0] == 0:
             continue
-        level_est = _level_rows(np, query, level).tolist()
-        for mask, out_rows in zip(level.tolist(), level_est):
-            if linear:
-                split_pairs = []
-                remaining = mask
-                while remaining:
-                    low = remaining & -remaining
-                    remaining ^= low
-                    if after[low.bit_length() - 1] & mask:
-                        continue
-                    split_pairs.append((mask ^ low, low))
-            else:
-                split_pairs = [
-                    (left_mask, mask ^ left_mask)
-                    for left_mask in bushy_operands(mask, groups)
-                    if left_mask != 0 and left_mask != mask
-                ]
-            blocks = []
-            offsets = []
-            meta = []
-            total = 0
-            for left_mask, right_mask in split_pairs:
-                left_entry = entry_costs.get(left_mask)
-                if left_entry is None:
-                    continue
-                right_entry = entry_costs.get(right_mask)
-                if right_entry is None:
-                    continue
-                splits += 1
-                n_left = left_entry.shape[0]
-                n_right = right_entry.shape[0]
-                left_rows = rows_of[left_mask]
-                right_rows = rows_of[right_mask]
-                equi = algos_all and _connected(
-                    left_mask, right_mask, adjacency
-                )
-                n_algos = 3 if equi else 1
-                considered += n_left * n_right * n_algos
-                # Scalar operator costs, replicated operation-for-operation
-                # from repro.cost.metrics (sort flags are always True
-                # without order tracking).
-                operators = []
-                for kind in kinds:
-                    if kind == "time":
-                        sm = left_rows + right_rows
-                        sm += left_rows * log2(
-                            left_rows if left_rows > 2.0 else 2.0
-                        )
-                        sm += right_rows * log2(
-                            right_rows if right_rows > 2.0 else 2.0
-                        )
-                        operators.append(
-                            (
-                                left_rows * right_rows,
-                                HASH_FACTOR * (left_rows + right_rows),
-                                sm,
-                            )
-                        )
-                    elif kind == "buffer":
-                        operators.append(
-                            (
-                                BNL_BLOCK_TUPLES,
-                                right_rows,
-                                max(left_rows + right_rows, 1.0),
-                            )
-                        )
-                    else:  # io
-                        operators.append((out_rows, out_rows, out_rows))
-                cube = np.empty(
-                    (n_left * n_right, n_algos, n_metrics), dtype=np.float64
-                )
-                for metric_index, kind in enumerate(kinds):
-                    left_col = left_entry[:, None, metric_index]
-                    right_col = right_entry[None, :, metric_index]
-                    for algo_index in range(n_algos):
-                        operator = operators[metric_index][algo_index]
-                        if kind == "buffer":
-                            values = np.maximum(
-                                np.maximum(left_col, right_col), operator
-                            )
-                        else:
-                            values = (left_col + right_col) + operator
-                        cube[:, algo_index, metric_index] = values.reshape(-1)
-                blocks.append(cube.reshape(-1, n_metrics))
-                offsets.append(total)
-                meta.append((left_mask, right_mask, n_right, n_algos))
-                total += n_left * n_right * n_algos
+        left, right = source.rect(masks, size)
+        n_left = count[left]
+        n_right = count[right]
+        valid = (n_left > 0) & (n_right > 0)
+        if source.constrained:
+            valid &= source.unblocked(masks, right)
+        per_split = n_left * n_right
+        if settings.use_all_join_algorithms:
+            n_algos = np.where(source.equi(left, right), 3, 1)
+            per_split *= n_algos
+        else:
+            n_algos = np.ones_like(left)
+        per_split[~valid] = 0
+        per_mask = per_split.sum(axis=1)
+        splits += int(valid.sum())
+        considered += int(per_mask.sum())
+
+        # Masks are independent within a level: chunk them so that one
+        # chunk's candidate stream stays under the cell budget.
+        ends = np.cumsum(per_mask)
+        low = 0
+        while low < masks.shape[0]:
+            done = int(ends[low - 1]) if low else 0
+            high = max(
+                low + 1,
+                int(np.searchsorted(ends, done + _CELL_BUDGET // len(kinds), "right")),
+            )
+            total = int(ends[high - 1]) - done
+            chunk = slice(low, high)
+            low = high
             if total == 0:
                 continue
-            candidates = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            frontier, frontier_idx, accepted = _pareto_order_filter(
-                np, candidates
-            )
-            kept += accepted
-            pointers = []
-            for flat_index in frontier_idx.tolist():
-                split_index = bisect_right(offsets, flat_index) - 1
-                left_mask, right_mask, n_right, n_algos = meta[split_index]
-                pair, algo_index = divmod(
-                    flat_index - offsets[split_index], n_algos
-                )
-                left_index, right_index = divmod(pair, n_right)
-                pointers.append(
-                    (
-                        left_mask,
-                        left_index,
-                        right_mask,
-                        right_index,
-                        ALL_JOIN_ALGORITHMS[algo_index],
+            chunk_masks = masks[chunk]
+            # Row-major nonzero is the stream order: mask, then split.
+            split_row, split_col = np.nonzero(valid[chunk])
+            left_mask = left[chunk][split_row, split_col]
+            right_mask = right[chunk][split_row, split_col]
+            width = per_split[chunk][split_row, split_col]
+            split_of = np.repeat(np.arange(width.shape[0]), width)
+            within = np.arange(total) - np.repeat(np.cumsum(width) - width, width)
+            pair, algo = np.divmod(within, n_algos[chunk][split_row, split_col][split_of])
+            left_index, right_index = np.divmod(pair, count[right_mask][split_of])
+            left_entry = first[left_mask][split_of] + left_index
+            right_entry = first[right_mask][split_of] + right_index
+
+            left_cost = entry_cost[left_entry]
+            right_cost = entry_cost[right_entry]
+            left_rows = rows[left_mask]
+            right_rows = rows[right_mask]
+            candidates = np.empty((total, len(kinds)), dtype=np.float64)
+            for metric, kind in enumerate(kinds):
+                lc = left_cost[:, metric]
+                rc = right_cost[:, metric]
+                if kind == "io":
+                    out_rows = rows[chunk_masks][split_row]
+                    candidates[:, metric] = (lc + rc) + out_rows[split_of]
+                elif kind == "time":
+                    sort_merge = left_rows + right_rows
+                    sort_merge = sort_merge + sort_term[left_mask]
+                    sort_merge = sort_merge + sort_term[right_mask]
+                    operators = np.stack(
+                        [
+                            left_rows * right_rows,
+                            HASH_FACTOR * (left_rows + right_rows),
+                            sort_merge,
+                        ],
+                        axis=1,
                     )
-                )
-            entry_costs[mask] = frontier
-            entry_ptrs[mask] = pointers
-            rows_of[mask] = out_rows
+                    candidates[:, metric] = (lc + rc) + operators[split_of, algo]
+                else:  # buffer
+                    operators = np.stack(
+                        [
+                            np.full(width.shape[0], BNL_BLOCK_TUPLES),
+                            right_rows,
+                            np.maximum(left_rows + right_rows, 1.0),
+                        ],
+                        axis=1,
+                    )
+                    candidates[:, metric] = np.maximum(
+                        np.maximum(lc, rc), operators[split_of, algo]
+                    )
+
+            accepted, survivors = _pareto_filter(np, candidates, per_mask[chunk])
+            kept += accepted
+            owner = split_row[split_of[survivors]]
+            stored = np.bincount(owner, minlength=chunk_masks.shape[0])
+            count[chunk_masks] = stored
+            first[chunk_masks] = entry_cost.shape[0] + np.cumsum(stored) - stored
+            entry_cost = np.concatenate([entry_cost, candidates[survivors]])
+            entry_ptr = np.concatenate(
+                [
+                    entry_ptr,
+                    np.stack(
+                        [
+                            chunk_masks[owner],
+                            left_entry[survivors],
+                            right_entry[survivors],
+                            algo[survivors],
+                        ],
+                        axis=1,
+                    ),
+                ]
+            )
 
     stats.splits_considered = splits
     stats.plans_considered = considered
     stats.plans_kept = kept
-    stats.table_entries = len(entry_ptrs)
-    stats.stored_plans = sum(len(ptrs) for ptrs in entry_ptrs.values())
+    stats.table_entries = int(np.count_nonzero(count))
+    stats.stored_plans = entry_cost.shape[0]
     full_mask = query.all_tables_mask
-    final = entry_ptrs.get(full_mask)
-    if not final:
-        return []
-    memo: dict[tuple[int, int], Plan] = {}
-    return [
-        _build_frontier_vec(
-            full_mask, index, entry_costs, entry_ptrs, rows_of, memo
-        )
-        for index in range(len(final))
-    ]
+    start = int(first[full_mask])
+    costs = entry_cost.tolist()
+    pointers = entry_ptr.tolist()
+    memo: dict[int, Plan] = dict(enumerate(scans))
 
-
-def _build_frontier_vec(
-    mask: int,
-    index: int,
-    entry_costs: dict[int, object],
-    entry_ptrs: dict[int, list],
-    rows_of: dict[int, float],
-    memo: dict[tuple[int, int], Plan],
-) -> Plan:
-    """Materialize frontier entry ``index`` of ``mask`` from flat state."""
-    key = (mask, index)
-    plan = memo.get(key)
-    if plan is not None:
+    def build(entry: int) -> Plan:
+        """Materialize frontier entry ``entry`` from the flat state."""
+        plan = memo.get(entry)
+        if plan is None:
+            mask, left_entry, right_entry, algo = pointers[entry]
+            plan = memo[entry] = JoinPlan(
+                mask=mask,
+                rows=float(rows[mask]),
+                cost=tuple(costs[entry]),
+                order=None,
+                left=build(left_entry),
+                right=build(right_entry),
+                algorithm=ALL_JOIN_ALGORITHMS[algo],
+            )
         return plan
-    pointer = entry_ptrs[mask][index]
-    if isinstance(pointer, Plan):
-        memo[key] = pointer
-        return pointer
-    left_mask, left_index, right_mask, right_index, algorithm = pointer
-    plan = JoinPlan(
-        mask=mask,
-        rows=rows_of[mask],
-        cost=tuple(float(c) for c in entry_costs[mask][index]),
-        order=None,
-        left=_build_frontier_vec(
-            left_mask, left_index, entry_costs, entry_ptrs, rows_of, memo
-        ),
-        right=_build_frontier_vec(
-            right_mask, right_index, entry_costs, entry_ptrs, rows_of, memo
-        ),
-        algorithm=algorithm,
-    )
-    memo[key] = plan
-    return plan
+
+    return [build(entry) for entry in range(start, start + int(count[full_mask]))]
 
 
 # Registration is unconditional so the backends matrix always lists vecdp;

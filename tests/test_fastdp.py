@@ -317,35 +317,35 @@ class TestCostVectorBuilderArity:
         ]
 
 
+def _vec_pair(query, settings, partition_id=0, n_partitions=1):
+    legacy = optimize_partition(
+        query, partition_id, n_partitions, settings.replace(backend=Backend.LEGACY)
+    )
+    vec = optimize_partition(
+        query, partition_id, n_partitions, settings.replace(backend=Backend.VECDP)
+    )
+    assert legacy.stats.backend_used == "legacy"
+    assert vec.stats.backend_used == "vecdp"
+    return legacy, vec
+
+
 @pytest.mark.skipif(not HAS_NUMPY, reason="vecdp requires numpy")
 class TestVecdpStatisticsParity:
     """The array core is a drop-in on its declared capabilities: identical
     WorkerStats counters, identical plan trees, honest backend_used."""
 
-    @staticmethod
-    def _vec_pair(query, settings, partition_id=0, n_partitions=1):
-        legacy = optimize_partition(
-            query, partition_id, n_partitions, settings.replace(backend=Backend.LEGACY)
-        )
-        vec = optimize_partition(
-            query, partition_id, n_partitions, settings.replace(backend=Backend.VECDP)
-        )
-        assert legacy.stats.backend_used == "legacy"
-        assert vec.stats.backend_used == "vecdp"
-        return legacy, vec
-
     @pytest.mark.parametrize("kind", list(JoinGraphKind))
     @pytest.mark.parametrize("space", list(PlanSpace))
     def test_serial_single_objective(self, kind, space):
         query = SteinbrunnGenerator(seed=21).query(7, kind)
-        legacy, vec = self._vec_pair(query, OptimizerSettings(plan_space=space))
+        legacy, vec = _vec_pair(query, OptimizerSettings(plan_space=space))
         _assert_stats_equal(legacy, vec, f"vecdp {kind.value}/{space.value}")
 
     @pytest.mark.parametrize("space", list(PlanSpace))
     def test_serial_multi_objective(self, space):
         query = SteinbrunnGenerator(seed=22).query(7, JoinGraphKind.STAR)
         settings = OptimizerSettings(plan_space=space, objectives=MULTI_OBJECTIVE)
-        legacy, vec = self._vec_pair(query, settings)
+        legacy, vec = _vec_pair(query, settings)
         _assert_stats_equal(legacy, vec, f"vecdp multi/{space.value}")
         assert [p.cost for p in legacy.plans] == [p.cost for p in vec.plans]
 
@@ -353,7 +353,7 @@ class TestVecdpStatisticsParity:
         query = SteinbrunnGenerator(seed=23).query(8, JoinGraphKind.CYCLE)
         for n_partitions in (2, 4, 8):
             for partition_id in range(n_partitions):
-                legacy, vec = self._vec_pair(
+                legacy, vec = _vec_pair(
                     query,
                     OptimizerSettings(),
                     partition_id=partition_id,
@@ -367,7 +367,7 @@ class TestVecdpStatisticsParity:
     def test_plan_trees_identical_in_order(self, space):
         query = SteinbrunnGenerator(seed=24).query(7, JoinGraphKind.CHAIN)
         settings = OptimizerSettings(plan_space=space, objectives=MULTI_OBJECTIVE)
-        legacy, vec = self._vec_pair(query, settings)
+        legacy, vec = _vec_pair(query, settings)
         assert len(legacy.plans) == len(vec.plans)
         for legacy_plan, vec_plan in zip(legacy.plans, vec.plans):
             assert plan_signature(legacy_plan) == plan_signature(vec_plan)
@@ -375,9 +375,77 @@ class TestVecdpStatisticsParity:
     def test_bnl_only_operator_restriction(self):
         query = SteinbrunnGenerator(seed=25).query(6, JoinGraphKind.CLIQUE)
         settings = OptimizerSettings(use_all_join_algorithms=False)
-        legacy, vec = self._vec_pair(query, settings)
+        legacy, vec = _vec_pair(query, settings)
         _assert_stats_equal(legacy, vec, "vecdp bnl-only")
         assert [p.cost for p in legacy.plans] == [p.cost for p in vec.plans]
+
+
+def _vecdp_partition_grid():
+    """objective × space × p × join graph.  Six tables admit p ≤ 8 linear
+    partitions but only p ≤ 4 bushy ones (one constraint per table triple),
+    so bushy p = 8 runs at nine tables — single metrics only: the legacy
+    oracle needs 5–300 s per nine-table bushy frontier query."""
+    time, buffer, io = (
+        Objective.EXECUTION_TIME, Objective.BUFFER_SPACE, Objective.OUTPUT_ROWS
+    )
+    objectives = {
+        "time": (time,),
+        "buffer": (buffer,),
+        "io": (io,),
+        "multi-2": (time, buffer),
+        "multi-3": (time, buffer, io),
+    }
+    for name, objective in objectives.items():
+        for space in PlanSpace:
+            for n_partitions in (1, 2, 4, 8):
+                n_tables = 6
+                if space is PlanSpace.BUSHY and n_partitions == 8:
+                    if len(objective) > 1:
+                        continue
+                    n_tables = 9
+                for kind in (JoinGraphKind.STAR, JoinGraphKind.CHAIN, JoinGraphKind.CYCLE):
+                    yield pytest.param(
+                        objective, space, n_partitions, n_tables, kind,
+                        id=f"{name}-{space.value}-p{n_partitions}-{kind.value}",
+                    )
+
+
+@pytest.mark.skipif(not HAS_NUMPY, reason="vecdp requires numpy")
+class TestVecdpPartitionedParity:
+    """Constrained partitions run the same array path as serial ones: every
+    counter, cost and plan tree per partition against the legacy oracle."""
+
+    @staticmethod
+    def _assert_partitions_equal(query, settings, n_partitions):
+        for partition_id in range(n_partitions):
+            legacy, vec = _vec_pair(
+                query, settings, partition_id, n_partitions
+            )
+            context = f"vecdp partition {partition_id}/{n_partitions}"
+            _assert_stats_equal(legacy, vec, context)
+            assert [p.cost for p in legacy.plans] == [p.cost for p in vec.plans], context
+            assert [plan_signature(p) for p in legacy.plans] == [
+                plan_signature(p) for p in vec.plans
+            ], context
+
+    @pytest.mark.parametrize(
+        "objectives,space,n_partitions,n_tables,kind", _vecdp_partition_grid()
+    )
+    def test_counters_costs_and_trees_per_partition(
+        self, objectives, space, n_partitions, n_tables, kind
+    ):
+        query = SteinbrunnGenerator(seed=41, clustered_tables=True).query(n_tables, kind)
+        settings = OptimizerSettings(plan_space=space, objectives=objectives)
+        self._assert_partitions_equal(query, settings, n_partitions)
+
+    @pytest.mark.parametrize("space", list(PlanSpace))
+    @pytest.mark.parametrize("objectives", [(Objective.EXECUTION_TIME,), MULTI_OBJECTIVE])
+    def test_bnl_only_on_constrained_partitions(self, space, objectives):
+        query = SteinbrunnGenerator(seed=42).query(7, JoinGraphKind.CYCLE)
+        settings = OptimizerSettings(
+            plan_space=space, objectives=objectives, use_all_join_algorithms=False
+        )
+        self._assert_partitions_equal(query, settings, 4)
 
 
 class TestCapabilityRegistry:
