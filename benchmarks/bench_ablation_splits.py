@@ -20,9 +20,9 @@ from repro.core.partitioning import admissible_join_results
 from repro.core.worker import (
     _bushy_groups,
     bushy_operands,
-    naive_bushy_operands,
     optimize_partition,
 )
+from repro.testing import naive_bushy_operands
 from repro.util.bitset import popcount
 
 

@@ -29,17 +29,26 @@ Flat-array state layout (single objective):
   scalar library's, so the only transcendental in the cost model is kept
   out of the array expressions entirely — one scalar call per mask,
   every per-candidate operation a pure elementwise IEEE add/mul/max);
+* ``neighbours`` — per mask the OR of its tables' join-graph adjacency
+  masks, filled like ``rows`` by ``n`` strided in-place ORs: an equi
+  predicate straddles ``(left, right)`` iff ``neighbours[right] & left``
+  (only singleton masks are filled, and read, in the linear space);
 * ``bp_left``/``bp_right``/``bp_algo`` — packed back-pointers (operand
   masks plus an index into ``ALL_JOIN_ALGORITHMS``) from which plan trees
   are materialized once, at the end.
 
 Per level, candidate joins are generated in bulk from one ``(masks,
-splits)`` operand rectangle (:class:`_Splits`: each mask's set bits in
-ascending order for linear spaces — a partition constraint only masks
-cells out — and ``bushy_operands`` order, padded, for bushy ones): a
-``(masks, splits, 3)`` cost cube whose row-major order replicates the
-scalar candidate order — splits ascending, operators in
-``ALL_JOIN_ALGORITHMS`` order — with ``+inf`` placeholders for
+splits)`` operand rectangle (:class:`_Splits`).  Linear spaces: each
+mask's set bits in ascending order — a partition constraint only masks
+cells out.  Bushy spaces: ``bushy_operands`` order, zero-padded, without a
+per-mask call — ``bushy_operands`` is a per-group Cartesian product, so it
+only fills two small half-tables (its operand lists for every bit pattern
+of the low and of the high half of the constraint groups, 64 + 64 calls at
+12 tables) and a level's rectangle is, per ``(len_A, len_B)`` class of
+masks, one broadcast ``table_A[…][:, :, None] | table_B[…][:, None, :]``.
+The rectangle feeds a ``(masks, splits, 3)`` cost cube whose row-major
+order replicates the scalar candidate order — splits ascending, operators
+in ``ALL_JOIN_ALGORITHMS`` order — with ``+inf`` placeholders for
 inapplicable cells.  ``argmin`` over the flattened rows then lands on the
 *first* candidate achieving the minimum, which is exactly the strict-``<``
 running-minimum tie rule of the scalar cores, and an exclusive
@@ -269,26 +278,55 @@ def _prefill(np, query: Query, cost_model: CostModel, with_sort: bool):
 class _Splits:
     """The ``(masks, splits)`` operand rectangles of one partition.
 
-    Shared by both DPs.  In the linear space the right operand is always a
-    singleton, so adjacency and the constraints' "must be joined after"
-    sets are dense arrays keyed by singleton *mask* — the rectangles hold
-    bit values, not bit numbers.
+    Shared by both DPs.  ``neighbours[mask]`` is the OR of the adjacency
+    masks of ``mask``'s tables, so a predicate straddles ``(left, right)``
+    iff ``neighbours[right] & left`` (equally ``neighbours[left] & right``)
+    is non-zero — the scalar cores' ``_connected`` as one gather.  In the
+    linear space the right operand is always a singleton, so only the
+    singleton *masks* are filled, and the constraints' "must be joined
+    after" sets are keyed the same way — the rectangles hold bit values,
+    not bit numbers.
+
+    In the bushy space ``bushy_operands`` is a per-group Cartesian product,
+    last group innermost, and a group reads only its own bits of the mask:
+    cut the groups into a low half A and a high half B and ``operands(mask)
+    == [a | b for a in operands_A(mask & A) for b in operands_B(mask & B)]``,
+    order included.  ``halves`` holds per half ``(low bit, padded operand
+    table, lengths)``, one table row per bit pattern of the half, filled by
+    ``bushy_operands`` itself — which stays the single definition of
+    admissibility and of split order, constraints included.
     """
 
     def __init__(self, np, query: Query, constraints: tuple, settings):
         self.np = np
-        self.query = query
         self.linear = settings.plan_space is PlanSpace.LINEAR
         self.constrained = self.linear and bool(constraints)
         n = query.n_tables
+        self.neighbours = np.zeros(1 << n, dtype=np.int64)
         if self.linear:
             bit_values = np.int64(1) << np.arange(n, dtype=np.int64)
-            self.adjacency = np.zeros(1 << n, dtype=np.int64)
-            self.adjacency[bit_values] = _adjacency_masks(query)
+            self.neighbours[bit_values] = _adjacency_masks(query)
             self.after = np.zeros(1 << n, dtype=np.int64)
             self.after[bit_values] = linear_after_masks(n, constraints)
-        else:
-            self.groups = _bushy_groups(n, constraints)
+            return
+        for number, adjacent in enumerate(_adjacency_masks(query)):
+            view = self.neighbours.reshape(1 << (n - 1 - number), 2, 1 << number)
+            view[:, 1, :] |= adjacent
+        groups = _bushy_groups(n, constraints)
+        # Groups are consecutive bit ranges; cut where the halves balance.
+        ends = [group.group_mask.bit_length() for group in groups]
+        shift = min(ends, key=lambda end: abs(2 * end - n))
+        cut = ends.index(shift) + 1
+        self.halves = []
+        for low, bits, half in ((0, shift, groups[:cut]), (shift, n - shift, groups[cut:])):
+            lists = [
+                bushy_operands(pattern << low, half) for pattern in range(1 << bits)
+            ]
+            lengths = np.asarray([len(operands) for operands in lists])
+            table = np.zeros((1 << bits, int(lengths.max())), dtype=np.int64)
+            for pattern, operands in enumerate(lists):
+                table[pattern, : len(operands)] = operands
+            self.halves.append((low, table, lengths))
 
     def rect(self, masks, size: int):
         """``(left, right)`` operands, one row per mask, in split order.
@@ -296,7 +334,10 @@ class _Splits:
         Linear: every mask has exactly ``size`` candidate splits, its set
         bits in ascending order — the scalar bit-peel order.  Bushy: the
         admissible splits in ``bushy_operands`` order, padded with left
-        operand 0, which never holds an entry and so can never validate.
+        operand 0, which never holds an entry and so can never validate:
+        per ``(len_A, len_B)`` class of masks one broadcast OR of the two
+        halves' table rows, minus the first column (the mask itself) and
+        the last (0).
         """
         np = self.np
         if self.linear:
@@ -307,19 +348,23 @@ class _Splits:
                 right[:, column] = low
                 remaining ^= low
             return masks[:, None] ^ right, right
-        split_lists = [
-            [
-                left
-                for left in bushy_operands(mask, self.groups)
-                if left != 0 and left != mask
-            ]
-            for mask in masks.tolist()
-        ]
-        left = np.zeros(
-            (len(split_lists), max(1, *map(len, split_lists))), dtype=np.int64
+        (rows_a, table_a, lengths_a), (rows_b, table_b, lengths_b) = (
+            ((masks >> low) & (table.shape[0] - 1), table, lengths)
+            for low, table, lengths in self.halves
         )
-        for index, operands in enumerate(split_lists):
-            left[index, : len(operands)] = operands
+        len_a, len_b = lengths_a[rows_a], lengths_b[rows_b]
+        width = max(1, int((len_a * len_b).max()) - 2)
+        left = np.zeros((masks.shape[0], width), dtype=np.int64)
+        radix = table_b.shape[1] + 1
+        classes = len_a * radix + len_b
+        for key in np.unique(classes).tolist():
+            in_a, in_b = divmod(key, radix)
+            members = np.flatnonzero(classes == key)
+            block = (
+                table_a[rows_a[members], :in_a, None]
+                | table_b[rows_b[members], None, :in_b]
+            )
+            left[members, : in_a * in_b - 2] = block.reshape(members.shape[0], -1)[:, 1:-1]
         return left, masks[:, None] ^ left
 
     def unblocked(self, masks, right):
@@ -327,17 +372,9 @@ class _Splits:
         return (self.after[right] & masks[:, None]) == 0
 
     def equi(self, left, right):
-        """Cells with a predicate straddling the operands (``_connected``)."""
-        if self.linear:
-            return (self.adjacency[right] & left) != 0
-        np = self.np
-        connected = np.zeros(left.shape, dtype=bool)
-        for predicate in self.query.predicates:
-            left_bit = np.int64(1 << predicate.left_table)
-            right_bit = np.int64(1 << predicate.right_table)
-            connected |= ((left & left_bit) != 0) & ((right & right_bit) != 0)
-            connected |= ((left & right_bit) != 0) & ((right & left_bit) != 0)
-        return connected
+        """Cells with a predicate straddling the operands (``_connected``);
+        ``False`` on padded cells, whose left operand is 0."""
+        return (self.neighbours[right] & left) != 0
 
 
 # --------------------------------------------------------------------- single
@@ -443,51 +480,42 @@ def _run_single_vec(
 
             if valid is not None and valid_total != valid.size:
                 np.copyto(c_bnl, inf, where=~valid)
-            if kind != "io" and equi_total:
+            three = kind != "io" and equi_total > 0
+            if three:
                 not_equi = ~equi
                 np.copyto(c_hash, inf, where=not_equi)
                 np.copyto(c_sm, inf, where=not_equi)
-                # Interleaved candidate order per mask is (split: bnl,
-                # hash, sm) — fold the three columns into a per-split
-                # minimum, prefix-scan that, and count strict improvements
-                # of each column against its exclusive prefix (bnl sees
-                # the previous splits' minimum; hash additionally sees
-                # bnl; sm sees both).  Identical to the scalar running
-                # minimum, in one pass per column.
                 best3 = np.minimum(np.minimum(c_bnl, c_hash), c_sm)
-                pm = np.minimum.accumulate(best3, axis=1)
+            else:
+                best3 = c_bnl
+            # Interleaved candidate order per mask is (split: bnl, hash,
+            # sm) — fold the three columns into a per-split minimum,
+            # prefix-scan that, and count strict improvements of each
+            # column against its exclusive prefix (bnl sees the previous
+            # splits' minimum; hash additionally sees bnl; sm sees both).
+            # Identical to the scalar running minimum, in one pass per
+            # column.
+            pm = np.minimum.accumulate(best3, axis=1)
+            kept += int((c_bnl[:, 0] < inf).sum())
+            kept += int((c_bnl[:, 1:] < pm[:, :-1]).sum())
+            best = pm[:, -1]
+            entry_rows = np.flatnonzero(best < inf)
+            entry_best = best[entry_rows]
+            # First split achieving the row minimum, then the first
+            # algorithm within it — the scalar first-wins tie rule.
+            win_split = best3[entry_rows].argmin(axis=1)
+            if three:
                 running = c_bnl.copy()
                 np.minimum(running[:, 1:], pm[:, :-1], out=running[:, 1:])
-                kept += int((c_bnl[:, 0] < inf).sum())
-                kept += int((c_bnl[:, 1:] < pm[:, :-1]).sum())
                 kept += int((c_hash < running).sum())
                 np.minimum(running, c_hash, out=running)
                 kept += int((c_sm < running).sum())
-                best = pm[:, -1]
-                entry_rows = np.flatnonzero(best < inf)
-                if entry_rows.shape[0] == 0:
-                    continue
-                entry_best = best[entry_rows]
-                # First split achieving the row minimum, then the first
-                # algorithm within it — the scalar first-wins tie rule.
-                win_split = best3[entry_rows].argmin(axis=1)
-                bnl_at = c_bnl[entry_rows, win_split]
-                hash_at = c_hash[entry_rows, win_split]
                 win_algo = np.where(
-                    bnl_at == entry_best,
+                    c_bnl[entry_rows, win_split] == entry_best,
                     0,
-                    np.where(hash_at == entry_best, 1, 2),
+                    np.where(c_hash[entry_rows, win_split] == entry_best, 1, 2),
                 ).astype(np.int8)
             else:
-                pm = np.minimum.accumulate(c_bnl, axis=1)
-                kept += int((c_bnl[:, 0] < inf).sum())
-                kept += int((c_bnl[:, 1:] < pm[:, :-1]).sum())
-                best = pm[:, -1]
-                entry_rows = np.flatnonzero(best < inf)
-                if entry_rows.shape[0] == 0:
-                    continue
-                entry_best = best[entry_rows]
-                win_split = c_bnl[entry_rows].argmin(axis=1)
                 win_algo = np.zeros(entry_rows.shape[0], dtype=np.int8)
 
             entry_masks = masks[start:stop][entry_rows]

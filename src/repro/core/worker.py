@@ -70,9 +70,9 @@ class WorkerStats:
     result_plans: int = 0
     wall_time_s: float = 0.0
     #: Name of the enumeration backend that actually ran this partition
-    #: (``"legacy"``/``"fastdp"``).  Makes a routing decision observable end
-    #: to end: a run that silently landed on a slower core is
-    #: distinguishable from one that used the requested backend.
+    #: (``"legacy"``/``"fastdp"``/``"vecdp"``).  Makes a routing decision
+    #: observable end to end: a run that silently landed on a slower core
+    #: is distinguishable from one that used the requested backend.
     backend_used: str = ""
 
 
@@ -562,25 +562,6 @@ def _run_bushy(
                 _consider_joins(
                     left_plans, right_plans, mask, table, cost_model, pruning, stats
                 )
-
-
-def naive_bushy_operands(mask: int, constraints: tuple[Constraint, ...]) -> list[int]:
-    """Ablation baseline: enumerate *all* splits, then filter by constraints.
-
-    This is the strategy the paper deliberately avoids for bushy spaces
-    because its complexity is linear in the number of *possible* rather than
-    admissible splits.  Exposed for the split-generation ablation benchmark;
-    returns the same operand set as :func:`bushy_operands` (including the
-    degenerate 0/mask entries) on admissible ``mask`` values.
-    """
-    operands = []
-    for left_mask in iter_subsets(mask):
-        right_mask = mask ^ left_mask
-        left_ok = not any(c.excludes(left_mask) for c in constraints)
-        right_ok = not any(c.excludes(right_mask) for c in constraints)
-        if left_ok and right_ok:
-            operands.append(left_mask)
-    return operands
 
 
 # The reference core registers here; the fastdp core self-registers from

@@ -17,6 +17,7 @@ from repro.testing.differential import (
     assert_equivalent_frontiers,
     frontier,
     induced_subquery,
+    naive_bushy_operands,
     run_differential_oracle,
 )
 
@@ -32,5 +33,6 @@ __all__ = [
     "assert_equivalent_frontiers",
     "frontier",
     "induced_subquery",
+    "naive_bushy_operands",
     "run_differential_oracle",
 ]

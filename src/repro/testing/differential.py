@@ -73,6 +73,7 @@ from repro.cost.parametric import envelope_filter
 from repro.cost.pareto import pareto_filter
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind, Query
+from repro.util.bitset import iter_subsets
 
 #: A frontier signature: the exact Pareto frontier as a sorted tuple of
 #: cost vectors.  Two backends are equivalent on a query iff their
@@ -121,6 +122,26 @@ def _fastdp_backend(query: Query, settings: OptimizerSettings):
 
 def _vecdp_backend(query: Query, settings: OptimizerSettings):
     return _dp_cost_vectors(query, settings, Backend.VECDP)
+
+
+def naive_bushy_operands(mask: int, constraints: tuple) -> list[int]:
+    """Ablation baseline: enumerate *all* splits, then filter by constraints.
+
+    This is the strategy the paper deliberately avoids for bushy spaces
+    because its complexity is linear in the number of *possible* rather than
+    admissible splits.  Kept beside the oracle for the split-generation
+    ablation benchmark and the worker tests; returns the same operand set as
+    :func:`repro.core.worker.bushy_operands` (including the degenerate
+    0/mask entries) on admissible ``mask`` values.
+    """
+    operands = []
+    for left_mask in iter_subsets(mask):
+        right_mask = mask ^ left_mask
+        left_ok = not any(c.excludes(left_mask) for c in constraints)
+        right_ok = not any(c.excludes(right_mask) for c in constraints)
+        if left_ok and right_ok:
+            operands.append(left_mask)
+    return operands
 
 
 def _exhaustive_backend(query: Query, settings: OptimizerSettings):

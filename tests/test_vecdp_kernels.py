@@ -1,13 +1,17 @@
-"""vecdp's two bulk kernels against their scalar specifications.
+"""vecdp's bulk kernels against their scalar specifications.
 
 ``_pareto_filter`` must make the decisions of the sequential
 :class:`~repro.cost.pruning.ParetoPruning` fed the same candidate streams,
-and ``_levels`` must admit the masks
-:func:`~repro.core.partitioning.admissible_results_by_size` enumerates.
+``_levels`` must admit the masks
+:func:`~repro.core.partitioning.admissible_results_by_size` enumerates, and
+``_Splits`` must list each level's operands exactly as
+:func:`~repro.core.worker.bushy_operands` does — order, width and padding —
+with ``equi`` the per-predicate straddle test.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from math import inf
 from types import SimpleNamespace
 
@@ -15,11 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import PlanSpace
+from repro.config import OptimizerSettings, PlanSpace
 from repro.core.constraints import max_constraints, partition_constraints
+from repro.core.fastdp import _adjacency_masks, _connected
 from repro.core.partitioning import admissible_results_by_size
-from repro.core.worker import WorkerStats
+from repro.core.worker import WorkerStats, _bushy_groups, bushy_operands
 from repro.cost.pruning import ParetoPruning
+from repro.query.generator import SteinbrunnGenerator
+from repro.query.predicates import JoinPredicate
+from repro.query.query import JoinGraphKind
 
 np = pytest.importorskip("numpy")
 
@@ -93,23 +101,28 @@ class TestParetoFilter:
         assert survivors.tolist() == [0, 2]
 
 
+def _every_partition(n_tables: int, space: PlanSpace):
+    """``(partition_id, n_partitions, constraints)`` for every ``p``."""
+    for n_constraints in range(max_constraints(n_tables, space) + 1):
+        n_partitions = 1 << n_constraints
+        for partition_id in range(n_partitions):
+            yield partition_id, n_partitions, partition_constraints(
+                n_tables, partition_id, n_partitions, space
+            )
+
+
 class TestLevels:
     @pytest.mark.parametrize("space", list(PlanSpace))
     @pytest.mark.parametrize("n_tables", range(2, 11))
     def test_equals_scalar_enumeration_for_every_partition(self, space, n_tables):
-        for n_constraints in range(max_constraints(n_tables, space) + 1):
-            n_partitions = 1 << n_constraints
-            for partition_id in range(n_partitions):
-                constraints = partition_constraints(
-                    n_tables, partition_id, n_partitions, space
-                )
-                stats = WorkerStats(partition_id, n_partitions, n_constraints)
-                levels = vecdp._levels(np, n_tables, constraints, stats)
-                expected = admissible_results_by_size(n_tables, constraints, space)
-                assert {
-                    size: set(masks.tolist()) for size, masks in levels.items()
-                } == {size: set(masks) for size, masks in expected.items()}
-                assert stats.admissible_results == sum(map(len, expected.values()))
+        for partition_id, n_partitions, constraints in _every_partition(n_tables, space):
+            stats = WorkerStats(partition_id, n_partitions, len(constraints))
+            levels = vecdp._levels(np, n_tables, constraints, stats)
+            expected = admissible_results_by_size(n_tables, constraints, space)
+            assert {
+                size: set(masks.tolist()) for size, masks in levels.items()
+            } == {size: set(masks) for size, masks in expected.items()}
+            assert stats.admissible_results == sum(map(len, expected.values()))
 
     def test_popcount_fallback_without_the_ufunc(self, monkeypatch):
         """numpy < 2 has no ``bitwise_count``; the shift-and-sum agrees."""
@@ -118,3 +131,98 @@ class TestLevels:
         assert vecdp._popcount(np, masks).tolist() == expected
         monkeypatch.delattr(np, "bitwise_count", raising=False)
         assert vecdp._popcount(np, masks).tolist() == expected
+
+
+BUSHY = OptimizerSettings(plan_space=PlanSpace.BUSHY)
+
+
+def _assert_rectangles_match_spec(n_tables: int, constraints: tuple):
+    """Every level's rectangle is ``bushy_operands`` minus 0 / mask, padded."""
+    query = SteinbrunnGenerator(5).query(n_tables, JoinGraphKind.CHAIN)
+    source = vecdp._Splits(np, query, constraints, BUSHY)
+    groups = _bushy_groups(n_tables, constraints)
+    levels = vecdp._levels(np, n_tables, constraints, WorkerStats(0, 1, 0))
+    for size, masks in levels.items():
+        if masks.shape[0] == 0:
+            continue
+        left, right = source.rect(masks, size)
+        spec = [
+            [operand for operand in bushy_operands(mask, groups) if operand not in (0, mask)]
+            for mask in masks.tolist()
+        ]
+        width = max(1, *map(len, spec))
+        assert left.dtype == right.dtype == np.int64
+        assert left.tolist() == [row + [0] * (width - len(row)) for row in spec]
+        assert (right == masks[:, None] ^ left).all()
+
+
+class TestBushyRectangles:
+    @pytest.mark.parametrize("n_tables", range(2, 11))
+    def test_equal_bushy_operands_for_every_partition(self, n_tables):
+        for _, _, constraints in _every_partition(n_tables, PlanSpace.BUSHY):
+            _assert_rectangles_match_spec(n_tables, constraints)
+
+    def test_equal_bushy_operands_serial_12_tables(self):
+        _assert_rectangles_match_spec(12, ())
+
+    @pytest.mark.parametrize("n_partitions", [1, 2])
+    def test_split_listing_stays_out_of_the_per_mask_loop(self, monkeypatch, n_partitions):
+        """``bushy_operands`` only fills the two half-tables: one call per
+        bit pattern of a half (8 + 64 at 9 tables), never one per admissible
+        mask (502 serially)."""
+        calls = []
+
+        def counting(mask, groups):
+            calls.append(mask)
+            return bushy_operands(mask, groups)
+
+        monkeypatch.setattr(vecdp, "bushy_operands", counting)
+        query = SteinbrunnGenerator(5).query(9, JoinGraphKind.STAR)
+        result = vecdp.optimize_partition_vecdp(query, 0, n_partitions, BUSHY)
+        assert 0 < len(calls) <= 8 + 64 < result.stats.admissible_results
+
+
+@st.composite
+def _queries_with_extra_predicates(draw):
+    """A star / chain / cycle query plus up to six arbitrary extra edges."""
+    n_tables = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from([JoinGraphKind.STAR, JoinGraphKind.CHAIN, JoinGraphKind.CYCLE]))
+    query = SteinbrunnGenerator(draw(st.integers(0, 99))).query(n_tables, kind)
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n_tables - 1), st.integers(0, n_tables - 1)).filter(
+                lambda pair: pair[0] != pair[1]
+            ),
+            max_size=6,
+        )
+    )
+    extras = tuple(JoinPredicate(left, "c0", right, "c0", 0.5) for left, right in pairs)
+    query = dataclasses.replace(query, predicates=query.predicates + extras)
+    n_partitions = 1 << draw(st.integers(0, max_constraints(n_tables, PlanSpace.BUSHY)))
+    return query, draw(st.integers(0, n_partitions - 1)), n_partitions
+
+
+class TestEqui:
+    @settings(max_examples=60, deadline=None)
+    @given(_queries_with_extra_predicates())
+    def test_equals_the_per_predicate_straddle_test(self, drawn):
+        query, partition_id, n_partitions = drawn
+        n = query.n_tables
+        constraints = partition_constraints(n, partition_id, n_partitions, PlanSpace.BUSHY)
+        source = vecdp._Splits(np, query, constraints, BUSHY)
+        adjacency = _adjacency_masks(query)
+        levels = vecdp._levels(np, n, constraints, WorkerStats(0, 1, 0))
+        for size, masks in levels.items():
+            if masks.shape[0] == 0:
+                continue
+            left, right = source.rect(masks, size)
+            equi = source.equi(left, right)
+            for row, (lefts, rights) in enumerate(zip(left.tolist(), right.tolist())):
+                for column, (left_mask, right_mask) in enumerate(zip(lefts, rights)):
+                    expected = left_mask != 0 and any(
+                        predicate.connects(left_mask, right_mask)
+                        for predicate in query.predicates
+                    )
+                    assert bool(equi[row, column]) is expected
+                    if left_mask:
+                        assert _connected(left_mask, right_mask, adjacency) is expected

@@ -16,11 +16,11 @@ from repro.core.partitioning import admissible_join_results, is_admissible
 from repro.core.worker import (
     _bushy_groups,
     bushy_operands,
-    naive_bushy_operands,
     optimize_partition,
 )
 from repro.plans.plan import iter_join_result_masks
 from repro.query.generator import SteinbrunnGenerator
+from repro.testing import naive_bushy_operands
 from repro.util.bitset import popcount
 
 
