@@ -12,20 +12,33 @@ column domains, clustering, predicate endpoints and selectivities, and the
 Canonicalization uses color refinement (1-WL) over the join graph seeded
 with per-table statistic signatures, followed by individualization on
 remaining symmetric classes; the canonical form is the lexicographically
-smallest encoding over all explored branches.  For the symmetric cases where
-the search could explode, branch exploration is capped — capping can only
-cost cache *hits* (two labelings of a pathologically symmetric query may
-canonicalize differently), never correctness: a cache hit requires equal
-canonical encodings, and equal encodings certify that both queries are
-isomorphic to the same canonical query, which is exactly what plan
-remapping (:mod:`repro.service.remap`) relies on.
+smallest encoding over all explored branches.  Colors are dense integer
+*ranks* — a table's position among the sorted distinct signatures, then
+among the sorted distinct ``(color, neighborhood)`` keys of each round —
+never hashes: ranks order the classes, so a coloring that has become
+discrete already is the canonical numbering, and they come out of
+``sorted``, so they are identical in every process.  For the symmetric
+cases where the search could explode, branch exploration is capped —
+capping can only cost cache *hits* (two labelings of a pathologically
+symmetric query may canonicalize differently), never correctness: a cache
+hit requires equal canonical encodings, and equal encodings certify that
+both queries are isomorphic to the same canonical query, which is exactly
+what plan remapping (:mod:`repro.service.remap`) relies on.
+
+The fingerprint is the SHA-256 of the encoding's own SHA-256 (taken once,
+when the :class:`CanonicalForm` is built) followed by the resolved settings
+signature and partition count.  A fingerprint is therefore only meaningful
+to the version that derived it: keys written by a version with another
+numbering or digest construction are unreachable, never wrong, because an
+entry's plans are stored in the numbering of the encoding its key hashes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import weakref
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.config import OptimizerSettings
@@ -37,17 +50,6 @@ from repro.query.schema import Table
 #: settles for the best encoding found so far.  Only near-fully-symmetric
 #: queries (identical stats on many clique-connected tables) ever reach it.
 MAX_BRANCHES = 256
-
-
-def _stable_hash(payload: object) -> int:
-    """Deterministic 64-bit hash of a repr-serializable value.
-
-    Python's builtin ``hash`` is randomized per process for strings; the
-    fingerprint must be stable across processes and sessions, so hash the
-    ``repr`` (deterministic for tuples/ints/floats/strings) with sha256.
-    """
-    digest = hashlib.sha256(repr(payload).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def _table_signature(table: Table) -> tuple:
@@ -112,13 +114,13 @@ def settings_signature(settings: OptimizerSettings) -> str:
     return repr(_settings_signature(settings))
 
 
-def _adjacency(query: Query) -> dict[int, list[tuple[tuple, int]]]:
-    """Per-table incident predicate signatures: ``table -> [(edge_sig, other)]``.
+def _adjacency(query: Query) -> list[list[tuple[tuple, int]]]:
+    """Per-table incident predicate signatures: ``[table] -> [(edge_sig, other)]``.
 
     The edge signature is directional (local column first) so that a table's
     view of a predicate distinguishes its own endpoint from the neighbor's.
     """
-    incident: dict[int, list[tuple[tuple, int]]] = {i: [] for i in range(query.n_tables)}
+    incident: list[list[tuple[tuple, int]]] = [[] for __ in query.tables]
     for predicate in query.predicates:
         left_sig = (predicate.selectivity, predicate.left_column, predicate.right_column)
         right_sig = (predicate.selectivity, predicate.right_column, predicate.left_column)
@@ -127,28 +129,51 @@ def _adjacency(query: Query) -> dict[int, list[tuple[tuple, int]]]:
     return incident
 
 
-def _refine(colors: list[int], incident: dict[int, list[tuple[tuple, int]]]) -> list[int]:
-    """1-WL color refinement to a fixed point."""
-    n = len(colors)
-    while True:
-        refined = [
-            _stable_hash(
-                (
-                    colors[node],
-                    tuple(sorted((edge_sig, colors[other]) for edge_sig, other in incident[node])),
-                )
-            )
-            for node in range(n)
-        ]
-        if len(set(refined)) == len(set(colors)):
-            return refined
+def _ranks(keys: list) -> list[int]:
+    """Each key's dense rank among the sorted distinct keys.
+
+    Ranks come from ``sorted`` — never from ``set`` / ``dict`` iteration
+    order — so they are the same in every process and under every
+    ``PYTHONHASHSEED``.
+    """
+    rank = {key: position for position, key in enumerate(sorted(set(keys)))}
+    return [rank[key] for key in keys]
+
+
+def _refine(colors: list[int], incident: list[list[tuple[tuple, int]]]) -> list[int]:
+    """1-WL color refinement of dense rank colors to a fixed point.
+
+    A round recolors every node with the rank of ``(color, sorted incident
+    (edge signature, neighbor color))``.  The old color leads the tuple, so
+    a round can only split classes and keeps their relative order: ranks
+    stay dense, and a round that splits nothing reproduces its input
+    exactly, which is the fixed-point test.  A discrete coloring (``n``
+    classes) cannot split further, so it costs zero rounds — the case for
+    every query whose table statistics are pairwise distinct.
+    """
+    while max(colors) + 1 < len(colors):
+        refined = _ranks(
+            [
+                (color, tuple(sorted([(edge_sig, colors[other]) for edge_sig, other in edges])))
+                for color, edges in zip(colors, incident)
+            ]
+        )
+        if refined == colors:
+            break
         colors = refined
+    return colors
 
 
-def _encode(query: Query, numbering: tuple[int, ...]) -> str:
-    """Serialize the query under ``numbering`` (original -> canonical)."""
-    order = sorted(range(query.n_tables), key=lambda original: numbering[original])
-    tables = tuple(_table_signature(query.tables[original]) for original in order)
+def _encode(signatures: list[str], query: Query, numbering: list[int]) -> str:
+    """Serialize the query under ``numbering`` (original -> canonical).
+
+    ``signatures`` are the tables' :func:`_table_signature` texts, made once
+    per query: the encoding reads as ``repr((tables, predicates))`` without
+    re-serializing every table at every leaf of the search.
+    """
+    tables = [""] * len(numbering)
+    for signature, canonical in zip(signatures, numbering):
+        tables[canonical] = signature
     predicates = []
     for predicate in query.predicates:
         a = numbering[predicate.left_table]
@@ -157,10 +182,10 @@ def _encode(query: Query, numbering: tuple[int, ...]) -> str:
             predicates.append((a, predicate.left_column, b, predicate.right_column, predicate.selectivity))
         else:
             predicates.append((b, predicate.right_column, a, predicate.left_column, predicate.selectivity))
-    return repr((tables, tuple(sorted(predicates))))
+    return f"(({', '.join(tables)}), {tuple(sorted(predicates))!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalForm:
     """A query's canonical serialization plus the numbering that produced it.
 
@@ -168,16 +193,26 @@ class CanonicalForm:
     Two queries are join-isomorphic (up to names) iff their ``encoding``
     strings are equal, and composing one numbering with the inverse of the
     other maps plans between them (see :func:`repro.service.remap.remap_plan`).
+
+    ``digest`` is the SHA-256 of ``encoding``, taken once here so that
+    :func:`fingerprint_canonical` never re-reads the (0.4-1 kB) encoding.
+    It is an eager slot, not a lazily attached attribute: a serving tier
+    keeps thousands of forms alive and a per-instance ``__dict__`` is
+    what they would cost.
     """
 
     encoding: str
     numbering: tuple[int, ...]
+    digest: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "digest", hashlib.sha256(self.encoding.encode()).digest())
 
 
 #: Memoized canonical forms, weakly keyed by the query value.  A serving
-#: tier canonicalizes the same hot query objects on every request (the hit
-#: path is otherwise dominated by WL refinement, ~180us at 9 tables versus
-#: ~10us for a memo probe); keying by value means equal-content query
+#: tier canonicalizes the same hot query objects on every request (a fresh
+#: canonicalization is ~30-50us at 5-8 tables, a memo probe ~4-8us — the
+#: cost of ``hash(query)``); keying by value means equal-content query
 #: objects share one entry, and weak keys let retired queries be collected.
 #: Safe because canonicalization is a pure function of query content and
 #: queries are immutable.
@@ -191,7 +226,8 @@ def canonicalize(query: Query) -> CanonicalForm:
 
     Memoized on the query value (weakly, so the memo never extends a
     query's lifetime); an unhashable query — not produced by this package,
-    but possible for hand-built table objects — just skips the memo.
+    but possible for hand-built table objects — just skips the memo.  The
+    search itself is :func:`_canonicalize`.
     """
     try:
         cached = _canonical_memo.get(query)
@@ -205,52 +241,44 @@ def canonicalize(query: Query) -> CanonicalForm:
 
 
 def _canonicalize(query: Query) -> CanonicalForm:
+    """Individualization-refinement search for the smallest encoding.
+
+    Colors are dense integer ranks.  The seed is each table's rank among
+    the sorted distinct signature texts (text, because a signature holds
+    ``clustered_on: str | None`` and would not sort as a tuple).  The search
+    is depth first over an explicit stack of colorings still to refine,
+    not a recursive closure: a closure that calls itself is a reference
+    cycle, and every call would strand its adjacency lists until a full
+    collection — which a latency-sensitive server postpones.
+    """
+    signatures = [repr(_table_signature(table)) for table in query.tables]
     incident = _adjacency(query)
-    initial = [_stable_hash(("table", _table_signature(table))) for table in query.tables]
-
-    best: CanonicalForm | None = None
-    branches = 0
-
-    def search(colors: list[int]) -> None:
-        nonlocal best, branches
-        if branches >= MAX_BRANCHES:
-            return
-        colors = _refine(colors, incident)
-        classes: dict[int, list[int]] = {}
-        for node, color in enumerate(colors):
-            classes.setdefault(color, []).append(node)
+    best: tuple[str, list[int]] | None = None
+    leaves = 0
+    stack = [_ranks(signatures)]
+    while stack and leaves < MAX_BRANCHES:
+        colors = _refine(stack.pop(), incident)
+        if max(colors) + 1 == len(colors):
+            # Discrete: n singleton classes of dense ranks *are* the numbering.
+            leaves += 1
+            encoding = _encode(signatures, query, colors)
+            if best is None or encoding < best[0]:
+                best = (encoding, colors)
+            continue
         # The target cell must be chosen by a labeling-invariant key (class
         # size, then the class's color — never original table numbers), or
         # two labelings of the same query would explore different search
         # trees and could settle on different canonical forms.
-        ambiguous = sorted(
-            (
-                (color, members)
-                for color, members in classes.items()
-                if len(members) > 1
-            ),
-            key=lambda item: (len(item[1]), item[0]),
-        )
-        if not ambiguous:
-            branches += 1
-            ranked = sorted(range(len(colors)), key=lambda node: colors[node])
-            numbering = [0] * len(colors)
-            for canonical, original in enumerate(ranked):
-                numbering[original] = canonical
-            candidate = CanonicalForm(_encode(query, tuple(numbering)), tuple(numbering))
-            if best is None or candidate.encoding < best.encoding:
-                best = candidate
-            return
-        for node in ambiguous[0][1]:
-            individualized = list(colors)
-            individualized[node] = _stable_hash(("individualized", colors[node]))
-            search(individualized)
-            if branches >= MAX_BRANCHES:
-                return
-
-    search(initial)
+        target = min((size, color) for color, size in Counter(colors).items() if size > 1)[1]
+        # Individualize each member in turn: it keeps ``target`` while its
+        # class-mates and every color above move up by one, so ranks stay
+        # dense and ordered.  Pushed in reverse to pop in table order.
+        shifted = [color + (color >= target) for color in colors]
+        for node in reversed(range(len(colors))):
+            if colors[node] == target:
+                stack.append(shifted[:node] + [target] + shifted[node + 1 :])
     assert best is not None
-    return best
+    return CanonicalForm(best[0], tuple(best[1]))
 
 
 def fingerprint_canonical(
@@ -273,8 +301,8 @@ def fingerprint_canonical(
         resolved = usable_partitions(
             len(canonical.numbering), n_workers, settings.plan_space
         )
-    payload = repr((canonical.encoding, _settings_signature(settings), resolved))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    payload = repr((_settings_signature(settings), resolved))
+    return hashlib.sha256(canonical.digest + payload.encode()).hexdigest()
 
 
 def fingerprint(

@@ -11,8 +11,6 @@ O(plan size) instead of O(DP).
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.plans.orders import SortOrder
 from repro.plans.plan import JoinPlan, Plan, ScanPlan
 from repro.util.bitset import bits
@@ -26,33 +24,29 @@ def remap_mask(mask: int, mapping: tuple[int, ...]) -> int:
     return remapped
 
 
-def _remap_order(order: SortOrder | None, mapping: tuple[int, ...]) -> SortOrder | None:
-    if order is None:
-        return None
-    return SortOrder(table=mapping[order.table], column=order.column)
-
-
 def remap_plan(plan: Plan, mapping: tuple[int, ...]) -> Plan:
     """Rebuild ``plan`` with every table number translated through ``mapping``.
 
     ``mapping`` must be a permutation of ``range(n_tables)`` arising from a
     query isomorphism; under that assumption the remapped plan is exactly the
-    plan the DP would have produced for the relabeled query.
+    plan the DP would have produced for the relabeled query.  Nodes are
+    constructed directly, children first: a scan's mask is its table's bit
+    and a join's the union of its operands', so no mask is walked bit by bit.
+    ``tests/test_fingerprint_properties.py`` holds the ``dataclasses.replace``
+    formulation as the reference, field for field, so a field added to a
+    plan class cannot be dropped here unnoticed.
     """
+    order = plan.order
+    if order is not None:
+        order = SortOrder(mapping[order.table], order.column)
     if isinstance(plan, ScanPlan):
-        return dataclasses.replace(
-            plan,
-            mask=remap_mask(plan.mask, mapping),
-            order=_remap_order(plan.order, mapping),
-            table=mapping[plan.table],
-        )
+        table = mapping[plan.table]
+        return ScanPlan(1 << table, plan.rows, plan.cost, order, table, plan.algorithm)
     assert isinstance(plan, JoinPlan)
-    return dataclasses.replace(
-        plan,
-        mask=remap_mask(plan.mask, mapping),
-        order=_remap_order(plan.order, mapping),
-        left=remap_plan(plan.left, mapping),
-        right=remap_plan(plan.right, mapping),
+    left = remap_plan(plan.left, mapping)
+    right = remap_plan(plan.right, mapping)
+    return JoinPlan(
+        left.mask | right.mask, plan.rows, plan.cost, order, left, right, plan.algorithm
     )
 
 
