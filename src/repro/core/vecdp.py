@@ -33,27 +33,43 @@ Flat-array state layout (single objective):
   masks, filled like ``rows`` by ``n`` strided in-place ORs: an equi
   predicate straddles ``(left, right)`` iff ``neighbours[right] & left``
   (only singleton masks are filled, and read, in the linear space);
-* ``bp_left``/``bp_right``/``bp_algo`` — packed back-pointers (operand
-  masks plus an index into ``ALL_JOIN_ALGORITHMS``) from which plan trees
-  are materialized once, at the end.
+* ``bp_right``/``bp_algo`` — packed back-pointers (the right operand's
+  mask — the left one is ``mask ^ right`` — plus an index into
+  ``ALL_JOIN_ALGORITHMS``) from which plan trees are materialized once, at
+  the end.
 
-Per level, candidate joins are generated in bulk from one ``(masks,
+Per level, candidate joins are generated in bulk from the level's ``(masks,
 splits)`` operand rectangle (:class:`_Splits`).  Linear spaces: each
 mask's set bits in ascending order — a partition constraint only masks
 cells out.  Bushy spaces: ``bushy_operands`` order, zero-padded, without a
 per-mask call — ``bushy_operands`` is a per-group Cartesian product, so it
 only fills two small half-tables (its operand lists for every bit pattern
 of the low and of the high half of the constraint groups, 64 + 64 calls at
-12 tables) and a level's rectangle is, per ``(len_A, len_B)`` class of
-masks, one broadcast ``table_A[…][:, :, None] | table_B[…][:, None, :]``.
-The rectangle feeds a ``(masks, splits, 3)`` cost cube whose row-major
-order replicates the scalar candidate order — splits ascending, operators
-in ``ALL_JOIN_ALGORITHMS`` order — with ``+inf`` placeholders for
-inapplicable cells.  ``argmin`` over the flattened rows then lands on the
-*first* candidate achieving the minimum, which is exactly the strict-``<``
-running-minimum tie rule of the scalar cores, and an exclusive
-prefix-minimum recovers ``plans_kept`` (the number of improvements the
-scalar loop would have counted).
+12 tables) and a rectangle is, per ``(len_A, len_B)`` class of masks, one
+broadcast ``table_A[…][:, :, None] | table_B[…][:, None, :]``.
+
+The single-objective sweep never holds a level's whole rectangle: it takes
+it in blocks of about ``_BLOCK_CELLS`` cells (:meth:`_Splits.blocks`) and
+carries the scalar loop's running minimum — per-level ``best`` /
+``win_right`` / ``win_algo`` vectors, one slot per mask — from block to
+block.  Within a block the candidate order is the scalar one (splits
+ascending, operators in ``ALL_JOIN_ALGORITHMS`` order, ``+inf`` in
+inapplicable cells): the exclusive running minimum before a cell is the
+carried ``best`` folded with the block's earlier columns, counting strict
+improvements against it recovers ``plans_kept``, ``argmin`` lands on the
+*first* split achieving the block minimum, and the block's winner replaces
+the carried one only where it is strictly cheaper — the strict-``<``
+first-wins tie rule of the scalar cores.  Linear rectangles are tall and
+narrow (48,620 × 9 at 18 tables), so they are cut by *columns*: a block is
+a few bit-peels over the whole level, and once a level has ``_BLOCK_CELLS``
+masks exactly one — every operation is then contiguous and the short-axis
+``accumulate`` / ``argmin`` (≈ 10 ns a cell, unvectorisable over rows of
+≤ 18) drop out.  Bushy rectangles are short and wide (up to ``2**size − 2``
+splits), so they are cut by *rows*: a mask's whole split list stays in one
+block and the half-table broadcast is unchanged.  The budget is small
+because a block's dozen ``float64`` temporaries should stay in cache:
+level-wide temporaries (3.5 MB each at 18 tables) made the sweep
+memory-bound.
 
 Multi-objective frontiers (α = 1 only) keep their state in CSR form:
 ``first``/``count`` are dense per-mask arrays pointing into one flat
@@ -118,10 +134,16 @@ from repro.query.query import Query
 #: costs, and α-approximate pruning stay undeclared (see module docstring).
 CAPABILITIES = Capability.MULTI_OBJECTIVE | Capability.BUSHY_SPACE
 
-#: Cap on cells per candidate cube, candidate stream, or dominance
-#: rectangle; levels that would exceed it are processed in row chunks
-#: (level masks are independent of each other).
+#: Cap on cells per frontier candidate stream or dominance rectangle;
+#: levels that would exceed it are processed in row chunks (level masks
+#: are independent of each other).
 _CELL_BUDGET = 1 << 22
+
+#: Cells per operand block of the single-objective sweep
+#: (:meth:`_Splits.blocks`): small enough that a block's dozen float64
+#: temporaries stay cache-resident, and that a level of this many masks is
+#: swept one contiguous column at a time (sweep of 2¹¹…2¹⁵ in CHANGES.md).
+_BLOCK_CELLS = 1 << 12
 
 #: Columns per block of the Pareto filter (block² comparisons per mask),
 #: and candidates per cell of its first pass.
@@ -278,7 +300,9 @@ def _prefill(np, query: Query, cost_model: CostModel, with_sort: bool):
 class _Splits:
     """The ``(masks, splits)`` operand rectangles of one partition.
 
-    Shared by both DPs.  ``neighbours[mask]`` is the OR of the adjacency
+    Shared by both DPs: the single-objective sweep takes a level's
+    rectangle block by block (:meth:`blocks`), the frontier DP whole
+    (:meth:`rect`).  ``neighbours[mask]`` is the OR of the adjacency
     masks of ``mask``'s tables, so a predicate straddles ``(left, right)``
     iff ``neighbours[right] & left`` (equally ``neighbours[left] & right``)
     is non-zero — the scalar cores' ``_connected`` as one gather.  In the
@@ -328,44 +352,61 @@ class _Splits:
                 table[pattern, : len(operands)] = operands
             self.halves.append((low, table, lengths))
 
-    def rect(self, masks, size: int):
-        """``(left, right)`` operands, one row per mask, in split order.
+    def blocks(self, masks, size: int):
+        """Yield the level's operand rectangle as ``(span, left, right)``
+        blocks of about ``_BLOCK_CELLS`` cells, a mask's blocks in split order.
 
-        Linear: every mask has exactly ``size`` candidate splits, its set
-        bits in ascending order — the scalar bit-peel order.  Bushy: the
-        admissible splits in ``bushy_operands`` order, padded with left
-        operand 0, which never holds an entry and so can never validate:
-        per ``(len_A, len_B)`` class of masks one broadcast OR of the two
-        halves' table rows, minus the first column (the mask itself) and
-        the last (0).
+        ``span`` is the slice of ``masks`` a block's rows belong to.  Linear:
+        every mask has exactly ``size`` candidate splits, its set bits in
+        ascending order — the scalar bit-peel order; the rectangle is tall
+        and narrow, so blocks are runs of *columns* over the whole level
+        (all of them while the level is small, one bit-peel per block once
+        it has ``_BLOCK_CELLS`` masks).  Bushy: the admissible splits in
+        ``bushy_operands`` order, padded with left operand 0, which never
+        holds an entry and so can never validate; the rectangle is short
+        and wide, so blocks are runs of *rows* — per ``(len_A, len_B)`` class
+        of a block's masks one broadcast OR of the two halves' table rows,
+        minus the first column (the mask itself) and the last (0).
         """
         np = self.np
         if self.linear:
-            right = np.empty((masks.shape[0], size), dtype=np.int64)
+            columns = max(1, _BLOCK_CELLS // masks.shape[0])
             remaining = masks.copy()
-            for column in range(size):
-                low = remaining & -remaining
-                right[:, column] = low
-                remaining ^= low
-            return masks[:, None] ^ right, right
+            for start in range(0, size, columns):
+                right = np.empty((masks.shape[0], min(columns, size - start)), dtype=np.int64)
+                for column in range(right.shape[1]):
+                    np.bitwise_and(remaining, -remaining, out=right[:, column])
+                    remaining ^= right[:, column]
+                yield slice(0, masks.shape[0]), masks[:, None] ^ right, right
+            return
         (rows_a, table_a, lengths_a), (rows_b, table_b, lengths_b) = (
             ((masks >> low) & (table.shape[0] - 1), table, lengths)
             for low, table, lengths in self.halves
         )
         len_a, len_b = lengths_a[rows_a], lengths_b[rows_b]
         width = max(1, int((len_a * len_b).max()) - 2)
-        left = np.zeros((masks.shape[0], width), dtype=np.int64)
         radix = table_b.shape[1] + 1
         classes = len_a * radix + len_b
-        for key in np.unique(classes).tolist():
-            in_a, in_b = divmod(key, radix)
-            members = np.flatnonzero(classes == key)
-            block = (
-                table_a[rows_a[members], :in_a, None]
-                | table_b[rows_b[members], None, :in_b]
-            )
-            left[members, : in_a * in_b - 2] = block.reshape(members.shape[0], -1)[:, 1:-1]
-        return left, masks[:, None] ^ left
+        per_block = max(1, _BLOCK_CELLS // width)
+        for start in range(0, masks.shape[0], per_block):
+            span = slice(start, min(start + per_block, masks.shape[0]))
+            left = np.zeros((span.stop - start, width), dtype=np.int64)
+            for key in np.unique(classes[span]).tolist():
+                in_a, in_b = divmod(key, radix)
+                members = np.flatnonzero(classes[span] == key)
+                block = (
+                    table_a[rows_a[span][members], :in_a, None]
+                    | table_b[rows_b[span][members], None, :in_b]
+                )
+                left[members, : in_a * in_b - 2] = block.reshape(members.shape[0], -1)[:, 1:-1]
+            yield span, left, masks[span, None] ^ left
+
+    def rect(self, masks, size: int):
+        """The whole ``(left, right)`` rectangle, one row per mask in split
+        order: the concatenation of :meth:`blocks`."""
+        _, lefts, rights = zip(*self.blocks(masks, size))
+        axis = 1 if self.linear else 0
+        return self.np.concatenate(lefts, axis), self.np.concatenate(rights, axis)
 
     def unblocked(self, masks, right):
         """Cells whose singleton may be joined last (constrained linear)."""
@@ -390,10 +431,13 @@ def _run_single_vec(
 ) -> list[Plan]:
     """Single-objective DP on dense per-mask arrays.
 
-    Per level the candidate cube's flattened row order replicates the
-    scalar generation order, so first-occurrence ``argmin`` reproduces the
-    strict-``<`` running-minimum tie rule and the exclusive prefix-minimum
-    reproduces the improvement count (``plans_kept``) exactly.
+    A level is swept in operand blocks (:meth:`_Splits.blocks`) that arrive
+    in the scalar generation order, with the scalar loop's ``best`` — and
+    the split and operator that achieved it — carried per mask from block
+    to block: a block's first-occurrence ``argmin`` replaces the carried
+    winner only where strictly cheaper (the strict-``<`` tie rule), and
+    strict improvements over the exclusive running minimum reproduce the
+    improvement count (``plans_kept``) exactly.
     """
     n = query.n_tables
     settings = cost_model.settings
@@ -401,7 +445,6 @@ def _run_single_vec(
     algos_all = settings.use_all_join_algorithms
     state = 1 << n
     cost = np.full(state, inf, dtype=np.float64)
-    bp_left = np.zeros(state, dtype=np.int64)
     bp_right = np.zeros(state, dtype=np.int64)
     bp_algo = np.full(state, -1, dtype=np.int8)
     rows, sort_term, scan_list = _prefill(np, query, cost_model, kind == "time")
@@ -415,30 +458,27 @@ def _run_single_vec(
     stored = n
     # True while every admissible mask so far stored an entry — the normal
     # case, since the always-applicable BNL candidate only fails by
-    # overflowing to +inf.  Lets unconstrained linear levels skip validity
-    # scans altogether: each of their cells then joins two stored entries.
-    all_stored = source.linear and not constraints
+    # overflowing to +inf.  Lets linear levels skip the stored-operand scan:
+    # a table no constraint blocks leaves an admissible, hence stored, set.
+    all_stored = source.linear
 
     for size in range(2, n + 1):
         masks = by_size[size]
         if masks.shape[0] == 0:
             continue
-        level_entries = 0
-        left_all, right_all = source.rect(masks, size)
-        chunk = max(1, _CELL_BUDGET // (3 * left_all.shape[1]))
-        for start in range(0, masks.shape[0], chunk):
-            stop = start + chunk
-            left = left_all[start:stop]
-            right = right_all[start:stop]
+        # The scalar loop's ``best`` and its winner, for every mask at once.
+        best = np.full(masks.shape[0], inf, dtype=np.float64)
+        win_right = np.zeros(masks.shape[0], dtype=np.int64)
+        win_algo = np.zeros(masks.shape[0], dtype=np.int8)
+        for span, left, right in source.blocks(masks, size):
             left_cost = cost[left]
             right_cost = cost[right]
             right_rows = rows[right]
-            if all_stored:
-                valid = None
-            elif source.linear:
-                valid = left_cost < inf
+            if source.linear:
+                valid = None if all_stored else left_cost < inf
                 if source.constrained:
-                    valid &= source.unblocked(masks[start:stop], right)
+                    unblocked = source.unblocked(masks[span], right)
+                    valid = unblocked if valid is None else valid & unblocked
             else:
                 valid = (left_cost < inf) & (right_cost < inf)
             if algos_all:
@@ -447,27 +487,28 @@ def _run_single_vec(
                 equi = source.equi(left, right)
                 if valid is not None:
                     equi &= valid
-                equi_total = int(equi.sum())
+                equi_total = int(np.count_nonzero(equi))
             else:
                 equi_total = 0
-            valid_total = left.size if valid is None else int(valid.sum())
+            valid_total = left.size if valid is None else int(np.count_nonzero(valid))
             splits += valid_total
             considered += valid_total + 2 * equi_total
 
             left_rows = rows[left]
+            three = kind != "io" and equi_total > 0
             if kind == "time":
                 base = left_cost + right_cost
                 c_bnl = base + left_rows * right_rows
-                if equi_total:
-                    c_hash = base + HASH_FACTOR * (left_rows + right_rows)
+                if three:
                     operator = left_rows + right_rows
+                    c_hash = base + HASH_FACTOR * operator
                     operator = operator + sort_term[left]
                     operator = operator + sort_term[right]
                     c_sm = base + operator
             elif kind == "buffer":
                 pair = np.maximum(left_cost, right_cost)
                 c_bnl = np.maximum(pair, BNL_BLOCK_TUPLES)
-                if equi_total:
+                if three:
                     c_hash = np.maximum(pair, right_rows)
                     c_sm = np.maximum(
                         pair, np.maximum(left_rows + right_rows, 1.0)
@@ -476,11 +517,10 @@ def _run_single_vec(
                 # and sort-merge candidates can never strictly improve on
                 # the block-nested-loop one generated just before them —
                 # they contribute to plans_considered (above) only.
-                c_bnl = (left_cost + right_cost) + rows[masks[start:stop]][:, None]
+                c_bnl = (left_cost + right_cost) + rows[masks[span]][:, None]
 
             if valid is not None and valid_total != valid.size:
                 np.copyto(c_bnl, inf, where=~valid)
-            three = kind != "io" and equi_total > 0
             if three:
                 not_equi = ~equi
                 np.copyto(c_hash, inf, where=not_equi)
@@ -489,42 +529,45 @@ def _run_single_vec(
             else:
                 best3 = c_bnl
             # Interleaved candidate order per mask is (split: bnl, hash,
-            # sm) — fold the three columns into a per-split minimum,
-            # prefix-scan that, and count strict improvements of each
-            # column against its exclusive prefix (bnl sees the previous
-            # splits' minimum; hash additionally sees bnl; sm sees both).
-            # Identical to the scalar running minimum, in one pass per
-            # column.
-            pm = np.minimum.accumulate(best3, axis=1)
-            kept += int((c_bnl[:, 0] < inf).sum())
-            kept += int((c_bnl[:, 1:] < pm[:, :-1]).sum())
-            best = pm[:, -1]
-            entry_rows = np.flatnonzero(best < inf)
-            entry_best = best[entry_rows]
-            # First split achieving the row minimum, then the first
-            # algorithm within it — the scalar first-wins tie rule.
-            win_split = best3[entry_rows].argmin(axis=1)
-            if three:
-                running = c_bnl.copy()
-                np.minimum(running[:, 1:], pm[:, :-1], out=running[:, 1:])
-                kept += int((c_hash < running).sum())
-                np.minimum(running, c_hash, out=running)
-                kept += int((c_sm < running).sum())
-                win_algo = np.where(
-                    c_bnl[entry_rows, win_split] == entry_best,
-                    0,
-                    np.where(c_hash[entry_rows, win_split] == entry_best, 1, 2),
-                ).astype(np.int8)
+            # sm).  ``before`` is the running minimum each BNL candidate
+            # meets: the carried ``best`` in the block's first column, the
+            # fold of the block's earlier splits into it after that; hash
+            # additionally sees bnl, sm sees both.  Counting strict
+            # improvements against it is the scalar ``if cost < best``.
+            carry = best[span]
+            if left.shape[1] == 1:
+                before, win = carry[:, None], (slice(None), 0)
             else:
-                win_algo = np.zeros(entry_rows.shape[0], dtype=np.int8)
-
-            entry_masks = masks[start:stop][entry_rows]
-            cost[entry_masks] = entry_best
-            bp_left[entry_masks] = left[entry_rows, win_split]
-            bp_right[entry_masks] = right[entry_rows, win_split]
-            bp_algo[entry_masks] = win_algo
-            stored += entry_masks.shape[0]
-            level_entries += entry_masks.shape[0]
+                pm = np.minimum.accumulate(best3, axis=1)
+                before = np.empty_like(pm)
+                before[:, 0] = carry
+                np.minimum(pm[:, :-1], carry[:, None], out=before[:, 1:])
+                # First split achieving the block minimum (the first
+                # algorithm within it below): the scalar first-wins rule.
+                win = (np.arange(left.shape[0]), best3.argmin(axis=1))
+            block_best = best3[win]
+            kept += int(np.count_nonzero(c_bnl < before))
+            # Strict: an earlier block's split keeps a tie, as in the scan.
+            improved = block_best < carry
+            if three:
+                before = np.minimum(before, c_bnl)
+                kept += int(np.count_nonzero(c_hash < before))
+                np.minimum(before, c_hash, out=before)
+                kept += int(np.count_nonzero(c_sm < before))
+                algo = np.where(
+                    c_bnl[win] == block_best, 0, np.where(c_hash[win] == block_best, 1, 2)
+                )
+                np.copyto(win_algo[span], algo, where=improved)
+            else:
+                np.copyto(win_algo[span], 0, where=improved)
+            np.copyto(win_right[span], right[win], where=improved)
+            np.copyto(carry, block_best, where=improved)
+        # Masks whose every candidate overflowed keep cost +inf: no entry.
+        cost[masks] = best
+        bp_right[masks] = win_right
+        bp_algo[masks] = win_algo
+        level_entries = int(np.count_nonzero(best < inf))
+        stored += level_entries
         if level_entries != masks.shape[0]:
             all_stored = False
 
@@ -534,52 +577,26 @@ def _run_single_vec(
     stats.table_entries = stored
     stats.stored_plans = stored
     full_mask = query.all_tables_mask
-    if full_mask in scans:
-        return [scans[full_mask]]
-    if not cost[full_mask] < inf:
+    if full_mask not in scans and not cost[full_mask] < inf:
         return []
-    memo: dict[int, Plan] = {}
-    return [
-        _build_single_vec(
-            full_mask, scans, cost, rows, bp_left, bp_right, bp_algo, memo
-        )
-    ]
+    return [_build_single_vec(full_mask, cost, rows, bp_right, bp_algo, scans)]
 
 
-def _build_single_vec(
-    mask: int,
-    scans: dict[int, Plan],
-    cost,
-    rows,
-    bp_left,
-    bp_right,
-    bp_algo,
-    memo: dict[int, Plan],
-) -> Plan:
-    """Materialize the stored plan for ``mask`` from the packed arrays."""
+def _build_single_vec(mask: int, cost, rows, bp_right, bp_algo, memo: dict[int, Plan]) -> Plan:
+    """Materialize the stored plan for ``mask`` from the packed arrays;
+    ``memo`` starts out as the scans by singleton mask."""
     plan = memo.get(mask)
-    if plan is not None:
-        return plan
-    scan = scans.get(mask)
-    if scan is not None:
-        memo[mask] = scan
-        return scan
-    plan = JoinPlan(
-        mask=mask,
-        rows=float(rows[mask]),
-        cost=(float(cost[mask]),),
-        order=None,
-        left=_build_single_vec(
-            int(bp_left[mask]), scans, cost, rows, bp_left, bp_right,
-            bp_algo, memo,
-        ),
-        right=_build_single_vec(
-            int(bp_right[mask]), scans, cost, rows, bp_left, bp_right,
-            bp_algo, memo,
-        ),
-        algorithm=ALL_JOIN_ALGORITHMS[int(bp_algo[mask])],
-    )
-    memo[mask] = plan
+    if plan is None:
+        right = int(bp_right[mask])
+        plan = memo[mask] = JoinPlan(
+            mask=mask,
+            rows=float(rows[mask]),
+            cost=(float(cost[mask]),),
+            order=None,
+            left=_build_single_vec(mask ^ right, cost, rows, bp_right, bp_algo, memo),
+            right=_build_single_vec(right, cost, rows, bp_right, bp_algo, memo),
+            algorithm=ALL_JOIN_ALGORITHMS[int(bp_algo[mask])],
+        )
     return plan
 
 

@@ -410,6 +410,15 @@ def _vecdp_partition_grid():
                     )
 
 
+def _assert_results_equal(expected, actual, context):
+    """Every counter, cost and plan tree of two runs of one partition."""
+    _assert_stats_equal(expected, actual, context)
+    assert [p.cost for p in expected.plans] == [p.cost for p in actual.plans], context
+    assert [plan_signature(p) for p in expected.plans] == [
+        plan_signature(p) for p in actual.plans
+    ], context
+
+
 @pytest.mark.skipif(not HAS_NUMPY, reason="vecdp requires numpy")
 class TestVecdpPartitionedParity:
     """Constrained partitions run the same array path as serial ones: every
@@ -421,12 +430,7 @@ class TestVecdpPartitionedParity:
             legacy, vec = _vec_pair(
                 query, settings, partition_id, n_partitions
             )
-            context = f"vecdp partition {partition_id}/{n_partitions}"
-            _assert_stats_equal(legacy, vec, context)
-            assert [p.cost for p in legacy.plans] == [p.cost for p in vec.plans], context
-            assert [plan_signature(p) for p in legacy.plans] == [
-                plan_signature(p) for p in vec.plans
-            ], context
+            _assert_results_equal(legacy, vec, f"vecdp partition {partition_id}/{n_partitions}")
 
     @pytest.mark.parametrize(
         "objectives,space,n_partitions,n_tables,kind", _vecdp_partition_grid()

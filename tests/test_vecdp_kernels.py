@@ -19,11 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import OptimizerSettings, PlanSpace
+from repro.config import Backend, Objective, OptimizerSettings, PlanSpace
 from repro.core.constraints import max_constraints, partition_constraints
 from repro.core.fastdp import _adjacency_masks, _connected
 from repro.core.partitioning import admissible_results_by_size
-from repro.core.worker import WorkerStats, _bushy_groups, bushy_operands
+from repro.core.worker import WorkerStats, _bushy_groups, bushy_operands, optimize_partition
 from repro.cost.pruning import ParetoPruning
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.predicates import JoinPredicate
@@ -32,6 +32,7 @@ from repro.query.query import JoinGraphKind
 np = pytest.importorskip("numpy")
 
 from repro.core import vecdp  # noqa: E402  (needs numpy)
+from tests import test_fastdp as parity  # noqa: E402  (its grid and stats comparison)
 
 
 def _sequential(candidates, widths):
@@ -136,24 +137,35 @@ class TestLevels:
 BUSHY = OptimizerSettings(plan_space=PlanSpace.BUSHY)
 
 
+def _scalar_rect(query, constraints, space, masks):
+    """``(left, right)`` rows per mask from the scalar split sources: the
+    bit-peel, or ``bushy_operands`` minus 0 / mask, zero-padded."""
+    if space is PlanSpace.LINEAR:
+        rights = [[1 << bit for bit in range(query.n_tables) if mask >> bit & 1] for mask in masks]
+        return [[mask ^ right for right in row] for mask, row in zip(masks, rights)], rights
+    groups = _bushy_groups(query.n_tables, constraints)
+    lefts = [
+        [operand for operand in bushy_operands(mask, groups) if operand not in (0, mask)]
+        for mask in masks
+    ]
+    width = max(1, *map(len, lefts))
+    lefts = [row + [0] * (width - len(row)) for row in lefts]
+    return lefts, [[mask ^ left for left in row] for mask, row in zip(masks, lefts)]
+
+
 def _assert_rectangles_match_spec(n_tables: int, constraints: tuple):
     """Every level's rectangle is ``bushy_operands`` minus 0 / mask, padded."""
     query = SteinbrunnGenerator(5).query(n_tables, JoinGraphKind.CHAIN)
     source = vecdp._Splits(np, query, constraints, BUSHY)
-    groups = _bushy_groups(n_tables, constraints)
     levels = vecdp._levels(np, n_tables, constraints, WorkerStats(0, 1, 0))
     for size, masks in levels.items():
         if masks.shape[0] == 0:
             continue
         left, right = source.rect(masks, size)
-        spec = [
-            [operand for operand in bushy_operands(mask, groups) if operand not in (0, mask)]
-            for mask in masks.tolist()
-        ]
-        width = max(1, *map(len, spec))
         assert left.dtype == right.dtype == np.int64
-        assert left.tolist() == [row + [0] * (width - len(row)) for row in spec]
-        assert (right == masks[:, None] ^ left).all()
+        assert (left.tolist(), right.tolist()) == _scalar_rect(
+            query, constraints, PlanSpace.BUSHY, masks.tolist()
+        )
 
 
 class TestBushyRectangles:
@@ -226,3 +238,116 @@ class TestEqui:
                     assert bool(equi[row, column]) is expected
                     if left_mask:
                         assert _connected(left_mask, right_mask, adjacency) is expected
+
+
+class TestBlocks:
+    """``_Splits.blocks`` cuts the rectangle, it never reorders it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        _queries_with_extra_predicates(),
+        st.sampled_from(list(PlanSpace)),
+        st.sampled_from([1, 2, 3, 5, 17, 64, 1 << 12]),
+    )
+    def test_blocks_tile_the_rectangle_in_split_order(self, drawn, space, cells):
+        query, partition_id, n_partitions = drawn
+        n = query.n_tables
+        constraints = partition_constraints(n, partition_id, n_partitions, space)
+        source = vecdp._Splits(np, query, constraints, OptimizerSettings(plan_space=space))
+        levels = vecdp._levels(np, n, constraints, WorkerStats(0, 1, 0))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(vecdp, "_BLOCK_CELLS", cells)
+            for size, masks in levels.items():
+                if masks.shape[0] == 0:
+                    continue
+                left, right = (side.tolist() for side in source.rect(masks, size))
+                assert (left, right) == _scalar_rect(query, constraints, space, masks.tolist())
+                row = column = 0  # where the next block must start
+                for span, block_left, block_right in source.blocks(masks, size):
+                    height, width = block_left.shape
+                    assert block_left.dtype == block_right.dtype == np.int64
+                    assert block_right.shape == (height, width)
+                    if space is PlanSpace.LINEAR:  # runs of columns, whole level
+                        assert (span.start, span.stop) == (0, len(left))
+                        assert block_left.size <= max(cells, height)
+                        columns = slice(column, column + width)
+                        column += width
+                    else:  # runs of rows, whole width
+                        assert (span.start, span.stop) == (row, row + height)
+                        assert block_left.size <= max(cells, width)
+                        columns = slice(0, len(left[0]))
+                        row += height
+                    assert block_left.tolist() == [splits[columns] for splits in left[span]]
+                    assert block_right.tolist() == [splits[columns] for splits in right[span]]
+                if space is PlanSpace.LINEAR:
+                    assert column == size
+                else:
+                    assert row == len(left)
+
+
+def _assert_partitions_equal(reference: Backend, query, settings, n_partitions, budgets):
+    """Counters, costs and plan trees of every vecdp partition, at each
+    block budget, against ``reference``'s."""
+    with pytest.MonkeyPatch.context() as patch:
+        for partition_id in range(n_partitions):
+            expected = optimize_partition(
+                query, partition_id, n_partitions, settings.replace(backend=reference)
+            )
+            for cells in budgets:
+                patch.setattr(vecdp, "_BLOCK_CELLS", cells)
+                vec = optimize_partition(
+                    query, partition_id, n_partitions, settings.replace(backend=Backend.VECDP)
+                )
+                assert vec.stats.backend_used == "vecdp"
+                parity._assert_results_equal(
+                    expected, vec, f"vecdp partition {partition_id}/{n_partitions}, {cells}-cell blocks"
+                )
+
+
+class TestBlockedSweep:
+    """At the shipped ``_BLOCK_CELLS`` no query the parity grids run (≤ 9
+    tables, ≤ 126 masks a level) ever splits a mask's row over two blocks, so
+    the carried running minimum is driven here with budgets of 1, 3 and 17
+    cells — linear: one and two-to-three columns per block and a ragged last
+    block; bushy: one row per block."""
+
+    TINY = (1, 3, 17)
+
+    @pytest.mark.parametrize(
+        "objectives,space,n_partitions,n_tables,kind",
+        [case for case in parity._vecdp_partition_grid() if len(case.values[0]) == 1],
+    )
+    def test_partition_parity_grid_at_tiny_blocks(
+        self, objectives, space, n_partitions, n_tables, kind
+    ):
+        query = SteinbrunnGenerator(seed=41, clustered_tables=True).query(n_tables, kind)
+        settings = OptimizerSettings(plan_space=space, objectives=objectives)
+        _assert_partitions_equal(Backend.LEGACY, query, settings, n_partitions, self.TINY)
+
+    @pytest.mark.parametrize("space", list(PlanSpace))
+    def test_bnl_only_on_constrained_partitions_at_tiny_blocks(self, space):
+        query = SteinbrunnGenerator(seed=42).query(7, JoinGraphKind.CYCLE)
+        settings = OptimizerSettings(plan_space=space, use_all_join_algorithms=False)
+        _assert_partitions_equal(Backend.LEGACY, query, settings, 4, self.TINY)
+
+    @pytest.mark.parametrize("cardinality", [10**100, 10**155])
+    @pytest.mark.parametrize("space", list(PlanSpace))
+    def test_overflowed_levels_leave_the_all_stored_shortcut(self, space, cardinality):
+        """Cardinalities whose products overflow to ``+inf`` store only some
+        of a level's masks (serial left-deep: 97 and 13 of 127), so later
+        levels must scan for stored operands again — in constrained
+        partitions too."""
+        query = SteinbrunnGenerator(5).query(7, JoinGraphKind.CHAIN)
+        tables = tuple(
+            dataclasses.replace(table, cardinality=cardinality) for table in query.tables
+        )
+        query = dataclasses.replace(query, tables=tables)
+        budgets = (*self.TINY, vecdp._BLOCK_CELLS)
+        for objective in (Objective.EXECUTION_TIME, Objective.BUFFER_SPACE, Objective.OUTPUT_ROWS):
+            settings = OptimizerSettings(plan_space=space, objectives=(objective,))
+            for n_partitions in (1, 2, 4):
+                _assert_partitions_equal(Backend.FASTDP, query, settings, n_partitions, budgets)
+        serial = optimize_partition(
+            query, 0, 1, OptimizerSettings(plan_space=space, backend=Backend.VECDP)
+        )
+        assert 7 < serial.stats.table_entries < 7 + serial.stats.admissible_results
