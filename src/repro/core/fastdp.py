@@ -33,11 +33,26 @@ the full table set; every intermediate table set costs two dict stores.
 Full query-class coverage (no legacy fallback):
 
 * **interesting orders** — flat per-(table set, order) entries keyed by an
-  *interned* order id (:class:`~repro.plans.orders.OrderInterner`), with
-  :func:`~repro.plans.orders.order_satisfies` compiled to one indexed load
-  in a precomputed boolean table; the sort keys of a split come from a
-  bit-peeling replication of ``Query.predicates_between``'s scan order, so
-  the chosen sort-merge key is byte-identical to the legacy backend's;
+  *interned* order id (:class:`~repro.plans.orders.OrderInterner`); the
+  sort keys of a split come from a bit-peeling replication of
+  ``Query.predicates_between``'s scan order, so the chosen sort-merge key
+  is byte-identical to the legacy backend's.  The frontier kernel compiles
+  :func:`~repro.plans.orders.order_satisfies` to one indexed load in a
+  precomputed boolean table.  The single-objective kernel does not load
+  that table at all: ``order_satisfies(p, r)`` is "``r`` is unsorted or
+  ``p == r``", so :class:`~repro.cost.pruning.InterestingOrderPruning`
+  keeps **at most one entry per order id** per table set, and the set
+  being filled is an insertion-ordered dict order id → entry.  An unsorted
+  candidate (BNL, hash) is rejected iff *any* kept entry costs no more —
+  one compare against ``floor``, the cheapest kept cost; a sorted one
+  (sort-merge) iff the entry *of its own order* costs no more — one compare
+  against that entry's cost, hoisted per split; an accept replaces its own
+  order's entry (pop, re-insert at the end) and a sorted accept also pops
+  the unsorted entry when it costs no more than it.  "No entry yet" is
+  tested as such, never as an ``inf`` sentinel: an ``inf``-cost candidate
+  that opens an empty set or a new order is kept, as the policy keeps it
+  (``tests/test_interesting_orders.py`` pins the one-entry-per-order
+  premise, ``tests/test_edge_cases.py`` the overflow case);
 * **parametric costs** — piecewise-linear lower-envelope frontiers stored
   in the same packed (cost vector, back-pointer) lists and kept by
   :class:`~repro.cost.parametric.IncrementalEnvelope`, the parametric
@@ -546,11 +561,17 @@ def _run_single_orders(
 ) -> list[Plan]:
     """Single-objective DP over flat per-(table set, order) cost entries.
 
-    Entries are ``(cost, order id, back-pointer)`` tuples; the pruning loop
-    replicates :class:`~repro.cost.pruning.InterestingOrderPruning` decision
-    for decision, with ``order_satisfies`` compiled to the interner's
-    boolean ``sat[produced][required]`` table — one indexed load instead of
-    a dataclass comparison per kept entry.
+    Entries are ``(cost, order id, back-pointer)`` tuples, at most one per
+    order id per table set (see the module docstring).  While a table set
+    is *open* — its iteration of the level sweep — its entries live in an
+    insertion-ordered dict keyed by order id, beside the floats
+    :class:`~repro.cost.pruning.InterestingOrderPruning`'s comparisons are
+    made against: ``floor`` (cheapest kept cost of any order),
+    ``unsorted_cost`` and, per split, ``sm_cost`` (kept cost of the
+    unsorted entry / of the split's sort order; ``None`` = no such entry).
+    A rejected candidate calls nothing and allocates nothing.  When the
+    sweep of the set ends it is closed into ``list(entry.values())``, the
+    list later levels' ``(left index, right index)`` back-pointers index.
     """
     n = query.n_tables
     settings = cost_model.settings
@@ -563,7 +584,6 @@ def _run_single_orders(
     hash_factor = HASH_FACTOR
 
     interner = _intern_query_orders(query)
-    sat = interner.satisfies_table()
     records = _predicate_records(query, interner)
 
     # entries[mask]: list of (cost, order id, back-pointer); scans store the
@@ -572,32 +592,25 @@ def _run_single_orders(
     rows: dict[int, float] = {}
     entries_get = entries.get  # hoisted: one method lookup, not one per call
 
-    def consider(mask: int, cost: float, order_id: int, pointer: object) -> bool:
-        """InterestingOrderPruning.consider on flat entries; True iff kept."""
-        entry = entries_get(mask)
-        if entry is None:
-            entries[mask] = [(cost, order_id, pointer)]
-            return True
-        for kept_cost, kept_oid, _pointer in entry:
-            if kept_cost <= cost and sat[kept_oid][order_id]:
-                return False
-        entry[:] = [
-            item
-            for item in entry
-            if not (cost <= item[0] and sat[order_id][item[1]])
-        ]
-        entry.append((cost, order_id, pointer))
-        return True
-
+    # Scans enter through the same rule, spelled over the whole entry: a
+    # table's few scan plans are not worth the running floats.
     for table_number in range(n):
+        entry: dict[int, tuple[float, int, object]] = {}
         for scan in cost_model.scan_plans(table_number):
-            consider(
-                1 << table_number,
-                scan.cost[0],
-                interner.id_of(scan.order),
-                scan,
-            )
-            rows[1 << table_number] = scan.rows
+            cost = scan.cost[0]
+            order_id = interner.id_of(scan.order)
+            if order_id == UNSORTED:
+                if any(item[0] <= cost for item in entry.values()):
+                    continue
+            else:
+                if order_id in entry and entry[order_id][0] <= cost:
+                    continue
+                if UNSORTED in entry and cost <= entry[UNSORTED][0]:
+                    del entry[UNSORTED]
+            entry.pop(order_id, None)
+            entry[order_id] = (cost, order_id, scan)
+        entries[1 << table_number] = list(entry.values())
+        rows[1 << table_number] = scan.rows
 
     splits = considered = kept = 0
     linear = settings.plan_space is PlanSpace.LINEAR
@@ -613,6 +626,9 @@ def _run_single_orders(
     for size in range(2, n + 1):
         for mask in by_size.get(size, ()):
             out_rows = -1.0
+            entry = {}
+            floor = inf
+            unsorted_cost = None
             del splits_iter[:]
             if linear:
                 remaining = mask
@@ -641,105 +657,102 @@ def _run_single_orders(
                 equi = algos_all and _connected(
                     left_mask, right_mask, adjacency
                 )
-                if equi:
-                    keys = _first_connecting(left_mask, right_mask, records)
-                    sm_left, sm_right = keys
-                if not inline_time and out_rows < 0.0:
+                if inline_time:
+                    bnl_term = left_rows * right_rows
+                elif out_rows < 0.0:
                     out_rows = est_rows(mask)
-                for left_index in range(len(left_entry)):
-                    left_item = left_entry[left_index]
-                    left_cost = left_item[0]
-                    left_oid = left_item[1]
-                    for right_index in range(len(right_entry)):
-                        right_item = right_entry[right_index]
-                        right_cost = right_item[0]
-                        right_oid = right_item[1]
-                        base = left_cost + right_cost
+                if equi:
+                    sm_left, sm_right = _first_connecting(
+                        left_mask, right_mask, records
+                    )
+                    sm_cost = entry[sm_left][0] if sm_left in entry else None
+                    if inline_time:
+                        hash_term = hash_factor * (left_rows + right_rows)
+                        merge_term = left_rows + right_rows
+                        left_sort = left_rows * log2(
+                            left_rows if left_rows > 2.0 else 2.0
+                        )
+                        right_sort = right_rows * log2(
+                            right_rows if right_rows > 2.0 else 2.0
+                        )
+                for left_index, left_item in enumerate(left_entry):
+                    left_cost, left_oid, _ = left_item
+                    for right_index, right_item in enumerate(right_entry):
+                        right_cost, right_oid, _ = right_item
                         if inline_time:
-                            considered += 1
-                            candidate = base + left_rows * right_rows
-                            if consider(
-                                mask,
-                                candidate,
-                                UNSORTED,
-                                (left_mask, left_index, right_mask,
-                                 right_index, bnl),
-                            ):
-                                kept += 1
+                            base = left_cost + right_cost
+                            candidate = base + bnl_term
                             if equi:
-                                considered += 2
-                                candidate = base + hash_factor * (
-                                    left_rows + right_rows
-                                )
-                                if consider(
-                                    mask,
-                                    candidate,
-                                    UNSORTED,
-                                    (left_mask, left_index, right_mask,
-                                     right_index, hash_join),
-                                ):
-                                    kept += 1
-                                operator = left_rows + right_rows
+                                hash_candidate = base + hash_term
+                                operator = merge_term
                                 if left_oid != sm_left:
-                                    operator += left_rows * log2(
-                                        left_rows if left_rows > 2.0 else 2.0
-                                    )
+                                    operator += left_sort
                                 if right_oid != sm_right:
-                                    operator += right_rows * log2(
-                                        right_rows if right_rows > 2.0 else 2.0
-                                    )
-                                if consider(
-                                    mask,
-                                    base + operator,
-                                    sm_left,
-                                    (left_mask, left_index, right_mask,
-                                     right_index, sort_merge),
-                                ):
-                                    kept += 1
+                                    operator += right_sort
+                                sm_candidate = base + operator
                         else:
-                            considered += 1
                             candidate = join_cost(
                                 left_cost, right_cost, left_rows, right_rows,
                                 out_rows, bnl, False, False,
                             )
-                            if consider(
-                                mask,
-                                candidate,
-                                UNSORTED,
-                                (left_mask, left_index, right_mask,
-                                 right_index, bnl),
-                            ):
-                                kept += 1
                             if equi:
-                                considered += 2
-                                candidate = join_cost(
+                                hash_candidate = join_cost(
                                     left_cost, right_cost, left_rows,
                                     right_rows, out_rows, hash_join,
                                     False, False,
                                 )
-                                if consider(
-                                    mask,
-                                    candidate,
-                                    UNSORTED,
-                                    (left_mask, left_index, right_mask,
-                                     right_index, hash_join),
-                                ):
-                                    kept += 1
-                                candidate = join_cost(
+                                sm_candidate = join_cost(
                                     left_cost, right_cost, left_rows,
                                     right_rows, out_rows, sort_merge,
                                     left_oid != sm_left,
                                     right_oid != sm_right,
                                 )
-                                if consider(
-                                    mask,
-                                    candidate,
-                                    sm_left,
-                                    (left_mask, left_index, right_mask,
-                                     right_index, sort_merge),
-                                ):
-                                    kept += 1
-            if mask in entries:
+                        # InterestingOrderPruning: an unsorted candidate is
+                        # kept iff no kept entry costs <= it, a sorted one
+                        # iff none of its own order does; an accept evicts
+                        # its own order's entry and, from a sorted accept
+                        # that costs no more, the unsorted one.
+                        considered += 1
+                        if candidate < floor or not entry:
+                            kept += 1
+                            entry.pop(UNSORTED, None)
+                            entry[UNSORTED] = (
+                                candidate, UNSORTED,
+                                (left_mask, left_index, right_mask,
+                                 right_index, bnl),
+                            )
+                            floor = unsorted_cost = candidate
+                        if not equi:
+                            continue
+                        considered += 2  # entry is non-empty: BNL came first
+                        if hash_candidate < floor:
+                            kept += 1
+                            entry.pop(UNSORTED, None)
+                            entry[UNSORTED] = (
+                                hash_candidate, UNSORTED,
+                                (left_mask, left_index, right_mask,
+                                 right_index, hash_join),
+                            )
+                            floor = unsorted_cost = hash_candidate
+                        if sm_cost is None or sm_candidate < sm_cost:
+                            kept += 1
+                            entry.pop(sm_left, None)
+                            entry[sm_left] = (
+                                sm_candidate, sm_left,
+                                (left_mask, left_index, right_mask,
+                                 right_index, sort_merge),
+                            )
+                            sm_cost = sm_candidate
+                            if sm_candidate < floor:
+                                floor = sm_candidate
+                            if (
+                                unsorted_cost is not None
+                                and sm_candidate <= unsorted_cost
+                            ):
+                                del entry[UNSORTED]
+                                unsorted_cost = None
+            if entry:
+                entries[mask] = list(entry.values())
                 rows[mask] = out_rows if out_rows >= 0.0 else est_rows(mask)
 
     stats.splits_considered = splits

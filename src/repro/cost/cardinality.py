@@ -11,7 +11,6 @@ result, matching the constant-time cost calculation assumed by Theorem 6.
 from __future__ import annotations
 
 from repro.query.query import Query
-from repro.util.bitset import bits
 
 
 class CardinalityEstimator:
@@ -19,9 +18,15 @@ class CardinalityEstimator:
 
     def __init__(self, query: Query) -> None:
         self._query = query
-        self._cache: dict[int, float] = {}
-        for number, table in enumerate(query.tables):
-            self._cache[1 << number] = float(table.cardinality)
+        self._cardinalities = [float(table.cardinality) for table in query.tables]
+        # (both endpoint bits, selectivity) per predicate, in query order.
+        self._predicates = [
+            ((1 << p.left_table) | (1 << p.right_table), p.selectivity)
+            for p in query.predicates
+        ]
+        self._cache: dict[int, float] = {
+            1 << number: rows for number, rows in enumerate(self._cardinalities)
+        }
 
     @property
     def query(self) -> Query:
@@ -36,11 +41,14 @@ class CardinalityEstimator:
         if cached is not None:
             return cached
         rows = 1.0
-        for table_number in bits(mask):
-            rows *= self._query.tables[table_number].cardinality
-        for predicate in self._query.predicates:
-            if predicate.applies_within(mask):
-                rows *= predicate.selectivity
+        remaining = mask
+        while remaining:
+            low = remaining & -remaining
+            remaining ^= low
+            rows *= self._cardinalities[low.bit_length() - 1]
+        for pair, selectivity in self._predicates:
+            if mask & pair == pair:
+                rows *= selectivity
         rows = max(rows, 1.0)
         self._cache[mask] = rows
         return rows

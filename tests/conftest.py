@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
-from repro.config import MULTI_OBJECTIVE, OptimizerSettings, PlanSpace
+from repro.config import MULTI_OBJECTIVE, Backend, OptimizerSettings, PlanSpace
+from repro.core.worker import optimize_partition
+from repro.plans.plan import plan_signature
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.predicates import JoinPredicate
 from repro.query.query import JoinGraphKind, Query
@@ -36,6 +40,33 @@ def make_manual_query(cardinalities, predicates=(), name="manual"):
         for i, j, selectivity in predicates
     )
     return Query(tables=tables, predicates=preds, name=name)
+
+
+def search_outcome(result):
+    """Everything of a ``PartitionResult`` two backends must agree on: every
+    ``WorkerStats`` counter, and the plans (tree, cost, order, rows) in list
+    order."""
+    counters = {
+        field.name: getattr(result.stats, field.name)
+        for field in fields(result.stats)
+        if field.name not in ("wall_time_s", "backend_used")
+    }
+    plans = [
+        (plan_signature(plan), plan.cost, plan.order, plan.rows)
+        for plan in result.plans
+    ]
+    return counters, plans
+
+
+def legacy_and_fastdp(query, settings, partition_id=0, n_partitions=1):
+    """One partition's ``PartitionResult`` from the reference core and from
+    fastdp, in that order."""
+    return [
+        optimize_partition(
+            query, partition_id, n_partitions, settings.replace(backend=backend)
+        )
+        for backend in (Backend.LEGACY, Backend.FASTDP)
+    ]
 
 
 @pytest.fixture

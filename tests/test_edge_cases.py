@@ -13,7 +13,7 @@ from repro.core.worker import optimize_partition
 from repro.plans.plan import ScanPlan
 from repro.query.query import Query
 from repro.query.schema import Column, Table
-from tests.conftest import make_manual_query
+from tests.conftest import legacy_and_fastdp, make_manual_query, search_outcome
 
 
 class TestTinyQueries:
@@ -94,6 +94,33 @@ class TestExtremeStatistics:
         query = make_manual_query([10**9, 10**9, 10**9])
         plan = best_plan(optimize_serial(query, OptimizerSettings()))
         assert plan.cost[0] < float("inf")
+
+    @pytest.mark.parametrize("cardinality", [10**100, 10**155])
+    @pytest.mark.parametrize("hub", [None, 0], ids=["chain", "star"])
+    @pytest.mark.parametrize("plan_space", list(PlanSpace))
+    def test_overflowing_costs_with_orders_match_legacy(
+        self, cardinality, hub, plan_space
+    ):
+        """Costs overflow to ``inf`` from the second or third join on, and
+        ``InterestingOrderPruning`` still *keeps* an ``inf``-cost candidate
+        that opens an empty table set or a new order — a kernel deciding by
+        ``candidate < inf``-style sentinels drops both."""
+        query = make_manual_query(
+            [cardinality] * 6,
+            [(i - 1 if hub is None else hub, i, 0.5) for i in range(1, 6)],
+        )
+        settings = OptimizerSettings(plan_space=plan_space, consider_orders=True)
+        overflowed = False
+        for n_partitions in (1, 2):
+            for partition_id in range(n_partitions):
+                legacy, fast = legacy_and_fastdp(
+                    query, settings, partition_id, n_partitions
+                )
+                assert search_outcome(legacy) == search_outcome(fast)
+                overflowed |= any(
+                    plan.cost[0] == float("inf") for plan in fast.plans
+                )
+        assert overflowed
 
     def test_selectivity_floor(self):
         query = make_manual_query([100, 100], [(0, 1, 1e-12)])

@@ -42,6 +42,8 @@ from repro.cost.costmodel import CostModel
 from repro.plans.plan import plan_signature
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind
+from tests.conftest import legacy_and_fastdp as _pair
+from tests.conftest import search_outcome
 
 #: vecdp registers unconditionally but is *available* only with numpy, so
 #: what AUTO resolves to for a plain query depends on the environment.  The
@@ -59,16 +61,6 @@ STAT_FIELDS = (
     "stored_plans",
     "result_plans",
 )
-
-
-def _pair(query, settings, partition_id=0, n_partitions=1):
-    legacy = optimize_partition(
-        query, partition_id, n_partitions, settings.replace(backend=Backend.LEGACY)
-    )
-    fast = optimize_partition(
-        query, partition_id, n_partitions, settings.replace(backend=Backend.FASTDP)
-    )
-    return legacy, fast
 
 
 def _assert_stats_equal(legacy, fast, context=""):
@@ -261,6 +253,37 @@ class TestParametricPartitionedParity:
             assert [plan_signature(plan) for plan in legacy.plans] == [
                 plan_signature(plan) for plan in fast.plans
             ], context
+
+
+class TestOrdersGenericMetricParity:
+    """Single-objective orders under a metric other than execution time:
+    the ``join_cost`` half of ``_run_single_orders``, which no other test
+    executes.  Buffer space composes by ``max``, so nearly every candidate
+    ties with a kept entry — the case where ``<`` versus ``<=`` decides."""
+
+    @pytest.mark.parametrize(
+        "objective", [Objective.BUFFER_SPACE, Objective.OUTPUT_ROWS]
+    )
+    @pytest.mark.parametrize("space", list(PlanSpace))
+    @pytest.mark.parametrize("all_algos", [True, False], ids=["all", "bnl"])
+    @pytest.mark.parametrize("n_partitions", [1, 2, 4])
+    def test_plans_and_counters_per_partition(
+        self, objective, space, all_algos, n_partitions
+    ):
+        query = SteinbrunnGenerator(seed=38, clustered_tables=True).query(
+            6, JoinGraphKind.CYCLE
+        )
+        settings = OptimizerSettings(
+            plan_space=space,
+            objectives=(objective,),
+            consider_orders=True,
+            use_all_join_algorithms=all_algos,
+        )
+        for partition_id in range(n_partitions):
+            legacy, fast = _pair(query, settings, partition_id, n_partitions)
+            context = f"{objective.value}/{space.value}/{partition_id}of{n_partitions}"
+            assert fast.stats.backend_used == "fastdp"
+            assert search_outcome(legacy) == search_outcome(fast), context
 
 
 def _run_frontier_directly(query, settings):

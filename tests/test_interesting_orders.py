@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import OptimizerSettings
+from repro.config import OptimizerSettings, PlanSpace
+from repro.core import fastdp
 from repro.core.serial import best_plan, optimize_serial
 from repro.plans.operators import JoinAlgorithm
+from repro.plans.orders import UNSORTED
 from repro.plans.plan import JoinPlan
 from repro.query.generator import SteinbrunnGenerator
-from tests.conftest import make_manual_query
+from repro.query.predicates import JoinPredicate
+from repro.query.query import JoinGraphKind, Query
+from repro.query.schema import Column, Table
+from tests.conftest import legacy_and_fastdp, make_manual_query, search_outcome
 
 
 def count_sort_merges(plan):
@@ -64,3 +71,73 @@ class TestOrderReuseScenario:
         for plan in result.plans:
             if isinstance(plan, JoinPlan) and plan.algorithm is JoinAlgorithm.SORT_MERGE:
                 assert plan.order is not None
+
+
+class TestWhatTheFlatKernelReliesOn:
+    def test_an_order_is_satisfied_only_by_itself(self):
+        """``fastdp._run_single_orders`` keeps at most one entry per order id
+        and decides a candidate against the cheapest kept cost (unsorted
+        candidate) or its own order's kept cost (sorted candidate).  That is
+        ``InterestingOrderPruning`` only while ``order_satisfies`` means
+        "nothing required, or the same order" — if it ever grows prefix or
+        equivalence orders, this fails before the kernel silently diverges.
+        """
+        query = SteinbrunnGenerator(7, clustered_tables=True).query(
+            7, JoinGraphKind.CYCLE
+        )
+        interner = fastdp._intern_query_orders(query)
+        table = interner.satisfies_table()
+        assert len(interner) > 7
+        for produced in range(len(interner)):
+            for required in range(len(interner)):
+                assert table[produced][required] == (
+                    required == UNSORTED or produced == required
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_tie_heavy_queries_match_the_legacy_policy(self, data):
+        """Two cardinalities and three selectivities: equal-cost candidates
+        of different orders are the rule here, not the exception."""
+        n = data.draw(st.integers(min_value=3, max_value=6))
+        clustered = data.draw(st.booleans())
+        column = st.sampled_from(["c0", "c1"])
+        tables = tuple(
+            Table(
+                name=f"T{i}",
+                cardinality=data.draw(st.sampled_from([10, 1000])),
+                columns=(Column("c0", 100), Column("c1", 100)),
+                clustered_on="c0" if clustered else None,
+            )
+            for i in range(n)
+        )
+        edges = {(data.draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+        edges |= data.draw(
+            st.sets(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda edge: edge[0] < edge[1]
+                ),
+                max_size=3,
+            )
+        )
+        predicates = tuple(
+            JoinPredicate(
+                left_table=left,
+                left_column=data.draw(column),
+                right_table=right,
+                right_column=data.draw(column),
+                selectivity=data.draw(st.sampled_from([1.0, 0.5, 0.1])),
+            )
+            for left, right in sorted(edges)
+        )
+        query = Query(tables=tables, predicates=predicates, name="ties")
+        n_partitions = data.draw(st.sampled_from([1, 2]))
+        settings_ = OptimizerSettings(
+            plan_space=data.draw(st.sampled_from(list(PlanSpace))),
+            consider_orders=True,
+        )
+        for partition_id in range(n_partitions):
+            legacy, fast = legacy_and_fastdp(
+                query, settings_, partition_id, n_partitions
+            )
+            assert search_outcome(legacy) == search_outcome(fast)

@@ -4,7 +4,10 @@ Builds the case exactly as ``benchmarks/spine/schedules.dp_cases`` does
 (``CATALOGUE_SEED``, clustered tables, ``CLASS_SETTINGS``), runs one
 partition of it once warm and once under ``cProfile``, and prints the top
 rows by ``tottime`` — the measurement perf issues on the DP cores are
-chosen from.
+chosen from — under a header with the unprofiled wall time, the splits and
+plans considered, ns per plan considered and the accepted share
+(``plans_kept / plans_considered``: how much the accept path weighs
+against the reject path).
 
 ``--phases`` replaces the ``cProfile`` table, which cannot see inside a
 kernel that is one function body of numpy calls, by ms per phase of the
@@ -150,7 +153,9 @@ def main() -> int:
     wall_ms = (time.perf_counter() - started) * 1e3
     print(f"{case.query.name} partition {args.partition} on {stats.backend_used}: "
           f"{wall_ms:.1f} ms unprofiled, {stats.splits_considered} splits, "
-          f"{stats.plans_considered} plans considered")
+          f"{stats.plans_considered} plans considered "
+          f"({wall_ms * 1e6 / max(stats.plans_considered, 1):.0f} ns per plan considered, "
+          f"{100 * stats.plans_kept / max(stats.plans_considered, 1):.0f} % accepted)")
     if args.phases:
         if stats.backend_used != "vecdp":
             print("--phases clocks the vecdp cores; this class runs on " + stats.backend_used)
