@@ -249,7 +249,18 @@ class TestCoalescing:
         generator = SteinbrunnGenerator(39)
         unique = [generator.query(6) for __ in range(3)]
         variants = [unique[index % len(unique)] for index in range(12)]
-        with ShardedOptimizerGateway(n_shards=4, n_workers=4) as gateway:
+        open_gate = threading.Event()
+        open_gate.set()
+        executors: list[GatedSerialExecutor] = []
+
+        def factory():
+            executor = GatedSerialExecutor(open_gate)
+            executors.append(executor)
+            return executor
+
+        with ShardedOptimizerGateway(
+            n_shards=4, n_workers=4, executor_factory=factory
+        ) as gateway:
             threads, results, errors = self._run_concurrent(gateway, variants)
             for thread in threads:
                 thread.join(timeout=WAIT_S)
@@ -257,6 +268,8 @@ class TestCoalescing:
             assert errors == [None] * len(variants)
             stats = gateway.stats()
             assert stats.optimizations == len(unique)
+            # The counter agrees with the DP runs the executors really made.
+            assert sum(executor.calls for executor in executors) == len(unique)
             for query, result in zip(variants, results):
                 assert result.best.cost == best_plan(optimize_serial(query)).cost
 

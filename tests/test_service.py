@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -231,6 +232,18 @@ class TestOptimizerService:
         assert len(service.cache) == 2
         assert service.cache.stats.evictions == 2
 
+    def test_concurrent_requests_match_serial(self):
+        # A bare service has no singleflight (that is the gateway's job), so
+        # a racing herd may run a fingerprint twice — but every answer is
+        # still serial optimization's.
+        generator = SteinbrunnGenerator(31)
+        queries = [generator.query(6) for __ in range(3)]
+        references = [best_plan(optimize_serial(query)).cost for query in queries]
+        service = OptimizerService(n_workers=4)
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(service.optimize, queries * 8))
+        assert [result.best.cost for result in results] == references * 8
+
     def test_multi_objective_frontier_cached(self, star6, multi_settings):
         service = OptimizerService(n_workers=4, settings=multi_settings)
         first = service.optimize(star6)
@@ -252,10 +265,13 @@ class TestOptimizeBatch:
         for settings in (linear_settings, bushy_settings):
             service = OptimizerService(n_workers=4, settings=settings)
             results = service.optimize_batch(queries)
-            for query, result in zip(queries, results):
-                assert result.best.cost == best_plan(
-                    optimize_serial(query, settings)
-                ).cost
+            warm = service.optimize_batch(queries)
+            assert not any(result.cached for result in results)
+            assert all(result.cached for result in warm)
+            for query, result, hit in zip(queries, results, warm):
+                reference = best_plan(optimize_serial(query, settings)).cost
+                assert result.best.cost == reference
+                assert hit.best.cost == reference
 
     def test_duplicates_within_batch_computed_once(self):
         generator = SteinbrunnGenerator(26)

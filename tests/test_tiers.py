@@ -301,6 +301,28 @@ class TestTieredPlanCache:
             assert (stats.memory_hits, stats.disk_hits) == (0, 3)
             assert stats.promotions == 0
 
+    def test_disk_only_service_after_reopen_runs_no_dp(self, tmp_path):
+        # A fresh service over a filled log with the memory tier disabled:
+        # every request decodes the log record, none falls back to a DP run.
+        query = make_star_query(7)
+        log = tmp_path / "cache.log"
+        with OptimizerService(
+            n_workers=2, cache=TieredPlanCache(memory_capacity=64, disk=DiskTier(log))
+        ) as service:
+            first = service.optimize(query)
+        executor = CountingSerialExecutor()
+        with OptimizerService(
+            n_workers=2,
+            executor=executor,
+            cache=TieredPlanCache(memory_capacity=0, disk=DiskTier(log)),
+        ) as service:
+            served = [service.optimize(query) for __ in range(3)]
+            stats = service.cache.snapshot()
+        assert executor.calls == 0
+        assert all(result.cached for result in served)
+        assert all(result.plans == first.plans for result in served)
+        assert (stats.memory_hits, stats.disk_hits) == (0, 3)
+
     def test_each_lookup_classified_exactly_once(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as disk:
             cache = TieredPlanCache(memory_capacity=4, disk=disk)
