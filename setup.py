@@ -14,8 +14,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    # The core package is dependency-free.  The `vec` extra enables the
-    # vecdp array-native enumeration backend; without it vecdp registers
-    # but reports itself unavailable and AUTO routes to fastdp.
-    extras_require={"vec": ["numpy"]},
+    # numpy runs the vecdp array-native enumeration backend, which AUTO
+    # picks for plain and multi-objective queries; 2.0 added the
+    # `bitwise_count` ufunc vecdp buckets table sets by.
+    install_requires=["numpy>=2"],
 )

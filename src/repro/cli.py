@@ -107,8 +107,8 @@ def _add_settings_flags(command: argparse.ArgumentParser, parametric: bool = Tru
         choices=[backend.value for backend in Backend],
         default=Backend.AUTO.value,
         help="enumeration core: auto (fastest capable and available, "
-        "default), the legacy object DP, the fastdp bitset core, or the "
-        "vecdp array core (needs numpy)",
+        "default), the legacy object DP, the fastdp bitset core (plain "
+        "queries at reference speed), or the vecdp array core",
     )
     if not parametric:
         return

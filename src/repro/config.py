@@ -43,23 +43,24 @@ class Backend(enum.Enum):
     * :attr:`FASTDP` — the flat enumeration core in ``repro.core.fastdp``:
       level-wise bitset subset enumeration over precomputed admissible-mask
       lists, packed cost/order-id/back-pointer state instead of plan
-      objects, and dominance pruning that short-circuits to a scalar minimum
-      for the single-objective case.  Covers interesting orders (interned
-      order ids) and parametric costs (lower-envelope frontiers) natively;
-      plan trees are materialized once, at the end.
+      objects, and pruning rules chosen once per run.  Covers interesting
+      orders (interned order ids) and parametric costs (lower-envelope
+      frontiers) natively; plan trees are materialized once, at the end.
+      Plain single-objective runs take its frontier kernel's scalar-min
+      rule, at reference speed — ``AUTO`` sends them to ``vecdp``.
     * :attr:`VECDP` — the array-native core in ``repro.core.vecdp``:
       level-at-a-time DP over contiguous numpy arrays (dense per-mask cost
       columns, bulk split generation, whole-array join costing, vectorized
       dominance pruning).  Declares plain and multi-objective optimization
       over both plan spaces; interesting orders, parametric costs, and
       α-approximation are honestly undeclared, so ``AUTO`` routes those to
-      ``fastdp``.  Requires numpy (an optional extra); registered always,
-      *available* only when numpy is importable.
+      ``fastdp``.
     * :attr:`AUTO` — not a core of its own: the dispatch in
       :mod:`repro.core.worker` resolves it to the fastest *registered*,
       *available* backend whose declared capabilities cover the settings
-      (see :class:`repro.core.worker.EnumerationBackend`).  This is the
-      default.
+      (see :class:`repro.core.worker.EnumerationBackend`): ``vecdp`` for
+      plain and exact multi-objective settings, ``fastdp`` for the rest.
+      This is the default.
 
     Explicitly requesting a backend that does not declare the capabilities a
     settings value needs is an error — there is no silent fallback; the
@@ -141,8 +142,9 @@ class OptimizerSettings:
         backend: which enumeration core runs the worker DP (see
             :class:`Backend`).  Accepts the enum or its string value.  The
             default :attr:`Backend.AUTO` resolves to the fastest registered
-            backend capable of the settings — ``fastdp`` for everything this
-            package ships.
+            backend capable of the settings — ``vecdp`` for plain and exact
+            multi-objective settings, ``fastdp`` for interesting orders,
+            parametric costs and multi-objective α > 1.
     """
 
     plan_space: PlanSpace = PlanSpace.LINEAR

@@ -13,22 +13,28 @@ What makes it fast:
   lists of :func:`~repro.core.partitioning.admissible_results_by_size`,
   with the inner bit loop written against raw ``int`` operations
   (``mask & -mask``, ``int.bit_count``) instead of generator helpers;
-* **packed flat cost state** — per table set the DP stores plain floats
-  (single objective) or tuples-plus-back-pointers (multiple objectives)
-  rather than :class:`~repro.plans.plan.Plan` objects, so the inner loop
-  allocates no plan nodes, no :class:`~repro.cost.costmodel.JoinCandidate`
-  tuples, and no builder closures;
-* **dominance pruning that short-circuits on the single-objective case** —
-  a scalar ``<`` against the running minimum replaces the
-  :class:`~repro.cost.pruning.PruningPolicy` dispatch, and the
-  multi-objective path inlines (α-)dominance over the kept frontier;
-* **an inlined kernel for the default execution-time metric** that
-  reproduces :class:`~repro.cost.metrics.ExecutionTimeMetric` arithmetic
-  operation-for-operation (same order of float additions), so costs are
-  bit-identical to the legacy backend's.
+* **packed flat cost state** — per table set the DP stores (cost, order
+  id, back-pointer) tuples rather than :class:`~repro.plans.plan.Plan`
+  objects, so the inner loop allocates no plan nodes, no
+  :class:`~repro.cost.costmodel.JoinCandidate` tuples, and no builder
+  closures;
+* **pruning rules chosen once per run** instead of a
+  :class:`~repro.cost.pruning.PruningPolicy` dispatch per candidate — a
+  scalar ``<`` against the running minimum for one metric, inlined
+  (α-)dominance over the kept frontier for several;
+* **an inlined interesting-orders kernel for the default execution-time
+  metric** that reproduces :class:`~repro.cost.metrics.ExecutionTimeMetric`
+  arithmetic operation-for-operation (same order of float additions), so
+  costs are bit-identical to the legacy backend's.
 
 Plan trees are materialized once, at the end, by walking back-pointers from
-the full table set; every intermediate table set costs two dict stores.
+the full table set.
+
+Plain single-objective runs (one metric, no orders) take the frontier
+kernel's scalar-min rule: same plans and counters as the legacy backend, in
+about half its time — reference speed, not a fast path.  ``AUTO`` sends
+that class to vecdp; only an explicit ``Backend.FASTDP`` request runs it
+here.
 
 Full query-class coverage (no legacy fallback):
 
@@ -87,8 +93,9 @@ Equivalence contract (checked by ``repro.testing`` and
 
 The module self-registers with the backend registry of
 :mod:`repro.core.worker`, declaring the full capability set
-(:data:`CAPABILITIES`), so :attr:`~repro.config.Backend.AUTO` resolves here
-for every settings value.
+(:data:`CAPABILITIES`): :attr:`~repro.config.Backend.AUTO` resolves here
+for the classes vecdp leaves undeclared (interesting orders, parametric
+costs, multi-objective α > 1).
 """
 
 from __future__ import annotations
@@ -116,12 +123,12 @@ from repro.cost.parametric import IncrementalEnvelope
 from repro.cost.pruning import per_level_alpha
 from repro.plans.operators import ALL_JOIN_ALGORITHMS
 from repro.plans.orders import UNSORTED, OrderInterner, SortOrder
-from repro.plans.plan import JoinPlan, Plan, ScanPlan
+from repro.plans.plan import JoinPlan, Plan
 from repro.query.query import Query
 
 #: Back-pointer of a join entry: (left mask, left entry index, right mask,
 #: right entry index, join algorithm).  Scan entries store the ScanPlan
-#: itself.  Single-objective state drops the indices (one entry per mask).
+#: itself.
 
 #: The capability set this core declares to the backend registry: every
 #: query class the optimizer settings can express.
@@ -188,22 +195,14 @@ def optimize_partition_fastdp(
 
     cost_model = CostModel(query, settings)
     adjacency = _adjacency_masks(query)
-    if settings.parametric:
-        plans = _run_frontier(
-            query, constraints, by_size, cost_model, adjacency, stats,
-            parametric=True,
-        )
-    elif settings.is_multi_objective:
-        plans = _run_frontier(
-            query, constraints, by_size, cost_model, adjacency, stats
-        )
-    elif settings.consider_orders:
+    if settings.consider_orders and not settings.is_multi_objective:
         plans = _run_single_orders(
             query, constraints, by_size, cost_model, adjacency, stats
         )
     else:
-        plans = _run_single(
-            query, constraints, by_size, cost_model, adjacency, stats
+        plans = _run_frontier(
+            query, constraints, by_size, cost_model, adjacency, stats,
+            parametric=settings.parametric,
         )
     stats.result_plans = len(plans)
     stats.wall_time_s = time.perf_counter() - started
@@ -294,258 +293,6 @@ def _first_connecting(
             elif left_bit & right_mask and right_bit & left_mask:
                 return right_key, left_key
     return None
-
-
-# --------------------------------------------------------------------- single
-
-
-def _run_single(
-    query: Query,
-    constraints: tuple,
-    by_size: dict[int, list[int]],
-    cost_model: CostModel,
-    adjacency: list[int],
-    stats: WorkerStats,
-) -> list[Plan]:
-    """Single-objective DP: one float and one back-pointer per table set.
-
-    Pruning short-circuits to a strict ``<`` against the running minimum —
-    exactly the decisions :class:`~repro.cost.pruning.MinCostPruning` makes
-    when fed candidates in the same order (first-generated wins ties).
-    """
-    n = query.n_tables
-    settings = cost_model.settings
-    metric = cost_model.metrics[0]
-    inline_time = type(metric) is ExecutionTimeMetric
-    join_cost = metric.join_cost
-    est_rows = cost_model.cardinality.rows
-    algos_all = settings.use_all_join_algorithms
-    bnl, hash_join, sort_merge = ALL_JOIN_ALGORITHMS
-    hash_factor = HASH_FACTOR
-
-    cost: dict[int, float] = {}
-    back: dict[int, object] = {}
-    rows: dict[int, float] = {}
-    cost_get = cost.get  # hoisted: one method lookup, not one per split
-    scan_cost = [0.0] * n
-    card = [0.0] * n
-    for table_number in range(n):
-        scan = cost_model.scan_plans(table_number)[0]
-        mask = 1 << table_number
-        cost[mask] = scan.cost[0]
-        back[mask] = scan
-        rows[mask] = scan.rows
-        scan_cost[table_number] = scan.cost[0]
-        card[table_number] = scan.rows
-
-    splits = considered = kept = 0
-    linear = settings.plan_space is PlanSpace.LINEAR
-    if linear:
-        after = linear_after_masks(n, constraints)
-    else:
-        groups = _bushy_groups(n, constraints)
-
-    for size in range(2, n + 1):
-        for mask in by_size.get(size, ()):
-            best = inf
-            best_bp = None
-            out_rows = -1.0
-            if linear:
-                # Admissible splits: peel each bit as the inner operand.
-                remaining = mask
-                while remaining:
-                    low = remaining & -remaining
-                    remaining ^= low
-                    inner = low.bit_length() - 1
-                    if after[inner] & mask:
-                        continue
-                    rest = mask ^ low
-                    left_cost = cost_get(rest)
-                    if left_cost is None:
-                        continue
-                    splits += 1
-                    left_rows = rows[rest]
-                    right_rows = card[inner]
-                    base = left_cost + scan_cost[inner]
-                    equi = algos_all and adjacency[inner] & rest
-                    if inline_time:
-                        considered += 1
-                        candidate = base + left_rows * right_rows
-                        if candidate < best:
-                            best = candidate
-                            best_bp = (rest, low, bnl)
-                            kept += 1
-                        if equi:
-                            considered += 2
-                            candidate = base + hash_factor * (
-                                left_rows + right_rows
-                            )
-                            if candidate < best:
-                                best = candidate
-                                best_bp = (rest, low, hash_join)
-                                kept += 1
-                            operator = left_rows + right_rows
-                            operator += left_rows * log2(
-                                left_rows if left_rows > 2.0 else 2.0
-                            )
-                            operator += right_rows * log2(
-                                right_rows if right_rows > 2.0 else 2.0
-                            )
-                            candidate = base + operator
-                            if candidate < best:
-                                best = candidate
-                                best_bp = (rest, low, sort_merge)
-                                kept += 1
-                    else:
-                        if out_rows < 0.0:
-                            out_rows = est_rows(mask)
-                        right_cost = scan_cost[inner]
-                        considered += 1
-                        candidate = join_cost(
-                            left_cost, right_cost, left_rows, right_rows,
-                            out_rows, bnl, False, False,
-                        )
-                        if candidate < best:
-                            best = candidate
-                            best_bp = (rest, low, bnl)
-                            kept += 1
-                        if equi:
-                            considered += 2
-                            candidate = join_cost(
-                                left_cost, right_cost, left_rows, right_rows,
-                                out_rows, hash_join, False, False,
-                            )
-                            if candidate < best:
-                                best = candidate
-                                best_bp = (rest, low, hash_join)
-                                kept += 1
-                            candidate = join_cost(
-                                left_cost, right_cost, left_rows, right_rows,
-                                out_rows, sort_merge, True, True,
-                            )
-                            if candidate < best:
-                                best = candidate
-                                best_bp = (rest, low, sort_merge)
-                                kept += 1
-            else:
-                for left_mask in bushy_operands(mask, groups):
-                    if left_mask == 0 or left_mask == mask:
-                        continue
-                    right_mask = mask ^ left_mask
-                    left_cost = cost_get(left_mask)
-                    if left_cost is None:
-                        continue
-                    right_cost = cost_get(right_mask)
-                    if right_cost is None:
-                        continue
-                    splits += 1
-                    left_rows = rows[left_mask]
-                    right_rows = rows[right_mask]
-                    base = left_cost + right_cost
-                    equi = algos_all and _connected(
-                        left_mask, right_mask, adjacency
-                    )
-                    if inline_time:
-                        considered += 1
-                        candidate = base + left_rows * right_rows
-                        if candidate < best:
-                            best = candidate
-                            best_bp = (left_mask, right_mask, bnl)
-                            kept += 1
-                        if equi:
-                            considered += 2
-                            candidate = base + hash_factor * (
-                                left_rows + right_rows
-                            )
-                            if candidate < best:
-                                best = candidate
-                                best_bp = (left_mask, right_mask, hash_join)
-                                kept += 1
-                            operator = left_rows + right_rows
-                            operator += left_rows * log2(
-                                left_rows if left_rows > 2.0 else 2.0
-                            )
-                            operator += right_rows * log2(
-                                right_rows if right_rows > 2.0 else 2.0
-                            )
-                            candidate = base + operator
-                            if candidate < best:
-                                best = candidate
-                                best_bp = (left_mask, right_mask, sort_merge)
-                                kept += 1
-                    else:
-                        if out_rows < 0.0:
-                            out_rows = est_rows(mask)
-                        considered += 1
-                        candidate = join_cost(
-                            left_cost, right_cost, left_rows, right_rows,
-                            out_rows, bnl, False, False,
-                        )
-                        if candidate < best:
-                            best = candidate
-                            best_bp = (left_mask, right_mask, bnl)
-                            kept += 1
-                        if equi:
-                            considered += 2
-                            candidate = join_cost(
-                                left_cost, right_cost, left_rows, right_rows,
-                                out_rows, hash_join, False, False,
-                            )
-                            if candidate < best:
-                                best = candidate
-                                best_bp = (left_mask, right_mask, hash_join)
-                                kept += 1
-                            candidate = join_cost(
-                                left_cost, right_cost, left_rows, right_rows,
-                                out_rows, sort_merge, True, True,
-                            )
-                            if candidate < best:
-                                best = candidate
-                                best_bp = (left_mask, right_mask, sort_merge)
-                                kept += 1
-            if best_bp is not None:
-                cost[mask] = best
-                back[mask] = best_bp
-                rows[mask] = out_rows if out_rows >= 0.0 else est_rows(mask)
-
-    stats.splits_considered = splits
-    stats.plans_considered = considered
-    stats.plans_kept = kept
-    stats.table_entries = len(cost)
-    stats.stored_plans = len(cost)
-    full_mask = query.all_tables_mask
-    if full_mask not in back:
-        return []
-    return [_build_single(full_mask, cost, back, rows, {})]
-
-
-def _build_single(
-    mask: int,
-    cost: dict[int, float],
-    back: dict[int, object],
-    rows: dict[int, float],
-    memo: dict[int, Plan],
-) -> Plan:
-    """Materialize the stored plan for ``mask`` by walking back-pointers."""
-    plan = memo.get(mask)
-    if plan is not None:
-        return plan
-    pointer = back[mask]
-    if isinstance(pointer, Plan):
-        memo[mask] = pointer
-        return pointer
-    left_mask, right_mask, algorithm = pointer
-    plan = JoinPlan(
-        mask=mask,
-        rows=rows[mask],
-        cost=(cost[mask],),
-        order=None,
-        left=_build_single(left_mask, cost, back, rows, memo),
-        right=_build_single(right_mask, cost, back, rows, memo),
-        algorithm=algorithm,
-    )
-    memo[mask] = plan
-    return plan
 
 
 # ------------------------------------------------------------- single+orders
@@ -838,8 +585,15 @@ def _run_frontier(
 ) -> list[Plan]:
     """Frontier DP on flat (cost vector, order id, back-pointer) entries.
 
-    One kernel, three pruning disciplines selected once up front:
+    One kernel, four pruning disciplines selected once up front:
 
+    * **scalar-min** (one metric, whatever ``alpha`` says — it is ignored
+      for a single objective) — a table set keeps one entry, replaced by a
+      candidate strictly cheaper than it (``inf`` when the set is empty):
+      the first-generated plan wins ties, as under
+      :class:`~repro.cost.pruning.MinCostPruning`.  Unlike that policy, an
+      all-``inf`` table set stores nothing, as in vecdp.  Single-objective
+      runs that track orders go to :func:`_run_single_orders` instead;
     * **exact / α Pareto** — replicates
       :class:`~repro.cost.pruning.ParetoPruning` decisions (reject a
       candidate some kept entry α-dominates *and* whose order covers it,
@@ -883,7 +637,22 @@ def _run_frontier(
     rows: dict[int, float] = {}
     entries_get = entries.get  # hoisted: one method lookup, not one per call
 
-    if parametric:
+    if len(cost_model.metrics) == 1:
+
+        def consider(
+            mask: int,
+            candidate: tuple[float, ...],
+            order_id: int,
+            pointer: object,
+        ) -> bool:
+            """Scalar running minimum (strict ``<``); True iff kept."""
+            entry = entries_get(mask)
+            if candidate[0] < (inf if entry is None else entry[0][0][0]):
+                entries[mask] = [(candidate, order_id, pointer)]
+                return True
+            return False
+
+    elif parametric:
         envelopes: dict[int, IncrementalEnvelope] = {}
         envelopes_get = envelopes.get
 

@@ -92,11 +92,13 @@ why this backend declares :class:`~repro.core.worker.Capability`
 ``AUTO`` routes those query classes to fastdp.
 
 The module self-registers with the backend registry at import with
-``speed_rank`` 5 (below fastdp's 10) and ``requires=("numpy",)``: the
-registration is unconditional — ``python -m repro backends`` always shows
-the row — but resolution treats the backend as unavailable (with the
-reason) until numpy is importable.  numpy itself is imported lazily, on
-the first partition run.
+``speed_rank`` 5 (below fastdp's 10) and ``requires=("numpy",)``.  numpy
+is a package dependency (``numpy>=2``: ``bitwise_count`` buckets the
+levels), so the requirement only matters in a broken install, where
+resolution reports vecdp unavailable, with the reason.  numpy itself is
+imported lazily, on the first partition run: resolving ``AUTO`` and
+fingerprinting import this module, and a process that only serves cache
+hits never pays numpy's import time and memory.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ _NUMPY = None
 
 
 def _numpy():
-    """Import numpy on first use (the registry registers without it)."""
+    """Import numpy on first use, not at module import (module docstring)."""
     global _NUMPY
     if _NUMPY is None:
         import numpy
@@ -202,18 +204,6 @@ def optimize_partition_vecdp(
 # ------------------------------------------------------------ shared helpers
 
 
-def _popcount(np, masks):
-    """Set bits per mask; shift-and-sum where numpy < 2 lacks the ufunc."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(masks)
-    counts = np.zeros_like(masks)
-    rest = masks.copy()
-    while rest.any():
-        counts += rest & 1
-        rest >>= 1
-    return counts
-
-
 def _levels(np, n: int, constraints: tuple, stats: WorkerStats):
     """Per-level admissible-mask arrays, plus ``stats.admissible_results``.
 
@@ -237,7 +227,7 @@ def _levels(np, n: int, constraints: tuple, stats: WorkerStats):
                 lacks = 1 << constraint.x
             keep &= ((masks & has) != has) | ((masks & lacks) != 0)
         masks = masks[keep]
-    sizes = _popcount(np, masks)
+    sizes = np.bitwise_count(masks)
     by_size = {size: masks[sizes == size] for size in range(2, n + 1)}
     stats.admissible_results = sum(len(level) for level in by_size.values())
     return by_size

@@ -8,8 +8,8 @@ the Pareto frontier of final plans produced by independent enumeration
 * ``"legacy"`` — the object-based worker DP (:mod:`repro.core.worker`);
 * ``"fastdp"`` — the flat bitset core (:mod:`repro.core.fastdp`);
 * ``"vecdp"`` — the array-native numpy core (:mod:`repro.core.vecdp`);
-  needs numpy, and declares only plain and multi-objective optimization,
-  so sweeps include it for exactly those feature sets;
+  it declares only plain and multi-objective optimization, so sweeps
+  include it for exactly those feature sets;
 * ``"exhaustive"`` — brute-force enumeration of the *entire* plan space
   (:mod:`repro.core.exhaustive`), ground truth for small queries;
 * any callable ``(query, settings) -> iterable of cost vectors`` — useful

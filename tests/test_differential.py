@@ -10,8 +10,6 @@ the oracle machinery itself — shrinking, sub-query induction, guards.
 
 from __future__ import annotations
 
-import importlib.util
-
 import pytest
 
 from repro.config import (
@@ -58,10 +56,6 @@ THREE_OBJECTIVES = (
 VECDP_LINEAR_SWEEP_QUERIES = 200
 VECDP_BUSHY_SWEEP_QUERIES = 120
 VECDP_BACKENDS = ("legacy", "fastdp", "vecdp", "exhaustive")
-
-needs_numpy = pytest.mark.skipif(
-    importlib.util.find_spec("numpy") is None, reason="vecdp requires numpy"
-)
 
 
 class TestOracleSweeps:
@@ -168,7 +162,6 @@ class TestOracleSweeps:
                 ), f"sweep never pairs {kind.value} with {space.value}"
 
 
-@needs_numpy
 class TestVecdpSweeps:
     """320 seeded queries where the array core must match both scalar cores
     and exhaustive ground truth on every capability vecdp declares."""

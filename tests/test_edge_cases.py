@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.algorithms.mpq import optimize_mpq
 from repro.algorithms.sma import optimize_sma
-from repro.config import MULTI_OBJECTIVE, OptimizerSettings, PlanSpace
+from repro.config import MULTI_OBJECTIVE, Backend, OptimizerSettings, PlanSpace
 from repro.core.master import optimize_parallel
 from repro.core.serial import best_plan, optimize_serial
 from repro.core.worker import optimize_partition
 from repro.plans.plan import ScanPlan
-from repro.query.query import Query
+from repro.query.generator import SteinbrunnGenerator
+from repro.query.query import JoinGraphKind, Query
 from repro.query.schema import Column, Table
 from tests.conftest import legacy_and_fastdp, make_manual_query, search_outcome
 
@@ -121,6 +124,34 @@ class TestExtremeStatistics:
                     plan.cost[0] == float("inf") for plan in fast.plans
                 )
         assert overflowed
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="vecdp and fastdp store nothing for a table set whose every "
+        "candidate costs inf; the legacy core keeps the first one",
+    )
+    def test_plain_query_overflowing_everywhere_matches_legacy(self):
+        """Every join of this 7-table chain at 10**100 rows a table overflows
+        to ``inf``.  ``MinCostPruning`` keeps the first such candidate (127
+        table entries, one ``(inf,)`` plan); the array and bitset cores keep
+        none (97 entries, no plan), so under ``AUTO``
+        ``optimize_mpq(query, 2).best`` raises "optimization produced no
+        plan".  Known divergence, pinned until vecdp's ``+inf`` "no stored
+        plan" marker is split from a stored ``inf`` cost."""
+        chain = SteinbrunnGenerator(5).query(7, JoinGraphKind.CHAIN)
+        query = Query(
+            tables=tuple(
+                dataclasses.replace(table, cardinality=10**100)
+                for table in chain.tables
+            ),
+            predicates=chain.predicates,
+        )
+        legacy = optimize_partition(
+            query, 0, 1, OptimizerSettings(backend=Backend.LEGACY)
+        )
+        auto = optimize_partition(query, 0, 1, OptimizerSettings())
+        assert search_outcome(legacy) == search_outcome(auto)
 
     def test_selectivity_floor(self):
         query = make_manual_query([100, 100], [(0, 1, 1e-12)])

@@ -11,8 +11,6 @@ config/CLI/service wiring of ``OptimizerSettings.backend``.
 
 from __future__ import annotations
 
-import importlib.util
-
 import pytest
 
 from repro.config import (
@@ -44,12 +42,6 @@ from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind
 from tests.conftest import legacy_and_fastdp as _pair
 from tests.conftest import search_outcome
-
-#: vecdp registers unconditionally but is *available* only with numpy, so
-#: what AUTO resolves to for a plain query depends on the environment.  The
-#: tests assert the resolution honestly instead of assuming either extreme.
-HAS_NUMPY = importlib.util.find_spec("numpy") is not None
-AUTO_BACKEND = "vecdp" if HAS_NUMPY else "fastdp"
 
 STAT_FIELDS = (
     "n_constraints",
@@ -90,18 +82,25 @@ class TestStatisticsParity:
         _assert_stats_equal(legacy, fast, f"multi/{space.value}")
         assert [p.cost for p in legacy.plans] == [p.cost for p in fast.plans]
 
-    def test_partitioned_runs(self):
+    @pytest.mark.parametrize(
+        "settings",
+        [OptimizerSettings(), OptimizerSettings(alpha=2.0)],
+        ids=["exact", "alpha-ignored"],
+    )
+    def test_partitioned_runs(self, settings):
+        """α is ignored for one objective: the scalar-min rule must win
+        over the α-Pareto one, or α > 1 runs diverge from the legacy core."""
         query = SteinbrunnGenerator(seed=23).query(8, JoinGraphKind.CYCLE)
         for n_partitions in (2, 4, 8):
             for partition_id in range(n_partitions):
                 legacy, fast = _pair(
                     query,
-                    OptimizerSettings(),
+                    settings,
                     partition_id=partition_id,
                     n_partitions=n_partitions,
                 )
-                _assert_stats_equal(
-                    legacy, fast, f"partition {partition_id}/{n_partitions}"
+                assert search_outcome(legacy) == search_outcome(fast), (
+                    f"partition {partition_id}/{n_partitions}"
                 )
 
     def test_bnl_only_operator_set(self):
@@ -288,7 +287,8 @@ class TestOrdersGenericMetricParity:
 
 def _run_frontier_directly(query, settings):
     """``fastdp._run_frontier`` on one partition, whatever the dispatcher
-    would have picked for ``settings`` (it never sends one metric there)."""
+    would have picked for ``settings`` (it sends one metric with orders to
+    ``_run_single_orders``)."""
     constraints = partition_constraints(query.n_tables, 0, 1, settings.plan_space)
     stats = WorkerStats(partition_id=0, n_partitions=1, n_constraints=0)
     plans = fastdp._run_frontier(
@@ -352,7 +352,6 @@ def _vec_pair(query, settings, partition_id=0, n_partitions=1):
     return legacy, vec
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="vecdp requires numpy")
 class TestVecdpStatisticsParity:
     """The array core is a drop-in on its declared capabilities: identical
     WorkerStats counters, identical plan trees, honest backend_used."""
@@ -442,7 +441,6 @@ def _assert_results_equal(expected, actual, context):
     ], context
 
 
-@pytest.mark.skipif(not HAS_NUMPY, reason="vecdp requires numpy")
 class TestVecdpPartitionedParity:
     """Constrained partitions run the same array path as serial ones: every
     counter, cost and plan tree per partition against the legacy oracle."""
@@ -522,7 +520,7 @@ class TestCapabilityRegistry:
     @pytest.mark.parametrize(
         ("settings", "expected"),
         [
-            (OptimizerSettings(), AUTO_BACKEND),
+            (OptimizerSettings(), "vecdp"),
             (OptimizerSettings(consider_orders=True), "fastdp"),
             (OptimizerSettings(objectives=MULTI_OBJECTIVE, alpha=10.0), "fastdp"),
             (
@@ -571,9 +569,7 @@ class TestCapabilityRegistry:
         ranks = [d.speed_rank for d in registered_backends()]
         assert ranks == sorted(ranks)
         assert registered_backends()[0].backend is Backend.VECDP
-        available = [d for d in registered_backends() if d.available()]
-        expected = Backend.VECDP if HAS_NUMPY else Backend.FASTDP
-        assert available[0].backend is expected
+        assert registered_backends()[0].available()
 
     def test_auto_is_not_registrable(self):
         from repro.core import worker
@@ -614,7 +610,7 @@ class TestBackendUsedObservability:
     def test_worker_stats_record_backend(self):
         query = SteinbrunnGenerator(seed=50).query(5, JoinGraphKind.CHAIN)
         auto = optimize_partition(query, 0, 1, OptimizerSettings())
-        assert auto.stats.backend_used == AUTO_BACKEND
+        assert auto.stats.backend_used == "vecdp"
         legacy = optimize_partition(
             query, 0, 1, OptimizerSettings(backend=Backend.LEGACY)
         )
@@ -625,9 +621,9 @@ class TestBackendUsedObservability:
 
         query = SteinbrunnGenerator(seed=51).query(7, JoinGraphKind.STAR)
         result = optimize_parallel(query, 4, OptimizerSettings())
-        assert result.backend_used == AUTO_BACKEND
+        assert result.backend_used == "vecdp"
         assert all(
-            r.stats.backend_used == AUTO_BACKEND
+            r.stats.backend_used == "vecdp"
             for r in result.partition_results
         )
 
@@ -648,8 +644,8 @@ class TestBackendUsedObservability:
             fresh = service.optimize(query)
             hit = service.optimize(query)
         assert not fresh.cached and hit.cached
-        assert fresh.backend_used == AUTO_BACKEND
-        assert hit.backend_used == AUTO_BACKEND
+        assert fresh.backend_used == "vecdp"
+        assert hit.backend_used == "vecdp"
 
     def test_serve_batch_json_reports_backend(self, tmp_path, capsys):
         import json
@@ -663,7 +659,7 @@ class TestBackendUsedObservability:
         assert main(["serve-batch", str(path), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         result = payload["rounds"][0]["results"][0]
-        assert result["backend_used"] == AUTO_BACKEND
+        assert result["backend_used"] == "vecdp"
 
     def test_cli_backends_command_lists_matrix(self, capsys):
         import json
@@ -676,11 +672,8 @@ class TestBackendUsedObservability:
         assert payload["fastdp"]["capabilities"]["interesting_orders"]
         assert payload["fastdp"]["capabilities"]["parametric_costs"]
         assert payload["vecdp"]["requires"] == ["numpy"]
-        assert payload["vecdp"]["available"] is HAS_NUMPY
-        if HAS_NUMPY:
-            assert payload["vecdp"]["unavailable_reason"] is None
-        else:
-            assert "numpy" in payload["vecdp"]["unavailable_reason"]
+        assert payload["vecdp"]["available"] is True
+        assert payload["vecdp"]["unavailable_reason"] is None
 
 
 class TestBackendWiring:
@@ -732,7 +725,7 @@ class TestBackendWiring:
         with OptimizerService(n_workers=2) as service:
             via_auto = service.optimize(query, OptimizerSettings())
             via_explicit = service.optimize(
-                query, OptimizerSettings(backend=AUTO_BACKEND)
+                query, OptimizerSettings(backend="vecdp")
             )
         assert via_auto.fingerprint == via_explicit.fingerprint
         assert not via_auto.cached and via_explicit.cached
@@ -754,7 +747,7 @@ class TestBackendWiring:
 
     def test_default_backend_is_auto_resolving_to_fastest_available(self):
         assert OptimizerSettings().backend is Backend.AUTO
-        assert resolve_backend(OptimizerSettings()).backend.value == AUTO_BACKEND
+        assert resolve_backend(OptimizerSettings()).backend.value == "vecdp"
 
     def test_empty_partition_result_possible(self):
         """A 1-table query exercises the degenerate no-join path."""

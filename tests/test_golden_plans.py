@@ -16,8 +16,6 @@ backend-independent by construction.
 
 from __future__ import annotations
 
-import importlib.util
-
 import pytest
 
 from repro.config import (
@@ -42,11 +40,9 @@ from repro.query.query import JoinGraphKind
 BACKENDS = [Backend.LEGACY, Backend.FASTDP]
 
 #: Snapshots for the capabilities vecdp declares (plain and multi-objective
-#: over both plan spaces) additionally run on the array core when numpy is
-#: present; the orders/parametric snapshots keep the two scalar backends.
-PLAIN_BACKENDS = list(BACKENDS)
-if importlib.util.find_spec("numpy") is not None:
-    PLAIN_BACKENDS.append(Backend.VECDP)
+#: over both plan spaces) additionally run on the array core; the
+#: orders/parametric snapshots keep the two scalar backends.
+PLAIN_BACKENDS = [*BACKENDS, Backend.VECDP]
 
 #: (query factory, seed, expected left-deep join order, expected cost).
 LEFTDEEP_GOLDEN = [

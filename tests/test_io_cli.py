@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 
 import pytest
@@ -20,11 +19,8 @@ from repro.query.io import (
 )
 from tests.conftest import make_manual_query
 
-#: Cached provenance records the backend AUTO resolved to, which depends on
-#: whether numpy (and hence vecdp) is available in this environment.
-AUTO_BACKEND = (
-    "vecdp" if importlib.util.find_spec("numpy") is not None else "fastdp"
-)
+#: Cached provenance records the backend AUTO resolved to for plain queries.
+AUTO_BACKEND = "vecdp"
 
 
 class TestQueryRoundTrip:

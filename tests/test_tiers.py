@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import threading
 
@@ -495,10 +494,6 @@ class TestMidProcessRegistrationStability:
     generation bump — while entries keyed on AUTO's *old* resolution become
     unreachable and can be retired selectively by signature + generation."""
 
-    @pytest.mark.skipif(
-        importlib.util.find_spec("numpy") is None,
-        reason="the resolution change needs a second available backend (vecdp)",
-    )
     def test_vecdp_registration_retires_only_auto_resolved_entries(
         self, tmp_path
     ):

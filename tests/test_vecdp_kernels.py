@@ -15,11 +15,13 @@ import dataclasses
 from math import inf
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import Backend, Objective, OptimizerSettings, PlanSpace
+from repro.core import vecdp
 from repro.core.constraints import max_constraints, partition_constraints
 from repro.core.fastdp import _adjacency_masks, _connected
 from repro.core.partitioning import admissible_results_by_size
@@ -28,11 +30,7 @@ from repro.cost.pruning import ParetoPruning
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.predicates import JoinPredicate
 from repro.query.query import JoinGraphKind
-
-np = pytest.importorskip("numpy")
-
-from repro.core import vecdp  # noqa: E402  (needs numpy)
-from tests import test_fastdp as parity  # noqa: E402  (its grid and stats comparison)
+from tests import test_fastdp as parity  # its grid and stats comparison
 
 
 def _sequential(candidates, widths):
@@ -124,14 +122,6 @@ class TestLevels:
                 size: set(masks.tolist()) for size, masks in levels.items()
             } == {size: set(masks) for size, masks in expected.items()}
             assert stats.admissible_results == sum(map(len, expected.values()))
-
-    def test_popcount_fallback_without_the_ufunc(self, monkeypatch):
-        """numpy < 2 has no ``bitwise_count``; the shift-and-sum agrees."""
-        masks = np.arange(1 << 11, dtype=np.int64)
-        expected = [bin(mask).count("1") for mask in masks.tolist()]
-        assert vecdp._popcount(np, masks).tolist() == expected
-        monkeypatch.delattr(np, "bitwise_count", raising=False)
-        assert vecdp._popcount(np, masks).tolist() == expected
 
 
 BUSHY = OptimizerSettings(plan_space=PlanSpace.BUSHY)
