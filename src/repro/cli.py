@@ -7,7 +7,9 @@ Commands:
   (or Pareto frontier) plus the cluster accounting the paper reports;
 * ``serve-batch`` — run a batch of query files through the
   :class:`~repro.service.OptimizerService` (plan cache + warm worker pool)
-  and report per-query plans plus cache statistics; with ``--shards N``
+  and report per-query plans plus the door's statistics tree,
+  ``dataclasses.asdict(door.stats())`` — under ``"stats"`` with ``--json``,
+  else one ``dotted.path: value`` line per leaf; with ``--shards N``
   (N > 1) the batch is served by a
   :class:`~repro.service.ShardedOptimizerGateway` — fingerprint-range
   routing to N independent shards, driven by ``--gateway-threads`` request
@@ -15,8 +17,8 @@ Commands:
   with ``--async`` the batch is submitted concurrently through the
   :class:`~repro.service.AsyncOptimizerGateway` front-end (adaptive
   micro-batching bounded by ``--batch-window-ms``/``--max-batch``,
-  admission control bounded by ``--max-pending``) and the report adds
-  queue/batching/rejection statistics;
+  admission control bounded by ``--max-pending``) and the tree adds
+  queue/batching/rejection counters;
   with ``--cache-dir DIR`` each shard's plan cache gains a persistent disk
   tier (append-only log ``DIR/shard-N.log``), so a later invocation with
   the same directory serves previously-seen queries from disk without
@@ -75,6 +77,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import sys
 import time
@@ -640,31 +643,13 @@ def _open_door(args: argparse.Namespace, settings: OptimizerSettings):
     return _AsyncDoor(**gateway_options, **_async_options(args), tenant_share=1.0)
 
 
-def _stats_report(args: argparse.Namespace, stats) -> dict:
-    """The ``--json`` stats sections for whichever door served the batch.
-
-    Each stats type prints itself (``to_dict``); this only files the
-    pieces under the keys the report has always used.  The text report is
-    rendered from the same dict, so the two cannot disagree.
-    """
-    from repro.service import AsyncGatewayStats, GatewayStats
-
-    if isinstance(stats, dict):  # the network door's stats are a dict already
-        return {"network": stats}
-    front = stats if isinstance(stats, AsyncGatewayStats) else None
-    service = front.gateway if front is not None else stats
-    sharded = isinstance(service, GatewayStats)  # else one service's ShardStats
-    report = {
-        "cache": service.cache_totals() if sharded else service.cache.to_dict(),
-        "envelope_hits": service.envelope_hits,
-    }
-    if args.cache_dir is not None:
-        report["cache_dir"] = args.cache_dir
-    if sharded:
-        report["gateway"] = service.to_dict()
-    if front is not None:
-        report["async_front_end"] = {**_async_options(args), **front.to_dict()}
-    return report
+def _leaves(tree, path: str = ""):
+    """``(dotted.path, value)`` for every leaf of a JSON-shaped stats tree."""
+    if not isinstance(tree, (dict, list, tuple)):
+        yield path, tree
+        return
+    for key, value in tree.items() if isinstance(tree, dict) else enumerate(tree):
+        yield from _leaves(value, f"{path}.{key}" if path else str(key))
 
 
 def _run_serve_batch(args: argparse.Namespace) -> int:
@@ -693,9 +678,12 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
             started = time.perf_counter()
             results = door.optimize_batch(queries)
             rounds.append((time.perf_counter() - started, results))
-        report = _stats_report(args, door.stats())
+        stats = door.stats()
     finally:
         door.close()
+    # The network door's stats() is a JSON dict already; every other door's
+    # is a tree of field-only dataclasses.
+    stats = stats if isinstance(stats, dict) else dataclasses.asdict(stats)
 
     if args.json:
         if args.connect is not None:
@@ -706,6 +694,8 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
                 "pool": args.pool,
                 "shards": args.shards,
                 "async": args.use_async,
+                "cache_dir": args.cache_dir,
+                **(_async_options(args) if args.use_async else {}),
             }
         header["rounds"] = [
             {
@@ -725,7 +715,7 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
             }
             for wall, results in rounds
         ]
-        print(json.dumps({**header, **report}, indent=2))
+        print(json.dumps({**header, "stats": stats}, indent=2))
         return 0
 
     for round_number, (wall, results) in enumerate(rounds, start=1):
@@ -737,65 +727,8 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
                 f"({result.n_partitions} partitions, "
                 f"backend {result.backend_used})"
             )
-    if "network" in report:
-        network = report["network"]
-        print(
-            f"network: {network['requests']} requests over "
-            f"{len(network['shards'])} shards, "
-            f"{network['breaker_rejections']} breaker rejections, "
-            f"{network['hedged']} hedged "
-            f"({network['hedged_wins']} hedge wins)"
-        )
-        for name, shard in sorted(network["shards"].items()):
-            print(
-                f"  {name} ({shard['address']}): breaker {shard['breaker']}, "
-                f"{shard.get('optimizations', '?')} DP runs server-side, "
-                f"{shard.get('envelope_hits', 0)} envelope hits, "
-                f"{shard.get('snapshot_imported', 0)} snapshot entries imported"
-            )
-        return 0
-    cache = report["cache"]
-    print(
-        f"cache: {cache['hits']} hits / {cache['misses']} misses "
-        f"({cache['hit_rate']:.0%} hit rate), {cache['evictions']} evictions"
-    )
-    if report["envelope_hits"]:
-        print(
-            f"envelopes: {report['envelope_hits']} theta bindings served from "
-            "cached envelopes (no DP run)"
-        )
-    if "disk_hits" in cache:
-        print(
-            f"tiers: {cache['memory_hits']} memory hits, {cache['disk_hits']} disk "
-            f"hits, {cache['promotions']} promotions, {cache['demotions']} demotions"
-        )
-    if "async_front_end" in report:
-        front = report["async_front_end"]
-        sizes = ", ".join(
-            f"{size}x{count}" for size, count in front["batch_sizes"].items()
-        )
-        print(
-            f"async: {front['fast_path_hits']} fast-path hits, "
-            f"{front['coalesced']} coalesced, "
-            f"{front['dispatched_batches']} batches ({sizes or 'none'}), "
-            f"{sum(front['rejections'].values())} rejections, "
-            f"{front['cancelled']} cancelled"
-        )
-    if "gateway" in report:
-        gateway = report["gateway"]
-        print(
-            f"gateway: {gateway['requests']} requests, "
-            f"{gateway['optimizations']} optimizations, "
-            f"{gateway['coalesced']} coalesced, "
-            f"{gateway['envelope_hits']} envelope hits, "
-            f"peak in-flight {gateway['peak_in_flight']}"
-        )
-        for shard in gateway["shards"]:
-            print(
-                f"  shard {shard['shard']}: {shard['hits']} hits / "
-                f"{shard['misses']} misses ({shard['hit_rate']:.0%}), "
-                f"{shard['entries']} entries"
-            )
+    for path, value in _leaves(stats):
+        print(f"{path}: {value}")
     return 0
 
 

@@ -26,6 +26,9 @@ import concurrent.futures
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.config import OptimizerSettings
+# Re-exported: the serial executor lives beside the master that defaults to
+# it (importing it from here would cycle through cluster.simulator).
+from repro.core.master import SerialPartitionExecutor
 from repro.core.worker import PartitionResult, optimize_partition
 from repro.query.query import Query
 
@@ -97,18 +100,6 @@ class RetryingPartitionExecutor:
                     self.retries += 1
         assert last_error is not None
         raise last_error
-
-
-class SerialPartitionExecutor:
-    """Run all partitions sequentially in the calling process."""
-
-    def map_partitions(
-        self, query: Query, n_partitions: int, settings: OptimizerSettings
-    ) -> list[PartitionResult]:
-        return [
-            optimize_partition(query, partition_id, n_partitions, settings)
-            for partition_id in range(n_partitions)
-        ]
 
 
 class ThreadPoolPartitionExecutor:

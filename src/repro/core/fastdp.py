@@ -585,7 +585,7 @@ def _run_frontier(
 ) -> list[Plan]:
     """Frontier DP on flat (cost vector, order id, back-pointer) entries.
 
-    One kernel, four pruning disciplines selected once up front:
+    One kernel, three pruning disciplines selected once up front:
 
     * **scalar-min** (one metric, whatever ``alpha`` says — it is ignored
       for a single objective) — a table set keeps one entry, replaced by a
@@ -594,13 +594,14 @@ def _run_frontier(
       :class:`~repro.cost.pruning.MinCostPruning`.  Unlike that policy, an
       all-``inf`` table set stores nothing, as in vecdp.  Single-objective
       runs that track orders go to :func:`_run_single_orders` instead;
-    * **exact / α Pareto** — replicates
+    * **α Pareto** — replicates
       :class:`~repro.cost.pruning.ParetoPruning` decisions (reject a
       candidate some kept entry α-dominates *and* whose order covers it,
       evict entries the accepted candidate exactly dominates and covers,
       append) over candidates generated in the legacy order, so kept
       frontiers and their order match the legacy backend even for α > 1,
-      where pruning is order-sensitive;
+      where pruning is order-sensitive.  Exact Pareto is α = 1: ``1.0 * x
+      == x`` for every float, ``±inf`` included;
     * **parametric** (``parametric=True``) — one
       :class:`~repro.cost.parametric.IncrementalEnvelope` per table set,
       which makes :class:`~repro.cost.pruning.ParametricPruning`'s
@@ -623,7 +624,6 @@ def _run_frontier(
     bnl, hash_join, sort_merge = ALL_JOIN_ALGORITHMS
     track_orders = settings.consider_orders
     alpha = per_level_alpha(settings.alpha, n)
-    exact = alpha == 1.0
 
     interner = _intern_query_orders(query)
     sat = interner.satisfies_table()
@@ -669,43 +669,6 @@ def _run_frontier(
                 entries[mask] = envelope.payloads
             return envelope.offer(candidate, (candidate, order_id, pointer))
 
-    elif exact:
-
-        def consider(
-            mask: int,
-            candidate: tuple[float, ...],
-            order_id: int,
-            pointer: object,
-        ) -> bool:
-            """ParetoPruning.consider (α = 1); True iff kept."""
-            entry = entries_get(mask)
-            if entry is None:
-                entries[mask] = [(candidate, order_id, pointer)]
-                return True
-            for kept_cost, kept_oid, _pointer in entry:
-                if sat[kept_oid][order_id]:
-                    dominates_candidate = True
-                    for ours, theirs in zip(kept_cost, candidate):
-                        if ours > theirs:
-                            dominates_candidate = False
-                            break
-                    if dominates_candidate:
-                        return False
-            survivors = []
-            for item in entry:
-                dominated = sat[order_id][item[1]]
-                if dominated:
-                    kept_cost = item[0]
-                    for ours, theirs in zip(candidate, kept_cost):
-                        if ours > theirs:
-                            dominated = False
-                            break
-                if not dominated:
-                    survivors.append(item)
-            survivors.append((candidate, order_id, pointer))
-            entries[mask] = survivors
-            return True
-
     else:
 
         def consider(
@@ -714,7 +677,7 @@ def _run_frontier(
             order_id: int,
             pointer: object,
         ) -> bool:
-            """ParetoPruning.consider (α > 1); True iff kept."""
+            """ParetoPruning.consider (α ≥ 1); True iff kept."""
             entry = entries_get(mask)
             if entry is None:
                 entries[mask] = [(candidate, order_id, pointer)]

@@ -38,8 +38,8 @@ class PartitionExecutor(Protocol):
         ...  # pragma: no cover - protocol
 
 
-class _InlineExecutor:
-    """Default executor: run every partition sequentially in this process."""
+class SerialPartitionExecutor:
+    """Run all partitions sequentially in the calling process (the default)."""
 
     def map_partitions(
         self, query: Query, n_partitions: int, settings: OptimizerSettings
@@ -129,7 +129,7 @@ def optimize_parallel(
     """
     started = time.perf_counter()
     n_partitions = usable_partitions(query.n_tables, n_workers, settings.plan_space)
-    runner = executor if executor is not None else _InlineExecutor()
+    runner = executor if executor is not None else SerialPartitionExecutor()
     partition_results = runner.map_partitions(query, n_partitions, settings)
     if len(partition_results) != n_partitions:
         raise RuntimeError(

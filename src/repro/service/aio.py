@@ -59,11 +59,10 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import math
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any
 
 from repro.config import OptimizerSettings
 from repro.query.query import Query
@@ -135,7 +134,9 @@ class AsyncGatewayStats:
     outstanding: int = 0
     dispatched_batches: int = 0
     in_flight_batches: int = 0
-    batch_sizes: dict[int, int] = field(default_factory=Counter)
+    #: A plain ``dict``, never a ``Counter``: ``dataclasses.asdict`` rebuilds
+    #: a ``Counter`` from its items and would count the pairs.
+    batch_sizes: dict[int, int] = field(default_factory=dict)
     tenants: dict[str, TenantStats] = field(default_factory=dict)
     gateway: GatewayStats = field(default_factory=GatewayStats)
 
@@ -143,29 +144,6 @@ class AsyncGatewayStats:
     def rejections(self) -> int:
         """Total rejected requests across both admission-control reasons."""
         return self.rejected_queue_full + self.rejected_tenant_share
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready front-end counters (the wrapped gateway prints its own)."""
-        return {
-            "fast_path_hits": self.fast_path_hits,
-            "result_memo_hits": self.result_memo_hits,
-            "admitted": self.admitted,
-            "coalesced": self.coalesced,
-            "batched": self.batched,
-            "dispatched_batches": self.dispatched_batches,
-            "batch_sizes": {
-                str(size): count for size, count in sorted(self.batch_sizes.items())
-            },
-            "rejections": {
-                "queue_full": self.rejected_queue_full,
-                "tenant_share": self.rejected_tenant_share,
-            },
-            "cancelled": self.cancelled,
-            "tenants": {
-                tenant: dataclasses.asdict(stats)
-                for tenant, stats in sorted(self.tenants.items())
-            },
-        }
 
 
 class _Window:
@@ -454,7 +432,8 @@ class AsyncOptimizerGateway:
         counters = self._counters
         counters.dispatched_batches += 1
         counters.batched += len(live)
-        counters.batch_sizes[len(live)] += 1
+        sizes = counters.batch_sizes
+        sizes[len(live)] = sizes.get(len(live), 0) + 1
         dispatch = self._loop.run_in_executor(
             self._executor,
             self._gateway.run_claimed,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Generic, Protocol, TypeVar, runtime_checkable
+from typing import Any, Generic, Protocol, TypeVar, runtime_checkable
 
 Value = TypeVar("Value")
 
@@ -50,18 +50,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         """Fraction of lookups served from cache (0.0 when none yet)."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready counters — the one encoding every reporting surface
-        (CLI ``--json``, benchmarks, snapshot exports) shares, so adding a
-        counter here updates them all and none re-derives fields by hand."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "lookups": self.lookups,
-            "hit_rate": self.hit_rate,
-        }
 
 
 @runtime_checkable
@@ -139,32 +127,19 @@ class MemoryTier(Generic[Value]):
     uncached — e.g. to measure raw DP throughput — without special-casing
     call sites.
 
-    ``on_evict`` (optional) observes every capacity eviction as
-    ``(key, value)`` — the hook a write-back composite uses to demote
-    entries to its disk tier.  It is invoked *after* the internal lock is
-    released, so the callback may perform I/O or re-enter the tier without
-    deadlocking; consequently a concurrent reader can observe the entry as
-    absent before the callback has persisted it, which is exactly the
-    write-back (not write-through) durability contract.
-
     All operations are atomic under an internal reentrant lock; see the
     module docstring.  ``stats`` remains directly readable for tests and
     single-threaded callers, but concurrent readers should prefer
     :meth:`snapshot`, which copies the counters under the lock.
     """
 
-    def __init__(
-        self,
-        capacity: int = 128,
-        on_evict: Callable[[str, Value], None] | None = None,
-    ) -> None:
+    def __init__(self, capacity: int = 128) -> None:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self.stats = CacheStats()
         self._entries: OrderedDict[str, Value] = OrderedDict()
         self._lock = threading.RLock()
-        self._on_evict = on_evict
 
     def get(self, key: str) -> Value | None:
         """Return the cached value (refreshing recency), or ``None`` on miss."""
@@ -215,8 +190,8 @@ class MemoryTier(Generic[Value]):
     def put(self, key: str, value: Value) -> list[tuple[str, Value]]:
         """Insert (or refresh) ``key``, evicting the LRU entry when full.
 
-        Returns the evicted ``(key, value)`` pairs (also delivered to
-        ``on_evict``), oldest first — empty for the common non-evicting put.
+        Returns the evicted ``(key, value)`` pairs, oldest first — empty for
+        the common non-evicting put; a composite counts its demotions off it.
         """
         with self._lock:
             if key in self._entries:
@@ -226,20 +201,10 @@ class MemoryTier(Generic[Value]):
             while len(self._entries) > self.capacity:
                 evicted.append(self._entries.popitem(last=False))
                 self.stats.evictions += 1
-        # Outside the lock: the callback may do disk I/O (write-back
-        # demotion) and must not stall concurrent lookups.
-        if self._on_evict is not None:
-            for evicted_key, evicted_value in evicted:
-                self._on_evict(evicted_key, evicted_value)
         return evicted
 
     def evict(self, key: str) -> bool:
-        """Drop ``key`` if resident (counted as an eviction); else no-op.
-
-        Explicit eviction — invalidation, not capacity pressure — does not
-        notify ``on_evict``: a write-back composite demotes entries it wants
-        to *keep*, and an invalidated entry must not resurface from disk.
-        """
+        """Drop ``key`` if resident (counted as an eviction); else no-op."""
         with self._lock:
             if key not in self._entries:
                 return False

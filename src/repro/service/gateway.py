@@ -43,11 +43,9 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import threading
-from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any
 
 from repro.cluster.simulator import DEFAULT_CLUSTER, ClusterModel
 from repro.config import DEFAULT_SETTINGS, OptimizerSettings
@@ -115,28 +113,6 @@ class GatewayStats:
         """Aggregate hit rate over all shards (0.0 before any lookup)."""
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
-
-    def cache_totals(self) -> dict[str, Any]:
-        """The shards' cache ``to_dict()`` counters summed.
-
-        With tiered shard caches the memory/disk breakdown sums through
-        too — a warm restart is visible as disk hits, not generic hits.
-        """
-        totals: Counter[str] = Counter()
-        for shard in self.shards:
-            totals.update(shard.cache.to_dict())
-        return {**totals, "hit_rate": self.hit_rate}
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready gateway counters with each shard's ``to_dict()``."""
-        return {
-            "requests": self.requests,
-            "optimizations": self.optimizations,
-            "coalesced": self.coalesced,
-            "peak_in_flight": self.peak_in_flight,
-            "envelope_hits": self.envelope_hits,
-            "shards": [shard.to_dict() for shard in self.shards],
-        }
 
 
 class ShardedOptimizerGateway:

@@ -34,7 +34,6 @@ import threading
 import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.cluster.simulator import (
     DEFAULT_CLUSTER,
@@ -50,9 +49,8 @@ from repro.core.envelope import (
     best_index_at,
     build_envelope_index,
 )
-from repro.core.master import MasterResult, PartitionExecutor
+from repro.core.master import MasterResult, PartitionExecutor, SerialPartitionExecutor
 from repro.core.worker import PartitionResult, registry_generation
-from repro.cluster.executors import SerialPartitionExecutor
 from repro.cost.pruning import final_prune, make_pruning
 from repro.plans.plan import Plan, plan_tie_key
 from repro.query.query import Query
@@ -170,7 +168,9 @@ class ShardStats:
     ``cache`` is whatever the service's tier snapshots —
     :class:`~repro.service.cache.CacheStats` for the plain LRU,
     :class:`~repro.service.tiers.TieredStats` for a tiered cache; both
-    expose ``hits``/``misses``/``evictions``/``hit_rate`` and ``to_dict``.
+    expose ``hits``/``misses``/``evictions``/``hit_rate``.  Like every stats
+    type of the serving stack it holds fields only, so
+    ``dataclasses.asdict`` is its JSON form.
     """
 
     shard: int
@@ -183,15 +183,6 @@ class ShardStats:
     def hit_rate(self) -> float:
         """The shard cache's hit rate (0.0 before any lookup)."""
         return self.cache.hit_rate
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready: the shard's own counters over its cache's ``to_dict``."""
-        return {
-            "shard": self.shard,
-            "entries": self.entries,
-            "envelope_hits": self.envelope_hits,
-            **self.cache.to_dict(),
-        }
 
 
 def relabel(plans: list[Plan], numbering: tuple[int, ...]) -> list[Plan]:

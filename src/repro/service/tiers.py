@@ -14,10 +14,9 @@ every process restart, which forfeits the system's whole value proposition
   :class:`~repro.service.provenance.InvalidationPredicate` names, and
   snapshots (:meth:`DiskTier.export_snapshot`) are self-describing files
   shippable between shards;
-* :class:`TieredPlanCache` — memory over disk with promote-on-hit and a
-  write policy: ``write-through`` (default) persists every entry at put
-  time, ``write-back`` persists lazily on memory eviction (cheaper puts,
-  but a crash loses memory-resident entries).  The composite satisfies the
+* :class:`TieredPlanCache` — memory over disk, write-through (every entry
+  persists at put time, so a crash loses nothing acknowledged) with disk
+  hits promoted back into memory.  The composite satisfies the
   :class:`~repro.service.cache.CacheTier` protocol, so the service,
   gateway, and async front-end serve through it unchanged — a disk hit is
   a cache hit that no DP run is ever spent on, restart or not.
@@ -651,9 +650,9 @@ class TieredStats:
     evictions: int = 0
     #: Disk hits copied up into the memory tier.
     promotions: int = 0
-    #: Memory evictions whose entry remains on (or was written to) disk.
+    #: Memory evictions whose entry remains on disk.
     demotions: int = 0
-    #: Entries written to the disk tier (puts plus write-back demotions).
+    #: Entries written to the disk tier (one per put).
     disk_writes: int = 0
     #: Entries removed by provenance-predicate invalidation.
     invalidated: int = 0
@@ -673,35 +672,16 @@ class TieredStats:
         """Fraction of lookups served from cache (0.0 when none yet)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready counters, a superset of ``CacheStats.to_dict()``."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "lookups": self.lookups,
-            "hit_rate": self.hit_rate,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "promotions": self.promotions,
-            "demotions": self.demotions,
-            "disk_writes": self.disk_writes,
-            "invalidated": self.invalidated,
-        }
-
 
 class TieredPlanCache:
-    """Memory-over-disk composite cache with promote-on-hit.
+    """Memory-over-disk composite cache, write-through with promote-on-hit.
 
     Lookup order is memory first, then disk; a disk hit is promoted into
-    memory (unless ``promote_on_hit=False``) so the hot set migrates back
-    up after a restart.  Writes follow ``write_policy``:
-
-    * ``"write-through"`` (default) — every put lands on disk immediately;
-      a memory eviction is pure accounting (the entry is already durable);
-    * ``"write-back"`` — puts stay in memory; the entry reaches disk only
-      when the LRU demotes it.  Cheaper per put, but entries still
-      memory-resident at a crash are lost.
+    memory (whenever ``memory_capacity > 0``) so the hot set migrates back
+    up after a restart.  Every put lands on disk immediately, so a memory
+    eviction is pure accounting: the entry is already durable, and the
+    pairs :meth:`MemoryTier.put` returns are counted as demotions (as
+    losses when there is no disk tier).
 
     All hit/miss/eviction accounting lives in this composite's
     :class:`TieredStats`; the wrapped tiers' own counters are not consulted
@@ -714,29 +694,14 @@ class TieredPlanCache:
     called unlocked (the gateway does).
     """
 
-    WRITE_POLICIES = ("write-through", "write-back")
-
     def __init__(
-        self,
-        memory_capacity: int = 256,
-        disk: DiskTier | None = None,
-        write_policy: str = "write-through",
-        promote_on_hit: bool = True,
+        self, memory_capacity: int = 256, disk: DiskTier | None = None
     ) -> None:
-        if write_policy not in self.WRITE_POLICIES:
-            raise ValueError(
-                f"write_policy must be one of {self.WRITE_POLICIES}, "
-                f"got {write_policy!r}"
-            )
         self.disk = disk
-        self.write_policy = write_policy
-        self.promote_on_hit = promote_on_hit
         self.capacity = memory_capacity
         self.stats = TieredStats()
         self._lock = threading.RLock()
-        self.memory: MemoryTier[CacheEntry] = MemoryTier(
-            capacity=memory_capacity, on_evict=self._on_memory_evict
-        )
+        self.memory: MemoryTier[CacheEntry] = MemoryTier(capacity=memory_capacity)
 
     # ----------------------------------------------------------------- lookups
 
@@ -770,14 +735,12 @@ class TieredPlanCache:
         value = self.disk.peek(key)
         if value is None:
             return None
-        promoted = False
-        if self.promote_on_hit and self.capacity > 0:
-            self.memory.put(key, value)
-            promoted = True
+        promoted = self.capacity > 0
+        demoted = len(self.memory.put(key, value)) if promoted else 0
         with self._lock:
             self.stats.disk_hits += 1
-            if promoted:
-                self.stats.promotions += 1
+            self.stats.promotions += promoted
+            self.stats.demotions += demoted
         return value
 
     def peek(self, key: str) -> CacheEntry | None:
@@ -787,27 +750,16 @@ class TieredPlanCache:
     # ------------------------------------------------------------------ writes
 
     def put(self, key: str, value: CacheEntry) -> None:
-        """Insert per the write policy (see class docstring)."""
-        if self.write_policy == "write-through" and self.disk is not None:
+        """Write through to disk, then insert into memory."""
+        if self.disk is not None:
             self.disk.put(key, value)
-            with self._lock:
+        evicted = len(self.memory.put(key, value))
+        with self._lock:
+            if self.disk is None:
+                self.stats.evictions += evicted
+            else:
                 self.stats.disk_writes += 1
-        self.memory.put(key, value)
-
-    def _on_memory_evict(self, key: str, value: CacheEntry) -> None:
-        """Capacity eviction from memory: demote or count the loss."""
-        if self.disk is None:
-            with self._lock:
-                self.stats.evictions += 1
-            return
-        if self.write_policy == "write-back":
-            self.disk.put(key, value)
-            with self._lock:
-                self.stats.demotions += 1
-                self.stats.disk_writes += 1
-        else:
-            with self._lock:
-                self.stats.demotions += 1
+                self.stats.demotions += evicted
 
     def evict(self, key: str) -> bool:
         """Drop ``key`` from both tiers; counted once if either held it."""
@@ -832,8 +784,8 @@ class TieredPlanCache:
         """Stat-free wire records for live entries (disk first, then memory).
 
         The disk tier serves what it holds verbatim (no decode/re-encode
-        round trip); entries resident only in memory — the write-back
-        policy's window, or a disk-less cache — are encoded on the fly.
+        round trip); entries resident only in memory — a disk-less cache —
+        are encoded on the fly.
         The result is the same ``put``-record form as
         :meth:`DiskTier.export_records`, sorted by key.
         """
@@ -855,10 +807,9 @@ class TieredPlanCache:
     ) -> int:
         """Merge shipped ``put`` records through the normal write path.
 
-        Each entry goes through :meth:`put`, so the write policy applies —
-        under the default write-through an imported entry is durable in the
-        disk log before this returns, which is what lets a rebalanced key's
-        new owner restart and still serve it from cache.
+        Each entry goes through :meth:`put`, so an imported entry is durable
+        in the disk log before this returns, which is what lets a rebalanced
+        key's new owner restart and still serve it from cache.
         """
         imported = 0
         for record in records:

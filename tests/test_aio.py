@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import threading
 
 import pytest
@@ -194,6 +195,22 @@ class TestCorrectness:
             assert max(stats.batch_sizes) <= 2
 
         run(scenario())
+
+    def test_batch_sizes_survive_asdict(self):
+        # Regression: asdict rebuilds a Counter from its items, so a Counter
+        # {2: 3} would come out as Counter({(2, 3): 1}); the snapshot must
+        # hold a plain dict for serve-batch's stats tree to read {size: count}.
+        async def scenario():
+            generator = SteinbrunnGenerator(55)
+            queries = [generator.query(5) for __ in range(3)]
+            async with AsyncOptimizerGateway(n_shards=1, n_workers=2) as front:
+                await asyncio.gather(*map(front.optimize, queries))
+                return front.stats()
+
+        stats = run(scenario())
+        assert type(stats.batch_sizes) is dict and stats.batch_sizes
+        assert sum(size * count for size, count in stats.batch_sizes.items()) == 3
+        assert dataclasses.asdict(stats)["batch_sizes"] == stats.batch_sizes
 
     def test_dp_errors_propagate_to_all_waiters(self):
         async def scenario():
@@ -652,10 +669,11 @@ class TestServeBatchCLIAsync:
 
         payload = json_module.loads(capsys.readouterr().out)
         assert payload["async"] is True
-        front = payload["async_front_end"]
-        assert front["rejections"] == {"queue_full": 0, "tenant_share": 0}
+        assert payload["batch_window_ms"] == 2.0  # effective options: header
+        front = payload["stats"]
+        assert (front["rejected_queue_full"], front["rejected_tenant_share"]) == (0, 0)
         assert front["coalesced"] == 1  # in-batch duplicate of q0
-        assert payload["gateway"]["optimizations"] == 3
+        assert front["gateway"]["optimizations"] == 3
         cached_flags = [
             result["cached"]
             for round_payload in payload["rounds"]
@@ -685,10 +703,9 @@ class TestServeBatchCLIAsync:
         import json as json_module
 
         payload = json_module.loads(capsys.readouterr().out)
-        assert payload["async_front_end"]["rejections"] == {
-            "queue_full": 0,
-            "tenant_share": 0,
-        }
+        assert payload["max_pending"] == 4
+        front = payload["stats"]
+        assert (front["rejected_queue_full"], front["rejected_tenant_share"]) == (0, 0)
 
     def test_async_flags_require_async(self, tmp_path):
         path = tmp_path / "q.json"

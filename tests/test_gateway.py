@@ -616,7 +616,7 @@ class TestServeBatchCLI:
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["shards"] == 2
-        gateway = payload["gateway"]
+        gateway = payload["stats"]
         assert gateway["requests"] == 8
         assert gateway["optimizations"] == 3
         assert gateway["coalesced"] == 1  # in-batch duplicate of q0

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.config import OptimizerSettings
 from repro.core.serial import best_plan, optimize_serial
 from repro.query.generator import SteinbrunnGenerator
+from repro.service import AsyncGatewayStats, GatewayStats, ShardStats
 from repro.query.io import (
     load_query,
     plan_to_dict,
@@ -148,6 +151,78 @@ class TestCLI:
         assert a.read_text() == b.read_text()
 
 
+def leaves(tree, path: str = "") -> list[tuple[str, object]]:
+    """Every ``(dotted path, value)`` leaf of a JSON-shaped tree."""
+    if isinstance(tree, dict):
+        children = tree.items()
+    elif isinstance(tree, (list, tuple)):
+        children = enumerate(tree)
+    else:
+        return [(path, tree)]
+    return [
+        leaf
+        for key, child in children
+        for leaf in leaves(child, f"{path}.{key}" if path else str(key))
+    ]
+
+
+class TestServeBatchStatsTree:
+    """Every door's report is ``dataclasses.asdict`` of its stats snapshot."""
+
+    #: door -> (serve-batch flags, snapshot type, a leaf the tree must have)
+    DOORS = {
+        "service": ([], ShardStats, "cache.hits"),
+        "shards": (["--shards", "2"], GatewayStats, "shards.1.cache.hits"),
+        "async": (["--async"], AsyncGatewayStats, "gateway.shards.0.cache.hits"),
+        "cache-dir": (["--cache-dir"], ShardStats, "cache.disk_writes"),
+    }
+
+    @pytest.mark.parametrize("door", sorted(DOORS))
+    def test_report_is_asdict_of_the_snapshot(
+        self, door, tmp_path, monkeypatch, capsys
+    ):
+        flags, snapshot_type, expected_leaf = self.DOORS[door]
+        paths = []
+        for seed in (21, 22):
+            path = tmp_path / f"q{seed}.json"
+            main(["generate", "--tables", "5", "--seed", str(seed), "-o", str(path)])
+            paths.append(str(path))
+        snapshots = []
+        open_door = cli._open_door
+
+        def spying_open_door(args, settings):
+            opened = open_door(args, settings)
+            real_stats = opened.stats
+
+            def stats():
+                snapshots.append(real_stats())
+                return snapshots[-1]
+
+            opened.stats = stats
+            return opened
+
+        monkeypatch.setattr(cli, "_open_door", spying_open_door)
+        outputs = {}
+        for mode in ("json", "text"):
+            door_flags = flags + [str(tmp_path / mode)] if door == "cache-dir" else flags
+            json_flag = ["--json"] if mode == "json" else []
+            capsys.readouterr()
+            argv = ["serve-batch", *paths, paths[0], "--repeat", "2", *door_flags]
+            assert main(argv + json_flag) == 0
+            outputs[mode] = capsys.readouterr().out
+        json_snapshot, text_snapshot = snapshots
+        assert type(json_snapshot) is snapshot_type
+        payload = json.loads(outputs["json"])
+        assert payload["stats"] == json.loads(
+            json.dumps(dataclasses.asdict(json_snapshot))
+        )
+        text_leaves = leaves(dataclasses.asdict(text_snapshot))
+        assert expected_leaf in dict(text_leaves)
+        lines = set(outputs["text"].splitlines())
+        for path, value in text_leaves:
+            assert f"{path}: {value}" in lines
+
+
 class TestCacheCLI:
     """serve-batch --cache-dir and the cache management subcommand."""
 
@@ -191,27 +266,23 @@ class TestCacheCLI:
             True,
             True,
         ]
-        assert warm["cache"]["disk_hits"] == 2
-        assert warm["cache"]["misses"] == 0
+        assert warm["stats"]["cache"]["disk_hits"] == 2
+        assert warm["stats"]["cache"]["misses"] == 0
 
     def test_sharded_json_with_tiers_is_serializable(
         self, tmp_path, query_files, capsys
     ):
-        # Regression: per-shard TieredStats must flow through to_dict(),
-        # not dataclasses.asdict, or --json crashes on the composite.
+        # Per-shard TieredStats reach --json through the one stats tree.
         payload = self.serve(
             query_files, tmp_path / "plans", capsys, "--shards", "2"
         )
-        for shard in payload["gateway"]["shards"]:
-            assert "disk_hits" in shard and "hit_rate" in shard
-        # The top-level aggregate carries the tier breakdown too: the
-        # GatewayStats duck type only sums hits/misses, so the CLI must
-        # fold the per-shard tier counters in itself.
-        assert "disk_hits" in payload["cache"]
+        for shard in payload["stats"]["shards"]:
+            assert "disk_hits" in shard["cache"]
         warm = self.serve(
             query_files, tmp_path / "plans", capsys, "--shards", "2"
         )
-        assert warm["cache"]["disk_hits"] == 2
+        shards = warm["stats"]["shards"]
+        assert sum(shard["cache"]["disk_hits"] for shard in shards) == 2
 
     def test_text_output_reports_tiers(self, tmp_path, query_files, capsys):
         cache_dir = tmp_path / "plans"
@@ -220,7 +291,7 @@ class TestCacheCLI:
             == 0
         )
         out = capsys.readouterr().out
-        assert "tiers:" in out and "disk hits" in out
+        assert "cache.disk_hits: 0" in out and "cache.disk_writes: 2" in out
 
     def test_inspect_lists_provenance(self, tmp_path, query_files, capsys):
         cache_dir = tmp_path / "plans"

@@ -238,10 +238,6 @@ class TestDiskTier:
 
 
 class TestTieredPlanCache:
-    def test_rejects_unknown_write_policy(self):
-        with pytest.raises(ValueError, match="write_policy"):
-            TieredPlanCache(write_policy="write-sideways")
-
     def test_write_through_persists_at_put(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as disk:
             cache = TieredPlanCache(memory_capacity=1, disk=disk)
@@ -253,19 +249,6 @@ class TestTieredPlanCache:
             assert stats.demotions == 1  # accounting only, no second write
             assert stats.evictions == 0  # a is still served (from disk)
             assert cache.get("a") is not None
-
-    def test_write_back_persists_on_demotion_only(self, tmp_path):
-        with DiskTier(tmp_path / "cache.log") as disk:
-            cache = TieredPlanCache(
-                memory_capacity=1, disk=disk, write_policy="write-back"
-            )
-            cache.put("a", make_entry())
-            assert "a" not in disk  # memory-resident only (crash would lose it)
-            cache.put("b", make_entry())  # demotes a, writing it down
-            assert "a" in disk
-            assert "b" not in disk
-            stats = cache.snapshot()
-            assert (stats.demotions, stats.disk_writes) == (1, 1)
 
     def test_promote_on_hit(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as disk:
@@ -279,16 +262,23 @@ class TestTieredPlanCache:
             assert cache.get("a") is not None  # now a memory hit
             assert cache.snapshot().memory_hits == 1
 
-    def test_promotion_disabled(self, tmp_path):
+    def test_promotion_into_full_memory_demotes(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as disk:
-            disk.put("a", make_entry())
-            cache = TieredPlanCache(
-                memory_capacity=4, disk=disk, promote_on_hit=False
-            )
-            assert cache.get("a") is not None
-            assert cache.peek("a") is None
+            cache = TieredPlanCache(memory_capacity=1, disk=disk)
+            cache.put("a", make_entry())
+            cache.put("b", make_entry())  # demotes a
+            assert cache.get("a") is not None  # disk hit, promoted: demotes b
             stats = cache.snapshot()
-            assert (stats.disk_hits, stats.promotions) == (1, 0)
+            assert (stats.promotions, stats.demotions, stats.evictions) == (1, 2, 0)
+            assert cache.peek("a") is not None and cache.peek("b") is None
+
+    def test_memory_only_eviction_is_a_loss(self):
+        cache = TieredPlanCache(memory_capacity=1)
+        cache.put("a", make_entry())
+        cache.put("b", make_entry())
+        stats = cache.snapshot()
+        assert (stats.evictions, stats.demotions, stats.disk_writes) == (1, 0, 0)
+        assert cache.get("a") is None
 
     def test_capacity_zero_serves_disk_only(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as disk:
@@ -340,11 +330,13 @@ class TestTieredPlanCache:
             assert cache.memory.snapshot().hits == 0
             assert disk.snapshot().hits == 0
 
-    def test_to_dict_is_cachestats_superset(self):
+    def test_stats_duck_type_cachestats(self):
+        # Gateway aggregation reads these off whichever tier a shard runs.
         from repro.service import CacheStats
 
-        tiered = TieredPlanCache(memory_capacity=2).snapshot().to_dict()
-        assert set(CacheStats().to_dict()) <= set(tiered)
+        tiered = TieredPlanCache(memory_capacity=2).snapshot()
+        for name in ("hits", "misses", "evictions", "lookups", "hit_rate"):
+            assert getattr(tiered, name) == getattr(CacheStats(), name)
 
     def test_evict_removes_from_both_tiers(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as disk:
@@ -358,10 +350,8 @@ class TestTieredPlanCache:
 
     def test_invalidate_covers_memory_resident_write_back(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as disk:
-            cache = TieredPlanCache(
-                memory_capacity=4, disk=disk, write_policy="write-back"
-            )
-            cache.put("hot", make_entry(backend="fastdp"))  # memory only
+            cache = TieredPlanCache(memory_capacity=4, disk=disk)
+            cache.memory.put("hot", make_entry(backend="fastdp"))  # memory only
             disk.put("cold", make_entry(backend="fastdp"))
             disk.put("keep", make_entry(backend="legacy"))
             doomed = cache.invalidate(InvalidationPredicate(backend="fastdp"))
@@ -391,10 +381,8 @@ class TestTieredPlanCache:
 
     def test_len_is_union_of_tiers(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as disk:
-            cache = TieredPlanCache(
-                memory_capacity=4, disk=disk, write_policy="write-back"
-            )
-            cache.put("memory-only", make_entry())
+            cache = TieredPlanCache(memory_capacity=4, disk=disk)
+            cache.memory.put("memory-only", make_entry())
             disk.put("disk-only", make_entry())
             cache.put("both", make_entry())
             disk.put("both", make_entry())
