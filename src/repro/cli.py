@@ -44,10 +44,10 @@ Commands:
   ``inspect`` (entries and their provenance records), ``export`` (write a
   compacted snapshot shippable to another shard or machine), ``import``
   (merge a snapshot into a log), and ``invalidate`` (selectively retire
-  entries by provenance predicate — backend, registry generation, creation
-  time, settings signature — without touching other entries);
-* ``backends`` — print the registered enumeration backends and their
-  declared capability matrix (what ``--backend auto`` chooses from).
+  entries by provenance predicate — backend, creation time, settings
+  signature — without touching other entries);
+* ``backends`` — print the enumeration backends and their declared
+  capability matrix, in the order ``--backend auto`` tries them.
 
 Examples::
 
@@ -69,7 +69,7 @@ Examples::
     python -m repro cache inspect /var/cache/mpq/shard-*.log
     python -m repro cache export /var/cache/mpq/shard-0.log -o snapshot.log
     python -m repro cache import snapshot.log --into /var/cache/mpq/shard-0.log
-    python -m repro cache invalidate /var/cache/mpq/*.log --backend fastdp --below-generation 7
+    python -m repro cache invalidate /var/cache/mpq/*.log --backend fastdp --created-before 1767225600
     python -m repro backends --json
 """
 
@@ -109,9 +109,9 @@ def _add_settings_flags(command: argparse.ArgumentParser, parametric: bool = Tru
         "--backend",
         choices=[backend.value for backend in Backend],
         default=Backend.AUTO.value,
-        help="enumeration core: auto (fastest capable and available, "
-        "default), the legacy object DP, the fastdp bitset core (plain "
-        "queries at reference speed), or the vecdp array core",
+        help="enumeration core: auto (fastest capable, default), the legacy "
+        "object DP, the fastdp bitset core (plain queries at reference "
+        "speed), or the vecdp array core",
     )
     if not parametric:
         return
@@ -397,12 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend", default=None, help="match entries produced by this backend"
     )
     invalidate.add_argument(
-        "--below-generation",
-        type=int,
-        default=None,
-        help="match entries created below this backend-registry generation",
-    )
-    invalidate.add_argument(
         "--created-before",
         type=float,
         default=None,
@@ -426,14 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     backends = commands.add_parser(
         "backends",
-        help="list registered enumeration backends and their capabilities",
-    )
-    backends.add_argument(
-        "--require",
-        default=None,
-        metavar="NAME",
-        help="exit non-zero unless backend NAME is registered and available "
-        "(deployment preflight check)",
+        help="list the enumeration backends and their capabilities",
     )
     backends.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
@@ -835,7 +822,6 @@ def _run_cache(args: argparse.Namespace) -> int:
                     f"  {record['fingerprint'][:16]}…  "
                     f"kind={record['kind']} "
                     f"backend={provenance['backend_used']} "
-                    f"generation={provenance['registry_generation']} "
                     f"partitions={provenance['n_partitions']} "
                     f"age={record['age_s']:.0f}s"
                 )
@@ -856,12 +842,7 @@ def _run_cache(args: argparse.Namespace) -> int:
         return 0
 
     assert args.cache_command == "invalidate"
-    conditions = (
-        args.backend,
-        args.below_generation,
-        args.created_before,
-        args.settings_signature,
-    )
+    conditions = (args.backend, args.created_before, args.settings_signature)
     if args.match_all and any(value is not None for value in conditions):
         raise SystemExit("--all cannot be combined with other conditions")
     if not args.match_all and all(value is None for value in conditions):
@@ -871,7 +852,6 @@ def _run_cache(args: argparse.Namespace) -> int:
         )
     predicate = InvalidationPredicate(
         backend=args.backend,
-        below_generation=args.below_generation,
         created_before_s=args.created_before,
         settings_signature=args.settings_signature,
     )
@@ -883,11 +863,12 @@ def _run_cache(args: argparse.Namespace) -> int:
                 {"log": path, "invalidated": len(removed), "remaining": len(tier)}
             )
     if args.json:
-        print(
-            json.dumps(
-                {"predicate": predicate.to_wire(), "logs": reports}, indent=2
-            )
-        )
+        supplied = {
+            name: value
+            for name, value in dataclasses.asdict(predicate).items()
+            if value is not None
+        }
+        print(json.dumps({"predicate": supplied, "logs": reports}, indent=2))
         return 0
     for report in reports:
         print(
@@ -898,55 +879,17 @@ def _run_cache(args: argparse.Namespace) -> int:
 
 
 def _run_backends(args: argparse.Namespace) -> int:
-    from repro.core.worker import capability_matrix, registered_backends
+    from repro.core.worker import capability_matrix
 
-    descriptors = registered_backends()
     matrix = capability_matrix()
     if args.json:
-        payload = {
-            descriptor.name: {
-                "speed_rank": descriptor.speed_rank,
-                "capabilities": matrix[descriptor.name],
-                "requires": list(descriptor.requires),
-                "available": descriptor.available(),
-                "unavailable_reason": descriptor.unavailable_reason(),
-            }
-            for descriptor in descriptors
-        }
+        payload = {name: {"capabilities": flags} for name, flags in matrix.items()}
         print(json.dumps(payload, indent=2))
-    else:
-        print(
-            "registered enumeration backends "
-            "(AUTO picks the first capable, available one):"
-        )
-        for descriptor in descriptors:
-            declared = ", ".join(
-                name
-                for name, declared_flag in matrix[descriptor.name].items()
-                if declared_flag
-            )
-            reason = descriptor.unavailable_reason()
-            status = "" if reason is None else f" [unavailable: {reason}]"
-            print(
-                f"  {descriptor.name:>8} (rank {descriptor.speed_rank})"
-                f"{status}: {declared}"
-            )
-    if args.require is not None:
-        wanted = {d.name: d for d in descriptors}.get(args.require)
-        if wanted is None:
-            print(
-                f"error: backend {args.require!r} is not registered "
-                f"(registered: {', '.join(d.name for d in descriptors)})",
-                file=sys.stderr,
-            )
-            return 1
-        reason = wanted.unavailable_reason()
-        if reason is not None:
-            print(
-                f"error: backend {args.require!r} is unavailable: {reason}",
-                file=sys.stderr,
-            )
-            return 1
+        return 0
+    print("enumeration backends (AUTO picks the first capable one):")
+    for name, flags in matrix.items():
+        declared = ", ".join(flag for flag, on in flags.items() if on)
+        print(f"  {name:>8}: {declared}")
     return 0
 
 

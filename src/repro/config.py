@@ -56,11 +56,12 @@ class Backend(enum.Enum):
       α-approximation are honestly undeclared, so ``AUTO`` routes those to
       ``fastdp``.
     * :attr:`AUTO` — not a core of its own: the dispatch in
-      :mod:`repro.core.worker` resolves it to the fastest *registered*,
-      *available* backend whose declared capabilities cover the settings
-      (see :class:`repro.core.worker.EnumerationBackend`): ``vecdp`` for
-      plain and exact multi-objective settings, ``fastdp`` for the rest.
-      This is the default.
+      :mod:`repro.core.worker` resolves it to the first backend, in the
+      order ``vecdp``, ``fastdp``, ``legacy``, whose declared capabilities
+      cover the settings (see
+      :data:`repro.core.worker.BACKEND_CAPABILITIES`): ``vecdp`` for plain
+      and exact multi-objective settings, ``fastdp`` for the rest.  This is
+      the default.
 
     Explicitly requesting a backend that does not declare the capabilities a
     settings value needs is an error — there is no silent fallback; the
@@ -141,8 +142,8 @@ class OptimizerSettings:
             shape shares one cache entry.  Requires ``parametric=True``.
         backend: which enumeration core runs the worker DP (see
             :class:`Backend`).  Accepts the enum or its string value.  The
-            default :attr:`Backend.AUTO` resolves to the fastest registered
-            backend capable of the settings — ``vecdp`` for plain and exact
+            default :attr:`Backend.AUTO` resolves to the fastest backend
+            capable of the settings — ``vecdp`` for plain and exact
             multi-objective settings, ``fastdp`` for interesting orders,
             parametric costs and multi-objective α > 1.
     """

@@ -91,11 +91,10 @@ Equivalence contract (checked by ``repro.testing`` and
   plans; a candidate is "kept" exactly when the legacy pruning would have
   kept it).
 
-The module self-registers with the backend registry of
-:mod:`repro.core.worker`, declaring the full capability set
-(:data:`CAPABILITIES`): :attr:`~repro.config.Backend.AUTO` resolves here
-for the classes vecdp leaves undeclared (interesting orders, parametric
-costs, multi-objective α > 1).
+:data:`repro.core.worker.BACKEND_CAPABILITIES` declares the full capability
+set for this core: :attr:`~repro.config.Backend.AUTO` resolves here for the
+classes vecdp leaves undeclared (interesting orders, parametric costs,
+multi-objective α > 1).
 """
 
 from __future__ import annotations
@@ -108,14 +107,11 @@ from repro.config import Backend, OptimizerSettings, PlanSpace
 from repro.core.constraints import partition_constraints
 from repro.core.partitioning import admissible_results_by_size
 from repro.core.worker import (
-    ALL_CAPABILITIES,
-    EnumerationBackend,
     PartitionResult,
     WorkerStats,
     _bushy_groups,
     bushy_operands,
     linear_after_masks,
-    register_backend,
 )
 from repro.cost.costmodel import CostModel
 from repro.cost.metrics import HASH_FACTOR, ExecutionTimeMetric
@@ -125,14 +121,6 @@ from repro.plans.operators import ALL_JOIN_ALGORITHMS
 from repro.plans.orders import UNSORTED, OrderInterner, SortOrder
 from repro.plans.plan import JoinPlan, Plan
 from repro.query.query import Query
-
-#: Back-pointer of a join entry: (left mask, left entry index, right mask,
-#: right entry index, join algorithm).  Scan entries store the ScanPlan
-#: itself.
-
-#: The capability set this core declares to the backend registry: every
-#: query class the optimizer settings can express.
-CAPABILITIES = ALL_CAPABILITIES
 
 
 def _adjacency_masks(query: Query) -> list[int]:
@@ -175,7 +163,7 @@ def optimize_partition_fastdp(
     """Optimize one plan-space partition with the fast enumeration core.
 
     Same contract as :func:`repro.core.worker.optimize_partition`; callers
-    normally go through the worker, whose registry dispatches on
+    normally go through the worker, which dispatches on
     ``settings.backend`` (this core declares every capability, so it is
     eligible for any settings value).
     """
@@ -334,7 +322,7 @@ def _run_single_orders(
     records = _predicate_records(query, interner)
 
     # entries[mask]: list of (cost, order id, back-pointer); scans store the
-    # ScanPlan itself as pointer, joins the 5-tuple described at module top.
+    # ScanPlan itself as pointer, joins the 5-tuple :func:`_build` walks.
     entries: dict[int, list[tuple[float, int, object]]] = {}
     rows: dict[int, float] = {}
     entries_get = entries.get  # hoisted: one method lookup, not one per call
@@ -513,44 +501,9 @@ def _run_single_orders(
         return []
     memo: dict[tuple[int, int], Plan] = {}
     return [
-        _build_single_orders(full_mask, index, entries, rows, interner, memo)
+        _build(full_mask, index, entries, rows, interner, memo)
         for index in range(len(final))
     ]
-
-
-def _build_single_orders(
-    mask: int,
-    index: int,
-    entries: dict[int, list[tuple[float, int, object]]],
-    rows: dict[int, float],
-    interner: OrderInterner,
-    memo: dict[tuple[int, int], Plan],
-) -> Plan:
-    """Materialize entry ``index`` of ``mask`` with its interned order."""
-    key = (mask, index)
-    plan = memo.get(key)
-    if plan is not None:
-        return plan
-    cost, order_id, pointer = entries[mask][index]
-    if isinstance(pointer, Plan):
-        memo[key] = pointer
-        return pointer
-    left_mask, left_index, right_mask, right_index, algorithm = pointer
-    plan = JoinPlan(
-        mask=mask,
-        rows=rows[mask],
-        cost=(cost,),
-        order=interner.order_of(order_id),
-        left=_build_single_orders(
-            left_mask, left_index, entries, rows, interner, memo
-        ),
-        right=_build_single_orders(
-            right_mask, right_index, entries, rows, interner, memo
-        ),
-        algorithm=algorithm,
-    )
-    memo[key] = plan
-    return plan
 
 
 # ---------------------------------------------------------------------- multi
@@ -829,24 +782,28 @@ def _run_frontier(
         return []
     memo: dict[tuple[int, int], Plan] = {}
     return [
-        _build_frontier(full_mask, index, entries, rows, interner, memo)
+        _build(full_mask, index, entries, rows, interner, memo)
         for index in range(len(final))
     ]
 
 
-def _build_frontier(
+def _build(
     mask: int,
     index: int,
-    entries: dict[int, list[tuple[tuple[float, ...], int, object]]],
+    entries: dict[int, list[tuple]],
     rows: dict[int, float],
     interner: OrderInterner,
     memo: dict[tuple[int, int], Plan],
 ) -> Plan:
     """Materialize entry ``index`` of ``mask`` by walking back-pointers.
 
-    Operand indices were recorded against finalized entry lists (strictly
-    smaller table sets are complete before any larger set references them),
-    so they resolve unambiguously here.
+    A join entry's back-pointer is (left mask, left entry index, right
+    mask, right entry index, join algorithm); a scan entry stores the
+    ScanPlan itself.  Operand indices were recorded against finalized entry
+    lists (strictly smaller table sets are complete before any larger set
+    references them), so they resolve unambiguously here.  The
+    single-objective orders kernel stores a bare float cost, the frontier
+    kernel a cost vector.
     """
     key = (mask, index)
     plan = memo.get(key)
@@ -860,27 +817,11 @@ def _build_frontier(
     plan = JoinPlan(
         mask=mask,
         rows=rows[mask],
-        cost=cost,
+        cost=cost if isinstance(cost, tuple) else (cost,),
         order=interner.order_of(order_id),
-        left=_build_frontier(
-            left_mask, left_index, entries, rows, interner, memo
-        ),
-        right=_build_frontier(
-            right_mask, right_index, entries, rows, interner, memo
-        ),
+        left=_build(left_mask, left_index, entries, rows, interner, memo),
+        right=_build(right_mask, right_index, entries, rows, interner, memo),
         algorithm=algorithm,
     )
     memo[key] = plan
     return plan
-
-
-# The fast core declares the full capability set — after this module, no
-# settings value routes to the legacy core unless explicitly requested.
-register_backend(
-    EnumerationBackend(
-        backend=Backend.FASTDP,
-        capabilities=CAPABILITIES,
-        speed_rank=10,
-        loader=lambda: optimize_partition_fastdp,
-    )
-)

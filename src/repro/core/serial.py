@@ -26,7 +26,7 @@ def optimize_serial(
     objectives it is the serial multi-objective DP of Trummer & Koch.
 
     The enumeration core is chosen by ``settings.backend`` through the
-    worker's capability registry (the default ``AUTO`` resolves to the
+    worker's capability table (the default ``AUTO`` resolves to the
     fastest capable backend); the core that ran is recorded in
     ``result.stats.backend_used``.
     """

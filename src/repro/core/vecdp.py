@@ -86,19 +86,16 @@ dominated by any later accepted one, in acceptance order; the decisions,
 counters, and entry order match :class:`~repro.cost.pruning.ParetoPruning`
 fed the same stream.  α > 1 is *not* vectorizable this way — α-dominance
 is not transitive, so pruning decisions depend on arrival order — which is
-why this backend declares :class:`~repro.core.worker.Capability`
-``MULTI_OBJECTIVE | BUSHY_SPACE`` and leaves ``ALPHA_APPROXIMATION``,
+why :data:`repro.core.worker.BACKEND_CAPABILITIES` declares
+:class:`~repro.core.worker.Capability` ``MULTI_OBJECTIVE | BUSHY_SPACE``
+for this backend and leaves ``ALPHA_APPROXIMATION``,
 ``INTERESTING_ORDERS``, and ``PARAMETRIC_COSTS`` honestly undeclared:
 ``AUTO`` routes those query classes to fastdp.
 
-The module self-registers with the backend registry at import with
-``speed_rank`` 5 (below fastdp's 10) and ``requires=("numpy",)``.  numpy
-is a package dependency (``numpy>=2``: ``bitwise_count`` buckets the
-levels), so the requirement only matters in a broken install, where
-resolution reports vecdp unavailable, with the reason.  numpy itself is
-imported lazily, on the first partition run: resolving ``AUTO`` and
-fingerprinting import this module, and a process that only serves cache
-hits never pays numpy's import time and memory.
+numpy is a package dependency (``numpy>=2``: ``bitwise_count`` buckets the
+levels).  The worker imports this module only when a partition runs on
+it — resolving ``AUTO`` and fingerprinting do not — so a process that only
+serves cache hits never pays numpy's import time and memory.
 """
 
 from __future__ import annotations
@@ -106,18 +103,17 @@ from __future__ import annotations
 import time
 from math import inf, log2
 
+import numpy as np
+
 from repro.config import Backend, OptimizerSettings, PlanSpace
 from repro.core.constraints import LinearConstraint, partition_constraints
 from repro.core.fastdp import _adjacency_masks
 from repro.core.worker import (
-    Capability,
-    EnumerationBackend,
     PartitionResult,
     WorkerStats,
     _bushy_groups,
     bushy_operands,
     linear_after_masks,
-    register_backend,
 )
 from repro.cost.costmodel import CostModel
 from repro.cost.metrics import (
@@ -130,11 +126,6 @@ from repro.cost.metrics import (
 from repro.plans.operators import ALL_JOIN_ALGORITHMS
 from repro.plans.plan import JoinPlan, Plan
 from repro.query.query import Query
-
-#: The capability set this core declares: plain and exact multi-objective
-#: optimization over both plan spaces.  Interesting orders, parametric
-#: costs, and α-approximate pruning stay undeclared (see module docstring).
-CAPABILITIES = Capability.MULTI_OBJECTIVE | Capability.BUSHY_SPACE
 
 #: Cap on cells per frontier candidate stream or dominance rectangle;
 #: levels that would exceed it are processed in row chunks (level masks
@@ -152,18 +143,6 @@ _BLOCK_CELLS = 1 << 12
 _PARETO_BLOCK = 256
 _PARETO_CELL = 32
 
-_NUMPY = None
-
-
-def _numpy():
-    """Import numpy on first use, not at module import (module docstring)."""
-    global _NUMPY
-    if _NUMPY is None:
-        import numpy
-
-        _NUMPY = numpy
-    return _NUMPY
-
 
 def optimize_partition_vecdp(
     query: Query,
@@ -174,10 +153,9 @@ def optimize_partition_vecdp(
     """Optimize one plan-space partition with the array-native core.
 
     Same contract as :func:`repro.core.worker.optimize_partition`; callers
-    normally go through the worker registry, which only routes settings
-    covered by :data:`CAPABILITIES` here.
+    normally go through the worker, which only routes settings covered by
+    this core's entry in :data:`repro.core.worker.BACKEND_CAPABILITIES`.
     """
-    np = _numpy()
     started = time.perf_counter()
     n = query.n_tables
     constraints = partition_constraints(
@@ -189,13 +167,13 @@ def optimize_partition_vecdp(
         n_constraints=len(constraints),
         backend_used=Backend.VECDP.value,
     )
-    by_size = _levels(np, n, constraints, stats)
+    by_size = _levels(n, constraints, stats)
     run = _run_frontier_vec if settings.is_multi_objective else _run_single_vec
     # Genuine candidate costs may overflow to +inf (the scalar cores
     # produce the same IEEE inf silently); placeholder cells add inf to
     # finite garbage.  Neither is an error worth a RuntimeWarning.
     with np.errstate(over="ignore", invalid="ignore"):
-        plans = run(np, query, constraints, by_size, CostModel(query, settings), stats)
+        plans = run(query, constraints, by_size, CostModel(query, settings), stats)
     stats.result_plans = len(plans)
     stats.wall_time_s = time.perf_counter() - started
     return PartitionResult(plans=plans, stats=stats)
@@ -204,7 +182,7 @@ def optimize_partition_vecdp(
 # ------------------------------------------------------------ shared helpers
 
 
-def _levels(np, n: int, constraints: tuple, stats: WorkerStats):
+def _levels(n: int, constraints: tuple, stats: WorkerStats):
     """Per-level admissible-mask arrays, plus ``stats.admissible_results``.
 
     One bulk popcount-bucketing of ``arange(2**n)``, minus the masks some
@@ -246,7 +224,7 @@ def _metric_kind(metric) -> str:
     )  # pragma: no cover - make_metrics only builds the three above
 
 
-def _prefill(np, query: Query, cost_model: CostModel, with_sort: bool):
+def _prefill(query: Query, cost_model: CostModel, with_sort: bool):
     """Dense ``rows`` / ``sort_term`` for all ``2**n`` masks, and the scans.
 
     ``rows`` replicates ``CardinalityEstimator.rows``: the masks with a
@@ -311,8 +289,7 @@ class _Splits:
     admissibility and of split order, constraints included.
     """
 
-    def __init__(self, np, query: Query, constraints: tuple, settings):
-        self.np = np
+    def __init__(self, query: Query, constraints: tuple, settings):
         self.linear = settings.plan_space is PlanSpace.LINEAR
         self.constrained = self.linear and bool(constraints)
         n = query.n_tables
@@ -358,7 +335,6 @@ class _Splits:
         of a block's masks one broadcast OR of the two halves' table rows,
         minus the first column (the mask itself) and the last (0).
         """
-        np = self.np
         if self.linear:
             columns = max(1, _BLOCK_CELLS // masks.shape[0])
             remaining = masks.copy()
@@ -396,7 +372,7 @@ class _Splits:
         order: the concatenation of :meth:`blocks`."""
         _, lefts, rights = zip(*self.blocks(masks, size))
         axis = 1 if self.linear else 0
-        return self.np.concatenate(lefts, axis), self.np.concatenate(rights, axis)
+        return np.concatenate(lefts, axis), np.concatenate(rights, axis)
 
     def unblocked(self, masks, right):
         """Cells whose singleton may be joined last (constrained linear)."""
@@ -412,7 +388,6 @@ class _Splits:
 
 
 def _run_single_vec(
-    np,
     query: Query,
     constraints: tuple,
     by_size: dict,
@@ -437,13 +412,13 @@ def _run_single_vec(
     cost = np.full(state, inf, dtype=np.float64)
     bp_right = np.zeros(state, dtype=np.int64)
     bp_algo = np.full(state, -1, dtype=np.int8)
-    rows, sort_term, scan_list = _prefill(np, query, cost_model, kind == "time")
+    rows, sort_term, scan_list = _prefill(query, cost_model, kind == "time")
     scans: dict[int, Plan] = {}
     for table_number, scan in enumerate(scan_list):
         scans[1 << table_number] = scan
         cost[1 << table_number] = scan.cost[0]
 
-    source = _Splits(np, query, constraints, settings)
+    source = _Splits(query, constraints, settings)
     splits = considered = kept = 0
     stored = n
     # True while every admissible mask so far stored an entry — the normal
@@ -593,7 +568,7 @@ def _build_single_vec(mask: int, cost, rows, bp_right, bp_algo, memo: dict[int, 
 # ---------------------------------------------------------------------- multi
 
 
-def _weak_le(np, dominators, dominated):
+def _weak_le(dominators, dominated):
     """``out[m, j, i]``: row ``j`` of the first weakly dominates row ``i`` of
     the second, per mask ``m`` — per-metric ANDs, which cost a fraction of an
     ``.all(axis=-1)`` reduction over the short trailing axis."""
@@ -603,7 +578,7 @@ def _weak_le(np, dominators, dominated):
     return out
 
 
-def _pareto_filter(np, candidates, widths):
+def _pareto_filter(candidates, widths):
     """Order-faithful weak-Pareto filter over many masks' candidate streams.
 
     ``candidates`` is the flat ``(total, K)`` concatenation of one stream
@@ -642,7 +617,7 @@ def _pareto_filter(np, candidates, widths):
     cells = np.concatenate([candidates, np.full((padding, n_metrics), inf)])
     cells = cells.reshape(-1, _PARETO_CELL, n_metrics)
     cell_owner = np.concatenate([owner, np.full(padding, -1)]).reshape(-1, _PARETO_CELL)
-    beaten = _weak_le(np, cells, cells)
+    beaten = _weak_le(cells, cells)
     beaten &= np.tri(_PARETO_CELL, k=-1, dtype=bool).T  # by earlier rows only
     beaten &= cell_owner[:, :, None] == cell_owner[:, None, :]
     shortlist = np.flatnonzero(~beaten.any(axis=1).reshape(-1)[:total])
@@ -674,13 +649,13 @@ def _pareto_filter(np, candidates, widths):
         for start in range(0, width, _PARETO_BLOCK):
             block = rect[:, start : start + _PARETO_BLOCK]
             size = block.shape[1]
-            within = _weak_le(np, block, block)
+            within = _weak_le(block, block)
             earlier = np.tri(size, k=-1, dtype=bool).T  # earlier[j, i] ⇔ j < i
             dominated = (within & earlier).any(axis=1)
             if front.shape[0]:
                 front_alive = alive[:, front]
                 dominated |= (
-                    _weak_le(np, rect[:, front], block) & front_alive[:, :, None]
+                    _weak_le(rect[:, front], block) & front_alive[:, :, None]
                 ).any(axis=1)
             keep = real[:, start : start + size] & ~dominated
             accepted += int(keep.sum())
@@ -691,7 +666,7 @@ def _pareto_filter(np, candidates, widths):
             ).any(axis=1)
             if front.shape[0]:
                 front_alive &= ~(
-                    _weak_le(np, block, rect[:, front]) & evictor
+                    _weak_le(block, rect[:, front]) & evictor
                 ).any(axis=1)
                 alive[:, front] = front_alive
                 front = front[front_alive.any(axis=0)]
@@ -704,7 +679,6 @@ def _pareto_filter(np, candidates, widths):
 
 
 def _run_frontier_vec(
-    np,
     query: Query,
     constraints: tuple,
     by_size: dict,
@@ -726,8 +700,8 @@ def _run_frontier_vec(
     n = query.n_tables
     settings = cost_model.settings
     kinds = [_metric_kind(metric) for metric in cost_model.metrics]
-    rows, sort_term, scans = _prefill(np, query, cost_model, "time" in kinds)
-    source = _Splits(np, query, constraints, settings)
+    rows, sort_term, scans = _prefill(query, cost_model, "time" in kinds)
+    source = _Splits(query, constraints, settings)
 
     singletons = np.int64(1) << np.arange(n, dtype=np.int64)
     first = np.zeros(1 << n, dtype=np.int64)
@@ -826,7 +800,7 @@ def _run_frontier_vec(
                         np.maximum(lc, rc), operators[split_of, algo]
                     )
 
-            accepted, survivors = _pareto_filter(np, candidates, per_mask[chunk])
+            accepted, survivors = _pareto_filter(candidates, per_mask[chunk])
             kept += accepted
             owner = split_row[split_of[survivors]]
             stored = np.bincount(owner, minlength=chunk_masks.shape[0])
@@ -876,17 +850,3 @@ def _run_frontier_vec(
         return plan
 
     return [build(entry) for entry in range(start, start + int(count[full_mask]))]
-
-
-# Registration is unconditional so the backends matrix always lists vecdp;
-# availability (numpy importable) is checked at resolution time, and AUTO
-# silently routes around the backend while it is unavailable.
-register_backend(
-    EnumerationBackend(
-        backend=Backend.VECDP,
-        capabilities=CAPABILITIES,
-        speed_rank=5,
-        loader=lambda: optimize_partition_vecdp,
-        requires=("numpy",),
-    )
-)

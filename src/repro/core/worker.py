@@ -19,11 +19,8 @@ Two split-enumeration strategies, as in the paper:
 from __future__ import annotations
 
 import enum
-import importlib.util
 import time
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 from repro.config import Backend, OptimizerSettings, PlanSpace
 from repro.core.constraints import (
@@ -141,191 +138,52 @@ def required_capabilities(settings: OptimizerSettings) -> Capability:
     return needed
 
 
-@lru_cache(maxsize=None)
-def _module_importable(module: str) -> bool:
-    """Whether ``module`` can be imported (spec probe, no actual import)."""
-    return importlib.util.find_spec(module) is not None
-
-
-def _find_module(module: str) -> bool:
-    """Availability probe seam: tests monkeypatch this to simulate absence."""
-    return _module_importable(module)
-
-
-#: A backend's entry point: same contract as :func:`optimize_partition`.
-PartitionRunner = Callable[
-    ["Query", int, int, OptimizerSettings], "PartitionResult"
-]
-
-
-@dataclass(frozen=True)
-class EnumerationBackend:
-    """A registered enumeration core: identity, capabilities, entry point.
-
-    ``speed_rank`` orders backends for :attr:`~repro.config.Backend.AUTO`
-    resolution — lower ranks win among the capable.  ``loader`` is called
-    lazily so registering a backend does not import its (possibly heavy)
-    module; the resolved runner is cached after the first call.
-    """
-
-    backend: Backend
-    capabilities: Capability
-    #: AUTO picks the capable backend with the smallest rank.
-    speed_rank: int
-    loader: Callable[[], PartitionRunner]
-    #: Modules the backend needs at run time (e.g. ``("numpy",)``).
-    #: Registration is unconditional — the matrix always shows the backend —
-    #: but resolution treats it as unavailable while any requirement is
-    #: missing, with the reason reportable instead of a silent omission.
-    requires: tuple[str, ...] = ()
-    _runner: list = field(default_factory=list, repr=False, compare=False)
-
-    @property
-    def name(self) -> str:
-        """The backend's wire name (the :class:`Backend` enum value)."""
-        return self.backend.value
-
-    def unavailable_reason(self) -> str | None:
-        """Why this backend cannot run here, or ``None`` if it can.
-
-        Checked against the declared ``requires`` modules; the string is
-        surfaced by ``python -m repro backends`` and by the error raised
-        when the backend is requested explicitly.
-        """
-        missing = [module for module in self.requires if not _find_module(module)]
-        if missing:
-            return f"{', '.join(missing)} not installed"
-        return None
-
-    def available(self) -> bool:
-        """Whether every required module is importable."""
-        return self.unavailable_reason() is None
-
-    def supports(self, settings: OptimizerSettings) -> bool:
-        """Whether the declared capabilities cover these settings."""
-        needed = required_capabilities(settings)
-        return needed & self.capabilities == needed
-
-    def missing(self, settings: OptimizerSettings) -> Capability:
-        """The capabilities these settings need but this backend lacks."""
-        return required_capabilities(settings) & ~self.capabilities
-
-    def run(
-        self,
-        query: Query,
-        partition_id: int,
-        n_partitions: int,
-        settings: OptimizerSettings,
-    ) -> PartitionResult:
-        """Run one partition on this backend (resolving the runner lazily)."""
-        if not self._runner:
-            self._runner.append(self.loader())
-        return self._runner[0](query, partition_id, n_partitions, settings)
-
-
-_BACKEND_REGISTRY: dict[Backend, EnumerationBackend] = {}
-
-#: Bumped on every (re-)registration; memoizers keyed on settings values
-#: that embed AUTO's *resolution* (the service fingerprint) include this so
-#: a registry change invalidates them instead of serving stale signatures.
-_REGISTRY_GENERATION = 0
-
-
-def registry_generation() -> int:
-    """A counter that changes whenever the backend registry changes.
-
-    Built-in backends are import-registered first: a generation observed by
-    a memoizer (e.g. the service's settings-signature cache) must describe
-    the *fully initialized* registry, or a signature computed before the
-    lazy built-in imports would be keyed to a generation that silently
-    advances moments later — the mid-process-registration instability this
-    counter exists to make observable.
-    """
-    _ensure_builtin_backends()
-    return _REGISTRY_GENERATION
-
-
-def register_backend(descriptor: EnumerationBackend) -> None:
-    """Register (or replace) an enumeration backend.
-
-    Re-registration under the same :class:`~repro.config.Backend` key
-    replaces the previous descriptor — the hook tests and future backends
-    use to swap in instrumented cores.
-    """
-    global _REGISTRY_GENERATION
-    if descriptor.backend is Backend.AUTO:
-        raise ValueError("AUTO is a resolution rule, not a registrable backend")
-    _BACKEND_REGISTRY[descriptor.backend] = descriptor
-    _REGISTRY_GENERATION += 1
-
-
-def registered_backends() -> tuple[EnumerationBackend, ...]:
-    """All registered backends, fastest (lowest rank) first."""
-    _ensure_builtin_backends()
-    return tuple(
-        sorted(_BACKEND_REGISTRY.values(), key=lambda d: d.speed_rank)
-    )
+#: The enumeration cores and the capabilities each declares, in AUTO's
+#: preference order: AUTO resolves to the first entry covering the settings.
+BACKEND_CAPABILITIES: dict[Backend, Capability] = {
+    # Plain and exact multi-objective only: α-dominance is not transitive,
+    # and orders / parametric envelopes have no array formulation here.
+    Backend.VECDP: Capability.MULTI_OBJECTIVE | Capability.BUSHY_SPACE,
+    Backend.FASTDP: ALL_CAPABILITIES,
+    Backend.LEGACY: ALL_CAPABILITIES,
+}
 
 
 def capability_matrix() -> dict[str, dict[str, bool]]:
     """``{backend name: {capability name: declared}}`` — the README matrix."""
     return {
-        descriptor.name: {
-            capability.name.lower(): bool(capability & descriptor.capabilities)
+        backend.value: {
+            capability.name.lower(): bool(capability & declared)
             for capability in Capability
         }
-        for descriptor in registered_backends()
+        for backend, declared in BACKEND_CAPABILITIES.items()
     }
 
 
-def _ensure_builtin_backends() -> None:
-    """Import-register the built-in cores that self-register on import."""
-    if Backend.FASTDP not in _BACKEND_REGISTRY:
-        from repro.core import fastdp  # noqa: F401  (registers itself)
-    if Backend.VECDP not in _BACKEND_REGISTRY:
-        from repro.core import vecdp  # noqa: F401  (registers itself)
-
-
-def resolve_backend(settings: OptimizerSettings) -> EnumerationBackend:
+def resolve_backend(settings: OptimizerSettings) -> Backend:
     """The backend that will run these settings.
 
-    :attr:`~repro.config.Backend.AUTO` resolves to the fastest capable
-    *available* registered backend (a backend whose required modules are
-    missing is skipped, not an error).  An explicitly requested backend must
-    declare every needed capability and be available — routing around an
-    incapable or absent core silently would make a fallback
-    indistinguishable from the requested run, which is exactly the failure
-    mode ``WorkerStats.backend_used`` exists to rule out.
+    :attr:`~repro.config.Backend.AUTO` resolves to the first capable entry
+    of :data:`BACKEND_CAPABILITIES`.  An explicitly requested backend must
+    declare every needed capability — routing around an incapable core
+    silently would make a fallback indistinguishable from the requested
+    run, which is exactly the failure mode ``WorkerStats.backend_used``
+    exists to rule out.  Resolution imports no core.
     """
-    _ensure_builtin_backends()
+    needed = required_capabilities(settings)
     if settings.backend is Backend.AUTO:
-        capable = [
-            descriptor
-            for descriptor in _BACKEND_REGISTRY.values()
-            if descriptor.supports(settings) and descriptor.available()
-        ]
-        if not capable:
-            raise ValueError(
-                f"no registered backend supports "
-                f"{required_capabilities(settings)!r}"
-            )
-        return min(capable, key=lambda descriptor: descriptor.speed_rank)
-    descriptor = _BACKEND_REGISTRY.get(settings.backend)
-    if descriptor is None:
-        raise ValueError(f"backend {settings.backend.value!r} is not registered")
-    reason = descriptor.unavailable_reason()
-    if reason is not None:
-        raise ValueError(
-            f"backend {descriptor.name!r} is unavailable: {reason}; use "
-            f"Backend.AUTO to pick an available backend"
+        return next(
+            backend
+            for backend, declared in BACKEND_CAPABILITIES.items()
+            if needed & declared == needed
         )
-    if not descriptor.supports(settings):
+    missing = needed & ~BACKEND_CAPABILITIES[settings.backend]
+    if missing:
         raise ValueError(
-            f"backend {descriptor.name!r} does not declare "
-            f"{descriptor.missing(settings)!r}; use Backend.AUTO to pick a "
-            f"capable backend"
+            f"backend {settings.backend.value!r} does not declare {missing!r}; "
+            f"use Backend.AUTO to pick a capable backend"
         )
-    return descriptor
+    return settings.backend
 
 
 @dataclass
@@ -349,25 +207,33 @@ def optimize_partition(
     With ``n_partitions == 1`` this is exactly the classical (serial) DP —
     the baseline the paper computes speedups against.
 
-    ``settings.backend`` selects the enumeration core from the backend
-    registry (:func:`resolve_backend`): the object-based DP of this module
+    ``settings.backend`` selects the enumeration core
+    (:func:`resolve_backend`): the object-based DP of this module
     (:attr:`~repro.config.Backend.LEGACY`), the flat bitset core of
-    :mod:`repro.core.fastdp` (:attr:`~repro.config.Backend.FASTDP`), or —
-    the default — :attr:`~repro.config.Backend.AUTO`, which picks the
-    fastest backend whose declared :class:`Capability` set covers the
-    settings.  All backends produce identical plans and statistics; the one
-    that ran is recorded in ``stats.backend_used``.  This function is the
-    single task the MPQ partition executors ship to worker processes.
+    :mod:`repro.core.fastdp` (:attr:`~repro.config.Backend.FASTDP`), the
+    array core of :mod:`repro.core.vecdp`
+    (:attr:`~repro.config.Backend.VECDP`), or — the default —
+    :attr:`~repro.config.Backend.AUTO`, the first entry of
+    :data:`BACKEND_CAPABILITIES` whose declared :class:`Capability` set
+    covers the settings.  All backends produce identical plans and
+    statistics; each core stamps ``stats.backend_used`` itself, so a
+    runner that routes elsewhere is observable.  The runner is looked up
+    at call time — a core module is imported only when a partition runs on
+    it.  This function is the single task the MPQ partition executors ship
+    to worker processes.
     """
-    descriptor = resolve_backend(settings)
-    result = descriptor.run(query, partition_id, n_partitions, settings)
-    # The cores stamp backend_used themselves — the stamp reports what
-    # actually ran, not what the registry *meant* to run, so a descriptor
-    # whose loader routes elsewhere is observable.  Only fill in the name
-    # for third-party runners that left it empty.
-    if not result.stats.backend_used:
-        result.stats.backend_used = descriptor.name
-    return result
+    backend = resolve_backend(settings)
+    if backend is Backend.VECDP:
+        from repro.core import vecdp
+
+        run = vecdp.optimize_partition_vecdp
+    elif backend is Backend.FASTDP:
+        from repro.core import fastdp
+
+        run = fastdp.optimize_partition_fastdp
+    else:
+        run = _optimize_partition_legacy
+    return run(query, partition_id, n_partitions, settings)
 
 
 def _optimize_partition_legacy(
@@ -562,17 +428,3 @@ def _run_bushy(
                 _consider_joins(
                     left_plans, right_plans, mask, table, cost_model, pruning, stats
                 )
-
-
-# The reference core registers here; the fastdp core self-registers from
-# repro.core.fastdp (imported on first resolution), declaring the same full
-# capability set with a better speed rank — so AUTO resolves to fastdp for
-# every settings value while LEGACY stays selectable for differential runs.
-register_backend(
-    EnumerationBackend(
-        backend=Backend.LEGACY,
-        capabilities=ALL_CAPABILITIES,
-        speed_rank=100,
-        loader=lambda: _optimize_partition_legacy,
-    )
-)

@@ -43,6 +43,7 @@ from functools import lru_cache
 
 from repro.config import OptimizerSettings
 from repro.core.constraints import usable_partitions
+from repro.core.worker import resolve_backend
 from repro.query.query import Query
 from repro.query.schema import Table
 
@@ -59,28 +60,18 @@ def _table_signature(table: Table) -> tuple:
 
 
 def _settings_signature(settings: OptimizerSettings) -> tuple:
-    # Memoized: backend resolution consults the registry, and the serving
-    # hot path calls this once per request with a handful of distinct
-    # settings values.  The registry generation is part of the memo key so
-    # registering/replacing a backend (which can change what AUTO resolves
-    # to) invalidates cached signatures instead of serving stale ones.
-    #
     # A θ binding is stripped *before* the memo probe: θ parameterizes the
     # lookup into a cached envelope, never the optimization problem, so
     # every θ of one settings value must share one signature (hence one
     # fingerprint and one cache entry) — and must not churn the memo with
     # per-θ variants.
-    from repro.core.worker import registry_generation
-
-    return _settings_signature_cached(
-        settings.without_theta(), registry_generation()
-    )
+    return _settings_signature_cached(settings.without_theta())
 
 
-@lru_cache(maxsize=128)  # bounded: stale-generation entries must age out
-def _settings_signature_cached(
-    settings: OptimizerSettings, generation: int
-) -> tuple:
+# Memoized: the serving hot path calls this once per request with a handful
+# of distinct settings values.
+@lru_cache(maxsize=128)
+def _settings_signature_cached(settings: OptimizerSettings) -> tuple:
     # The backend is part of the signature even though all backends return
     # equivalent frontiers: the cached entry also carries run statistics
     # (simulated timing), which are backend-specific, and keeping the key
@@ -88,8 +79,6 @@ def _settings_signature_cached(
     # AUTO is hashed as the backend it *resolves* to, so a request with the
     # default AUTO and one explicitly naming the same core share an entry —
     # the execution, not the spelling, keys the cache.
-    from repro.core.worker import resolve_backend
-
     return (
         settings.plan_space.value,
         tuple(objective.value for objective in settings.objectives),
@@ -97,7 +86,7 @@ def _settings_signature_cached(
         settings.consider_orders,
         settings.use_all_join_algorithms,
         settings.parametric,
-        resolve_backend(settings).backend.value,
+        resolve_backend(settings).value,
     )
 
 
@@ -106,8 +95,8 @@ def settings_signature(settings: OptimizerSettings) -> str:
 
     This is what cache-entry provenance records store: it embeds the backend
     that ``Backend.AUTO`` resolved to at creation time, so an entry remains
-    attributable — and selectively invalidatable — even after the registry
-    changes what AUTO means.  The string is ``repr`` of the same tuple the
+    attributable — and selectively invalidatable — even after a code change
+    moves what AUTO resolves to.  The string is ``repr`` of the same tuple the
     fingerprint hashes, so provenance and fingerprints can never disagree
     about what the settings were.
     """

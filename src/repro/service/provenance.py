@@ -2,15 +2,15 @@
 
 A persistent plan cache outlives the code that filled it: the enumeration
 backend that produced an entry may have been replaced, the cost model
-retuned, the backend registry regenerated.  Serving such an entry silently
-would be wrong in exactly the way ProvSQL warns about — a cached answer
-with no record of *how it was derived* can neither be audited nor
-selectively retired.  So every cached entry carries a
-:class:`Provenance` record stamped at creation, and invalidation is
-expressed as an :class:`InvalidationPredicate` over those records:
-"everything produced by backend X below registry generation G" removes
+retuned.  Serving such an entry silently would be wrong in exactly the way
+ProvSQL warns about — a cached answer with no record of *how it was
+derived* can neither be audited nor selectively retired.  So every cached
+entry carries a :class:`Provenance` record stamped at creation, and
+invalidation is expressed as an :class:`InvalidationPredicate` over those
+records: "everything produced by backend X before time T" removes
 precisely the suspect entries and leaves the rest serving, instead of
-flushing the whole cache because one backend changed.
+flushing the whole cache because one backend changed.  A timestamp, unlike
+a per-process counter, means the same thing after a restart.
 
 Both types are plain JSON-compatible data so they travel inside disk-tier
 records and cache snapshots unchanged.
@@ -35,12 +35,10 @@ class Provenance:
     makes a served-from-cache answer auditable against a fresh run.
     """
 
-    #: Enumeration backend that computed the plans (``"legacy"``/``"fastdp"``).
+    #: Enumeration backend that computed the plans (``"vecdp"`` etc.).
     backend_used: str
     #: Resolved settings signature (see module docstring).
     settings_signature: str
-    #: :func:`repro.core.worker.registry_generation` at creation time.
-    registry_generation: int
     #: Unix timestamp of entry creation.
     created_at_s: float
     #: Partition count of the creating run.
@@ -58,7 +56,6 @@ class Provenance:
         wire = {
             "backend_used": self.backend_used,
             "settings_signature": self.settings_signature,
-            "registry_generation": self.registry_generation,
             "created_at_s": self.created_at_s,
             "n_partitions": self.n_partitions,
             "worker_stats": dict(self.worker_stats),
@@ -69,12 +66,16 @@ class Provenance:
 
     @classmethod
     def from_wire(cls, data: Mapping[str, Any]) -> "Provenance":
-        """Rebuild a record from :meth:`to_wire` output."""
+        """Rebuild a record from :meth:`to_wire` output.
+
+        Keys this version does not read are ignored: records written by
+        older versions also carry a backend-registry generation counter,
+        and decode unchanged.
+        """
         domain = data.get("theta_domain")
         return cls(
             backend_used=str(data["backend_used"]),
             settings_signature=str(data["settings_signature"]),
-            registry_generation=int(data["registry_generation"]),
             created_at_s=float(data["created_at_s"]),
             n_partitions=int(data["n_partitions"]),
             worker_stats=dict(data.get("worker_stats", {})),
@@ -124,8 +125,6 @@ class InvalidationPredicate:
 
     #: Match entries produced by this backend (``"fastdp"``/``"legacy"``).
     backend: str | None = None
-    #: Match entries created at a registry generation strictly below this.
-    below_generation: int | None = None
     #: Match entries created before this Unix timestamp.
     created_before_s: float | None = None
     #: Match entries whose resolved settings signature equals this.
@@ -136,7 +135,6 @@ class InvalidationPredicate:
         """Whether this is the unconditional (flush-all) predicate."""
         return (
             self.backend is None
-            and self.below_generation is None
             and self.created_before_s is None
             and self.settings_signature is None
         )
@@ -150,11 +148,6 @@ class InvalidationPredicate:
         if self.backend is not None and provenance.backend_used != self.backend:
             return False
         if (
-            self.below_generation is not None
-            and provenance.registry_generation >= self.below_generation
-        ):
-            return False
-        if (
             self.created_before_s is not None
             and provenance.created_at_s >= self.created_before_s
         ):
@@ -165,34 +158,3 @@ class InvalidationPredicate:
         ):
             return False
         return True
-
-    def to_wire(self) -> dict[str, Any]:
-        """JSON-compatible encoding (only the supplied conditions)."""
-        wire: dict[str, Any] = {}
-        if self.backend is not None:
-            wire["backend"] = self.backend
-        if self.below_generation is not None:
-            wire["below_generation"] = self.below_generation
-        if self.created_before_s is not None:
-            wire["created_before_s"] = self.created_before_s
-        if self.settings_signature is not None:
-            wire["settings_signature"] = self.settings_signature
-        return wire
-
-    @classmethod
-    def from_wire(cls, data: Mapping[str, Any]) -> "InvalidationPredicate":
-        """Rebuild a predicate from :meth:`to_wire` output."""
-        return cls(
-            backend=data.get("backend"),
-            below_generation=(
-                int(data["below_generation"])
-                if data.get("below_generation") is not None
-                else None
-            ),
-            created_before_s=(
-                float(data["created_before_s"])
-                if data.get("created_before_s") is not None
-                else None
-            ),
-            settings_signature=data.get("settings_signature"),
-        )

@@ -50,7 +50,7 @@ from repro.core.envelope import (
     build_envelope_index,
 )
 from repro.core.master import MasterResult, PartitionExecutor, SerialPartitionExecutor
-from repro.core.worker import PartitionResult, registry_generation
+from repro.core.worker import PartitionResult
 from repro.cost.pruning import final_prune, make_pruning
 from repro.plans.plan import Plan, plan_tie_key
 from repro.query.query import Query
@@ -98,7 +98,7 @@ class CacheEntry:
     #: so a cached answer stays attributable to the core that produced it.
     backend_used: str = ""
     #: How this entry came to be (backend, resolved settings signature,
-    #: registry generation, creation time, aggregated worker stats).  What a
+    #: creation time, aggregated worker stats).  What a
     #: persistent tier persists alongside the plans, and what invalidation
     #: predicates evaluate against.  ``None`` only for hand-built entries.
     provenance: Provenance | None = None
@@ -451,7 +451,6 @@ class OptimizerService:
         provenance = Provenance(
             backend_used=master.backend_used,
             settings_signature=settings_signature(settings),
-            registry_generation=registry_generation(),
             created_at_s=time.time(),
             n_partitions=master.n_partitions,
             worker_stats=aggregate_worker_stats(

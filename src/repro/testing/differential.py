@@ -45,11 +45,12 @@ Typical use::
     # Include interesting orders and parametric costs in the sweep:
     run_differential_oracle(n_queries=200, features=("plain", "orders", "parametric"))
 
-Adding a new backend safely: register an
-:class:`repro.core.worker.EnumerationBackend` declaring its capabilities
-(or pass a plain callable here), then add it to the ``backends`` tuple of
-the property tests in ``tests/test_differential.py`` — the oracle takes
-care of the rest.
+Adding a new backend safely: give it a row in
+:data:`repro.core.worker.BACKEND_CAPABILITIES` declaring its capabilities
+and a dispatch branch in :func:`repro.core.worker.optimize_partition` (or
+pass a plain callable here), then add it to the ``backends`` tuple of the
+property tests in ``tests/test_differential.py`` — the oracle takes care of
+the rest.
 """
 
 from __future__ import annotations

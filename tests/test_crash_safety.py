@@ -35,7 +35,7 @@ needs_flock = pytest.mark.skipif(fcntl is None, reason="fcntl unavailable")
 def filled_tier(path: Path, n: int = 6) -> DiskTier:
     tier = DiskTier(path)
     for i in range(n):
-        tier.put(f"key-{i}", make_entry(generation=i))
+        tier.put(f"key-{i}", make_entry(created=i))
     return tier
 
 
@@ -56,7 +56,7 @@ class TestTornAppend:
         with DiskTier(log) as reopened:
             assert sorted(reopened.keys()) == [f"key-{i}" for i in range(6)]
             for i in range(6):
-                assert reopened.get(f"key-{i}") == make_entry(generation=i)
+                assert reopened.get(f"key-{i}") == make_entry(created=i)
             # The torn record is gone, and the log is usable for new writes.
             assert reopened.get("torn") is None
             reopened.put("after-crash", make_entry())
@@ -103,7 +103,7 @@ class TestCompactionFailure:
         # The PR 7 bug: handles were closed before the failure surfaced, so
         # every later get/put raised ValueError("I/O operation on closed
         # file").  The tier must instead keep serving...
-        assert tier.get("key-0") == make_entry(generation=0)
+        assert tier.get("key-0") == make_entry(created=0)
         tier.put("post-failure", make_entry())
         assert tier.get("post-failure") == make_entry()
         # ...and must not leak the temp snapshot.
@@ -123,7 +123,7 @@ class TestCompactionFailure:
         monkeypatch.setattr(os, "replace", real_replace)
         # The old log is intact and the handles were re-opened on it.
         assert sorted(tier.keys()) == [f"key-{i}" for i in range(4)]
-        assert tier.get("key-2") == make_entry(generation=2)
+        assert tier.get("key-2") == make_entry(created=2)
         tier.put("after", make_entry())
         assert tier.get("after") == make_entry()
         assert not list(tmp_path.glob("*.compact"))
@@ -132,10 +132,10 @@ class TestCompactionFailure:
     def test_successful_compact_still_works(self, tmp_path):
         tier = filled_tier(tmp_path / "cache.log")
         for i in range(6):
-            tier.put(f"key-{i}", make_entry(generation=100 + i))  # supersede
+            tier.put(f"key-{i}", make_entry(created=100 + i))  # supersede
         reclaimed = tier.compact()
         assert reclaimed > 0
-        assert tier.get("key-3") == make_entry(generation=103)
+        assert tier.get("key-3") == make_entry(created=103)
         tier.put("fresh", make_entry())
         assert tier.get("fresh") == make_entry()
         assert not list(tmp_path.glob("*.compact"))
@@ -272,9 +272,9 @@ class TestAutoCompaction:
         # 6 live keys over 16 log records: live ratio 6/16 = 0.375.
         tier = DiskTier(path, compact_ratio=compact_ratio)
         for i in range(6):
-            tier.put(f"key-{i}", make_entry(generation=i))
+            tier.put(f"key-{i}", make_entry(created=i))
         for generation in range(10):
-            tier.put("key-0", make_entry(generation=0))
+            tier.put("key-0", make_entry(created=0))
         return tier
 
     def test_close_compacts_churned_log(self, tmp_path):
@@ -289,7 +289,7 @@ class TestAutoCompaction:
             assert reopened.live_ratio() == 1.0
             assert sorted(reopened.keys()) == [f"key-{i}" for i in range(6)]
             for i in range(6):
-                assert reopened.get(f"key-{i}") == make_entry(generation=i)
+                assert reopened.get(f"key-{i}") == make_entry(created=i)
 
     def test_open_compacts_a_dirty_log(self, tmp_path):
         log = tmp_path / "cache.log"
@@ -306,7 +306,7 @@ class TestAutoCompaction:
         log = tmp_path / "cache.log"
         with DiskTier(log, compact_ratio=0.5) as tier:
             for i in range(6):
-                tier.put(f"key-{i}", make_entry(generation=i))
+                tier.put(f"key-{i}", make_entry(created=i))
             clean_bytes = tier.log_bytes()
         assert log.stat().st_size == clean_bytes  # close rewrote nothing
         with DiskTier(log, compact_ratio=0.5) as reopened:
@@ -337,7 +337,7 @@ class TestAutoCompaction:
         monkeypatch.undo()
         # The tier survived with open handles (compact()'s contract), the
         # retry compacts, and every live record is still there.
-        assert tier.get("key-3") == make_entry(generation=3)
+        assert tier.get("key-3") == make_entry(created=3)
         tier.close()
         with DiskTier(log) as reopened:
             assert reopened.live_ratio() == 1.0

@@ -430,25 +430,16 @@ class TestOracleMachinery:
         with pytest.raises(ValueError, match="unknown feature"):
             run_differential_oracle(n_queries=1, features=("quantum",))
 
-    def test_silent_backend_substitution_raises_routing_error(self):
+    def test_silent_backend_substitution_raises_routing_error(self, monkeypatch):
         """A backend that routes to a different core must not pass silently."""
-        from repro.core import worker
-        from repro.core.worker import EnumerationBackend
+        from repro.core import fastdp, worker
 
-        impostor = EnumerationBackend(
-            backend=Backend.FASTDP,
-            capabilities=worker.ALL_CAPABILITIES,
-            speed_rank=10,
-            loader=lambda: worker._optimize_partition_legacy,
+        monkeypatch.setattr(
+            fastdp, "optimize_partition_fastdp", worker._optimize_partition_legacy
         )
-        original = worker._BACKEND_REGISTRY[Backend.FASTDP]
-        worker.register_backend(impostor)
-        try:
-            query = SteinbrunnGenerator(seed=13).query(3, JoinGraphKind.CHAIN)
-            with pytest.raises(BackendRoutingError, match="fastdp"):
-                frontier(query, OptimizerSettings(), "fastdp")
-        finally:
-            worker.register_backend(original)
+        query = SteinbrunnGenerator(seed=13).query(3, JoinGraphKind.CHAIN)
+        with pytest.raises(BackendRoutingError, match="fastdp"):
+            frontier(query, OptimizerSettings(), "fastdp")
 
     def test_needs_two_backends(self):
         query = SteinbrunnGenerator(seed=13).query(3, JoinGraphKind.CHAIN)

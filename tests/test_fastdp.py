@@ -4,12 +4,17 @@ The differential tests prove frontier equivalence; these tests pin the
 stronger drop-in contract — identical worker *statistics* (the raw material
 of the simulated-cluster accounting), identical plan trees (including
 interesting-order and parametric settings, which the fast core handles
-natively), the capability-declaring backend registry with its ``AUTO``
+natively), the fixed backend → capability table with its ``AUTO``
 resolution, ``backend_used`` observability end to end, and the
 config/CLI/service wiring of ``OptimizerSettings.backend``.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,12 +32,11 @@ from repro.core.partitioning import admissible_results_by_size
 from repro.core.serial import optimize_serial
 from repro.core.worker import (
     ALL_CAPABILITIES,
+    BACKEND_CAPABILITIES,
     Capability,
-    EnumerationBackend,
     WorkerStats,
     capability_matrix,
     optimize_partition,
-    registered_backends,
     required_capabilities,
     resolve_backend,
 )
@@ -474,12 +478,12 @@ class TestVecdpPartitionedParity:
 
 
 class TestCapabilityRegistry:
-    """The capability-declaring backend architecture and AUTO resolution."""
+    """The fixed backend → capability table and AUTO resolution."""
 
     def test_fastdp_declares_everything(self):
-        assert fastdp.CAPABILITIES == ALL_CAPABILITIES
+        assert BACKEND_CAPABILITIES[Backend.FASTDP] == ALL_CAPABILITIES
         matrix = capability_matrix()
-        assert set(matrix) == {"legacy", "fastdp", "vecdp"}
+        assert list(matrix) == ["vecdp", "fastdp", "legacy"]  # AUTO's order
         for name in ("legacy", "fastdp"):
             assert all(matrix[name].values()), matrix
         # vecdp is honest about its narrower feature set.
@@ -532,76 +536,56 @@ class TestCapabilityRegistry:
     )
     def test_auto_resolves_to_fastest_capable_backend(self, settings, expected):
         assert settings.backend is Backend.AUTO
-        assert resolve_backend(settings).backend.value == expected
+        assert resolve_backend(settings).value == expected
 
     def test_explicit_backends_resolve_to_themselves(self):
         for backend in (Backend.LEGACY, Backend.FASTDP):
             settings = OptimizerSettings(
                 consider_orders=True, backend=backend
             )
-            assert resolve_backend(settings).backend is backend
+            assert resolve_backend(settings) is backend
 
     def test_incapable_explicit_backend_is_an_error_not_a_fallback(self):
         """Requesting a backend that lacks a capability must fail loudly."""
-        from repro.core import worker
+        settings = OptimizerSettings(consider_orders=True, backend=Backend.VECDP)
+        with pytest.raises(ValueError, match="INTERESTING_ORDERS"):
+            resolve_backend(settings)
+        # AUTO routes around the gap instead of failing.
+        assert resolve_backend(settings.replace(backend=Backend.AUTO)) is Backend.FASTDP
 
-        limited = EnumerationBackend(
-            backend=Backend.FASTDP,
-            capabilities=ALL_CAPABILITIES & ~Capability.INTERESTING_ORDERS,
-            speed_rank=10,
-            loader=lambda: fastdp.optimize_partition_fastdp,
+    def test_resolution_fingerprinting_and_service_import_no_core(self):
+        """A process that resolves, fingerprints and builds a service — all a
+        hit-only server does before its first DP run — never imports a core
+        module, nor numpy."""
+        script = (
+            "import sys\n"
+            "from repro.algorithms.pqo import parametric_settings\n"
+            "from repro.config import MULTI_OBJECTIVE, OptimizerSettings, PlanSpace\n"
+            "from repro.core.worker import resolve_backend\n"
+            "from repro.query.generator import SteinbrunnGenerator\n"
+            "from repro.service import OptimizerService, fingerprint\n"
+            "classes = [OptimizerSettings(), OptimizerSettings(plan_space=PlanSpace.BUSHY),\n"
+            "    OptimizerSettings(objectives=MULTI_OBJECTIVE),\n"
+            "    OptimizerSettings(objectives=MULTI_OBJECTIVE, alpha=2.0),\n"
+            "    OptimizerSettings(consider_orders=True), parametric_settings()]\n"
+            "query = SteinbrunnGenerator(seed=1).query(6)\n"
+            "for settings in classes:\n"
+            "    resolve_backend(settings)\n"
+            "    fingerprint(query, settings, 4)\n"
+            "OptimizerService(n_workers=2).close()\n"
+            "print([m for m in ('numpy', 'repro.core.vecdp', 'repro.core.fastdp')"
+            " if m in sys.modules])\n"
         )
-        original = worker._BACKEND_REGISTRY[Backend.FASTDP]
-        worker.register_backend(limited)
-        try:
-            settings = OptimizerSettings(
-                consider_orders=True, backend=Backend.FASTDP
-            )
-            with pytest.raises(ValueError, match="INTERESTING_ORDERS"):
-                resolve_backend(settings)
-            # AUTO routes around the gap instead of failing.
-            auto = resolve_backend(settings.replace(backend=Backend.AUTO))
-            assert auto.backend is Backend.LEGACY
-        finally:
-            worker.register_backend(original)
-
-    def test_registered_backends_sorted_by_speed_rank(self):
-        ranks = [d.speed_rank for d in registered_backends()]
-        assert ranks == sorted(ranks)
-        assert registered_backends()[0].backend is Backend.VECDP
-        assert registered_backends()[0].available()
-
-    def test_auto_is_not_registrable(self):
-        from repro.core import worker
-
-        with pytest.raises(ValueError, match="AUTO"):
-            worker.register_backend(
-                EnumerationBackend(
-                    backend=Backend.AUTO,
-                    capabilities=ALL_CAPABILITIES,
-                    speed_rank=1,
-                    loader=lambda: fastdp.optimize_partition_fastdp,
-                )
-            )
-
-    def test_auto_falls_back_to_fastdp_without_numpy(self, monkeypatch):
-        """With numpy absent, vecdp stays registered but unavailable: AUTO
-        routes plain queries to fastdp, and requesting vecdp explicitly is a
-        loud error naming the missing module."""
-        from repro.core import worker
-
-        monkeypatch.setattr(
-            worker, "_find_module", lambda module: module != "numpy"
+        src = Path(__file__).resolve().parents[1] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
         )
-        try:
-            vec = worker._BACKEND_REGISTRY[Backend.VECDP]
-            assert not vec.available()
-            assert "numpy not installed" == vec.unavailable_reason()
-            assert resolve_backend(OptimizerSettings()).backend is Backend.FASTDP
-            with pytest.raises(ValueError, match="numpy not installed"):
-                resolve_backend(OptimizerSettings(backend=Backend.VECDP))
-        finally:
-            monkeypatch.undo()
+        assert completed.stdout.strip() == "[]"
 
 
 class TestBackendUsedObservability:
@@ -668,12 +652,10 @@ class TestBackendUsedObservability:
 
         assert main(["backends", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"legacy", "fastdp", "vecdp"}
+        assert list(payload) == ["vecdp", "fastdp", "legacy"]
         assert payload["fastdp"]["capabilities"]["interesting_orders"]
         assert payload["fastdp"]["capabilities"]["parametric_costs"]
-        assert payload["vecdp"]["requires"] == ["numpy"]
-        assert payload["vecdp"]["available"] is True
-        assert payload["vecdp"]["unavailable_reason"] is None
+        assert not payload["vecdp"]["capabilities"]["interesting_orders"]
 
 
 class TestBackendWiring:
@@ -747,7 +729,7 @@ class TestBackendWiring:
 
     def test_default_backend_is_auto_resolving_to_fastest_available(self):
         assert OptimizerSettings().backend is Backend.AUTO
-        assert resolve_backend(OptimizerSettings()).backend.value == "vecdp"
+        assert resolve_backend(OptimizerSettings()).value == "vecdp"
 
     def test_empty_partition_result_possible(self):
         """A 1-table query exercises the degenerate no-join path."""

@@ -190,8 +190,6 @@ class TestLookupAccounting:
 
 class TestLookupNeverServesAStaleMemo:
     def test_invalidated_and_rerun_key_serves_the_new_entry(self, tmp_path):
-        from repro.core import worker
-
         query = SteinbrunnGenerator(73).query(5)
         listen = f"unix:{tmp_path / 'shard.sock'}"
         with ServerThread(listen, n_workers=WORKERS) as running:
@@ -200,17 +198,13 @@ class TestLookupNeverServesAStaleMemo:
                 # Served by lookup: the entry's memo is now filled.
                 assert gateway.optimize(query) == dataclasses.replace(first, cached=True)
                 key = first.fingerprint
-                old_generation = (
-                    running.server._cache().peek(key).provenance.registry_generation
-                )
+                created_at_s = running.server._cache().peek(key).provenance.created_at_s
 
-                # Retire the entry, move the registry on (as a mid-process
-                # backend registration would), and make the re-run visibly
-                # different: a slower simulated cluster.
+                # Retire the entry and make the re-run visibly different: a
+                # slower simulated cluster.
                 assert request(
                     running, {"op": "snapshot", "mode": "evict", "keys": [key]}
                 )["evicted"] == 1
-                worker._REGISTRY_GENERATION += 1
                 shard = running.server.gateway.shards[0]
                 shard.cluster = ClusterModel(task_setup_s=0.5)
 
@@ -219,7 +213,7 @@ class TestLookupNeverServesAStaleMemo:
                 assert ops == ["lookup", "optimize"] and not rerun.cached
                 assert rerun.simulated_time_ms != first.simulated_time_ms
                 entry = running.server._cache().peek(key)
-                assert entry.provenance.registry_generation > old_generation
+                assert entry.provenance.created_at_s > created_at_s
                 ops.clear()
                 served = gateway.optimize(query)
                 assert ops == ["lookup"] and served.cached

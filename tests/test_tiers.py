@@ -4,17 +4,13 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
 from repro.cluster.executors import SerialPartitionExecutor
 from repro.cluster.simulator import SimulatedTiming
 from repro.config import Backend, OptimizerSettings
-from repro.core.worker import (
-    registered_backends,
-    register_backend,
-    registry_generation,
-)
 from repro.plans.plan import ScanPlan
 from repro.query.generator import make_chain_query, make_star_query
 from repro.service import (
@@ -30,7 +26,6 @@ from repro.service.tiers import LOG_MAGIC, entry_from_wire, entry_to_wire
 
 def make_entry(
     backend: str = "fastdp",
-    generation: int = 1,
     created: float = 100.0,
     signature: str = "sig",
     with_provenance: bool = True,
@@ -41,7 +36,6 @@ def make_entry(
         Provenance(
             backend_used=backend,
             settings_signature=signature,
-            registry_generation=generation,
             created_at_s=created,
             n_partitions=2,
             worker_stats={"plans_considered": 7.0},
@@ -208,11 +202,11 @@ class TestDiskTier:
     def test_invalidate_by_predicate_persists(self, tmp_path):
         log = tmp_path / "cache.log"
         with DiskTier(log) as tier:
-            tier.put("old-legacy", make_entry(backend="legacy", generation=1))
-            tier.put("old-fastdp", make_entry(backend="fastdp", generation=1))
-            tier.put("new-fastdp", make_entry(backend="fastdp", generation=5))
+            tier.put("old-legacy", make_entry(backend="legacy", created=1.0))
+            tier.put("old-fastdp", make_entry(backend="fastdp", created=1.0))
+            tier.put("new-fastdp", make_entry(backend="fastdp", created=5.0))
             doomed = tier.invalidate(
-                InvalidationPredicate(backend="fastdp", below_generation=5)
+                InvalidationPredicate(backend="fastdp", created_before_s=5.0)
             )
             assert doomed == ["old-fastdp"]
             assert tier.snapshot().evictions == 1
@@ -416,8 +410,8 @@ class CountingSerialExecutor(SerialPartitionExecutor):
 
 
 class TestSelectiveInvalidationAcceptance:
-    """ISSUE acceptance: a registry-generation bump invalidates exactly the
-    matching entries; everything else keeps serving without a DP run."""
+    """Retiring one backend's entries created before an upgrade invalidates
+    exactly those; everything else keeps serving without a DP run."""
 
     def test_backend_upgrade_retires_only_its_own_entries(self, tmp_path):
         executor = CountingSerialExecutor()
@@ -441,18 +435,11 @@ class TestSelectiveInvalidationAcceptance:
             )
             assert backends == ["fastdp", "legacy"]
 
-            # "Upgrade" the fastdp core: re-registering bumps the registry
-            # generation, making every earlier fastdp entry suspect.
-            descriptor = next(
-                d for d in registered_backends() if d.backend is Backend.FASTDP
-            )
-            register_backend(descriptor)
-            new_generation = registry_generation()
-
+            # "Upgrade" the fastdp core: every fastdp entry created before
+            # the upgrade is suspect.
+            upgraded_at_s = time.time()
             doomed = cache.invalidate(
-                InvalidationPredicate(
-                    backend="fastdp", below_generation=new_generation
-                )
+                InvalidationPredicate(backend="fastdp", created_before_s=upgraded_at_s)
             )
             assert len(doomed) == 1
 
@@ -464,111 +451,10 @@ class TestSelectiveInvalidationAcceptance:
             result_a = service.optimize(query_a, legacy)
             assert result_a.cached
             assert executor.calls == 3
-            # And the re-created entry carries the new generation.
+            # And the re-created entry postdates the upgrade.
             refreshed = [
                 provenance
                 for __, provenance, __kind in cache.disk.entries()
                 if provenance.backend_used == "fastdp"
             ]
-            assert [p.registry_generation for p in refreshed] == [
-                new_generation
-            ]
-
-
-class TestMidProcessRegistrationStability:
-    """ISSUE acceptance: registering a backend mid-process must not disturb
-    entries pinned to explicit backends — their resolved settings signatures
-    (and hence fingerprints and provenance) are stable across the registry
-    generation bump — while entries keyed on AUTO's *old* resolution become
-    unreachable and can be retired selectively by signature + generation."""
-
-    def test_vecdp_registration_retires_only_auto_resolved_entries(
-        self, tmp_path
-    ):
-        from repro.config import MULTI_OBJECTIVE
-        from repro.core import worker
-        from repro.service.fingerprint import settings_signature
-
-        # Simulate a process in which vecdp has not registered yet: pop the
-        # descriptor and advance the generation the way any registry change
-        # would, so memoized signatures cannot leak the popped backend.
-        saved = worker._BACKEND_REGISTRY.pop(Backend.VECDP)
-        worker._REGISTRY_GENERATION += 1
-
-        executor = CountingSerialExecutor()
-        cache = TieredPlanCache(
-            memory_capacity=16, disk=DiskTier(tmp_path / "cache.log")
-        )
-        pinned = OptimizerSettings(
-            backend=Backend.FASTDP, objectives=MULTI_OBJECTIVE
-        )
-        auto = OptimizerSettings()
-        try:
-            with OptimizerService(
-                n_workers=2, executor=executor, cache=cache
-            ) as service:
-                assert worker.resolve_backend(auto).backend is Backend.FASTDP
-                pinned_signature = settings_signature(pinned)
-                auto_signature_old = settings_signature(auto)
-                assert "'fastdp'" in auto_signature_old
-
-                query_a, query_b = make_chain_query(5), make_star_query(5)
-                service.optimize(query_a, pinned)
-                service.optimize(query_b, auto)
-                assert executor.calls == 2
-
-                # The mid-process registration: vecdp comes (back) online.
-                register_backend(saved)
-                new_generation = registry_generation()
-                assert worker.resolve_backend(auto).backend is Backend.VECDP
-
-                # Pinned signatures are bit-stable across the bump, so the
-                # pinned entry keeps serving without a fresh DP run.
-                assert settings_signature(pinned) == pinned_signature
-                result_a = service.optimize(query_a, pinned)
-                assert result_a.cached
-                assert executor.calls == 2
-
-                # AUTO's signature now embeds the new resolution: the old
-                # entry is unreachable, and exactly it matches the retire
-                # predicate (old resolved signature, below new generation).
-                auto_signature_new = settings_signature(auto)
-                assert auto_signature_new != auto_signature_old
-                assert "'vecdp'" in auto_signature_new
-                doomed = cache.invalidate(
-                    InvalidationPredicate(
-                        settings_signature=auto_signature_old,
-                        below_generation=new_generation,
-                    )
-                )
-                assert len(doomed) == 1
-
-                # Re-optimizing under AUTO runs the new backend and stamps
-                # provenance with the new resolution, the new generation,
-                # and a complete aggregated WorkerStats summary.
-                result_b = service.optimize(query_b, auto)
-                assert not result_b.cached
-                assert executor.calls == 3
-                assert result_b.backend_used == "vecdp"
-                refreshed = [
-                    provenance
-                    for __, provenance, __kind in cache.disk.entries()
-                    if provenance.settings_signature == auto_signature_new
-                ]
-                assert len(refreshed) == 1
-                assert refreshed[0].backend_used == "vecdp"
-                assert refreshed[0].registry_generation == new_generation
-                summary = refreshed[0].worker_stats
-                assert summary["result_plans"] >= 1
-                assert summary["plans_considered"] > 0
-                assert summary["wall_time_s"] >= 0.0
-                # The pinned entry's provenance never moved.
-                stale_free = [
-                    provenance
-                    for __, provenance, __kind in cache.disk.entries()
-                    if provenance.settings_signature == pinned_signature
-                ]
-                assert [p.backend_used for p in stale_free] == ["fastdp"]
-        finally:
-            if Backend.VECDP not in worker._BACKEND_REGISTRY:
-                register_backend(saved)
+            assert [p.created_at_s >= upgraded_at_s for p in refreshed] == [True]

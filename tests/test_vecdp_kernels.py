@@ -86,7 +86,7 @@ class TestParetoFilter:
     def test_matches_sequential_pruning(self, streams):
         candidates, widths = streams
         accepted, survivors = vecdp._pareto_filter(
-            np, candidates, np.asarray(widths, dtype=np.int64)
+            candidates, np.asarray(widths, dtype=np.int64)
         )
         expected_accepted, expected_survivors = _sequential(candidates.tolist(), widths)
         assert accepted == expected_accepted
@@ -95,7 +95,7 @@ class TestParetoFilter:
     def test_all_overflowed_stream_keeps_its_first_row(self):
         """Real ``+inf`` rows count like any other; only padding is inert."""
         candidates = np.full((5, 2), inf)
-        accepted, survivors = vecdp._pareto_filter(np, candidates, np.asarray([2, 3]))
+        accepted, survivors = vecdp._pareto_filter(candidates, np.asarray([2, 3]))
         assert accepted == 2
         assert survivors.tolist() == [0, 2]
 
@@ -116,7 +116,7 @@ class TestLevels:
     def test_equals_scalar_enumeration_for_every_partition(self, space, n_tables):
         for partition_id, n_partitions, constraints in _every_partition(n_tables, space):
             stats = WorkerStats(partition_id, n_partitions, len(constraints))
-            levels = vecdp._levels(np, n_tables, constraints, stats)
+            levels = vecdp._levels(n_tables, constraints, stats)
             expected = admissible_results_by_size(n_tables, constraints, space)
             assert {
                 size: set(masks.tolist()) for size, masks in levels.items()
@@ -146,8 +146,8 @@ def _scalar_rect(query, constraints, space, masks):
 def _assert_rectangles_match_spec(n_tables: int, constraints: tuple):
     """Every level's rectangle is ``bushy_operands`` minus 0 / mask, padded."""
     query = SteinbrunnGenerator(5).query(n_tables, JoinGraphKind.CHAIN)
-    source = vecdp._Splits(np, query, constraints, BUSHY)
-    levels = vecdp._levels(np, n_tables, constraints, WorkerStats(0, 1, 0))
+    source = vecdp._Splits(query, constraints, BUSHY)
+    levels = vecdp._levels(n_tables, constraints, WorkerStats(0, 1, 0))
     for size, masks in levels.items():
         if masks.shape[0] == 0:
             continue
@@ -211,9 +211,9 @@ class TestEqui:
         query, partition_id, n_partitions = drawn
         n = query.n_tables
         constraints = partition_constraints(n, partition_id, n_partitions, PlanSpace.BUSHY)
-        source = vecdp._Splits(np, query, constraints, BUSHY)
+        source = vecdp._Splits(query, constraints, BUSHY)
         adjacency = _adjacency_masks(query)
-        levels = vecdp._levels(np, n, constraints, WorkerStats(0, 1, 0))
+        levels = vecdp._levels(n, constraints, WorkerStats(0, 1, 0))
         for size, masks in levels.items():
             if masks.shape[0] == 0:
                 continue
@@ -243,8 +243,8 @@ class TestBlocks:
         query, partition_id, n_partitions = drawn
         n = query.n_tables
         constraints = partition_constraints(n, partition_id, n_partitions, space)
-        source = vecdp._Splits(np, query, constraints, OptimizerSettings(plan_space=space))
-        levels = vecdp._levels(np, n, constraints, WorkerStats(0, 1, 0))
+        source = vecdp._Splits(query, constraints, OptimizerSettings(plan_space=space))
+        levels = vecdp._levels(n, constraints, WorkerStats(0, 1, 0))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(vecdp, "_BLOCK_CELLS", cells)
             for size, masks in levels.items():
