@@ -34,12 +34,13 @@ from repro.cluster.serialization import (
     sma_task_bytes,
 )
 from repro.cluster.simulator import DEFAULT_CLUSTER, ClusterModel
-from repro.config import DEFAULT_SETTINGS, OptimizerSettings, PlanSpace
+from repro.config import DEFAULT_SETTINGS, OptimizerSettings
+from repro.core.partitioning import admissible_results_by_size
+from repro.core.worker import WorkerStats, scan_table, solve_table_set, split_source
 from repro.cost.costmodel import CostModel
 from repro.cost.pruning import PlanTable, make_pruning
 from repro.plans.plan import Plan
 from repro.query.query import Query
-from repro.util.bitset import bits, iter_proper_nonempty_subsets
 
 
 @dataclass
@@ -52,6 +53,7 @@ class SMARoundStats:
     worker_plans_considered: list[int]
     #: New memotable plans produced this round (shipped to everyone).
     new_entries: int
+    #: Bytes the round's task, collection and broadcast messages carried.
     round_bytes: int
     round_seconds: float
 
@@ -83,20 +85,6 @@ class SMAReport:
         return self.simulated_seconds * 1e3
 
 
-def _level_masks(n_tables: int, size: int) -> list[int]:
-    """All table sets of the given cardinality, in ascending mask order."""
-    # Gosper's hack: iterate k-subsets of an n-set in increasing mask order.
-    masks = []
-    mask = (1 << size) - 1
-    limit = 1 << n_tables
-    while mask < limit:
-        masks.append(mask)
-        low = mask & -mask
-        ripple = mask + low
-        mask = ripple | (((mask ^ ripple) >> 2) // low)
-    return masks
-
-
 def optimize_sma(
     query: Query,
     n_workers: int,
@@ -105,9 +93,11 @@ def optimize_sma(
 ) -> SMAReport:
     """Optimize ``query`` with the fine-grained SMA baseline.
 
-    Produces the same optimal plans as serial DP; the report's traffic and
-    simulated time reflect the shared-memotable, multi-round coordination
-    pattern described above.
+    Produces the same optimal plans as serial DP — workers run the worker's
+    own DP step over the unconstrained :func:`~repro.core.worker.split_source`,
+    so candidates arrive in serial DP's order — while the report's traffic
+    and simulated time reflect the shared-memotable, multi-round
+    coordination pattern described above.
     """
     if n_workers < 1:
         raise ValueError("need at least one worker")
@@ -118,10 +108,8 @@ def optimize_sma(
     accountant = NetworkAccountant(model=cluster.network)
     report = SMAReport(plans=[], n_workers=n_workers)
 
-    table: PlanTable = {}
-    for table_number in range(n):
-        for scan in cost_model.scan_plans(table_number):
-            pruning.consider(table, scan.mask, scan.cost, scan.order, lambda s=scan: s)
+    table = scan_table(cost_model, pruning)
+    splits_of = split_source(n, (), settings.plan_space)
 
     # Initial statistics distribution: the master sends the query (with
     # statistics) to every worker, as it does for MPQ.
@@ -129,13 +117,13 @@ def optimize_sma(
     elapsed = accountant.send_many([stats_bytes] * n_workers)
 
     stored_plans = sum(len(entry) for entry in table.values())
-    for size in range(2, n + 1):
-        level = _level_masks(n, size)
-        # Round-robin assignment of table sets to workers (the paper's
-        # master hands out "specific pairs of join operands" — we batch per
-        # level, which favours SMA).
+    for size, level in admissible_results_by_size(n, (), settings.plan_space).items():
+        round_start_bytes = accountant.total_bytes
+        # Round-robin assignment of table sets, in ascending mask order, to
+        # workers (the paper's master hands out "specific pairs of join
+        # operands" — we batch per level, which favours SMA).
         assignments: list[list[int]] = [[] for _ in range(n_workers)]
-        for index, mask in enumerate(level):
+        for index, mask in enumerate(sorted(level)):
             assignments[index % n_workers].append(mask)
 
         # 1. Task dispatch: one message per worker naming its sets.
@@ -146,11 +134,11 @@ def optimize_sma(
 
         # 2. Workers solve their sets (emulated in-process, ops counted).
         worker_ops = []
-        for sets in assignments:
-            ops = 0
+        for worker, sets in enumerate(assignments):
+            stats = WorkerStats(worker, n_workers, n_constraints=0)
             for mask in sets:
-                ops += _solve_set(mask, table, cost_model, pruning, settings)
-            worker_ops.append(ops)
+                solve_table_set(mask, splits_of(mask), table, cost_model, pruning, stats)
+            worker_ops.append(stats.plans_considered)
         round_seconds += max(worker_ops, default=0) * cluster.seconds_per_plan
 
         # 3. Result collection + memotable broadcast for the next round.
@@ -176,7 +164,7 @@ def optimize_sma(
                 n_sets=len(level),
                 worker_plans_considered=worker_ops,
                 new_entries=new_entries,
-                round_bytes=0,  # filled below from the accountant delta
+                round_bytes=accountant.total_bytes - round_start_bytes,
                 round_seconds=round_seconds,
             )
         )
@@ -190,75 +178,9 @@ def optimize_sma(
     report.simulated_seconds = elapsed
     report.memotable_entries = len(table)
     report.wall_time_s = time.perf_counter() - started
-    _fill_round_bytes(report)
     return report
 
 
 def _entries_of(masks: list[int], table: PlanTable) -> int:
     """Stored plans for the given table sets (a worker's round output)."""
     return sum(len(table.get(mask, ())) for mask in masks)
-
-
-def _solve_set(
-    mask: int,
-    table: PlanTable,
-    cost_model: CostModel,
-    pruning,
-    settings: OptimizerSettings,
-) -> int:
-    """Find best plans for one table set; returns costed-candidate count."""
-    ops = 0
-    if settings.plan_space is PlanSpace.LINEAR:
-        for inner in bits(mask):
-            rest = mask ^ (1 << inner)
-            left_plans = table.get(rest)
-            if left_plans is None:
-                continue
-            right_plans = table[1 << inner]
-            ops += _consider(left_plans, right_plans, mask, table, cost_model, pruning)
-    else:
-        for left_mask in iter_proper_nonempty_subsets(mask):
-            left_plans = table.get(left_mask)
-            right_plans = table.get(mask ^ left_mask)
-            if left_plans is None or right_plans is None:
-                continue
-            ops += _consider(left_plans, right_plans, mask, table, cost_model, pruning)
-    return ops
-
-
-def _consider(
-    left_plans: list[Plan],
-    right_plans: list[Plan],
-    mask: int,
-    table: PlanTable,
-    cost_model: CostModel,
-    pruning,
-) -> int:
-    ops = 0
-    for left in left_plans:
-        for right in right_plans:
-            for candidate in cost_model.join_candidates(left, right):
-                ops += 1
-                pruning.consider(
-                    table,
-                    mask,
-                    candidate.cost,
-                    candidate.order,
-                    lambda l=left, r=right, c=candidate: cost_model.build_join(l, r, c),
-                )
-    return ops
-
-
-def _fill_round_bytes(report: SMAReport) -> None:
-    """Attribute total bytes to rounds proportionally to their messages.
-
-    Round-level byte attribution is informational (plots use the total); an
-    exact per-round split would require interleaving the accountant, which
-    obscures the main flow.
-    """
-    total_rounds = len(report.rounds)
-    if total_rounds == 0:
-        return
-    per_round = report.network_bytes // total_rounds
-    for round_stats in report.rounds:
-        round_stats.round_bytes = per_round

@@ -1,6 +1,6 @@
 """Shared-nothing cluster timing model.
 
-The substitution for the paper's 100-node Spark cluster (see DESIGN.md):
+The substitution for the paper's 100-node Spark cluster:
 worker DP runs are executed in-process and *instrumented*; this module
 composes their counted operations with a network and task-overhead model
 into simulated wall-clock time, the quantity the paper's "Time (ms)" axes

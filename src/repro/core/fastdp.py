@@ -79,9 +79,10 @@ Full query-class coverage (no legacy fallback):
 Equivalence contract (checked by ``repro.testing`` and
 ``tests/test_fastdp.py``):
 
-* candidates are generated in the legacy order — table sets by level, inner
-  operands in ascending bit order (linear) / ``bushy_operands`` order
-  (bushy), stored sub-plans in insertion order, operators in
+* candidates are generated in the legacy order — table sets by level,
+  splits from :func:`~repro.core.worker.split_source` (the one definition
+  of split admissibility and order, which the legacy DP iterates too),
+  stored sub-plans in insertion order, operators in
   ``ALL_JOIN_ALGORITHMS`` order — so order-sensitive tie-breaking and
   α-pruning (α > 1) decisions match the legacy backend exactly;
 * all cost arithmetic either calls the same :class:`~repro.cost.metrics`
@@ -103,16 +104,10 @@ import time
 from collections.abc import Callable
 from math import inf, log2
 
-from repro.config import Backend, OptimizerSettings, PlanSpace
+from repro.config import Backend, OptimizerSettings
 from repro.core.constraints import partition_constraints
 from repro.core.partitioning import admissible_results_by_size
-from repro.core.worker import (
-    PartitionResult,
-    WorkerStats,
-    _bushy_groups,
-    bushy_operands,
-    linear_after_masks,
-)
+from repro.core.worker import PartitionResult, WorkerStats, split_source
 from repro.cost.costmodel import CostModel
 from repro.cost.metrics import HASH_FACTOR, ExecutionTimeMetric
 from repro.cost.parametric import IncrementalEnvelope
@@ -183,13 +178,14 @@ def optimize_partition_fastdp(
 
     cost_model = CostModel(query, settings)
     adjacency = _adjacency_masks(query)
+    splits_of = split_source(n, constraints, settings.plan_space)
     if settings.consider_orders and not settings.is_multi_objective:
         plans = _run_single_orders(
-            query, constraints, by_size, cost_model, adjacency, stats
+            query, splits_of, by_size, cost_model, adjacency, stats
         )
     else:
         plans = _run_frontier(
-            query, constraints, by_size, cost_model, adjacency, stats,
+            query, splits_of, by_size, cost_model, adjacency, stats,
             parametric=settings.parametric,
         )
     stats.result_plans = len(plans)
@@ -288,7 +284,7 @@ def _first_connecting(
 
 def _run_single_orders(
     query: Query,
-    constraints: tuple,
+    splits_of: Callable[[int], list[tuple[int, int]]],
     by_size: dict[int, list[int]],
     cost_model: CostModel,
     adjacency: list[int],
@@ -348,38 +344,13 @@ def _run_single_orders(
         rows[1 << table_number] = scan.rows
 
     splits = considered = kept = 0
-    linear = settings.plan_space is PlanSpace.LINEAR
-    if linear:
-        after = linear_after_masks(n, constraints)
-    else:
-        groups = _bushy_groups(n, constraints)
-
-    # One split buffer per level sweep, preallocated once and reused for
-    # every mask (a level's masks admit at most n splits each), instead of
-    # a fresh list allocation per mask.
-    splits_iter: list[tuple[int, int]] = []
-    for size in range(2, n + 1):
-        for mask in by_size.get(size, ()):
+    for masks in by_size.values():  # ascending cardinality
+        for mask in masks:
             out_rows = -1.0
             entry = {}
             floor = inf
             unsorted_cost = None
-            del splits_iter[:]
-            if linear:
-                remaining = mask
-                while remaining:
-                    low = remaining & -remaining
-                    remaining ^= low
-                    inner = low.bit_length() - 1
-                    if after[inner] & mask:
-                        continue
-                    splits_iter.append((mask ^ low, low))
-            else:
-                for left_mask in bushy_operands(mask, groups):
-                    if left_mask == 0 or left_mask == mask:
-                        continue
-                    splits_iter.append((left_mask, mask ^ left_mask))
-            for left_mask, right_mask in splits_iter:
+            for left_mask, right_mask in splits_of(mask):
                 left_entry = entries_get(left_mask)
                 if left_entry is None:
                     continue
@@ -490,20 +461,7 @@ def _run_single_orders(
                 entries[mask] = list(entry.values())
                 rows[mask] = out_rows if out_rows >= 0.0 else est_rows(mask)
 
-    stats.splits_considered = splits
-    stats.plans_considered = considered
-    stats.plans_kept = kept
-    stats.table_entries = len(entries)
-    stats.stored_plans = sum(len(entry) for entry in entries.values())
-    full_mask = query.all_tables_mask
-    final = entries.get(full_mask)
-    if not final:
-        return []
-    memo: dict[tuple[int, int], Plan] = {}
-    return [
-        _build(full_mask, index, entries, rows, interner, memo)
-        for index in range(len(final))
-    ]
+    return _finish(query, entries, rows, interner, stats, splits, considered, kept)
 
 
 # ---------------------------------------------------------------------- multi
@@ -529,7 +487,7 @@ def _vector_join_cost(joins: list[Callable[..., float]]) -> Callable[..., tuple]
 
 def _run_frontier(
     query: Query,
-    constraints: tuple,
+    splits_of: Callable[[int], list[tuple[int, int]]],
     by_size: dict[int, list[int]],
     cost_model: CostModel,
     adjacency: list[int],
@@ -666,35 +624,10 @@ def _run_frontier(
             rows[mask] = scan.rows
 
     splits = considered = kept = 0
-    linear = settings.plan_space is PlanSpace.LINEAR
-    if linear:
-        after = linear_after_masks(n, constraints)
-    else:
-        groups = _bushy_groups(n, constraints)
-
-    # One split buffer per level sweep, preallocated once and reused for
-    # every mask (a level's masks admit at most n splits each), instead of
-    # a fresh list allocation per mask.
-    splits_iter: list[tuple[int, int]] = []
-    for size in range(2, n + 1):
-        for mask in by_size.get(size, ()):
+    for masks in by_size.values():  # ascending cardinality
+        for mask in masks:
             out_rows = -1.0
-            del splits_iter[:]
-            if linear:
-                remaining = mask
-                while remaining:
-                    low = remaining & -remaining
-                    remaining ^= low
-                    inner = low.bit_length() - 1
-                    if after[inner] & mask:
-                        continue
-                    splits_iter.append((mask ^ low, low))
-            else:
-                for left_mask in bushy_operands(mask, groups):
-                    if left_mask == 0 or left_mask == mask:
-                        continue
-                    splits_iter.append((left_mask, mask ^ left_mask))
-            for left_mask, right_mask in splits_iter:
+            for left_mask, right_mask in splits_of(mask):
                 left_entry = entries_get(left_mask)
                 if left_entry is None:
                     continue
@@ -771,19 +704,30 @@ def _run_frontier(
             if out_rows >= 0.0 and mask in entries:
                 rows[mask] = out_rows
 
+    return _finish(query, entries, rows, interner, stats, splits, considered, kept)
+
+
+def _finish(
+    query: Query,
+    entries: dict[int, list[tuple]],
+    rows: dict[int, float],
+    interner: OrderInterner,
+    stats: WorkerStats,
+    splits: int,
+    considered: int,
+    kept: int,
+) -> list[Plan]:
+    """Both kernels' tail: record the counters, build the full set's plans."""
     stats.splits_considered = splits
     stats.plans_considered = considered
     stats.plans_kept = kept
     stats.table_entries = len(entries)
     stats.stored_plans = sum(len(entry) for entry in entries.values())
     full_mask = query.all_tables_mask
-    final = entries.get(full_mask)
-    if not final:
-        return []
     memo: dict[tuple[int, int], Plan] = {}
     return [
         _build(full_mask, index, entries, rows, interner, memo)
-        for index in range(len(final))
+        for index in range(len(entries.get(full_mask, ())))
     ]
 
 

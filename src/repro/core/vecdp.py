@@ -285,8 +285,10 @@ class _Splits:
     == [a | b for a in operands_A(mask & A) for b in operands_B(mask & B)]``,
     order included.  ``halves`` holds per half ``(low bit, padded operand
     table, lengths)``, one table row per bit pattern of the half, filled by
-    ``bushy_operands`` itself — which stays the single definition of
-    admissibility and of split order, constraints included.
+    ``bushy_operands`` itself — the primitive under
+    :func:`~repro.core.worker.split_source`, the scalar cores' one
+    definition of admissibility and of split order, constraints included
+    (``tests/test_vecdp_kernels.py`` checks every rectangle against it).
     """
 
     def __init__(self, query: Query, constraints: tuple, settings):

@@ -14,12 +14,19 @@ Two split-enumeration strategies, as in the paper:
 * **bushy** — generate only *admissible* operand pairs in the first place via
   a per-triple Cartesian product (complexity linear in admissible splits; the
   naive enumerate-and-check alternative is benchmarked as an ablation).
+
+:func:`split_source` is the one definition of which splits a partition
+admits and of the order they are tried in: the legacy DP below, both fastdp
+kernels and the SMA baseline iterate it, and vecdp's array rectangles are
+tested cell for cell against it.  :func:`solve_table_set` is the
+object-based DP step over those splits, shared by the legacy DP and SMA.
 """
 
 from __future__ import annotations
 
 import enum
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.config import Backend, OptimizerSettings, PlanSpace
@@ -35,7 +42,7 @@ from repro.cost.costmodel import CostModel
 from repro.cost.pruning import PlanTable, PruningPolicy, make_pruning
 from repro.plans.plan import Plan
 from repro.query.query import Query
-from repro.util.bitset import bits, iter_subsets, mask_of
+from repro.util.bitset import iter_subsets, mask_of
 
 
 @dataclass
@@ -259,15 +266,11 @@ def _optimize_partition_legacy(
 
     cost_model = CostModel(query, settings)
     pruning = make_pruning(settings, n_tables=n)
-    table: PlanTable = {}
-    for table_number in range(n):
-        for scan in cost_model.scan_plans(table_number):
-            pruning.consider(table, scan.mask, scan.cost, scan.order, lambda s=scan: s)
-
-    if settings.plan_space is PlanSpace.LINEAR:
-        _run_linear(query, constraints, by_size, table, cost_model, pruning, stats)
-    else:
-        _run_bushy(query, constraints, by_size, table, cost_model, pruning, stats)
+    table = scan_table(cost_model, pruning)
+    splits_of = split_source(n, constraints, settings.plan_space)
+    for masks in by_size.values():  # ascending cardinality
+        for mask in masks:
+            solve_table_set(mask, splits_of(mask), table, cost_model, pruning, stats)
 
     stats.table_entries = len(table)
     stats.stored_plans = sum(len(entry) for entry in table.values())
@@ -278,29 +281,48 @@ def _optimize_partition_legacy(
     return PartitionResult(plans=plans, stats=stats)
 
 
-def _consider_joins(
-    left_plans: list[Plan],
-    right_plans: list[Plan],
+def scan_table(cost_model: CostModel, pruning: PruningPolicy) -> PlanTable:
+    """A plan table holding every base table's pruned scan plans."""
+    table: PlanTable = {}
+    for table_number in range(cost_model.query.n_tables):
+        for scan in cost_model.scan_plans(table_number):
+            pruning.consider(table, scan.mask, scan.cost, scan.order, lambda s=scan: s)
+    return table
+
+
+def solve_table_set(
     mask: int,
+    splits: list[tuple[int, int]],
     table: PlanTable,
     cost_model: CostModel,
     pruning: PruningPolicy,
     stats: WorkerStats,
 ) -> None:
-    """Cost and prune every operator variant over stored sub-plan pairs."""
-    for left in left_plans:
-        for right in right_plans:
-            for candidate in cost_model.join_candidates(left, right):
-                stats.plans_considered += 1
-                kept = pruning.consider(
-                    table,
-                    mask,
-                    candidate.cost,
-                    candidate.order,
-                    lambda l=left, r=right, c=candidate: cost_model.build_join(l, r, c),
-                )
-                if kept:
-                    stats.plans_kept += 1
+    """Algorithm 2's step for one table set over its admissible ``splits``.
+
+    A split counts in ``splits_considered`` only when both operands have
+    stored plans; then every operator variant over every stored sub-plan
+    pair is costed (``plans_considered``) and offered to ``pruning``
+    (``plans_kept``).
+    """
+    for left_mask, right_mask in splits:
+        left_plans = table.get(left_mask)
+        right_plans = table.get(right_mask)
+        if left_plans is None or right_plans is None:
+            continue
+        stats.splits_considered += 1
+        for left in left_plans:
+            for right in right_plans:
+                for candidate in cost_model.join_candidates(left, right):
+                    stats.plans_considered += 1
+                    if pruning.consider(
+                        table,
+                        mask,
+                        candidate.cost,
+                        candidate.order,
+                        lambda l=left, r=right, c=candidate: cost_model.build_join(l, r, c),
+                    ):
+                        stats.plans_kept += 1
 
 
 def linear_after_masks(
@@ -310,48 +332,13 @@ def linear_after_masks(
 
     Table ``u`` cannot be joined last if some constraint ``u ≺ v`` has ``v``
     inside the join result; ``after_masks[u]`` collects those ``v`` bits so
-    the admissibility check is one AND per candidate split.  Shared by the
-    legacy linear DP below and the fastdp core, so the two backends can
-    never drift on which splits a partition admits.
+    the admissibility check is one AND per candidate split.
     """
     after_masks = [0] * n_tables
     for constraint in constraints:
         assert isinstance(constraint, LinearConstraint)
         after_masks[constraint.before] |= 1 << constraint.after
     return after_masks
-
-
-def _run_linear(
-    query: Query,
-    constraints: tuple[Constraint, ...],
-    by_size: dict[int, list[int]],
-    table: PlanTable,
-    cost_model: CostModel,
-    pruning: PruningPolicy,
-    stats: WorkerStats,
-) -> None:
-    """TrySplits[Linear]: every table may be inner operand unless blocked."""
-    n = query.n_tables
-    after_masks = linear_after_masks(n, constraints)
-    for size in range(2, n + 1):
-        for mask in by_size.get(size, ()):
-            for inner in bits(mask):
-                if after_masks[inner] & mask:
-                    continue
-                rest = mask ^ (1 << inner)
-                left_plans = table.get(rest)
-                if left_plans is None:
-                    continue
-                stats.splits_considered += 1
-                _consider_joins(
-                    left_plans,
-                    table[1 << inner],
-                    mask,
-                    table,
-                    cost_model,
-                    pruning,
-                    stats,
-                )
 
 
 def _bushy_groups(
@@ -402,29 +389,40 @@ def bushy_operands(mask: int, groups: list[_BushyGroup]) -> list[int]:
     return operands
 
 
-def _run_bushy(
-    query: Query,
-    constraints: tuple[Constraint, ...],
-    by_size: dict[int, list[int]],
-    table: PlanTable,
-    cost_model: CostModel,
-    pruning: PruningPolicy,
-    stats: WorkerStats,
-) -> None:
-    """TrySplits[Bushy]: generate only admissible splits, then cost them."""
-    n = query.n_tables
-    groups = _bushy_groups(n, constraints)
-    for size in range(2, n + 1):
-        for mask in by_size.get(size, ()):
-            for left_mask in bushy_operands(mask, groups):
-                if left_mask == 0 or left_mask == mask:
-                    continue
-                right_mask = mask ^ left_mask
-                left_plans = table.get(left_mask)
-                right_plans = table.get(right_mask)
-                if left_plans is None or right_plans is None:
-                    continue
-                stats.splits_considered += 1
-                _consider_joins(
-                    left_plans, right_plans, mask, table, cost_model, pruning, stats
-                )
+def split_source(
+    n_tables: int, constraints: tuple[Constraint, ...], plan_space: PlanSpace
+) -> Callable[[int], list[tuple[int, int]]]:
+    """``splits_of(mask)``: the ``(left, right)`` splits a partition admits.
+
+    Algorithm 5's TrySplits, in the generation order every scalar core
+    shares — order-sensitive tie-breaking and α-pruning (α > 1) depend on
+    it.  Linear (TrySplits[Linear]): each table of ``mask`` in ascending bit
+    order as the inner (right) operand, skipping any that
+    :func:`linear_after_masks` blocks.  Bushy (TrySplits[Bushy]):
+    :func:`bushy_operands` order as the left operand, minus the degenerate
+    ``0`` and ``mask``.
+    """
+    if plan_space is PlanSpace.LINEAR:
+        after = linear_after_masks(n_tables, constraints)
+
+        def splits_of(mask: int) -> list[tuple[int, int]]:
+            splits = []
+            remaining = mask
+            while remaining:
+                low = remaining & -remaining
+                remaining ^= low
+                if not after[low.bit_length() - 1] & mask:
+                    splits.append((mask ^ low, low))
+            return splits
+
+        return splits_of
+    groups = _bushy_groups(n_tables, constraints)
+
+    def splits_of(mask: int) -> list[tuple[int, int]]:
+        return [
+            (left, mask ^ left)
+            for left in bushy_operands(mask, groups)
+            if left and left != mask
+        ]
+
+    return splits_of

@@ -38,6 +38,7 @@ from repro.core.worker import (
     capability_matrix,
     optimize_partition,
     required_capabilities,
+    split_source,
     resolve_backend,
 )
 from repro.cost.costmodel import CostModel
@@ -297,7 +298,7 @@ def _run_frontier_directly(query, settings):
     stats = WorkerStats(partition_id=0, n_partitions=1, n_constraints=0)
     plans = fastdp._run_frontier(
         query,
-        constraints,
+        split_source(query.n_tables, constraints, settings.plan_space),
         admissible_results_by_size(query.n_tables, constraints, settings.plan_space),
         CostModel(query, settings),
         fastdp._adjacency_masks(query),

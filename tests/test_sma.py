@@ -4,29 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.sma import _level_masks, optimize_sma
-from repro.config import MULTI_OBJECTIVE, OptimizerSettings, PlanSpace
+from repro.algorithms.sma import optimize_sma
+from repro.cluster.serialization import query_bytes
+from repro.config import MULTI_OBJECTIVE, SINGLE_OBJECTIVE, OptimizerSettings, PlanSpace
 from repro.core.serial import best_plan, optimize_serial
 from repro.query.generator import SteinbrunnGenerator
-from repro.util.bitset import popcount
 
 
 @pytest.fixture
 def query():
     return SteinbrunnGenerator(8).query(7)
-
-
-class TestLevelMasks:
-    def test_counts(self):
-        assert len(_level_masks(6, 2)) == 15
-        assert len(_level_masks(6, 6)) == 1
-
-    def test_sizes(self):
-        assert all(popcount(mask) == 3 for mask in _level_masks(7, 3))
-
-    def test_ascending_order(self):
-        masks = _level_masks(8, 4)
-        assert masks == sorted(masks)
 
 
 class TestCorrectness:
@@ -51,6 +38,17 @@ class TestCorrectness:
         sma = optimize_sma(query, 4, settings)
         assert {p.cost for p in sma.plans} == {p.cost for p in serial.plans}
 
+    def test_approximate_bushy_frontier_in_serial_order(self):
+        """α-dominance is order-sensitive: SMA's workers must try bushy
+        splits in serial DP's order to keep serial DP's α = 10 frontier."""
+        query = SteinbrunnGenerator(10).query(6)
+        settings = OptimizerSettings(
+            plan_space=PlanSpace.BUSHY, objectives=MULTI_OBJECTIVE, alpha=10.0
+        )
+        serial = optimize_serial(query, settings)
+        sma = optimize_sma(query, 4, settings)
+        assert [p.cost for p in sma.plans] == [p.cost for p in serial.plans]
+
     def test_rejects_zero_workers(self, query):
         with pytest.raises(ValueError):
             optimize_sma(query, 0)
@@ -60,6 +58,27 @@ class TestCoordinationProfile:
     def test_round_count(self, query):
         sma = optimize_sma(query, 4)
         assert len(sma.rounds) == query.n_tables - 1
+
+    @pytest.mark.parametrize("space", [PlanSpace.LINEAR, PlanSpace.BUSHY])
+    def test_rounds_ascend_by_cardinality(self, query, space):
+        sma = optimize_sma(query, 4, OptimizerSettings(plan_space=space))
+        assert [r.size for r in sma.rounds] == list(range(2, query.n_tables + 1))
+
+    def test_one_operation_count_per_worker(self, query):
+        sma = optimize_sma(query, 3)
+        assert all(len(r.worker_plans_considered) == 3 for r in sma.rounds)
+
+    @pytest.mark.parametrize("space", [PlanSpace.LINEAR, PlanSpace.BUSHY])
+    @pytest.mark.parametrize("objectives", [SINGLE_OBJECTIVE, MULTI_OBJECTIVE])
+    def test_workers_cost_exactly_the_serial_candidates(self, query, space, objectives):
+        """Split across workers, the rounds still cost every candidate serial
+        DP costs — no more, no fewer."""
+        settings = OptimizerSettings(plan_space=space, objectives=objectives)
+        sma = optimize_sma(query, 4, settings)
+        serial = optimize_serial(query, settings)
+        assert sum(sum(r.worker_plans_considered) for r in sma.rounds) == (
+            serial.stats.plans_considered
+        )
 
     def test_round_sizes_cover_levels(self, query):
         sma = optimize_sma(query, 4)
@@ -110,6 +129,9 @@ class TestCoordinationProfile:
             if max(ops) > 30:  # skew is expected on tiny rounds
                 assert min(ops) > 0
 
-    def test_round_bytes_informational(self, query):
+    def test_round_bytes_add_up_to_the_traffic_after_distribution(self, query):
+        """Every byte after the query's distribution belongs to one round."""
         sma = optimize_sma(query, 4)
-        assert sum(r.round_bytes for r in sma.rounds) <= sma.network_bytes
+        assert sum(r.round_bytes for r in sma.rounds) == (
+            sma.network_bytes - 4 * query_bytes(query)
+        )

@@ -5,8 +5,9 @@
 ``_levels`` must admit the masks
 :func:`~repro.core.partitioning.admissible_results_by_size` enumerates, and
 ``_Splits`` must list each level's operands exactly as
-:func:`~repro.core.worker.bushy_operands` does — order, width and padding —
-with ``equi`` the per-predicate straddle test.
+:func:`~repro.core.worker.split_source` — the sequence the scalar cores run
+— does: order, width and padding, with ``equi`` the per-predicate straddle
+test.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.core import vecdp
 from repro.core.constraints import max_constraints, partition_constraints
 from repro.core.fastdp import _adjacency_masks, _connected
 from repro.core.partitioning import admissible_results_by_size
-from repro.core.worker import WorkerStats, _bushy_groups, bushy_operands, optimize_partition
+from repro.core.worker import WorkerStats, bushy_operands, optimize_partition, split_source
 from repro.cost.pruning import ParetoPruning
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.predicates import JoinPredicate
@@ -127,24 +128,38 @@ class TestLevels:
 BUSHY = OptimizerSettings(plan_space=PlanSpace.BUSHY)
 
 
-def _scalar_rect(query, constraints, space, masks):
-    """``(left, right)`` rows per mask from the scalar split sources: the
-    bit-peel, or ``bushy_operands`` minus 0 / mask, zero-padded."""
-    if space is PlanSpace.LINEAR:
-        rights = [[1 << bit for bit in range(query.n_tables) if mask >> bit & 1] for mask in masks]
-        return [[mask ^ right for right in row] for mask, row in zip(masks, rights)], rights
-    groups = _bushy_groups(query.n_tables, constraints)
-    lefts = [
-        [operand for operand in bushy_operands(mask, groups) if operand not in (0, mask)]
-        for mask in masks
-    ]
-    width = max(1, *map(len, lefts))
-    lefts = [row + [0] * (width - len(row)) for row in lefts]
-    return lefts, [[mask ^ left for left in row] for mask, row in zip(masks, lefts)]
+def _scalar_rect(n_tables, constraints, space, masks):
+    """``(left, right)`` rows per mask from :func:`split_source`.
+
+    Bushy: the partition's splits, zero-padded.  Linear: every bit-peel of
+    the mask — the unconstrained source — since a linear rectangle keeps the
+    cells a constraint blocks; :func:`_assert_linear_cells_admitted` checks
+    which of them the constrained source admits."""
+    splits_of = split_source(
+        n_tables, constraints if space is PlanSpace.BUSHY else (), space
+    )
+    rows = [splits_of(mask) for mask in masks]
+    width = max(1, *map(len, rows))
+    rows = [row + [(0, mask)] * (width - len(row)) for mask, row in zip(masks, rows)]
+    return [[left for left, _ in row] for row in rows], [[right for _, right in row] for row in rows]
+
+
+def _assert_linear_cells_admitted(source, n_tables, constraints, masks, left, right):
+    """The cells ``source.after`` leaves open are the constrained
+    :func:`split_source`'s splits, in its order."""
+    splits_of = split_source(n_tables, constraints, PlanSpace.LINEAR)
+    after = source.after.tolist()
+    for mask, lefts, rights in zip(masks, left, right):
+        admitted = [
+            (left_mask, right_mask)
+            for left_mask, right_mask in zip(lefts, rights)
+            if not after[right_mask] & mask
+        ]
+        assert admitted == splits_of(mask)
 
 
 def _assert_rectangles_match_spec(n_tables: int, constraints: tuple):
-    """Every level's rectangle is ``bushy_operands`` minus 0 / mask, padded."""
+    """Every level's rectangle is ``split_source``'s splits, padded."""
     query = SteinbrunnGenerator(5).query(n_tables, JoinGraphKind.CHAIN)
     source = vecdp._Splits(query, constraints, BUSHY)
     levels = vecdp._levels(n_tables, constraints, WorkerStats(0, 1, 0))
@@ -154,7 +169,7 @@ def _assert_rectangles_match_spec(n_tables: int, constraints: tuple):
         left, right = source.rect(masks, size)
         assert left.dtype == right.dtype == np.int64
         assert (left.tolist(), right.tolist()) == _scalar_rect(
-            query, constraints, PlanSpace.BUSHY, masks.tolist()
+            n_tables, constraints, PlanSpace.BUSHY, masks.tolist()
         )
 
 
@@ -251,7 +266,11 @@ class TestBlocks:
                 if masks.shape[0] == 0:
                     continue
                 left, right = (side.tolist() for side in source.rect(masks, size))
-                assert (left, right) == _scalar_rect(query, constraints, space, masks.tolist())
+                assert (left, right) == _scalar_rect(n, constraints, space, masks.tolist())
+                if space is PlanSpace.LINEAR:
+                    _assert_linear_cells_admitted(
+                        source, n, constraints, masks.tolist(), left, right
+                    )
                 row = column = 0  # where the next block must start
                 for span, block_left, block_right in source.blocks(masks, size):
                     height, width = block_left.shape

@@ -184,8 +184,8 @@ Every table and figure of the paper's evaluation (Section 6), regenerated by
 `python -m repro.bench <experiment> --scale default` on this repository's
 simulated shared-nothing cluster.  Query sizes are scaled down relative to
 the paper (pure-Python DP is ~100x slower per operation than the authors'
-Java; see DESIGN.md §1) and cluster overheads are scaled to match the
-paper's compute-to-overhead regime (docs/cluster_model.md).  Absolute times
+Java) and cluster overheads are scaled to match the paper's
+compute-to-overhead regime (`src/repro/cluster/simulator.py`).  Absolute times
 are therefore not comparable; the **shapes** — who wins, scaling factors per
 worker doubling, crossover positions — are, and each section below states
 the paper's claim next to the measured series.
