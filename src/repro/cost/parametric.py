@@ -12,7 +12,7 @@ crossing of lines — a finite, exact test.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from math import inf
+from math import inf, nan
 
 
 def _tolerance(value: float) -> float:
@@ -119,35 +119,18 @@ def switching_points(costs: Sequence[Sequence[float]]) -> list[float]:
     return points
 
 
-def _sweep(lines: Sequence[Sequence[float]]) -> tuple[int | None, list[tuple]]:
-    """Every line of ``lines`` tested against all the others in one pass.
-
-    ``needed_on_envelope(lines[p], lines without p)`` evaluates, for every
-    ``p``, the same θ — the endpoints and *all* pairwise crossings, a pair's
-    crossing being one float whichever of the two is listed first.  At one
-    θ only the strictly lowest line can undercut the rest, and what it has
-    to undercut is the runner-up, so one minimum / runner-up scan per θ
-    answers the question for every ``p`` at once.  Returns the first
-    position that is not needed (``None`` if all are, or the line is alone)
-    and per θ the triple ``(1-θ, θ, minimum)`` a further line is tested
-    against.
-    """
-    needed = [len(lines) == 1] * len(lines)
-    minima = []
-    for theta in candidate_thetas(lines):
-        rest = 1.0 - theta
-        best = runner_up = inf
-        owner = 0
-        for position, (at_zero, at_one) in enumerate(lines):
-            value = rest * at_zero + theta * at_one
-            if value < best:
-                runner_up, best, owner = best, value, position
-            elif value < runner_up:
-                runner_up = value
-        if not needed[owner]:  # the slack is _tolerance, inlined (hot)
-            needed[owner] = best < runner_up - 1e-9 * max(1.0, abs(runner_up))
-        minima.append((rest, theta, best))
-    return (needed.index(False) if False in needed else None), minima
+def _row(rest: float, theta: float, lines: Sequence, first: int, second: int) -> list:
+    """One θ row of :class:`IncrementalEnvelope`, scanned over all of ``lines``."""
+    best, runner_up, owner = inf, inf, 0
+    for position, (at_zero, at_one) in enumerate(lines):
+        value = rest * at_zero + theta * at_one
+        if value < best:
+            runner_up, best, owner = best, value, position
+        elif value < runner_up:
+            runner_up = value
+    # the slack is _tolerance, inlined here and in the class (hot)
+    bar = best - 1e-9 * max(1.0, abs(best))
+    return [rest, theta, bar, best, runner_up, owner, first, second]
 
 
 class IncrementalEnvelope:
@@ -166,7 +149,7 @@ class IncrementalEnvelope:
       the kept lines before it reaches the new one.  While that replay is
       the identity (``_replays``) its outcome is known: the new line is
       appended and only the eviction loop it triggers — first unneeded
-      position, then restart — has to run, one :func:`_sweep` per restart.
+      position, then restart — has to run, reading the rows below.
       Appending without an eviction extends an identity replay by exactly
       the two checks just made, so the flag survives for free.  After an
       eviction the shorter list has never been replayed.  In exact
@@ -175,11 +158,30 @@ class IncrementalEnvelope:
       ``max(1.0, ·)`` in the slack a near-tie can break that (random
       near-tie sequences do produce such lists), so the list's proper
       prefixes are replayed once, through a scratch instance (the last
-      step of the replay is the sweep just made); should that not be the
-      identity, accepts go through the literal filter until a replay is
-      the identity again.
-    * **a candidate is tested against cached minima** at θ = 0, 1 and the
-      crossings among the kept lines (``_minima``, left by the last sweep).
+      step of the replay is the eviction pass just made); should that not
+      be the identity, accepts go through the literal filter until a
+      replay is the identity again (the lines the filter drops leave the
+      rows as evicted lines do).
+    * **the θ rows are kept, not re-swept.**  ``needed_on_envelope(lines[p],
+      lines without p)`` evaluates, for every ``p``, the same θ — the
+      endpoints and every pairwise crossing in (0, 1), a pair's crossing
+      being one float whichever line is listed first.  ``_rows`` holds one
+      row per such θ, ``[1-θ, θ, bar, minimum, runner-up, owner, first,
+      second]``: the minimum over ``lines`` in scan order (strict ``<``),
+      ``owner`` its first position, the runner-up the minimum over
+      non-owners, ``bar`` the minimum less the slack and ``first`` /
+      ``second`` the crossing pair's positions (``-1`` at an endpoint).  At
+      one θ only the owner can undercut the rest, and what it has to
+      undercut is the runner-up, so a line is needed iff some row it owns
+      clears its runner-up by the slack.  The rows stay exact at O(1) per
+      row: an accepted line is last in scan order, so each row takes one
+      more scan step, and only the line's own crossings are new rows,
+      scanned in full.  An evicted line's crossings leave; a row it owned,
+      or where it is no higher than the runner-up, is rescanned; in every
+      other row it was neither minimum nor runner-up, so removing it only
+      shifts the owner's position.
+    * **a candidate is tested against the rows' bars** at θ = 0, 1 and the
+      crossings among the kept lines.
       The reference also evaluates the candidate's own crossing with each
       kept line.  There the two agree up to rounding, which exceeds the
       1e-9 slack only when a line's endpoints differ by ~1e6× and the
@@ -189,29 +191,72 @@ class IncrementalEnvelope:
     * the θ-endpoint dominance short-circuit comes first: a kept line no
       higher at both ends is no higher anywhere, in floats too.
 
-    Costs are assumed finite.
+    Costs that overflow to ``inf`` are not special-cased: every expression
+    is the reference's, so ``0·inf`` is NaN at an endpoint here as there,
+    and a NaN comparison rejects in both.  ``tests/test_edge_cases.py``
+    pins the decisions against the legacy policy on queries whose costs
+    overflow, in both objective orders.
     """
 
-    __slots__ = ("lines", "payloads", "_minima", "_replays")
+    __slots__ = ("lines", "payloads", "_rows", "_replays")
 
     def __init__(self) -> None:
         self.lines: list[Sequence[float]] = []
         self.payloads: list[object] = []
-        self._minima: list[tuple] = []
+        # θ = 0 and 1 over no lines: no minimum yet, hence no bar either
+        self._rows = [[1.0, 0.0, nan, inf, inf, 0, -1, -1],
+                      [0.0, 1.0, nan, inf, inf, 0, -1, -1]]
         self._replays = True
+
+    def _extend(self, lines: Sequence[Sequence[float]]) -> None:
+        """Bring the last of ``lines`` into rows kept for the ones before it."""
+        new, (at_zero, at_one) = len(lines) - 1, lines[-1]
+        for row in self._rows:
+            value = row[0] * at_zero + row[1] * at_one
+            if value < row[3]:
+                row[4], row[5] = row[3], new
+                row[2], row[3] = value - 1e-9 * max(1.0, abs(value)), value
+            elif value < row[4]:
+                row[4] = value
+        # new rows at its crossings, the floats _line_intersections computes
+        for position, (zero, one) in enumerate(lines[:new]):
+            denominator = (one - zero) - (at_one - at_zero)
+            if denominator and 0.0 < (theta := (at_zero - zero) / denominator) < 1.0:
+                self._rows.append(_row(1.0 - theta, theta, lines, position, new))
+
+    def _evict(self, gone: int) -> None:
+        """Delete the line at position ``gone`` and bring the rows up to date."""
+        at_zero, at_one = self.lines.pop(gone)
+        del self.payloads[gone]
+        rows = []
+        for row in self._rows:
+            rest, theta, _, _, runner_up, owner, first, second = row
+            if first != gone != second:
+                if owner == gone or rest * at_zero + theta * at_one <= runner_up:
+                    row = _row(rest, theta, self.lines, first, second)
+                elif owner > gone:
+                    row[5] = owner - 1
+                row[6], row[7] = first - (first > gone), second - (second > gone)
+                rows.append(row)
+        self._rows = rows
+
+    def _unneeded(self) -> int | None:
+        """First position no row keeps (``None`` if all are, or it is alone)."""
+        needed = [len(self.lines) == 1] * len(self.lines)
+        for _, _, _, best, runner_up, owner, _, _ in self._rows:
+            if not needed[owner]:
+                needed[owner] = best < runner_up - 1e-9 * max(1.0, abs(runner_up))
+        return needed.index(False) if False in needed else None
 
     def _needed(self, at_zero: float, at_one: float) -> bool:
         """``needed_on_envelope((at_zero, at_one), self.lines)``."""
-        for rest, theta, best in self._minima:
-            if rest * at_zero + theta * at_one < best - 1e-9 * max(1.0, abs(best)):
+        for row in self._rows:
+            if row[0] * at_zero + row[1] * at_one < row[2]:
                 return True
-        slope = at_one - at_zero
-        for kept_zero, kept_one in self.lines:
-            denominator = slope - (kept_one - kept_zero)
-            if denominator == 0.0:
-                continue
-            theta = (kept_zero - at_zero) / denominator
-            if 0.0 < theta < 1.0:
+        # its own crossings, the floats _line_intersections computes
+        for zero, one in self.lines:
+            denominator = (one - zero) - (at_one - at_zero)
+            if denominator and 0.0 < (theta := (at_zero - zero) / denominator) < 1.0:
                 rest = 1.0 - theta
                 best = min(rest * a + theta * b for a, b in self.lines)
                 if rest * at_zero + theta * at_one < best - _tolerance(best):
@@ -229,16 +274,16 @@ class IncrementalEnvelope:
             return False
         lines.append(cost)
         payloads.append(payload)
+        self._extend(lines)
         reverify = not self._replays
         if reverify:
             keep = envelope_filter(lines)
-            lines[:] = [lines[index] for index in keep]
-            payloads[:] = [payloads[index] for index in keep]
-        unneeded, self._minima = _sweep(lines)
-        while unneeded is not None:
+            for gone in reversed(range(len(lines))):
+                if gone not in keep:
+                    self._evict(gone)
+        while (unneeded := self._unneeded()) is not None:
             reverify = True
-            del lines[unneeded], payloads[unneeded]
-            unneeded, self._minima = _sweep(lines)
+            self._evict(unneeded)
         if reverify:
             prefix = lines[:-1] if len(lines) > 2 else []
             scratch = IncrementalEnvelope()

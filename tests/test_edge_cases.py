@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
 from repro.algorithms.mpq import optimize_mpq
 from repro.algorithms.sma import optimize_sma
-from repro.config import MULTI_OBJECTIVE, Backend, OptimizerSettings, PlanSpace
+from repro.config import (
+    MULTI_OBJECTIVE,
+    PARAMETRIC_OBJECTIVES,
+    Backend,
+    OptimizerSettings,
+    PlanSpace,
+)
 from repro.core.master import optimize_parallel
 from repro.core.serial import best_plan, optimize_serial
 from repro.core.worker import optimize_partition
@@ -123,6 +130,37 @@ class TestExtremeStatistics:
                 overflowed |= any(
                     plan.cost[0] == float("inf") for plan in fast.plans
                 )
+        assert overflowed
+
+    @pytest.mark.parametrize("cardinality", [10**100, 10**155])
+    @pytest.mark.parametrize("hub", [None, 0], ids=["chain", "star"])
+    @pytest.mark.parametrize("plan_space", list(PlanSpace))
+    @pytest.mark.parametrize(
+        "objectives", [PARAMETRIC_OBJECTIVES, PARAMETRIC_OBJECTIVES[::-1]],
+        ids=["time-first", "io-first"],
+    )
+    def test_overflowing_parametric_costs_match_legacy(
+        self, cardinality, hub, plan_space, objectives
+    ):
+        """The same overflow grid under envelope pruning: ``0·inf`` is NaN
+        at a θ endpoint, and fastdp's inline dominance test and kept θ rows
+        must decide as ``ParametricPruning`` does, in either objective
+        order."""
+        query = make_manual_query(
+            [cardinality] * 6,
+            [(i - 1 if hub is None else hub, i, 0.5) for i in range(1, 6)],
+        )
+        settings = OptimizerSettings(
+            plan_space=plan_space, objectives=objectives, parametric=True
+        )
+        overflowed = False
+        for n_partitions in (1, 2):
+            for partition_id in range(n_partitions):
+                legacy, fast = legacy_and_fastdp(
+                    query, settings, partition_id, n_partitions
+                )
+                assert search_outcome(legacy) == search_outcome(fast)
+                overflowed |= any(math.inf in plan.cost for plan in fast.plans)
         assert overflowed
 
     @pytest.mark.xfail(

@@ -258,6 +258,25 @@ class TestParametricPartitionedParity:
                 plan_signature(plan) for plan in fast.plans
             ], context
 
+    @pytest.mark.parametrize("kind", [JoinGraphKind.STAR, JoinGraphKind.CHAIN])
+    @pytest.mark.parametrize("space", list(PlanSpace))
+    @pytest.mark.parametrize("n_partitions", [1, 2, 4])
+    def test_io_first_objective_order_per_partition(self, kind, space, n_partitions):
+        """Output rows first: fastdp costs a split's candidates inline, so
+        the time / rows coordinates of every stored pair must follow the
+        objectives' order, not a fixed one."""
+        query = SteinbrunnGenerator(seed=39).query(7, kind)
+        settings = OptimizerSettings(
+            plan_space=space,
+            objectives=(Objective.OUTPUT_ROWS, Objective.EXECUTION_TIME),
+            parametric=True,
+        )
+        for partition_id in range(n_partitions):
+            legacy, fast = _pair(query, settings, partition_id, n_partitions)
+            assert search_outcome(legacy) == search_outcome(fast), (
+                f"{kind.value}/{space.value}/{partition_id}of{n_partitions}"
+            )
+
 
 class TestOrdersGenericMetricParity:
     """Single-objective orders under a metric other than execution time:

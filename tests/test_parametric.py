@@ -22,6 +22,7 @@ from repro.core.serial import best_plan, optimize_serial
 from repro.cost.metrics import OutputRowsMetric
 from repro.cost.parametric import (
     IncrementalEnvelope,
+    candidate_thetas,
     envelope_filter,
     needed_on_envelope,
     scalarize,
@@ -247,11 +248,31 @@ def replay_reference(lines):
         yield kept, [(plan.cost, int(plan.rows)) for plan in table[1]]
 
 
+def full_scan(rest, theta, lines):
+    """Minimum, runner-up (minimum over non-owners) and owner (first
+    minimal position) of ``lines`` at one θ, from scratch."""
+    values = [rest * at_zero + theta * at_one for at_zero, at_one in lines]
+    best = min(values)
+    owner = values.index(best)
+    return best, min(values[:owner] + values[owner + 1:], default=math.inf), owner
+
+
+def assert_rows_match_lines(envelope):
+    """The envelope's cached θ rows equal a from-scratch scan of its lines."""
+    rows, lines = envelope._rows, envelope.lines
+    assert sorted(row[1] for row in rows) == sorted(candidate_thetas(lines)), lines
+    for rest, theta, bar, best, runner_up, owner, *_pair in rows:
+        assert rest == 1.0 - theta
+        assert (best, runner_up, owner) == full_scan(rest, theta, lines), (theta, lines)
+        assert bar == best - 1e-9 * max(1.0, abs(best))
+
+
 def assert_replays_like_reference(lines):
     envelope = IncrementalEnvelope()
     for step, (kept, entry) in enumerate(replay_reference(lines)):
         assert envelope.offer(lines[step], step) == kept, (step, lines)
         assert list(zip(envelope.lines, envelope.payloads)) == entry, (step, lines)
+        assert_rows_match_lines(envelope)
 
 
 _unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
