@@ -21,7 +21,7 @@ def main() -> None:
     settings = OptimizerSettings(plan_space=PlanSpace.LINEAR)
     # A cluster with modest overheads, matched to this query size (the
     # paper's Spark cluster had ~100 ms task overhead against minute-long
-    # optimizations; see DESIGN.md on scale matching).
+    # optimizations).
     cluster = ClusterModel(
         network=NetworkModel(latency_s=1e-4), task_setup_s=0.005
     )

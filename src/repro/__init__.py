@@ -14,8 +14,9 @@ Quickstart::
     report = optimize_mpq(query, n_workers=16)   # MPQ over 16 partitions
     assert report.best.cost[0] == min(p.cost[0] for p in serial.plans)
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every table and figure.
+README.md's "Enumeration backends" and "Layered architecture" sections
+describe the DP cores and the serving stack; ``tools/assemble_experiments.py``
+writes the paper-vs-measured record from recorded experiment logs.
 """
 
 from repro.config import (

@@ -4,13 +4,13 @@ Pure Python executes the DP roughly two orders of magnitude slower per
 operation than the paper's Java implementation, so the default scales shrink
 query sizes while preserving every qualitative property (who wins, scaling
 factors per worker doubling, crossover positions).  The ``paper`` scale runs
-the original sizes — expect minutes to hours.  DESIGN.md documents this
-substitution.
+the original sizes — expect minutes to hours.
 
 Scale semantics:
 
 * ``ci`` — seconds; used by the pytest benchmark suite.
-* ``default`` — a few minutes; used to produce EXPERIMENTS.md.
+* ``default`` — a few minutes; the logs ``tools/assemble_experiments.py``
+  turns into its paper-vs-measured report.
 * ``paper`` — the paper's original query sizes.
 """
 

@@ -14,9 +14,14 @@ admissible masks of a level are ``arange(2**n)`` filtered by each
 constraint's ``excludes`` rule and bucketed by popcount (at p = 2 a
 partition keeps three quarters of the masks — 196,590 of 262,125 at 18
 tables — so enumerating them one by one costs more than the DP), and
-``rows``/``sort_term`` are prefilled for the whole dense state: values of
-masks that never store an entry are dead, every read is gated on a stored
-entry.
+``rows`` is filled for the whole dense state: values of masks that never
+store an entry are dead, every read is gated on a stored entry.
+
+Only the block-nested-loop and hash operators are costed.  Without
+interesting orders a sort-merge candidate is never kept: the hash candidate
+of the same operands comes right before it and costs no more in any metric
+(see :func:`_run_single_vec`), so vecdp evaluates no transcendental —
+every per-candidate operation is a pure elementwise IEEE add/mul/max.
 
 Flat-array state layout (single objective):
 
@@ -24,11 +29,6 @@ Flat-array state layout (single objective):
   ``+inf`` means "no stored plan" (the dict-miss of the scalar cores);
 * ``rows``   — estimated cardinality per mask, a vectorized replication of
   the cardinality estimator over the dense state;
-* ``sort_term`` — ``rows·log2(max(rows, 2))`` per mask, precomputed
-  with ``math.log2`` (numpy's ``log2`` is *not* bit-identical to the
-  scalar library's, so the only transcendental in the cost model is kept
-  out of the array expressions entirely — one scalar call per mask,
-  every per-candidate operation a pure elementwise IEEE add/mul/max);
 * ``neighbours`` — per mask the OR of its tables' join-graph adjacency
   masks, filled like ``rows`` by ``n`` strided in-place ORs: an equi
   predicate straddles ``(left, right)`` iff ``neighbours[right] & left``
@@ -101,7 +101,7 @@ serves cache hits never pays numpy's import time and memory.
 from __future__ import annotations
 
 import time
-from math import inf, log2
+from math import inf
 
 import numpy as np
 
@@ -224,8 +224,8 @@ def _metric_kind(metric) -> str:
     )  # pragma: no cover - make_metrics only builds the three above
 
 
-def _prefill(query: Query, cost_model: CostModel, with_sort: bool):
-    """Dense ``rows`` / ``sort_term`` for all ``2**n`` masks, and the scans.
+def _prefill(query: Query, cost_model: CostModel):
+    """Dense ``rows`` for all ``2**n`` masks, and the scans.
 
     ``rows`` replicates ``CardinalityEstimator.rows``: the masks with a
     given bit (or bit pair) set form regular strided slices of the dense
@@ -233,10 +233,7 @@ def _prefill(query: Query, cost_model: CostModel, with_sort: bool):
     selected elements — base cardinalities in ascending table order, then
     predicate selectivities in query order, then the ``max(·, 1.0)`` floor
     — which keeps every element bit-identical to the scalar estimator's
-    memoized value.  ``sort_term`` is the only transcendental: one scalar
-    ``math.log2`` per mask, then one vectorized multiply of the exact
-    operand pairs the scalar cores multiply (``max(rows, 2.0)`` is the
-    scalar clamp, applied in bulk).
+    memoized value.
     """
     n = query.n_tables
     rows = np.ones(1 << n, dtype=np.float64)
@@ -254,15 +251,7 @@ def _prefill(query: Query, cost_model: CostModel, with_sort: bool):
     scans = [cost_model.scan_plans(number)[0] for number in range(n)]
     for number, scan in enumerate(scans):
         rows[1 << number] = scan.rows
-    if with_sort:
-        sort_term = rows * np.fromiter(
-            map(log2, np.maximum(rows, 2.0).tolist()),
-            dtype=np.float64,
-            count=1 << n,
-        )
-    else:
-        sort_term = np.zeros(1 << n, dtype=np.float64)
-    return rows, sort_term, scans
+    return rows, scans
 
 
 class _Splits:
@@ -405,6 +394,16 @@ def _run_single_vec(
     winner only where strictly cheaper (the strict-``<`` tie rule), and
     strict improvements over the exclusive running minimum reproduce the
     improvement count (``plans_kept``) exactly.
+
+    Sort-merge candidates are counted but never costed.  The hash candidate
+    of the same split comes right before one and costs no more in any
+    metric: time ``1.2·(l + r)`` against ``(l + r) + l·log2(max(l, 2)) +
+    r·log2(max(r, 2)) ≥ 2·(l + r)`` on the same ``base``, buffer ``r``
+    against ``max(l + r, 1)``, io the same for every operator — so it never
+    strictly improves on the running minimum (and under weak-Pareto pruning
+    it is always rejected, evicting nothing).  IEEE rounding is monotone, so
+    the inequalities hold for the computed floats; ``tests/test_metrics.py::
+    TestSortMergeNeverBeatsHash`` pins them on the reference metrics.
     """
     n = query.n_tables
     settings = cost_model.settings
@@ -414,7 +413,7 @@ def _run_single_vec(
     cost = np.full(state, inf, dtype=np.float64)
     bp_right = np.zeros(state, dtype=np.int64)
     bp_algo = np.full(state, -1, dtype=np.int8)
-    rows, sort_term, scan_list = _prefill(query, cost_model, kind == "time")
+    rows, scan_list = _prefill(query, cost_model)
     scans: dict[int, Plan] = {}
     for table_number, scan in enumerate(scan_list):
         scans[1 << table_number] = scan
@@ -440,7 +439,6 @@ def _run_single_vec(
         for span, left, right in source.blocks(masks, size):
             left_cost = cost[left]
             right_cost = cost[right]
-            right_rows = rows[right]
             if source.linear:
                 valid = None if all_stored else left_cost < inf
                 if source.constrained:
@@ -449,8 +447,9 @@ def _run_single_vec(
             else:
                 valid = (left_cost < inf) & (right_cost < inf)
             if algos_all:
-                # For "io" the equi-join candidates can never win (below),
-                # but they still count toward plans_considered.
+                # Hash and sort-merge count toward plans_considered even
+                # where they are not costed (sort-merge always, see the
+                # docstring; hash for "io", below).
                 equi = source.equi(left, right)
                 if valid is not None:
                     equi &= valid
@@ -461,70 +460,54 @@ def _run_single_vec(
             splits += valid_total
             considered += valid_total + 2 * equi_total
 
-            left_rows = rows[left]
-            three = kind != "io" and equi_total > 0
+            with_hash = kind != "io" and equi_total > 0
             if kind == "time":
                 base = left_cost + right_cost
+                left_rows, right_rows = rows[left], rows[right]
                 c_bnl = base + left_rows * right_rows
-                if three:
-                    operator = left_rows + right_rows
-                    c_hash = base + HASH_FACTOR * operator
-                    operator = operator + sort_term[left]
-                    operator = operator + sort_term[right]
-                    c_sm = base + operator
+                if with_hash:
+                    c_hash = base + HASH_FACTOR * (left_rows + right_rows)
             elif kind == "buffer":
                 pair = np.maximum(left_cost, right_cost)
                 c_bnl = np.maximum(pair, BNL_BLOCK_TUPLES)
-                if three:
-                    c_hash = np.maximum(pair, right_rows)
-                    c_sm = np.maximum(
-                        pair, np.maximum(left_rows + right_rows, 1.0)
-                    )
-            else:  # io: all three operators cost the same, so the hash
-                # and sort-merge candidates can never strictly improve on
-                # the block-nested-loop one generated just before them —
-                # they contribute to plans_considered (above) only.
+                if with_hash:
+                    c_hash = np.maximum(pair, rows[right])
+            else:  # io: every operator costs the same, so the hash
+                # candidate can never strictly improve on the
+                # block-nested-loop one generated just before it either.
                 c_bnl = (left_cost + right_cost) + rows[masks[span]][:, None]
 
             if valid is not None and valid_total != valid.size:
                 np.copyto(c_bnl, inf, where=~valid)
-            if three:
-                not_equi = ~equi
-                np.copyto(c_hash, inf, where=not_equi)
-                np.copyto(c_sm, inf, where=not_equi)
-                best3 = np.minimum(np.minimum(c_bnl, c_hash), c_sm)
+            if with_hash:
+                np.copyto(c_hash, inf, where=~equi)
+                best2 = np.minimum(c_bnl, c_hash)
             else:
-                best3 = c_bnl
-            # Interleaved candidate order per mask is (split: bnl, hash,
-            # sm).  ``before`` is the running minimum each BNL candidate
-            # meets: the carried ``best`` in the block's first column, the
-            # fold of the block's earlier splits into it after that; hash
-            # additionally sees bnl, sm sees both.  Counting strict
-            # improvements against it is the scalar ``if cost < best``.
+                best2 = c_bnl
+            # Interleaved candidate order per mask is (split: bnl, hash).
+            # ``before`` is the running minimum each BNL candidate meets:
+            # the carried ``best`` in the block's first column, the fold of
+            # the block's earlier splits into it after that; hash
+            # additionally sees bnl.  Counting strict improvements against
+            # it is the scalar ``if cost < best``.
             carry = best[span]
             if left.shape[1] == 1:
                 before, win = carry[:, None], (slice(None), 0)
             else:
-                pm = np.minimum.accumulate(best3, axis=1)
+                pm = np.minimum.accumulate(best2, axis=1)
                 before = np.empty_like(pm)
                 before[:, 0] = carry
                 np.minimum(pm[:, :-1], carry[:, None], out=before[:, 1:])
                 # First split achieving the block minimum (the first
                 # algorithm within it below): the scalar first-wins rule.
-                win = (np.arange(left.shape[0]), best3.argmin(axis=1))
-            block_best = best3[win]
+                win = (np.arange(left.shape[0]), best2.argmin(axis=1))
+            block_best = best2[win]
             kept += int(np.count_nonzero(c_bnl < before))
             # Strict: an earlier block's split keeps a tie, as in the scan.
             improved = block_best < carry
-            if three:
-                before = np.minimum(before, c_bnl)
-                kept += int(np.count_nonzero(c_hash < before))
-                np.minimum(before, c_hash, out=before)
-                kept += int(np.count_nonzero(c_sm < before))
-                algo = np.where(
-                    c_bnl[win] == block_best, 0, np.where(c_hash[win] == block_best, 1, 2)
-                )
-                np.copyto(win_algo[span], algo, where=improved)
+            if with_hash:
+                kept += int(np.count_nonzero(c_hash < np.minimum(before, c_bnl)))
+                np.copyto(win_algo[span], c_bnl[win] != block_best, where=improved)
             else:
                 np.copyto(win_algo[span], 0, where=improved)
             np.copyto(win_right[span], right[win], where=improved)
@@ -693,16 +676,19 @@ def _run_frontier_vec(
     count[m]`` of the flat ``entry_*`` arrays (entries ``0 … n-1`` are the
     scans).  Per split the operator cost depends only on the operand
     masks' cardinalities, so a level's candidates are gathers of operand
-    entry costs plus a per-split ``(splits, 3)`` operator table, laid out
+    entry costs plus a per-split ``(splits, 2)`` operator table, laid out
     in the scalar candidate order (mask, split, left entry, right entry,
     operator) so the order-faithful filter sees the same stream the
     sequential pruning would, with the reference's float association
-    (``(l + r) + op``; ``max(max(l, r), op)``).
+    (``(l + r) + op``; ``max(max(l, r), op)``).  The stream leaves out
+    every sort-merge candidate: the hash candidate just before it weakly
+    dominates it (:func:`_run_single_vec`), so the filter would reject it
+    and it would evict nothing — it is counted in ``plans_considered`` only.
     """
     n = query.n_tables
     settings = cost_model.settings
     kinds = [_metric_kind(metric) for metric in cost_model.metrics]
-    rows, sort_term, scans = _prefill(query, cost_model, "time" in kinds)
+    rows, scans = _prefill(query, cost_model)
     source = _Splits(query, constraints, settings)
 
     singletons = np.int64(1) << np.arange(n, dtype=np.int64)
@@ -726,13 +712,15 @@ def _run_frontier_vec(
         valid = (n_left > 0) & (n_right > 0)
         if source.constrained:
             valid &= source.unblocked(masks, right)
-        per_split = n_left * n_right
+        pairs = n_left * n_right
+        pairs[~valid] = 0
         if settings.use_all_join_algorithms:
-            n_algos = np.where(source.equi(left, right), 3, 1)
-            per_split *= n_algos
+            equi = source.equi(left, right)
+            n_algos = np.where(equi, 2, 1)
+            considered += int(pairs[equi].sum())  # the sort-merge candidates
         else:
             n_algos = np.ones_like(left)
-        per_split[~valid] = 0
+        per_split = pairs * n_algos
         per_mask = per_split.sum(axis=1)
         splits += int(valid.sum())
         considered += int(per_mask.sum())
@@ -777,26 +765,14 @@ def _run_frontier_vec(
                     out_rows = rows[chunk_masks][split_row]
                     candidates[:, metric] = (lc + rc) + out_rows[split_of]
                 elif kind == "time":
-                    sort_merge = left_rows + right_rows
-                    sort_merge = sort_merge + sort_term[left_mask]
-                    sort_merge = sort_merge + sort_term[right_mask]
                     operators = np.stack(
-                        [
-                            left_rows * right_rows,
-                            HASH_FACTOR * (left_rows + right_rows),
-                            sort_merge,
-                        ],
+                        [left_rows * right_rows, HASH_FACTOR * (left_rows + right_rows)],
                         axis=1,
                     )
                     candidates[:, metric] = (lc + rc) + operators[split_of, algo]
                 else:  # buffer
                     operators = np.stack(
-                        [
-                            np.full(width.shape[0], BNL_BLOCK_TUPLES),
-                            right_rows,
-                            np.maximum(left_rows + right_rows, 1.0),
-                        ],
-                        axis=1,
+                        [np.full(width.shape[0], BNL_BLOCK_TUPLES), right_rows], axis=1
                     )
                     candidates[:, metric] = np.maximum(
                         np.maximum(lc, rc), operators[split_of, algo]

@@ -86,6 +86,15 @@ class TestCrossProductOnlyQueries:
         assert parallel.best.cost[0] == pytest.approx(serial.cost[0])
 
 
+def _overflowing_query(cardinality, hub):
+    """Six tables of ``cardinality`` rows: a chain (``hub`` None) or a star
+    around table ``hub``, selectivity 0.5 per predicate."""
+    return make_manual_query(
+        [cardinality] * 6,
+        [(i - 1 if hub is None else hub, i, 0.5) for i in range(1, 6)],
+    )
+
+
 class TestExtremeStatistics:
     def test_zero_cardinality_table(self):
         query = Query(
@@ -115,10 +124,7 @@ class TestExtremeStatistics:
         ``InterestingOrderPruning`` still *keeps* an ``inf``-cost candidate
         that opens an empty table set or a new order — a kernel deciding by
         ``candidate < inf``-style sentinels drops both."""
-        query = make_manual_query(
-            [cardinality] * 6,
-            [(i - 1 if hub is None else hub, i, 0.5) for i in range(1, 6)],
-        )
+        query = _overflowing_query(cardinality, hub)
         settings = OptimizerSettings(plan_space=plan_space, consider_orders=True)
         overflowed = False
         for n_partitions in (1, 2):
@@ -146,10 +152,7 @@ class TestExtremeStatistics:
         at a θ endpoint, and fastdp's inline dominance test and kept θ rows
         must decide as ``ParametricPruning`` does, in either objective
         order."""
-        query = make_manual_query(
-            [cardinality] * 6,
-            [(i - 1 if hub is None else hub, i, 0.5) for i in range(1, 6)],
-        )
+        query = _overflowing_query(cardinality, hub)
         settings = OptimizerSettings(
             plan_space=plan_space, objectives=objectives, parametric=True
         )
@@ -161,6 +164,36 @@ class TestExtremeStatistics:
                 )
                 assert search_outcome(legacy) == search_outcome(fast)
                 overflowed |= any(math.inf in plan.cost for plan in fast.plans)
+        assert overflowed
+
+    @pytest.mark.parametrize("cardinality", [10**100, 10**155])
+    @pytest.mark.parametrize("hub", [None, 0], ids=["chain", "star"])
+    @pytest.mark.parametrize("plan_space", list(PlanSpace))
+    @pytest.mark.parametrize(
+        "objectives", [MULTI_OBJECTIVE, MULTI_OBJECTIVE[::-1]],
+        ids=["time-first", "buffer-first"],
+    )
+    def test_overflowing_multi_objective_costs_match_legacy_on_vecdp(
+        self, cardinality, hub, plan_space, objectives
+    ):
+        """The same overflow grid on vecdp's frontier class: ``inf`` time
+        costs must not change which candidates the batched weak-Pareto filter
+        accepts, and the sort-merge candidates vecdp leaves out of its stream
+        must stay the ones ``ParetoPruning`` would reject."""
+        query = _overflowing_query(cardinality, hub)
+        settings = OptimizerSettings(plan_space=plan_space, objectives=objectives)
+        overflowed = False
+        for n_partitions in (1, 2):
+            for partition_id in range(n_partitions):
+                legacy, vec = (
+                    optimize_partition(
+                        query, partition_id, n_partitions, settings.replace(backend=backend)
+                    )
+                    for backend in (Backend.LEGACY, Backend.VECDP)
+                )
+                assert vec.stats.backend_used == "vecdp"
+                assert search_outcome(legacy) == search_outcome(vec)
+                overflowed |= any(math.inf in plan.cost for plan in vec.plans)
         assert overflowed
 
     @pytest.mark.xfail(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import MULTI_OBJECTIVE, Objective
 from repro.cost.metrics import (
@@ -111,6 +113,33 @@ class TestBufferSpace:
             900.0, 50.0, 10.0, 10.0, 1.0, JoinAlgorithm.HASH, True, True
         )
         assert cost == 900.0
+
+
+#: Non-negative costs and row counts, with the values that break float
+#: reasoning mixed in: zero, subnormals, squares that overflow, and ``inf``.
+EXTREME = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 1.0, 2.0, 1e155, 1e300, math.inf]),
+    st.floats(min_value=0.0, allow_nan=False),
+)
+
+
+class TestSortMergeNeverBeatsHash:
+    """vecdp leaves sort-merge uncosted: without interesting orders its
+    candidate is never cheaper than the hash one generated just before it,
+    in any metric, for the floats the reference metrics compute."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(EXTREME, EXTREME, EXTREME, EXTREME, EXTREME)
+    def test_hash_costs_no_more_than_sort_merge(
+        self, left_cost, right_cost, left_rows, right_rows, out_rows
+    ):
+        operands = (left_cost, right_cost, left_rows, right_rows, out_rows)
+        for metric in make_metrics(tuple(Objective)):
+            sort_merge = metric.join_cost(
+                *operands, JoinAlgorithm.SORT_MERGE, True, True
+            )
+            hashed = metric.join_cost(*operands, JoinAlgorithm.HASH, False, False)
+            assert sort_merge >= hashed, metric.name
 
 
 class TestMakeMetrics:
