@@ -158,13 +158,16 @@ def float_from_wire(value: Any) -> float:
 
     Also tolerates *reading* bare non-finite floats (Python's ``json``
     parses legacy ``Infinity`` tokens from logs written before sentinel
-    encoding existed), but still rejects NaN from any source.
+    encoding existed), but still rejects NaN from any source — and JSON
+    booleans, which ``float()`` would silently read as ``1.0`` / ``0.0``.
     """
     if isinstance(value, str):
         try:
             return _FLOAT_SENTINELS[value]
         except KeyError:
             raise ValueError(f"unknown float sentinel {value!r}") from None
+    if isinstance(value, bool):
+        raise ValueError(f"boolean {value!r} on the wire; record is corrupt")
     result = float(value)
     if math.isnan(result):
         raise ValueError("NaN on the wire; record is corrupt")
@@ -213,35 +216,72 @@ def plan_to_wire(plan: Plan) -> dict[str, Any]:
     }
 
 
-def plan_from_wire(data: dict[str, Any]) -> Plan:
+_SCAN_ALGORITHMS = {member.value: member for member in ScanAlgorithm}
+_JOIN_ALGORITHMS = {member.value: member for member in JoinAlgorithm}
+
+
+def _table_map(mapping: tuple[int, ...] | None) -> dict[int, int] | None:
+    # A dict, not the tuple: a table number outside the mapping — negative
+    # ones included, which a tuple index would wrap — is a KeyError.
+    return None if mapping is None else dict(enumerate(mapping))
+
+
+def _decode(data: dict[str, Any], tables: dict[int, int] | None) -> Plan:
+    # A finite float is taken as is; anything else (sentinel strings, legacy
+    # bare infinities, NaN, booleans) goes through float_from_wire's checks.
+    isfinite = math.isfinite
+    rows = data["rows"]
+    if type(rows) is not float or not isfinite(rows):
+        rows = float_from_wire(rows)
+    cost = tuple(
+        [
+            value if type(value) is float and isfinite(value) else float_from_wire(value)
+            for value in data["cost"]
+        ]
+    )
+    order = data["order"]
+    if order is not None:
+        table, column = order
+        table = int(table)
+        order = SortOrder(table if tables is None else tables[table], str(column))
+    op = data["op"]
+    if op == "scan":
+        table = int(data["table"])
+        if tables is None:
+            mask = int(data["mask"])
+        else:
+            table = tables[table]
+            mask = 1 << table
+        return ScanPlan(mask, rows, cost, order, table, _SCAN_ALGORITHMS[data["alg"]])
+    if op == "join":
+        left = _decode(data["left"], tables)
+        right = _decode(data["right"], tables)
+        mask = int(data["mask"]) if tables is None else left.mask | right.mask
+        algorithm = _JOIN_ALGORITHMS[data["alg"]]
+        return JoinPlan(mask, rows, cost, order, left, right, algorithm)
+    raise ValueError(f"unknown plan operator {op!r}")
+
+
+def plan_from_wire(
+    data: dict[str, Any], mapping: tuple[int, ...] | None = None
+) -> Plan:
     """Rebuild a plan tree from :func:`plan_to_wire` output.
 
+    With a ``mapping`` (``mapping[old] = new``, a permutation of the
+    query's tables) the tree is decoded straight into the new numbering:
+    the result equals ``remap_plan(plan_from_wire(data), mapping)`` — a
+    scan's mask is its mapped table's bit, a join's the union of its
+    operands', an order's table is mapped, and costs, rows and operators
+    are copied verbatim — at the price of one tree build, not two.
+
     Raises ``ValueError`` on malformed input — a persistent cache decoding
-    a corrupt record must fail loudly, not serve a half-built plan.
+    a corrupt record must fail loudly, not serve a half-built plan.  A
+    table number outside ``mapping`` is malformed input too.
     """
     try:
-        common = {
-            "mask": int(data["mask"]),
-            "rows": float_from_wire(data["rows"]),
-            "cost": tuple(float_from_wire(value) for value in data["cost"]),
-            "order": order_from_wire(data["order"]),
-        }
-        if data["op"] == "scan":
-            return ScanPlan(
-                table=int(data["table"]),
-                algorithm=ScanAlgorithm(data["alg"]),
-                **common,
-            )
-        if data["op"] == "join":
-            return JoinPlan(
-                left=plan_from_wire(data["left"]),
-                right=plan_from_wire(data["right"]),
-                algorithm=JoinAlgorithm(data["alg"]),
-                **common,
-            )
+        return _decode(data, _table_map(mapping))
     except (KeyError, TypeError) as error:
         raise ValueError(f"malformed plan record: {error!r}") from error
-    raise ValueError(f"unknown plan operator {data.get('op')!r}")
 
 
 def plans_to_wire(plans: list[Plan]) -> list[dict[str, Any]]:
@@ -253,9 +293,18 @@ def plans_to_wire(plans: list[Plan]) -> list[dict[str, Any]]:
     return [plan_to_wire(plan) for plan in plans]
 
 
-def plans_from_wire(data: list[dict[str, Any]]) -> list[Plan]:
-    """Inverse of :func:`plans_to_wire`, preserving frontier order."""
-    return [plan_from_wire(item) for item in data]
+def plans_from_wire(
+    data: list[dict[str, Any]], mapping: tuple[int, ...] | None = None
+) -> list[Plan]:
+    """Inverse of :func:`plans_to_wire`, preserving frontier order.
+
+    ``mapping`` renumbers every plan as in :func:`plan_from_wire`.
+    """
+    tables = _table_map(mapping)
+    try:
+        return [_decode(item, tables) for item in data]
+    except (KeyError, TypeError) as error:
+        raise ValueError(f"malformed plan record: {error!r}") from error
 
 
 def settings_to_wire(settings: OptimizerSettings) -> dict[str, Any]:

@@ -40,10 +40,11 @@ is the front door:
 The wire asks by **fingerprint first**.  ``optimize`` has already computed
 the canonical form and the cache key, so it sends a ~100-byte ``lookup``
 frame carrying only the key (and θ); a shard whose cache holds the key
-answers with the plans in *canonical* numbering and this client relabels
-them into the requester's numbering with the ``canonical.numbering`` it
-already holds.  Only an ``unknown-key`` reply makes the client ship the full
-``optimize`` frame, whose reply comes back in the requester's numbering —
+answers with the plans in *canonical* numbering and this client decodes
+them straight into the requester's numbering with the
+``canonical.numbering`` it already holds.  Only an ``unknown-key`` reply
+makes the client ship the full ``optimize`` frame, whose reply comes back
+in the requester's numbering —
 the shard then canonicalises and fingerprints the query itself, trusting
 nothing the client computed.
 """
@@ -78,7 +79,8 @@ from repro.query.io import query_to_dict
 from repro.query.query import Query
 from repro.service.aio import GatewayOverloadedError
 from repro.service.fingerprint import CanonicalForm
-from repro.service.service import ServiceResult, relabel, resolve
+from repro.service.remap import invert
+from repro.service.service import ServiceResult, resolve
 
 #: Protocol identity exchanged in the hello frame; peers reject mismatches.
 PROTOCOL_FORMAT = "repro-net"
@@ -179,20 +181,24 @@ def result_to_wire(result: ServiceResult) -> dict[str, Any]:
     }
 
 
-def result_from_wire(data: dict[str, Any]) -> ServiceResult:
-    """Inverse of :func:`result_to_wire`; raises ``ValueError`` when malformed."""
+def result_from_wire(
+    data: dict[str, Any], mapping: tuple[int, ...] | None = None
+) -> ServiceResult:
+    """Inverse of :func:`result_to_wire`; raises ``ValueError`` when malformed.
+
+    ``mapping`` (``mapping[old] = new``) decodes the plans straight into
+    another table numbering — see :func:`plans_from_wire`.
+    """
     try:
         return ServiceResult(
-            plans=plans_from_wire(data["plans"]),
+            plans=plans_from_wire(data["plans"], mapping),
             n_partitions=int(data["n_partitions"]),
             fingerprint=str(data["fingerprint"]),
             cached=bool(data["cached"]),
             simulated_time_ms=float_from_wire(data["simulated_time_ms"]),
             network_bytes=int(data["network_bytes"]),
             backend_used=str(data.get("backend_used", "")),
-            theta=(
-                float(data["theta"]) if data.get("theta") is not None else None
-            ),
+            theta=float(data["theta"]) if data.get("theta") is not None else None,
         )
     except (KeyError, TypeError) as error:
         raise ValueError(f"malformed result record: {error!r}") from error
@@ -717,14 +723,16 @@ class NetworkOptimizerGateway:
 
         An ``optimize`` reply is already there; a ``lookup`` reply carries
         the shard's canonical answer (θ beside it, outside the bytes the
-        shard memoises) and is relabelled here.
+        shard memoises) and is decoded straight into the requester's
+        numbering through ``invert(canonical.numbering)`` — the mapping
+        ``relabel`` applies in process, without building the canonical
+        plans first.
         """
         answer = response.get("canonical")
         if answer is None:
             return result_from_wire(response["result"])
-        result = result_from_wire({**answer, "theta": response.get("theta")})
-        result.plans = relabel(result.plans, canonical.numbering)
-        return result
+        answer = {**answer, "theta": response.get("theta")}
+        return result_from_wire(answer, invert(canonical.numbering))
 
     def optimize_batch(
         self,

@@ -189,8 +189,10 @@ def relabel(plans: list[Plan], numbering: tuple[int, ...]) -> list[Plan]:
     """Canonical plans in the numbering of the requester ``numbering`` came from.
 
     ``numbering`` is that requester's ``CanonicalForm.numbering``.  The one
-    place answers leave canonical numbering: :meth:`OptimizerService.answer`
-    in process, the network client for a shard's canonical ``lookup`` reply.
+    in-process place answers leave canonical numbering
+    (:meth:`OptimizerService.answer`); the network client decodes a shard's
+    canonical ``lookup`` reply straight into the requester's numbering with
+    the same ``invert(numbering)`` mapping (``plans_from_wire``).
     """
     mapping = invert(numbering)
     return [remap_plan(plan, mapping) for plan in plans]
@@ -488,7 +490,8 @@ class OptimizerService:
         ``entry``, and each θ bound without a run counts one
         ``envelope_hits``.  ``canonical=None`` leaves the plans canonical
         (the entry's own objects): the shard server answers a ``lookup``
-        that way and the requester, who holds the numbering, relabels.
+        that way and the requester, who holds the numbering, decodes the
+        reply straight into it.
         """
         plans = entry.canonical_plans
         if theta is not None:

@@ -7,6 +7,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.serialization import (
     MEMO_ENTRY_BYTES,
@@ -38,11 +40,18 @@ from repro.cluster.serialization import (
     timing_to_wire,
 )
 from repro.cluster.simulator import SimulatedTiming
-from repro.config import PARAMETRIC_OBJECTIVES, OptimizerSettings
+from repro.config import (
+    MULTI_OBJECTIVE,
+    PARAMETRIC_OBJECTIVES,
+    OptimizerSettings,
+    PlanSpace,
+)
 from repro.core.serial import best_plan, optimize_serial
 from repro.plans.orders import SortOrder
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind
+from repro.service.remap import remap_plan
+from tests.test_edge_cases import _overflowing_query
 
 
 @pytest.fixture
@@ -175,6 +184,31 @@ class TestWireCodecs:
             plan_from_wire(record)
         with pytest.raises(ValueError):
             plan_from_wire({"op": "reduce", "mask": 1})
+        record = plan_to_wire(best_plan(optimize_serial(query, OptimizerSettings())))
+        record["left"]["alg"] = "quantum"
+        with pytest.raises(ValueError):
+            plan_from_wire(record)
+        with pytest.raises(ValueError):
+            plans_from_wire([record], (0, 1, 2, 3))
+
+    @pytest.mark.parametrize("where", ["scan", "order"])
+    @pytest.mark.parametrize("table", [4, -1])
+    def test_table_outside_the_mapping_fails_loudly(self, where, table):
+        """A scan or order naming a table a 4-table mapping does not cover
+        — past its end, or negative, which a tuple index would silently
+        wrap — is a malformed record, not an ``IndexError``."""
+        query = SteinbrunnGenerator(1).query(4)
+        record = plan_to_wire(best_plan(optimize_serial(query, OptimizerSettings())))
+        scan = record["right"]  # left-deep: the last join's inner is a scan
+        if where == "scan":
+            scan["table"] = table
+        else:
+            scan["order"] = [table, "c0"]
+        mapping = (3, 2, 1, 0)
+        with pytest.raises(ValueError):
+            plan_from_wire(record, mapping)
+        with pytest.raises(ValueError):
+            plans_from_wire([record], mapping)
 
     def test_timing_round_trip_bit_identical(self):
         timing = SimulatedTiming(
@@ -227,6 +261,21 @@ class TestNonFiniteFloats:
         with pytest.raises(ValueError):
             float_from_wire("infinity")
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_booleans_rejected_on_decode(self, value):
+        # float(True) == 1.0: without the check a JSON boolean decodes silently.
+        with pytest.raises(ValueError):
+            float_from_wire(value)
+
+    @pytest.mark.parametrize("field", ["rows", "cost"])
+    @pytest.mark.parametrize("mapping", [None, (0, 1, 2, 3)])
+    def test_boolean_in_a_plan_record_fails_loudly(self, field, mapping):
+        query = SteinbrunnGenerator(1).query(4)
+        record = plan_to_wire(best_plan(optimize_serial(query, OptimizerSettings())))
+        record["left"][field] = True if field == "rows" else [False]
+        with pytest.raises(ValueError):
+            plan_from_wire(json.loads(json.dumps(record)), mapping)
+
     def test_legacy_bare_infinity_still_decodes(self):
         # Logs written before sentinel encoding hold bare Infinity tokens;
         # Python's json parses them to float inf, which decode tolerates.
@@ -270,3 +319,72 @@ class TestNonFiniteFloats:
         del record["objectives"]
         with pytest.raises(ValueError):
             settings_from_wire(record)
+
+
+# ------------------------------------------------- decoding into a numbering
+
+
+#: Every plan class that crosses the wire: plain in both plan spaces,
+#: interesting orders, parametric envelopes and exact multi-objective
+#: frontiers.
+WIRE_CLASSES = {
+    "plain_linear": OptimizerSettings(),
+    "plain_bushy": OptimizerSettings(plan_space=PlanSpace.BUSHY),
+    "orders": OptimizerSettings(consider_orders=True),
+    "parametric": OptimizerSettings(objectives=PARAMETRIC_OBJECTIVES, parametric=True),
+    "multi": OptimizerSettings(objectives=MULTI_OBJECTIVE),
+}
+
+#: Six 10**100-row tables in a star: costs overflow to ``inf`` from the
+#: second join on (``tests/test_edge_cases.py``).
+OVERFLOW_QUERY = _overflowing_query(10**100, 0)
+
+
+def frontier(query, class_name):
+    return optimize_serial(query, WIRE_CLASSES[class_name]).plans
+
+
+#: Clustered tables give scans an order, so non-null orders occur.
+wire_queries = st.one_of(
+    st.builds(
+        lambda seed, kind, n_tables: SteinbrunnGenerator(
+            seed, clustered_tables=True
+        ).query(n_tables, kind),
+        st.integers(0, 10**6),
+        st.sampled_from(list(JoinGraphKind)),
+        st.integers(2, 7),
+    ),
+    st.just(OVERFLOW_QUERY),
+)
+
+
+class TestDecodeIntoNumbering:
+    """``plan_from_wire(data, mapping)`` is held to ``remap_plan``: decoding
+    straight into a numbering equals decoding, then relabelling."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        query=wire_queries,
+        class_name=st.sampled_from(sorted(WIRE_CLASSES)),
+        data=st.data(),
+    )
+    def test_equals_decode_then_remap(self, query, class_name, data):
+        plans = frontier(query, class_name)
+        mapping = tuple(data.draw(st.permutations(range(query.n_tables))))
+        wire = json.loads(json.dumps(plans_to_wire(plans), allow_nan=False))
+        for plan, record in zip(plans, wire):
+            assert plan_from_wire(record, mapping) == remap_plan(plan, mapping)
+            assert plan_from_wire(record) == plan
+        assert plans_from_wire(wire, mapping) == [
+            remap_plan(plan, mapping) for plan in plans
+        ]
+
+    def test_overflow_query_ships_infinite_costs_and_orders(self):
+        """What the property draws reaches the cases that matter: the
+        overflow query's frontiers carry ``inf`` costs, and the orders
+        class carries non-null orders."""
+        shipped = {name: frontier(OVERFLOW_QUERY, name) for name in WIRE_CLASSES}
+        for name in ("orders", "parametric", "multi"):
+            assert any(math.inf in plan.cost for plan in shipped[name]), name
+        clustered = SteinbrunnGenerator(1, clustered_tables=True).query(5)
+        assert any(plan.order for plan in frontier(clustered, "orders"))

@@ -7,10 +7,16 @@ once with the pool's own (memoised) query objects, once with a never-seen
 relabelling of each — and through the door (``service.optimize``) itself:
 the measurement perf issues on the serving hit path are chosen from.
 
+The network client's two hit stages ride along: ``json.loads`` of the
+canonical reply bytes a shard memoises per entry (made once per shape, as the
+shard server makes them) and ``result_from_wire`` into the requester's
+numbering.
+
     python tools/hit_profile.py [--requests 2000] [--tables 5 6 7 8]
 """
 
 import argparse
+import json
 import random
 import statistics
 import sys
@@ -22,7 +28,10 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "spine")]
 
 import schedules  # noqa: E402  (benchmarks/spine, path set above)
+from repro.cluster.network import encode_body  # noqa: E402
 from repro.service.fingerprint import canonicalize, fingerprint_canonical  # noqa: E402
+from repro.service.net import result_from_wire, result_to_wire  # noqa: E402
+from repro.service.remap import invert  # noqa: E402
 from repro.service.service import OptimizerService, relabel  # noqa: E402
 
 
@@ -47,9 +56,14 @@ def main() -> int:
 
     columns = {"memoised": lambda query: query, "fresh relabelling": fresh}
     samples = {column: defaultdict(list) for column in columns}
+    replies = {}  # key -> the canonical reply bytes a shard memoises
     with OptimizerService(n_workers=1, settings=settings) as service:
         for query in pool:
             service.optimize(query)
+            key = fingerprint_canonical(canonicalize(query), settings, 1)
+            result = service.answer(service.cache.peek(key), None, key, settings.theta)
+            result.theta = None  # as the shard does: θ rides beside these bytes
+            replies[key] = encode_body(result_to_wire(result))
         for index in range(args.requests):
             for column, request in columns.items():
                 query, us = request(pool[index % len(pool)]), samples[column]
@@ -58,6 +72,9 @@ def main() -> int:
                 entry = timed(us["cache get"], service.cache.get, key)
                 chosen = timed(us["select_index"], entry.select_index, settings.theta)
                 timed(us["relabel"], relabel, [entry.canonical_plans[chosen]], canonical.numbering)
+                reply = timed(us["wire json.loads"], json.loads, replies[key])
+                reply["theta"] = settings.theta
+                timed(us["wire result_from_wire"], lambda: result_from_wire(reply, invert(canonical.numbering)))
                 # The door gets its own request: the one above is memoised by now.
                 served = timed(us["door total"], service.optimize, request(query))
                 assert served.cached, "the fill above covers every shape"
