@@ -3,7 +3,6 @@
 Because MPQ (like the classical DP it parallelizes) enumerates table sets
 regardless of the join graph — cross products are permitted — chain, star,
 cycle, and clique queries of the same size cost nearly the same to optimize.
-Randomized algorithms show no such guarantee; compare their plan quality too.
 
 Run:  python examples/join_graph_shapes.py
 """
@@ -14,8 +13,6 @@ import statistics
 import time
 
 from repro import OptimizerSettings, SteinbrunnGenerator, optimize_serial
-from repro.algorithms.randomized import iterated_improvement, simulated_annealing
-from repro.core.serial import best_plan
 from repro.query.query import JoinGraphKind
 
 
@@ -47,19 +44,6 @@ def main() -> None:
         splits_seen.add(splits[0])
     assert len(splits_seen) == 1, "split counts depend only on query size"
     print("-> identical split counts for every topology.")
-    print()
-
-    print("Randomized search vs DP optimum (10-table star):")
-    query = SteinbrunnGenerator(58).query(10, JoinGraphKind.STAR)
-    optimum = best_plan(optimize_serial(query, settings)).cost[0]
-    ii = iterated_improvement(query, n_restarts=5, seed=1).cost[0]
-    sa = simulated_annealing(query, seed=1).cost[0]
-    print(f"  DP optimum:            {optimum:>16,.0f}")
-    print(f"  iterated improvement:  {ii:>16,.0f}  ({ii / optimum:.2f}x)")
-    print(f"  simulated annealing:   {sa:>16,.0f}  ({sa / optimum:.2f}x)")
-    print()
-    print("DP guarantees the optimum; randomized methods only approach it —")
-    print("the reason the paper parallelizes DP rather than the easy targets.")
 
 
 if __name__ == "__main__":

@@ -75,14 +75,11 @@ from repro.service import (
 from repro.algorithms import (
     MPQReport,
     SMAReport,
-    iterated_improvement,
     optimize_mpq,
     optimize_multi_objective,
     optimize_sma,
-    simulated_annealing,
 )
 from repro.algorithms.pqo import PQOResult, optimize_parametric
-from repro.core.scheduling import WorkerProfile, assign_partitions
 from repro.query.io import load_query, save_query
 
 __version__ = "1.0.0"
@@ -138,15 +135,11 @@ __all__ = [
     "fingerprint",
     "MPQReport",
     "SMAReport",
-    "iterated_improvement",
     "optimize_mpq",
     "optimize_multi_objective",
     "optimize_sma",
-    "simulated_annealing",
     "PQOResult",
     "optimize_parametric",
-    "WorkerProfile",
-    "assign_partitions",
     "load_query",
     "save_query",
     "__version__",

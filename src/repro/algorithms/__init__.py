@@ -1,14 +1,7 @@
-"""End-to-end optimization algorithms: MPQ, SMA baseline, randomized search."""
+"""End-to-end optimization algorithms: MPQ, the SMA baseline, multi-objective."""
 
 from repro.algorithms.mpq import MPQReport, optimize_mpq
 from repro.algorithms.sma import SMAReport, optimize_sma
-from repro.algorithms.randomized import (
-    greedy_operator_ordering,
-    iterated_improvement,
-    order_cost,
-    plan_for_order,
-    simulated_annealing,
-)
 from repro.algorithms.moq import (
     approximation_ratio,
     frontier_summary,
@@ -20,11 +13,6 @@ __all__ = [
     "optimize_mpq",
     "SMAReport",
     "optimize_sma",
-    "greedy_operator_ordering",
-    "iterated_improvement",
-    "order_cost",
-    "plan_for_order",
-    "simulated_annealing",
     "approximation_ratio",
     "frontier_summary",
     "optimize_multi_objective",

@@ -107,10 +107,6 @@ class EnvelopeIndex:
             key=lambda i: theta_selection_key(costs[i], theta),
         )
 
-    def select_plan(self, plans: Sequence[Plan], theta: float) -> Plan:
-        """The θ-optimal plan of a frontier this index was built over."""
-        return plans[self.select([plan.cost for plan in plans], theta)]
-
     # ------------------------------------------------------------------ wire
 
     def to_wire(self) -> dict[str, Any]:

@@ -3,7 +3,6 @@
 from repro.plans.operators import JoinAlgorithm, ScanAlgorithm
 from repro.plans.orders import SortOrder, order_satisfies
 from repro.plans.plan import JoinPlan, Plan, ScanPlan, plan_depth, plan_join_count
-from repro.plans.dot import plan_to_dot
 
 __all__ = [
     "JoinAlgorithm",
@@ -15,5 +14,4 @@ __all__ = [
     "ScanPlan",
     "plan_depth",
     "plan_join_count",
-    "plan_to_dot",
 ]

@@ -83,18 +83,21 @@ def query_from_dict(data: dict[str, Any]) -> Query:
     predicates = []
     for raw in data.get("predicates", ()):
         try:
-            left_table = int(raw["left_table"])
-            right_table = int(raw["right_table"])
+            left_table = _table_index(raw["left_table"], len(tables))
+            right_table = _table_index(raw["right_table"], len(tables))
             left_column = raw["left_column"]
             right_column = raw["right_column"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed predicate definition: {exc}") from exc
         selectivity = raw.get("selectivity")
         if selectivity is None:
-            selectivity = equi_join_selectivity(
-                tables[left_table].column(left_column),
-                tables[right_table].column(right_column),
-            )
+            try:
+                selectivity = equi_join_selectivity(
+                    tables[left_table].column(left_column),
+                    tables[right_table].column(right_column),
+                )
+            except KeyError as exc:
+                raise ValueError(f"unknown predicate column: {exc}") from exc
         predicates.append(
             JoinPredicate(
                 left_table=left_table,
@@ -109,6 +112,16 @@ def query_from_dict(data: dict[str, Any]) -> Query:
         predicates=tuple(predicates),
         name=data.get("name", "query"),
     )
+
+
+def _table_index(value: Any, n_tables: int) -> int:
+    """A predicate endpoint: a position in ``tables``, never a JSON boolean."""
+    if isinstance(value, bool):
+        raise ValueError(f"table index must be an integer, got {value!r}")
+    index = int(value)
+    if not 0 <= index < n_tables:
+        raise ValueError(f"predicate references table {index}, query has {n_tables} tables")
+    return index
 
 
 def save_query(query: Query, path: str | Path) -> None:

@@ -1,4 +1,4 @@
-"""Retry executor, skew-freeness, and DOT export."""
+"""Retry executor and skew-freeness."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.config import OptimizerSettings, PlanSpace
 from repro.core.master import optimize_parallel
 from repro.core.serial import best_plan, optimize_serial
 from repro.core.worker import optimize_partition
-from repro.plans.dot import plan_to_dot
 from repro.query.generator import SteinbrunnGenerator
 
 
@@ -136,27 +135,3 @@ class TestSkewFreeness:
             for pid in range(8)
         ]
         assert max(considered) <= 2 * min(considered)
-
-
-class TestDotExport:
-    def test_digraph_structure(self, query, linear_settings):
-        plan = best_plan(optimize_serial(query, linear_settings))
-        dot = plan_to_dot(plan, tuple(t.name for t in query.tables))
-        assert dot.startswith("digraph")
-        assert dot.rstrip().endswith("}")
-        assert dot.count("Join") == query.n_tables - 1
-        assert dot.count("Scan") == query.n_tables
-        assert dot.count("->") == 2 * (query.n_tables - 1)
-
-    def test_operand_roles_labeled(self, query, linear_settings):
-        plan = best_plan(optimize_serial(query, linear_settings))
-        dot = plan_to_dot(plan)
-        assert 'label="outer"' in dot
-        assert 'label="inner"' in dot
-
-    def test_escaping(self):
-        from repro.plans.plan import ScanPlan
-
-        scan = ScanPlan(mask=1, rows=5.0, cost=(5.0,), order=None, table=0)
-        dot = plan_to_dot(scan, ('weird"name',))
-        assert '\\"' in dot

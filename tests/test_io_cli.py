@@ -61,6 +61,22 @@ class TestQueryRoundTrip:
         with pytest.raises(ValueError, match="predicate"):
             query_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "endpoint, match",
+        [
+            ({"left_table": 5}, "references table 5"),
+            ({"left_column": "missing"}, "unknown predicate column"),
+            ({"left_table": True, "right_table": 0}, "must be an integer"),
+        ],
+        ids=["out-of-range", "unknown-column", "boolean"],
+    )
+    def test_bad_endpoint_without_selectivity_is_value_error(self, endpoint, match):
+        data = query_to_dict(make_manual_query([10, 20], [(0, 1, 0.5)]))
+        del data["predicates"][0]["selectivity"]
+        data["predicates"][0].update(endpoint)
+        with pytest.raises(ValueError, match=match):
+            query_from_dict(data)
+
     def test_optimization_equivalent_after_roundtrip(self):
         query = SteinbrunnGenerator(6).query(6)
         clone = query_from_dict(query_to_dict(query))

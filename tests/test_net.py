@@ -476,6 +476,22 @@ class TestProtocolFaults:
             response = recv_frame(sock)
             assert response["error"]["type"] == "bad-request"
 
+    def test_out_of_range_predicate_table_is_bad_request(self, server):
+        """Regression: without a selectivity the decoder indexed ``tables``
+        first, and the ``IndexError`` came back as ``optimization-failed``."""
+        from repro.query.io import query_to_dict
+
+        query = query_to_dict(SteinbrunnGenerator(4).query(2))
+        del query["predicates"][0]["selectivity"]
+        query["predicates"][0]["left_table"] = 5
+        with connect_raw(server) as sock:
+            send_frame(sock, {"op": "optimize", "query": query})
+            response = recv_frame(sock)
+            assert response["ok"] is False
+            assert response["error"]["type"] == "bad-request"
+            send_frame(sock, {"op": "health"})  # the connection is kept
+            assert recv_frame(sock)["status"] == "serving"
+
     def test_overload_rejection_carries_retry_after(self, server):
         from repro.query.io import query_to_dict
 
