@@ -78,33 +78,28 @@ def query_from_dict(data: dict[str, Any]) -> Query:
     """
     try:
         tables = tuple(_table_from_dict(raw) for raw in data["tables"])
+        raw_predicates = list(data.get("predicates", ()))
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed table definition: {exc}") from exc
+        raise ValueError(f"malformed query: {exc}") from exc
     predicates = []
-    for raw in data.get("predicates", ()):
+    for raw in raw_predicates:
         try:
             left_table = _table_index(raw["left_table"], len(tables))
             right_table = _table_index(raw["right_table"], len(tables))
-            left_column = raw["left_column"]
-            right_column = raw["right_column"]
+            left_column = tables[left_table].column(raw["left_column"])
+            right_column = tables[right_table].column(raw["right_column"])
+            selectivity = raw.get("selectivity")
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed predicate definition: {exc}") from exc
-        selectivity = raw.get("selectivity")
         if selectivity is None:
-            try:
-                selectivity = equi_join_selectivity(
-                    tables[left_table].column(left_column),
-                    tables[right_table].column(right_column),
-                )
-            except KeyError as exc:
-                raise ValueError(f"unknown predicate column: {exc}") from exc
+            selectivity = equi_join_selectivity(left_column, right_column)
         predicates.append(
             JoinPredicate(
                 left_table=left_table,
-                left_column=left_column,
+                left_column=left_column.name,
                 right_table=right_table,
-                right_column=right_column,
-                selectivity=float(selectivity),
+                right_column=right_column.name,
+                selectivity=_number(selectivity, "selectivity", integral=False),
             )
         )
     return Query(
@@ -114,11 +109,16 @@ def query_from_dict(data: dict[str, Any]) -> Query:
     )
 
 
+def _number(value: Any, what: str, integral: bool = True) -> Any:
+    """A JSON number, never a boolean or a string; if ``integral``, a finite integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or integral and value % 1:
+        raise ValueError(f"{what} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def _table_index(value: Any, n_tables: int) -> int:
-    """A predicate endpoint: a position in ``tables``, never a JSON boolean."""
-    if isinstance(value, bool):
-        raise ValueError(f"table index must be an integer, got {value!r}")
-    index = int(value)
+    """A predicate endpoint: a position in ``tables``."""
+    index = _number(value, "table index")
     if not 0 <= index < n_tables:
         raise ValueError(f"predicate references table {index}, query has {n_tables} tables")
     return index
@@ -138,10 +138,10 @@ def _table_from_dict(raw: dict[str, Any]) -> Table:
     try:
         return Table(
             name=raw["name"],
-            cardinality=int(raw["cardinality"]),
-            row_bytes=int(raw.get("row_bytes", 64)),
+            cardinality=_number(raw["cardinality"], "cardinality"),
+            row_bytes=_number(raw.get("row_bytes", 64), "row_bytes"),
             columns=tuple(
-                Column(name=col["name"], domain_size=int(col["domain_size"]))
+                Column(name=col["name"], domain_size=_number(col["domain_size"], "domain_size"))
                 for col in raw.get("columns", ())
             ),
             clustered_on=raw.get("clustered_on"),
@@ -156,9 +156,16 @@ def catalog_to_dict(catalog: Catalog) -> dict[str, Any]:
 
 
 def catalog_from_dict(data: dict[str, Any]) -> Catalog:
-    """Build a catalog from its JSON representation."""
+    """Build a catalog from its JSON representation.
+
+    Raises ``ValueError`` with a readable message on malformed input.
+    """
+    try:
+        raw_tables = list(data.get("tables", ()))
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"malformed catalog: {exc}") from exc
     catalog = Catalog()
-    for raw in data.get("tables", ()):
+    for raw in raw_tables:
         catalog.add(_table_from_dict(raw))
     return catalog
 

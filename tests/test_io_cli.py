@@ -14,6 +14,7 @@ from repro.core.serial import best_plan, optimize_serial
 from repro.query.generator import SteinbrunnGenerator
 from repro.service import AsyncGatewayStats, GatewayStats, ShardStats
 from repro.query.io import (
+    catalog_from_dict,
     load_query,
     plan_to_dict,
     query_from_dict,
@@ -65,7 +66,7 @@ class TestQueryRoundTrip:
         "endpoint, match",
         [
             ({"left_table": 5}, "references table 5"),
-            ({"left_column": "missing"}, "unknown predicate column"),
+            ({"left_column": "missing"}, "has no column 'missing'"),
             ({"left_table": True, "right_table": 0}, "must be an integer"),
         ],
         ids=["out-of-range", "unknown-column", "boolean"],
@@ -100,6 +101,87 @@ class TestQueryRoundTrip:
     def test_unclustered_tables_omit_the_field(self):
         data = query_to_dict(make_manual_query([10, 20], [(0, 1, 0.5)]))
         assert all("clustered_on" not in table for table in data["tables"])
+
+
+def _query_with(**edits):
+    """A valid two-table query dict with one predicate, then ``edits``.
+
+    Keys are ``"query"``, ``"table"``, ``"column"`` or ``"predicate"`` (the
+    first of each) and map to the fields to overwrite there.
+    """
+    data = query_to_dict(make_manual_query([10, 20], [(0, 1, 0.5)]))
+    targets = {
+        "query": data,
+        "table": data["tables"][0],
+        "column": data["tables"][0]["columns"][0],
+        "predicate": data["predicates"][0],
+    }
+    for where, fields in edits.items():
+        targets[where].update(fields)
+    return data
+
+
+#: (id, malformed query, message fragment) — every one must be a ValueError.
+MALFORMED_QUERIES = [
+    ("not-an-object", [1, 2], "malformed"),
+    ("null", None, "malformed"),
+    ("no-tables-key", {"predicates": []}, "malformed"),
+    ("tables-not-a-list", {"tables": 5}, "malformed"),
+    ("zero-tables", _query_with(query={"tables": [], "predicates": []}), "at least one table"),
+    ("table-not-an-object", _query_with(query={"tables": ["T0"]}), "malformed table"),
+    ("cardinality-string", _query_with(table={"cardinality": "10"}), "cardinality"),
+    ("cardinality-fraction", _query_with(table={"cardinality": 1.5}), "cardinality"),
+    ("cardinality-boolean", _query_with(table={"cardinality": True}), "cardinality"),
+    ("cardinality-infinite", _query_with(table={"cardinality": float("inf")}), "cardinality"),
+    ("cardinality-negative", _query_with(table={"cardinality": -1}), "cardinality"),
+    ("row-bytes-zero", _query_with(table={"row_bytes": 0}), "row_bytes"),
+    ("columns-not-a-list", _query_with(table={"columns": 3}), "malformed table"),
+    ("domain-size-infinite", _query_with(column={"domain_size": float("inf")}), "domain_size"),
+    ("domain-size-zero", _query_with(column={"domain_size": 0}), "domain_size"),
+    ("clustered-on-unknown", _query_with(table={"clustered_on": "zz"}), "clustered on"),
+    ("predicates-not-a-list", _query_with(query={"predicates": 5}), "malformed query"),
+    ("predicate-not-an-object", _query_with(query={"predicates": ["p"]}), "malformed predicate"),
+    ("index-fraction", _query_with(predicate={"left_table": 0.5}), "must be an integer"),
+    ("index-string", _query_with(predicate={"right_table": "1"}), "must be an integer"),
+    ("index-infinite", _query_with(predicate={"left_table": float("inf")}), "must be an integer"),
+    ("index-negative", _query_with(predicate={"left_table": -1}), "references table -1"),
+    ("self-join", _query_with(predicate={"right_table": 0}), "distinct tables"),
+    ("unknown-column-with-selectivity", _query_with(predicate={"right_column": "zz"}), "has no column"),
+    ("column-not-string", _query_with(predicate={"left_column": 0}), "has no column"),
+    ("selectivity-boolean", _query_with(predicate={"selectivity": True}), "selectivity"),
+    ("selectivity-list", _query_with(predicate={"selectivity": [0.5]}), "selectivity"),
+    ("selectivity-string", _query_with(predicate={"selectivity": "0.5"}), "selectivity"),
+    ("selectivity-zero", _query_with(predicate={"selectivity": 0}), "selectivity"),
+    ("selectivity-nan", _query_with(predicate={"selectivity": float("nan")}), "selectivity"),
+]
+
+
+class TestMalformedQuery:
+    """``query_from_dict`` keeps its contract: malformed input is a ``ValueError``,
+    never another exception and never a silently misread query."""
+
+    @pytest.mark.parametrize(
+        "data, match",
+        [case[1:] for case in MALFORMED_QUERIES],
+        ids=[case[0] for case in MALFORMED_QUERIES],
+    )
+    def test_is_value_error(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            query_from_dict(data)
+
+    def test_integral_float_still_accepted(self):
+        """JSON writers that print every number as a float stay readable."""
+        data = _query_with(table={"cardinality": 10.0}, predicate={"left_table": 0.0})
+        assert query_from_dict(data) == make_manual_query([10, 20], [(0, 1, 0.5)])
+
+    @pytest.mark.parametrize(
+        "data",
+        [[], {"tables": {"R": 1}}, {"tables": [{"name": "R", "cardinality": "many"}]}],
+        ids=["not-an-object", "tables-not-a-list", "bad-table"],
+    )
+    def test_catalog_is_value_error(self, data):
+        with pytest.raises(ValueError):
+            catalog_from_dict(data)
 
 
 class TestPlanToDict:

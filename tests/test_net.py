@@ -492,6 +492,26 @@ class TestProtocolFaults:
             send_frame(sock, {"op": "health"})  # the connection is kept
             assert recv_frame(sock)["status"] == "serving"
 
+    @pytest.mark.parametrize(
+        "predicate",
+        [{"left_table": 0.5}, {"right_column": "zz"}, {"selectivity": True}],
+        ids=["fractional-table", "unknown-column", "boolean-selectivity"],
+    )
+    def test_misreadable_query_is_bad_request(self, server, predicate):
+        """Regression: each of these used to be read as some other query
+        (table 0, a column no table has, selectivity 1.0) and optimized."""
+        from repro.query.io import query_to_dict
+
+        query = query_to_dict(SteinbrunnGenerator(4).query(2))
+        query["predicates"][0].update(predicate)
+        with connect_raw(server) as sock:
+            send_frame(sock, {"op": "optimize", "query": query})
+            response = recv_frame(sock)
+            assert response["ok"] is False
+            assert response["error"]["type"] == "bad-request"
+            send_frame(sock, {"op": "health"})  # the connection is kept
+            assert recv_frame(sock)["status"] == "serving"
+
     def test_overload_rejection_carries_retry_after(self, server):
         from repro.query.io import query_to_dict
 
