@@ -65,7 +65,6 @@ Examples::
     python -m repro shard-server --listen 127.0.0.1:7401 --cache-dir /var/cache/mpq
     python -m repro shard-fleet --shards 3 --socket-dir /run/mpq --cache-dir /var/cache/mpq
     python -m repro serve-batch q*.json --connect unix:/run/mpq/shard-0.sock,unix:/run/mpq/shard-1.sock
-    python -m repro serve-batch q*.json --connect unix:/run/mpq/shard-0.sock --hedge-after-ms 50
     python -m repro cache inspect /var/cache/mpq/shard-*.log
     python -m repro cache export /var/cache/mpq/shard-0.log -o snapshot.log
     python -m repro cache import snapshot.log --into /var/cache/mpq/shard-0.log
@@ -248,15 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="route the batch to running shard servers at these endpoints "
         "(unix:/path or host:port, comma-separated) through the "
         "consistent-hash network gateway instead of optimizing in-process",
-    )
-    serve.add_argument(
-        "--hedge-after-ms",
-        type=float,
-        default=0.0,
-        help="with --connect: fire a duplicate request at the next ring "
-        "owner when the primary shard has not answered within this floor "
-        "(scaled up by its latency EWMA); first usable response wins. "
-        "0 (default) disables hedging",
     )
     serve.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
@@ -591,10 +581,6 @@ def _open_door(args: argparse.Namespace, settings: OptimizerSettings):
             # The CLI submits the whole batch at once; ride out the servers'
             # admission control instead of failing the batch on a burst.
             overload_retries=1000,
-            # Hedging: the flag sets the budget floor; the EWMA multiplier is
-            # fixed at 2x so a healthy shard's own tail does not trip hedges.
-            hedge_multiplier=2.0 if args.hedge_after_ms > 0 else 0.0,
-            hedge_min_s=max(args.hedge_after_ms / 1000.0, 1e-3),
         )
 
     def executor():

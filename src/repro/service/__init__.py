@@ -10,8 +10,7 @@ adds adaptive micro-batching and per-tenant backpressure on top.  The
 out-of-process layer crosses machine boundaries:
 :class:`ShardServer` serves one shard over a unix socket or TCP port,
 :class:`NetworkOptimizerGateway` routes fingerprints to shard servers on a
-consistent-hash ring with per-shard circuit breakers (and, opt-in, hedges
-slow primaries against the next ring owner), and :class:`ShardFleet`
+consistent-hash ring with per-shard circuit breakers, and :class:`ShardFleet`
 supervises a fleet of shard processes — restarting crashes with backoff and
 rebalancing the ring live by shipping moved keys' cache entries to their
 new owner before routers learn the new topology.

@@ -133,8 +133,8 @@ class ShardFleet:
         membership_path: when set, the current endpoint map is rewritten
             here (atomically) after every topology change.
         inject_latency_ms: per-shard fault injection (name → milliseconds),
-            forwarded as ``--inject-latency-ms`` — benchmarks use it to
-            build the deliberately slow shard the hedging gate needs.
+            forwarded as ``--inject-latency-ms`` — a deliberately slow
+            shard, for fault tests.
     """
 
     def __init__(

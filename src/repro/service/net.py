@@ -32,10 +32,8 @@ is the front door:
   background prober) drive breaker recovery, and
   :meth:`~NetworkOptimizerGateway.drain` gracefully quiesces every shard
   (stop accepting, finish in-flight, flush cache logs) before shutdown.
-  With ``hedge_multiplier > 0`` the router also *hedges*: a primary that
-  blows its EWMA-derived latency budget gets a duplicate request fired at
-  the key's next ring owner, first usable response wins, and the loser
-  finishes its round trip in the background (never interrupted mid-frame).
+  Each attempt goes to exactly one shard, the key's ring owner, so no
+  request's work is ever duplicated on a second shard.
 
 The wire asks by **fingerprint first**.  ``optimize`` has already computed
 the canonical form and the cache key, so it sends a ~100-byte ``lookup``
@@ -54,7 +52,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import socket
-import queue
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -298,28 +295,6 @@ class ConsistentHashRing:
             index = 0
         return self._owners[index]
 
-    def owners(self, key: str, count: int = 2) -> list[str]:
-        """Up to ``count`` *distinct* shards clockwise from ``key``.
-
-        ``owners(key, 1)[0] == route(key)``; the second element is the
-        shard that would own ``key`` if the primary left the ring — which
-        makes it both the hedging target (a duplicate request lands where
-        the key would migrate) and the natural receiver for shipped cache
-        state on removal.
-        """
-        if not self._points:
-            raise LookupError("hash ring is empty; no shards registered")
-        point = int(key[:8], 16)
-        start = bisect.bisect(self._points, point)
-        result: list[str] = []
-        for step in range(len(self._points)):
-            owner = self._owners[(start + step) % len(self._points)]
-            if owner not in result:
-                result.append(owner)
-                if len(result) >= count:
-                    break
-        return result
-
     def shards(self) -> list[str]:
         """Registered shard names, sorted."""
         return sorted(self._shards)
@@ -423,9 +398,6 @@ class _ShardLink:
         self.request_timeout_s = request_timeout_s
         self.max_frame_bytes = max_frame_bytes
         self.hello: dict[str, Any] = {}
-        #: EWMA of successful optimize round-trip latency, maintained by the
-        #: gateway; seeds the hedging budget for requests routed here.
-        self.latency_ewma_s = 0.0
         self._idle: list[socket.socket] = []
         self._closed = False
         self._lock = threading.Lock()
@@ -534,20 +506,6 @@ class NetworkOptimizerGateway:
             to ride out admission-control bursts.
         ring_replicas: virtual nodes per shard on the consistent-hash ring.
         max_frame_bytes: frame-size bound in both directions.
-        hedge_multiplier: > 0 enables request hedging: when the primary
-            shard has not answered within
-            ``max(hedge_min_s, hedge_multiplier * primary's latency EWMA)``,
-            a duplicate request fires at the key's *next* distinct ring
-            owner and the first usable response wins.  The loser is never
-            interrupted mid-frame — its round trip completes on its own
-            socket and the connection returns to its pool — so a hedge can
-            never tear a frame.  0 (the default) disables hedging, keeping
-            the one-DP-run-per-fingerprint invariant strict; with hedging
-            on, a fired hedge may warm the same fingerprint on a second
-            shard (that is the deliberate trade: duplicate work for a
-            bounded tail).
-        hedge_min_s: floor on the hedging budget — also the budget for a
-            shard with no latency history yet.
     """
 
     def __init__(
@@ -563,8 +521,6 @@ class NetworkOptimizerGateway:
         overload_retries: int = 0,
         ring_replicas: int = 64,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-        hedge_multiplier: float = 0.0,
-        hedge_min_s: float = 0.02,
     ) -> None:
         if not isinstance(shards, dict):
             shards = {
@@ -572,10 +528,6 @@ class NetworkOptimizerGateway:
             }
         if not shards:
             raise ValueError("at least one shard endpoint is required")
-        if hedge_multiplier < 0:
-            raise ValueError(f"hedge_multiplier must be >= 0, got {hedge_multiplier}")
-        if hedge_min_s <= 0:
-            raise ValueError(f"hedge_min_s must be > 0, got {hedge_min_s}")
         self.settings = settings
         self.n_workers = n_workers
         self._connect_timeout_s = connect_timeout_s
@@ -584,19 +536,12 @@ class NetworkOptimizerGateway:
         self._reset_timeout_s = reset_timeout_s
         self._overload_retries = overload_retries
         self._max_frame_bytes = max_frame_bytes
-        self._hedge_multiplier = hedge_multiplier
-        self._hedge_min_s = hedge_min_s
         self._ring = ConsistentHashRing(replicas=ring_replicas)
         self._links: dict[str, _ShardLink] = {}
         self._lock = threading.Lock()
         self._closed = False
         #: Client-side counters, guarded by ``_lock``; ``stats()`` copies them.
-        self._counters = {
-            "requests": 0,
-            "breaker_rejections": 0,
-            "hedged": 0,
-            "hedged_wins": 0,
-        }
+        self._counters = {"requests": 0, "breaker_rejections": 0}
         for name, spec in shards.items():
             self.add_shard(name, spec)
         self._health_stop = threading.Event()
@@ -683,20 +628,12 @@ class NetworkOptimizerGateway:
             # are all the same request.
             self._counters["requests"] += 1
 
-        def optimize_frame() -> dict[str, Any]:
-            return {
-                "op": "optimize",
-                "query": query_to_dict(query),
-                "settings": settings_to_wire(settings),
-                "workers": workers,
-            }
-
         payload: dict[str, Any] = {"op": "lookup", "key": key, "theta": theta}
         retries_left = self._overload_retries
         while True:
             # Re-route every attempt: the ring may have changed, and after a
             # removal the key's new owner is who should see the retry.
-            shard_name, response = self._attempt(key, payload, optimize_frame)
+            shard_name, response = self._attempt(key, payload)
             if response.get("ok"):
                 return self._result(response, canonical)
             error = self._typed_error(shard_name, response, tenant)
@@ -713,7 +650,12 @@ class NetworkOptimizerGateway:
             elif payload["op"] == "lookup" and error.error_type == "unknown-key":
                 # The miss path, and the only one: the shard sees the whole
                 # query and runs (or coalesces onto) the DP.
-                payload = optimize_frame()
+                payload = {
+                    "op": "optimize",
+                    "query": query_to_dict(query),
+                    "settings": settings_to_wire(settings),
+                    "workers": workers,
+                }
             else:
                 raise error
 
@@ -759,141 +701,17 @@ class NetworkOptimizerGateway:
             ]
             return [future.result() for future in futures]
 
-    def _route_pair(self, key: str) -> tuple[_ShardLink, _ShardLink | None]:
-        """The key's owner and (when the ring has one) its hedging target."""
+    def _route(self, key: str) -> _ShardLink:
+        """The link of the shard owning ``key`` under the current ring."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("network gateway is closed")
-            owners = self._ring.owners(key, 2)
-            primary = self._links[owners[0]]
-            secondary = self._links[owners[1]] if len(owners) > 1 else None
-        return primary, secondary
+            return self._links[self._ring.route(key)]
 
-    def _attempt(
-        self, key: str, payload: dict[str, Any], optimize_frame: Callable[[], dict[str, Any]]
-    ) -> tuple[str, dict[str, Any]]:
-        """One routed request attempt, hedged when enabled; returns (shard, response).
-
-        ``optimize_frame`` builds the request's full ``optimize`` frame —
-        what a hedge sends whatever ``payload`` the primary got.
-        """
-        primary, secondary = self._route_pair(key)
-        if self._hedge_multiplier <= 0 or secondary is None:
-            started = time.monotonic()
-            response = self._call(primary, payload)
-            self._record_latency(primary, time.monotonic() - started)
-            return primary.name, response
-        return self._hedged_call(primary, secondary, payload, optimize_frame)
-
-    @staticmethod
-    def _record_latency(link: _ShardLink, elapsed_s: float) -> None:
-        previous = link.latency_ewma_s
-        link.latency_ewma_s = (
-            elapsed_s if previous == 0.0 else 0.8 * previous + 0.2 * elapsed_s
-        )
-
-    def _hedge_budget_s(self, primary: _ShardLink, secondary: _ShardLink) -> float:
-        """How long to wait on the primary before firing the hedge.
-
-        The budget is ``hedge_multiplier`` times the *faster* of the two
-        replicas' EWMAs (floored at ``hedge_min_s``), not the primary's
-        own: a chronically slow primary must keep being hedged — its own
-        EWMA would learn the slowness and push the trigger out of reach —
-        while a slow *secondary* never drags the budget down below what
-        the healthy primary needs.  Links with no samples yet don't vote.
-        """
-        samples = [
-            link.latency_ewma_s
-            for link in (primary, secondary)
-            if link.latency_ewma_s > 0
-        ]
-        reference = min(samples) if samples else 0.0
-        return max(self._hedge_min_s, self._hedge_multiplier * reference)
-
-    def _hedged_call(
-        self,
-        primary: _ShardLink,
-        secondary: _ShardLink,
-        payload: dict[str, Any],
-        optimize_frame: Callable[[], dict[str, Any]],
-    ) -> tuple[str, dict[str, Any]]:
-        """First-response-wins duplicate dispatch past the latency budget.
-
-        The primary runs in a helper thread while this thread waits out the
-        EWMA-derived budget; on expiry the request's full ``optimize`` frame
-        fires at the next ring owner and the first *usable* (``ok``)
-        response wins.  The hedge never carries a ``lookup``: the next owner
-        normally does not hold the key, and an ``unknown-key`` reply wins
-        nothing.  The loser is cancelled safely by never being interrupted:
-        its round trip completes on its own pooled socket in the background
-        and the result is discarded, so no frame is ever torn mid-stream and
-        the connection returns to its pool for the next request.
-        """
-        #: ``(link, response, error)`` outcomes, in completion order.
-        responses: queue.Queue = queue.Queue()
-
-        def run(link: _ShardLink, payload: dict[str, Any]) -> None:
-            started = time.monotonic()
-            try:
-                response = self._call(link, payload)
-            except Exception as error:  # noqa: BLE001 - re-raised by the picker
-                responses.put((link, None, error))
-                return
-            self._record_latency(link, time.monotonic() - started)
-            responses.put((link, response, None))
-
-        threading.Thread(
-            target=run, args=(primary, payload), name="net-hedge-primary", daemon=True
-        ).start()
-        try:
-            winner = responses.get(timeout=self._hedge_budget_s(primary, secondary))
-        except queue.Empty:
-            with self._lock:
-                self._counters["hedged"] += 1
-            hedge = (secondary, optimize_frame())
-            threading.Thread(target=run, args=hedge, name="net-hedge", daemon=True).start()
-            outcomes = [responses.get()]
-            if not self._usable(outcomes[0]):
-                # The faster responder was an error; the slower one may
-                # still carry the answer.  Bounded by the socket timeouts.
-                outcomes.append(responses.get())
-            winner = self._pick_outcome(primary, outcomes)
-            if winner[0] is secondary and self._usable(winner):
-                with self._lock:
-                    self._counters["hedged_wins"] += 1
-        link, response, error = winner
-        if error is not None:
-            raise error
-        assert response is not None
-        return link.name, response
-
-    @staticmethod
-    def _usable(
-        outcome: tuple[_ShardLink, dict[str, Any] | None, Exception | None],
-    ) -> bool:
-        __, response, ___ = outcome
-        return response is not None and bool(response.get("ok"))
-
-    @staticmethod
-    def _pick_outcome(
-        primary: _ShardLink,
-        outcomes: list[tuple[_ShardLink, dict[str, Any] | None, Exception | None]],
-    ) -> tuple[_ShardLink, dict[str, Any] | None, Exception | None]:
-        """Choose the winning outcome: any ``ok`` response first, then the
-        primary's error response/exception (stable retry semantics), then
-        whatever the hedge produced."""
-        for outcome in outcomes:
-            if NetworkOptimizerGateway._usable(outcome):
-                return outcome
-        for preference in (
-            lambda o: o[0] is primary and o[1] is not None,
-            lambda o: o[1] is not None,
-            lambda o: o[0] is primary,
-        ):
-            for outcome in outcomes:
-                if preference(outcome):
-                    return outcome
-        return outcomes[0]
+    def _attempt(self, key: str, payload: dict[str, Any]) -> tuple[str, dict[str, Any]]:
+        """One routed request attempt; returns (shard, response)."""
+        link = self._route(key)
+        return link.name, self._call(link, payload)
 
     def _call(self, link: _ShardLink, payload: dict[str, Any]) -> dict[str, Any]:
         """One breaker-guarded request against a shard."""

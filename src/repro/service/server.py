@@ -120,8 +120,7 @@ class ShardServer:
         max_frame_bytes: protocol frame-size bound.
         inject_latency_s: fault injection for tests and benchmarks — every
             optimize and lookup sleeps this long before running, simulating
-            a degraded shard (the hedging gate's "deliberately slow shard").
-            0 (default) injects nothing.
+            a degraded shard.  0 (default) injects nothing.
     """
 
     def __init__(

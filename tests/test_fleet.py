@@ -1,9 +1,7 @@
-"""The shard-fleet supervisor: restarts, live rebalancing, hedging.
+"""The shard-fleet supervisor: restarts, live rebalancing, fault injection.
 
-Four layers, cheapest first:
+Three layers, cheapest first:
 
-* **ring owners** — :meth:`ConsistentHashRing.owners` (the hedge target and
-  migration destination) is the route plus distinct clockwise successors;
 * **snapshot codec and op** — the ``snapshot`` control frames
   (keys/export/import/evict) move cache entries between in-process
   :class:`ShardServer` instances losslessly, refuse imports while
@@ -18,6 +16,10 @@ Four layers, cheapest first:
   new owner before any router learned the new ring — and returns
   bit-identical plans.  Failures mid-shipment (the target dying) roll the
   whole rebalance back: routing unchanged, no entry lost, no client hung.
+
+Across the fleet, each unique fingerprint costs exactly one DP run, however
+often and under whatever numbering it is requested; and a shard started
+with injected latency answers its own keys slowly and nobody else's.
 """
 
 from __future__ import annotations
@@ -42,62 +44,21 @@ from repro.cluster.serialization import (
     snapshot_from_wire,
     snapshot_to_wire,
 )
+from repro.config import OptimizerSettings
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.io import query_to_dict
 from repro.service import (
-    ConsistentHashRing,
     FleetError,
     FleetRebalanceError,
     NetworkOptimizerGateway,
     ShardFleet,
     ShardServer,
     ShardUnavailableError,
+    fingerprint,
 )
 from repro.service.net import result_to_wire
-
-
-# ------------------------------------------------------------------ ring owners
-
-
-class TestRingOwners:
-    def test_first_owner_is_the_route(self):
-        ring = ConsistentHashRing()
-        for name in ("a", "b", "c"):
-            ring.add(name)
-        for seed in range(20):
-            key = f"{seed:08x}" + "0" * 56
-            owners = ring.owners(key, 2)
-            assert owners[0] == ring.route(key)
-
-    def test_owners_are_distinct(self):
-        ring = ConsistentHashRing()
-        for name in ("a", "b", "c", "d"):
-            ring.add(name)
-        for seed in range(20):
-            owners = ring.owners(f"{seed:08x}" + "f" * 56, 3)
-            assert len(owners) == len(set(owners)) == 3
-
-    def test_count_clamped_to_shard_count(self):
-        ring = ConsistentHashRing()
-        ring.add("only")
-        assert ring.owners("ab" * 32, 5) == ["only"]
-
-    def test_empty_ring_raises(self):
-        with pytest.raises(LookupError):
-            ConsistentHashRing().owners("ab" * 32)
-
-    def test_second_owner_changes_when_first_removed(self):
-        # The hedge target is exactly where the key lands if its owner
-        # disappears — the property rebalancing and hedging both lean on.
-        ring = ConsistentHashRing()
-        for name in ("a", "b", "c"):
-            ring.add(name)
-        for seed in range(20):
-            key = f"{seed:08x}" + "a" * 56
-            first, second = ring.owners(key, 2)
-            ring.remove(first)
-            assert ring.route(key) == second
-            ring.add(first)
+from repro.service.remap import invert, remap_plan
+from tests.test_service import permute_query, shuffled
 
 
 # --------------------------------------------------------------- snapshot codec
@@ -567,53 +528,65 @@ class TestLiveRebalance:
                 fleet.remove_shard("shard-0")
 
 
-# ---------------------------------------------------------------------- hedging
+# ------------------------------------------------------------- singleflight
 
 
-class TestHedging:
-    def test_hedging_caps_tail_against_slow_shard(self, tmp_path):
-        queries = SteinbrunnGenerator(51).queries(10, n_tables=4)
-        with ShardFleet(
-            2,
-            tmp_path / "socks",
-            n_workers=2,
-            inject_latency_ms={"shard-1": 400.0},
-        ) as fleet:
-            with NetworkOptimizerGateway(
-                fleet.endpoints(),
-                overload_retries=100,
-                hedge_multiplier=2.0,
-                hedge_min_s=0.05,
-            ) as gateway:
-                started = time.monotonic()
-                results = [gateway.optimize(query) for query in queries]
-                elapsed = time.monotonic() - started
-                stats = gateway.stats()
-            assert all(result.plans for result in results)
-            assert stats["hedged"] > 0
-            assert stats["hedged_wins"] > 0
-            # Without hedging, every key owned by the slow shard pays the
-            # injected 400ms; hedged, the tail is capped near the budget.
-            assert elapsed < 0.4 * len(queries) / 2, elapsed
-
-    def test_hedging_off_by_default_preserves_singleflight(self, tmp_path):
+class TestFleetSingleflight:
+    def test_one_dp_run_per_fingerprint(self, tmp_path):
         queries = SteinbrunnGenerator(52).queries(6, n_tables=4)
+        relabellings = [
+            shuffled(query.n_tables, seed) for seed, query in enumerate(queries)
+        ]
         with ShardFleet(2, tmp_path / "socks", n_workers=2) as fleet:
             with NetworkOptimizerGateway(
                 fleet.endpoints(), overload_retries=100
             ) as gateway:
-                for query in queries:
-                    gateway.optimize(query)
+                originals = [gateway.optimize(query) for query in queries]
+                replays = [gateway.optimize(query) for query in queries]
+                relabelled = [
+                    gateway.optimize(permute_query(query, permutation))
+                    for query, permutation in zip(queries, relabellings)
+                ]
                 stats = gateway.stats()
-            assert stats["hedged"] == 0
-            assert stats["hedged_wins"] == 0
-            per_shard = sum(
-                shard["optimizations"] for shard in stats["shards"].values()
-            )
-            assert per_shard == len(queries)
+        per_shard = sum(shard["optimizations"] for shard in stats["shards"].values())
+        assert per_shard == len(queries)
+        assert stats["requests"] == 3 * len(queries)
+        assert all(replay.cached for replay in replays)
+        assert [replay.plans for replay in replays] == [
+            original.plans for original in originals
+        ]
+        for original, answer, permutation in zip(originals, relabelled, relabellings):
+            assert answer.cached and answer.fingerprint == original.fingerprint
+            back = invert(permutation)
+            assert [remap_plan(plan, back) for plan in answer.plans] == original.plans
 
-    def test_hedge_parameters_validated(self):
-        with pytest.raises(ValueError):
-            NetworkOptimizerGateway({}, hedge_multiplier=-1.0)
-        with pytest.raises(ValueError):
-            NetworkOptimizerGateway({}, hedge_min_s=0.0)
+
+# ----------------------------------------------------------- fault injection
+
+
+class TestInjectedLatency:
+    def test_only_the_slow_shard_keys_pay_the_injected_latency(self, tmp_path):
+        workers = 2
+        with ShardFleet(
+            2,
+            tmp_path / "socks",
+            n_workers=workers,
+            inject_latency_ms={"shard-1": 200.0},
+        ) as fleet:
+            ring = fleet._ring_of(list(fleet.endpoints()))
+            by_shard = {}
+            for query in SteinbrunnGenerator(53).queries(40, n_tables=4):
+                owner = ring.route(fingerprint(query, OptimizerSettings(), workers))
+                by_shard.setdefault(owner, query)
+            assert sorted(by_shard) == ["shard-0", "shard-1"]
+            with NetworkOptimizerGateway(
+                fleet.endpoints(), n_workers=workers
+            ) as gateway:
+                elapsed = {}
+                for name, query in sorted(by_shard.items()):
+                    started = time.monotonic()
+                    gateway.optimize(query)
+                    elapsed[name] = time.monotonic() - started
+        # A miss on the slow shard sleeps before its lookup and its optimize.
+        assert elapsed["shard-1"] >= 0.2
+        assert elapsed["shard-0"] < elapsed["shard-1"]

@@ -22,6 +22,7 @@ from repro.query.io import (
     save_query,
 )
 from tests.conftest import make_manual_query
+from tests.test_net import ServerThread
 
 #: Cached provenance records the backend AUTO resolved to for plain queries.
 AUTO_BACKEND = "vecdp"
@@ -319,6 +320,29 @@ class TestServeBatchStatsTree:
         lines = set(outputs["text"].splitlines())
         for path, value in text_leaves:
             assert f"{path}: {value}" in lines
+
+
+class TestServeBatchConnect:
+    def test_batch_routed_to_a_running_shard_server(self, tmp_path, capsys):
+        paths = []
+        for seed in (23, 24):
+            path = tmp_path / f"q{seed}.json"
+            main(["generate", "--tables", "5", "--seed", str(seed), "-o", str(path)])
+            paths.append(str(path))
+        listen = f"unix:{tmp_path / 'shard.sock'}"
+        argv = ["serve-batch", *paths, paths[0], "--connect", listen, "--json"]
+        with ServerThread(listen, n_workers=2):
+            capsys.readouterr()
+            assert main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["connect"] == [listen]
+        stats = report["stats"]
+        assert set(stats) == {"requests", "breaker_rejections", "shards"}
+        assert stats["requests"] == 3
+        (shard,) = stats["shards"].values()
+        assert shard["reachable"] is True
+        # The repeated query is answered from the shard's cache or flight.
+        assert shard["optimizations"] == 2
 
 
 class TestCacheCLI:

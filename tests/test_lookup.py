@@ -11,7 +11,6 @@ and the client relabels.  What must hold, each in its own section:
   counted, and a cold key still pays exactly one DP run;
 * **no stale bytes** — an entry that is re-run or replaced by a snapshot
   import is what the next lookup serves, never its predecessor's memo;
-* **hedging** — a hedge carries the full ``optimize`` frame;
 * **tiers** — a disk-resident key is served by lookup, off the loop.
 
 (Lookup protocol faults live with the other fault tests in ``test_net``.)
@@ -31,7 +30,7 @@ from repro.cluster.simulator import ClusterModel
 from repro.config import OptimizerSettings
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.io import query_to_dict
-from repro.service import NetworkOptimizerGateway, ShardedOptimizerGateway, fingerprint
+from repro.service import NetworkOptimizerGateway, ShardedOptimizerGateway
 from repro.service.net import result_from_wire
 from tests.test_envelope_serving import query_pool
 from tests.test_fleet import request
@@ -248,41 +247,6 @@ class TestLookupNeverServesAStaleMemo:
                 assert after.backend_used == "shipped-from-elsewhere"
                 assert after.n_partitions == before.n_partitions + 5
                 assert after.plans == before.plans
-
-
-# ----------------------------------------------------------------------- hedging
-
-
-class TestLookupHedging:
-    def test_hedge_carries_the_full_optimize_frame(self, tmp_path):
-        query = SteinbrunnGenerator(75).query(5)
-        shards = {
-            name: f"unix:{tmp_path / name}.sock" for name in ("alpha", "beta")
-        }
-        with (
-            ServerThread(shards["alpha"], n_workers=WORKERS) as alpha,
-            ServerThread(shards["beta"], n_workers=WORKERS) as beta,
-            NetworkOptimizerGateway(
-                shards, n_workers=WORKERS, hedge_multiplier=2.0, hedge_min_s=0.05
-            ) as gateway,
-        ):
-            servers = {"alpha": alpha, "beta": beta}
-            key = fingerprint(query, OptimizerSettings(), WORKERS)
-            owner = gateway.shard_for(key)
-            primary = servers.pop(owner)
-            (secondary,) = servers.values()
-            warm = gateway.optimize(query)  # the primary holds the key
-            assert secondary.server._stats()["optimizations"] == 0
-
-            primary.server.inject_latency_s = 0.5  # degraded: slow for lookups too
-            ops = record_ops(secondary)
-            hedged = gateway.optimize(query)
-            stats = gateway.stats()
-            assert stats["hedged"] >= 1 and stats["hedged_wins"] >= 1
-            # A hedged lookup would have come back unknown-key and won nothing.
-            assert ops[0] == "optimize" and "lookup" not in ops
-            assert secondary.server._stats()["optimizations"] == 1
-            assert hedged.plans == warm.plans
 
 
 # ------------------------------------------------------------------------- tiers
