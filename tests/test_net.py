@@ -5,8 +5,9 @@ Four layers of test, cheapest first:
 * **framing** — the length-prefixed strict-JSON codec over socketpairs:
   round trips, torn frames, oversized frames, non-standard constants;
 * **routing and breaking** — the consistent-hash ring's determinism and
-  minimal-remap property, and the circuit breaker's closed → open →
-  half-open state machine under a fake clock;
+  minimal-remap property, the circuit breaker's closed → open →
+  half-open state machine under a fake clock, and the gateway's request
+  path over a stubbed transport (each frame sent once, to the key's owner);
 * **protocol faults** — an in-process :class:`ShardServer` abused with
   half-written frames, oversized frames, and mid-request disconnects must
   answer with typed errors where it can and keep serving every other
@@ -58,6 +59,7 @@ from repro.service import (
     ShardUnavailableError,
 )
 from repro.service.net import Address, result_from_wire, result_to_wire
+from tests.test_service import permute_query, shuffled
 
 
 # ---------------------------------------------------------------------- framing
@@ -918,6 +920,157 @@ class TestNetworkGateway:
                 with pytest.raises(ShardUnavailableError):
                     gateway.optimize(SteinbrunnGenerator(6).query(5))
             assert running.server._stopped.is_set()
+
+
+def stub_gateway(tmp_path, n_shards: int = 3, **kwargs) -> NetworkOptimizerGateway:
+    """A gateway over endpoints nobody listens on; tests stub the transport."""
+    return NetworkOptimizerGateway(
+        {f"s{i}": f"unix:{tmp_path / f's{i}.sock'}" for i in range(n_shards)},
+        n_workers=2,
+        **kwargs,
+    )
+
+
+def recording_call(gateway, replies):
+    """Replace ``gateway._call`` by one recording ``(shard, payload)`` per call
+    and answering from ``replies`` (a list consumed in order)."""
+    calls: list[tuple[str, dict]] = []
+
+    def call(link, payload):
+        calls.append((link.name, payload))
+        return replies.pop(0)
+
+    gateway._call = call
+    return calls
+
+
+def error_reply(error_type: str, **fields) -> dict:
+    return {"ok": False, "error": {"type": error_type, "message": "stub", **fields}}
+
+
+class TestOneRouteOneCall:
+    """The router's request path: each attempt goes to the ring's owner of
+    the key, and each frame is sent exactly once — to that owner only."""
+
+    def test_every_attempt_goes_to_the_rings_owner(self, tmp_path):
+        ring = ConsistentHashRing(replicas=64)
+        for name in ("s0", "s1", "s2", "s3"):
+            ring.add(name)
+        with stub_gateway(tmp_path, n_shards=4) as gateway:
+            calls = recording_call(gateway, [{"ok": True}] * 300)
+            keys = TestConsistentHashRing().keys(300)
+            for key in keys:
+                shard, response = gateway._attempt(key, {"op": "lookup", "key": key})
+                assert response == {"ok": True}
+                assert shard == gateway.shard_for(key) == ring.route(key)
+            assert [name for name, __ in calls] == [ring.route(key) for key in keys]
+            assert len({name for name, __ in calls}) == 4
+
+    def test_miss_sends_one_lookup_then_one_optimize_to_the_owner(self, tmp_path):
+        query = SteinbrunnGenerator(31).query(5)
+        with stub_gateway(tmp_path) as gateway:
+            calls = recording_call(
+                gateway,
+                [error_reply("unknown-key"), error_reply("optimization-failed")],
+            )
+            with pytest.raises(RemoteOptimizationError) as excinfo:
+                gateway.optimize(query)
+            assert excinfo.value.error_type == "optimization-failed"
+            (lookup_shard, lookup), (optimize_shard, optimize) = calls
+            assert lookup["op"] == "lookup"
+            assert lookup_shard == optimize_shard == gateway.shard_for(lookup["key"])
+            assert optimize["op"] == "optimize"
+            assert set(optimize) == {"op", "query", "settings", "workers"}
+            assert optimize["workers"] == 2
+            assert gateway.stats()["requests"] == 1
+
+    def test_a_lookup_error_other_than_unknown_key_ships_no_query(self, tmp_path):
+        with stub_gateway(tmp_path) as gateway:
+            calls = recording_call(gateway, [error_reply("bad-request")])
+            with pytest.raises(RemoteOptimizationError) as excinfo:
+                gateway.optimize(SteinbrunnGenerator(32).query(4))
+            assert excinfo.value.error_type == "bad-request"
+            assert [payload["op"] for __, payload in calls] == ["lookup"]
+
+    def test_closed_gateway_refuses_before_any_call(self, tmp_path):
+        gateway = stub_gateway(tmp_path)
+        calls = recording_call(gateway, [])
+        gateway.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            gateway.optimize(SteinbrunnGenerator(33).query(4))
+        assert calls == []
+
+    def test_transport_failure_counts_against_the_owner_only(self, tmp_path):
+        with stub_gateway(tmp_path, failure_threshold=1) as gateway:
+            links = gateway._links
+
+            def refuse(payload):
+                raise ConnectionRefusedError("stub transport")
+
+            for link in links.values():
+                link.request = refuse
+            query = SteinbrunnGenerator(34).query(4)
+            with pytest.raises(ShardUnavailableError) as excinfo:
+                gateway.optimize(query)
+            owner = excinfo.value.shard
+            assert "transport failure" in excinfo.value.reason
+            assert {name: link.breaker.state for name, link in links.items()} == {
+                name: "open" if name == owner else "closed" for name in links
+            }
+            # The open breaker now fails the next request fast, uncalled.
+            links[owner].request = lambda payload: pytest.fail("link was called")
+            with pytest.raises(ShardUnavailableError, match="circuit breaker open"):
+                gateway.optimize(query)
+            assert gateway.stats()["breaker_rejections"] == 1
+
+    def test_overload_retry_follows_the_key_to_its_new_owner(self, tmp_path, monkeypatch):
+        import repro.service.net as net_module
+
+        with stub_gateway(tmp_path, overload_retries=1) as gateway:
+            calls = recording_call(
+                gateway,
+                [error_reply("overloaded", retry_after_s=0.0), error_reply("bad-request")],
+            )
+            # The owner leaves the ring while the client backs off.
+            monkeypatch.setattr(
+                net_module.time,
+                "sleep",
+                lambda seconds: gateway.remove_shard(calls[0][0]),
+            )
+            with pytest.raises(RemoteOptimizationError):
+                gateway.optimize(SteinbrunnGenerator(35).query(4))
+            (first, lookup), (second, retry) = calls
+            assert retry == lookup
+            assert first not in gateway.shard_names()
+            assert second == gateway.shard_for(lookup["key"]) != first
+
+    def test_lookup_hit_decodes_into_the_requesters_numbering(self, server, tmp_path):
+        """A relabelled copy of a cached query is answered by ``lookup``
+        alone (no ``optimize`` frame), decoded client-side into the copy's
+        numbering: equal to what the in-process gateway's ``relabel``
+        returns for the same copy."""
+        spec = f"unix:{tmp_path / 'shard.sock'}"
+        query = SteinbrunnGenerator(36).query(5)
+        copy = permute_query(query, shuffled(query.n_tables, 36))
+        with NetworkOptimizerGateway({"s0": spec}, n_workers=2) as gateway:
+            gateway.optimize(query)  # the miss: lookup, then optimize
+            sent: list[str] = []
+            real_call = gateway._call
+
+            def spy(link, payload):
+                sent.append(payload["op"])
+                return real_call(link, payload)
+
+            gateway._call = spy
+            hit = gateway.optimize(copy)
+        assert sent == ["lookup"]
+        assert hit.cached
+        with ShardedOptimizerGateway(n_shards=1, n_workers=2) as local:
+            local.optimize(query)
+            expected = local.optimize(copy)
+        assert expected.cached
+        assert hit.fingerprint == expected.fingerprint
+        assert hit.plans == expected.plans
 
 
 # ----------------------------------------------------------- real shard processes
