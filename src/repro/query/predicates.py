@@ -58,8 +58,3 @@ class JoinPredicate:
         straddles = bool(left_mask & left_bit) and bool(right_mask & right_bit)
         straddles_flipped = bool(left_mask & right_bit) and bool(right_mask & left_bit)
         return straddles or straddles_flipped
-
-    def applies_within(self, mask: int) -> bool:
-        """Return whether both endpoint tables are contained in ``mask``."""
-        pair = (1 << self.left_table) | (1 << self.right_table)
-        return mask & pair == pair

@@ -32,6 +32,11 @@ class Query:
     ``tables[i]`` is the paper's ``Q_i``.  ``predicates`` carry selectivities,
     so a query object is self-contained: it is the single payload the master
     ships to each worker.
+
+    The hash is computed on first use and cached on the instance, because a
+    serving tier hashes the same query objects on every request.  The cache
+    is never pickled or copied: ``str`` hashes differ from process to
+    process, so a hash carried into a worker or shard would miss there.
     """
 
     tables: tuple[Table, ...]
@@ -58,6 +63,16 @@ class Query:
         frozen = {table: tuple(preds) for table, preds in index.items()}
         object.__setattr__(self, "_predicate_index", frozen)
 
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.tables, self.predicates, self.name)))
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items() if key != "_hash"}
+
     @property
     def n_tables(self) -> int:
         """Number of tables to join (the paper's ``n = |Q|``)."""
@@ -67,10 +82,6 @@ class Query:
     def all_tables_mask(self) -> int:
         """Bitmask containing every query table."""
         return (1 << len(self.tables)) - 1
-
-    def table(self, number: int) -> Table:
-        """Return table ``Q_number``."""
-        return self.tables[number]
 
     def predicates_of(self, table_number: int) -> tuple[JoinPredicate, ...]:
         """All predicates with ``table_number`` as an endpoint."""

@@ -27,10 +27,13 @@ what plan remapping (:mod:`repro.service.remap`) relies on.
 
 The fingerprint is the SHA-256 of the encoding's own SHA-256 (taken once,
 when the :class:`CanonicalForm` is built) followed by the resolved settings
-signature and partition count.  A fingerprint is therefore only meaningful
-to the version that derived it: keys written by a version with another
-numbering or digest construction are unreachable, never wrong, because an
-entry's plans are stored in the numbering of the encoding its key hashes.
+signature and partition count.  That settings half is built once per
+``(settings, table count, workers)`` and memoized, so a request hashes
+bytes it did not have to rebuild; the digest is the same either way.  A
+fingerprint is only meaningful to the version that derived it: keys
+written by a version with another numbering or digest construction are
+unreachable, never wrong, because an entry's plans are stored in the
+numbering of the encoding its key hashes.
 """
 
 from __future__ import annotations
@@ -60,18 +63,9 @@ def _table_signature(table: Table) -> tuple:
 
 
 def _settings_signature(settings: OptimizerSettings) -> tuple:
-    # A θ binding is stripped *before* the memo probe: θ parameterizes the
-    # lookup into a cached envelope, never the optimization problem, so
-    # every θ of one settings value must share one signature (hence one
-    # fingerprint and one cache entry) — and must not churn the memo with
-    # per-θ variants.
-    return _settings_signature_cached(settings.without_theta())
-
-
-# Memoized: the serving hot path calls this once per request with a handful
-# of distinct settings values.
-@lru_cache(maxsize=128)
-def _settings_signature_cached(settings: OptimizerSettings) -> tuple:
+    # θ is never read: it parameterizes the lookup into a cached envelope,
+    # never the optimization problem, so every θ of one settings value
+    # shares one signature (hence one fingerprint and one cache entry).
     # The backend is part of the signature even though all backends return
     # equivalent frontiers: the cached entry also carries run statistics
     # (simulated timing), which are backend-specific, and keeping the key
@@ -200,9 +194,10 @@ class CanonicalForm:
 
 #: Memoized canonical forms, weakly keyed by the query value.  A serving
 #: tier canonicalizes the same hot query objects on every request (a fresh
-#: canonicalization is ~30-50us at 5-8 tables, a memo probe ~4-8us — the
-#: cost of ``hash(query)``); keying by value means equal-content query
-#: objects share one entry, and weak keys let retired queries be collected.
+#: canonicalization is ~30-60us at 5-8 tables, a memo probe ~1us: a query
+#: computes its hash once and caches it); keying by value means
+#: equal-content query objects share one entry, and weak keys let retired
+#: queries be collected.
 #: Safe because canonicalization is a pure function of query content and
 #: queries are immutable.
 _canonical_memo: "weakref.WeakKeyDictionary[Query, CanonicalForm]" = (
@@ -284,14 +279,21 @@ def fingerprint_canonical(
     canonical numbering carries the table count, so the resolution needs no
     extra arguments.
     """
-    if n_workers is None:
-        resolved = None
-    else:
-        resolved = usable_partitions(
-            len(canonical.numbering), n_workers, settings.plan_space
-        )
-    payload = repr((_settings_signature(settings), resolved))
-    return hashlib.sha256(canonical.digest + payload.encode()).hexdigest()
+    payload = _settings_payload(settings, len(canonical.numbering), n_workers)
+    return hashlib.sha256(canonical.digest + payload).hexdigest()
+
+
+# Memoized: the serving hot path digests a handful of distinct (settings,
+# table count, workers) triples, and rebuilding the payload costs more than
+# hashing it.  The table count is part of the key because the resolved
+# partition count depends on it.  A θ-bound settings value is its own key,
+# and the bound caps how many of those stay resident.
+@lru_cache(maxsize=1024)
+def _settings_payload(settings: OptimizerSettings, n_tables: int, n_workers: int | None) -> bytes:
+    resolved = (
+        None if n_workers is None else usable_partitions(n_tables, n_workers, settings.plan_space)
+    )
+    return repr((_settings_signature(settings), resolved)).encode()
 
 
 def fingerprint(

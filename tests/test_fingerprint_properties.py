@@ -21,10 +21,13 @@ Everything is seeded — a failure reproduces with the printed seed.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
+import hashlib
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -38,6 +41,7 @@ import repro
 from repro.config import (
     MULTI_OBJECTIVE,
     PARAMETRIC_OBJECTIVES,
+    Backend,
     OptimizerSettings,
     PlanSpace,
 )
@@ -47,7 +51,12 @@ from repro.plans.orders import SortOrder
 from repro.plans.plan import JoinPlan, Plan, ScanPlan
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind, Query
-from repro.service import OptimizerService, canonicalize, fingerprint
+from repro.service import (
+    OptimizerService,
+    canonicalize,
+    fingerprint,
+    settings_signature,
+)
 from repro.service.fingerprint import (
     MAX_BRANCHES,
     CanonicalForm,
@@ -470,6 +479,97 @@ class TestRankCanonicalization:
         ]
         assert outputs[0] == outputs[1]
         assert outputs[0].count("\n") == 2
+
+    def test_cached_hash_never_crosses_a_process(self):
+        # Table and column names are str, whose hashes change with the hash
+        # seed: a hash cached here and shipped to a worker or shard would
+        # miss every dict there.
+        query = SteinbrunnGenerator(37, clustered_tables=True).query(
+            7, JoinGraphKind.CYCLE
+        )
+        parent_hash = hash(query)
+        for clone in (copy.copy(query), copy.deepcopy(query)):
+            assert "_hash" not in vars(clone)
+            assert clone == query and hash(clone) == parent_hash
+        script = (
+            "import pickle, sys\n"
+            "from repro.query.query import JoinGraphKind\n"
+            "from repro.service import canonicalize\n"
+            "from tests.test_fingerprint_properties import SteinbrunnGenerator\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = SteinbrunnGenerator(37, clustered_tables=True)"
+            ".query(7, JoinGraphKind.CYCLE)\n"
+            "assert hash(fresh) != int(sys.argv[1]), 'same hash seed as the parent'\n"
+            "assert loaded is not fresh and loaded == fresh\n"
+            "assert hash(loaded) == hash(fresh), 'a stale hash was unpickled'\n"
+            "assert {fresh: 1}[loaded] == 1\n"
+            "assert canonicalize(loaded) is canonicalize(fresh)\n"
+            "print('ok')\n"
+        )
+        root = Path(repro.__file__).resolve().parents[2]
+        other_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(parent_hash)],
+            input=pickle.dumps(query),
+            env={
+                **os.environ,
+                "PYTHONHASHSEED": other_seed,
+                "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
+            },
+            capture_output=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout == b"ok\n"
+
+    def test_fingerprint_is_the_parent_formula_byte_for_byte(self):
+        # Keys already written to DiskTier logs must stay reachable, so the
+        # memoized settings payload must digest exactly the bytes digested
+        # before it: the formula and signatures below, written out, over
+        # every class, θ, worker count and a table count that changes the
+        # resolved partition count (linear runs clamp to 4 partitions at 4
+        # tables, to 8 at 6 and 8 tables).
+        parametric = OptimizerSettings(objectives=PARAMETRIC_OBJECTIVES, parametric=True)
+        plain = ("linear", ("time",), 1.0, False, True, False, "vecdp")
+        parametric_signature = ("linear", ("time", "io"), 1.0, False, True, True, "fastdp")
+        grid = (
+            (OptimizerSettings(), plain),
+            (OptimizerSettings(backend=Backend.VECDP), plain),
+            (
+                OptimizerSettings(plan_space=PlanSpace.BUSHY),
+                ("bushy", ("time",), 1.0, False, True, False, "vecdp"),
+            ),
+            (
+                OptimizerSettings(consider_orders=True),
+                ("linear", ("time",), 1.0, True, True, False, "fastdp"),
+            ),
+            (
+                OptimizerSettings(objectives=MULTI_OBJECTIVE),
+                ("linear", ("time", "buffer"), 1.0, False, True, False, "vecdp"),
+            ),
+            (parametric, parametric_signature),
+            (parametric.replace(theta=0.25), parametric_signature),
+            (parametric.replace(theta=0.75), parametric_signature),
+        )
+        generator = SteinbrunnGenerator(4646, clustered_tables=True)
+        queries = [generator.query(n, JoinGraphKind.CHAIN) for n in (4, 6, 8)]
+        for query, (settings_, signature), n_workers in itertools.product(
+            queries, grid, (None, 2, 8, 9, 12)
+        ):
+            assert settings_signature(settings_) == repr(signature)
+            form = canonicalize(query)
+            resolved = (
+                None
+                if n_workers is None
+                else usable_partitions(query.n_tables, n_workers, settings_.plan_space)
+            )
+            payload = repr((signature, resolved)).encode()
+            expected = hashlib.sha256(form.digest + payload).hexdigest()
+            assert fingerprint_canonical(form, settings_, n_workers) == expected
+            assert fingerprint(query, settings_, n_workers) == expected
+        # AUTO keys as the backend it resolves to, and θ never keys.
+        for query in queries:
+            assert len({fingerprint(query, settings_, 8) for settings_, __ in grid}) == 5
 
     def test_hand_built_form_yields_a_usable_fingerprint(self):
         # tests/test_envelope_serving.py builds forms from two arguments.

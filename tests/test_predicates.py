@@ -72,14 +72,3 @@ class TestConnects:
     def test_with_extra_tables(self):
         predicate = make_predicate(0, 2)
         assert predicate.connects(0b1001, 0b0110)
-
-
-class TestAppliesWithin:
-    def test_both_present(self):
-        assert make_predicate(1, 3).applies_within(0b1010)
-
-    def test_one_missing(self):
-        assert not make_predicate(1, 3).applies_within(0b0010)
-
-    def test_superset(self):
-        assert make_predicate(0, 1).applies_within(0b111)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
@@ -34,7 +35,7 @@ class TestBasics:
 
     def test_table_by_number(self):
         query = make_manual_query([10, 20])
-        assert query.table(1).cardinality == 20
+        assert query.tables[1].cardinality == 20
 
     def test_describe_mentions_tables(self):
         text = make_manual_query([10, 20], [(0, 1, 0.5)]).describe()
@@ -86,4 +87,38 @@ class TestPickling:
         clone = pickle.loads(pickle.dumps(query))
         assert clone.n_tables == 3
         assert clone.predicates_of(1) == query.predicates_of(1)
-        assert clone.table(2).cardinality == 30
+        assert clone.tables[2].cardinality == 30
+
+    def test_roundtrip_of_a_hashed_query_leaves_the_cached_hash_behind(self):
+        query = make_manual_query([10, 20, 30], [(0, 1, 0.1), (1, 2, 0.2)])
+        hash(query)
+        clone = pickle.loads(pickle.dumps(query))
+        assert "_hash" not in vars(clone)
+        assert clone == query and hash(clone) == hash(query)
+        assert clone.predicates_of(1) == query.predicates_of(1)
+
+
+class TestCachedHash:
+    def test_hash_is_the_field_tuple_hash_computed_once(self):
+        query = make_manual_query([10, 20, 30], [(0, 1, 0.1), (1, 2, 0.2)])
+        assert "_hash" not in vars(query)
+        expected = hash((query.tables, query.predicates, query.name))
+        assert hash(query) == expected
+        assert vars(query)["_hash"] == expected
+        assert hash(query) == expected
+
+    def test_cache_is_not_a_field(self):
+        hashed = make_manual_query([10, 20], [(0, 1, 0.5)])
+        plain = make_manual_query([10, 20], [(0, 1, 0.5)])
+        hash(hashed)
+        assert [field.name for field in dataclasses.fields(Query)] == [
+            "tables",
+            "predicates",
+            "name",
+            "_predicate_index",
+        ]
+        assert hashed == plain and repr(hashed) == repr(plain)
+        renamed = dataclasses.replace(hashed, name="other")
+        assert "_hash" not in vars(renamed)
+        assert hash(renamed) == hash((renamed.tables, renamed.predicates, "other"))
+        assert renamed != hashed
