@@ -89,6 +89,12 @@ class CacheEntry:
     lower-envelope frontier plus its breakpoint index, from which a
     θ-specific request is answered by O(log n) lookup
     (:meth:`select_index`) instead of a DP run.
+
+    Beside the canonical plans an entry carries two render-once memos
+    (``render_memo`` for in-process answers, ``wire_memo`` for the shard
+    server's encoded ones), so a repeat in the same numbering costs a dict
+    probe, not a plan-tree rebuild.  Neither is state of the cached
+    artifact: both are excluded from ``init``, ``repr`` and equality.
     """
 
     canonical_plans: list[Plan]
@@ -112,6 +118,16 @@ class CacheEntry:
     #: re-run, re-read from disk or imported is a new object with an empty
     #: memo (``init=False`` keeps ``dataclasses.replace`` from sharing one).
     wire_memo: dict[int | None, bytes] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    #: :meth:`OptimizerService.answer`'s rendered plans, by θ slot (``None``,
+    #: or :meth:`select_index`'s result): ``(numbering, plans)`` for the last
+    #: numbering that slot was relabelled into.  Same lifetime as
+    #: ``wire_memo``, and at most one rendered copy per slot.  Unlocked on
+    #: purpose: a slot is replaced by one dict store of a complete pair, and
+    #: a reader compares against the pair it fetched, so racing renders
+    #: cost a duplicate relabel, never a wrong answer.
+    render_memo: dict[int | None, tuple[tuple[int, ...], list[Plan]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -484,7 +500,10 @@ class OptimizerService:
 
         θ-narrow → relabel → flags.  With ``theta``, the entry's breakpoint
         index picks the θ-optimal plan first, so only that one plan is
-        relabeled from canonical numbering into the requester's.  Every
+        relabeled from canonical numbering into the requester's.  The
+        relabelled plans are kept in the entry's ``render_memo`` under that
+        θ slot: a repeat in the same numbering gets a fresh list over the
+        same frozen plans, and another numbering re-renders the slot.  Every
         front door's hit, follower and leader answers funnel through here;
         ``cached`` is ``False`` only for the request whose DP run produced
         ``entry``, and each θ bound without a run counts one
@@ -493,14 +512,19 @@ class OptimizerService:
         that way and the requester, who holds the numbering, decodes the
         reply straight into it.
         """
-        plans = entry.canonical_plans
+        plans, slot = entry.canonical_plans, None
         if theta is not None:
-            plans = [plans[entry.select_index(theta)]]
+            slot = entry.select_index(theta)
+            plans = [plans[slot]]
             if cached:
                 with self._counter_lock:
                     self._envelope_hits += 1
         if canonical is not None:
-            plans = relabel(plans, canonical.numbering)
+            numbering = canonical.numbering
+            memo = entry.render_memo.get(slot)
+            if memo is None or memo[0] != numbering:
+                memo = entry.render_memo[slot] = (numbering, relabel(plans, numbering))
+            plans = list(memo[1])
         return ServiceResult(
             plans=plans,
             n_partitions=entry.n_partitions,

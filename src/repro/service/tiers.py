@@ -358,11 +358,6 @@ class DiskTier:
 
     # ------------------------------------------------------------- invalidation
 
-    def provenance_of(self, key: str) -> Provenance | None:
-        """The stored provenance record for ``key`` (``None`` if absent)."""
-        with self._lock:
-            return self._provenance.get(key)
-
     def invalidate(self, predicate: InvalidationPredicate) -> list[str]:
         """Tombstone every entry whose provenance matches; returns their keys.
 
@@ -408,13 +403,12 @@ class DiskTier:
             return len(self._offsets) / self._total_records
 
     def _needs_compaction(self) -> bool:
-        """Whether the auto-compaction policy says the log is worth rewriting."""
-        if self.compact_ratio <= 0.0:
-            return False
-        with self._lock:
-            if self._total_records == 0:
-                return False
-            return len(self._offsets) / self._total_records < self.compact_ratio
+        """Whether the auto-compaction policy says the log is worth rewriting.
+
+        Never at ``compact_ratio=0`` (no live ratio is below it), nor on an
+        empty log (its live ratio is 1.0, and the ratio is at most 1).
+        """
+        return self.live_ratio() < self.compact_ratio
 
     def log_bytes(self) -> int:
         """Current size of the log file (includes dead records)."""
@@ -707,17 +701,11 @@ class TieredPlanCache:
 
     def get(self, key: str) -> CacheEntry | None:
         """Memory, then disk (promoting), counting one hit or miss total."""
-        value = self.memory.touch(key)
-        if value is not None:
+        value = self.probe(key)
+        if value is None:
             with self._lock:
-                self.stats.memory_hits += 1
-            return value
-        value = self._disk_read(key)
-        if value is not None:
-            return value
-        with self._lock:
-            self.stats.misses += 1
-        return None
+                self.stats.misses += 1
+        return value
 
     def probe(self, key: str) -> CacheEntry | None:
         """Like :meth:`get` but an absent key counts nothing."""

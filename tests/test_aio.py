@@ -279,6 +279,19 @@ class TestResultMemo:
 
         run(scenario())
 
+    def test_cached_copy_matches_dataclasses_replace(self):
+        # The edge memo builds its copies positionally for speed; this is
+        # the reference formulation, field for field.
+        from repro.service.aio import _cached_copy
+        from repro.service.service import ServiceResult
+
+        plans = [object(), object()]
+        result = ServiceResult(plans, 3, "key", False, 1.5, 7, "vecdp", 0.25)
+        copy = _cached_copy(result)
+        assert copy == dataclasses.replace(result, plans=list(plans), cached=True)
+        assert copy.plans is not plans
+        assert all(a is b for a, b in zip(copy.plans, plans))
+
     def test_memo_can_be_disabled(self):
         async def scenario():
             query = SteinbrunnGenerator(64).query(5)

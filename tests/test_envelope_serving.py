@@ -20,7 +20,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -45,15 +47,19 @@ from repro.service import (
     ENVELOPE_ENTRY,
     SCALAR_ENTRY,
     DiskTier,
+    InvalidationPredicate,
     OptimizerService,
     ShardedOptimizerGateway,
+    TieredPlanCache,
+    canonicalize,
     fingerprint,
 )
 from repro.service.fingerprint import CanonicalForm
 from repro.service.net import result_from_wire, result_to_wire
 from repro.service.remap import invert, remap_plan
-from repro.service.service import CacheEntry
+from repro.service.service import CacheEntry, relabel
 from repro.service.tiers import entry_from_wire, entry_to_wire
+from tests.test_service import permute_query, shuffled
 
 PARAMETRIC = parametric_settings()
 
@@ -260,6 +266,155 @@ class TestAnswerFunction:
         assert answer_b.plans == [remap_plan(plan, to_b) for plan in expected]
         assert answer_b.theta == theta and answer_b.cached
         assert service.envelope_hits == (0 if theta is None else 3)
+
+
+# ------------------------------------------------------------ render memo
+
+
+def multi_segment_query():
+    """A pool query whose envelope has two or more segments."""
+    with OptimizerService(n_workers=1, settings=PARAMETRIC) as service:
+        for query in query_pool(5, 30):
+            service.optimize(query)
+            if service.cache.peek(fingerprint(query, PARAMETRIC, 1)).envelope.breakpoints:
+                return query
+    raise AssertionError("no multi-segment envelope in the pool")
+
+
+class TestRenderMemo:
+    """``answer`` relabels once per (entry, θ slot, numbering) into ``render_memo``."""
+
+    @pytest.fixture(scope="class")
+    def query(self):
+        return multi_segment_query()
+
+    @staticmethod
+    def entry_of(service, query):
+        return service.cache.peek(fingerprint(query, PARAMETRIC, 1))
+
+    def test_repeat_shares_plans_in_a_new_list(self, query):
+        with OptimizerService(n_workers=1, settings=PARAMETRIC) as service:
+            service.optimize(query)
+            first, second = (service.optimize(query) for __ in range(2))
+            assert second.plans is not first.plans
+            assert all(a is b for a, b in zip(first.plans, second.plans, strict=True))
+
+    def test_mutating_an_answer_never_leaks(self, query):
+        with OptimizerService(n_workers=1, settings=PARAMETRIC) as service:
+            reference = list(service.optimize(query).plans)
+            mutated = service.optimize(query)
+            mutated.plans.reverse()
+            mutated.plans.append(mutated.plans[0])
+            assert service.optimize(query).plans == reference
+            mutated = service.optimize(query)
+            mutated.plans.clear()
+            assert service.optimize(query).plans == reference
+
+    def test_numberings_interleaved(self, query):
+        relabelled = permute_query(query, shuffled(query.n_tables, seed=4))
+        with OptimizerService(n_workers=1, settings=PARAMETRIC) as service:
+            service.optimize(query)
+            entry = self.entry_of(service, query)
+            forms = {q: canonicalize(q) for q in (query, relabelled)}
+            assert forms[query].numbering != forms[relabelled].numbering
+            for requester in (query, relabelled, relabelled, query, relabelled):
+                served = service.optimize(requester)
+                assert served.plans == relabel(
+                    entry.canonical_plans, forms[requester].numbering
+                )
+                assert served.best.mask == requester.all_tables_mask
+                assert entry.render_memo[None][0] == forms[requester].numbering
+
+    def test_theta_slots_interleaved(self, query):
+        with OptimizerService(n_workers=1, settings=PARAMETRIC) as service:
+            service.optimize(query)
+            entry = self.entry_of(service, query)
+            breakpoints = entry.envelope.breakpoints
+            thetas = (breakpoints[0] / 2, (breakpoints[-1] + 1.0) / 2)
+            slots = [entry.select_index(theta) for theta in thetas]
+            assert slots[0] != slots[1]
+            numbering = canonicalize(query).numbering
+            for theta in (*thetas, *thetas, thetas[1], thetas[0]):
+                served = service.optimize(query, PARAMETRIC.replace(theta=theta))
+                chosen = entry.canonical_plans[entry.select_index(theta)]
+                assert served.plans == relabel([chosen], numbering)
+                assert served.theta == theta
+            assert set(entry.render_memo) == {None, *slots}  # None: the fill above
+
+    def test_fresh_entries_start_empty(self, query, tmp_path):
+        def rendered(service):
+            service.optimize(query)
+            entry = self.entry_of(service, query)
+            assert entry is not None and entry.render_memo
+            return entry
+
+        with OptimizerService(
+            n_workers=1,
+            settings=PARAMETRIC,
+            cache=TieredPlanCache(memory_capacity=1, disk=DiskTier(tmp_path / "c.log")),
+        ) as service:
+            entry = rendered(service)
+            # A copy does not share the memo (``init=False``).
+            assert dataclasses.replace(entry).render_memo == {}
+            # Demote (another shape takes the one memory slot), read the
+            # disk record back, promote it: a new object, an empty memo.
+            other = query_pool(6, 1)[0]
+            key = fingerprint(query, PARAMETRIC, 1)
+            assert fingerprint(other, PARAMETRIC, 1) != key
+            service.optimize(other)
+            assert self.entry_of(service, query) is None
+            promoted = service.cache.get(key)
+            assert promoted is not entry and promoted.render_memo == {}
+            assert rendered(service) is promoted
+            # Invalidate and re-run: the new entry renders afresh.
+            assert service.cache.invalidate(InvalidationPredicate())
+            assert not service.optimize(query).cached
+            rerun = self.entry_of(service, query)
+            assert rerun is not promoted and rerun is not entry
+            assert list(rerun.render_memo) == [None]
+
+    def test_canonical_none_returns_the_entrys_own_plans(self, query):
+        with OptimizerService(n_workers=1, settings=PARAMETRIC) as service:
+            service.optimize(query)
+            entry = self.entry_of(service, query)
+            key = fingerprint(query, PARAMETRIC, 1)
+            unbound = service.answer(entry, None, key, None)
+            assert all(
+                a is b for a, b in zip(unbound.plans, entry.canonical_plans, strict=True)
+            )
+            for theta in (0.0, 0.5, 1.0):
+                [plan] = service.answer(entry, None, key, theta).plans
+                assert plan is entry.canonical_plans[entry.select_index(theta)]
+
+    def test_threads_on_one_key_with_two_numberings(self, query):
+        requesters = [query, permute_query(query, shuffled(query.n_tables, seed=9))]
+        with OptimizerService(n_workers=1, settings=PARAMETRIC) as service:
+            service.optimize(query)
+            entry = self.entry_of(service, query)
+            expected = [
+                relabel(entry.canonical_plans, canonicalize(q).numbering)
+                for q in requesters
+            ]
+            barrier = threading.Barrier(8, timeout=30)
+
+            def worker(index):
+                barrier.wait()
+                for round_ in range(50):
+                    which = (index + round_) % 2
+                    served = service.optimize(requesters[which])
+                    # A memo slot torn between the two numberings would
+                    # hand one requester the other's plans.
+                    assert served.cached and served.plans == expected[which]
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    for future in [pool.submit(worker, i) for i in range(8)]:
+                        future.result(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert service.cache.snapshot().misses == 1
 
 
 # ------------------------------------------------------- service envelope

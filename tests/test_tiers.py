@@ -216,9 +216,9 @@ class TestDiskTier:
     def test_provenance_index_resident(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as tier:
             tier.put("a", make_entry(signature="s1"))
-            assert tier.provenance_of("a").settings_signature == "s1"
-            assert {k: prov for k, prov, __ in tier.entries()}["a"].settings_signature == "s1"
-            assert tier.provenance_of("nope") is None
+            provenances = {k: prov for k, prov, __ in tier.entries()}
+            assert provenances["a"].settings_signature == "s1"
+            assert "nope" not in provenances
 
     def test_clear_resets_everything(self, tmp_path):
         log = tmp_path / "cache.log"

@@ -7,6 +7,12 @@ once with the pool's own (memoised) query objects, once with a never-seen
 relabelling of each — and through the door (``service.optimize``) itself:
 the measurement perf issues on the serving hit path are chosen from.
 
+``service.answer`` is timed twice per request, on an entry whose render
+memo was just cleared: a first render (the relabel) and a repeat in the
+same numbering (the memo hit).  The repeat leaves the memo holding the
+requester's numbering, so a memoised request's door total is a memo hit
+too, and a fresh relabelling's door total is a render.
+
 The network client's two hit stages ride along: ``json.loads`` of the
 canonical reply bytes a shard memoises per entry (made once per shape, as the
 shard server makes them) and ``result_from_wire`` into the requester's
@@ -72,6 +78,9 @@ def main() -> int:
                 entry = timed(us["cache get"], service.cache.get, key)
                 chosen = timed(us["select_index"], entry.select_index, settings.theta)
                 timed(us["relabel"], relabel, [entry.canonical_plans[chosen]], canonical.numbering)
+                entry.render_memo.clear()
+                for stage in ("answer, first render", "answer, repeat (memo)"):
+                    timed(us[stage], service.answer, entry, canonical, key, settings.theta)
                 reply = timed(us["wire json.loads"], json.loads, replies[key])
                 reply["theta"] = settings.theta
                 timed(us["wire result_from_wire"], lambda: result_from_wire(reply, invert(canonical.numbering)))
