@@ -16,8 +16,8 @@ Commands:
   handlers, with in-flight coalescing and aggregated gateway statistics;
   with ``--async`` the batch is submitted concurrently through the
   :class:`~repro.service.AsyncOptimizerGateway` front-end (adaptive
-  micro-batching bounded by ``--batch-window-ms``/``--max-batch``,
-  admission control bounded by ``--max-pending``) and the tree adds
+  micro-batching with the gateway's default window, admission control
+  bounded by ``--max-pending``) and the tree adds
   queue/batching/rejection counters;
   with ``--cache-dir DIR`` each shard's plan cache gains a persistent disk
   tier (append-only log ``DIR/shard-N.log``), so a later invocation with
@@ -59,7 +59,7 @@ Examples::
     python -m repro serve-batch q1.json q2.json --workers 8 --repeat 3
     python -m repro serve-batch q*.json --pool persistent --json
     python -m repro serve-batch q*.json --shards 4 --gateway-threads 8
-    python -m repro serve-batch q*.json --shards 4 --async --batch-window-ms 2
+    python -m repro serve-batch q*.json --shards 4 --async --max-pending 256
     python -m repro serve-batch q*.json --shards 4 --cache-dir /var/cache/mpq
     python -m repro shard-server --listen unix:/run/mpq/shard-0.sock --shard-id 0
     python -m repro shard-server --listen 127.0.0.1:7401 --cache-dir /var/cache/mpq
@@ -83,9 +83,18 @@ import time
 
 from repro.algorithms.mpq import optimize_mpq
 from repro.config import Backend, Objective, OptimizerSettings, PlanSpace
+from repro.core.envelope import best_index_at
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.io import load_query, plan_to_dict, save_query
 from repro.query.query import JoinGraphKind
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type`` for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_settings_flags(command: argparse.ArgumentParser, parametric: bool = True) -> None:
@@ -161,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     optimize.add_argument(
         "--catalog", default=None, help="catalog JSON file for --sql"
     )
-    optimize.add_argument("--workers", type=int, default=1)
+    optimize.add_argument("--workers", type=_positive_int, default=1)
     _add_settings_flags(optimize)
     optimize.add_argument(
         "--json", action="store_true", help="emit machine-readable JSON"
@@ -172,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="optimize a batch of query files through the caching service",
     )
     serve.add_argument("queries", nargs="+", help="query JSON files")
-    serve.add_argument("--workers", type=int, default=4)
+    serve.add_argument("--workers", type=_positive_int, default=4)
     _add_settings_flags(serve)
     serve.add_argument(
         "--repeat",
@@ -219,22 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "misses micro-batched, and admission control enforced",
     )
     serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=None,
-        help="async batching window upper bound in milliseconds "
-        "(requires --async; default 2.0)",
-    )
-    serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=None,
-        help="flush an async micro-batch early at this many unique "
-        "fingerprints (requires --async; default 16)",
-    )
-    serve.add_argument(
         "--max-pending",
-        type=int,
+        type=_positive_int,
         default=None,
         help="async admission-control bound on outstanding requests; "
         "beyond it requests are rejected with a retry-after "
@@ -267,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         help="this shard's number (names its cache log and hello frame)",
     )
-    shard_server.add_argument("--workers", type=int, default=4)
+    shard_server.add_argument("--workers", type=_positive_int, default=4)
     _add_settings_flags(shard_server, parametric=False)
     shard_server.add_argument(
         "--cache-size", type=int, default=256, help="plan-cache capacity"
@@ -284,13 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=8,
         help="admission bound on concurrently running optimizations; "
         "beyond it requests are rejected 'overloaded' with a retry-after",
-    )
-    shard_server.add_argument(
-        "--handler-threads",
-        type=int,
-        default=None,
-        help="blocking-optimization thread pool size "
-        "(default: --max-in-flight)",
     )
     shard_server.add_argument(
         "--inject-latency-ms",
@@ -318,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="directory for per-shard persistent cache logs (shard-<i>.log); "
         "also what lets a restarted shard come back warm",
     )
-    shard_fleet.add_argument("--workers", type=int, default=4)
+    shard_fleet.add_argument("--workers", type=_positive_int, default=4)
     shard_fleet.add_argument(
         "--cache-size", type=int, default=256, help="plan-cache capacity per shard"
     )
@@ -327,12 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help="per-shard admission bound on concurrently running optimizations",
-    )
-    shard_fleet.add_argument(
-        "--health-interval-ms",
-        type=float,
-        default=200.0,
-        help="supervisor liveness-poll cadence",
     )
     shard_fleet.add_argument(
         "--log-dir",
@@ -438,17 +420,20 @@ def _settings_from_args(args: argparse.Namespace) -> OptimizerSettings:
     if parametric and len(objectives) != 2:
         raise SystemExit(
             "--parametric needs exactly two objectives "
-            "(e.g. --objectives time,buffer)"
+            "(e.g. --objectives time,io)"
         )
-    return OptimizerSettings(
-        plan_space=PlanSpace(args.space),
-        objectives=tuple(objectives),
-        alpha=args.alpha,
-        consider_orders=args.orders,
-        backend=Backend(args.backend),
-        parametric=parametric,
-        theta=theta,
-    )
+    try:
+        return OptimizerSettings(
+            plan_space=PlanSpace(args.space),
+            objectives=tuple(objectives),
+            alpha=args.alpha,
+            consider_orders=args.orders,
+            backend=Backend(args.backend),
+            parametric=parametric,
+            theta=theta,
+        )
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
 
 
 def _run_generate(args: argparse.Namespace) -> int:
@@ -477,6 +462,11 @@ def _run_optimize(args: argparse.Namespace) -> int:
     query = _load_query_from_args(args)
     settings = _settings_from_args(args)
     report = optimize_mpq(query, args.workers, settings)
+    plans, best = report.plans, report.best
+    if settings.theta is not None:
+        # The DP returns the whole envelope; the bound θ picks one plan.
+        best = plans[best_index_at([plan.cost for plan in plans], settings.theta)]
+        plans = [best]
     names = tuple(table.name for table in query.tables)
     if args.json:
         payload = {
@@ -486,7 +476,7 @@ def _run_optimize(args: argparse.Namespace) -> int:
             "simulated_time_ms": report.simulated_time_ms,
             "network_bytes": report.network_bytes,
             "max_worker_memory_relations": report.max_worker_memory_relations,
-            "plans": [plan_to_dict(plan, names) for plan in report.plans],
+            "plans": [plan_to_dict(plan, names) for plan in plans],
         }
         print(json.dumps(payload, indent=2))
         return 0
@@ -500,15 +490,15 @@ def _run_optimize(args: argparse.Namespace) -> int:
     print(f"network: {report.network_bytes:,} bytes")
     print(f"max worker memory: {report.max_worker_memory_relations} relations")
     if settings.is_multi_objective:
-        print(f"pareto frontier: {len(report.plans)} plans (alpha={args.alpha})")
+        print(f"pareto frontier: {len(plans)} plans (alpha={args.alpha})")
     print()
-    print(report.best.pretty(names))
-    print(f"\nbest cost: {tuple(report.best.cost)}")
+    print(best.pretty(names))
+    print(f"\nbest cost: {tuple(best.cost)}")
     return 0
 
 
 #: ``serve-batch --async`` defaults, applied when the flag is not given.
-_ASYNC_DEFAULTS = {"batch_window_ms": 2.0, "max_batch": 16, "max_pending": 256}
+_ASYNC_DEFAULTS = {"max_pending": 256}
 
 
 class _AsyncDoor:
@@ -639,9 +629,7 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
     elif not args.use_async and any(
         getattr(args, name) is not None for name in _ASYNC_DEFAULTS
     ):
-        raise SystemExit(
-            "--batch-window-ms/--max-batch/--max-pending require --async"
-        )
+        raise SystemExit("--max-pending requires --async")
     settings = _settings_from_args(args)
     queries = [load_query(path) for path in args.queries]
     door = _open_door(args, settings)
@@ -724,7 +712,6 @@ def _run_shard_server(args: argparse.Namespace) -> int:
         cache_capacity=args.cache_size,
         cache_dir=args.cache_dir,
         max_in_flight=args.max_in_flight,
-        handler_threads=args.handler_threads,
         inject_latency_s=args.inject_latency_ms / 1000.0,
     )
     return 0
@@ -750,7 +737,6 @@ def _run_shard_fleet(args: argparse.Namespace) -> int:
         n_workers=args.workers,
         max_in_flight=args.max_in_flight,
         cache_capacity=args.cache_size,
-        health_interval_s=args.health_interval_ms / 1000.0,
         log_dir=args.log_dir,
         membership_path=socket_dir / "membership.json",
     )

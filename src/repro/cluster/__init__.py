@@ -5,7 +5,6 @@ from repro.cluster.serialization import (
     PLAN_NODE_BYTES,
     TASK_HEADER_BYTES,
     memo_entries_bytes,
-    plan_bytes,
     plans_bytes,
     query_bytes,
     task_bytes,
@@ -31,7 +30,6 @@ __all__ = [
     "PLAN_NODE_BYTES",
     "TASK_HEADER_BYTES",
     "memo_entries_bytes",
-    "plan_bytes",
     "plans_bytes",
     "query_bytes",
     "task_bytes",

@@ -89,15 +89,6 @@ def plan_node_count(plan: Plan) -> int:
     return 1 + plan_node_count(plan.left) + plan_node_count(plan.right)
 
 
-def plan_bytes(plan: Plan) -> int:
-    """Serialized size of one complete plan (nodes plus its cost vector)."""
-    return (
-        MESSAGE_HEADER_BYTES
-        + PLAN_NODE_BYTES * plan_node_count(plan)
-        + PER_METRIC_BYTES * len(plan.cost)
-    )
-
-
 def plans_bytes(plans: list[Plan]) -> int:
     """Worker-to-master result message: all partition-optimal plans.
 
@@ -179,14 +170,6 @@ def order_to_wire(order: SortOrder | None) -> list | None:
     if order is None:
         return None
     return [order.table, order.column]
-
-
-def order_from_wire(data: list | None) -> SortOrder | None:
-    """Inverse of :func:`order_to_wire`."""
-    if data is None:
-        return None
-    table, column = data
-    return SortOrder(table=int(table), column=str(column))
 
 
 def plan_to_wire(plan: Plan) -> dict[str, Any]:

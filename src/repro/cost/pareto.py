@@ -25,11 +25,6 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def strictly_dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    """Dominance with at least one strictly better component."""
-    return dominates(a, b) and any(x < y for x, y in zip(a, b))
-
-
 def alpha_dominates(a: Sequence[float], b: Sequence[float], alpha: float) -> bool:
     """Approximate dominance: ``a <= alpha * b`` component-wise.
 

@@ -10,17 +10,12 @@ rests on.
 
 from repro.exec.data import Database, generate_database
 from repro.exec.engine import execute_plan
-from repro.exec.validate import (
-    empirical_cardinality,
-    plans_equivalent,
-    result_signature,
-)
+from repro.exec.validate import plans_equivalent, result_signature
 
 __all__ = [
     "Database",
     "generate_database",
     "execute_plan",
-    "empirical_cardinality",
     "plans_equivalent",
     "result_signature",
 ]

@@ -33,11 +33,6 @@ class Database:
         """Tuples of table ``table_number``."""
         return self.rows[table_number]
 
-    @property
-    def total_rows(self) -> int:
-        """Total materialized tuples across all tables."""
-        return sum(len(table) for table in self.rows)
-
 
 def generate_database(query: Query, seed: int = 0, max_rows: int = 50) -> Database:
     """Materialize synthetic tuples for every table of ``query``.

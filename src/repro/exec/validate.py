@@ -3,8 +3,7 @@
 The DP's entire plan space — every join order, every tree shape, every
 operator assignment — denotes the same relational expression.  These helpers
 turn executed results into order-insensitive signatures so tests can assert
-that equivalence on real tuples, and measure empirical cardinalities against
-the estimator.
+that equivalence on real tuples.
 """
 
 from __future__ import annotations
@@ -34,14 +33,3 @@ def plans_equivalent(plans: Iterable[Plan], database: Database) -> bool:
         elif signature != reference:
             return False
     return True
-
-
-def empirical_cardinality(plan: Plan, database: Database) -> int:
-    """Actual number of result rows when executing ``plan`` on ``database``.
-
-    Useful for sanity checks against the optimizer's estimates — exact
-    agreement is not expected (estimates use full-table cardinalities and
-    the independence assumption), but both should rank join orders alike on
-    uniform data.
-    """
-    return len(execute_plan(plan, database))

@@ -45,11 +45,6 @@ class JoinAlgorithm(enum.Enum):
         """Hash and sort-merge need an equality predicate between operands."""
         return self in (JoinAlgorithm.HASH, JoinAlgorithm.SORT_MERGE)
 
-    @property
-    def produces_sorted_output(self) -> bool:
-        """Only sort-merge emits output sorted on its join attribute."""
-        return self is JoinAlgorithm.SORT_MERGE
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

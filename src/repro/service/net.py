@@ -27,10 +27,9 @@ is the front door:
   :class:`~repro.service.aio.GatewayOverloadedError` carrying the server's
   ``retry_after_s``; transport failures count against the shard's breaker
   and surface as :class:`ShardUnavailableError` with a ``retry_after_s`` of
-  the breaker's next probe.  Shards can be added/removed live, health
-  checks (manual :meth:`~NetworkOptimizerGateway.check_health` or a
-  background prober) drive breaker recovery, and
-  :meth:`~NetworkOptimizerGateway.drain` gracefully quiesces every shard
+  the breaker's next probe.  Shards can be added/removed live,
+  :meth:`~NetworkOptimizerGateway.check_health` drives breaker recovery,
+  and :meth:`~NetworkOptimizerGateway.drain` gracefully quiesces every shard
   (stop accepting, finish in-flight, flush cache logs) before shutdown.
   Each attempt goes to exactly one shard, the key's ring owner, so no
   request's work is ever duplicated on a second shard.
@@ -492,10 +491,6 @@ class NetworkOptimizerGateway:
             stops answering fails the request (and counts against its
             breaker) instead of hanging the client thread.
         failure_threshold / reset_timeout_s: breaker tuning, per shard.
-        health_check_interval_s: > 0 starts a background thread probing
-            every shard's ``health`` op at this cadence (driving breaker
-            recovery without client traffic); 0 disables it — call
-            :meth:`check_health` manually.
         overload_retries: how many times :meth:`optimize` resubmits after a
             shard's ``overloaded`` rejection, sleeping the advertised
             ``retry_after_s`` between attempts (clamped to
@@ -517,7 +512,6 @@ class NetworkOptimizerGateway:
         request_timeout_s: float = 60.0,
         failure_threshold: int = 3,
         reset_timeout_s: float = 1.0,
-        health_check_interval_s: float = 0.0,
         overload_retries: int = 0,
         ring_replicas: int = 64,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
@@ -544,16 +538,6 @@ class NetworkOptimizerGateway:
         self._counters = {"requests": 0, "breaker_rejections": 0}
         for name, spec in shards.items():
             self.add_shard(name, spec)
-        self._health_stop = threading.Event()
-        self._health_thread: threading.Thread | None = None
-        if health_check_interval_s > 0:
-            self._health_thread = threading.Thread(
-                target=self._health_loop,
-                args=(health_check_interval_s,),
-                name="net-gateway-health",
-                daemon=True,
-            )
-            self._health_thread.start()
 
     # --------------------------------------------------------------- topology
 
@@ -786,13 +770,6 @@ class NetworkOptimizerGateway:
             report[link.name] = entry
         return report
 
-    def _health_loop(self, interval_s: float) -> None:
-        while not self._health_stop.wait(interval_s):
-            try:
-                self.check_health()
-            except Exception:  # pragma: no cover - prober must never die
-                pass
-
     # ------------------------------------------------------------------ stats
 
     def stats(self) -> dict[str, Any]:
@@ -842,15 +819,12 @@ class NetworkOptimizerGateway:
         return report
 
     def close(self) -> None:
-        """Stop the health prober and release every pooled connection."""
+        """Release every pooled connection."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             links = list(self._links.values())
-        self._health_stop.set()
-        if self._health_thread is not None:
-            self._health_thread.join(timeout=5.0)
         for link in links:
             link.close()
 

@@ -114,9 +114,8 @@ class ShardServer:
             instead of corrupting it.
         max_in_flight: admission bound on concurrently *running*
             optimizations; requests beyond it are rejected ``overloaded``
-            with a ``retry_after_s`` estimating one service time.
-        handler_threads: blocking-DP thread pool size (defaults to
-            ``max_in_flight``).
+            with a ``retry_after_s`` estimating one service time; the
+            blocking-DP thread pool has this many threads.
         max_frame_bytes: protocol frame-size bound.
         inject_latency_s: fault injection for tests and benchmarks — every
             optimize and lookup sleeps this long before running, simulating
@@ -132,7 +131,6 @@ class ShardServer:
         cache_capacity: int = 256,
         cache_dir: str | Path | None = None,
         max_in_flight: int = 8,
-        handler_threads: int | None = None,
         max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         inject_latency_s: float = 0.0,
     ) -> None:
@@ -146,7 +144,7 @@ class ShardServer:
         self.max_frame_bytes = max_frame_bytes
         self.inject_latency_s = inject_latency_s
         self._handler_pool = ThreadPoolExecutor(
-            max_workers=handler_threads if handler_threads is not None else max_in_flight,
+            max_workers=max_in_flight,
             thread_name_prefix=f"shard-{shard_id}",
         )
         # Snapshot shipping must not queue behind saturated DP handlers —
@@ -619,7 +617,6 @@ def run_shard_server(
     cache_capacity: int = 256,
     cache_dir: str | Path | None = None,
     max_in_flight: int = 8,
-    handler_threads: int | None = None,
     inject_latency_s: float = 0.0,
 ) -> None:
     """Blocking entry point used by ``python -m repro shard-server``."""
@@ -637,7 +634,6 @@ def run_shard_server(
         cache_capacity=cache_capacity,
         cache_dir=cache_dir,
         max_in_flight=max_in_flight,
-        handler_threads=handler_threads,
         inject_latency_s=inject_latency_s,
     )
     asyncio.run(_run_until_signalled(server))

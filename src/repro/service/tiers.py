@@ -790,9 +790,7 @@ class TieredPlanCache:
                 records[key] = {"t": "put", "k": key, "entry": entry_to_wire(entry)}
         return [records[key] for key in sorted(records)]
 
-    def import_records(
-        self, records: Iterable[dict[str, Any]], overwrite: bool = True
-    ) -> int:
+    def import_records(self, records: Iterable[dict[str, Any]]) -> int:
         """Merge shipped ``put`` records through the normal write path.
 
         Each entry goes through :meth:`put`, so an imported entry is durable
@@ -803,10 +801,7 @@ class TieredPlanCache:
         for record in records:
             if record.get("t") != "put":
                 continue
-            key = record["k"]
-            if not overwrite and key in self:
-                continue
-            self.put(key, entry_from_wire(record["entry"]))
+            self.put(record["k"], entry_from_wire(record["entry"]))
             imported += 1
         return imported
 

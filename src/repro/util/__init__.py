@@ -5,7 +5,6 @@ from repro.util.bitset import (
     bits,
     iter_subsets,
     iter_proper_nonempty_subsets,
-    lowest_bit_index,
     mask_of,
     popcount,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "bits",
     "iter_subsets",
     "iter_proper_nonempty_subsets",
-    "lowest_bit_index",
     "mask_of",
     "popcount",
 ]

@@ -38,16 +38,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def lowest_bit_index(mask: int) -> int:
-    """Return the smallest table index in ``mask``.
-
-    Raises ``ValueError`` for the empty set, mirroring ``min([])``.
-    """
-    if mask == 0:
-        raise ValueError("empty table set has no lowest bit")
-    return (mask & -mask).bit_length() - 1
-
-
 def iter_subsets(mask: int) -> Iterator[int]:
     """Yield every subset of ``mask`` including the empty set and ``mask``.
 

@@ -682,7 +682,7 @@ class TestServeBatchCLIAsync:
 
         payload = json_module.loads(capsys.readouterr().out)
         assert payload["async"] is True
-        assert payload["batch_window_ms"] == 2.0  # effective options: header
+        assert payload["max_pending"] == 256  # effective options: header
         front = payload["stats"]
         assert (front["rejected_queue_full"], front["rejected_tenant_share"]) == (0, 0)
         assert front["coalesced"] == 1  # in-batch duplicate of q0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,7 +10,6 @@ from repro.util.bitset import (
     bits,
     iter_proper_nonempty_subsets,
     iter_subsets,
-    lowest_bit_index,
     mask_of,
     popcount,
 )
@@ -67,18 +65,6 @@ class TestBits:
     @given(st.sets(st.integers(min_value=0, max_value=30)))
     def test_roundtrip(self, indices):
         assert set(bits(mask_of(indices))) == indices
-
-
-class TestLowestBitIndex:
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            lowest_bit_index(0)
-
-    def test_single(self):
-        assert lowest_bit_index(0b1000) == 3
-
-    def test_multi(self):
-        assert lowest_bit_index(0b1010) == 1
 
 
 class TestIterSubsets:

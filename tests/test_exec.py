@@ -12,11 +12,7 @@ from repro.core.serial import best_plan, optimize_serial
 from repro.cost.costmodel import CostModel
 from repro.exec.data import generate_database
 from repro.exec.engine import execute_plan
-from repro.exec.validate import (
-    empirical_cardinality,
-    plans_equivalent,
-    result_signature,
-)
+from repro.exec.validate import plans_equivalent, result_signature
 from repro.plans.operators import JoinAlgorithm
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind
@@ -58,11 +54,6 @@ class TestDataGeneration:
     def test_max_rows_validated(self, query):
         with pytest.raises(ValueError):
             generate_database(query, max_rows=0)
-
-    def test_total_rows(self, query, database):
-        assert database.total_rows == sum(
-            len(database.table_rows(i)) for i in range(query.n_tables)
-        )
 
 
 class TestScanExecution:
@@ -146,12 +137,6 @@ class TestPlanEquivalence:
 
 
 class TestEmpiricalCardinality:
-    def test_matches_execution(self, query, database):
-        plan = best_plan(optimize_serial(query, OptimizerSettings()))
-        assert empirical_cardinality(plan, database) == len(
-            execute_plan(plan, database)
-        )
-
     def test_selectivity_direction(self):
         """More selective predicates yield fewer rows on real data."""
         loose = make_manual_query([50, 50], [(0, 1, 1.0)])
@@ -176,5 +161,5 @@ class TestEmpiricalCardinality:
             model = CostModel(q, OptimizerSettings())
             left, right = model.scan_plans(0)[0], model.scan_plans(1)[0]
             plan = model.build_join(left, right, model.join_candidates(left, right)[0])
-            results.append(empirical_cardinality(plan, database))
+            results.append(len(execute_plan(plan, database)))
         assert results[0] > results[1]

@@ -2,17 +2,31 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
+import re
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro.service
 from repro import cli
+from repro.algorithms.mpq import optimize_mpq
 from repro.cli import main
-from repro.config import OptimizerSettings
+from repro.cluster.executors import PersistentProcessPoolExecutor
+from repro.config import PARAMETRIC_OBJECTIVES, OptimizerSettings
+from repro.core.envelope import best_index_at
 from repro.core.serial import best_plan, optimize_serial
 from repro.query.generator import SteinbrunnGenerator
-from repro.service import AsyncGatewayStats, GatewayStats, ShardStats
+from repro.query.query import JoinGraphKind
+from repro.service import (
+    AsyncGatewayStats,
+    GatewayStats,
+    ShardStats,
+    settings_signature,
+)
 from repro.query.io import (
     catalog_from_dict,
     load_query,
@@ -249,6 +263,108 @@ class TestCLI:
         main(["generate", "--tables", "5", "--seed", "3", "-o", str(b)])
         assert a.read_text() == b.read_text()
 
+    def test_generate_kind_and_output(self, tmp_path):
+        path = tmp_path / "chain.json"
+        argv = ["generate", "--tables", "5", "--kind", "chain", "--seed", "3"]
+        assert main(argv + ["--output", str(path)]) == 0
+        expected = SteinbrunnGenerator(3).query(5, JoinGraphKind.CHAIN)
+        assert load_query(path).predicates == expected.predicates
+
+
+@pytest.fixture
+def clique_query(tmp_path):
+    """A query whose interesting orders lower the best cost and whose
+    parametric envelope holds two plans, the second optimal at θ = 0.25."""
+    query = SteinbrunnGenerator(1, clustered_tables=True).query(
+        6, JoinGraphKind.CLIQUE
+    )
+    path = tmp_path / "clique.json"
+    save_query(query, path)
+    return load_query(path), str(path)
+
+
+def _optimize_json(argv, capsys) -> list:
+    capsys.readouterr()
+    assert main(["optimize", *argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)["plans"]
+
+
+def _as_json(query, plans) -> list:
+    names = tuple(table.name for table in query.tables)
+    return json.loads(json.dumps([plan_to_dict(plan, names) for plan in plans]))
+
+
+class TestOptimizeQueryClasses:
+    """``optimize --orders / --parametric / --theta`` select the paper's classes."""
+
+    def test_orders(self, clique_query, capsys):
+        query, path = clique_query
+        expected = optimize_mpq(query, 1, OptimizerSettings(consider_orders=True))
+        assert expected.plans != optimize_mpq(query, 1).plans
+        assert _optimize_json([path, "--orders"], capsys) == _as_json(
+            query, expected.plans
+        )
+
+    def test_parametric_returns_the_envelope(self, clique_query, capsys):
+        query, path = clique_query
+        settings = OptimizerSettings(objectives=PARAMETRIC_OBJECTIVES, parametric=True)
+        frontier = optimize_mpq(query, 1, settings).plans
+        assert len(frontier) == 2
+        argv = [path, "--parametric", "--objectives", "time,io"]
+        assert _optimize_json(argv, capsys) == _as_json(query, frontier)
+
+    def test_theta_binds_one_plan(self, clique_query, capsys):
+        query, path = clique_query
+        settings = OptimizerSettings(objectives=PARAMETRIC_OBJECTIVES, parametric=True)
+        frontier = optimize_mpq(query, 1, settings).plans
+        chosen = frontier[best_index_at([plan.cost for plan in frontier], 0.25)]
+        assert chosen is not frontier[0]
+        argv = [path, "--parametric", "--objectives", "time,io", "--theta", "0.25"]
+        assert _optimize_json(argv, capsys) == _as_json(query, [chosen])
+
+    def test_theta_requires_parametric(self, clique_query):
+        __, path = clique_query
+        with pytest.raises(SystemExit, match="--theta requires --parametric"):
+            main(["optimize", path, "--theta", "0.25"])
+
+
+class TestSettingsErrors:
+    """A rejected setting ends the command with its message, not a traceback."""
+
+    CASES = {
+        "alpha": (["optimize", "--alpha", "0.5"], "alpha must be >= 1.0"),
+        "theta": (
+            ["optimize", "--parametric", "--objectives", "time,io", "--theta", "1.5"],
+            "theta must be in [0, 1]",
+        ),
+        "no-objective": (["optimize", "--objectives", ","], "at least one objective"),
+        "parametric-hint": (["optimize", "--parametric"], "--objectives time,io"),
+        "parametric-buffer": (
+            ["optimize", "--parametric", "--objectives", "time,buffer"],
+            "requires additive metrics",
+        ),
+        "optimize-workers": (["optimize", "--workers", "0"], "must be >= 1, got 0"),
+        "serve-workers": (["serve-batch", "--workers", "0"], "must be >= 1, got 0"),
+        "max-pending": (
+            ["serve-batch", "--async", "--max-pending", "0"],
+            "must be >= 1, got 0",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_clean_exit_with_message(self, case, tmp_path, capsys):
+        argv, message = self.CASES[case]
+        path = tmp_path / "q.json"
+        main(["generate", "--tables", "4", "-o", str(path)])
+        capsys.readouterr()
+        # A raw ValueError would escape pytest.raises as a traceback.
+        with pytest.raises(SystemExit) as exit_info:
+            main([argv[0], str(path), *argv[1:]])
+        code = exit_info.value.code
+        assert code not in (0, None)
+        # argparse prints its message and exits 2; ours is the exit value.
+        assert message in f"{code}\n{capsys.readouterr().err}"
+
 
 def leaves(tree, path: str = "") -> list[tuple[str, object]]:
     """Every ``(dotted path, value)`` leaf of a JSON-shaped tree."""
@@ -320,6 +436,72 @@ class TestServeBatchStatsTree:
         lines = set(outputs["text"].splitlines())
         for path, value in text_leaves:
             assert f"{path}: {value}" in lines
+
+
+class TestServeBatchFlags:
+    @pytest.fixture
+    def two_queries(self, tmp_path):
+        paths = []
+        for seed in (25, 26):
+            path = tmp_path / f"q{seed}.json"
+            main(["generate", "--tables", "5", "--seed", str(seed), "-o", str(path)])
+            paths.append(str(path))
+        return paths
+
+    def serve(self, capsys, *argv) -> dict:
+        capsys.readouterr()
+        assert main(["serve-batch", *argv, "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_pool_persistent(self, two_queries, monkeypatch, capsys):
+        doors = []
+        open_door = cli._open_door
+
+        def spying_open_door(args, settings):
+            doors.append(open_door(args, settings))
+            return doors[-1]
+
+        monkeypatch.setattr(cli, "_open_door", spying_open_door)
+        pooled = self.serve(
+            capsys, *two_queries, "--pool", "persistent", "--workers", "2"
+        )
+        serial = self.serve(capsys, *two_queries, "--workers", "2")
+        assert (pooled["pool"], serial["pool"]) == ("persistent", "serial")
+        assert isinstance(doors[0].executor, PersistentProcessPoolExecutor)
+        assert not isinstance(doors[1].executor, PersistentProcessPoolExecutor)
+
+        def best_costs(report):
+            return [result["best_cost"] for result in report["rounds"][0]["results"]]
+
+        assert best_costs(pooled) == best_costs(serial)
+
+    def test_cache_size(self, two_queries, capsys):
+        def round_two(*flags):
+            report = self.serve(capsys, *two_queries, "--repeat", "2", *flags)
+            hits = [result["cached"] for result in report["rounds"][1]["results"]]
+            return hits, report["stats"]["entries"]
+
+        assert round_two() == ([True, True], 2)
+        # One slot keeps only the answer stored last, so the first query's
+        # repeat misses again.
+        assert round_two("--cache-size", "1") == ([False, True], 1)
+
+
+class TestShardFleetCLI:
+    def test_deployment_paths_reach_the_fleet(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(
+            repro.service, "run_shard_fleet", lambda **kwargs: calls.append(kwargs)
+        )
+        socket_dir, log_dir = tmp_path / "run", tmp_path / "logs"
+        argv = ["shard-fleet", "--shards", "2", "--socket-dir", str(socket_dir)]
+        assert main(argv + ["--log-dir", str(log_dir)]) == 0
+        [kwargs] = calls
+        assert kwargs["n_shards"] == 2
+        assert Path(kwargs["socket_dir"]) == socket_dir
+        assert Path(kwargs["membership_path"]) == socket_dir / "membership.json"
+        assert Path(kwargs["log_dir"]) == log_dir
+        assert str(socket_dir) in capsys.readouterr().out
 
 
 class TestServeBatchConnect:
@@ -444,6 +626,63 @@ class TestCacheCLI:
         [report] = json.loads(capsys.readouterr().out)
         assert report["entries"] == 2
 
+    def created_at(self, log, capsys) -> dict[str, float]:
+        capsys.readouterr()
+        assert main(["cache", "inspect", str(log), "--json"]) == 0
+        [report] = json.loads(capsys.readouterr().out)
+        return {
+            record["fingerprint"]: record["provenance"]["created_at_s"]
+            for record in report["records"]
+        }
+
+    def test_import_keep_existing(self, tmp_path, query_files, capsys):
+        # The target holds the first query; a later snapshot holds both, so
+        # the first query's key collides with a newer entry.
+        self.serve(query_files[:1], tmp_path / "target", capsys)
+        self.serve(query_files, tmp_path / "source", capsys)
+        target = tmp_path / "target" / "shard-0.log"
+        snapshot = str(tmp_path / "source.snap")
+        source = tmp_path / "source" / "shard-0.log"
+        main(["cache", "export", str(source), "-o", snapshot])
+        older = self.created_at(target, capsys)
+        newer = self.created_at(snapshot, capsys)
+        [collision] = older
+        assert older[collision] < newer[collision]
+        kept, replaced = tmp_path / "kept.log", tmp_path / "replaced.log"
+        shutil.copy(target, kept)
+        shutil.copy(target, replaced)
+        capsys.readouterr()
+        argv = ["cache", "import", snapshot, "--into"]
+        assert main(argv + [str(kept), "--keep-existing"]) == 0
+        assert "imported 1 entries" in capsys.readouterr().out
+        assert main(argv + [str(replaced)]) == 0
+        assert "imported 2 entries" in capsys.readouterr().out
+        assert self.created_at(kept, capsys)[collision] == older[collision]
+        assert self.created_at(replaced, capsys) == newer
+
+    def test_invalidate_by_settings_signature(self, tmp_path, query_files, capsys):
+        cache_dir = tmp_path / "plans"
+        self.serve(query_files, cache_dir, capsys)
+        self.serve(query_files[:1], cache_dir, capsys, "--orders")
+        log = str(cache_dir / "shard-0.log")
+
+        def signatures():
+            capsys.readouterr()
+            assert main(["cache", "inspect", log, "--json"]) == 0
+            [report] = json.loads(capsys.readouterr().out)
+            records = report["records"]
+            return sorted(r["provenance"]["settings_signature"] for r in records)
+
+        plain = settings_signature(OptimizerSettings())
+        orders = settings_signature(OptimizerSettings(consider_orders=True))
+        assert signatures() == sorted([plain, plain, orders])
+        argv = ["cache", "invalidate", log, "--settings-signature", orders, "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["predicate"] == {"settings_signature": orders}
+        assert payload["logs"][0]["invalidated"] == 1
+        assert signatures() == [plain, plain]
+
     def test_invalidate_selectively_forces_reoptimization(
         self, tmp_path, query_files, capsys
     ):
@@ -490,3 +729,36 @@ class TestCacheCLI:
         log = str(cache_dir / "shard-0.log")
         assert main(["cache", "invalidate", log, "--all"]) == 0
         assert "2 entries, 0 remaining" in capsys.readouterr().out
+
+
+def _long_options(parser: argparse.ArgumentParser):
+    """Every ``--flag`` of ``parser`` and its subcommands, argparse's own
+    ``--help`` aside."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for command in action.choices.values():
+                yield from _long_options(command)
+        elif not isinstance(action, argparse._HelpAction):
+            yield from (o for o in action.option_strings if o.startswith("--"))
+
+
+def test_every_cli_flag_is_exercised():
+    """A flag must appear literally in a test or in a module other than the
+    CLI that passes it (the fleet's ``argv`` for the shard server), so an
+    untested flag cannot be added silently."""
+    root = Path(__file__).resolve().parent.parent
+    cli_module = Path(cli.__file__).resolve()
+    corpus = [path.read_text() for path in (root / "tests").rglob("*.py")] + [
+        path.read_text()
+        for path in Path(repro.service.__file__).resolve().parent.parent.rglob("*.py")
+        if path.resolve() != cli_module
+    ]
+    untested = sorted(
+        option
+        for option in set(_long_options(cli._build_parser()))
+        if not any(
+            re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text)
+            for text in corpus
+        )
+    )
+    assert untested == []

@@ -10,7 +10,6 @@ from repro.cost.pareto import (
     alpha_dominates,
     dominates,
     pareto_filter,
-    strictly_dominates,
 )
 
 vectors = st.lists(
@@ -32,10 +31,6 @@ class TestDominates:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             dominates((1.0,), (1.0, 2.0))
-
-    def test_strict(self):
-        assert strictly_dominates((1.0, 2.0), (1.0, 3.0))
-        assert not strictly_dominates((1.0, 2.0), (1.0, 2.0))
 
     @given(vectors, vectors)
     def test_antisymmetry_unless_equal(self, a, b):

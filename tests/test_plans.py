@@ -52,10 +52,6 @@ class TestOperators:
         assert JoinAlgorithm.SORT_MERGE.requires_equi_predicate
         assert not JoinAlgorithm.BLOCK_NESTED_LOOP.requires_equi_predicate
 
-    def test_sorted_output(self):
-        assert JoinAlgorithm.SORT_MERGE.produces_sorted_output
-        assert not JoinAlgorithm.HASH.produces_sorted_output
-
     def test_all_algorithms_listed(self):
         assert len(ALL_JOIN_ALGORITHMS) == 3
 

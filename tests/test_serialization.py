@@ -24,9 +24,6 @@ from repro.cluster.serialization import (
     SET_ID_BYTES,
     TASK_HEADER_BYTES,
     memo_entries_bytes,
-    order_from_wire,
-    order_to_wire,
-    plan_bytes,
     plan_from_wire,
     plan_node_count,
     plan_to_wire,
@@ -47,7 +44,6 @@ from repro.config import (
     PlanSpace,
 )
 from repro.core.serial import best_plan, optimize_serial
-from repro.plans.orders import SortOrder
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind
 from repro.service.remap import remap_plan
@@ -90,12 +86,12 @@ class TestPlanBytes:
             + PLAN_NODE_BYTES * 11
             + PER_METRIC_BYTES * len(plan.cost)
         )
-        assert plan_bytes(plan) == expected
+        assert plans_bytes([plan]) == expected
 
     def test_plans_bytes_single_header(self, plan):
         two = plans_bytes([plan, plan])
         one = plans_bytes([plan])
-        assert two - one == plan_bytes(plan) - MESSAGE_HEADER_BYTES
+        assert two - one == one - MESSAGE_HEADER_BYTES
 
     def test_empty_result_still_costs_header(self):
         assert plans_bytes([]) == MESSAGE_HEADER_BYTES
@@ -169,12 +165,6 @@ class TestWireCodecs:
         ).plans
         decoded = plans_from_wire(plans_to_wire(frontier))
         assert [plan.mask for plan in decoded] == [plan.mask for plan in frontier]
-
-    def test_sort_order_round_trip(self):
-        order = SortOrder(table=3, column="c2")
-        assert order_from_wire(order_to_wire(order)) == order
-        assert order_to_wire(None) is None
-        assert order_from_wire(None) is None
 
     def test_malformed_plan_record_fails_loudly(self):
         query = SteinbrunnGenerator(1).query(4)
