@@ -15,8 +15,7 @@ Quickstart::
     assert report.best.cost[0] == min(p.cost[0] for p in serial.plans)
 
 README.md's "Enumeration backends" and "Layered architecture" sections
-describe the DP cores and the serving stack; ``tools/assemble_experiments.py``
-writes the paper-vs-measured record from recorded experiment logs.
+describe the DP cores and the serving stack.
 """
 
 from repro.config import (

@@ -1,61 +1,1 @@
 """Experiment harness regenerating every table and figure of the paper."""
-
-from repro.bench.harness import (
-    ScalingPoint,
-    ScalingSeries,
-    mpq_scaling,
-    run_mpq_point,
-    run_sma_point,
-    sma_scaling,
-)
-from repro.bench.workloads import ExperimentScale, SCALES
-from repro.bench.experiments import (
-    fig1,
-    fig2,
-    fig3,
-    fig4,
-    fig5,
-    speedups,
-    table1,
-)
-from repro.bench.analytic import paper_scale_fig2, predict_point, predict_series
-from repro.bench.reporting import chart_figure, log_chart
-from repro.bench.traffic import (
-    TenantProfile,
-    TrafficProfile,
-    TrafficRequest,
-    generate_traffic,
-    replay_async,
-    replay_threaded,
-    unique_fingerprints,
-)
-
-__all__ = [
-    "TenantProfile",
-    "TrafficProfile",
-    "TrafficRequest",
-    "generate_traffic",
-    "replay_async",
-    "replay_threaded",
-    "unique_fingerprints",
-    "ScalingPoint",
-    "ScalingSeries",
-    "mpq_scaling",
-    "run_mpq_point",
-    "run_sma_point",
-    "sma_scaling",
-    "ExperimentScale",
-    "SCALES",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "speedups",
-    "table1",
-    "paper_scale_fig2",
-    "predict_point",
-    "predict_series",
-    "chart_figure",
-    "log_chart",
-]

@@ -12,8 +12,8 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass, field
 
-from repro.algorithms.moq import approximation_ratio  # noqa: F401 (re-export)
 from repro.algorithms.mpq import optimize_mpq
+from repro.bench.analytic import paper_scale_fig2
 from repro.bench.harness import ScalingSeries, mpq_scaling, sma_scaling
 from repro.bench.workloads import SCALES, TABLE1_ALPHAS, ExperimentScale, worker_counts
 from repro.cluster.simulator import ClusterModel, worker_compute_seconds
@@ -72,10 +72,11 @@ def fig1(scale_name: str = "default", cluster: ClusterModel | None = None) -> Fi
         settings = OptimizerSettings(plan_space=plan_space)
         queries = _queries(n_tables, scale.queries_per_point)
         counts = worker_counts(min(scale.max_workers, 128))
+        mpq_counts = [w for w in counts if w <= max_partitions(n_tables, plan_space)]
         sma_counts = [w for w in counts if w <= scale.max_sma_workers]
         label = f"{plan_space.value} {n_tables}"
         result.series.append(
-            mpq_scaling(f"MPQ {label}", queries, counts, settings, cluster)
+            mpq_scaling(f"MPQ {label}", queries, mpq_counts, settings, cluster)
         )
         result.series.append(
             sma_scaling(f"SMA {label}", queries, sma_counts, settings, cluster)
@@ -84,13 +85,21 @@ def fig1(scale_name: str = "default", cluster: ClusterModel | None = None) -> Fi
 
 
 def fig2(scale_name: str = "default", cluster: ClusterModel | None = None) -> FigureResult:
-    """Figure 2: MPQ scaling, single objective — time/W-time/memory/network."""
+    """Figure 2: MPQ scaling, single objective — time/W-time/memory/network.
+
+    The measured series are followed by the closed-form ``analytic`` series
+    at the paper's own sizes (:func:`~repro.bench.analytic.paper_scale_fig2`),
+    which pure-Python DP cannot execute.
+    """
     scale = _scale(scale_name)
     cluster = cluster if cluster is not None else scale.cluster()
     result = FigureResult(
         figure="Figure 2",
         title="MPQ scaling (single objective, larger search spaces)",
-        notes=f"scale={scale.name}; medians over {scale.queries_per_point} queries",
+        notes=(
+            f"scale={scale.name}; medians over {scale.queries_per_point} queries; "
+            "analytic series: closed forms at the paper's sizes, default cluster"
+        ),
     )
     configs = [(PlanSpace.LINEAR, n) for n in scale.fig2_linear] + [
         (PlanSpace.BUSHY, n) for n in scale.fig2_bushy
@@ -105,6 +114,7 @@ def fig2(scale_name: str = "default", cluster: ClusterModel | None = None) -> Fi
                 f"MPQ {plan_space.value} {n_tables}", queries, counts, settings, cluster
             )
         )
+    result.series.extend(paper_scale_fig2())
     return result
 
 
@@ -134,13 +144,15 @@ def fig3(scale_name: str = "default", cluster: ClusterModel | None = None) -> Fi
                 )
             )
     for n_tables in scale.fig3_mpq:
+        limit = max_partitions(n_tables, PlanSpace.LINEAR)
+        counts = sorted({min(w, limit) for w in sweep})
         for kind in kinds:
             queries = _queries(n_tables, scale.queries_per_point, kind)
             result.series.append(
                 mpq_scaling(
                     f"MPQ {n_tables} tables / {kind.value}",
                     queries,
-                    sweep,
+                    counts,
                     settings,
                     cluster,
                 )
@@ -166,10 +178,11 @@ def fig4(scale_name: str = "default", cluster: ClusterModel | None = None) -> Fi
         )
         queries = _queries(n_tables, scale.queries_per_point)
         counts = worker_counts(min(scale.max_workers, 128))
+        mpq_counts = [w for w in counts if w <= max_partitions(n_tables, plan_space)]
         sma_counts = [w for w in counts if w <= scale.max_sma_workers]
         label = f"{plan_space.value} {n_tables}"
         result.series.append(
-            mpq_scaling(f"MPQ MO {label}", queries, counts, settings, cluster)
+            mpq_scaling(f"MPQ MO {label}", queries, mpq_counts, settings, cluster)
         )
         result.series.append(
             sma_scaling(f"SMA MO {label}", queries, sma_counts, settings, cluster)

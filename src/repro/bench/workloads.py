@@ -8,9 +8,8 @@ the original sizes — expect minutes to hours.
 
 Scale semantics:
 
-* ``ci`` — seconds; used by the pytest benchmark suite.
-* ``default`` — a few minutes; the logs ``tools/assemble_experiments.py``
-  turns into its paper-vs-measured report.
+* ``ci`` — seconds; tier-1 tests assert the paper's shapes at this scale.
+* ``default`` — a few minutes; ``python -m repro.bench all`` runs it.
 * ``paper`` — the paper's original query sizes.
 """
 

@@ -97,6 +97,12 @@ class TestPredictedSeries:
             assert 0.86 <= ratio <= 0.89
 
 
+@pytest.fixture(scope="module")
+def paper_series():
+    """The four predicted Figure 2 series at the paper's sizes, by label."""
+    return {series.label: series for series in paper_scale_fig2()}
+
+
 class TestPaperScale:
     def test_paper_series_shapes(self):
         series = paper_scale_fig2()
@@ -116,3 +122,27 @@ class TestPaperScale:
         assert at_128.workers == 128
         speedup = series[1].points[0].time_ms / at_128.time_ms
         assert 5 < speedup < 12
+
+    def test_linear24_single_worker_takes_minutes(self, paper_series):
+        """Large queries take minutes on one node (Figure 2's 10^3-10^5 ms axis)."""
+        assert paper_series["analytic linear 24"].points[0].time_ms > 6e4
+
+    def test_linear24_speedup_at_128_workers(self, paper_series):
+        """The paper reports a speed-up of 8.1 for 24 tables at 128 workers."""
+        times = paper_series["analytic linear 24"].time_by_workers()
+        assert 6.0 < times[1] / times[128] < 10.0
+
+    def test_bushy18_worker_time_per_doubling(self, paper_series):
+        """Bushy spaces scale slower: about 21/27 of the work per doubling."""
+        points = paper_series["analytic bushy 18"].points
+        for previous, current in zip(points, points[1:]):
+            assert 0.74 < current.worker_time_ms / previous.worker_time_ms < 0.82
+
+    @pytest.mark.parametrize(
+        "label,factor", [("analytic linear 20", 0.75), ("analytic bushy 15", 0.875)]
+    )
+    def test_memory_per_doubling(self, paper_series, label, factor):
+        points = paper_series[label].points
+        for previous, current in zip(points, points[1:]):
+            observed = current.memory_relations / previous.memory_relations
+            assert observed == pytest.approx(factor, rel=0.02)

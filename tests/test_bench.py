@@ -15,7 +15,10 @@ from repro.bench.harness import (
 from repro.bench.workloads import SCALES, TABLE1_ALPHAS, worker_counts
 from repro.bench import experiments
 from repro.bench.__main__ import main as bench_main
-from repro.config import OptimizerSettings
+from repro.algorithms.mpq import optimize_mpq
+from repro.config import MULTI_OBJECTIVE, OptimizerSettings, PlanSpace
+from repro.core.constraints import max_partitions
+from repro.core.counting import memory_reduction_factor, work_reduction_factor
 from repro.query.generator import SteinbrunnGenerator
 
 
@@ -27,6 +30,14 @@ def queries():
 @pytest.fixture
 def settings():
     return OptimizerSettings()
+
+
+def space_and_size(label):
+    """Plan space and query size named by a series label such as
+    ``MPQ MO bushy 6`` or ``MPQ 8 tables / chain`` (linear unless named)."""
+    words = label.split()
+    space = PlanSpace.BUSHY if "bushy" in words else PlanSpace.LINEAR
+    return space, next(int(word) for word in words if word.isdigit())
 
 
 class TestWorkerCounts:
@@ -110,7 +121,7 @@ class TestSeries:
 
 
 class TestExperimentDrivers:
-    """Smoke tests on a tiny injected scale (real ci scale is for benches)."""
+    """Smoke tests on a tiny injected scale (``TestPaperShapes`` runs ci)."""
 
     @pytest.fixture(autouse=True)
     def tiny_scale(self, monkeypatch):
@@ -153,7 +164,14 @@ class TestExperimentDrivers:
 
     def test_fig2(self):
         result = experiments.fig2("tiny")
-        assert len(result.series) == 2
+        assert [series.label for series in result.series] == [
+            "MPQ linear 5",
+            "MPQ bushy 5",
+            "analytic linear 20",
+            "analytic linear 24",
+            "analytic bushy 15",
+            "analytic bushy 18",
+        ]
 
     def test_fig3(self):
         result = experiments.fig3("tiny")
@@ -184,6 +202,31 @@ class TestExperimentDrivers:
         for row in result.rows:
             assert row.speedup > 0
         assert "speedup" in result.format()
+
+    @pytest.mark.parametrize(
+        "driver", ["fig1", "fig2", "fig3", "fig4", "fig5", "speedups", "table1"]
+    )
+    def test_no_mpq_row_exceeds_max_partitions(self, driver):
+        """More workers than partitions would repeat a smaller run's row."""
+        result = getattr(experiments, driver)("tiny")
+        if driver == "speedups":
+            rows = [(row.plan_space, row.n_tables, row.workers) for row in result.rows]
+        elif driver == "table1":
+            rows = [
+                (PlanSpace.LINEAR, n_tables, workers)
+                for (_, n_tables, _), workers in result.entries.items()
+                if workers is not None
+            ]
+        else:
+            rows = [
+                (*space_and_size(series.label), point.workers)
+                for series in result.series
+                if not series.label.startswith("SMA")
+                for point in series.points
+            ]
+        assert rows
+        for space, n_tables, workers in rows:
+            assert workers <= max_partitions(n_tables, space), (space, n_tables, workers)
 
 
 class TestCLI:
@@ -220,3 +263,113 @@ class TestCLI:
     def test_cli_rejects_unknown_scale(self):
         with pytest.raises(SystemExit):
             bench_main(["fig1", "--scale", "huge"])
+
+
+@pytest.fixture(scope="module")
+def ci_run():
+    """Each driver run once at ``ci`` scale, shared by the shape tests."""
+    runs = {}
+
+    def run(driver):
+        if driver not in runs:
+            runs[driver] = getattr(experiments, driver)("ci")
+        return runs[driver]
+
+    return run
+
+
+def measured(result):
+    return [series for series in result.series if series.label.startswith("MPQ")]
+
+
+def doublings(series):
+    return zip(series.points, series.points[1:])
+
+
+def workers_needed(result, budget, n_tables, alpha):
+    """A Table 1 cell, with an infeasible cell (``None``) as infinity."""
+    value = result.entries[(budget, n_tables, alpha)]
+    return value if value is not None else float("inf")
+
+
+class TestPaperShapes:
+    """The qualitative claims of the paper's Figures 1-5 and Table 1, at ci scale."""
+
+    @pytest.mark.parametrize("figure", ["fig1", "fig4"])
+    def test_sma_sends_more_bytes_than_mpq(self, ci_run, figure):
+        by_label = {series.label: series for series in ci_run(figure).series}
+        for mpq in measured(ci_run(figure)):
+            mpq_bytes = mpq.network_by_workers()
+            sma_bytes = by_label[mpq.label.replace("MPQ", "SMA")].network_by_workers()
+            shared = [workers for workers in mpq_bytes if workers >= 4 and workers in sma_bytes]
+            assert shared, mpq.label
+            for workers in shared:
+                assert sma_bytes[workers] > mpq_bytes[workers], (mpq.label, workers)
+
+    def test_fig2_memory_shrinks_by_the_theorem_factor(self, ci_run):
+        for series in measured(ci_run("fig2")):
+            factor = memory_reduction_factor(space_and_size(series.label)[0])
+            for previous, current in doublings(series):
+                observed = current.memory_relations / previous.memory_relations
+                assert observed == pytest.approx(factor, rel=0.12), series.label
+
+    def test_fig2_worker_time_shrinks_at_least_as_predicted(self, ci_run):
+        for series in measured(ci_run("fig2")):
+            factor = work_reduction_factor(space_and_size(series.label)[0])
+            for previous, current in doublings(series):
+                speed = current.worker_time_ms / previous.worker_time_ms
+                assert speed < factor * 1.15, series.label
+
+    def test_fig3_topology_changes_time_by_under_2x(self, ci_run):
+        families: dict[str, list] = {}
+        for series in ci_run("fig3").series:
+            families.setdefault(series.label.split("/")[0].strip(), []).append(series)
+        for prefix, family in families.items():
+            for workers in family[0].time_by_workers():
+                times = [series.time_by_workers()[workers] for series in family]
+                assert max(times) / min(times) < 2.0, (prefix, workers, times)
+
+    def test_fig5_worker_time_never_grows_with_workers(self, ci_run):
+        for series in ci_run("fig5").series:
+            worker_times = [point.worker_time_ms for point in series.points]
+            assert worker_times == sorted(worker_times, reverse=True), series.label
+
+    def test_fig5_network_never_shrinks_with_workers(self, ci_run):
+        for series in ci_run("fig5").series:
+            networks = [point.network_bytes for point in series.points]
+            assert networks == sorted(networks), series.label
+
+    @pytest.mark.slow
+    def test_table1_coarser_alpha_never_needs_more_workers(self, ci_run):
+        result = ci_run("table1")
+        for n_tables in result.tables:
+            for budget in result.budgets_s:
+                needed = [
+                    workers_needed(result, budget, n_tables, alpha)
+                    for alpha in TABLE1_ALPHAS
+                ]
+                assert needed == sorted(needed, reverse=True), (budget, n_tables)
+
+    @pytest.mark.slow
+    def test_table1_larger_budget_never_needs_more_workers(self, ci_run):
+        result = ci_run("table1")
+        for n_tables in result.tables:
+            for alpha in TABLE1_ALPHAS:
+                needed = [
+                    workers_needed(result, budget, n_tables, alpha)
+                    for budget in result.budgets_s
+                ]
+                assert needed == sorted(needed, reverse=True), (n_tables, alpha)
+
+    def test_plans_considered_fall_as_alpha_grows(self):
+        """Coarser precision prunes more, so Table 1 needs fewer workers."""
+        query = SteinbrunnGenerator(41).query(9)
+        considered = []
+        for alpha in (1.01, 2.0, 10.0):
+            settings = OptimizerSettings(
+                plan_space=PlanSpace.LINEAR, objectives=MULTI_OBJECTIVE, alpha=alpha
+            )
+            report = optimize_mpq(query, 1, settings)
+            considered.append(report.result.partition_results[0].stats.plans_considered)
+        assert considered[0] > considered[1] > considered[2]
+

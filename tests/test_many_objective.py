@@ -84,7 +84,7 @@ class TestTriObjective:
     def test_work_grows_with_metric_count(self):
         """Section 5.4: more metrics, more plans per set, more DP work."""
         query = SteinbrunnGenerator(9).query(8)
-        considered = []
+        considered, stored = [], []
         for objectives in (
             (Objective.EXECUTION_TIME,),
             (Objective.EXECUTION_TIME, Objective.BUFFER_SPACE),
@@ -93,5 +93,7 @@ class TestTriObjective:
             settings = OptimizerSettings(objectives=objectives)
             stats = optimize_serial(query, settings).stats
             considered.append(stats.plans_considered)
+            stored.append(stats.stored_plans)
         assert considered[0] <= considered[1] <= considered[2]
         assert considered[2] > considered[0]
+        assert stored[0] < stored[1] < stored[2]

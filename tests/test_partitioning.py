@@ -18,11 +18,13 @@ from hypothesis import strategies as st
 
 from repro.config import PlanSpace
 from repro.core.constraints import (
+    BushyConstraint,
     LinearConstraint,
     max_constraints,
     partition_constraints,
 )
 from repro.core.partitioning import (
+    _constraints_by_group,
     admissible_join_results,
     admissible_results_by_size,
     group_admissible_subsets,
@@ -159,6 +161,25 @@ class TestIsAdmissible:
         constraints = partition_constraints(6, 0, 4, PlanSpace.LINEAR)
         for i in range(6):
             assert is_admissible(1 << i, constraints)
+
+
+class TestConstraintGroupingErrors:
+    def test_two_constraints_same_group(self):
+        with pytest.raises(ValueError, match="multiple constraints"):
+            _constraints_by_group(
+                [(0, 1), (2, 3)],
+                [LinearConstraint(0, 1), LinearConstraint(1, 0)],
+            )
+
+    def test_constraint_across_groups(self):
+        with pytest.raises(ValueError, match="not aligned|does not fit"):
+            _constraints_by_group([(0, 1), (2, 3)], [LinearConstraint(1, 2)])
+
+    def test_bushy_constraint_outside_groups(self):
+        with pytest.raises(ValueError):
+            admissible_join_results(
+                6, (BushyConstraint(x=1, y=2, z=3),), PlanSpace.BUSHY
+            )
 
 
 @settings(max_examples=25, deadline=None)

@@ -135,3 +135,13 @@ class TestCoordinationProfile:
         assert sum(r.round_bytes for r in sma.rounds) == (
             sma.network_bytes - 4 * query_bytes(query)
         )
+
+
+class TestSmaSingleTable:
+    def test_single_table_no_rounds(self):
+        from repro.algorithms.sma import optimize_sma
+        from tests.conftest import make_manual_query
+
+        report = optimize_sma(make_manual_query([7]), 4)
+        assert report.rounds == []
+        assert report.best.rows == 7.0
