@@ -55,9 +55,7 @@ from repro.cluster import (
     ClusterModel,
     NetworkModel,
     PersistentProcessPoolExecutor,
-    ProcessPoolPartitionExecutor,
     SerialPartitionExecutor,
-    ThreadPoolPartitionExecutor,
 )
 from repro.service import (
     AsyncGatewayStats,
@@ -119,9 +117,7 @@ __all__ = [
     "ClusterModel",
     "NetworkModel",
     "PersistentProcessPoolExecutor",
-    "ProcessPoolPartitionExecutor",
     "SerialPartitionExecutor",
-    "ThreadPoolPartitionExecutor",
     "AsyncGatewayStats",
     "AsyncOptimizerGateway",
     "GatewayOverloadedError",

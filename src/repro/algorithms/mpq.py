@@ -84,9 +84,11 @@ def optimize_mpq(
 ) -> MPQReport:
     """Optimize ``query`` with MPQ over ``n_workers`` workers.
 
-    ``executor`` selects how partition tasks physically run (serial loop by
-    default; see :mod:`repro.cluster.executors`); ``cluster`` parameterizes
-    the simulated shared-nothing timing attached to the report.
+    ``executor`` selects how partition tasks physically run: the serial loop
+    by default, or a warm
+    :class:`~repro.cluster.executors.PersistentProcessPoolExecutor`;
+    ``cluster`` parameterizes the simulated shared-nothing timing attached
+    to the report, composed afterwards from the workers' counters.
     """
     result = optimize_parallel(query, n_workers, settings, executor)
     simulated = simulate_mpq_run(cluster, query, result)

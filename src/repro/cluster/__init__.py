@@ -19,10 +19,7 @@ from repro.cluster.simulator import (
 )
 from repro.cluster.executors import (
     PersistentProcessPoolExecutor,
-    ProcessPoolPartitionExecutor,
-    RetryingPartitionExecutor,
     SerialPartitionExecutor,
-    ThreadPoolPartitionExecutor,
 )
 
 __all__ = [
@@ -41,8 +38,5 @@ __all__ = [
     "simulate_mpq_run",
     "worker_compute_seconds",
     "PersistentProcessPoolExecutor",
-    "ProcessPoolPartitionExecutor",
-    "RetryingPartitionExecutor",
     "SerialPartitionExecutor",
-    "ThreadPoolPartitionExecutor",
 ]

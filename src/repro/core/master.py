@@ -6,8 +6,10 @@ coarse-grained decomposition.  Given a query and ``m`` workers it:
 1. determines the usable number of partitions (largest power of two that the
    query size supports, Section 4.2);
 2. dispatches ``(query, partition_id, n_partitions, settings)`` to each
-   worker through a pluggable executor (serial loop, process pool, or
-   simulated cluster);
+   worker through a pluggable executor (the serial loop below, or the warm
+   process pool of :mod:`repro.cluster.executors`); simulated cluster
+   timing is not an executor but is composed afterwards from the workers'
+   counters by :func:`repro.cluster.simulator.simulate_mpq_run`;
 3. applies ``FinalPrune`` over the returned partition-optimal plans.
 
 Everything the master does is linear in ``m`` and in the query size

@@ -9,9 +9,10 @@ a long-lived service suited to heavy query-optimization traffic:
   (:mod:`repro.service.cache`) in O(plan size) instead of O(DP);
 * cache misses run the paper's Algorithm 1 on a pluggable executor; with a
   :class:`~repro.cluster.executors.PersistentProcessPoolExecutor`,
-  :meth:`OptimizerService.optimize_batch` interleaves partition tasks from
-  many concurrent queries onto one warm worker pool, so no query waits for
-  another query's stragglers and no request pays pool startup;
+  :meth:`OptimizerService.optimize_batch` hands every missing query to its
+  ``map_batch``, which interleaves their partition tasks onto one warm
+  worker pool, so no query waits for another query's stragglers and no
+  request pays pool startup;
 * cached plans are stored in canonical table numbering and remapped to each
   requester's numbering on the way out (:mod:`repro.service.remap`), which
   keeps hits correct even when two clients number the same relations
@@ -25,11 +26,6 @@ with :meth:`OptimizerService.answer` — each decision has this one home.
 
 from __future__ import annotations
 
-# Imported eagerly: evaluating ``concurrent.futures.process`` lazily inside
-# an ``except`` clause raises AttributeError (masking the real error) when
-# the submodule was never imported — e.g. a serial executor raising before
-# any process pool existed.
-from concurrent.futures.process import BrokenProcessPool
 import threading
 import time
 from collections.abc import Iterable, Sequence
@@ -324,10 +320,10 @@ class OptimizerService:
 
         Lookup order is the input order; duplicate (or isomorphic) queries
         within the batch are optimized once and the rest served as cache
-        hits.  When the executor exposes ``submit_partitions`` (the
-        persistent pool), *all* missing queries' partition tasks are
-        submitted before any result is awaited, so the warm workers drain
-        one interleaved task queue instead of running query-by-query.
+        hits.  When the executor exposes ``map_batch`` (the persistent
+        pool), *all* missing queries' partition tasks are submitted before
+        any result is awaited, so the warm workers drain one interleaved
+        task queue instead of running query-by-query.
         """
         requests = list(queries)
         resolved = [resolve(self, query, settings, n_workers) for query in requests]
@@ -388,8 +384,12 @@ class OptimizerService:
         followers their own θ even when the cache retains nothing.
         """
         settings = settings.without_theta()
+        space = settings.plan_space
         gathered = self._run_many(
-            [(query, workers, settings) for query, __, __ in items]
+            [
+                (query, usable_partitions(query.n_tables, workers, space), settings)
+                for query, __, __ in items
+            ]
         )
         return [
             self._complete_run(query, canonical, key, settings, workers, partition_results)
@@ -399,37 +399,12 @@ class OptimizerService:
     def _run_many(
         self, tasks: Sequence[tuple[Query, int, OptimizerSettings]]
     ) -> list[list[PartitionResult]]:
-        """Run several queries' partition tasks, interleaved when possible."""
-        partition_counts = [
-            usable_partitions(query.n_tables, workers, settings.plan_space)
-            for query, workers, settings in tasks
-        ]
-        submit = getattr(self.executor, "submit_partitions", None)
-        if submit is None:
-            return [
-                self.executor.map_partitions(query, n_partitions, settings)
-                for (query, __, settings), n_partitions in zip(tasks, partition_counts)
-            ]
-        futures = [
-            submit(query, n_partitions, settings)
-            for (query, __, settings), n_partitions in zip(tasks, partition_counts)
-        ]
-        try:
-            return [
-                [future.result() for future in query_futures]
-                for query_futures in futures
-            ]
-        except BrokenProcessPool:
-            # A worker died mid-batch; every in-flight future on the broken
-            # pool is lost.  Fall back to query-by-query map_partitions,
-            # which carries the executor's own rebuild-on-break recovery.
-            close = getattr(self.executor, "close", None)
-            if close is not None:
-                close()
-            return [
-                self.executor.map_partitions(query, n_partitions, settings)
-                for (query, __, settings), n_partitions in zip(tasks, partition_counts)
-            ]
+        """Run several queries' ``(query, n_partitions, settings)`` tasks,
+        interleaved on the executor when it has ``map_batch``."""
+        map_batch = getattr(self.executor, "map_batch", None)
+        if map_batch is not None:
+            return map_batch(tasks)
+        return [self.executor.map_partitions(*task) for task in tasks]
 
     def _complete_run(
         self,

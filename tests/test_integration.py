@@ -12,8 +12,7 @@ import pickle
 import pytest
 
 from repro.algorithms.mpq import optimize_mpq
-from repro.algorithms.pqo import optimize_parametric
-from repro.cluster.executors import ProcessPoolPartitionExecutor
+from repro.cluster.executors import PersistentProcessPoolExecutor
 from repro.config import (
     MULTI_OBJECTIVE,
     PARAMETRIC_OBJECTIVES,
@@ -23,6 +22,7 @@ from repro.config import (
 from repro.core.master import optimize_parallel
 from repro.core.serial import optimize_serial
 from repro.query.generator import SteinbrunnGenerator
+from tests.test_executors import outcomes
 
 
 @pytest.fixture(scope="module")
@@ -104,26 +104,21 @@ class TestEveryFlavour:
         ]
 
 
-class TestProcessPoolAcrossFlavours:
-    """The real multiprocessing path with non-trivial result payloads."""
+@pytest.fixture(scope="module")
+def pool():
+    with PersistentProcessPoolExecutor(max_workers=2) as executor:
+        yield executor
 
-    def test_multi_objective_through_pool(self, query):
-        settings = OptimizerSettings(objectives=MULTI_OBJECTIVE, alpha=1.0)
-        inline = optimize_parallel(query, 2, settings)
-        pooled = optimize_parallel(
-            query, 2, settings, executor=ProcessPoolPartitionExecutor(max_workers=2)
-        )
-        assert {plan.cost for plan in pooled.plans} == {
-            plan.cost for plan in inline.plans
-        }
 
-    def test_parametric_through_pool(self, query):
-        inline = optimize_parametric(query, 2)
-        pooled = optimize_parametric(
-            query, 2, executor=ProcessPoolPartitionExecutor(max_workers=2)
-        )
-        for theta in (0.0, 0.5, 1.0):
-            assert pooled.cost_at(theta) == pytest.approx(inline.cost_at(theta))
+@pytest.mark.parametrize("settings", FLAVOURS, ids=flavour_id)
+def test_warm_pool_matches_serial(query, settings, pool):
+    """The real multiprocessing path, one warm pool for every flavour: plans,
+    partition ids and every ``WorkerStats`` counter equal the serial
+    executor's."""
+    inline = optimize_parallel(query, 4, settings)
+    pooled = optimize_parallel(query, 4, settings, executor=pool)
+    assert pooled.plans == inline.plans
+    assert outcomes(pooled.partition_results) == outcomes(inline.partition_results)
 
 
 class TestReportConsistency:

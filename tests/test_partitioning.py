@@ -30,6 +30,8 @@ from repro.core.partitioning import (
     group_admissible_subsets,
     is_admissible,
 )
+from repro.core.worker import optimize_partition
+from repro.query.generator import SteinbrunnGenerator
 from repro.util.bitset import popcount
 
 
@@ -207,3 +209,40 @@ def test_partition_pair_complementary_coverage(n, space, data):
     )
     admissible_shared = set(admissible_join_results(n, shared, space))
     assert admissible_a | admissible_b == admissible_shared
+
+
+@pytest.fixture
+def query():
+    return SteinbrunnGenerator(91).query(6)
+
+
+class TestSkewFreeness:
+    """The paper: "All plan space partitions have the same size which
+    guarantees skew-free parallelization." — verify at the worker level."""
+
+    def test_linear_partitions_identical_work(self, query, linear_settings):
+        stats = [
+            optimize_partition(query, pid, 8, linear_settings).stats
+            for pid in range(8)
+        ]
+        assert len({s.admissible_results for s in stats}) == 1
+        assert len({s.splits_considered for s in stats}) == 1
+        assert len({s.table_entries for s in stats}) == 1
+
+    def test_bushy_partitions_identical_work(self, bushy_settings):
+        query = SteinbrunnGenerator(92).query(6)
+        stats = [
+            optimize_partition(query, pid, 4, bushy_settings).stats
+            for pid in range(4)
+        ]
+        assert len({s.admissible_results for s in stats}) == 1
+        assert len({s.splits_considered for s in stats}) == 1
+
+    def test_candidate_counts_near_uniform(self, query, linear_settings):
+        """Costed candidates may differ slightly (operator applicability),
+        but never by more than a small factor — no real skew."""
+        considered = [
+            optimize_partition(query, pid, 8, linear_settings).stats.plans_considered
+            for pid in range(8)
+        ]
+        assert max(considered) <= 2 * min(considered)

@@ -296,64 +296,15 @@ class TestOptimizeBatch:
 
 class TestRunManyErrorHandling:
     def test_broken_process_pool_imported_eagerly(self):
-        # Regression: both except clauses used to evaluate
+        # Regression: the except clause used to evaluate
         # ``concurrent.futures.process.BrokenProcessPool`` lazily inside the
         # handler; when that submodule was never imported, the handler
         # itself raised AttributeError and masked the real error.
         from concurrent.futures.process import BrokenProcessPool
 
         import repro.cluster.executors as executors_module
-        import repro.service.service as service_module
 
         assert executors_module.BrokenProcessPool is BrokenProcessPool
-        assert service_module.BrokenProcessPool is BrokenProcessPool
-
-    def test_non_pool_errors_surface_unmasked(self):
-        class ExplodingBatchExecutor:
-            def submit_partitions(self, query, n_partitions, settings):
-                class BadFuture:
-                    def result(self):
-                        raise ValueError("worker returned garbage")
-
-                return [BadFuture() for __ in range(n_partitions)]
-
-            def map_partitions(self, query, n_partitions, settings):
-                raise AssertionError("fallback must not swallow the error")
-
-        service = OptimizerService(n_workers=2, executor=ExplodingBatchExecutor())
-        query = SteinbrunnGenerator(46).query(4)
-        with pytest.raises(ValueError, match="worker returned garbage"):
-            service.optimize(query)
-
-    def test_broken_pool_falls_back_to_map_partitions(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.cluster.executors import SerialPartitionExecutor
-
-        class BreakingThenServingExecutor:
-            def __init__(self):
-                self.closed = False
-                self._serial = SerialPartitionExecutor()
-
-            def submit_partitions(self, query, n_partitions, settings):
-                class DeadFuture:
-                    def result(self):
-                        raise BrokenProcessPool("a worker was killed")
-
-                return [DeadFuture() for __ in range(n_partitions)]
-
-            def map_partitions(self, query, n_partitions, settings):
-                return self._serial.map_partitions(query, n_partitions, settings)
-
-            def close(self):
-                self.closed = True
-
-        executor = BreakingThenServingExecutor()
-        service = OptimizerService(n_workers=2, executor=executor)
-        query = SteinbrunnGenerator(47).query(5)
-        result = service.optimize(query)
-        assert executor.closed  # the broken pool was torn down for rebuild
-        assert result.best.cost == best_plan(optimize_serial(query)).cost
 
 
 class TestPersistentPool:
