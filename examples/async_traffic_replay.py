@@ -3,7 +3,7 @@
 Generates a deterministic Zipf/bursty multi-tenant schedule, replays it
 through the asyncio front-end with a herd of client tasks, and prints the
 serving-side picture an operator would look at: throughput, latency
-percentiles, batching behavior, admission-control activity, and per-tenant
+percentiles, dispatches and coalescing, admission-control activity, and per-tenant
 accounting.  Run with::
 
     PYTHONPATH=src python examples/async_traffic_replay.py
@@ -46,8 +46,6 @@ async def main() -> None:
     async with AsyncOptimizerGateway(
         n_shards=4,
         n_workers=8,
-        batch_window_ms=2.0,
-        max_batch=16,
         max_pending=64,       # deliberately snug: expect some backpressure
         tenant_share=0.5,
     ) as front:
@@ -69,11 +67,8 @@ async def main() -> None:
         f"(exactly one per unique fingerprint: "
         f"{stats.gateway.optimizations == len(uniques)})"
     )
-    sizes = ", ".join(
-        f"{size}x{count}" for size, count in sorted(stats.batch_sizes.items())
-    )
     print(
-        f"batching: {stats.dispatched_batches} batches ({sizes}), "
+        f"dispatches: {stats.dispatched_batches} led misses, "
         f"{stats.coalesced} coalesced, {stats.fast_path_hits} fast-path hits"
     )
     print(

@@ -1,6 +1,6 @@
 """Seeded multi-tenant optimizer traffic: generation and replay.
 
-Serving-layer behavior — batching windows filling up, admission control
+Serving-layer behavior — misses coalescing, admission control
 rejecting, tenants contending — only shows under traffic whose *shape*
 resembles production: a few fingerprints dominating (Zipf popularity),
 requests arriving in bursts rather than a smooth stream, several tenants of

@@ -15,10 +15,11 @@ Commands:
   routing to N independent shards, driven by ``--gateway-threads`` request
   handlers, with in-flight coalescing and aggregated gateway statistics;
   with ``--async`` the batch is submitted concurrently through the
-  :class:`~repro.service.AsyncOptimizerGateway` front-end (adaptive
-  micro-batching with the gateway's default window, admission control
+  :class:`~repro.service.AsyncOptimizerGateway` front-end (each led miss
+  dispatched alone to the gateway's handler pool, admission control
   bounded by ``--max-pending``) and the tree adds
-  queue/batching/rejection counters;
+  queue/dispatch/rejection counters — without ``--async`` the batch goes
+  through ``optimize_batch``, the one path that batches misses;
   with ``--cache-dir DIR`` each shard's plan cache gains a persistent disk
   tier (append-only log ``DIR/shard-N.log``), so a later invocation with
   the same directory serves previously-seen queries from disk without
@@ -217,7 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="request-handler threads driving the gateway's per-shard "
-        "sub-batches (default: one per shard; requires --shards > 1)",
+        "sub-batches and, with --async, its led misses (default: one per "
+        "shard; requires --shards > 1)",
     )
     serve.add_argument(
         "--async",
@@ -225,7 +227,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="serve the batch through the asyncio front-end "
         "(AsyncOptimizerGateway): requests are submitted concurrently, "
-        "misses micro-batched, and admission control enforced",
+        "each miss dispatched alone, and admission control enforced "
+        "(without it each shard's misses run as one sub-batch)",
     )
     serve.add_argument(
         "--max-pending",

@@ -6,7 +6,7 @@ repeated (or isomorphic) queries and keeping worker processes warm between
 requests.  See :class:`OptimizerService` for the single-service front door,
 :class:`ShardedOptimizerGateway` for the concurrency-safe sharded gateway
 over it, and :class:`AsyncOptimizerGateway` for the asyncio front-end that
-adds adaptive micro-batching and per-tenant backpressure on top.  The
+parks waiting requests on futures and adds per-tenant backpressure on top.  The
 out-of-process layer crosses machine boundaries:
 :class:`ShardServer` serves one shard over a unix socket or TCP port,
 :class:`NetworkOptimizerGateway` routes fingerprints to shard servers on a

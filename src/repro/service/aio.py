@@ -1,23 +1,19 @@
-"""An asyncio front-end over the sharded gateway: batching and backpressure.
+"""An asyncio front-end over the sharded gateway: queueing and backpressure.
 
 The threaded :class:`~repro.service.gateway.ShardedOptimizerGateway` costs
 one OS thread per concurrently waiting request; a serving tier that faces
 thousands of connections wants requests to be *queued*, not *parked on
 threads*.  :class:`AsyncOptimizerGateway` is that tier:
 
-* **adaptive micro-batching** — a cache miss does not dispatch immediately.
-  The flight it leads joins a per-``(settings, workers, shard)`` window that
-  flushes as one sub-batch on that shard when the window is ``max_batch``
-  flights deep or ``batch_window_ms`` old.  The window is *adaptive*: while
-  the dispatch backend is idle the window flushes on the next event-loop
-  tick (batching would only add latency), and every batch completion drains
-  the queued windows immediately (the backend just proved it has capacity)
-  — so the configured window is an upper bound paid only under sustained
-  load, not a tax on every request;
-  The fast path serves through the threaded gateway's ``serve_if_cached``,
-  so on a tiered shard cache a *disk* hit bypasses admission control and
-  batching exactly like a memory hit — after a warm restart the whole
-  previously-seen working set is fast-path traffic, not a miss storm;
+* **one dispatch per led miss** — a cache miss that leads its flight is
+  submitted at once, alone, to the wrapped gateway's handler pool
+  (:meth:`~repro.service.gateway.ShardedOptimizerGateway.submit_claimed`);
+  the pool's queue is the only place a miss waits.  Batching has one home,
+  the gateway's ``optimize_batch``.  The fast path serves through the
+  threaded gateway's ``serve_if_cached``, so on a tiered shard cache a
+  *disk* hit bypasses admission control exactly like a memory hit — after
+  a warm restart the whole previously-seen working set is fast-path
+  traffic, not a miss storm;
 * **admission control with per-tenant fairness** — at most ``max_pending``
   requests may be outstanding (queued or dispatched, not yet answered), and
   a single tenant may hold at most ``tenant_share`` of those slots.  A
@@ -28,15 +24,15 @@ threads*.  :class:`AsyncOptimizerGateway` is that tier:
   everyone else;
 * **cancellation-safe futures** — every admitted request is an
   :class:`asyncio.Future`.  A caller that abandons it (``asyncio.wait_for``
-  timeout, task cancellation) releases its admission slot at once; a
-  still-queued flight whose waiters all cancelled is withdrawn before
-  dispatch (the DP never runs), and a cancellation after dispatch simply
-  discards that waiter's answer — the flight, its other waiters, and the
-  in-flight gauges are untouched;
+  timeout, task cancellation) releases its admission slot at once; a led
+  flight whose waiters all cancelled while it was still queued on the pool
+  is cancelled there and withdrawn (the DP never runs), and a cancellation
+  after the run started simply discards that waiter's answer — the flight,
+  its other waiters, and the in-flight gauges are untouched;
 * **coalescing without a second table** — singleflight lives in the
   threaded gateway's one flight table.  A request whose fingerprint is
-  already in flight (queued here, dispatched, or led by a thread) attaches
-  a callback to that flight's future: no batch slot, no dispatch thread.
+  already in flight (queued here, running, or led by a thread) attaches
+  a callback to that flight's future: no dispatch, no pool thread.
   *One DP run per unique fingerprint*, no matter how the traffic arrives;
 * **a served-result edge memo** — the shard caches store plans in
   *canonical* numbering and keep one rendered copy per θ slot on the
@@ -48,10 +44,10 @@ threads*.  :class:`AsyncOptimizerGateway` is that tier:
   copied per response.
 
 Everything above happens on the event loop — the only blocking work (the
-DP sub-batches) runs on a small dispatch thread pool, so the loop stays
+DP runs) happens on the gateway's handler pool, so the loop stays
 responsive at any queue depth.  :meth:`AsyncOptimizerGateway.stats`
-extends the threaded gateway's snapshot with queue depth, a batch-size
-histogram, rejection counters, and per-tenant accounting.
+extends the threaded gateway's snapshot with queue depth, dispatch
+counters, rejection counters, and per-tenant accounting.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ import asyncio
 import dataclasses
 import math
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -76,10 +72,10 @@ class GatewayOverloadedError(RuntimeError):
 
     ``reason`` is ``"queue-full"`` (the global pending bound is exhausted)
     or ``"tenant-share"`` (this tenant alone holds its full share of slots).
-    ``retry_after_s`` estimates when capacity frees up, from the batching
-    window and an exponentially weighted average of recent batch service
-    times — a client honoring it converges on the gateway's actual drain
-    rate instead of hammering a full queue.
+    ``retry_after_s`` estimates when capacity frees up, from the number of
+    dispatches still outstanding and an exponentially weighted average of
+    one dispatch's time — a client honoring it converges on the
+    gateway's actual drain rate instead of hammering a full queue.
     """
 
     def __init__(self, reason: str, retry_after_s: float, tenant: str) -> None:
@@ -124,10 +120,11 @@ class AsyncGatewayStats:
     ``requests = fast_path_hits + admitted + rejections`` — every call to
     :meth:`AsyncOptimizerGateway.optimize` lands in exactly one bucket.
     ``coalesced`` counts admitted requests that attached to a flight
-    already in the table instead of leading one; ``batched`` counts
-    *flights* dispatched inside batches, and ``batch_sizes`` histograms
-    flights per dispatched batch, so the operator can see whether the
-    window actually aggregates traffic or degenerates to singleton batches.
+    already in the table instead of leading one; every other admitted
+    request led a flight and is one of the ``dispatched_batches``, each a
+    batch of one flight (``batch_sizes`` is therefore ``{1: n}``).
+    ``queue_depth`` counts led flights still waiting in the gateway's
+    handler pool, ``in_flight_batches`` those dispatched and not finished.
     (The front-end keeps its live counters in one instance of this type
     and snapshots by copy; the gauges are filled in at snapshot time.)
     """
@@ -139,7 +136,6 @@ class AsyncGatewayStats:
     result_memo_hits: int = 0
     admitted: int = 0
     coalesced: int = 0
-    batched: int = 0
     rejected_queue_full: int = 0
     rejected_tenant_share: int = 0
     cancelled: int = 0
@@ -159,21 +155,6 @@ class AsyncGatewayStats:
         return self.rejected_queue_full + self.rejected_tenant_share
 
 
-class _Window:
-    """The open micro-batch for one ``(settings, workers, shard)`` group.
-
-    ``flights`` holds the led flights not yet dispatched, by fingerprint,
-    each with the asyncio waiters that still want it — the only place a
-    queued flight's liveness is recorded.
-    """
-
-    __slots__ = ("flights", "timer")
-
-    def __init__(self) -> None:
-        self.flights: dict[str, tuple[LedFlight, list[asyncio.Future]]] = {}
-        self.timer: asyncio.TimerHandle | None = None
-
-
 class AsyncOptimizerGateway:
     """Asyncio front door over a :class:`ShardedOptimizerGateway`.
 
@@ -182,12 +163,6 @@ class AsyncOptimizerGateway:
             builds one from ``gateway_kwargs`` and owns it (closed with this
             front-end); a passed-in gateway is borrowed and left open unless
             ``own_gateway=True``.
-        batch_window_ms: upper bound on how long a queued miss waits for
-            companions before its micro-batch dispatches.  Paid only while
-            the dispatch backend is busy; an idle backend flushes on the
-            next event-loop tick.
-        max_batch: flush a window early once it holds this many unique
-            fingerprints.
         max_pending: bound on outstanding admitted requests (queued plus
             dispatched, not yet answered); beyond it requests are rejected
             with ``reason="queue-full"``.
@@ -200,37 +175,27 @@ class AsyncOptimizerGateway:
             function of the fingerprint — it only skips re-relabeling, but
             a memo-served answer does not refresh the shard cache's LRU
             recency for that key.
-        dispatch_threads: size of the thread pool running dispatched
-            batches; defaults to the wrapped gateway's shard count (one
-            batch per shard in flight).
         own_gateway: close ``gateway`` when this front-end closes.
         **gateway_kwargs: forwarded to :class:`ShardedOptimizerGateway` when
             ``gateway`` is ``None``.
 
     Single-loop discipline: all bookkeeping runs on the event loop that
     first calls :meth:`optimize`; using the instance from a second loop is
-    an error.  The dispatch pool threads only execute the gateway's
-    ``run_claimed`` (itself thread-safe); flights report back to the loop
-    through their futures' callbacks.
+    an error.  The front-end owns no threads: a led miss runs on the
+    gateway's handler pool (sized by its ``gateway_threads``), and flights
+    report back to the loop through their futures' callbacks.
     """
 
     def __init__(
         self,
         gateway: ShardedOptimizerGateway | None = None,
         *,
-        batch_window_ms: float = 2.0,
-        max_batch: int = 16,
         max_pending: int = 128,
         tenant_share: float = 0.5,
         result_memo_size: int = 1024,
-        dispatch_threads: int | None = None,
         own_gateway: bool = False,
         **gateway_kwargs: object,
     ) -> None:
-        if batch_window_ms < 0:
-            raise ValueError(f"batch_window_ms must be >= 0, got {batch_window_ms}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if not 0.0 < tenant_share <= 1.0:
@@ -242,21 +207,17 @@ class AsyncOptimizerGateway:
             own_gateway = True
         self._gateway = gateway
         self._own_gateway = own_gateway
-        self.batch_window_s = batch_window_ms / 1e3
-        self.max_batch = max_batch
         self.max_pending = max_pending
         self.tenant_cap = max(1, math.floor(max_pending * tenant_share))
-        self._executor = ThreadPoolExecutor(
-            max_workers=(
-                dispatch_threads if dispatch_threads is not None else gateway.n_shards
-            ),
-            thread_name_prefix="aio-dispatch",
-        )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._closed = False
-        #: Open micro-batches by (settings, workers, shard index).
-        self._windows: dict[tuple[OptimizerSettings, int, int], _Window] = {}
-        self._dispatches: set[asyncio.Future] = set()
+        #: The flights this front-end leads, by fingerprint: the pool
+        #: future running each, the flight, and every waiter that still
+        #: wants it (leader and followers) — the only place a dispatched
+        #: flight's liveness is recorded.
+        self._led: dict[
+            str, tuple[Future[None], LedFlight, list[asyncio.Future]]
+        ] = {}
         #: Admitted requests not yet answered (the ``outstanding`` gauge).
         self._waiters: set[asyncio.Future] = set()
         #: Fully-relabeled answers by (fingerprint, θ): value is (numbering
@@ -268,8 +229,9 @@ class AsyncOptimizerGateway:
         ] = OrderedDict()
         self.result_memo_size = result_memo_size
         self._counters = AsyncGatewayStats()
-        #: EWMA of batch service time, seeding the retry-after estimate.
-        self._ewma_batch_s = max(self.batch_window_s, 1e-3)
+        #: EWMA of one dispatch's time, submission to completion, seeding the
+        #: retry-after estimate.
+        self._ewma_dispatch_s = 1e-3
 
     # ----------------------------------------------------------------- request
 
@@ -280,13 +242,14 @@ class AsyncOptimizerGateway:
         n_workers: int | None = None,
         tenant: str = "default",
     ) -> ServiceResult:
-        """Optimize one query; hits return immediately, misses micro-batch.
+        """Optimize one query; hits return immediately, misses dispatch.
 
         Raises :class:`GatewayOverloadedError` when admission control
         rejects the request (the caller should back off ``retry_after_s``),
         and propagates the optimization's own error if the DP fails.
         Cancelling the returned awaitable releases the admission slot and,
-        when this waiter was a queued flight's last, withdraws the flight.
+        when this waiter was the last of a flight still queued on the pool,
+        withdraws the flight.
         """
         self._check_loop()
         if self._closed:
@@ -335,23 +298,22 @@ class AsyncOptimizerGateway:
         counters.admitted += 1
         state.outstanding += 1
         self._waiters.add(waiter)
-        waiter.add_done_callback(partial(self._on_waiter_done, state))
+        waiter.add_done_callback(partial(self._on_waiter_done, state, key))
         if role == "lead":
-            # Queue θ-free: the run must produce the unbound frontier (and a
+            # Run θ-free: the run must produce the unbound frontier (and a
             # single envelope entry), whatever θ this waiter asked.
-            self._enqueue(
+            self._dispatch(
                 (query, canonical, key, flight), waiter, settings.without_theta(), workers
             )
         else:
-            # Already in flight: ride along — no batch slot, no dispatch
-            # thread.  θ is not part of the fingerprint, so requests for
-            # *different* θs of one shape coalesce here too, and each binds
-            # its own θ when the flight lands.
+            # Already in flight: ride along — no dispatch, no pool thread.
+            # θ is not part of the fingerprint, so requests for *different*
+            # θs of one shape coalesce here too, and each binds its own θ
+            # when the flight lands.
             counters.coalesced += 1
-            for window in self._windows.values():
-                if key in window.flights:  # still queued: keep it alive
-                    window.flights[key][1].append(waiter)
-                    break
+            led = self._led.get(key)
+            if led is not None and led[1][3] is flight:  # led here: keep it alive
+                led[2].append(waiter)
         # ``add_done_callback`` (never ``asyncio.wrap_future``): cancelling
         # this waiter must not propagate into the flight others share.  The
         # flight resolves on whichever thread ran it; hop to the loop with
@@ -376,101 +338,74 @@ class AsyncOptimizerGateway:
 
     def _retry_after_s(self) -> float:
         """Estimated wait until a slot frees: queue depth over drain rate."""
-        batches_ahead = 1 + len(self._waiters) // self.max_batch
-        return self.batch_window_s + batches_ahead * self._ewma_batch_s
+        rounds_ahead = 1 + len(self._led) // self._gateway.gateway_threads
+        return rounds_ahead * self._ewma_dispatch_s
 
-    def _on_waiter_done(self, state: TenantStats, waiter: asyncio.Future) -> None:
-        """Single accounting point for every way a waiter can finish."""
+    def _on_waiter_done(
+        self, state: TenantStats, key: str, waiter: asyncio.Future
+    ) -> None:
+        """Single accounting point for every way a waiter can finish.
+
+        When the last waiter of a flight this front-end leads cancels, the
+        flight's pool task is cancelled; if it had not started, the flight
+        is withdrawn and its DP never runs.  A started run completes and
+        fills the cache; only the cancelled waiters' answers are discarded.
+        """
         self._waiters.discard(waiter)
         state.outstanding -= 1
         if waiter.cancelled():
             self._counters.cancelled += 1
             state.cancelled += 1
+            led = self._led.get(key)
+            if led is not None and all(w.done() for w in led[2]) and led[0].cancel():
+                del self._led[key]
+                self._gateway.withdraw(led[1])
         elif waiter.exception() is not None:
             state.failed += 1
         else:
             state.completed += 1
 
-    # ---------------------------------------------------------------- batching
+    # ---------------------------------------------------------------- dispatch
 
-    def _enqueue(
+    def _dispatch(
         self,
         flight: LedFlight,
         waiter: asyncio.Future,
         settings: OptimizerSettings,
         workers: int,
     ) -> None:
-        """Place a freshly led flight in its group's window; decide when to flush."""
+        """Submit a freshly led flight, alone, to the gateway's handler pool."""
         assert self._loop is not None
         key = flight[2]
-        group = (settings, workers, self._gateway.shard_for(key))
-        window = self._windows.get(group)
-        if window is None:
-            window = self._windows[group] = _Window()
-        window.flights[key] = (flight, [waiter])
-        if len(window.flights) >= self.max_batch:
-            self._flush(group)
-        elif not self._dispatches:
-            # Adaptive fast path: the backend is idle, so waiting out the
-            # window would be pure added latency.  Flush on the next loop
-            # tick — late enough that every task already runnable on this
-            # tick (a burst arriving "simultaneously") can still join.
-            if window.timer is not None:
-                window.timer.cancel()
-            window.timer = self._loop.call_later(0.0, self._flush, group)
-        elif window.timer is None:
-            window.timer = self._loop.call_later(
-                self.batch_window_s, self._flush, group
-            )
-
-    def _flush(self, group: tuple[OptimizerSettings, int, int]) -> None:
-        """Dispatch one group's window as a single sub-batch on its shard."""
-        assert self._loop is not None
-        window = self._windows.pop(group, None)
-        if window is None:
-            return
-        if window.timer is not None:
-            window.timer.cancel()
-        live: list[LedFlight] = []
-        for flight, waiters in window.flights.values():
-            if all(waiter.done() for waiter in waiters):
-                self._gateway.withdraw(flight)  # every waiter cancelled: never run
-            else:
-                live.append(flight)
-        if not live:
-            return
-        settings, workers, shard_index = group
+        future = self._gateway.submit_claimed(flight, settings, workers)
+        self._led[key] = (future, flight, [waiter])
         counters = self._counters
         counters.dispatched_batches += 1
-        counters.batched += len(live)
-        sizes = counters.batch_sizes
-        sizes[len(live)] = sizes.get(len(live), 0) + 1
-        dispatch = self._loop.run_in_executor(
-            self._executor,
-            self._gateway.run_claimed,
-            shard_index,
-            live,
-            settings,
-            workers,
+        counters.batch_sizes[1] = counters.batch_sizes.get(1, 0) + 1
+        future.add_done_callback(
+            partial(
+                self._loop.call_soon_threadsafe,
+                self._on_dispatch_done, key, self._loop.time(),
+            )
         )
-        self._dispatches.add(dispatch)
-        dispatch.add_done_callback(partial(self._on_batch_done, self._loop.time()))
 
-    def _on_batch_done(self, started: float, dispatch: asyncio.Future) -> None:
-        """Account a finished batch; then drain the queue.
+    def _on_dispatch_done(self, key: str, started: float, future: Future[None]) -> None:
+        """Forget a finished dispatch and feed its time to the EWMA.
 
-        The batch's waiters are settled by their flights' own callbacks
-        (:meth:`_settle`), scheduled before this one.
+        Its waiters are settled by the flight's own callbacks
+        (:meth:`_settle`).  A cancelled dispatch was already forgotten and
+        withdrawn by :meth:`_on_waiter_done`; a later flight for the same
+        key may lead afresh, so only this dispatch's own entry is dropped.
         """
         assert self._loop is not None
-        self._dispatches.discard(dispatch)
+        led = self._led.get(key)
+        if led is not None and led[0] is future:
+            del self._led[key]
+        if future.cancelled():
+            return
         elapsed = max(self._loop.time() - started, 1e-6)
-        self._ewma_batch_s += 0.25 * (elapsed - self._ewma_batch_s)
-        # The backend just freed capacity: drain queued windows immediately
-        # rather than letting them ripen to their timers.
-        for group in list(self._windows):
-            self._flush(group)
-        dispatch.result()  # run failures travel on the flights; this is bugs only
+        self._ewma_dispatch_s += 0.25 * (elapsed - self._ewma_dispatch_s)
+        future.result()  # run failures travel on the flights; this is bugs only
 
     def _settle(
         self,
@@ -525,9 +460,11 @@ class AsyncOptimizerGateway:
         counters = self._counters
         return dataclasses.replace(
             counters,
-            queue_depth=sum(len(window.flights) for window in self._windows.values()),
+            queue_depth=sum(
+                not (led[0].running() or led[0].done()) for led in self._led.values()
+            ),
             outstanding=len(self._waiters),
-            in_flight_batches=len(self._dispatches),
+            in_flight_batches=len(self._led),
             batch_sizes=dict(counters.batch_sizes),
             tenants={
                 tenant: dataclasses.replace(state)
@@ -554,23 +491,21 @@ class AsyncOptimizerGateway:
             )
 
     async def close(self) -> None:
-        """Stop admitting, flush and drain every queued request, release.
+        """Stop admitting, drain every dispatched flight and waiter, release.
 
-        Queued flights are dispatched (their waiters get real answers, not
-        cancellations), in-flight batches and every outstanding waiter are
-        awaited, and then the dispatch pool — plus the wrapped gateway,
-        when owned — is shut down.  Idempotent; concurrent requests racing
-        ``close`` either complete or see the closed error at admission.
+        Queued flights still run (their waiters get real answers, not
+        cancellations); every led dispatch and every outstanding waiter is
+        awaited, and then the wrapped gateway, when owned, is closed.
+        Idempotent; concurrent requests racing ``close`` either complete or
+        see the closed error at admission.
         """
         if self._closed:
             return
         self._check_loop()
         self._closed = True
-        for group in list(self._windows):
-            self._flush(group)
-        while self._dispatches or self._waiters:
-            await asyncio.wait(self._dispatches | self._waiters)
-        self._executor.shutdown(wait=True)
+        while self._led or self._waiters:
+            dispatches = [asyncio.wrap_future(led[0]) for led in self._led.values()]
+            await asyncio.wait({*self._waiters, *dispatches})
         if self._own_gateway:
             self._gateway.close()
 

@@ -155,7 +155,7 @@ class MemoryTier(Generic[Value]):
         """Like :meth:`get`, but an absent key is *not* counted as a miss.
 
         For opportunistic fast-path probes (the async front-end checks the
-        cache before queueing a request for batching) that fall back to a
+        cache before dispatching a miss) that fall back to a
         full, miss-counting lookup: counting the probe *and* the later real
         lookup would double-count one logical miss, breaking the
         ``misses == optimizations`` accounting identity.

@@ -424,17 +424,22 @@ class ShardFleet:
             ring.add(name)
         return ring
 
-    def _ship_into(
-        self, new_name: str, new_spec: str, sources: dict[str, str]
+    def _ship(
+        self,
+        sources: dict[str, str],
+        ring: ConsistentHashRing,
+        targets: dict[str, str],
     ) -> dict[str, list[str]]:
-        """Ship every key the post-add ring re-owns to ``new_name``.
+        """Ship every ``sources`` key that ``ring`` gives a new owner to it.
 
-        Two passes close most of the window in which live traffic warms a
-        source key after its listing.  Returns the moved keys per source
-        (for the post-flip sweep).  Raises on any failure — the caller
-        rolls back.
+        ``sources`` and ``targets`` map shard names to endpoint specs;
+        ``ring`` is the post-change ring.  Each pass lists every source's
+        keys, keeps those whose new owner differs from their source and
+        were not shipped yet, and runs export → import per target.  The
+        second pass catches keys live traffic warmed during the first.
+        Returns the moved keys per source (for a post-flip sweep).  Raises
+        on any failure — the caller rolls back.
         """
-        ring = self._ring_of([*sources, new_name])
         moved_by_source: dict[str, list[str]] = {}
         shipped: set[str] = set()
         for __ in range(2):
@@ -442,32 +447,31 @@ class ShardFleet:
                 keys = self._shard_call(spec, {"op": "snapshot", "mode": "keys"})[
                     "keys"
                 ]
-                moved = [
-                    key
-                    for key in keys
-                    if key not in shipped and ring.route(key) == new_name
-                ]
-                if not moved:
-                    continue
-                snapshot = self._shard_call(
-                    spec, {"op": "snapshot", "mode": "export", "keys": moved}
-                )["snapshot"]
-                records = snapshot_from_wire(snapshot)
-                if not records:
-                    continue
-                imported = self._shard_call(
-                    new_spec,
-                    {
-                        "op": "snapshot",
-                        "mode": "import",
-                        "snapshot": snapshot_to_wire(records),
-                    },
-                )["imported"]
-                with self._lock:
-                    self._snapshot_shipped += int(imported)
-                exported = [record["k"] for record in records]
-                shipped.update(exported)
-                moved_by_source.setdefault(source, []).extend(exported)
+                by_target: dict[str, list[str]] = {}
+                for key in keys:
+                    owner = ring.route(key)
+                    if owner != source and key not in shipped:
+                        by_target.setdefault(owner, []).append(key)
+                for target, moved in by_target.items():
+                    snapshot = self._shard_call(
+                        spec, {"op": "snapshot", "mode": "export", "keys": moved}
+                    )["snapshot"]
+                    records = snapshot_from_wire(snapshot)
+                    if not records:
+                        continue
+                    imported = self._shard_call(
+                        targets[target],
+                        {
+                            "op": "snapshot",
+                            "mode": "import",
+                            "snapshot": snapshot_to_wire(records),
+                        },
+                    )["imported"]
+                    with self._lock:
+                        self._snapshot_shipped += int(imported)
+                    exported = [record["k"] for record in records]
+                    shipped.update(exported)
+                    moved_by_source.setdefault(source, []).extend(exported)
         return moved_by_source
 
     def _sweep(self, moved_by_source: dict[str, list[str]]) -> None:
@@ -516,7 +520,11 @@ class ShardFleet:
             try:
                 self._spawn_process(handle)
                 self._wait_ready(handle, self.spawn_timeout_s)
-                moved_by_source = self._ship_into(name, handle.spec, sources)
+                moved_by_source = self._ship(
+                    sources,
+                    self._ring_of([*sources, name]),
+                    {**sources, name: handle.spec},
+                )
             except (OSError, FrameError, FleetError, ValueError) as error:
                 self._terminate(handle, drain=False)
                 raise FleetRebalanceError(
@@ -533,13 +541,15 @@ class ShardFleet:
     def remove_shard(self, name: str) -> None:
         """Ship a leaving shard's entries to their next owners, then flip.
 
-        The leaving shard serves traffic throughout the shipment; only
-        after every target acked its import do routers drop it, so a moved
-        key's first request on its new owner hits the shipped entry.  A
-        dead shard (crashed, unreachable) is removed without shipping —
-        with ``cache_dir`` its entries are in its log, not lost, just not
-        migrated.  Failures during shipping raise
-        :class:`FleetRebalanceError` and leave routing unchanged.
+        The leaving shard serves traffic throughout the shipment, which
+        runs in two passes like :meth:`add_shard`'s (a key warmed during
+        the first is shipped by the second); only after every target acked
+        its import do routers drop it, so a moved key's first request on
+        its new owner hits the shipped entry.  A dead shard (crashed,
+        unreachable) is removed without shipping — with ``cache_dir`` its
+        entries are in its log, not lost, just not migrated.  Failures
+        during shipping raise :class:`FleetRebalanceError` and leave
+        routing unchanged.
         """
         with self._rebalance_lock:
             with self._lock:
@@ -554,32 +564,8 @@ class ShardFleet:
                     if other.name != name
                 }
             if handle.alive():
-                ring = self._ring_of(list(targets))
                 try:
-                    keys = self._shard_call(
-                        handle.spec, {"op": "snapshot", "mode": "keys"}
-                    )["keys"]
-                    by_target: dict[str, list[str]] = {}
-                    for key in keys:
-                        by_target.setdefault(ring.route(key), []).append(key)
-                    for target, moved in by_target.items():
-                        snapshot = self._shard_call(
-                            handle.spec,
-                            {"op": "snapshot", "mode": "export", "keys": moved},
-                        )["snapshot"]
-                        records = snapshot_from_wire(snapshot)
-                        if not records:
-                            continue
-                        imported = self._shard_call(
-                            targets[target],
-                            {
-                                "op": "snapshot",
-                                "mode": "import",
-                                "snapshot": snapshot_to_wire(records),
-                            },
-                        )["imported"]
-                        with self._lock:
-                            self._snapshot_shipped += int(imported)
+                    self._ship({name: handle.spec}, self._ring_of(list(targets)), targets)
                 except (OSError, FrameError, FleetError) as error:
                     raise FleetRebalanceError(
                         f"shipping shard {name!r}'s entries failed before the "

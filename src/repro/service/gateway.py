@@ -134,8 +134,8 @@ class ShardedOptimizerGateway:
             shard the default in-memory LRU of ``cache_capacity``.
         cluster: simulated-cluster parameters for reported accounting.
         gateway_threads: size of the internal handler pool that drives
-            per-shard sub-batches in :meth:`optimize_batch`; defaults to
-            ``n_shards``.
+            per-shard sub-batches in :meth:`optimize_batch` and the flights
+            :meth:`submit_claimed` queues; defaults to ``n_shards``.
     """
 
     def __init__(
@@ -154,6 +154,9 @@ class ShardedOptimizerGateway:
         if gateway_threads is not None and gateway_threads < 1:
             raise ValueError(f"gateway_threads must be >= 1, got {gateway_threads}")
         self.n_shards = n_shards
+        self.gateway_threads = (
+            gateway_threads if gateway_threads is not None else n_shards
+        )
         self.n_workers = n_workers
         self.settings = settings
         self.shards: tuple[OptimizerService, ...] = tuple(
@@ -168,8 +171,7 @@ class ShardedOptimizerGateway:
             for index in range(n_shards)
         )
         self._pool = ThreadPoolExecutor(
-            max_workers=gateway_threads if gateway_threads is not None else n_shards,
-            thread_name_prefix="gateway",
+            max_workers=self.gateway_threads, thread_name_prefix="gateway"
         )
         #: Guards the flight table, all counters, and the closed flag; as a
         #: condition variable it also lets ``close`` wait for in-flight
@@ -235,10 +237,10 @@ class ShardedOptimizerGateway:
         """``key``'s owning shard and its cached entry (``None`` if absent).
 
         The opportunistic fast path for front-ends that do not block a
-        thread per miss (the async gateway queues misses for batching, the
-        shard server leaves them to the client's ``optimize`` frame): a hit
-        is counted as a request and a shard cache hit; a miss counts
-        *nothing* here — whatever serves it later (:meth:`claim`,
+        thread per miss (the async gateway queues misses on the handler
+        pool, the shard server leaves them to the client's ``optimize``
+        frame): a hit is counted as a request and a shard cache hit; a miss
+        counts *nothing* here — whatever serves it later (:meth:`claim`,
         :meth:`optimize`) does the real miss accounting, so one logical
         miss is never double-counted.
         """
@@ -326,8 +328,8 @@ class ShardedOptimizerGateway:
     # ``_lead_shard_batch`` → ``finish`` → release.  The threaded entry
     # points above run it in one thread.  A queueing front door (the
     # asyncio one) runs the same steps spread over time: ``claim`` on its
-    # loop, ``run_claimed`` (or ``withdraw``) for what it leads on a
-    # dispatch thread, ``finish`` from the future's callback — same table,
+    # loop, ``submit_claimed`` (or ``withdraw``) for what it leads onto the
+    # handler pool, ``finish`` from the future's callback — same table,
     # same code.
 
     def claim(self, key: str) -> tuple[str, CacheEntry | Future[CacheEntry]]:
@@ -335,7 +337,7 @@ class ShardedOptimizerGateway:
 
         Returns :meth:`_lookup_or_lead`'s verdict for :meth:`finish`.  Only
         a led flight stays admitted (``close`` waits for it), until
-        :meth:`run_claimed` or :meth:`withdraw` resolves it.
+        :meth:`submit_claimed`'s run or :meth:`withdraw` resolves it.
         """
         self._enter_requests(1)
         role = None
@@ -346,16 +348,22 @@ class ShardedOptimizerGateway:
             if role != "lead":
                 self._exit_requests(1)
 
-    def run_claimed(
-        self,
-        shard_index: int,
-        group: Sequence[LedFlight],
-        settings: OptimizerSettings,
-        workers: int,
-    ) -> None:
-        """Run one shard's claimed (led) flights, releasing their admission."""
-        self._lead_shard_batch(
-            shard_index, group, settings, workers, release=len(group)
+    def submit_claimed(
+        self, flight: LedFlight, settings: OptimizerSettings, workers: int
+    ) -> Future[None]:
+        """Queue one claimed (led) flight on the handler pool, alone.
+
+        The run releases the flight's admission as it resolves.  A caller
+        that cancels the returned future before it starts must
+        :meth:`withdraw` the flight, which releases it instead.
+        """
+        return self._pool.submit(
+            self._lead_shard_batch,
+            self.shard_for(flight[2]),
+            [flight],
+            settings,
+            workers,
+            release=1,
         )
 
     def withdraw(self, flight: LedFlight) -> None:

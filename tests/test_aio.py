@@ -1,4 +1,4 @@
-"""The asyncio front-end: batching, backpressure, cancellation, soak replay."""
+"""The asyncio front-end: dispatch, backpressure, cancellation, soak replay."""
 
 from __future__ import annotations
 
@@ -82,10 +82,6 @@ async def poll(predicate, timeout=WAIT_S):
 class TestValidation:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            AsyncOptimizerGateway(batch_window_ms=-1)
-        with pytest.raises(ValueError):
-            AsyncOptimizerGateway(max_batch=0)
-        with pytest.raises(ValueError):
             AsyncOptimizerGateway(max_pending=0)
         with pytest.raises(ValueError):
             AsyncOptimizerGateway(tenant_share=0.0)
@@ -164,9 +160,9 @@ class TestCorrectness:
 
         run(scenario())
 
-    def test_batches_group_by_settings_and_workers(self):
-        # Incompatible requests (different settings/workers) never share a
-        # micro-batch, even when queued together.
+    def test_each_led_flight_is_one_dispatch(self):
+        # Misses queued together behind a busy pool still dispatch one
+        # flight each: batching lives in ``optimize_batch`` only.
         async def scenario():
             generator = SteinbrunnGenerator(53)
             query = generator.query(6)
@@ -189,10 +185,8 @@ class TestCorrectness:
                 gate.set()
                 await asyncio.gather(first, *tasks)
                 stats = front.stats()
-            # Two worker settings -> at least two separate dispatches beyond
-            # the leader's, and no batch mixed the two parallelism levels.
-            assert stats.dispatched_batches >= 3
-            assert max(stats.batch_sizes) <= 2
+            assert stats.dispatched_batches == 4
+            assert stats.batch_sizes == {1: 4}
 
         run(scenario())
 
@@ -336,7 +330,7 @@ class TestBackpressure:
                     asyncio.ensure_future(front.optimize(generator.query(5)))
                     for __ in range(2)
                 ]
-                await asyncio.sleep(0.02)
+                assert await poll(lambda: front.stats().outstanding == 2)
                 with pytest.raises(GatewayOverloadedError) as rejection:
                     await front.optimize(generator.query(5))
                 assert rejection.value.reason == "queue-full"
@@ -366,7 +360,7 @@ class TestBackpressure:
                     )
                     for __ in range(2)
                 ]
-                await asyncio.sleep(0.02)
+                assert await poll(lambda: front.stats().outstanding == 2)
                 # ... and its next request is rejected for fairness ...
                 with pytest.raises(GatewayOverloadedError) as rejection:
                     await front.optimize(generator.query(5), tenant="hot")
@@ -376,7 +370,7 @@ class TestBackpressure:
                 cold = asyncio.ensure_future(
                     front.optimize(generator.query(5), tenant="cold")
                 )
-                await asyncio.sleep(0.02)
+                assert await poll(lambda: front.stats().outstanding == 3)
                 gate.set()
                 await asyncio.gather(*hot, cold)
                 stats = front.stats()
@@ -403,7 +397,7 @@ class TestBackpressure:
                 blocked = asyncio.ensure_future(
                     front.optimize(generator.query(5))
                 )
-                await asyncio.sleep(0.02)  # queue now full
+                assert await poll(lambda: front.stats().outstanding == 1)  # full
                 hit = await front.optimize(cached_query)
                 assert hit.cached
                 gate.set()
@@ -414,32 +408,65 @@ class TestBackpressure:
 
 class TestCancellation:
     def test_cancelled_queued_entry_never_runs(self):
-        # All waiters of a queued entry cancel before dispatch: the DP for
-        # that fingerprint must never run.
+        # All waiters of a flight queued behind a busy 1-thread handler pool
+        # cancel before it starts: the DP for that fingerprint must never
+        # run, and every gauge returns to zero.
         async def scenario():
             generator = SteinbrunnGenerator(58)
             blocker, doomed = generator.query(5), generator.query(5)
             gate = threading.Event()
             gateway, executors = gated_gateway(gate, n_shards=1)
-            async with AsyncOptimizerGateway(
-                gateway, own_gateway=True, batch_window_ms=50.0
-            ) as front:
+            # Borrowed, and closed below: a flight left admitted would make
+            # an owned gateway's close wait forever instead of failing.
+            async with AsyncOptimizerGateway(gateway) as front:
                 leader = asyncio.ensure_future(front.optimize(blocker))
                 assert await poll(
                     lambda: sum(executor.calls for executor in executors) == 1
                 )
                 victim = asyncio.ensure_future(front.optimize(doomed))
-                await asyncio.sleep(0)  # let it enqueue behind the busy batch
+                await asyncio.sleep(0)  # let it queue behind the busy pool
                 assert front.stats().queue_depth == 1
                 victim.cancel()
-                await asyncio.sleep(0)
+                assert await poll(lambda: front.stats().cancelled == 1)
                 gate.set()
                 await leader
                 stats = front.stats()
-                assert stats.cancelled == 1
                 assert stats.outstanding == 0
+                assert stats.queue_depth == 0
+                assert stats.gateway.in_flight == 0
+            gateway.close()
             # Only the blocker's DP ran.
             assert sum(executor.calls for executor in executors) == 1
+
+        run(scenario())
+
+    def test_leader_cancelling_leaves_the_flight_to_its_follower(self):
+        # The waiter that led a queued flight cancels while a follower still
+        # waits: the flight must run, and the follower gets its plans.
+        async def scenario():
+            generator = SteinbrunnGenerator(66)
+            blocker, shared = generator.query(5), generator.query(6)
+            gate = threading.Event()
+            gateway, executors = gated_gateway(gate, n_shards=1)
+            async with AsyncOptimizerGateway(gateway, own_gateway=True) as front:
+                first = asyncio.ensure_future(front.optimize(blocker))
+                assert await poll(
+                    lambda: sum(executor.calls for executor in executors) == 1
+                )
+                leader = asyncio.ensure_future(front.optimize(shared))
+                follower = asyncio.ensure_future(front.optimize(shared))
+                assert await poll(lambda: front.stats().coalesced == 1)
+                assert front.stats().queue_depth == 1
+                leader.cancel()
+                assert await poll(lambda: front.stats().cancelled == 1)
+                gate.set()
+                result = await asyncio.wait_for(follower, WAIT_S)
+                await first
+                assert result.best.cost == best_plan(optimize_serial(shared)).cost
+                stats = front.stats()
+                assert stats.outstanding == 0
+                assert stats.gateway.in_flight == 0
+            assert sum(executor.calls for executor in executors) == 2
 
         run(scenario())
 
@@ -448,9 +475,7 @@ class TestCancellation:
             query = SteinbrunnGenerator(59).query(6)
             gate = threading.Event()
             gateway, executors = gated_gateway(gate, n_shards=1)
-            async with AsyncOptimizerGateway(
-                gateway, own_gateway=True, batch_window_ms=50.0
-            ) as front:
+            async with AsyncOptimizerGateway(gateway, own_gateway=True) as front:
                 blocker = asyncio.ensure_future(
                     front.optimize(SteinbrunnGenerator(60).query(5))
                 )
@@ -509,7 +534,7 @@ class TestCancellation:
 class TestOneFlightTable:
     def test_follower_of_running_flight_parks_no_dispatch_thread(self):
         # A request for a key already in flight attaches to the flight's
-        # future; it must not occupy the (single) dispatch thread, and
+        # future; it must not occupy the (single) handler thread, and
         # cancelling it must not cancel the flight the others share.
         class GateSixTableQueries(SerialPartitionExecutor):
             def __init__(self, gate):
@@ -528,18 +553,17 @@ class TestOneFlightTable:
                 n_shards=1,
                 n_workers=2,
                 executor_factory=lambda: GateSixTableQueries(gate),
+                gateway_threads=1,
             )
             loop = asyncio.get_running_loop()
-            async with AsyncOptimizerGateway(
-                gateway, own_gateway=True, dispatch_threads=1
-            ) as front:
+            async with AsyncOptimizerGateway(gateway, own_gateway=True) as front:
                 # A thread leads the gated flight straight on the gateway.
                 leader = loop.run_in_executor(None, gateway.optimize, gated)
                 assert await poll(lambda: gateway.stats().in_flight == 1)
                 follower = asyncio.ensure_future(front.optimize(gated))
                 doomed = asyncio.ensure_future(front.optimize(gated))
                 assert await poll(lambda: front.stats().coalesced == 2)
-                # The dispatch thread is free: an unrelated key runs to
+                # The handler thread is free: an unrelated key runs to
                 # completion while the followed flight is still gated.
                 other = await asyncio.wait_for(front.optimize(unrelated), WAIT_S)
                 assert not other.cached and not gate.is_set()
@@ -685,14 +709,19 @@ class TestServeBatchCLIAsync:
         assert payload["max_pending"] == 256  # effective options: header
         front = payload["stats"]
         assert (front["rejected_queue_full"], front["rejected_tenant_share"]) == (0, 0)
-        assert front["coalesced"] == 1  # in-batch duplicate of q0
+        # Three led misses, one dispatch each.  q0's in-batch duplicate is
+        # dispatched at once, so it either joins q0's flight or, when that
+        # run already finished, hits the entry it left: no DP run either way.
+        assert front["dispatched_batches"] == 3
+        assert front["coalesced"] + front["fast_path_hits"] == 1 + 4
         assert front["gateway"]["optimizations"] == 3
         cached_flags = [
             result["cached"]
             for round_payload in payload["rounds"]
             for result in round_payload["results"]
         ]
-        # Round 1: three fresh runs, the duplicate coalesced; round 2 all hit.
+        # Round 1: three fresh runs, the duplicate answered without a run;
+        # round 2 all hit.
         assert cached_flags == [False, False, False, True, True, True, True, True]
         assert front["tenants"]["cli"]["completed"] == 8
 

@@ -407,6 +407,55 @@ class TestLiveRebalance:
             with pytest.raises(ValueError):
                 fleet.remove_shard("shard-7")
 
+    def test_remove_shard_ships_a_key_warmed_mid_shipment(self, tmp_path):
+        # A key the leaving shard first caches while its entries are being
+        # exported must still reach its new owner before the flip.
+        workers = 2
+        generator = SteinbrunnGenerator(45)
+        with ShardFleet(3, tmp_path / "socks", n_workers=workers) as fleet:
+            leaving = "shard-1"
+            with NetworkOptimizerGateway(
+                fleet.endpoints(), n_workers=workers, overload_retries=100
+            ) as gateway:
+                fleet.attach_router(gateway)
+                owned = []
+                while len(owned) < 3:
+                    query = generator.query(4)
+                    key = fingerprint(query, OptimizerSettings(), workers)
+                    if gateway.shard_for(key) == leaving:
+                        owned.append(query)
+                warm, late = owned[:2], owned[2]
+                for query in warm:
+                    gateway.optimize(query)
+                real_call = fleet._shard_call
+                leaving_spec = fleet.endpoints()[leaving]
+                leaving_runs = []
+
+                def warm_late_key(spec, payload, timeout_s=30.0):
+                    if (
+                        not leaving_runs
+                        and spec == leaving_spec
+                        and payload.get("mode") == "export"
+                    ):
+                        assert not gateway.optimize(late).cached
+                        leaving_runs.append(
+                            gateway.stats()["shards"][leaving]["optimizations"]
+                        )
+                    return real_call(spec, payload, timeout_s)
+
+                fleet._shard_call = warm_late_key
+                try:
+                    fleet.remove_shard(leaving)
+                finally:
+                    fleet._shard_call = real_call
+                assert leaving_runs == [3]
+                assert gateway.optimize(late).cached
+                assert all(gateway.optimize(query).cached for query in warm)
+                survivors = gateway.stats()["shards"]
+            assert sorted(survivors) == ["shard-0", "shard-2"]
+            runs = sum(shard["optimizations"] for shard in survivors.values())
+            assert runs + leaving_runs[0] == len(owned)
+
     def test_target_killed_mid_shipment_rolls_back(self, tmp_path):
         """Kill the new shard mid-snapshot-shipment: the rebalance rolls
         back with no lost or duplicated entries and no client hangs."""
