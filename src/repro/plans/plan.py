@@ -178,22 +178,3 @@ def plan_depth(plan: Plan) -> int:
         return 1
     assert isinstance(plan, JoinPlan)
     return 1 + max(plan_depth(plan.left), plan_depth(plan.right))
-
-
-def iter_join_result_masks(plan: Plan) -> list[int]:
-    """Masks of all intermediate join results produced by the plan.
-
-    Includes the final result; excludes single-table scans.  These are
-    exactly the table sets whose admissibility the partitioning constraints
-    restrict (Section 4.2).
-    """
-    masks: list[int] = []
-
-    def _walk(node: Plan) -> None:
-        if isinstance(node, JoinPlan):
-            _walk(node.left)
-            _walk(node.right)
-            masks.append(node.mask)
-
-    _walk(plan)
-    return masks

@@ -37,6 +37,10 @@ class Table:
     ``clustered_on`` optionally names the column the table is physically
     ordered by: a clustered-index scan then delivers tuples sorted on it,
     giving the optimizer an interesting order at the leaves.
+
+    Like :class:`~repro.query.query.Query`, a table computes its hash on
+    first use and caches it: every fresh query over the same tables hashes
+    them again.
     """
 
     name: str
@@ -58,6 +62,18 @@ class Table:
                 f"table {self.name!r} is clustered on unknown column "
                 f"{self.clustered_on!r}"
             )
+
+    def __hash__(self) -> int:
+        if "_hash" not in self.__dict__:
+            fields = (self.name, self.cardinality, self.columns, self.row_bytes, self.clustered_on)
+            object.__setattr__(self, "_hash", hash(fields))
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # Per-process caches, never pickled or copied: the hash (``str``
+        # hashes change with the hash seed) and the canonicalizer's signature
+        # text (``repro.service.fingerprint``).
+        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_signature_text")}
 
     def column(self, name: str) -> Column:
         """Return the column called ``name`` or raise ``KeyError``."""

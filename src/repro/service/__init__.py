@@ -64,8 +64,7 @@ from repro.service.provenance import (
     Provenance,
     aggregate_worker_stats,
 )
-from repro.core.envelope import EnvelopeIndex, build_envelope_index
-from repro.service.remap import invert, remap_mask, remap_plan
+from repro.service.remap import invert, remap_plan
 from repro.service.server import ShardServer, run_shard_server
 from repro.service.service import (
     ENVELOPE_ENTRY,
@@ -121,12 +120,9 @@ __all__ = [
     "ShardedOptimizerGateway",
     "ShardStats",
     "invert",
-    "remap_mask",
     "remap_plan",
     "OptimizerService",
     "ServiceResult",
-    "EnvelopeIndex",
-    "build_envelope_index",
     "ENVELOPE_ENTRY",
     "SCALAR_ENTRY",
 ]

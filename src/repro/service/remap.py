@@ -13,15 +13,6 @@ from __future__ import annotations
 
 from repro.plans.orders import SortOrder
 from repro.plans.plan import JoinPlan, Plan, ScanPlan
-from repro.util.bitset import bits
-
-
-def remap_mask(mask: int, mapping: tuple[int, ...]) -> int:
-    """Translate a table-set bitmask through ``mapping[old] = new``."""
-    remapped = 0
-    for table in bits(mask):
-        remapped |= 1 << mapping[table]
-    return remapped
 
 
 def remap_plan(plan: Plan, mapping: tuple[int, ...]) -> Plan:

@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import MULTI_OBJECTIVE, Backend, OptimizerSettings, PlanSpace
 from repro.core.worker import optimize_partition
-from repro.plans.plan import plan_signature
+from repro.plans.plan import JoinPlan, Plan, plan_signature
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.predicates import JoinPredicate
 from repro.query.query import JoinGraphKind, Query
@@ -40,6 +40,16 @@ def make_manual_query(cardinalities, predicates=(), name="manual"):
         for i, j, selectivity in predicates
     )
     return Query(tables=tables, predicates=preds, name=name)
+
+
+def iter_join_result_masks(plan: Plan) -> list[int]:
+    """Masks of all intermediate join results produced by the plan, in
+    post-order: the final result last, single-table scans excluded.  These
+    are exactly the table sets the partitioning constraints restrict
+    (Section 4.2)."""
+    if not isinstance(plan, JoinPlan):
+        return []
+    return [*iter_join_result_masks(plan.left), *iter_join_result_masks(plan.right), plan.mask]
 
 
 def search_outcome(result):

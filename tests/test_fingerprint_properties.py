@@ -50,6 +50,7 @@ from repro.core.serial import optimize_serial
 from repro.plans.orders import SortOrder
 from repro.plans.plan import JoinPlan, Plan, ScanPlan
 from repro.query.generator import SteinbrunnGenerator
+from repro.query.io import query_from_dict, query_to_dict
 from repro.query.query import JoinGraphKind, Query
 from repro.service import (
     OptimizerService,
@@ -62,7 +63,8 @@ from repro.service.fingerprint import (
     CanonicalForm,
     fingerprint_canonical,
 )
-from repro.service.remap import invert, remap_mask, remap_plan
+from repro.service.remap import invert, remap_plan
+from tests.conftest import make_manual_query
 from tests.test_service import permute_query, shuffled
 
 #: The module itself: ``repro.service.fingerprint`` as an attribute is the
@@ -218,10 +220,11 @@ class TestRemapRoundTrips:
         for n_tables in range(1, 12):
             for __ in range(20):
                 permutation = shuffled(n_tables, seed=rng.randint(0, 10_000))
-                mask = rng.randint(0, (1 << n_tables) - 1)
-                there = remap_mask(mask, permutation)
-                assert remap_mask(there, invert(permutation)) == mask
-                assert bin(there).count("1") == bin(mask).count("1")
+                mask = rng.randint(1, (1 << n_tables) - 1)
+                there = remap_plan(left_deep_plan(mask), permutation)
+                assert there.mask == reference_mask(mask, permutation)
+                assert remap_plan(there, invert(permutation)).mask == mask
+                assert bin(there.mask).count("1") == bin(mask).count("1")
 
     def test_plan_round_trip_on_real_frontiers(self):
         # Real DP output (multi-objective, so frontiers have several plans):
@@ -321,6 +324,21 @@ symmetric_queries = st.builds(
 ) | st.builds(two_tone_clique, st.integers(3, 4), st.integers(3, 4))
 
 
+def left_deep_plan(mask: int) -> Plan:
+    """A left-deep plan joining the tables of ``mask`` in table order."""
+    tables = [table for table in range(mask.bit_length()) if mask >> table & 1]
+    plan: Plan = ScanPlan(1 << tables[0], 1.0, (1.0,), None, tables[0])
+    for table in tables[1:]:
+        scan = ScanPlan(1 << table, 1.0, (1.0,), None, table)
+        plan = JoinPlan(plan.mask | scan.mask, 1.0, (1.0,), None, plan, scan)
+    return plan
+
+
+def reference_mask(mask: int, mapping: tuple[int, ...]) -> int:
+    """Translate a table-set bitmask through ``mapping[old] = new``, bit by bit."""
+    return sum(1 << new for old, new in enumerate(mapping) if mask >> old & 1)
+
+
 def reference_remap(plan: Plan, mapping: tuple[int, ...]) -> Plan:
     """``remap_plan`` as ``dataclasses.replace`` wrote it: every field the
     call does not name is copied, whatever fields ``Plan`` grows."""
@@ -330,13 +348,13 @@ def reference_remap(plan: Plan, mapping: tuple[int, ...]) -> Plan:
     if isinstance(plan, ScanPlan):
         return dataclasses.replace(
             plan,
-            mask=remap_mask(plan.mask, mapping),
+            mask=reference_mask(plan.mask, mapping),
             order=order,
             table=mapping[plan.table],
         )
     return dataclasses.replace(
         plan,
-        mask=remap_mask(plan.mask, mapping),
+        mask=reference_mask(plan.mask, mapping),
         order=order,
         left=reference_remap(plan.left, mapping),
         right=reference_remap(plan.right, mapping),
@@ -584,6 +602,150 @@ class TestRankCanonicalization:
             CanonicalForm("x", (2, 0, 1)), OptimizerSettings(), 2
         )
         assert key != fingerprint_canonical(form, OptimizerSettings(), 1)
+
+
+def parent_canonicalize(query: Query) -> tuple[str, tuple[int, ...]]:
+    """The canonical search as it read before its text caches, written out
+    in full: ``repr`` of every signature and the whole predicate tuple at
+    every leaf, and the adjacency built up front."""
+
+    def ranks(keys):
+        rank = {key: position for position, key in enumerate(sorted(set(keys)))}
+        return [rank[key] for key in keys]
+
+    def encode(numbering):
+        tables = [""] * len(numbering)
+        for signature, canonical in zip(signatures, numbering):
+            tables[canonical] = signature
+        predicates = []
+        for p in query.predicates:
+            a, b = numbering[p.left_table], numbering[p.right_table]
+            if a <= b:
+                predicates.append((a, p.left_column, b, p.right_column, p.selectivity))
+            else:
+                predicates.append((b, p.right_column, a, p.left_column, p.selectivity))
+        return f"(({', '.join(tables)}), {tuple(sorted(predicates))!r})"
+
+    signatures = []
+    for table in query.tables:
+        columns = tuple(sorted((c.name, c.domain_size) for c in table.columns))
+        signatures.append(
+            repr((table.cardinality, table.row_bytes, table.clustered_on, columns))
+        )
+    incident = [[] for __ in query.tables]
+    for p in query.predicates:
+        incident[p.left_table].append(
+            ((p.selectivity, p.left_column, p.right_column), p.right_table)
+        )
+        incident[p.right_table].append(
+            ((p.selectivity, p.right_column, p.left_column), p.left_table)
+        )
+    best, leaves, stack = None, 0, [ranks(signatures)]
+    while stack and leaves < MAX_BRANCHES:
+        colors = stack.pop()
+        while max(colors) + 1 < len(colors):
+            refined = ranks(
+                [
+                    (color, tuple(sorted([(sig, colors[other]) for sig, other in edges])))
+                    for color, edges in zip(colors, incident)
+                ]
+            )
+            if refined == colors:
+                break
+            colors = refined
+        if max(colors) + 1 == len(colors):
+            leaves += 1
+            encoding = encode(colors)
+            if best is None or encoding < best[0]:
+                best = (encoding, colors)
+            continue
+        sizes = {color: colors.count(color) for color in colors}
+        target = min((size, color) for color, size in sizes.items() if size > 1)[1]
+        shifted = [color + (color >= target) for color in colors]
+        for node in reversed(range(len(colors))):
+            if colors[node] == target:
+                stack.append(shifted[:node] + [target] + shifted[node + 1 :])
+    return best[0], tuple(best[1])
+
+
+class TestCanonicalTextCaches:
+    """The canonical search reads each table's signature text from the table
+    and each selectivity's text from a memo, and builds the adjacency only
+    for a seed coloring that is not discrete: none of it may change a byte."""
+
+    def assert_parent_form(self, query: Query) -> None:
+        form = canonicalize(query)
+        assert (form.encoding, form.numbering) == parent_canonicalize(query)
+
+    def test_encoding_and_numbering_are_the_parent_formula_byte_for_byte(
+        self, monkeypatch
+    ):
+        adjacency, built = fingerprint_module._adjacency, []
+
+        def counting(query):
+            built.append(query)
+            return adjacency(query)
+
+        monkeypatch.setattr(fingerprint_module, "_adjacency", counting)
+        # No predicates; then one, whose tuple needs its trailing comma.
+        self.assert_parent_form(make_manual_query([100], name="one"))
+        self.assert_parent_form(make_manual_query([100, 200], [(0, 1, 0.01)]))
+        self.assert_parent_form(make_manual_query([100, 200], [(0, 1, 1)]))
+        assert not built
+        # Clustered shapes, each relabelled and decoded as a JSON client
+        # would (new Table objects), so both the first and the cached text
+        # are read; the generator reuses table names across shapes.
+        for n_tables, kind in itertools.product(range(5, 9), KINDS):
+            query = SteinbrunnGenerator(n_tables * 7, clustered_tables=True).query(
+                n_tables, kind
+            )
+            self.assert_parent_form(query_from_dict(query_to_dict(query)))
+            for seed in range(12):
+                self.assert_parent_form(
+                    permute_query(query, shuffled(n_tables, seed=seed))
+                )
+        assert not built, "a discrete seed coloring never needs the adjacency"
+        for query in (
+            symmetric_query(7, JoinGraphKind.CLIQUE),
+            two_tone_clique(3, 3, 4),
+            symmetric_query(6, JoinGraphKind.CHAIN),
+            symmetric_query(5, JoinGraphKind.STAR),
+        ):
+            for seed in range(3):
+                del built[:]
+                relabeled = permute_query(query, shuffled(query.n_tables, seed=seed))
+                self.assert_parent_form(relabeled)
+                assert built == [relabeled], "one adjacency per search"
+
+    def test_table_caches_never_cross_a_process(self):
+        # A table caches its hash (seed-dependent, like ``Query``'s) and its
+        # signature text: neither may ride a pickle to a worker or shard, nor
+        # a copy, nor change what the table compares or prints as.
+        query = SteinbrunnGenerator(38, clustered_tables=True).query(
+            6, JoinGraphKind.CYCLE
+        )
+        table = query.tables[0]
+        shipped, shown = pickle.dumps(query), repr(table)
+        canonicalize(query)
+        assert {"_hash", "_signature_text"} <= set(vars(table))
+        assert pickle.dumps(query) == shipped
+        assert repr(table) == shown
+        for clone in (
+            copy.copy(table),
+            copy.deepcopy(table),
+            pickle.loads(pickle.dumps(table)),
+        ):
+            assert not {"_hash", "_signature_text"} & set(vars(clone))
+            assert clone == table and hash(clone) == hash(table)
+            assert repr(clone) == shown
+        # A replaced table is a new object with new statistics: its own text.
+        bigger = dataclasses.replace(table, cardinality=table.cardinality + 1)
+        assert "_signature_text" not in vars(bigger)
+        assert bigger.name == table.name
+        assert fingerprint_module._signature_text(bigger) == repr(
+            fingerprint_module._table_signature(bigger)
+        )
+        assert vars(bigger)["_signature_text"] != vars(table)["_signature_text"]
 
 
 class TestRemapAgainstReference:

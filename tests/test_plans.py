@@ -8,12 +8,8 @@ from repro.config import OptimizerSettings
 from repro.cost.costmodel import CostModel
 from repro.plans.operators import ALL_JOIN_ALGORITHMS, JoinAlgorithm
 from repro.plans.orders import SortOrder, order_satisfies
-from repro.plans.plan import (
-    iter_join_result_masks,
-    plan_depth,
-    plan_join_count,
-)
-from tests.conftest import make_manual_query
+from repro.plans.plan import plan_depth, plan_join_count
+from tests.conftest import iter_join_result_masks, make_manual_query
 
 
 def build_leftdeep(query, order, settings=None):

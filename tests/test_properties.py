@@ -11,9 +11,10 @@ from repro.core.master import optimize_parallel
 from repro.core.serial import best_plan, optimize_serial
 from repro.cost.cardinality import CardinalityEstimator
 from repro.cost.costmodel import CostModel
-from repro.plans.plan import JoinPlan, iter_join_result_masks
+from repro.plans.plan import JoinPlan
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind
+from tests.conftest import iter_join_result_masks
 
 KINDS = [
     JoinGraphKind.STAR,

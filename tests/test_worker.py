@@ -29,11 +29,10 @@ from repro.core.worker import (
 )
 from repro.cost.costmodel import CostModel
 from repro.cost.pruning import make_pruning
-from repro.plans.plan import iter_join_result_masks
 from repro.query.generator import SteinbrunnGenerator
 from repro.testing import naive_bushy_operands
 from repro.util.bitset import iter_subsets, popcount
-from tests.conftest import make_manual_query, search_outcome
+from tests.conftest import iter_join_result_masks, make_manual_query, search_outcome
 
 
 @pytest.fixture

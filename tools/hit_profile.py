@@ -7,6 +7,12 @@ once with the pool's own (memoised) query objects, once with a never-seen
 relabelling of each — and through the door (``service.optimize``) itself:
 the measurement perf issues on the serving hit path are chosen from.
 
+A third column, ``decoded relabelling``, sends each fresh relabelling
+through a JSON round trip first (``query_from_dict(query_to_dict(query))``),
+which builds new Table objects as a JSON client's request does: they carry
+no cached hash or signature text, so its ``canonicalize`` is the search
+where those caches cannot help.
+
 ``service.answer`` is timed twice per request, on an entry whose render
 memo was just cleared: a first render (the relabel) and a repeat in the
 same numbering (the memo hit).  The repeat leaves the memo holding the
@@ -35,6 +41,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks" / "spine")]
 
 import schedules  # noqa: E402  (benchmarks/spine, path set above)
 from repro.cluster.network import encode_body  # noqa: E402
+from repro.query.io import query_from_dict, query_to_dict  # noqa: E402
 from repro.service.fingerprint import canonicalize, fingerprint_canonical  # noqa: E402
 from repro.service.net import result_from_wire, result_to_wire  # noqa: E402
 from repro.service.remap import invert  # noqa: E402
@@ -60,7 +67,10 @@ def main() -> int:
     def fresh(query):
         return schedules.permute_query(query, schedules.shuffled(query.n_tables, rng))
 
-    columns = {"memoised": lambda query: query, "fresh relabelling": fresh}
+    def decoded(query):
+        return query_from_dict(query_to_dict(fresh(query)))
+
+    columns = {"memoised": lambda query: query, "fresh relabelling": fresh, "decoded relabelling": decoded}
     samples = {column: defaultdict(list) for column in columns}
     replies = {}  # key -> the canonical reply bytes a shard memoises
     with OptimizerService(n_workers=1, settings=settings) as service:
