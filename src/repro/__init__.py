@@ -63,9 +63,9 @@ from repro.service import (
     GatewayOverloadedError,
     GatewayStats,
     OptimizerService,
-    PlanCache,
     ServiceResult,
     ShardedOptimizerGateway,
+    TieredPlanCache,
     canonicalize,
     fingerprint,
 )
@@ -123,9 +123,9 @@ __all__ = [
     "GatewayOverloadedError",
     "GatewayStats",
     "OptimizerService",
-    "PlanCache",
     "ServiceResult",
     "ShardedOptimizerGateway",
+    "TieredPlanCache",
     "canonicalize",
     "fingerprint",
     "MPQReport",

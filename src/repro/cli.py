@@ -810,9 +810,12 @@ def _run_cache(args: argparse.Namespace) -> int:
 
     if args.cache_command == "import":
         with DiskTier(args.into) as tier:
-            imported = tier.import_snapshot(
-                args.snapshot, overwrite=not args.keep_existing
-            )
+            try:
+                imported = tier.import_snapshot(
+                    args.snapshot, overwrite=not args.keep_existing
+                )
+            except ValueError as error:
+                raise SystemExit(f"nothing imported: {error}") from None
         print(f"imported {imported} entries from {args.snapshot} into {args.into}")
         return 0
 

@@ -15,12 +15,12 @@ supervises a fleet of shard processes — restarting crashes with backoff and
 rebalancing the ring live by shipping moved keys' cache entries to their
 new owner before routers learn the new topology.
 
-Caching is tiered and pluggable (:class:`CacheTier`): the default
-:class:`MemoryTier` LRU (historical name :class:`PlanCache`) can be
-composed over a persistent :class:`DiskTier` via :class:`TieredPlanCache`,
-so cached plans — each carrying a :class:`Provenance` record — survive
-restarts and can be selectively invalidated
-(:class:`InvalidationPredicate`) when a backend or cost model changes.
+One cache class serves every door: :class:`TieredPlanCache`, a bounded
+in-memory LRU that can sit over a persistent :class:`DiskTier`, so cached
+plans — each carrying a :class:`Provenance` record — survive restarts and
+can be selectively invalidated (:class:`InvalidationPredicate`) when a
+backend or cost model changes.  Its :class:`CacheStats` counts memory and
+disk hits alike.
 
 Parametric queries are canonicalized **θ-free**: the cost-weight parameter
 θ never enters a fingerprint, so one cached *envelope* entry (the whole
@@ -35,7 +35,6 @@ from repro.service.aio import (
     GatewayOverloadedError,
     TenantStats,
 )
-from repro.service.cache import CacheStats, CacheTier, MemoryTier, PlanCache
 from repro.service.fingerprint import (
     CanonicalForm,
     canonicalize,
@@ -66,19 +65,15 @@ from repro.service.provenance import (
 )
 from repro.service.remap import invert, remap_plan
 from repro.service.server import ShardServer, run_shard_server
-from repro.service.service import (
+from repro.service.service import OptimizerService, ServiceResult, ShardStats
+from repro.service.tiers import (
     ENVELOPE_ENTRY,
     SCALAR_ENTRY,
     CacheEntry,
-    OptimizerService,
-    ServiceResult,
-    ShardStats,
-)
-from repro.service.tiers import (
+    CacheStats,
     DiskTier,
     DiskTierLockedError,
     TieredPlanCache,
-    TieredStats,
 )
 
 __all__ = [
@@ -88,13 +83,9 @@ __all__ = [
     "TenantStats",
     "CacheEntry",
     "CacheStats",
-    "CacheTier",
-    "MemoryTier",
-    "PlanCache",
     "DiskTier",
     "DiskTierLockedError",
     "TieredPlanCache",
-    "TieredStats",
     "Address",
     "CircuitBreaker",
     "ConsistentHashRing",

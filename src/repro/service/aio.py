@@ -64,7 +64,8 @@ from repro.config import OptimizerSettings
 from repro.query.query import Query
 from repro.service.fingerprint import CanonicalForm
 from repro.service.gateway import GatewayStats, LedFlight, ShardedOptimizerGateway
-from repro.service.service import CacheEntry, ServiceResult, resolve
+from repro.service.service import ServiceResult, resolve
+from repro.service.tiers import CacheEntry
 
 
 class GatewayOverloadedError(RuntimeError):

@@ -31,11 +31,11 @@ requests from a thread pool of handlers safely:
 
 Thread-safety contract: ``optimize`` and ``optimize_batch`` may be called
 from any number of threads concurrently.  Shard caches are internally
-locked (:class:`~repro.service.cache.CacheTier` implementations); the
-gateway holds its own lock only for dictionary/counter operations — never
-while a DP runs, and never across a cache lookup that may touch a disk
-tier — so request handlers block each other only on genuinely shared work
-and a slow disk read never stalls the flight table.
+locked (:class:`~repro.service.tiers.TieredPlanCache`); the gateway holds
+its own lock only for dictionary/counter operations — never while a DP
+runs, and never across a cache lookup that may touch a disk tier — so
+request handlers block each other only on genuinely shared work and a slow
+disk read never stalls the flight table.
 """
 
 from __future__ import annotations
@@ -51,15 +51,9 @@ from repro.cluster.simulator import DEFAULT_CLUSTER, ClusterModel
 from repro.config import DEFAULT_SETTINGS, OptimizerSettings
 from repro.core.master import PartitionExecutor
 from repro.query.query import Query
-from repro.service.cache import CacheTier
 from repro.service.fingerprint import CanonicalForm
-from repro.service.service import (
-    CacheEntry,
-    OptimizerService,
-    ServiceResult,
-    ShardStats,
-    resolve,
-)
+from repro.service.service import OptimizerService, ServiceResult, ShardStats, resolve
+from repro.service.tiers import CacheEntry, TieredPlanCache
 
 #: Width (in hex digits) of the fingerprint prefix used for range routing.
 #: 8 hex digits = 32 bits — plenty to spread sha256 prefixes uniformly over
@@ -128,10 +122,9 @@ class ShardedOptimizerGateway:
             ``None`` gives every shard the in-process serial executor.
         cache_capacity: plan-cache capacity *per shard*.
         cache_factory: called with each shard index to build that shard's
-            cache tier (e.g. a
-            :class:`~repro.service.tiers.TieredPlanCache` over a per-shard
-            disk log — the index names the log file).  ``None`` gives every
-            shard the default in-memory LRU of ``cache_capacity``.
+            :class:`~repro.service.tiers.TieredPlanCache` (e.g. one over a
+            per-shard disk log — the index names the log file).  ``None``
+            gives every shard a memory-only cache of ``cache_capacity``.
         cluster: simulated-cluster parameters for reported accounting.
         gateway_threads: size of the internal handler pool that drives
             per-shard sub-batches in :meth:`optimize_batch` and the flights
@@ -147,7 +140,7 @@ class ShardedOptimizerGateway:
         cache_capacity: int = 256,
         cluster: ClusterModel = DEFAULT_CLUSTER,
         gateway_threads: int | None = None,
-        cache_factory: Callable[[int], "CacheTier[CacheEntry]"] | None = None,
+        cache_factory: Callable[[int], TieredPlanCache] | None = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")

@@ -92,7 +92,7 @@ from repro.config import DEFAULT_SETTINGS, OptimizerSettings
 from repro.query.io import query_from_dict
 from repro.service.gateway import ShardedOptimizerGateway
 from repro.service.net import PROTOCOL_FORMAT, PROTOCOL_VERSION, Address, result_to_wire
-from repro.service.tiers import entry_from_wire, entry_to_wire, shard_cache_factory
+from repro.service.tiers import TieredPlanCache, shard_cache_factory
 
 
 class ShardServer:
@@ -358,7 +358,7 @@ class ShardServer:
         try:
             if mode == "keys":
                 keys = await loop.run_in_executor(
-                    self._control_pool, self._snapshot_keys
+                    self._control_pool, self._cache().keys
                 )
                 return {"ok": True, "keys": keys, "shard_id": self.shard_id}
             if mode == "export":
@@ -366,7 +366,7 @@ class ShardServer:
                 if wanted is not None and not isinstance(wanted, list):
                     return self._error("bad-request", "snapshot keys must be a list")
                 records = await loop.run_in_executor(
-                    self._control_pool, self._snapshot_export, wanted
+                    self._control_pool, self._cache().export_records, wanted
                 )
                 self._snapshot_exported += len(records)
                 return {
@@ -383,7 +383,7 @@ class ShardServer:
                     )
                 records = snapshot_from_wire(payload.get("snapshot"))
                 imported = await loop.run_in_executor(
-                    self._control_pool, self._snapshot_import, records
+                    self._control_pool, self._cache().import_records, records
                 )
                 self._snapshot_imported += imported
                 return {"ok": True, "imported": imported, "shard_id": self.shard_id}
@@ -403,38 +403,9 @@ class ShardServer:
             )
         return self._error("bad-request", f"unknown snapshot mode {mode!r}")
 
-    def _cache(self) -> Any:
-        """This shard's cache tier (the embedded gateway runs one shard)."""
+    def _cache(self) -> TieredPlanCache:
+        """This shard's cache (the embedded gateway runs one shard)."""
         return self.gateway.shards[0].cache
-
-    def _snapshot_keys(self) -> list[str]:
-        return sorted(self._cache().keys())
-
-    def _snapshot_export(self, keys: list[str] | None) -> list[dict[str, Any]]:
-        cache = self._cache()
-        if hasattr(cache, "export_records"):
-            return cache.export_records(keys)
-        # Memory-only tiers: encode resident entries on the fly with the
-        # same record schema the disk tier logs.
-        wanted = sorted(cache.keys()) if keys is None else list(keys)
-        records = []
-        for key in wanted:
-            entry = cache.peek(key)
-            if entry is not None:
-                records.append({"t": "put", "k": key, "entry": entry_to_wire(entry)})
-        return records
-
-    def _snapshot_import(self, records: list[dict[str, Any]]) -> int:
-        cache = self._cache()
-        if hasattr(cache, "import_records"):
-            return cache.import_records(records)
-        imported = 0
-        for record in records:
-            if record.get("t") != "put":
-                continue
-            cache.put(record["k"], entry_from_wire(record["entry"]))
-            imported += 1
-        return imported
 
     def _snapshot_evict(self, keys: list[str]) -> int:
         cache = self._cache()

@@ -6,7 +6,8 @@ a long-lived service suited to heavy query-optimization traffic:
 * every request is canonicalized and fingerprinted
   (:mod:`repro.service.fingerprint`), so repeated — or merely isomorphic —
   queries are answered from a bounded LRU cache
-  (:mod:`repro.service.cache`) in O(plan size) instead of O(DP);
+  (:class:`~repro.service.tiers.TieredPlanCache`) in O(plan size) instead
+  of O(DP);
 * cache misses run the paper's Algorithm 1 on a pluggable executor; with a
   :class:`~repro.cluster.executors.PersistentProcessPoolExecutor`,
   :meth:`OptimizerService.optimize_batch` hands every missing query to its
@@ -29,28 +30,17 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.cluster.simulator import (
-    DEFAULT_CLUSTER,
-    ClusterModel,
-    SimulatedTiming,
-    simulate_mpq_run,
-)
+from repro.cluster.simulator import DEFAULT_CLUSTER, ClusterModel, simulate_mpq_run
 from repro.config import DEFAULT_SETTINGS, OptimizerSettings
 from repro.core.constraints import usable_partitions
-from repro.core.envelope import (
-    FULL_THETA_DOMAIN,
-    EnvelopeIndex,
-    best_index_at,
-    build_envelope_index,
-)
+from repro.core.envelope import FULL_THETA_DOMAIN, build_envelope_index
 from repro.core.master import MasterResult, PartitionExecutor, SerialPartitionExecutor
 from repro.core.worker import PartitionResult
 from repro.cost.pruning import final_prune, make_pruning
 from repro.plans.plan import Plan, plan_tie_key
 from repro.query.query import Query
-from repro.service.cache import CacheStats, CacheTier, PlanCache
 from repro.service.fingerprint import (
     CanonicalForm,
     canonicalize,
@@ -59,85 +49,13 @@ from repro.service.fingerprint import (
 )
 from repro.service.provenance import Provenance, aggregate_worker_stats
 from repro.service.remap import invert, remap_plan
-
-
-#: ``CacheEntry.kind`` values: a scalar entry caches one optimization's
-#: plan frontier; an envelope entry caches a parametric run's whole
-#: lower-envelope frontier plus its breakpoint index, so every θ of the
-#: query shape is answered from the one entry.
-SCALAR_ENTRY = "scalar"
-ENVELOPE_ENTRY = "envelope"
-
-
-@dataclass
-class CacheEntry:
-    """What the cache retains per fingerprint: plans in canonical numbering.
-
-    Storing plans canonically (rather than in the first requester's
-    numbering) makes serving any isomorphic request a single remap; the
-    simulated accounting is that of the original run, which is exactly what
-    an identical request would have measured.  Public because the sharded
-    gateway (:mod:`repro.service.gateway`) hands entries from a completed
-    in-flight run directly to coalesced waiters.
-
-    An entry is the cache's unit of *derived artifact*, not necessarily a
-    single answer: an :data:`ENVELOPE_ENTRY` stores a parametric run's full
-    lower-envelope frontier plus its breakpoint index, from which a
-    θ-specific request is answered by O(log n) lookup
-    (:meth:`select_index`) instead of a DP run.
-
-    Beside the canonical plans an entry carries two render-once memos
-    (``render_memo`` for in-process answers, ``wire_memo`` for the shard
-    server's encoded ones), so a repeat in the same numbering costs a dict
-    probe, not a plan-tree rebuild.  Neither is state of the cached
-    artifact: both are excluded from ``init``, ``repr`` and equality.
-    """
-
-    canonical_plans: list[Plan]
-    n_partitions: int
-    simulated: SimulatedTiming
-    #: Enumeration backend that computed the cached plans; replayed on hits
-    #: so a cached answer stays attributable to the core that produced it.
-    backend_used: str = ""
-    #: How this entry came to be (backend, resolved settings signature,
-    #: creation time, aggregated worker stats).  What a
-    #: persistent tier persists alongside the plans, and what invalidation
-    #: predicates evaluate against.  ``None`` only for hand-built entries.
-    provenance: Provenance | None = None
-    #: :data:`SCALAR_ENTRY` or :data:`ENVELOPE_ENTRY`.
-    kind: str = SCALAR_ENTRY
-    #: Breakpoint index over ``canonical_plans`` for envelope entries.
-    envelope: EnvelopeIndex | None = None
-    #: The shard server's encoded canonical answers, one per selected plan
-    #: (:meth:`repro.service.server.ShardServer._lookup_frame`).  It rides
-    #: the entry object so it dies with it: an entry that is invalidated,
-    #: re-run, re-read from disk or imported is a new object with an empty
-    #: memo (``init=False`` keeps ``dataclasses.replace`` from sharing one).
-    wire_memo: dict[int | None, bytes] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-    #: :meth:`OptimizerService.answer`'s rendered plans, by θ slot (``None``,
-    #: or :meth:`select_index`'s result): ``(numbering, plans)`` for the last
-    #: numbering that slot was relabelled into.  Same lifetime as
-    #: ``wire_memo``, and at most one rendered copy per slot.  Unlocked on
-    #: purpose: a slot is replaced by one dict store of a complete pair, and
-    #: a reader compares against the pair it fetched, so racing renders
-    #: cost a duplicate relabel, never a wrong answer.
-    render_memo: dict[int | None, tuple[tuple[int, ...], list[Plan]]] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
-
-    def select_index(self, theta: float) -> int:
-        """Position of the θ-optimal plan in ``canonical_plans``.
-
-        Envelope entries bisect their breakpoint index; an entry without
-        one (a scalar-kind parametric entry from a pre-envelope log) falls
-        back to the linear reference rule — same selection, just O(n).
-        """
-        costs = [plan.cost for plan in self.canonical_plans]
-        if self.envelope is not None:
-            return self.envelope.select(costs, theta)
-        return best_index_at(costs, theta)
+from repro.service.tiers import (
+    ENVELOPE_ENTRY,
+    SCALAR_ENTRY,
+    CacheEntry,
+    CacheStats,
+    TieredPlanCache,
+)
 
 
 @dataclass
@@ -177,11 +95,9 @@ class ServiceResult:
 class ShardStats:
     """One service's (one gateway shard's) observable state at snapshot time.
 
-    ``cache`` is whatever the service's tier snapshots —
-    :class:`~repro.service.cache.CacheStats` for the plain LRU,
-    :class:`~repro.service.tiers.TieredStats` for a tiered cache; both
-    expose ``hits``/``misses``/``evictions``/``hit_rate``.  Like every stats
-    type of the serving stack it holds fields only, so
+    ``cache`` is the shard cache's :class:`~repro.service.tiers.CacheStats`
+    snapshot (its disk counters stay 0 without a disk tier).  Like every
+    stats type of the serving stack it holds fields only, so
     ``dataclasses.asdict`` is its JSON form.
     """
 
@@ -245,12 +161,10 @@ class OptimizerService:
             for true parallelism with warm workers — ``optimize_batch`` then
             batches all queries' partition tasks onto the one pool.
         cache_capacity: bound on resident cached fingerprints (LRU beyond).
-        cache: a ready-made cache tier to serve through instead of the
-            default in-memory LRU — e.g. a
-            :class:`~repro.service.tiers.TieredPlanCache` whose disk tier
-            survives restarts.  When given, ``cache_capacity`` is ignored;
-            anything satisfying :class:`~repro.service.cache.CacheTier`
-            works, since the service only uses the protocol surface.
+        cache: a ready-made cache to serve through instead of the default
+            memory-only ``TieredPlanCache(memory_capacity=cache_capacity)``
+            — e.g. one over a :class:`~repro.service.tiers.DiskTier` that
+            survives restarts.  When given, ``cache_capacity`` is ignored.
         cluster: simulated-cluster parameters for the reported accounting.
     """
 
@@ -261,14 +175,16 @@ class OptimizerService:
         executor: PartitionExecutor | None = None,
         cache_capacity: int = 256,
         cluster: ClusterModel = DEFAULT_CLUSTER,
-        cache: CacheTier[CacheEntry] | None = None,
+        cache: TieredPlanCache | None = None,
     ) -> None:
         self.n_workers = n_workers
         self.settings = settings
         self.executor = executor if executor is not None else SerialPartitionExecutor()
         self.cluster = cluster
-        self.cache: CacheTier[CacheEntry] = (
-            cache if cache is not None else PlanCache(capacity=cache_capacity)
+        self.cache = (
+            cache
+            if cache is not None
+            else TieredPlanCache(memory_capacity=cache_capacity)
         )
         self._counter_lock = threading.Lock()
         self._envelope_hits = 0
@@ -514,13 +430,11 @@ class OptimizerService:
     # --------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Release executor resources and any cache-tier file handles."""
+        """Release executor resources and the cache's disk-tier handles."""
         close = getattr(self.executor, "close", None)
         if close is not None:
             close()
-        cache_close = getattr(self.cache, "close", None)
-        if cache_close is not None:
-            cache_close()
+        self.cache.close()
 
     def __enter__(self) -> "OptimizerService":
         return self

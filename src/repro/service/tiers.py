@@ -1,31 +1,34 @@
-"""The persistent disk tier and the memory-over-disk composite cache.
+"""The plan cache: its entries, their codec, the disk tier and the cache.
 
-The in-memory LRU (:class:`~repro.service.cache.MemoryTier`) evaporates on
-every process restart, which forfeits the system's whole value proposition
-— plans computed once, served many times.  This module adds:
+The service caches the master's final plans per fingerprint.  This module
+holds everything about keeping them:
 
-* :class:`DiskTier` — an append-only log of serialized cache entries with
-  an in-memory offset index.  Appends are O(1) writes; lookups are one
-  seek plus one record decode; deletions are tombstone records; restart
-  recovery is a single forward scan that also truncates a torn tail (a
-  crash mid-append loses at most the last record, never the log).  Every
-  record carries the entry's :class:`~repro.service.provenance.Provenance`,
-  so :meth:`DiskTier.invalidate` retires exactly the entries an
+* :class:`CacheEntry` — what one fingerprint's slot retains (plans in
+  canonical numbering, the run's simulated accounting, provenance), with
+  :func:`entry_to_wire` / :func:`entry_from_wire` as its JSON codec;
+* :class:`DiskTier` — an append-only log of serialized entries with an
+  in-memory offset index.  Appends are O(1) writes; reads are one seek plus
+  one record decode; deletions are tombstone records; restart recovery is a
+  single forward scan that also truncates a torn tail (a crash mid-append
+  loses at most the last record, never the log).  Every record carries the
+  entry's :class:`~repro.service.provenance.Provenance`, so
+  :meth:`DiskTier.invalidate` retires exactly the entries an
   :class:`~repro.service.provenance.InvalidationPredicate` names, and
   snapshots (:meth:`DiskTier.export_snapshot`) are self-describing files
-  shippable between shards;
-* :class:`TieredPlanCache` — memory over disk, write-through (every entry
-  persists at put time, so a crash loses nothing acknowledged) with disk
-  hits promoted back into memory.  The composite satisfies the
-  :class:`~repro.service.cache.CacheTier` protocol, so the service,
-  gateway, and async front-end serve through it unchanged — a disk hit is
-  a cache hit that no DP run is ever spent on, restart or not.
+  shippable between shards.  It keeps no counters;
+* :class:`TieredPlanCache` — the one cache class: a bounded LRU in memory,
+  optionally over a :class:`DiskTier` it writes through to (every entry
+  persists at put time, so a crash loses nothing acknowledged) and whose
+  hits it promotes back into memory.  A disk hit is a cache hit that no DP
+  run is ever spent on, restart or not; :class:`CacheStats` counts both.
 
-Locking: each tier locks its own state.  The composite's :meth:`peek` is
+Locking: the cache's LRU and counters share one lock, and the disk tier
+locks its own state.  The cache's :meth:`~TieredPlanCache.peek` is
 memory-only (never I/O), which is what lets the sharded gateway keep its
 singleflight bookkeeping under its own lock without ever holding that lock
-across a disk read — :meth:`get`/:meth:`probe`, which may touch disk, are
-called by the gateway *outside* its lock.
+across a disk read — :meth:`~TieredPlanCache.get` and
+:meth:`~TieredPlanCache.probe`, which may touch disk, are called by the
+gateway *outside* its lock.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ import io
 import json
 import os
 import threading
-from dataclasses import dataclass, replace
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -49,13 +53,20 @@ from repro.cluster.serialization import (
     timing_from_wire,
     timing_to_wire,
 )
-from repro.core.envelope import EnvelopeIndex
-from repro.service.cache import CacheStats, MemoryTier
+from repro.cluster.simulator import SimulatedTiming
+from repro.core.envelope import EnvelopeIndex, best_index_at
+from repro.plans.plan import Plan
 from repro.service.provenance import InvalidationPredicate, Provenance
-from repro.service.service import SCALAR_ENTRY, CacheEntry
 
 #: First line of every log and snapshot file; readers reject other formats.
 LOG_MAGIC = {"t": "header", "format": "repro-plan-cache", "version": 1}
+
+#: ``CacheEntry.kind`` values: a scalar entry caches one optimization's
+#: plan frontier; an envelope entry caches a parametric run's whole
+#: lower-envelope frontier plus its breakpoint index, so every θ of the
+#: query shape is answered from the one entry.
+SCALAR_ENTRY = "scalar"
+ENVELOPE_ENTRY = "envelope"
 
 
 class DiskTierLockedError(RuntimeError):
@@ -67,6 +78,80 @@ class DiskTierLockedError(RuntimeError):
     an exclusive advisory lock for the lifetime of its handles, and a
     second opener fails fast with this error instead of silently writing.
     """
+
+
+# ------------------------------------------------------------------------ entry
+
+
+@dataclass
+class CacheEntry:
+    """What the cache retains per fingerprint: plans in canonical numbering.
+
+    Storing plans canonically (rather than in the first requester's
+    numbering) makes serving any isomorphic request a single remap; the
+    simulated accounting is that of the original run, which is exactly what
+    an identical request would have measured.  Public because the sharded
+    gateway (:mod:`repro.service.gateway`) hands entries from a completed
+    in-flight run directly to coalesced waiters.
+
+    An entry is the cache's unit of *derived artifact*, not necessarily a
+    single answer: an :data:`ENVELOPE_ENTRY` stores a parametric run's full
+    lower-envelope frontier plus its breakpoint index, from which a
+    θ-specific request is answered by O(log n) lookup
+    (:meth:`select_index`) instead of a DP run.
+
+    Beside the canonical plans an entry carries two render-once memos
+    (``render_memo`` for in-process answers, ``wire_memo`` for the shard
+    server's encoded ones), so a repeat in the same numbering costs a dict
+    probe, not a plan-tree rebuild.  Neither is state of the cached
+    artifact: both are excluded from ``init``, ``repr`` and equality.
+    """
+
+    canonical_plans: list[Plan]
+    n_partitions: int
+    simulated: SimulatedTiming
+    #: Enumeration backend that computed the cached plans; replayed on hits
+    #: so a cached answer stays attributable to the core that produced it.
+    backend_used: str = ""
+    #: How this entry came to be (backend, resolved settings signature,
+    #: creation time, aggregated worker stats).  What a
+    #: persistent tier persists alongside the plans, and what invalidation
+    #: predicates evaluate against.  ``None`` only for hand-built entries.
+    provenance: Provenance | None = None
+    #: :data:`SCALAR_ENTRY` or :data:`ENVELOPE_ENTRY`.
+    kind: str = SCALAR_ENTRY
+    #: Breakpoint index over ``canonical_plans`` for envelope entries.
+    envelope: EnvelopeIndex | None = None
+    #: The shard server's encoded canonical answers, one per selected plan
+    #: (:meth:`repro.service.server.ShardServer._lookup_frame`).  It rides
+    #: the entry object so it dies with it: an entry that is invalidated,
+    #: re-run, re-read from disk or imported is a new object with an empty
+    #: memo (``init=False`` keeps ``dataclasses.replace`` from sharing one).
+    wire_memo: dict[int | None, bytes] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+    #: :meth:`OptimizerService.answer`'s rendered plans, by θ slot (``None``,
+    #: or :meth:`select_index`'s result): ``(numbering, plans)`` for the last
+    #: numbering that slot was relabelled into.  Same lifetime as
+    #: ``wire_memo``, and at most one rendered copy per slot.  Unlocked on
+    #: purpose: a slot is replaced by one dict store of a complete pair, and
+    #: a reader compares against the pair it fetched, so racing renders
+    #: cost a duplicate relabel, never a wrong answer.
+    render_memo: dict[int | None, tuple[tuple[int, ...], list[Plan]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def select_index(self, theta: float) -> int:
+        """Position of the θ-optimal plan in ``canonical_plans``.
+
+        Envelope entries bisect their breakpoint index; an entry without
+        one (a scalar-kind parametric entry from a pre-envelope log) falls
+        back to the linear reference rule — same selection, just O(n).
+        """
+        costs = [plan.cost for plan in self.canonical_plans]
+        if self.envelope is not None:
+            return self.envelope.select(costs, theta)
+        return best_index_at(costs, theta)
 
 
 # ------------------------------------------------------------------ entry codec
@@ -110,11 +195,28 @@ def entry_from_wire(data: dict[str, Any]) -> CacheEntry:
     )
 
 
+def decode_put_record(record: dict[str, Any]) -> tuple[str, CacheEntry]:
+    """The key and decoded entry of a shipped ``put`` record.
+
+    Raises ``ValueError`` naming the key when the record is malformed, so an
+    importer can refuse a bad shipment before it stores any of it.
+    """
+    key = record.get("k")
+    try:
+        if not isinstance(key, str):
+            raise TypeError("the key is not a string")
+        return key, entry_from_wire(record["entry"])
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise ValueError(
+            f"malformed plan-cache record for key {key!r}: {error}"
+        ) from None
+
+
 # -------------------------------------------------------------------- disk tier
 
 
 class DiskTier:
-    """Append-only persistent cache tier with an in-memory offset index.
+    """Append-only persistent store of cache entries with an offset index.
 
     The log holds one JSON record per line: a header, then ``put`` records
     (key, serialized entry) and ``del`` tombstones.  The index maps each
@@ -136,10 +238,8 @@ class DiskTier:
     not mid-serving.  ``0.0`` (default) never auto-compacts; explicit
     :meth:`compact` always works regardless.
 
-    Standalone, the tier satisfies :class:`~repro.service.cache.CacheTier`
-    with one documented deviation: :meth:`peek` performs a (stat-free)
-    disk read, so compose it under :class:`TieredPlanCache` — whose peek is
-    memory-only — before handing it to lock-holding callers.
+    The tier keeps no hit or miss counters: :class:`TieredPlanCache` reads
+    it through :meth:`peek` and classifies every lookup itself, once.
     """
 
     def __init__(
@@ -155,7 +255,6 @@ class DiskTier:
         self.path = Path(path)
         self.sync = sync
         self.compact_ratio = compact_ratio
-        self.stats = CacheStats()
         self._lock = threading.RLock()
         self._offsets: dict[str, int] = {}
         self._provenance: dict[str, Provenance | None] = {}
@@ -300,29 +399,8 @@ class DiskTier:
         record = json.loads(self._reader.readline())
         return entry_from_wire(record["entry"])
 
-    def get(self, key: str) -> CacheEntry | None:
-        """Read an entry from disk, counting a hit or a miss."""
-        with self._lock:
-            offset = self._offsets.get(key)
-            if offset is None:
-                self.stats.misses += 1
-                return None
-            entry = self._read_entry(offset)
-            self.stats.hits += 1
-            return entry
-
-    def probe(self, key: str) -> CacheEntry | None:
-        """Like :meth:`get` but an absent key counts nothing."""
-        with self._lock:
-            offset = self._offsets.get(key)
-            if offset is None:
-                return None
-            entry = self._read_entry(offset)
-            self.stats.hits += 1
-            return entry
-
     def peek(self, key: str) -> CacheEntry | None:
-        """Read an entry without statistics effects (still one disk read)."""
+        """Read the live entry for ``key`` (one disk read), or ``None``."""
         with self._lock:
             offset = self._offsets.get(key)
             if offset is None:
@@ -333,12 +411,16 @@ class DiskTier:
         """Append the entry; the new record supersedes any older one."""
         record = {"t": "put", "k": key, "entry": entry_to_wire(entry)}
         with self._lock:
-            self._offsets[key] = self._append(record)
-            self._provenance[key] = entry.provenance
-            self._kinds[key] = entry.kind
+            self._store(key, record, entry)
+
+    def _store(self, key: str, record: dict[str, Any], entry: CacheEntry) -> None:
+        """Append ``key``'s put record and index it.  Caller holds the lock."""
+        self._offsets[key] = self._append(record)
+        self._provenance[key] = entry.provenance
+        self._kinds[key] = entry.kind
 
     def evict(self, key: str) -> bool:
-        """Tombstone ``key`` if present (counted as an eviction)."""
+        """Tombstone ``key``; returns whether it was live."""
         with self._lock:
             if key not in self._offsets:
                 return False
@@ -346,15 +428,7 @@ class DiskTier:
             del self._offsets[key]
             self._provenance.pop(key, None)
             self._kinds.pop(key, None)
-            self.stats.evictions += 1
             return True
-
-    def reclassify_miss_as_hit(self) -> None:
-        """Recount one earlier miss as a hit (see the memory tier)."""
-        with self._lock:
-            if self.stats.misses > 0:
-                self.stats.misses -= 1
-            self.stats.hits += 1
 
     # ------------------------------------------------------------- invalidation
 
@@ -376,7 +450,6 @@ class DiskTier:
                 del self._offsets[key]
                 del self._provenance[key]
                 self._kinds.pop(key, None)
-                self.stats.evictions += 1
             return doomed
 
     # -------------------------------------------------------------- inspection
@@ -454,22 +527,23 @@ class DiskTier:
         durable and survive this process exactly like locally computed
         ones.  Non-``put`` records are ignored (a shipment carries entries,
         not deletion history).
+
+        Every record is decoded before anything is appended: a malformed one
+        raises ``ValueError`` naming its key and leaves the log and its
+        index as they were, instead of storing a record no later read could
+        decode.
         """
+        puts = [
+            (record, *decode_put_record(record))
+            for record in records
+            if record.get("t") == "put"
+        ]
         imported = 0
         with self._lock:
-            for record in records:
-                if record.get("t") != "put":
-                    continue
-                key = record["k"]
-                if not overwrite and key in self._offsets:
-                    continue
-                self._offsets[key] = self._append(record)
-                provenance = record["entry"].get("provenance")
-                self._provenance[key] = (
-                    Provenance.from_wire(provenance) if provenance else None
-                )
-                self._kinds[key] = record["entry"].get("kind", SCALAR_ENTRY)
-                imported += 1
+            for record, key, entry in puts:
+                if overwrite or key not in self._offsets:
+                    self._store(key, record, entry)
+                    imported += 1
         return imported
 
     def export_snapshot(self, path: str | os.PathLike) -> int:
@@ -552,31 +626,6 @@ class DiskTier:
                     replacement.unlink(missing_ok=True)
             return before - self._appender.tell()
 
-    # ------------------------------------------------------------------- stats
-
-    def snapshot(self) -> CacheStats:
-        """A consistent copy of the counters."""
-        with self._lock:
-            return replace(self.stats)
-
-    def snapshot_with_size(self) -> tuple[CacheStats, int]:
-        """Counters plus live entry count, read in one lock hold."""
-        with self._lock:
-            return replace(self.stats), len(self._offsets)
-
-    def clear(self) -> None:
-        """Drop every entry, truncate the log, reset statistics."""
-        with self._lock:
-            self._appender.truncate(0)
-            self._appender.seek(0)
-            self._appender.write(_record_bytes(LOG_MAGIC))
-            self._appender.flush()
-            self._offsets.clear()
-            self._provenance.clear()
-            self._kinds.clear()
-            self._total_records = 0
-            self.stats = CacheStats()
-
     # --------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
@@ -622,27 +671,26 @@ def _record_bytes(record: dict[str, Any]) -> bytes:
     return json.dumps(record, separators=(",", ":"), allow_nan=False).encode() + b"\n"
 
 
-# -------------------------------------------------------------------- composite
+# ------------------------------------------------------------------------ cache
 
 
 @dataclass
-class TieredStats:
-    """Counters of a :class:`TieredPlanCache`, CacheStats-compatible.
+class CacheStats:
+    """Counters of a :class:`TieredPlanCache` since construction.
 
-    ``hits``/``misses``/``evictions``/``hit_rate`` mean what they mean on
-    :class:`~repro.service.cache.CacheStats` (so gateway aggregation and
-    every existing dashboard keep working); the extra counters break the
-    hits down by tier and expose the data movement between them.
-    ``evictions`` counts entries that left the *composite* entirely —
-    a memory eviction whose entry remains on disk is a ``demotion``, not a
-    loss.
+    ``hits`` counts lookups answered from either tier, ``disk_hits`` those
+    of them read from the disk tier.  ``evictions`` counts entries that
+    left the cache entirely: a memory eviction whose entry remains on disk
+    is a ``demotion``, not a loss.  Fields only, so ``dataclasses.asdict``
+    is the JSON form.
     """
 
-    memory_hits: int = 0
-    disk_hits: int = 0
+    hits: int = 0
     misses: int = 0
     evictions: int = 0
-    #: Disk hits copied up into the memory tier.
+    #: Hits read from the disk tier.
+    disk_hits: int = 0
+    #: Disk hits copied up into memory.
     promotions: int = 0
     #: Memory evictions whose entry remains on disk.
     demotions: int = 0
@@ -652,9 +700,9 @@ class TieredStats:
     invalidated: int = 0
 
     @property
-    def hits(self) -> int:
-        """Lookups answered from either tier."""
-        return self.memory_hits + self.disk_hits
+    def memory_hits(self) -> int:
+        """Hits answered from memory."""
+        return self.hits - self.disk_hits
 
     @property
     def lookups(self) -> int:
@@ -668,72 +716,89 @@ class TieredStats:
 
 
 class TieredPlanCache:
-    """Memory-over-disk composite cache, write-through with promote-on-hit.
+    """The plan cache: a bounded in-memory LRU over an optional disk tier.
 
-    Lookup order is memory first, then disk; a disk hit is promoted into
-    memory (whenever ``memory_capacity > 0``) so the hot set migrates back
-    up after a restart.  Every put lands on disk immediately, so a memory
-    eviction is pure accounting: the entry is already durable, and the
-    pairs :meth:`MemoryTier.put` returns are counted as demotions (as
-    losses when there is no disk tier).
+    Lookup order is memory, then disk.  A disk hit is promoted into memory
+    (whenever ``memory_capacity > 0``) so the hot set migrates back up after
+    a restart.  Every put lands on disk first (write-through), so a memory
+    eviction is pure accounting: the entry is already durable, and it is
+    counted as a demotion — or, without a disk tier, as an eviction.
 
-    All hit/miss/eviction accounting lives in this composite's
-    :class:`TieredStats`; the wrapped tiers' own counters are not consulted
-    (the composite uses their stat-free operations), so one logical lookup
-    is classified exactly once no matter how many tiers it touched.
+    ``memory_capacity=0`` keeps nothing in memory.  Without a disk tier,
+    every lookup then misses and every put is dropped on the floor (counted
+    as an eviction), which is the supported way to run a service or gateway
+    uncached.
 
-    :meth:`peek` is memory-only and I/O-free by contract — it is what the
-    service's batch dedup and the gateway's singleflight call while holding
-    their own locks.  :meth:`get`/:meth:`probe` may read disk and must be
-    called unlocked (the gateway does).
+    The LRU and its :class:`CacheStats` share one lock, so a memory hit is
+    one lock hold, one ``move_to_end`` and one counter increment, and every
+    lookup is classified exactly once.  :meth:`peek` is memory-only and
+    I/O-free by contract — the service's batch dedup and the gateway's
+    singleflight call it while holding their own locks.  Disk reads and
+    writes run outside this lock (the disk tier locks its own state), so
+    :meth:`get`/:meth:`probe` may do I/O and must be called unlocked (the
+    gateway does).
     """
 
     def __init__(
         self, memory_capacity: int = 256, disk: DiskTier | None = None
     ) -> None:
-        self.disk = disk
+        if memory_capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {memory_capacity}")
         self.capacity = memory_capacity
-        self.stats = TieredStats()
-        self._lock = threading.RLock()
-        self.memory: MemoryTier[CacheEntry] = MemoryTier(capacity=memory_capacity)
+        self.disk = disk
+        self.stats = CacheStats()
+        self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
+        self._lock = threading.Lock()
 
     # ----------------------------------------------------------------- lookups
 
     def get(self, key: str) -> CacheEntry | None:
-        """Memory, then disk (promoting), counting one hit or miss total."""
-        value = self.probe(key)
-        if value is None:
-            with self._lock:
+        """Memory, then disk (promoting); counts one hit or one miss."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                return entry
+            if self.disk is None:
                 self.stats.misses += 1
-        return value
+                return None
+        return self._read_disk(key, miss=1)
 
     def probe(self, key: str) -> CacheEntry | None:
-        """Like :meth:`get` but an absent key counts nothing."""
-        value = self.memory.touch(key)
-        if value is not None:
-            with self._lock:
-                self.stats.memory_hits += 1
-            return value
-        return self._disk_read(key)
+        """Like :meth:`get`, but an absent key is *not* counted as a miss.
 
-    def _disk_read(self, key: str) -> CacheEntry | None:
-        """Stat-free disk read plus promotion and disk-hit accounting."""
-        if self.disk is None:
-            return None
-        value = self.disk.peek(key)
-        if value is None:
-            return None
-        promoted = self.capacity > 0
-        demoted = len(self.memory.put(key, value)) if promoted else 0
+        For opportunistic fast-path probes that fall back to a full,
+        miss-counting lookup: counting the probe *and* the later real lookup
+        would double-count one logical miss, breaking the
+        ``misses == optimizations`` accounting identity.
+        """
         with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                self.stats.hits += 1
+                return entry
+        return None if self.disk is None else self._read_disk(key, miss=0)
+
+    def _read_disk(self, key: str, miss: int) -> CacheEntry | None:
+        """A memory miss's disk read, promotion and accounting."""
+        entry = self.disk.peek(key)
+        with self._lock:
+            if entry is None:
+                self.stats.misses += miss
+                return None
+            self.stats.hits += 1
             self.stats.disk_hits += 1
-            self.stats.promotions += promoted
-            self.stats.demotions += demoted
-        return value
+            if self.capacity:
+                self.stats.promotions += 1
+                self.stats.demotions += self._insert(key, entry)
+        return entry
 
     def peek(self, key: str) -> CacheEntry | None:
-        """Memory-resident value only; never touches disk or statistics."""
-        return self.memory.peek(key)
+        """Memory-resident value only; never touches recency, disk or stats."""
+        with self._lock:
+            return self._entries.get(key)
 
     # ------------------------------------------------------------------ writes
 
@@ -741,69 +806,86 @@ class TieredPlanCache:
         """Write through to disk, then insert into memory."""
         if self.disk is not None:
             self.disk.put(key, value)
-        evicted = len(self.memory.put(key, value))
         with self._lock:
+            dropped = self._insert(key, value)
             if self.disk is None:
-                self.stats.evictions += evicted
+                self.stats.evictions += dropped
             else:
                 self.stats.disk_writes += 1
-                self.stats.demotions += evicted
+                self.stats.demotions += dropped
+
+    def _insert(self, key: str, value: CacheEntry) -> int:
+        """Insert as most recent, trim to capacity; returns entries dropped.
+
+        Caller holds the lock.
+        """
+        entries = self._entries
+        entries[key] = value
+        entries.move_to_end(key)
+        dropped = 0
+        while len(entries) > self.capacity:
+            entries.popitem(last=False)
+            dropped += 1
+        return dropped
 
     def evict(self, key: str) -> bool:
         """Drop ``key`` from both tiers; counted once if either held it."""
-        dropped_memory = self.memory.evict(key)
-        dropped_disk = self.disk.evict(key) if self.disk is not None else False
-        if dropped_memory or dropped_disk:
+        with self._lock:
+            dropped = self._entries.pop(key, None) is not None
+        if self.disk is not None and self.disk.evict(key):
+            dropped = True
+        if dropped:
             with self._lock:
                 self.stats.evictions += 1
-            return True
-        return False
+        return dropped
 
     # ------------------------------------------------------- snapshot shipping
 
     def keys(self) -> list[str]:
         """Distinct live keys across both tiers, sorted."""
-        resident = set(self.memory.keys())
+        with self._lock:
+            resident = set(self._entries)
         if self.disk is not None:
             resident.update(self.disk.keys())
         return sorted(resident)
 
     def export_records(self, keys: Iterable[str] | None = None) -> list[dict[str, Any]]:
-        """Stat-free wire records for live entries (disk first, then memory).
+        """Stat-free ``put`` records for live entries (default: all), by key.
 
         The disk tier serves what it holds verbatim (no decode/re-encode
-        round trip); entries resident only in memory — a disk-less cache —
-        are encoded on the fly.
-        The result is the same ``put``-record form as
-        :meth:`DiskTier.export_records`, sorted by key.
+        round trip); entries resident only in memory — all of them, without
+        a disk tier — are encoded on the fly into the same log-line form as
+        :meth:`DiskTier.export_records`.  Unknown keys are skipped.
         """
+        wanted = None if keys is None else list(keys)
         records: dict[str, dict[str, Any]] = {}
         if self.disk is not None:
-            for record in self.disk.export_records(keys):
+            for record in self.disk.export_records(wanted):
                 records[record["k"]] = record
-        wanted = list(self.memory.keys()) if keys is None else list(keys)
-        for key in wanted:
-            if key in records:
-                continue
-            entry = self.memory.peek(key)
-            if entry is not None:
-                records[key] = {"t": "put", "k": key, "entry": entry_to_wire(entry)}
+        with self._lock:
+            resident = [
+                (key, self._entries[key])
+                for key in (self._entries if wanted is None else wanted)
+                if key not in records and key in self._entries
+            ]
+        for key, entry in resident:
+            records[key] = {"t": "put", "k": key, "entry": entry_to_wire(entry)}
         return [records[key] for key in sorted(records)]
 
     def import_records(self, records: Iterable[dict[str, Any]]) -> int:
-        """Merge shipped ``put`` records through the normal write path.
+        """Merge shipped ``put`` records through :meth:`put`; returns count.
 
-        Each entry goes through :meth:`put`, so an imported entry is durable
-        in the disk log before this returns, which is what lets a rebalanced
-        key's new owner restart and still serve it from cache.
+        Every record is decoded before any is stored, so a malformed one
+        raises ``ValueError`` naming its key and imports nothing.  Each
+        entry is durable in the disk log before this returns, which is what
+        lets a rebalanced key's new owner restart and still serve it.
         """
-        imported = 0
-        for record in records:
-            if record.get("t") != "put":
-                continue
-            self.put(record["k"], entry_from_wire(record["entry"]))
-            imported += 1
-        return imported
+        decoded = [
+            decode_put_record(record) for record in records if record.get("t") == "put"
+        ]
+        for key, entry in decoded:
+            self.put(key, entry)
+        return len(decoded)
 
     # ------------------------------------------------------------- invalidation
 
@@ -815,16 +897,15 @@ class TieredPlanCache:
         so an entry resident in both tiers cannot survive in one of them
         and "selective" stays selective after promotions and demotions.
         """
-        doomed: set[str] = set()
-        if self.disk is not None:
-            doomed.update(self.disk.invalidate(predicate))
-        for key in self.memory.keys():
-            entry = self.memory.peek(key)
-            if entry is not None and predicate.matches(entry.provenance):
-                doomed.add(key)
-        for key in doomed:
-            self.memory.evict(key)
+        doomed = set() if self.disk is None else set(self.disk.invalidate(predicate))
         with self._lock:
+            doomed.update(
+                key
+                for key, entry in self._entries.items()
+                if predicate.matches(entry.provenance)
+            )
+            for key in doomed:
+                self._entries.pop(key, None)
             self.stats.invalidated += len(doomed)
             self.stats.evictions += len(doomed)
         return sorted(doomed)
@@ -832,29 +913,34 @@ class TieredPlanCache:
     # ------------------------------------------------------------------- stats
 
     def reclassify_miss_as_hit(self) -> None:
-        """Recount one earlier miss as a (memory) hit; never goes negative."""
-        with self._lock:
-            if self.stats.misses > 0:
-                self.stats.misses -= 1
-            self.stats.memory_hits += 1
+        """Recount one earlier miss as a (memory) hit.
 
-    def snapshot(self) -> TieredStats:
-        """A consistent copy of the composite counters."""
+        Used when a lookup that missed was nevertheless answered without a
+        fresh optimization — a duplicate within a batch, or a request
+        coalesced onto an in-flight run — so the operator-facing hit rate
+        agrees with the ``cached`` flags on the results.  Every caller
+        reclassifies a miss its own ``get`` counted, and nothing resets the
+        counters, so ``misses`` never goes negative.
+        """
+        with self._lock:
+            self.stats.misses -= 1
+            self.stats.hits += 1
+
+    def snapshot(self) -> CacheStats:
+        """A consistent copy of the counters (safe under concurrency)."""
         with self._lock:
             return replace(self.stats)
 
-    def snapshot_with_size(self) -> tuple[TieredStats, int]:
-        """Counters plus distinct resident keys across both tiers."""
+    def snapshot_with_size(self) -> tuple[CacheStats, int]:
+        """Counters plus distinct resident keys across both tiers, untorn."""
         with self._lock:
-            return replace(self.stats), len(self)
+            return replace(self.stats), self._size()
 
-    def clear(self) -> None:
-        """Drop all entries in both tiers and reset statistics."""
-        self.memory.clear()
-        if self.disk is not None:
-            self.disk.clear()
-        with self._lock:
-            self.stats = TieredStats()
+    def _size(self) -> int:
+        """Distinct live keys across both tiers.  Caller holds the lock."""
+        if self.disk is None:
+            return len(self._entries)
+        return len(self._entries.keys() | self.disk.keys())
 
     # --------------------------------------------------------------- lifecycle
 
@@ -864,14 +950,14 @@ class TieredPlanCache:
             self.disk.close()
 
     def __contains__(self, key: str) -> bool:
-        if key in self.memory:
-            return True
+        with self._lock:
+            if key in self._entries:
+                return True
         return self.disk is not None and key in self.disk
 
     def __len__(self) -> int:
-        if self.disk is None:
-            return len(self.memory)
-        return len(set(self.memory.keys()) | set(self.disk.keys()))
+        with self._lock:
+            return self._size()
 
 
 def shard_cache_factory(

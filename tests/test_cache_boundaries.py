@@ -1,14 +1,15 @@
-"""PlanCache boundary behavior: capacity 0/1, accounting, concurrency."""
+"""Plan-cache boundary behavior: capacity 0/1, accounting, concurrency."""
 
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
 
 from repro.query.generator import SteinbrunnGenerator
-from repro.service import OptimizerService, PlanCache
+from repro.service import OptimizerService, TieredPlanCache
 
 
 class TestCapacityZero:
@@ -16,12 +17,12 @@ class TestCapacityZero:
 
     def test_rejects_negative_capacity_only(self):
         with pytest.raises(ValueError):
-            PlanCache(capacity=-1)
-        PlanCache(capacity=0)
-        PlanCache(capacity=1)
+            TieredPlanCache(memory_capacity=-1)
+        TieredPlanCache(memory_capacity=0)
+        TieredPlanCache(memory_capacity=1)
 
     def test_stores_nothing_and_counts_drops_as_evictions(self):
-        cache: PlanCache[str] = PlanCache(capacity=0)
+        cache = TieredPlanCache(memory_capacity=0)
         for index in range(5):
             cache.put(f"k{index}", "value")
         assert len(cache) == 0
@@ -58,9 +59,32 @@ class TestCapacityZero:
                 assert result.plans == results[0].plans
 
 
+class TestHitPath:
+    def test_memory_hit_takes_one_lock_hold(self):
+        # The hit path's cost floor: the LRU refresh and the hit count
+        # share one lock hold, for ``get`` and ``probe`` alike.
+        cache = TieredPlanCache(memory_capacity=2)
+        cache.put("a", 1)
+        lock, holds = cache._lock, []
+
+        class CountingLock:
+            def __enter__(self):
+                holds.append(1)
+                return lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                return lock.__exit__(*exc_info)
+
+        cache._lock = CountingLock()
+        assert cache.get("a") == 1
+        assert cache.probe("a") == 1
+        assert len(holds) == 2
+        assert (cache.stats.hits, cache.stats.misses) == (2, 0)
+
+
 class TestCapacityOne:
     def test_single_slot_lru(self):
-        cache: PlanCache[int] = PlanCache(capacity=1)
+        cache = TieredPlanCache(memory_capacity=1)
         cache.put("a", 1)
         assert cache.get("a") == 1
         cache.put("b", 2)
@@ -70,7 +94,7 @@ class TestCapacityOne:
         assert cache.get("b") == 2
 
     def test_refreshing_the_only_entry_never_evicts(self):
-        cache: PlanCache[int] = PlanCache(capacity=1)
+        cache = TieredPlanCache(memory_capacity=1)
         cache.put("a", 1)
         for value in range(5):
             cache.put("a", value)
@@ -82,7 +106,7 @@ class TestAccountingInterleavings:
     def test_eviction_counts_under_interleaved_put_and_reclassify(self):
         # Reclassification moves counters between hit/miss buckets; it must
         # never disturb eviction accounting or entry residency.
-        cache: PlanCache[int] = PlanCache(capacity=2)
+        cache = TieredPlanCache(memory_capacity=2)
         cache.get("a")  # miss
         cache.put("a", 1)
         cache.reclassify_miss_as_hit()
@@ -100,7 +124,7 @@ class TestAccountingInterleavings:
         assert cache.stats.hits + cache.stats.misses == cache.stats.lookups
 
     def test_probe_counts_hits_but_never_misses(self):
-        cache: PlanCache[int] = PlanCache(capacity=2)
+        cache = TieredPlanCache(memory_capacity=2)
         assert cache.probe("a") is None
         assert cache.stats.misses == 0
         cache.put("a", 1)
@@ -113,96 +137,19 @@ class TestAccountingInterleavings:
         assert "a" in cache and "b" not in cache
 
 
-class TestReclassifyClamp:
-    """Regression: reclassify after the miss count was reset must clamp.
-
-    The pre-tiering code decremented ``misses`` unconditionally, so a
-    ``clear()`` (or any counter reset) racing between a caller's miss and
-    its ``reclassify_miss_as_hit`` left ``misses`` at -1 forever — a torn
-    read that the capacity=1 audit of snapshot()/reclassify found.  All
-    three tiers clamp now.
-    """
-
-    def test_reclassify_after_clear_is_clamped(self):
-        cache: PlanCache[int] = PlanCache(capacity=1)
-        assert cache.get("a") is None  # a real miss …
-        cache.clear()  # … wiped before the caller reports back
-        cache.reclassify_miss_as_hit()
-        stats = cache.snapshot()
-        assert stats.misses == 0  # clamped, not -1
-        assert stats.hits == 1
-        assert stats.lookups == stats.hits + stats.misses
-
-    def test_reclassify_without_any_miss_is_clamped(self):
-        cache: PlanCache[int] = PlanCache(capacity=1)
-        cache.reclassify_miss_as_hit()
-        cache.reclassify_miss_as_hit()
-        stats = cache.snapshot()
-        assert (stats.hits, stats.misses) == (2, 0)
-
-    def test_capacity_one_snapshot_audit_under_clear_races(self):
-        """Capacity=1, with clear() and evict() thrown into the mix: no
-        snapshot may ever observe negative or torn counters."""
-        cache: PlanCache[int] = PlanCache(capacity=1)
-        n_threads = 6
-        violations: list[str] = []
-        barrier = threading.Barrier(n_threads + 1)
-        stop = threading.Event()
-
-        def worker(seed: int) -> None:
-            rng = random.Random(seed)
-            barrier.wait(timeout=30)
-            for step in range(300):
-                action = rng.random()
-                key = f"k{rng.randint(0, 3)}"
-                if action < 0.40:
-                    if cache.get(key) is None:
-                        cache.put(key, step)
-                        cache.reclassify_miss_as_hit()
-                elif action < 0.55:
-                    cache.evict(key)
-                elif action < 0.60:
-                    cache.clear()
-                else:
-                    cache.put(key, step)
-
-        def observer() -> None:
-            barrier.wait(timeout=30)
-            while not stop.is_set():
-                stats, size = cache.snapshot_with_size()
-                if size > 1:
-                    violations.append(f"size {size} > capacity 1")
-                if min(stats.hits, stats.misses, stats.evictions) < 0:
-                    violations.append(f"negative counters: {stats}")
-                if stats.lookups != stats.hits + stats.misses:
-                    violations.append(f"torn counters: {stats}")
-
-        threads = [
-            threading.Thread(target=worker, args=(seed,))
-            for seed in range(n_threads)
-        ]
-        watcher = threading.Thread(target=observer)
-        for thread in threads:
-            thread.start()
-        watcher.start()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
-        stop.set()
-        watcher.join(timeout=30)
-        assert not watcher.is_alive()
-        assert violations == []
-
-
 class TestConcurrentHammer:
     @pytest.mark.parametrize("capacity", [1, 4])
     def test_size_never_exceeds_capacity_under_hammering(self, capacity):
-        """Concurrent put/get/reclassify from many threads: every snapshot
-        must observe size <= capacity and non-negative, conserved counters."""
-        cache: PlanCache[int] = PlanCache(capacity=capacity)
+        """Concurrent put/get/probe/evict/reclassify from many threads:
+        every snapshot must observe size <= capacity and non-negative,
+        conserved counters, and at the end every counted lookup is one the
+        workers made (a lost counter update would break the sum)."""
+        cache = TieredPlanCache(memory_capacity=capacity)
         n_threads = 8
         n_operations = 400
         violations: list[str] = []
+        #: Per worker: ``get`` calls plus ``probe`` calls that hit.
+        counted = [0] * n_threads
         barrier = threading.Barrier(n_threads + 1)
         stop = threading.Event()
 
@@ -213,16 +160,20 @@ class TestConcurrentHammer:
                 key = f"k{rng.randint(0, 12)}"
                 action = rng.random()
                 if action < 0.45:
+                    counted[seed] += 1
                     if cache.get(key) is None:
                         cache.put(key, step)
                 elif action < 0.65:
-                    cache.probe(key)
+                    counted[seed] += cache.probe(key) is not None
                 elif action < 0.75:
                     # Pair a reclassify with a miss we just caused ourselves,
                     # as the service layer does.
+                    counted[seed] += 1
                     if cache.get(f"fresh-{seed}-{step}") is None:
                         cache.put(f"fresh-{seed}-{step}", step)
                         cache.reclassify_miss_as_hit()
+                elif action < 0.80:
+                    cache.evict(key)
                 else:
                     cache.put(key, step)
 
@@ -242,16 +193,22 @@ class TestConcurrentHammer:
             for seed in range(n_threads)
         ]
         watcher = threading.Thread(target=observer)
-        for thread in threads:
-            thread.start()
-        watcher.start()
-        for thread in threads:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
-        stop.set()
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # preempt inside every lock-free window
+        try:
+            for thread in threads:
+                thread.start()
+            watcher.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            stop.set()
+            sys.setswitchinterval(switch_interval)
         watcher.join(timeout=30)
         assert not watcher.is_alive()
         assert violations == []
         stats, size = cache.snapshot_with_size()
         assert size <= capacity
         assert len(cache) == size
+        assert stats.lookups == sum(counted)

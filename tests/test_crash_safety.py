@@ -56,11 +56,11 @@ class TestTornAppend:
         with DiskTier(log) as reopened:
             assert sorted(reopened.keys()) == [f"key-{i}" for i in range(6)]
             for i in range(6):
-                assert reopened.get(f"key-{i}") == make_entry(created=i)
+                assert reopened.peek(f"key-{i}") == make_entry(created=i)
             # The torn record is gone, and the log is usable for new writes.
-            assert reopened.get("torn") is None
+            assert reopened.peek("torn") is None
             reopened.put("after-crash", make_entry())
-            assert reopened.get("after-crash") == make_entry()
+            assert reopened.peek("after-crash") == make_entry()
 
     def test_unterminated_but_parseable_tail_is_dropped(self, tmp_path):
         # A record can be complete JSON yet missing its newline — fsync got
@@ -73,7 +73,7 @@ class TestTornAppend:
             handle.write(record.rstrip(b"\n"))
         with DiskTier(log) as reopened:
             assert sorted(reopened.keys()) == ["key-0", "key-1"]
-            assert reopened.get("half") is None
+            assert reopened.peek("half") is None
 
     def test_recovery_truncates_garbage_tail_once(self, tmp_path):
         log = tmp_path / "cache.log"
@@ -103,9 +103,9 @@ class TestCompactionFailure:
         # The PR 7 bug: handles were closed before the failure surfaced, so
         # every later get/put raised ValueError("I/O operation on closed
         # file").  The tier must instead keep serving...
-        assert tier.get("key-0") == make_entry(created=0)
+        assert tier.peek("key-0") == make_entry(created=0)
         tier.put("post-failure", make_entry())
-        assert tier.get("post-failure") == make_entry()
+        assert tier.peek("post-failure") == make_entry()
         # ...and must not leak the temp snapshot.
         assert not list(tmp_path.glob("*.compact"))
         tier.close()
@@ -123,9 +123,9 @@ class TestCompactionFailure:
         monkeypatch.setattr(os, "replace", real_replace)
         # The old log is intact and the handles were re-opened on it.
         assert sorted(tier.keys()) == [f"key-{i}" for i in range(4)]
-        assert tier.get("key-2") == make_entry(created=2)
+        assert tier.peek("key-2") == make_entry(created=2)
         tier.put("after", make_entry())
-        assert tier.get("after") == make_entry()
+        assert tier.peek("after") == make_entry()
         assert not list(tmp_path.glob("*.compact"))
         tier.close()
 
@@ -135,9 +135,9 @@ class TestCompactionFailure:
             tier.put(f"key-{i}", make_entry(created=100 + i))  # supersede
         reclaimed = tier.compact()
         assert reclaimed > 0
-        assert tier.get("key-3") == make_entry(created=103)
+        assert tier.peek("key-3") == make_entry(created=103)
         tier.put("fresh", make_entry())
-        assert tier.get("fresh") == make_entry()
+        assert tier.peek("fresh") == make_entry()
         assert not list(tmp_path.glob("*.compact"))
         tier.close()
 
@@ -258,7 +258,7 @@ class TestStrictLogEncoding:
             ))
             assert isinstance(decoded, dict)
         with DiskTier(log) as tier:
-            served = tier.get("inf-cost")
+            served = tier.peek("inf-cost")
             assert served is not None
             assert served.canonical_plans[0].cost == (math.inf,)
 
@@ -289,7 +289,7 @@ class TestAutoCompaction:
             assert reopened.live_ratio() == 1.0
             assert sorted(reopened.keys()) == [f"key-{i}" for i in range(6)]
             for i in range(6):
-                assert reopened.get(f"key-{i}") == make_entry(created=i)
+                assert reopened.peek(f"key-{i}") == make_entry(created=i)
 
     def test_open_compacts_a_dirty_log(self, tmp_path):
         log = tmp_path / "cache.log"
@@ -321,7 +321,7 @@ class TestAutoCompaction:
             handle.write(b'{"t": "put", "k": "torn", "en')
         with DiskTier(log, compact_ratio=0.5) as reopened:
             assert reopened.live_ratio() == 1.0
-            assert reopened.get("torn") is None
+            assert reopened.peek("torn") is None
             assert sorted(reopened.keys()) == [f"key-{i}" for i in range(6)]
 
     def test_crash_mid_close_compaction_loses_nothing(self, tmp_path, monkeypatch):
@@ -337,7 +337,7 @@ class TestAutoCompaction:
         monkeypatch.undo()
         # The tier survived with open handles (compact()'s contract), the
         # retry compacts, and every live record is still there.
-        assert tier.get("key-3") == make_entry(created=3)
+        assert tier.peek("key-3") == make_entry(created=3)
         tier.close()
         with DiskTier(log) as reopened:
             assert reopened.live_ratio() == 1.0

@@ -57,8 +57,8 @@ from repro.service import (
 from repro.service.fingerprint import CanonicalForm
 from repro.service.net import result_from_wire, result_to_wire
 from repro.service.remap import invert, remap_plan
-from repro.service.service import CacheEntry, relabel
-from repro.service.tiers import entry_from_wire, entry_to_wire
+from repro.service.service import relabel
+from repro.service.tiers import CacheEntry, entry_from_wire, entry_to_wire
 from tests.test_service import permute_query, shuffled
 
 PARAMETRIC = parametric_settings()
@@ -741,7 +741,7 @@ class TestEnvelopeWire:
                 ("deadbeef", entry.provenance, ENVELOPE_ENTRY)
             ]
         with DiskTier(log) as tier:  # restart: recovered from the log
-            recovered = tier.get("deadbeef")
+            recovered = tier.peek("deadbeef")
             assert recovered.kind == ENVELOPE_ENTRY
             assert recovered.envelope == entry.envelope
             assert recovered.canonical_plans == entry.canonical_plans

@@ -486,6 +486,21 @@ class TestServeBatchFlags:
         # repeat misses again.
         assert round_two("--cache-size", "1") == ([False, True], 1)
 
+    def test_memory_only_json_keeps_the_lru_counters(self, two_queries, capsys):
+        # Without --cache-dir every shard's cache has no disk tier, and its
+        # counters still report hits, misses and evictions.
+        assert repro.service.OptimizerService().cache.disk is None
+        report = self.serve(
+            capsys, *two_queries, "--repeat", "2", "--cache-size", "1",
+            "--shards", "2",
+        )
+        caches = [shard["cache"] for shard in report["stats"]["shards"]]
+        assert sum(cache["hits"] for cache in caches) >= 1
+        assert sum(cache["misses"] for cache in caches) >= 2
+        for cache in caches:
+            assert {"hits", "misses", "evictions"} <= cache.keys()
+            assert cache["disk_hits"] == cache["disk_writes"] == 0
+
 
 class TestShardFleetCLI:
     def test_deployment_paths_reach_the_fleet(self, tmp_path, monkeypatch, capsys):
@@ -576,7 +591,8 @@ class TestCacheCLI:
     def test_sharded_json_with_tiers_is_serializable(
         self, tmp_path, query_files, capsys
     ):
-        # Per-shard TieredStats reach --json through the one stats tree.
+        # Per-shard CacheStats, disk counters included, reach --json
+        # through the one stats tree.
         payload = self.serve(
             query_files, tmp_path / "plans", capsys, "--shards", "2"
         )

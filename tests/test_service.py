@@ -15,7 +15,7 @@ from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind, Query
 from repro.service import (
     OptimizerService,
-    PlanCache,
+    TieredPlanCache,
     canonicalize,
     fingerprint,
     remap_plan,
@@ -137,9 +137,9 @@ class TestFingerprint:
         assert remap_plan(plan, canonical.numbering).mask == query.all_tables_mask
 
 
-class TestPlanCache:
+class TestMemoryLRU:
     def test_hits_and_misses_counted(self):
-        cache: PlanCache[str] = PlanCache(capacity=4)
+        cache = TieredPlanCache(memory_capacity=4)
         assert cache.get("a") is None
         cache.put("a", "plan-a")
         assert cache.get("a") == "plan-a"
@@ -148,7 +148,7 @@ class TestPlanCache:
         assert cache.stats.hit_rate == 0.5
 
     def test_lru_eviction(self):
-        cache: PlanCache[int] = PlanCache(capacity=2)
+        cache = TieredPlanCache(memory_capacity=2)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.get("a")  # refresh "a"; "b" is now least recently used
@@ -158,7 +158,7 @@ class TestPlanCache:
         assert len(cache) == 2
 
     def test_peek_does_not_touch_stats_or_recency(self):
-        cache: PlanCache[int] = PlanCache(capacity=2)
+        cache = TieredPlanCache(memory_capacity=2)
         cache.put("a", 1)
         cache.put("b", 2)
         assert cache.peek("a") == 1
@@ -171,7 +171,7 @@ class TestPlanCache:
         # capacity=0 is the supported cache-disabled mode (see
         # test_cache_boundaries.py); only negatives are nonsense.
         with pytest.raises(ValueError):
-            PlanCache(capacity=-1)
+            TieredPlanCache(memory_capacity=-1)
 
 
 class TestOptimizerService:

@@ -82,21 +82,19 @@ class TestDiskTier:
             tier.put("a", entry_a)
             tier.put("b", entry_b)
         with DiskTier(log) as tier:
-            assert tier.get("a") == entry_a
-            assert tier.get("b") == entry_b
+            assert tier.peek("a") == entry_a
+            assert tier.peek("b") == entry_b
             assert len(tier) == 2
-            # Counters are per-process, not persisted.
-            assert tier.snapshot().hits == 2
 
     def test_supersession_serves_latest(self, tmp_path):
         log = tmp_path / "cache.log"
         with DiskTier(log) as tier:
             tier.put("a", make_entry(created=1.0))
             tier.put("a", make_entry(created=2.0))
-            assert tier.get("a").provenance.created_at_s == 2.0
+            assert tier.peek("a").provenance.created_at_s == 2.0
             assert len(tier) == 1
         with DiskTier(log) as tier:
-            assert tier.get("a").provenance.created_at_s == 2.0
+            assert tier.peek("a").provenance.created_at_s == 2.0
 
     def test_tombstone_survives_reopen(self, tmp_path):
         log = tmp_path / "cache.log"
@@ -106,9 +104,9 @@ class TestDiskTier:
             assert tier.evict("a")
             assert not tier.evict("a")  # already gone
         with DiskTier(log) as tier:
-            assert tier.get("a") is None
+            assert tier.peek("a") is None
             assert "a" not in tier
-            assert tier.get("b") is not None
+            assert tier.peek("b") is not None
 
     def test_torn_tail_truncated_on_recovery(self, tmp_path):
         log = tmp_path / "cache.log"
@@ -141,19 +139,11 @@ class TestDiskTier:
         with pytest.raises(ValueError, match="not a plan-cache log"):
             DiskTier(wrong_format)
 
-    def test_probe_and_peek_statistics(self, tmp_path):
+    def test_peek_reads_live_entries_only(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as tier:
-            assert tier.get("missing") is None
-            assert tier.probe("missing") is None  # absence not counted
+            assert tier.peek("missing") is None
             tier.put("a", make_entry())
-            assert tier.peek("a") is not None  # stat-free
-            stats = tier.snapshot()
-            assert (stats.hits, stats.misses) == (0, 1)
-            tier.reclassify_miss_as_hit()
-            stats = tier.snapshot()
-            assert (stats.hits, stats.misses) == (1, 0)
-            tier.reclassify_miss_as_hit()  # clamped: never negative
-            assert tier.snapshot().misses == 0
+            assert tier.peek("a") == make_entry()
 
     def test_export_snapshot_is_a_valid_log(self, tmp_path):
         log, snap = tmp_path / "cache.log", tmp_path / "snapshot.log"
@@ -164,7 +154,7 @@ class TestDiskTier:
             assert tier.export_snapshot(snap) == 1
         with DiskTier(snap) as tier:  # a snapshot opens as a tier directly
             assert tier.keys() == ["b"]
-            assert tier.get("b") is not None
+            assert tier.peek("b") is not None
 
     def test_import_snapshot_merge_semantics(self, tmp_path):
         snap = tmp_path / "snapshot.log"
@@ -175,9 +165,9 @@ class TestDiskTier:
         with DiskTier(tmp_path / "dest.log") as dest:
             dest.put("a", make_entry(created=9.0))
             assert dest.import_snapshot(snap, overwrite=False) == 1  # only b
-            assert dest.get("a").provenance.created_at_s == 9.0
+            assert dest.peek("a").provenance.created_at_s == 9.0
             assert dest.import_snapshot(snap) == 2  # snapshot wins now
-            assert dest.get("a").provenance.created_at_s == 1.0
+            assert dest.peek("a").provenance.created_at_s == 1.0
 
     def test_import_rejects_foreign_snapshot(self, tmp_path):
         bogus = tmp_path / "bogus.snap"
@@ -197,7 +187,7 @@ class TestDiskTier:
             assert reclaimed > 0
             assert tier.log_bytes() == before - reclaimed
             assert tier.keys() == ["a"]
-            assert tier.get("a").provenance.created_at_s == 9.0
+            assert tier.peek("a").provenance.created_at_s == 9.0
 
     def test_invalidate_by_predicate_persists(self, tmp_path):
         log = tmp_path / "cache.log"
@@ -209,7 +199,7 @@ class TestDiskTier:
                 InvalidationPredicate(backend="fastdp", created_before_s=5.0)
             )
             assert doomed == ["old-fastdp"]
-            assert tier.snapshot().evictions == 1
+            assert len(tier) == 2
         with DiskTier(log) as tier:  # tombstones are durable
             assert sorted(tier.keys()) == ["new-fastdp", "old-legacy"]
 
@@ -219,16 +209,6 @@ class TestDiskTier:
             provenances = {k: prov for k, prov, __ in tier.entries()}
             assert provenances["a"].settings_signature == "s1"
             assert "nope" not in provenances
-
-    def test_clear_resets_everything(self, tmp_path):
-        log = tmp_path / "cache.log"
-        with DiskTier(log) as tier:
-            tier.put("a", make_entry())
-            tier.get("missing")
-            tier.clear()
-            assert len(tier) == 0
-            assert tier.snapshot().misses == 0
-        assert json.loads(log.read_text()) == LOG_MAGIC  # header only
 
 
 class TestTieredPlanCache:
@@ -308,10 +288,10 @@ class TestTieredPlanCache:
 
     def test_each_lookup_classified_exactly_once(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as disk:
-            cache = TieredPlanCache(memory_capacity=4, disk=disk)
+            cache = TieredPlanCache(memory_capacity=1, disk=disk)
             cache.put("a", make_entry())
             cache.get("a")  # memory hit
-            cache.memory.clear()
+            cache.put("b", make_entry())  # demotes a
             cache.get("a")  # disk hit
             cache.get("missing")  # miss
             stats = cache.snapshot()
@@ -319,18 +299,15 @@ class TestTieredPlanCache:
             assert stats.hits == 2
             assert stats.lookups == 3
             assert stats.hit_rate == pytest.approx(2 / 3)
-            # The wrapped tiers' own counters were never consulted or bumped
-            # by composite traffic that the composite already classified.
-            assert cache.memory.snapshot().hits == 0
-            assert disk.snapshot().hits == 0
 
-    def test_stats_duck_type_cachestats(self):
-        # Gateway aggregation reads these off whichever tier a shard runs.
+    def test_fresh_stats_are_zero(self):
+        # Gateway aggregation reads these off every shard's cache.
         from repro.service import CacheStats
 
-        tiered = TieredPlanCache(memory_capacity=2).snapshot()
-        for name in ("hits", "misses", "evictions", "lookups", "hit_rate"):
-            assert getattr(tiered, name) == getattr(CacheStats(), name)
+        fresh = TieredPlanCache(memory_capacity=2).snapshot()
+        assert fresh == CacheStats()
+        for name in ("hits", "misses", "evictions", "memory_hits", "lookups", "hit_rate"):
+            assert getattr(fresh, name) == 0
 
     def test_evict_removes_from_both_tiers(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as disk:
@@ -345,7 +322,8 @@ class TestTieredPlanCache:
     def test_invalidate_covers_memory_resident_write_back(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as disk:
             cache = TieredPlanCache(memory_capacity=4, disk=disk)
-            cache.memory.put("hot", make_entry(backend="fastdp"))  # memory only
+            cache.put("hot", make_entry(backend="fastdp"))
+            disk.evict("hot")  # now memory only
             disk.put("cold", make_entry(backend="fastdp"))
             disk.put("keep", make_entry(backend="legacy"))
             doomed = cache.invalidate(InvalidationPredicate(backend="fastdp"))
@@ -376,24 +354,70 @@ class TestTieredPlanCache:
     def test_len_is_union_of_tiers(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as disk:
             cache = TieredPlanCache(memory_capacity=4, disk=disk)
-            cache.memory.put("memory-only", make_entry())
+            cache.put("memory-only", make_entry())
+            disk.evict("memory-only")
             disk.put("disk-only", make_entry())
             cache.put("both", make_entry())
             disk.put("both", make_entry())
             assert len(cache) == 3
             assert "memory-only" in cache and "disk-only" in cache
 
-    def test_clear_and_reclassify_clamp(self, tmp_path):
-        with DiskTier(tmp_path / "cache.log") as disk:
-            cache = TieredPlanCache(memory_capacity=4, disk=disk)
-            cache.put("a", make_entry())
-            cache.get("missing")
-            cache.clear()
-            assert len(cache) == 0
-            cache.reclassify_miss_as_hit()  # after clear: no miss to convert
-            stats = cache.snapshot()
-            assert stats.misses == 0  # clamped, not -1
-            assert stats.memory_hits == 1
+
+class TestMalformedImport:
+    """A shipped record whose entry does not decode is refused, not stored.
+
+    Storing it would poison its key: every later lookup would decode the
+    record and raise, failing each request for that fingerprint until an
+    operator invalidated it.
+    """
+
+    POISON = {"t": "put", "k": "abc", "entry": {"plans": "oops"}}
+
+    def write_snapshot(self, path, *records):
+        path.write_text(
+            "".join(json.dumps(record) + "\n" for record in (LOG_MAGIC, *records))
+        )
+        return path
+
+    def test_disk_import_leaves_log_and_index_unchanged(self, tmp_path):
+        good = {"t": "put", "k": "good", "entry": entry_to_wire(make_entry())}
+        snap = self.write_snapshot(tmp_path / "bad.snap", good, self.POISON)
+        with DiskTier(tmp_path / "cache.log") as tier:
+            tier.put("a", make_entry())
+            before = tier.log_bytes()
+            with pytest.raises(ValueError, match="'abc'"):
+                tier.import_snapshot(snap)
+            assert tier.log_bytes() == before
+            assert tier.keys() == ["a"]
+        cache = TieredPlanCache(disk=DiskTier(tmp_path / "cache.log"))
+        try:
+            assert cache.get("abc") is None
+            assert cache.keys() == ["a"]
+        finally:
+            cache.close()
+
+    def test_cli_import_refuses_and_the_key_stays_servable(self, tmp_path, capsys):
+        from repro.cli import main
+
+        snap = self.write_snapshot(tmp_path / "bad.snap", self.POISON)
+        log = tmp_path / "cache.log"
+        with pytest.raises(SystemExit, match="'abc'"):
+            main(["cache", "import", str(snap), "--into", str(log)])
+        assert "imported" not in capsys.readouterr().out
+        cache = TieredPlanCache(memory_capacity=4, disk=DiskTier(log))
+        try:
+            assert cache.get("abc") is None
+        finally:
+            cache.close()
+
+    def test_cache_import_imports_nothing(self):
+        cache = TieredPlanCache(memory_capacity=4)
+        good = {"t": "put", "k": "good", "entry": entry_to_wire(make_entry())}
+        with pytest.raises(ValueError, match="'abc'"):
+            cache.import_records([good, self.POISON])
+        assert len(cache) == 0
+        assert cache.import_records([good]) == 1
+        assert cache.get("good") == make_entry()
 
 
 class CountingSerialExecutor(SerialPartitionExecutor):
