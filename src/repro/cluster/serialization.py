@@ -13,7 +13,7 @@ Two layers live here:
 * **actual wire codecs** for the objects the persistent plan-cache tier and
   the out-of-process gateway ship between processes: plan trees (including
   interesting orders and parametric cost vectors — a serialized frontier is
-  just a list of plans), optimizer settings, and simulated run timings.
+  just a list of plans) and optimizer settings.
   Encoding is **strict standard JSON**: finite floats survive
   bit-identically because Python's ``repr``-based float formatting is
   shortest-round-trip exact, and *non-finite* floats — parametric envelopes
@@ -329,39 +329,6 @@ def settings_from_wire(data: dict[str, Any]) -> OptimizerSettings:
         )
     except (KeyError, TypeError) as error:
         raise ValueError(f"malformed settings record: {error!r}") from error
-
-
-def timing_to_wire(timing: Any) -> dict[str, Any]:
-    """Encode a :class:`~repro.cluster.simulator.SimulatedTiming`.
-
-    Typed as ``Any`` to keep this module import-light (the simulator
-    imports *this* module for its byte model); the field set is pinned by
-    the round-trip tests.
-    """
-    return {
-        "dispatch_s": timing.dispatch_s,
-        "workers_done_s": timing.workers_done_s,
-        "collect_s": timing.collect_s,
-        "master_prune_s": timing.master_prune_s,
-        "network_bytes": timing.network_bytes,
-        "network_messages": timing.network_messages,
-        "worker_compute_s": list(timing.worker_compute_s),
-    }
-
-
-def timing_from_wire(data: dict[str, Any]) -> Any:
-    """Inverse of :func:`timing_to_wire`."""
-    from repro.cluster.simulator import SimulatedTiming
-
-    return SimulatedTiming(
-        dispatch_s=float(data["dispatch_s"]),
-        workers_done_s=float(data["workers_done_s"]),
-        collect_s=float(data["collect_s"]),
-        master_prune_s=float(data["master_prune_s"]),
-        network_bytes=int(data["network_bytes"]),
-        network_messages=int(data["network_messages"]),
-        worker_compute_s=[float(value) for value in data["worker_compute_s"]],
-    )
 
 
 # ------------------------------------------------------------ cache snapshots

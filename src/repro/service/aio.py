@@ -98,7 +98,7 @@ def _cached_copy(result: ServiceResult) -> ServiceResult:
     """
     return ServiceResult(
         list(result.plans), result.n_partitions, result.fingerprint, True,
-        result.simulated_time_ms, result.network_bytes, result.backend_used, result.theta,
+        result.backend_used, result.theta,
     )
 
 

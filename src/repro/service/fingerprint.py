@@ -87,8 +87,9 @@ def _settings_signature(settings: OptimizerSettings) -> tuple:
     # shares one signature (hence one fingerprint and one cache entry).
     # The backend is part of the signature even though all backends return
     # equivalent frontiers: the cached entry also carries run statistics
-    # (simulated timing), which are backend-specific, and keeping the key
-    # exact makes backend A/B comparisons through the service meaningful.
+    # (the provenance's measured worker stats), which are backend-specific,
+    # and keeping the key exact makes backend A/B comparisons through the
+    # service meaningful.
     # AUTO is hashed as the backend it *resolves* to, so a request with the
     # default AUTO and one explicitly naming the same core share an entry —
     # the execution, not the spelling, keys the cache.
@@ -331,7 +332,7 @@ def fingerprint(
     """Hex digest identifying ``(query, settings[, parallelism])`` up to relabeling.
 
     ``n_workers`` participates as its *resolved* partition count so that
-    cached per-run accounting (partition count, simulated timing) stays
+    cached per-run accounting (partition count, measured worker stats) stays
     faithful to the request, while requests whose worker counts clamp to the
     same parallelism share one entry instead of duplicating runs and memory.
     """

@@ -47,7 +47,6 @@ from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.cluster.simulator import DEFAULT_CLUSTER, ClusterModel
 from repro.config import DEFAULT_SETTINGS, OptimizerSettings
 from repro.core.master import PartitionExecutor
 from repro.query.query import Query
@@ -125,7 +124,6 @@ class ShardedOptimizerGateway:
             :class:`~repro.service.tiers.TieredPlanCache` (e.g. one over a
             per-shard disk log — the index names the log file).  ``None``
             gives every shard a memory-only cache of ``cache_capacity``.
-        cluster: simulated-cluster parameters for reported accounting.
         gateway_threads: size of the internal handler pool that drives
             per-shard sub-batches in :meth:`optimize_batch` and the flights
             :meth:`submit_claimed` queues; defaults to ``n_shards``.
@@ -138,7 +136,6 @@ class ShardedOptimizerGateway:
         settings: OptimizerSettings = DEFAULT_SETTINGS,
         executor_factory: Callable[[], PartitionExecutor] | None = None,
         cache_capacity: int = 256,
-        cluster: ClusterModel = DEFAULT_CLUSTER,
         gateway_threads: int | None = None,
         cache_factory: Callable[[int], TieredPlanCache] | None = None,
     ) -> None:
@@ -158,7 +155,6 @@ class ShardedOptimizerGateway:
                 settings=settings,
                 executor=executor_factory() if executor_factory is not None else None,
                 cache_capacity=cache_capacity,
-                cluster=cluster,
                 cache=cache_factory(index) if cache_factory is not None else None,
             )
             for index in range(n_shards)

@@ -64,8 +64,6 @@ from repro.cluster.network import (
     send_frame,
 )
 from repro.cluster.serialization import (
-    float_from_wire,
-    float_to_wire,
     plans_from_wire,
     plans_to_wire,
     settings_to_wire,
@@ -80,7 +78,7 @@ from repro.service.service import ServiceResult, resolve
 
 #: Protocol identity exchanged in the hello frame; peers reject mismatches.
 PROTOCOL_FORMAT = "repro-net"
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: Floor on the overload-retry sleep.  A shard advertising
 #: ``retry_after_s=0`` (or a malformed field defaulting low) must not turn
@@ -168,8 +166,6 @@ def result_to_wire(result: ServiceResult) -> dict[str, Any]:
         "n_partitions": result.n_partitions,
         "fingerprint": result.fingerprint,
         "cached": result.cached,
-        "simulated_time_ms": float_to_wire(result.simulated_time_ms),
-        "network_bytes": result.network_bytes,
         "backend_used": result.backend_used,
         # The θ this answer was bound at (omitted when unbound) — clients
         # can audit that a routed parametric request came back bound.
@@ -191,8 +187,6 @@ def result_from_wire(
             n_partitions=int(data["n_partitions"]),
             fingerprint=str(data["fingerprint"]),
             cached=bool(data["cached"]),
-            simulated_time_ms=float_from_wire(data["simulated_time_ms"]),
-            network_bytes=int(data["network_bytes"]),
             backend_used=str(data.get("backend_used", "")),
             theta=float(data["theta"]) if data.get("theta") is not None else None,
         )

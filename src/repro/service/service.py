@@ -32,7 +32,6 @@ import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from repro.cluster.simulator import DEFAULT_CLUSTER, ClusterModel, simulate_mpq_run
 from repro.config import DEFAULT_SETTINGS, OptimizerSettings
 from repro.core.constraints import usable_partitions
 from repro.core.envelope import FULL_THETA_DOMAIN, build_envelope_index
@@ -67,9 +66,6 @@ class ServiceResult:
     fingerprint: str
     #: Whether this answer was served from the plan cache.
     cached: bool
-    #: Simulated cluster accounting of the (possibly cached) optimization run.
-    simulated_time_ms: float
-    network_bytes: int
     #: Enumeration backend that produced the plans (for a cache hit: the
     #: backend of the original run).  Empty only for hand-built results.
     backend_used: str = ""
@@ -165,7 +161,6 @@ class OptimizerService:
             memory-only ``TieredPlanCache(memory_capacity=cache_capacity)``
             — e.g. one over a :class:`~repro.service.tiers.DiskTier` that
             survives restarts.  When given, ``cache_capacity`` is ignored.
-        cluster: simulated-cluster parameters for the reported accounting.
     """
 
     def __init__(
@@ -174,13 +169,11 @@ class OptimizerService:
         settings: OptimizerSettings = DEFAULT_SETTINGS,
         executor: PartitionExecutor | None = None,
         cache_capacity: int = 256,
-        cluster: ClusterModel = DEFAULT_CLUSTER,
         cache: TieredPlanCache | None = None,
     ) -> None:
         self.n_workers = n_workers
         self.settings = settings
         self.executor = executor if executor is not None else SerialPartitionExecutor()
-        self.cluster = cluster
         self.cache = (
             cache
             if cache is not None
@@ -347,7 +340,6 @@ class OptimizerService:
             requested_workers=workers,
             partition_results=partition_results,
         )
-        simulated = simulate_mpq_run(self.cluster, query, master)
         canonical_plans = [remap_plan(plan, canonical.numbering) for plan in plans]
         if settings.parametric and plans:
             kind = ENVELOPE_ENTRY
@@ -370,7 +362,6 @@ class OptimizerService:
         entry = CacheEntry(
             canonical_plans=canonical_plans,
             n_partitions=master.n_partitions,
-            simulated=simulated,
             backend_used=master.backend_used,
             provenance=provenance,
             kind=kind,
@@ -421,8 +412,6 @@ class OptimizerService:
             n_partitions=entry.n_partitions,
             fingerprint=key,
             cached=cached,
-            simulated_time_ms=entry.simulated.total_ms,
-            network_bytes=entry.simulated.network_bytes,
             backend_used=entry.backend_used,
             theta=theta,
         )

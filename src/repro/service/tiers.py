@@ -4,8 +4,8 @@ The service caches the master's final plans per fingerprint.  This module
 holds everything about keeping them:
 
 * :class:`CacheEntry` — what one fingerprint's slot retains (plans in
-  canonical numbering, the run's simulated accounting, provenance), with
-  :func:`entry_to_wire` / :func:`entry_from_wire` as its JSON codec;
+  canonical numbering, provenance), with :func:`entry_to_wire` /
+  :func:`entry_from_wire` as its JSON codec;
 * :class:`DiskTier` — an append-only log of serialized entries with an
   in-memory offset index.  Appends are O(1) writes; reads are one seek plus
   one record decode; deletions are tombstone records; restart recovery is a
@@ -47,13 +47,7 @@ try:  # POSIX advisory locking; absent on some platforms
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
-from repro.cluster.serialization import (
-    plans_from_wire,
-    plans_to_wire,
-    timing_from_wire,
-    timing_to_wire,
-)
-from repro.cluster.simulator import SimulatedTiming
+from repro.cluster.serialization import plans_from_wire, plans_to_wire
 from repro.core.envelope import EnvelopeIndex, best_index_at
 from repro.plans.plan import Plan
 from repro.service.provenance import InvalidationPredicate, Provenance
@@ -89,10 +83,10 @@ class CacheEntry:
 
     Storing plans canonically (rather than in the first requester's
     numbering) makes serving any isomorphic request a single remap; the
-    simulated accounting is that of the original run, which is exactly what
-    an identical request would have measured.  Public because the sharded
-    gateway (:mod:`repro.service.gateway`) hands entries from a completed
-    in-flight run directly to coalesced waiters.
+    entry's one timing is the original run's measured slowest-partition
+    ``wall_time_s`` in ``provenance.worker_stats``.  Public because the
+    sharded gateway (:mod:`repro.service.gateway`) hands entries from a
+    completed in-flight run directly to coalesced waiters.
 
     An entry is the cache's unit of *derived artifact*, not necessarily a
     single answer: an :data:`ENVELOPE_ENTRY` stores a parametric run's full
@@ -109,7 +103,6 @@ class CacheEntry:
 
     canonical_plans: list[Plan]
     n_partitions: int
-    simulated: SimulatedTiming
     #: Enumeration backend that computed the cached plans; replayed on hits
     #: so a cached answer stays attributable to the core that produced it.
     backend_used: str = ""
@@ -158,7 +151,7 @@ class CacheEntry:
 
 
 def entry_to_wire(entry: CacheEntry) -> dict[str, Any]:
-    """JSON-compatible encoding of a cache entry (plans, timing, provenance).
+    """JSON-compatible encoding of a cache entry (plans and provenance).
 
     Envelope entries additionally carry their ``kind`` and the breakpoint
     index (:meth:`~repro.core.envelope.EnvelopeIndex.to_wire`) — the
@@ -169,7 +162,6 @@ def entry_to_wire(entry: CacheEntry) -> dict[str, Any]:
     wire = {
         "plans": plans_to_wire(entry.canonical_plans),
         "n_partitions": entry.n_partitions,
-        "simulated": timing_to_wire(entry.simulated),
         "backend_used": entry.backend_used,
         "provenance": entry.provenance.to_wire() if entry.provenance else None,
     }
@@ -181,13 +173,17 @@ def entry_to_wire(entry: CacheEntry) -> dict[str, Any]:
 
 
 def entry_from_wire(data: dict[str, Any]) -> CacheEntry:
-    """Rebuild a cache entry from :func:`entry_to_wire` output."""
+    """Rebuild a cache entry from :func:`entry_to_wire` output.
+
+    Keys this version does not read are ignored: records written by older
+    versions also carry a modelled ``"simulated"`` cluster timing, and
+    decode unchanged.
+    """
     provenance = data.get("provenance")
     envelope = data.get("envelope")
     return CacheEntry(
         canonical_plans=plans_from_wire(data["plans"]),
         n_partitions=int(data["n_partitions"]),
-        simulated=timing_from_wire(data["simulated"]),
         backend_used=str(data.get("backend_used", "")),
         provenance=Provenance.from_wire(provenance) if provenance else None,
         kind=str(data.get("kind", SCALAR_ENTRY)),
@@ -196,10 +192,9 @@ def entry_from_wire(data: dict[str, Any]) -> CacheEntry:
 
 
 def decode_put_record(record: dict[str, Any]) -> tuple[str, CacheEntry]:
-    """The key and decoded entry of a shipped ``put`` record.
+    """The key and decoded entry of one ``put`` record.
 
-    Raises ``ValueError`` naming the key when the record is malformed, so an
-    importer can refuse a bad shipment before it stores any of it.
+    Raises ``ValueError`` naming the key when the record is malformed.
     """
     key = record.get("k")
     try:
@@ -210,6 +205,27 @@ def decode_put_record(record: dict[str, Any]) -> tuple[str, CacheEntry]:
         raise ValueError(
             f"malformed plan-cache record for key {key!r}: {error}"
         ) from None
+
+
+def decode_put_records(
+    records: Iterable[Any],
+) -> list[tuple[dict[str, Any], str, CacheEntry]]:
+    """``(record, key, entry)`` for every ``put`` record of a shipment.
+
+    Other record types are skipped (a shipment carries entries, not
+    deletion history).  A record that is not a JSON object raises
+    ``ValueError`` naming its position, a malformed ``put`` one naming its
+    key, so an importer refuses a bad shipment before it stores any of it.
+    """
+    decoded = []
+    for position, record in enumerate(records, start=1):
+        if not isinstance(record, dict):
+            raise ValueError(
+                f"plan-cache record {position} is not a JSON object: {record!r}"
+            )
+        if record.get("t") == "put":
+            decoded.append((record, *decode_put_record(record)))
+    return decoded
 
 
 # -------------------------------------------------------------------- disk tier
@@ -240,6 +256,13 @@ class DiskTier:
 
     The tier keeps no hit or miss counters: :class:`TieredPlanCache` reads
     it through :meth:`peek` and classifies every lookup itself, once.
+
+    Records are decoded when read, not at open, so a log that holds a
+    malformed ``put`` record (written by hand, or by an older importer)
+    still opens at full speed.  :meth:`peek` retires such a record when it
+    meets it: it appends a ``del`` tombstone, drops the key from the index
+    and returns ``None``, so the lookup is a miss and the next run of that
+    query overwrites the key instead of failing on it for good.
     """
 
     def __init__(
@@ -393,19 +416,22 @@ class DiskTier:
         self._total_records += 1
         return offset
 
-    def _read_entry(self, offset: int) -> CacheEntry:
-        """Decode the ``put`` record at ``offset``.  Caller holds the lock."""
-        self._reader.seek(offset)
-        record = json.loads(self._reader.readline())
-        return entry_from_wire(record["entry"])
-
     def peek(self, key: str) -> CacheEntry | None:
-        """Read the live entry for ``key`` (one disk read), or ``None``."""
+        """Read the live entry for ``key`` (one disk read), or ``None``.
+
+        A record that does not decode is tombstoned and reads as ``None``
+        (see the class docstring).
+        """
         with self._lock:
             offset = self._offsets.get(key)
             if offset is None:
                 return None
-            return self._read_entry(offset)
+            self._reader.seek(offset)
+            try:
+                return decode_put_record(json.loads(self._reader.readline()))[1]
+            except ValueError:
+                self._tombstone(key)
+                return None
 
     def put(self, key: str, entry: CacheEntry) -> None:
         """Append the entry; the new record supersedes any older one."""
@@ -419,15 +445,19 @@ class DiskTier:
         self._provenance[key] = entry.provenance
         self._kinds[key] = entry.kind
 
+    def _tombstone(self, key: str) -> None:
+        """Append ``key``'s ``del`` record and unindex it.  Caller holds the lock."""
+        self._append({"t": "del", "k": key})
+        del self._offsets[key]
+        self._provenance.pop(key, None)
+        self._kinds.pop(key, None)
+
     def evict(self, key: str) -> bool:
         """Tombstone ``key``; returns whether it was live."""
         with self._lock:
             if key not in self._offsets:
                 return False
-            self._append({"t": "del", "k": key})
-            del self._offsets[key]
-            self._provenance.pop(key, None)
-            self._kinds.pop(key, None)
+            self._tombstone(key)
             return True
 
     # ------------------------------------------------------------- invalidation
@@ -446,10 +476,7 @@ class DiskTier:
                 if predicate.matches(provenance)
             ]
             for key in doomed:
-                self._append({"t": "del", "k": key})
-                del self._offsets[key]
-                del self._provenance[key]
-                self._kinds.pop(key, None)
+                self._tombstone(key)
             return doomed
 
     # -------------------------------------------------------------- inspection
@@ -525,19 +552,14 @@ class DiskTier:
         The append path is identical to :meth:`put` — each record lands in
         the log and the offset/provenance indexes — so imported entries are
         durable and survive this process exactly like locally computed
-        ones.  Non-``put`` records are ignored (a shipment carries entries,
-        not deletion history).
+        ones.  Non-``put`` records are ignored.
 
-        Every record is decoded before anything is appended: a malformed one
-        raises ``ValueError`` naming its key and leaves the log and its
-        index as they were, instead of storing a record no later read could
-        decode.
+        Every record is decoded before anything is appended
+        (:func:`decode_put_records`): a malformed one raises ``ValueError``
+        and leaves the log and its index as they were, instead of storing a
+        record no later read could decode.
         """
-        puts = [
-            (record, *decode_put_record(record))
-            for record in records
-            if record.get("t") == "put"
-        ]
+        puts = decode_put_records(records)
         imported = 0
         with self._lock:
             for record, key, entry in puts:
@@ -875,15 +897,14 @@ class TieredPlanCache:
     def import_records(self, records: Iterable[dict[str, Any]]) -> int:
         """Merge shipped ``put`` records through :meth:`put`; returns count.
 
-        Every record is decoded before any is stored, so a malformed one
-        raises ``ValueError`` naming its key and imports nothing.  Each
-        entry is durable in the disk log before this returns, which is what
-        lets a rebalanced key's new owner restart and still serve it.
+        Every record is decoded before any is stored
+        (:func:`decode_put_records`), so a malformed one raises
+        ``ValueError`` and imports nothing.  Each entry is durable in the
+        disk log before this returns, which is what lets a rebalanced key's
+        new owner restart and still serve it.
         """
-        decoded = [
-            decode_put_record(record) for record in records if record.get("t") == "put"
-        ]
-        for key, entry in decoded:
+        decoded = decode_put_records(records)
+        for __, key, entry in decoded:
             self.put(key, entry)
         return len(decoded)
 

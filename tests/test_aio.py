@@ -280,7 +280,7 @@ class TestResultMemo:
         from repro.service.service import ServiceResult
 
         plans = [object(), object()]
-        result = ServiceResult(plans, 3, "key", False, 1.5, 7, "vecdp", 0.25)
+        result = ServiceResult(plans, 3, "key", False, "vecdp", 0.25)
         copy = _cached_copy(result)
         assert copy == dataclasses.replace(result, plans=list(plans), cached=True)
         assert copy.plans is not plans

@@ -39,7 +39,6 @@ from repro.core.envelope import (
 )
 from repro.cost.parametric import envelope_filter, switching_points
 from repro.cluster.serialization import settings_from_wire, settings_to_wire
-from repro.cluster.simulator import SimulatedTiming
 from repro.plans.plan import JoinPlan, ScanPlan
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind
@@ -223,7 +222,6 @@ def envelope_entries(draw):
     return n_tables, CacheEntry(
         canonical_plans=plans,
         n_partitions=1,
-        simulated=SimulatedTiming(0.0, 0.0, 0.0, 0.0, 0, 0, []),
         backend_used="synthetic",
         kind=ENVELOPE_ENTRY,
         envelope=build_envelope_index(plans),

@@ -272,8 +272,6 @@ class TestDeterministicTieBreaking:
             n_partitions=1,
             fingerprint="golden",
             cached=False,
-            simulated_time_ms=0.0,
-            network_bytes=0,
         )
         assert plan_signature(master.best) == plan_signature(reference)
         assert plan_signature(service.best) == plan_signature(reference)

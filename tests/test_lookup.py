@@ -26,7 +26,6 @@ import pytest
 
 from repro.algorithms.pqo import parametric_settings
 from repro.cluster.serialization import settings_to_wire, snapshot_from_wire, snapshot_to_wire
-from repro.cluster.simulator import ClusterModel
 from repro.config import OptimizerSettings
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.io import query_to_dict
@@ -197,26 +196,26 @@ class TestLookupNeverServesAStaleMemo:
                 # Served by lookup: the entry's memo is now filled.
                 assert gateway.optimize(query) == dataclasses.replace(first, cached=True)
                 key = first.fingerprint
-                created_at_s = running.server._cache().peek(key).provenance.created_at_s
+                stale = running.server._cache().peek(key)
+                assert list(stale.wire_memo) == [None]
 
-                # Retire the entry and make the re-run visibly different: a
-                # slower simulated cluster.
+                # Retire the entry; the re-run writes a newer one.
                 assert request(
                     running, {"op": "snapshot", "mode": "evict", "keys": [key]}
                 )["evicted"] == 1
-                shard = running.server.gateway.shards[0]
-                shard.cluster = ClusterModel(task_setup_s=0.5)
 
                 ops = record_ops(running)
                 rerun = gateway.optimize(query)
                 assert ops == ["lookup", "optimize"] and not rerun.cached
-                assert rerun.simulated_time_ms != first.simulated_time_ms
                 entry = running.server._cache().peek(key)
-                assert entry.provenance.created_at_s > created_at_s
+                assert entry.provenance.created_at_s > stale.provenance.created_at_s
+                assert not entry.wire_memo
                 ops.clear()
                 served = gateway.optimize(query)
                 assert ops == ["lookup"] and served.cached
-                assert served.simulated_time_ms == rerun.simulated_time_ms
+                # The hit was rendered from the new entry, not the old memo.
+                assert running.server._cache().peek(key) is entry
+                assert list(entry.wire_memo) == [None]
                 assert served.plans == rerun.plans
 
     def test_snapshot_import_under_a_served_key_replaces_the_answer(self, tmp_path):

@@ -625,16 +625,17 @@ class TestProtocolFaults:
             send_frame(sock, {"op": "health"})
             assert recv_frame(sock)["ok"] is True
 
-    def test_version_1_peer_is_refused_at_hello(self, tmp_path):
-        """No negotiation: a peer announcing another protocol version fails
-        the handshake with a clear message, and the socket is closed."""
+    def test_version_2_peer_is_refused_at_hello(self, tmp_path):
+        """No negotiation: a peer announcing another protocol version (v2
+        replies still carried the modelled cluster timing) fails the
+        handshake with a clear message, and the socket is closed."""
         from repro.service.net import PROTOCOL_VERSION, handshake
 
-        assert PROTOCOL_VERSION == 2
+        assert PROTOCOL_VERSION == 3
         left, right = socket.socketpair()
         with left, right:
-            send_frame(left, {"op": "hello", "format": "repro-net", "version": 1})
-            with pytest.raises(FrameError, match="did not speak repro-net v2"):
+            send_frame(left, {"op": "hello", "format": "repro-net", "version": 2})
+            with pytest.raises(FrameError, match="did not speak repro-net v3"):
                 handshake(right, 1 << 20)
 
 

@@ -33,10 +33,7 @@ from repro.cluster.serialization import (
     query_bytes,
     sma_task_bytes,
     task_bytes,
-    timing_from_wire,
-    timing_to_wire,
 )
-from repro.cluster.simulator import SimulatedTiming
 from repro.config import (
     MULTI_OBJECTIVE,
     PARAMETRIC_OBJECTIVES,
@@ -199,19 +196,6 @@ class TestWireCodecs:
             plan_from_wire(record, mapping)
         with pytest.raises(ValueError):
             plans_from_wire([record], mapping)
-
-    def test_timing_round_trip_bit_identical(self):
-        timing = SimulatedTiming(
-            dispatch_s=0.1 + 0.2,  # deliberately non-representable floats
-            workers_done_s=1.0 / 3.0,
-            collect_s=2.5e-7,
-            master_prune_s=0.0,
-            network_bytes=123456,
-            network_messages=42,
-            worker_compute_s=[0.1, 1e-9, 7.7],
-        )
-        decoded = timing_from_wire(json.loads(json.dumps(timing_to_wire(timing))))
-        assert decoded == timing
 
 
 class TestNonFiniteFloats:

@@ -9,7 +9,6 @@ import time
 import pytest
 
 from repro.cluster.executors import SerialPartitionExecutor
-from repro.cluster.simulator import SimulatedTiming
 from repro.config import Backend, OptimizerSettings
 from repro.plans.plan import ScanPlan
 from repro.query.generator import make_chain_query, make_star_query
@@ -46,15 +45,6 @@ def make_entry(
     return CacheEntry(
         canonical_plans=[plan],
         n_partitions=2,
-        simulated=SimulatedTiming(
-            dispatch_s=0.001,
-            workers_done_s=0.002,
-            collect_s=0.0005,
-            master_prune_s=0.0001,
-            network_bytes=256,
-            network_messages=4,
-            worker_compute_s=[0.001, 0.0015],
-        ),
         backend_used=backend,
         provenance=provenance,
     )
@@ -410,6 +400,24 @@ class TestMalformedImport:
         finally:
             cache.close()
 
+    def test_record_that_is_not_an_object_is_refused_by_position(self, tmp_path, capsys):
+        from repro.cli import main
+
+        good = {"t": "put", "k": "good", "entry": entry_to_wire(make_entry())}
+        cache = TieredPlanCache(memory_capacity=4)
+        with pytest.raises(ValueError, match="record 2 is not a JSON object"):
+            cache.import_records([good, 5])
+        assert len(cache) == 0
+        snap = self.write_snapshot(tmp_path / "bad.snap", good, 5)
+        log = tmp_path / "cache.log"
+        with pytest.raises(
+            SystemExit, match="nothing imported: plan-cache record 2 is not a JSON object"
+        ):
+            main(["cache", "import", str(snap), "--into", str(log)])
+        assert "imported" not in capsys.readouterr().out
+        with DiskTier(log) as tier:
+            assert len(tier) == 0
+
     def test_cache_import_imports_nothing(self):
         cache = TieredPlanCache(memory_capacity=4)
         good = {"t": "put", "k": "good", "entry": entry_to_wire(make_entry())}
@@ -418,6 +426,40 @@ class TestMalformedImport:
         assert len(cache) == 0
         assert cache.import_records([good]) == 1
         assert cache.get("good") == make_entry()
+
+
+class TestMalformedLogRecord:
+    """A ``put`` record already in a log whose entry does not decode is
+    retired when first read: the lookup is a miss, and the re-run's entry
+    overwrites the key instead of the key failing every request."""
+
+    def test_poisoned_key_reruns_once_and_keeps_the_fresh_entry(self, tmp_path):
+        query = make_chain_query(5)
+        with OptimizerService(n_workers=2) as reference:
+            expected = reference.optimize(query)
+        key = expected.fingerprint
+        log = tmp_path / "cache.log"
+        poison = {"t": "put", "k": key, "entry": {"plans": "oops"}}
+        log.write_text(json.dumps(LOG_MAGIC) + "\n" + json.dumps(poison) + "\n")
+
+        executor = CountingSerialExecutor()
+        cache = TieredPlanCache(memory_capacity=4, disk=DiskTier(log))
+        with OptimizerService(n_workers=2, executor=executor, cache=cache) as service:
+            served = service.optimize(query)
+            stats = service.cache.snapshot()
+        assert executor.calls == 1 and not served.cached
+        assert served.plans == expected.plans
+        assert (stats.hits, stats.misses, stats.disk_writes) == (0, 1, 1)
+        records = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [record["t"] for record in records] == ["header", "put", "del", "put"]
+
+        # Reopened, the key holds the fresh entry and serves without a DP run.
+        executor = CountingSerialExecutor()
+        cache = TieredPlanCache(memory_capacity=0, disk=DiskTier(log))
+        with OptimizerService(n_workers=2, executor=executor, cache=cache) as service:
+            again = service.optimize(query)
+        assert executor.calls == 0 and again.cached
+        assert again.plans == expected.plans
 
 
 class CountingSerialExecutor(SerialPartitionExecutor):

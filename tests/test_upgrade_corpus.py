@@ -8,10 +8,20 @@ must read and rewrite it.
 
 ``registry-era.log`` was written while a backend-registry generation was
 still stamped into every provenance record; today's decoder ignores that
-key.  To write a log for a new corpus entry, put the older checkout's
+key.  ``simulated-era-export.log`` (a ``cache export`` file) and
+``simulated-era-snapshot.json`` (a fleet snapshot frame, the
+``snapshot_to_wire`` payload a shard ships when rebalancing) were written
+while every entry still carried a modelled ``"simulated"`` cluster timing;
+today's decoder ignores that block too.
+
+To write an artifact for a new corpus entry, put the older checkout's
 ``src`` first on ``PYTHONPATH`` and run::
 
-    python tests/test_upgrade_corpus.py OUT.log
+    python tests/test_upgrade_corpus.py OUT.log    # a disk-tier log
+    python tests/test_upgrade_corpus.py OUT.json   # a snapshot frame
+
+and, for an export file, ``python -m repro cache export OUT.log -o
+EXPORT.log`` with the same ``PYTHONPATH``.
 """
 
 from __future__ import annotations
@@ -21,14 +31,27 @@ import shutil
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.algorithms.pqo import parametric_settings
 from repro.cluster.executors import SerialPartitionExecutor
+from repro.cluster.serialization import (
+    settings_to_wire,
+    snapshot_from_wire,
+    snapshot_to_wire,
+)
 from repro.config import MULTI_OBJECTIVE, Backend, OptimizerSettings
 from repro.query.generator import SteinbrunnGenerator
+from repro.query.io import query_to_dict
 from repro.query.query import JoinGraphKind
-from repro.service import DiskTier, OptimizerService, TieredPlanCache
+from repro.service import DiskTier, OptimizerService, ServiceResult, TieredPlanCache
+from repro.service.net import result_from_wire
+from repro.service.tiers import LOG_MAGIC
 
-REGISTRY_ERA_LOG = Path(__file__).parent / "data" / "registry-era.log"
+DATA = Path(__file__).parent / "data"
+REGISTRY_ERA_LOG = DATA / "registry-era.log"
+SIMULATED_ERA_EXPORT = DATA / "simulated-era-export.log"
+SIMULATED_ERA_SNAPSHOT = DATA / "simulated-era-snapshot.json"
 
 WORKERS = 2
 
@@ -63,6 +86,18 @@ def write_corpus(path: str) -> None:
             service.optimize(query, settings)
 
 
+def write_snapshot_frame(path: str) -> None:
+    """Write one snapshot frame holding one entry per case to ``path``."""
+    cache = TieredPlanCache(memory_capacity=len(CORPUS))
+    with OptimizerService(
+        n_workers=WORKERS, executor=SerialPartitionExecutor(), cache=cache
+    ) as service:
+        for query, settings in CORPUS.values():
+            service.optimize(query, settings)
+        frame = snapshot_to_wire(cache.export_records())
+    Path(path).write_text(json.dumps(frame, separators=(",", ":")) + "\n")
+
+
 def test_registry_era_log_is_what_it_claims():
     records = [json.loads(line) for line in REGISTRY_ERA_LOG.read_text().splitlines()]
     puts = [record for record in records if record.get("t") == "put"]
@@ -70,13 +105,11 @@ def test_registry_era_log_is_what_it_claims():
     assert all("registry_generation" in put["entry"]["provenance"] for put in puts)
 
 
-def test_registry_era_log_serves_every_key_without_dp(tmp_path):
+def serve_corpus_without_dp(cache: TieredPlanCache) -> dict[str, ServiceResult]:
+    """Serve every case from ``cache`` and require zero DP runs."""
     from tests.test_tiers import CountingSerialExecutor
 
-    log = tmp_path / "cache.log"
-    shutil.copyfile(REGISTRY_ERA_LOG, log)
     executor = CountingSerialExecutor()
-    cache = TieredPlanCache(memory_capacity=0, disk=DiskTier(log))
     with OptimizerService(n_workers=WORKERS, executor=executor, cache=cache) as service:
         served = {
             name: service.optimize(query, settings)
@@ -84,18 +117,98 @@ def test_registry_era_log_serves_every_key_without_dp(tmp_path):
         }
     assert executor.calls == 0
     assert all(result.cached for result in served.values())
+    return served
+
+
+def assert_fresh_plans(served: dict[str, list]) -> None:
+    """Each case's served plans equal a fresh run's on the reference core."""
+    with OptimizerService(
+        n_workers=WORKERS, executor=SerialPartitionExecutor()
+    ) as reference:
+        for name, (query, settings) in CORPUS.items():
+            fresh = reference.optimize(query, settings.replace(backend=Backend.LEGACY))
+            assert served[name] == fresh.plans, name
+
+
+def test_registry_era_log_serves_every_key_without_dp(tmp_path):
+    log = tmp_path / "cache.log"
+    shutil.copyfile(REGISTRY_ERA_LOG, log)
+    served = serve_corpus_without_dp(
+        TieredPlanCache(memory_capacity=0, disk=DiskTier(log))
+    )
     assert {name: result.backend_used for name, result in served.items()} == {
         "plain": "vecdp",
         "orders": "fastdp",
         "parametric": "fastdp",
         "multi": "vecdp",
     }
-    with OptimizerService(
-        n_workers=WORKERS, executor=SerialPartitionExecutor()
-    ) as reference:
+    assert_fresh_plans({name: result.plans for name, result in served.items()})
+
+
+def simulated_era_records(artifact: Path) -> list[dict]:
+    """The ``put`` records of a committed export file or snapshot frame."""
+    if artifact.suffix == ".json":
+        return snapshot_from_wire(json.loads(artifact.read_text()))
+    return [json.loads(line) for line in artifact.read_text().splitlines()[1:]]
+
+
+SIMULATED_ERA = pytest.mark.parametrize(
+    "artifact", [SIMULATED_ERA_EXPORT, SIMULATED_ERA_SNAPSHOT], ids=lambda path: path.name
+)
+
+
+@SIMULATED_ERA
+def test_simulated_era_artifact_is_what_it_claims(artifact):
+    records = simulated_era_records(artifact)
+    assert len(records) == len(CORPUS)
+    assert all("simulated" in record["entry"] for record in records)
+
+
+@SIMULATED_ERA
+def test_simulated_era_artifact_loads_through_cache_import(artifact, tmp_path, capsys):
+    from repro.cli import main
+
+    snapshot = artifact
+    if artifact.suffix == ".json":  # the frame's records as a snapshot file
+        snapshot = tmp_path / "frame.snap"
+        snapshot.write_text(
+            "".join(
+                json.dumps(record) + "\n"
+                for record in (LOG_MAGIC, *simulated_era_records(artifact))
+            )
+        )
+    log = tmp_path / "cache.log"
+    assert main(["cache", "import", str(snapshot), "--into", str(log)]) == 0
+    assert capsys.readouterr().out.startswith(f"imported {len(CORPUS)} entries")
+    served = serve_corpus_without_dp(
+        TieredPlanCache(memory_capacity=0, disk=DiskTier(log))
+    )
+    assert_fresh_plans({name: result.plans for name, result in served.items()})
+
+
+@SIMULATED_ERA
+def test_simulated_era_artifact_loads_through_a_shard_servers_import(artifact, tmp_path):
+    from tests.test_fleet import request
+    from tests.test_net import ServerThread
+
+    frame = snapshot_to_wire(simulated_era_records(artifact))
+    with ServerThread(f"unix:{tmp_path / 'shard.sock'}", n_workers=WORKERS) as server:
+        imported = request(server, {"op": "snapshot", "mode": "import", "snapshot": frame})
+        assert imported["imported"] == len(CORPUS)
+        served = {}
         for name, (query, settings) in CORPUS.items():
-            fresh = reference.optimize(query, settings.replace(backend=Backend.LEGACY))
-            assert served[name].plans == fresh.plans, name
+            response = request(
+                server,
+                {
+                    "op": "optimize",
+                    "query": query_to_dict(query),
+                    "settings": settings_to_wire(settings),
+                },
+            )
+            assert response["result"]["cached"] is True, name
+            served[name] = result_from_wire(response["result"]).plans
+        assert request(server, {"op": "stats"})["stats"]["optimizations"] == 0
+    assert_fresh_plans(served)
 
 
 def test_cache_commands_read_and_rewrite_the_log(tmp_path, capsys):
@@ -123,4 +236,7 @@ def test_cache_commands_read_and_rewrite_the_log(tmp_path, capsys):
 
 
 if __name__ == "__main__":
-    write_corpus(sys.argv[1])
+    if sys.argv[1].endswith(".json"):
+        write_snapshot_frame(sys.argv[1])
+    else:
+        write_corpus(sys.argv[1])
