@@ -32,6 +32,7 @@ Two layers live here:
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any
 
 from repro.config import Backend, Objective, OptimizerSettings, PlanSpace
@@ -39,6 +40,7 @@ from repro.plans.operators import JoinAlgorithm, ScanAlgorithm
 from repro.plans.orders import SortOrder
 from repro.plans.plan import JoinPlan, Plan, ScanPlan
 from repro.query.query import Query
+from repro.util.readers import MISSING, float_from_wire, read, read_enum, read_float, read_int
 
 #: Fixed overhead of any serialized message (stream header, class descriptor).
 MESSAGE_HEADER_BYTES = 64
@@ -122,11 +124,6 @@ def sma_task_bytes(n_sets: int) -> int:
 # ----------------------------------------------------------------- wire codecs
 
 
-#: Sentinel strings carrying the two meaningful non-finite floats across
-#: the wire as valid standard JSON.
-_FLOAT_SENTINELS = {"inf": math.inf, "-inf": -math.inf}
-
-
 def float_to_wire(value: float) -> float | str:
     """Encode one float as a standard-JSON-safe value.
 
@@ -134,7 +131,8 @@ def float_to_wire(value: float) -> float | str:
     through ``json``); ``±inf`` becomes the sentinel string ``"inf"`` /
     ``"-inf"``.  ``NaN`` raises ``ValueError`` — no optimizer quantity
     (cardinality, cost, timing) is meaningfully NaN, so shipping one would
-    only propagate corruption.
+    only propagate corruption.  The decoding rule is
+    :func:`repro.util.readers.float_from_wire`.
     """
     value = float(value)
     if math.isnan(value):
@@ -142,27 +140,6 @@ def float_to_wire(value: float) -> float | str:
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return value
-
-
-def float_from_wire(value: Any) -> float:
-    """Inverse of :func:`float_to_wire`.
-
-    Also tolerates *reading* bare non-finite floats (Python's ``json``
-    parses legacy ``Infinity`` tokens from logs written before sentinel
-    encoding existed), but still rejects NaN from any source — and JSON
-    booleans, which ``float()`` would silently read as ``1.0`` / ``0.0``.
-    """
-    if isinstance(value, str):
-        try:
-            return _FLOAT_SENTINELS[value]
-        except KeyError:
-            raise ValueError(f"unknown float sentinel {value!r}") from None
-    if isinstance(value, bool):
-        raise ValueError(f"boolean {value!r} on the wire; record is corrupt")
-    result = float(value)
-    if math.isnan(result):
-        raise ValueError("NaN on the wire; record is corrupt")
-    return result
 
 
 def order_to_wire(order: SortOrder | None) -> list | None:
@@ -203,44 +180,68 @@ _SCAN_ALGORITHMS = {member.value: member for member in ScanAlgorithm}
 _JOIN_ALGORITHMS = {member.value: member for member in JoinAlgorithm}
 
 
+class _TableMap(dict):
+    """``mapping[old] = new`` as a dict, not the tuple: a table number outside
+    the mapping (negative ones included, which a tuple index would wrap) is
+    malformed input, refused when looked up."""
+
+    def __missing__(self, table: int) -> int:
+        raise ValueError(f"plan names table {table}; the mapping covers {len(self)}")
+
+
 def _table_map(mapping: tuple[int, ...] | None) -> dict[int, int] | None:
-    # A dict, not the tuple: a table number outside the mapping — negative
-    # ones included, which a tuple index would wrap — is a KeyError.
-    return None if mapping is None else dict(enumerate(mapping))
+    return None if mapping is None else _TableMap(enumerate(mapping))
 
 
-def _decode(data: dict[str, Any], tables: dict[int, int] | None) -> Plan:
-    # A finite float is taken as is; anything else (sentinel strings, legacy
-    # bare infinities, NaN, booleans) goes through float_from_wire's checks.
+def _decode(data: Any, tables: dict[int, int] | None) -> Plan:
+    # A well-formed field passes its inline type check and is taken as is;
+    # anything else goes through the strict readers, which normalise it
+    # (an integral float mask, a sentinel infinity) or raise ValueError.
+    if type(data) is not dict:
+        raise ValueError(f"a plan node must be a JSON object, got {data!r:.80}")
     isfinite = math.isfinite
-    rows = data["rows"]
+    rows = data.get("rows")
     if type(rows) is not float or not isfinite(rows):
-        rows = float_from_wire(rows)
+        rows = read_float(data, "rows", infinite=True)
+    cost = data.get("cost")
+    if type(cost) is not list:
+        cost = read(data, "cost", list)
     cost = tuple(
         [
-            value if type(value) is float and isfinite(value) else float_from_wire(value)
-            for value in data["cost"]
+            value if type(value) is float and isfinite(value) else float_from_wire(value, "cost")
+            for value in cost
         ]
     )
-    order = data["order"]
+    order = data.get("order", MISSING)
     if order is not None:
-        table, column = order
-        table = int(table)
-        order = SortOrder(table if tables is None else tables[table], str(column))
-    op = data["op"]
+        pair = type(order) is list and len(order) == 2
+        if not (pair and type(order[0]) is int and type(order[1]) is str):
+            order = read(data, "order", list)
+            if len(order) != 2:
+                raise ValueError(f"field 'order' must be [table, column], got {order!r}")
+            order = [read_int(order, 0), read(order, 1, str)]
+        order = SortOrder(order[0] if tables is None else tables[order[0]], order[1])
+    if tables is None:
+        mask = data.get("mask")
+        if type(mask) is not int:
+            mask = read_int(data, "mask")
+    op, algorithm = data.get("op"), data.get("alg")
+    if type(algorithm) is not str:
+        algorithm = read(data, "alg", str)
     if op == "scan":
-        table = int(data["table"])
-        if tables is None:
-            mask = int(data["mask"])
-        else:
+        table = data.get("table")
+        if type(table) is not int:
+            table = read_int(data, "table")
+        if tables is not None:
             table = tables[table]
             mask = 1 << table
-        return ScanPlan(mask, rows, cost, order, table, _SCAN_ALGORITHMS[data["alg"]])
+        algorithm = _SCAN_ALGORITHMS.get(algorithm) or read_enum(data, "alg", ScanAlgorithm)
+        return ScanPlan(mask, rows, cost, order, table, algorithm)
     if op == "join":
-        left = _decode(data["left"], tables)
-        right = _decode(data["right"], tables)
-        mask = int(data["mask"]) if tables is None else left.mask | right.mask
-        algorithm = _JOIN_ALGORITHMS[data["alg"]]
+        left, right = _decode(data.get("left"), tables), _decode(data.get("right"), tables)
+        if tables is not None:
+            mask = left.mask | right.mask
+        algorithm = _JOIN_ALGORITHMS.get(algorithm) or read_enum(data, "alg", JoinAlgorithm)
         return JoinPlan(mask, rows, cost, order, left, right, algorithm)
     raise ValueError(f"unknown plan operator {op!r}")
 
@@ -261,10 +262,7 @@ def plan_from_wire(
     a corrupt record must fail loudly, not serve a half-built plan.  A
     table number outside ``mapping`` is malformed input too.
     """
-    try:
-        return _decode(data, _table_map(mapping))
-    except (KeyError, TypeError) as error:
-        raise ValueError(f"malformed plan record: {error!r}") from error
+    return _decode(data, _table_map(mapping))
 
 
 def plans_to_wire(plans: list[Plan]) -> list[dict[str, Any]]:
@@ -284,10 +282,7 @@ def plans_from_wire(
     ``mapping`` renumbers every plan as in :func:`plan_from_wire`.
     """
     tables = _table_map(mapping)
-    try:
-        return [_decode(item, tables) for item in data]
-    except (KeyError, TypeError) as error:
-        raise ValueError(f"malformed plan record: {error!r}") from error
+    return [_decode(item, tables) for item in data]
 
 
 def settings_to_wire(settings: OptimizerSettings) -> dict[str, Any]:
@@ -314,21 +309,16 @@ def settings_to_wire(settings: OptimizerSettings) -> dict[str, Any]:
 
 def settings_from_wire(data: dict[str, Any]) -> OptimizerSettings:
     """Inverse of :func:`settings_to_wire`; raises ``ValueError`` when malformed."""
-    try:
-        return OptimizerSettings(
-            plan_space=PlanSpace(data["plan_space"]),
-            objectives=tuple(Objective(value) for value in data["objectives"]),
-            alpha=float_from_wire(data["alpha"]),
-            consider_orders=bool(data["consider_orders"]),
-            use_all_join_algorithms=bool(data["use_all_join_algorithms"]),
-            parametric=bool(data["parametric"]),
-            backend=Backend(data["backend"]),
-            theta=(
-                float(data["theta"]) if data.get("theta") is not None else None
-            ),
-        )
-    except (KeyError, TypeError) as error:
-        raise ValueError(f"malformed settings record: {error!r}") from error
+    return OptimizerSettings(
+        plan_space=read_enum(data, "plan_space", PlanSpace),
+        objectives=tuple(read(data, "objectives", list, item=partial(read_enum, kind=Objective))),
+        alpha=read_float(data, "alpha", infinite=True),
+        consider_orders=read(data, "consider_orders", bool),
+        use_all_join_algorithms=read(data, "use_all_join_algorithms", bool),
+        parametric=read(data, "parametric", bool),
+        backend=read_enum(data, "backend", Backend),
+        theta=read_float(data, "theta", None),
+    )
 
 
 # ------------------------------------------------------------ cache snapshots
@@ -364,26 +354,17 @@ def snapshot_from_wire(data: dict[str, Any]) -> list[dict[str, Any]]:
     malformed record — an importing shard must reject a bad shipment
     whole rather than merge half of it into its cache.
     """
-    if not isinstance(data, dict) or data.get("format") != SNAPSHOT_FORMAT:
+    if read(data, "format", str) != SNAPSHOT_FORMAT:
+        raise ValueError(f"not a plan-cache snapshot (format {data['format']!r})")
+    if read_int(data, "version") != SNAPSHOT_VERSION:
         raise ValueError(
-            f"not a plan-cache snapshot (format {data.get('format')!r})"
-            if isinstance(data, dict)
-            else f"not a plan-cache snapshot (payload {type(data).__name__})"
-        )
-    if data.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(
-            f"unsupported snapshot version {data.get('version')!r} "
+            f"unsupported snapshot version {data['version']!r} "
             f"(this peer speaks {SNAPSHOT_VERSION})"
         )
-    records = data.get("records")
-    if not isinstance(records, list):
-        raise ValueError("snapshot payload has no record list")
+    records = read(data, "records", list)
     for record in records:
-        if (
-            not isinstance(record, dict)
-            or record.get("t") != "put"
-            or not isinstance(record.get("k"), str)
-            or not isinstance(record.get("entry"), dict)
-        ):
-            raise ValueError(f"malformed snapshot record: {record!r}")
+        if read(record, "t", str) != "put":
+            raise ValueError(f"snapshot record is not a put: {record!r:.80}")
+        read(record, "k", str)
+        read(record, "entry", dict)
     return records

@@ -37,6 +37,7 @@ from typing import Any, Sequence
 
 from repro.cost.parametric import scalarize, switching_points
 from repro.plans.plan import Plan
+from repro.util.readers import read, read_float, read_int
 
 #: The full parameter domain a cached envelope covers.  Recorded in entry
 #: provenance; a future drift-invalidation policy can narrow it.
@@ -125,10 +126,8 @@ class EnvelopeIndex:
     @classmethod
     def from_wire(cls, data: dict[str, Any]) -> "EnvelopeIndex":
         """Rebuild an index from :meth:`to_wire` output."""
-        return cls(
-            breakpoints=tuple(float(point) for point in data["breakpoints"]),
-            segments=tuple(int(index) for index in data["segments"]),
-        )
+        points = tuple(read(data, "breakpoints", list, item=read_float))
+        return cls(points, tuple(read(data, "segments", list, item=read_int)))
 
 
 def build_envelope_index(plans: Sequence[Plan]) -> EnvelopeIndex:

@@ -32,6 +32,7 @@ from repro.plans.plan import JoinPlan, Plan, ScanPlan
 from repro.query.predicates import JoinPredicate, equi_join_selectivity
 from repro.query.query import Query
 from repro.query.schema import Catalog, Column, Table
+from repro.util.readers import read, read_float, read_int
 
 
 def _table_to_dict(table: Table) -> dict[str, Any]:
@@ -77,51 +78,36 @@ def query_from_dict(data: dict[str, Any]) -> Query:
     Raises ``ValueError`` with a readable message on malformed input.
     """
     try:
-        tables = tuple(_table_from_dict(raw) for raw in data["tables"])
-        raw_predicates = list(data.get("predicates", ()))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed query: {exc}") from exc
+        raw_tables = read(data, "tables", list)
+        raw_predicates = read(data, "predicates", list, [])
+    except ValueError as error:
+        raise ValueError(f"malformed query: {error}") from None
+    tables = tuple(_table_from_dict(raw) for raw in raw_tables)
     predicates = []
     for raw in raw_predicates:
         try:
-            left_table = _table_index(raw["left_table"], len(tables))
-            right_table = _table_index(raw["right_table"], len(tables))
-            left_column = tables[left_table].column(raw["left_column"])
-            right_column = tables[right_table].column(raw["right_column"])
-            selectivity = raw.get("selectivity")
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed predicate definition: {exc}") from exc
-        if selectivity is None:
-            selectivity = equi_join_selectivity(left_column, right_column)
-        predicates.append(
-            JoinPredicate(
-                left_table=left_table,
-                left_column=left_column.name,
-                right_table=right_table,
-                right_column=right_column.name,
-                selectivity=_number(selectivity, "selectivity", integral=False),
-            )
-        )
-    return Query(
-        tables=tables,
-        predicates=tuple(predicates),
-        name=data.get("name", "query"),
-    )
+            predicates.append(_predicate_from_dict(raw, tables))
+        except ValueError as error:
+            raise ValueError(f"malformed predicate definition: {error}") from None
+    return Query(tables=tables, predicates=tuple(predicates), name=read(data, "name", str, "query"))
 
 
-def _number(value: Any, what: str, integral: bool = True) -> Any:
-    """A JSON number, never a boolean or a string; if ``integral``, a finite integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or integral and value % 1:
-        raise ValueError(f"{what} must be {'an integer' if integral else 'a number'}, got {value!r}")
-    return int(value) if integral else float(value)
-
-
-def _table_index(value: Any, n_tables: int) -> int:
-    """A predicate endpoint: a position in ``tables``."""
-    index = _number(value, "table index")
-    if not 0 <= index < n_tables:
-        raise ValueError(f"predicate references table {index}, query has {n_tables} tables")
-    return index
+def _predicate_from_dict(raw: dict[str, Any], tables: tuple[Table, ...]) -> JoinPredicate:
+    endpoints = []
+    for side in ("left", "right"):
+        index = read_int(raw, f"{side}_table")
+        if not 0 <= index < len(tables):
+            raise ValueError(f"predicate references table {index}, query has {len(tables)} tables")
+        # Membership is the check: a name that is not a string matches no column.
+        name = raw.get(f"{side}_column")
+        if not tables[index].has_column(name):
+            raise ValueError(f"table {tables[index].name!r} has no column {name!r}")
+        endpoints.append((index, tables[index].column(name)))
+    (left_table, left_column), (right_table, right_column) = endpoints
+    selectivity = read_float(raw, "selectivity", None)
+    if selectivity is None:
+        selectivity = equi_join_selectivity(left_column, right_column)
+    return JoinPredicate(left_table, left_column.name, right_table, right_column.name, selectivity)
 
 
 def save_query(query: Query, path: str | Path) -> None:
@@ -137,17 +123,17 @@ def load_query(path: str | Path) -> Query:
 def _table_from_dict(raw: dict[str, Any]) -> Table:
     try:
         return Table(
-            name=raw["name"],
-            cardinality=_number(raw["cardinality"], "cardinality"),
-            row_bytes=_number(raw.get("row_bytes", 64), "row_bytes"),
+            name=read(raw, "name", str),
+            cardinality=read_int(raw, "cardinality"),
+            row_bytes=read_int(raw, "row_bytes", 64),
             columns=tuple(
-                Column(name=col["name"], domain_size=_number(col["domain_size"], "domain_size"))
-                for col in raw.get("columns", ())
+                Column(name=read(col, "name", str), domain_size=read_int(col, "domain_size"))
+                for col in read(raw, "columns", list, [])
             ),
-            clustered_on=raw.get("clustered_on"),
+            clustered_on=read(raw, "clustered_on", str, None),
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed table definition: {exc}") from exc
+    except ValueError as error:
+        raise ValueError(f"malformed table definition: {error}") from None
 
 
 def catalog_to_dict(catalog: Catalog) -> dict[str, Any]:
@@ -160,12 +146,8 @@ def catalog_from_dict(data: dict[str, Any]) -> Catalog:
 
     Raises ``ValueError`` with a readable message on malformed input.
     """
-    try:
-        raw_tables = list(data.get("tables", ()))
-    except (AttributeError, TypeError) as exc:
-        raise ValueError(f"malformed catalog: {exc}") from exc
     catalog = Catalog()
-    for raw in raw_tables:
+    for raw in read(data, "tables", list, []):
         catalog.add(_table_from_dict(raw))
     return catalog
 

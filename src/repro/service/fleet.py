@@ -52,6 +52,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import IO, Any
 
@@ -68,6 +69,7 @@ from repro.service.net import (
     NetworkOptimizerGateway,
     handshake,
 )
+from repro.util.readers import read, read_int
 
 #: Identity of the membership file written at ``membership_path``.
 MEMBERSHIP_FORMAT = "repro-fleet"
@@ -444,9 +446,8 @@ class ShardFleet:
         shipped: set[str] = set()
         for __ in range(2):
             for source, spec in sources.items():
-                keys = self._shard_call(spec, {"op": "snapshot", "mode": "keys"})[
-                    "keys"
-                ]
+                listing = self._shard_call(spec, {"op": "snapshot", "mode": "keys"})
+                keys = read(listing, "keys", list, item=partial(read, kind=str))
                 by_target: dict[str, list[str]] = {}
                 for key in keys:
                     owner = ring.route(key)
@@ -455,20 +456,20 @@ class ShardFleet:
                 for target, moved in by_target.items():
                     snapshot = self._shard_call(
                         spec, {"op": "snapshot", "mode": "export", "keys": moved}
-                    )["snapshot"]
-                    records = snapshot_from_wire(snapshot)
+                    )
+                    records = snapshot_from_wire(read(snapshot, "snapshot", dict))
                     if not records:
                         continue
-                    imported = self._shard_call(
+                    response = self._shard_call(
                         targets[target],
                         {
                             "op": "snapshot",
                             "mode": "import",
                             "snapshot": snapshot_to_wire(records),
                         },
-                    )["imported"]
+                    )
                     with self._lock:
-                        self._snapshot_shipped += int(imported)
+                        self._snapshot_shipped += read_int(response, "imported", low=0)
                     exported = [record["k"] for record in records]
                     shipped.update(exported)
                     moved_by_source.setdefault(source, []).extend(exported)
@@ -566,7 +567,7 @@ class ShardFleet:
             if handle.alive():
                 try:
                     self._ship({name: handle.spec}, self._ring_of(list(targets)), targets)
-                except (OSError, FrameError, FleetError) as error:
+                except (OSError, FrameError, FleetError, ValueError) as error:
                     raise FleetRebalanceError(
                         f"shipping shard {name!r}'s entries failed before the "
                         f"ring flip; it stays in the ring: {error}"

@@ -75,6 +75,7 @@ from repro.service.aio import GatewayOverloadedError
 from repro.service.fingerprint import CanonicalForm
 from repro.service.remap import invert
 from repro.service.service import ServiceResult, resolve
+from repro.util.readers import read, read_float, read_int
 
 #: Protocol identity exchanged in the hello frame; peers reject mismatches.
 PROTOCOL_FORMAT = "repro-net"
@@ -107,9 +108,9 @@ class Address:
                 raise ValueError(f"empty unix-socket path in {spec!r}")
             return cls(kind="unix", path=path)
         host, separator, port = spec.rpartition(":")
-        if not separator or not port.isdigit():
+        if not separator or not (port.isascii() and port.isdigit() and int(port) <= 65535):
             raise ValueError(
-                f"bad address {spec!r}: expected unix:/path or host:port"
+                f"bad address {spec!r}: expected unix:/path or host:port (port 0-65535)"
             )
         return cls(kind="tcp", host=host or "127.0.0.1", port=int(port))
 
@@ -181,17 +182,14 @@ def result_from_wire(
     ``mapping`` (``mapping[old] = new``) decodes the plans straight into
     another table numbering — see :func:`plans_from_wire`.
     """
-    try:
-        return ServiceResult(
-            plans=plans_from_wire(data["plans"], mapping),
-            n_partitions=int(data["n_partitions"]),
-            fingerprint=str(data["fingerprint"]),
-            cached=bool(data["cached"]),
-            backend_used=str(data.get("backend_used", "")),
-            theta=float(data["theta"]) if data.get("theta") is not None else None,
-        )
-    except (KeyError, TypeError) as error:
-        raise ValueError(f"malformed result record: {error!r}") from error
+    return ServiceResult(
+        plans=plans_from_wire(read(data, "plans", list), mapping),
+        n_partitions=read_int(data, "n_partitions", low=1),
+        fingerprint=read(data, "fingerprint", str),
+        cached=read(data, "cached", bool),
+        backend_used=read(data, "backend_used", str, ""),
+        theta=read_float(data, "theta", None, low=0.0, high=1.0),
+    )
 
 
 # -------------------------------------------------------------------- errors
@@ -648,10 +646,10 @@ class NetworkOptimizerGateway:
         ``relabel`` applies in process, without building the canonical
         plans first.
         """
-        answer = response.get("canonical")
+        answer = read(response, "canonical", dict, None)
         if answer is None:
-            return result_from_wire(response["result"])
-        answer = {**answer, "theta": response.get("theta")}
+            return result_from_wire(read(response, "result", dict))
+        answer = {**answer, "theta": read_float(response, "theta", None)}
         return result_from_wire(answer, invert(canonical.numbering))
 
     def optimize_batch(
@@ -719,14 +717,14 @@ class NetworkOptimizerGateway:
 
         ``tenant`` is the caller's own label: it never crosses the wire.
         """
-        error = response.get("error") or {}
-        error_type = error.get("type", "unknown")
+        error = read(response, "error", dict, {})
+        error_type = read(error, "type", str, "unknown")
         if error_type in ("overloaded", "draining"):
             return GatewayOverloadedError(
-                error_type, float(error.get("retry_after_s", 0.05)), tenant
+                error_type, read_float(error, "retry_after_s", 0.05, low=0.0), tenant
             )
         return RemoteOptimizationError(
-            shard, error_type, error.get("message", "no message")
+            shard, error_type, read(error, "message", str, "no message")
         )
 
     # ----------------------------------------------------------------- health
@@ -807,8 +805,8 @@ class NetworkOptimizerGateway:
         for link in links:
             try:
                 response = link.request({"op": "drain", "timeout_s": timeout_s})
-                report[link.name] = bool(response.get("drained"))
-            except (OSError, FrameError):
+                report[link.name] = read(response, "drained", bool, False)
+            except (OSError, FrameError, ValueError):
                 report[link.name] = False
         return report
 

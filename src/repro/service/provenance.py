@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.util.readers import read, read_float, read_int
+
 
 @dataclass(frozen=True)
 class Provenance:
@@ -72,16 +74,16 @@ class Provenance:
         older versions also carry a backend-registry generation counter,
         and decode unchanged.
         """
-        domain = data.get("theta_domain")
+        domain = read(data, "theta_domain", list, None, item=read_float)
+        if domain is not None and len(domain) != 2:
+            raise ValueError(f"field 'theta_domain' must be [low, high], got {domain!r}")
         return cls(
-            backend_used=str(data["backend_used"]),
-            settings_signature=str(data["settings_signature"]),
-            created_at_s=float(data["created_at_s"]),
-            n_partitions=int(data["n_partitions"]),
-            worker_stats=dict(data.get("worker_stats", {})),
-            theta_domain=(
-                (float(domain[0]), float(domain[1])) if domain is not None else None
-            ),
+            backend_used=read(data, "backend_used", str),
+            settings_signature=read(data, "settings_signature", str),
+            created_at_s=read_float(data, "created_at_s"),
+            n_partitions=read_int(data, "n_partitions", low=1),
+            worker_stats=dict(read(data, "worker_stats", dict, {})),
+            theta_domain=None if domain is None else tuple(domain),
         )
 
 

@@ -72,6 +72,7 @@ import contextlib
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -93,6 +94,7 @@ from repro.query.io import query_from_dict
 from repro.service.gateway import ShardedOptimizerGateway
 from repro.service.net import PROTOCOL_FORMAT, PROTOCOL_VERSION, Address, result_to_wire
 from repro.service.tiers import TieredPlanCache, shard_cache_factory
+from repro.util.readers import read, read_float, read_int
 
 
 class ShardServer:
@@ -338,9 +340,9 @@ class ShardServer:
             return await self._handle_snapshot(payload)
         if op == "drain":
             try:
-                timeout_s = float(payload.get("timeout_s", 30.0))
-            except (TypeError, ValueError):
-                return self._error("bad-request", "drain timeout_s must be a number")
+                timeout_s = read_float(payload, "timeout_s", 30.0, low=0.0)
+            except ValueError as error:
+                return self._error("bad-request", f"malformed drain request: {error}")
             return {"ok": True, "drained": await self._quiesce(timeout_s)}
         return self._error("bad-request", f"unknown op {op!r}")
 
@@ -362,9 +364,7 @@ class ShardServer:
                 )
                 return {"ok": True, "keys": keys, "shard_id": self.shard_id}
             if mode == "export":
-                wanted = payload.get("keys")
-                if wanted is not None and not isinstance(wanted, list):
-                    return self._error("bad-request", "snapshot keys must be a list")
+                wanted = read(payload, "keys", list, None, item=partial(read, kind=str))
                 records = await loop.run_in_executor(
                     self._control_pool, self._cache().export_records, wanted
                 )
@@ -381,16 +381,14 @@ class ShardServer:
                         "shard is draining; ship elsewhere",
                         retry_after_s=1.0,
                     )
-                records = snapshot_from_wire(payload.get("snapshot"))
+                records = snapshot_from_wire(read(payload, "snapshot", dict))
                 imported = await loop.run_in_executor(
                     self._control_pool, self._cache().import_records, records
                 )
                 self._snapshot_imported += imported
                 return {"ok": True, "imported": imported, "shard_id": self.shard_id}
             if mode == "evict":
-                wanted = payload.get("keys")
-                if not isinstance(wanted, list):
-                    return self._error("bad-request", "snapshot keys must be a list")
+                wanted = read(payload, "keys", list, item=partial(read, kind=str))
                 evicted = await loop.run_in_executor(
                     self._control_pool, self._snapshot_evict, wanted
                 )
@@ -408,8 +406,7 @@ class ShardServer:
         return self.gateway.shards[0].cache
 
     def _snapshot_evict(self, keys: list[str]) -> int:
-        cache = self._cache()
-        return sum(1 for key in keys if cache.evict(str(key)))
+        return sum(map(self._cache().evict, keys))
 
     async def _handle_lookup(self, payload: dict[str, Any]) -> dict[str, Any] | bytes:
         """Answer by fingerprint alone; ``unknown-key`` sends the client to ``optimize``.
@@ -421,13 +418,11 @@ class ShardServer:
         miss — goes to the handler pool under admission, counted in
         ``_in_flight`` so a drain waits for it before closing the cache.
         """
-        key, theta = payload.get("key"), payload.get("theta")
-        # ``type() in``, not ``isinstance``: JSON ``true`` is not a θ.
-        bound = theta is None or (type(theta) in (int, float) and 0.0 <= theta <= 1.0)
-        if not isinstance(key, str) or not bound:
-            return self._error(
-                "bad-request", "lookup needs a string key and a theta in [0, 1] or null"
-            )
+        try:
+            key = read(payload, "key", str)
+            theta = read_float(payload, "theta", None, low=0.0, high=1.0)
+        except ValueError as error:
+            return self._error("bad-request", f"malformed lookup request: {error}")
         if self.inject_latency_s > 0:
             # A degraded shard is slow for everything — but never by
             # blocking the loop.
@@ -522,16 +517,11 @@ class ShardServer:
             # Fault injection: a degraded shard answers correctly, slowly.
             time.sleep(self.inject_latency_s)
         try:
-            query = query_from_dict(payload["query"])
-            settings = (
-                settings_from_wire(payload["settings"])
-                if payload.get("settings") is not None
-                else None
-            )
-            workers = (
-                int(payload["workers"]) if payload.get("workers") is not None else None
-            )
-        except (KeyError, TypeError, ValueError) as error:
+            query = query_from_dict(read(payload, "query", dict))
+            settings = read(payload, "settings", dict, None)
+            settings = None if settings is None else settings_from_wire(settings)
+            workers = read_int(payload, "workers", None, low=1)
+        except ValueError as error:
             return False, self._error("bad-request", f"malformed optimize request: {error}")
         result = self.gateway.optimize(query, settings, workers)
         response = {"ok": True, "result": result_to_wire(result)}

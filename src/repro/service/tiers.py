@@ -51,6 +51,7 @@ from repro.cluster.serialization import plans_from_wire, plans_to_wire
 from repro.core.envelope import EnvelopeIndex, best_index_at
 from repro.plans.plan import Plan
 from repro.service.provenance import InvalidationPredicate, Provenance
+from repro.util.readers import read, read_int
 
 #: First line of every log and snapshot file; readers reject other formats.
 LOG_MAGIC = {"t": "header", "format": "repro-plan-cache", "version": 1}
@@ -179,16 +180,20 @@ def entry_from_wire(data: dict[str, Any]) -> CacheEntry:
     versions also carry a modelled ``"simulated"`` cluster timing, and
     decode unchanged.
     """
-    provenance = data.get("provenance")
-    envelope = data.get("envelope")
-    return CacheEntry(
-        canonical_plans=plans_from_wire(data["plans"]),
-        n_partitions=int(data["n_partitions"]),
-        backend_used=str(data.get("backend_used", "")),
-        provenance=Provenance.from_wire(provenance) if provenance else None,
-        kind=str(data.get("kind", SCALAR_ENTRY)),
-        envelope=EnvelopeIndex.from_wire(envelope) if envelope else None,
+    provenance = read(data, "provenance", dict, None)
+    envelope = read(data, "envelope", dict, None)
+    entry = CacheEntry(
+        canonical_plans=plans_from_wire(read(data, "plans", list)),
+        n_partitions=read_int(data, "n_partitions", low=1),
+        backend_used=read(data, "backend_used", str, ""),
+        provenance=None if provenance is None else Provenance.from_wire(provenance),
+        kind=read(data, "kind", str, SCALAR_ENTRY),
+        envelope=None if envelope is None else EnvelopeIndex.from_wire(envelope),
     )
+    plans = len(entry.canonical_plans)
+    if envelope is not None and not all(0 <= owner < plans for owner in entry.envelope.segments):
+        raise ValueError(f"envelope segments {entry.envelope.segments} name plans past {plans}")
+    return entry
 
 
 def decode_put_record(record: dict[str, Any]) -> tuple[str, CacheEntry]:
@@ -196,15 +201,13 @@ def decode_put_record(record: dict[str, Any]) -> tuple[str, CacheEntry]:
 
     Raises ``ValueError`` naming the key when the record is malformed.
     """
-    key = record.get("k")
+    key = read(record, "k", str)
+    if read(record, "t", str) != "put":
+        raise ValueError(f"plan-cache record for key {key!r} is not a put")
     try:
-        if not isinstance(key, str):
-            raise TypeError("the key is not a string")
-        return key, entry_from_wire(record["entry"])
-    except (AttributeError, KeyError, TypeError, ValueError) as error:
-        raise ValueError(
-            f"malformed plan-cache record for key {key!r}: {error}"
-        ) from None
+        return key, entry_from_wire(read(record, "entry", dict))
+    except ValueError as error:
+        raise ValueError(f"malformed plan-cache record for key {key!r}: {error}") from None
 
 
 def decode_put_records(
@@ -219,10 +222,8 @@ def decode_put_records(
     """
     decoded = []
     for position, record in enumerate(records, start=1):
-        if not isinstance(record, dict):
-            raise ValueError(
-                f"plan-cache record {position} is not a JSON object: {record!r}"
-            )
+        if type(record) is not dict:
+            raise ValueError(f"plan-cache record {position} is not a JSON object: {record!r:.80}")
         if record.get("t") == "put":
             decoded.append((record, *decode_put_record(record)))
     return decoded
@@ -279,11 +280,10 @@ class DiskTier:
         self.sync = sync
         self.compact_ratio = compact_ratio
         self._lock = threading.RLock()
-        self._offsets: dict[str, int] = {}
-        self._provenance: dict[str, Provenance | None] = {}
-        self._kinds: dict[str, str] = {}
-        #: Total records appended to the log (puts + tombstones, not the
-        #: header); ``len(_offsets) / _total_records`` is the live ratio the
+        #: Each live key's ``(offset of its put record, provenance, kind)``.
+        self._index: dict[str, tuple[int, Provenance | None, str]] = {}
+        #: Records in the log (not the header), dead ones included;
+        #: ``len(_index) / _total_records`` is the live ratio the
         #: auto-compaction policy watches.
         self._total_records = 0
         self._lockfile: io.BufferedRandom | None = None
@@ -354,23 +354,20 @@ class DiskTier:
     # ---------------------------------------------------------------- recovery
 
     def _recover(self) -> None:
-        """Rebuild the index by one forward scan; truncate any torn tail."""
+        """Rebuild the index by one forward scan; truncate any torn tail.
+
+        A parsed line that is not a well-formed ``put`` or ``del`` never
+        fails the open: it is dead weight, counted toward ``compact_ratio``.
+        A ``put`` whose entry, provenance or kind does not decode unindexes
+        its key, which then reads as a miss.  No plan is decoded here.
+        """
         if not self.path.exists():
             with open(self.path, "wb") as fresh:
                 fresh.write(_record_bytes(LOG_MAGIC))
             return
         good_end = 0
         with open(self.path, "rb") as log:
-            first = log.readline()
-            try:
-                header = json.loads(first)
-                if header.get("format") != LOG_MAGIC["format"]:
-                    raise ValueError(
-                        f"{self.path} is not a plan-cache log "
-                        f"(format {header.get('format')!r})"
-                    )
-            except json.JSONDecodeError:
-                raise ValueError(f"{self.path} is not a plan-cache log") from None
+            _check_header(log.readline(), f"{self.path} is not a plan-cache log")
             good_end = log.tell()
             while True:
                 offset = log.tell()
@@ -384,21 +381,21 @@ class DiskTier:
                 if not line.endswith(b"\n"):
                     break  # complete JSON but unterminated: also torn
                 good_end = log.tell()
-                record_type = record.get("t")
-                if record_type == "put":
-                    key = record["k"]
-                    self._offsets[key] = offset
-                    provenance = record["entry"].get("provenance")
-                    self._provenance[key] = (
-                        Provenance.from_wire(provenance) if provenance else None
-                    )
-                    self._kinds[key] = record["entry"].get("kind", SCALAR_ENTRY)
-                    self._total_records += 1
-                elif record_type == "del":
-                    self._offsets.pop(record["k"], None)
-                    self._provenance.pop(record["k"], None)
-                    self._kinds.pop(record["k"], None)
-                    self._total_records += 1
+                self._total_records += 1
+                try:
+                    key, record_type = read(record, "k", str), read(record, "t", str)
+                except ValueError:
+                    continue
+                if record_type == "del":
+                    self._index.pop(key, None)
+                elif record_type == "put":
+                    try:
+                        entry = read(record, "entry", dict)
+                        provenance = read(entry, "provenance", dict, None)
+                        provenance = None if provenance is None else Provenance.from_wire(provenance)
+                        self._index[key] = (offset, provenance, read(entry, "kind", str, SCALAR_ENTRY))
+                    except ValueError:
+                        self._index.pop(key, None)
         if good_end < self.path.stat().st_size:
             with open(self.path, "r+b") as log:
                 log.truncate(good_end)
@@ -423,10 +420,10 @@ class DiskTier:
         (see the class docstring).
         """
         with self._lock:
-            offset = self._offsets.get(key)
-            if offset is None:
+            indexed = self._index.get(key)
+            if indexed is None:
                 return None
-            self._reader.seek(offset)
+            self._reader.seek(indexed[0])
             try:
                 return decode_put_record(json.loads(self._reader.readline()))[1]
             except ValueError:
@@ -441,21 +438,17 @@ class DiskTier:
 
     def _store(self, key: str, record: dict[str, Any], entry: CacheEntry) -> None:
         """Append ``key``'s put record and index it.  Caller holds the lock."""
-        self._offsets[key] = self._append(record)
-        self._provenance[key] = entry.provenance
-        self._kinds[key] = entry.kind
+        self._index[key] = (self._append(record), entry.provenance, entry.kind)
 
     def _tombstone(self, key: str) -> None:
         """Append ``key``'s ``del`` record and unindex it.  Caller holds the lock."""
         self._append({"t": "del", "k": key})
-        del self._offsets[key]
-        self._provenance.pop(key, None)
-        self._kinds.pop(key, None)
+        del self._index[key]
 
     def evict(self, key: str) -> bool:
         """Tombstone ``key``; returns whether it was live."""
         with self._lock:
-            if key not in self._offsets:
+            if key not in self._index:
                 return False
             self._tombstone(key)
             return True
@@ -472,7 +465,7 @@ class DiskTier:
         with self._lock:
             doomed = [
                 key
-                for key, provenance in self._provenance.items()
+                for key, (__, provenance, __kind) in self._index.items()
                 if predicate.matches(provenance)
             ]
             for key in doomed:
@@ -484,15 +477,12 @@ class DiskTier:
     def keys(self) -> list[str]:
         """Live keys (a consistent copy)."""
         with self._lock:
-            return list(self._offsets)
+            return list(self._index)
 
     def entries(self) -> Iterator[tuple[str, Provenance | None, str]]:
         """Iterate ``(key, provenance, kind)`` over live entries, index order."""
         with self._lock:
-            items = [
-                (key, provenance, self._kinds.get(key, SCALAR_ENTRY))
-                for key, provenance in self._provenance.items()
-            ]
+            items = [(key, provenance, kind) for key, (__, provenance, kind) in self._index.items()]
         yield from items
 
     def live_ratio(self) -> float:
@@ -500,7 +490,7 @@ class DiskTier:
         with self._lock:
             if self._total_records == 0:
                 return 1.0
-            return len(self._offsets) / self._total_records
+            return len(self._index) / self._total_records
 
     def _needs_compaction(self) -> bool:
         """Whether the auto-compaction policy says the log is worth rewriting.
@@ -527,19 +517,9 @@ class DiskTier:
         caller asked for a routing slice, not a guarantee).  Stat-free.
         """
         with self._lock:
-            if keys is None:
-                wanted = sorted(self._offsets.items(), key=lambda item: item[1])
-            else:
-                wanted = sorted(
-                    (
-                        (key, self._offsets[key])
-                        for key in set(keys)
-                        if key in self._offsets
-                    ),
-                    key=lambda item: item[1],
-                )
+            wanted = self._index if keys is None else set(keys) & self._index.keys()
             records = []
-            for __, offset in wanted:
+            for offset in sorted(self._index[key][0] for key in wanted):
                 self._reader.seek(offset)
                 records.append(json.loads(self._reader.readline()))
             return records
@@ -563,7 +543,7 @@ class DiskTier:
         imported = 0
         with self._lock:
             for record, key, entry in puts:
-                if overwrite or key not in self._offsets:
+                if overwrite or key not in self._index:
                     self._store(key, record, entry)
                     imported += 1
         return imported
@@ -578,10 +558,10 @@ class DiskTier:
         destination = Path(path)
         destination.parent.mkdir(parents=True, exist_ok=True)
         with self._lock:
-            live = sorted(self._offsets.items(), key=lambda item: item[1])
+            live = sorted(offset for offset, __, __kind in self._index.values())
             with open(destination, "wb") as snapshot:
                 snapshot.write(_record_bytes(LOG_MAGIC))
-                for key, offset in live:
+                for offset in live:
                     self._reader.seek(offset)
                     snapshot.write(self._reader.readline())
             return len(live)
@@ -596,17 +576,10 @@ class DiskTier:
         the snapshot win.  Tombstones in the source are ignored — a
         snapshot ships *entries*, not deletion history.
         """
-        source = Path(path)
-        with self._lock:
-            with open(source, "rb") as snapshot:
-                header = json.loads(snapshot.readline())
-                if header.get("format") != LOG_MAGIC["format"]:
-                    raise ValueError(
-                        f"{source} is not a plan-cache snapshot "
-                        f"(format {header.get('format')!r})"
-                    )
-                records = [json.loads(line) for line in snapshot]
-            return self.import_records(records, overwrite=overwrite)
+        with open(path, "rb") as snapshot:
+            _check_header(snapshot.readline(), f"{path} is not a plan-cache snapshot")
+            records = [json.loads(line) for line in snapshot]
+        return self.import_records(records, overwrite=overwrite)
 
     def compact(self) -> int:
         """Rewrite the log with live records only; returns bytes reclaimed.
@@ -634,9 +607,7 @@ class DiskTier:
                 os.replace(replacement, self.path)
             finally:
                 try:
-                    self._offsets.clear()
-                    self._provenance.clear()
-                    self._kinds.clear()
+                    self._index.clear()
                     self._total_records = 0
                     self._recover()
                 finally:
@@ -675,11 +646,21 @@ class DiskTier:
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            return key in self._offsets
+            return key in self._index
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._offsets)
+            return len(self._index)
+
+
+def _check_header(line: bytes, refusal: str) -> None:
+    """Refuse a log or snapshot whose first line is not this format's header."""
+    try:
+        found = read(json.loads(line), "format", str)
+    except ValueError as error:
+        raise ValueError(f"{refusal}: {error}") from None
+    if found != LOG_MAGIC["format"]:
+        raise ValueError(f"{refusal} (format {found!r})")
 
 
 def _record_bytes(record: dict[str, Any]) -> bytes:

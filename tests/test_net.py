@@ -47,6 +47,7 @@ from repro.cluster.network import (
     recv_frame,
     send_frame,
 )
+from repro.config import DEFAULT_SETTINGS
 from repro.query.generator import SteinbrunnGenerator
 from repro.service import (
     CircuitBreaker,
@@ -175,7 +176,9 @@ class TestAddress:
     def test_bare_port_defaults_to_localhost(self):
         assert Address.parse(":7401").host == "127.0.0.1"
 
-    @pytest.mark.parametrize("bad", ["", "unix:", "nocolon", "host:notaport"])
+    @pytest.mark.parametrize(
+        "bad", ["", "unix:", "nocolon", "host:notaport", "host:101211", "host:65536", "host:\u0663"]
+    )
     def test_malformed_specs_rejected(self, bad):
         with pytest.raises(ValueError):
             Address.parse(bad)
@@ -585,6 +588,40 @@ class TestProtocolFaults:
             assert response["error"]["type"] == "bad-request"
             send_frame(sock, {"op": "health"})  # the connection is kept
             assert recv_frame(sock)["status"] == "serving"
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"op": "optimize", "workers": True},
+            {"op": "optimize", "workers": 2.9},
+            {"op": "optimize", "workers": 0},
+            {"op": "optimize", "settings": {"consider_orders": "false"}},
+            {"op": "optimize", "settings": {"use_all_join_algorithms": [0]}},
+            {"op": "snapshot", "mode": "export", "keys": [1]},
+            {"op": "snapshot", "mode": "evict", "keys": [5]},
+            {"op": "drain", "timeout_s": True},
+            {"op": "drain", "timeout_s": -1},
+        ],
+    )
+    def test_mutated_frame_is_bad_request_and_the_connection_serves_on(self, server, frame):
+        """Each frame is a well-formed one with one field mutated; none may
+        be misread (``true`` workers as 1, ``"false"`` as true) or reach the
+        DP as ``optimization-failed``.  (Mutated lookups:
+        ``test_malformed_lookup_is_bad_request``.)"""
+        from repro.cluster.serialization import settings_to_wire
+        from repro.query.io import query_to_dict
+
+        query = query_to_dict(SteinbrunnGenerator(4).query(3))
+        valid = {"op": "optimize", "query": query, "settings": settings_to_wire(DEFAULT_SETTINGS)}
+        if frame["op"] == "optimize":
+            frame = {**valid, **frame, "settings": {**valid["settings"], **frame.get("settings", {})}}
+        with connect_raw(server) as sock:
+            send_frame(sock, frame)
+            response = recv_frame(sock)
+            assert response["ok"] is False
+            assert response["error"]["type"] == "bad-request", response
+            send_frame(sock, {**valid, "workers": 2})
+            assert recv_frame(sock)["ok"] is True
 
     def test_unknown_key_lookup_is_typed_and_counts_nothing(self, server):
         with connect_raw(server) as sock:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.cluster.serialization import (
     MEMO_ENTRY_BYTES,
-    float_from_wire,
     float_to_wire,
     settings_from_wire,
     settings_to_wire,
@@ -44,6 +43,7 @@ from repro.core.serial import best_plan, optimize_serial
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind
 from repro.service.remap import remap_plan
+from repro.util.readers import float_from_wire
 from tests.test_edge_cases import _overflowing_query
 
 

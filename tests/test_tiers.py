@@ -462,6 +462,65 @@ class TestMalformedLogRecord:
         assert again.plans == expected.plans
 
 
+class TestMalformedLogLine:
+    """A log line that parses but is not a well-formed ``put`` / ``del``
+    never fails the open: it is dead weight, and a ``put`` whose key is a
+    string but whose entry, provenance or kind does not decode unindexes
+    that key.  A header that is not this format's refuses the file."""
+
+    def open_log(self, tmp_path, *lines, **tier_options):
+        log = tmp_path / "cache.log"
+        good = {"t": "put", "k": "good", "entry": entry_to_wire(make_entry())}
+        log.write_text("".join(json.dumps(line) + "\n" for line in (LOG_MAGIC, good, *lines)))
+        return DiskTier(log, **tier_options)
+
+    def test_record_that_is_not_an_object_is_dead_weight(self, tmp_path):
+        with self.open_log(tmp_path, 5) as tier:
+            assert tier.keys() == ["good"] and tier.peek("good") == make_entry()
+            assert tier.live_ratio() == 0.5
+        with self.open_log(tmp_path, 5, compact_ratio=0.6) as tier:
+            assert tier.live_ratio() == 1.0  # open-time compaction dropped it
+        assert "\n5\n" not in (tmp_path / "cache.log").read_text()
+
+    def test_put_whose_provenance_does_not_decode_unindexes_its_key(self, tmp_path):
+        entry = entry_to_wire(make_entry())
+        del entry["provenance"]["backend_used"]
+        with self.open_log(tmp_path, {"t": "put", "k": "good", "entry": entry}) as tier:
+            assert "good" not in tier and tier.peek("good") is None
+            assert tier.live_ratio() == 0.0
+
+    def test_put_whose_entry_is_not_an_object_unindexes_its_key(self, tmp_path):
+        with self.open_log(tmp_path, {"t": "put", "k": "good", "entry": [1]}) as tier:
+            assert tier.keys() == [] and tier.peek("good") is None
+
+    def test_put_whose_key_is_not_a_string_is_dead_weight(self, tmp_path, capsys):
+        from repro.cli import main
+
+        bad = {"t": "put", "k": 5, "entry": entry_to_wire(make_entry())}
+        self.open_log(tmp_path, bad).close()
+        assert main(["cache", "inspect", str(tmp_path / "cache.log")]) == 0
+        assert "1 entries" in capsys.readouterr().out
+        with DiskTier(tmp_path / "cache.log") as tier:
+            assert tier.keys() == ["good"] and tier.live_ratio() == 0.5
+
+    def test_header_that_is_not_an_object_refuses_the_log(self, tmp_path):
+        log = tmp_path / "cache.log"
+        log.write_text("5\n")
+        with pytest.raises(ValueError, match="not a plan-cache log"):
+            DiskTier(log)
+
+    def test_snapshot_header_that_is_not_an_object_refuses_the_import(self, tmp_path):
+        from repro.cli import main
+
+        snap = tmp_path / "bad.snap"
+        snap.write_text("[]\n")
+        log = tmp_path / "cache.log"
+        with pytest.raises(SystemExit, match="nothing imported: .* not a plan-cache snapshot"):
+            main(["cache", "import", str(snap), "--into", str(log)])
+        with DiskTier(log) as tier:
+            assert len(tier) == 0
+
+
 class CountingSerialExecutor(SerialPartitionExecutor):
     """Serial executor counting DP runs (``map_partitions`` invocations)."""
 
