@@ -746,14 +746,25 @@ def _run_shard_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open_log(path: str):
+    """The plan-cache log at ``path``; a file that is not one, or a log
+    another process holds, ends the command with a one-line refusal."""
+    from repro.service import DiskTier, DiskTierLockedError
+
+    try:
+        return DiskTier(path)
+    except (ValueError, DiskTierLockedError) as error:
+        raise SystemExit(f"nothing done: {error}") from None
+
+
 def _run_cache(args: argparse.Namespace) -> int:
-    from repro.service import DiskTier, InvalidationPredicate
+    from repro.service import InvalidationPredicate
 
     if args.cache_command == "inspect":
         now_s = time.time()
         reports = []
         for path in args.logs:
-            with DiskTier(path) as tier:
+            with _open_log(path) as tier:
                 entries = [
                     {
                         "fingerprint": key,
@@ -803,13 +814,13 @@ def _run_cache(args: argparse.Namespace) -> int:
         return 0
 
     if args.cache_command == "export":
-        with DiskTier(args.log) as tier:
+        with _open_log(args.log) as tier:
             exported = tier.export_snapshot(args.output)
         print(f"exported {exported} entries from {args.log} to {args.output}")
         return 0
 
     if args.cache_command == "import":
-        with DiskTier(args.into) as tier:
+        with _open_log(args.into) as tier:
             try:
                 imported = tier.import_snapshot(
                     args.snapshot, overwrite=not args.keep_existing
@@ -835,7 +846,7 @@ def _run_cache(args: argparse.Namespace) -> int:
     )
     reports = []
     for path in args.logs:
-        with DiskTier(path) as tier:
+        with _open_log(path) as tier:
             removed = tier.invalidate(predicate)
             reports.append(
                 {"log": path, "invalidated": len(removed), "remaining": len(tier)}

@@ -27,8 +27,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any
 
-#: Refuse frames beyond this size (default 32 MiB): a corrupt or hostile
-#: length prefix must not make a peer allocate gigabytes.
+#: The protocol's frame-size limit (32 MiB), fixed like its version: a
+#: corrupt or hostile length prefix must not make a peer allocate gigabytes.
 DEFAULT_MAX_FRAME_BYTES = 32 * 1024 * 1024
 
 _FRAME_HEADER = struct.Struct(">I")

@@ -8,7 +8,8 @@ actually *runs* a fleet:
 * **supervision** — :class:`ShardFleet` spawns N ``python -m repro
   shard-server`` processes (one unix socket each, optional per-shard disk
   cache logs), health-watches them, and restarts a crashed shard with
-  exponential backoff (``backoff_base_s * 2^consecutive-crashes``, capped).
+  exponential backoff (``backoff_base_s * 2^consecutive-crashes``, capped
+  at :data:`BACKOFF_CAP_S`).
   A restarted shard re-binds the same endpoint, so connected routers need
   no topology change: their circuit breaker opens on the crash, then
   re-admits the shard through its half-open probe once the replacement
@@ -56,12 +57,7 @@ from functools import partial
 from pathlib import Path
 from typing import IO, Any
 
-from repro.cluster.network import (
-    DEFAULT_MAX_FRAME_BYTES,
-    FrameError,
-    recv_frame,
-    send_frame,
-)
+from repro.cluster.network import FrameError, recv_frame, send_frame
 from repro.cluster.serialization import snapshot_from_wire, snapshot_to_wire
 from repro.service.net import (
     Address,
@@ -74,6 +70,14 @@ from repro.util.readers import read, read_int
 #: Identity of the membership file written at ``membership_path``.
 MEMBERSHIP_FORMAT = "repro-fleet"
 MEMBERSHIP_VERSION = 1
+
+#: Longest wait between a crash and the replacement's spawn.
+BACKOFF_CAP_S = 2.0
+#: A shard alive this long has its crash streak forgiven: its next crash
+#: starts the backoff ladder over.
+STABLE_RESET_S = 5.0
+#: How long a freshly spawned shard gets to answer its first health probe.
+SPAWN_TIMEOUT_S = 20.0
 
 
 class FleetError(RuntimeError):
@@ -119,16 +123,10 @@ class ShardFleet:
             ``shard-server`` process.
         health_interval_s: supervisor poll cadence (process liveness and
             restart scheduling).
-        backoff_base_s / backoff_cap_s: restart backoff — the k-th
-            consecutive crash waits ``min(cap, base * 2^(k-1))`` before the
-            replacement spawns.
-        stable_reset_s: a shard alive this long has its crash streak
-            forgiven (the next crash starts the backoff ladder over).
-        ring_replicas: virtual nodes per shard for the fleet's *own* ring
-            computation; must match the routers' ``ring_replicas`` or the
-            fleet would ship entries to shards the routers never ask.
-        spawn_timeout_s: how long a freshly spawned shard gets to answer
-            its first health probe.
+        backoff_base_s: restart backoff — the k-th consecutive crash
+            waits ``min(BACKOFF_CAP_S, base * 2^(k-1))`` before the
+            replacement spawns; a shard alive :data:`STABLE_RESET_S` has
+            its crash streak forgiven.
         log_dir: when set, each shard's stdout/stderr is appended to
             ``log_dir/<name>.log`` (CI uploads these on failure); default
             inherits the supervisor's own stderr.
@@ -149,14 +147,9 @@ class ShardFleet:
         cache_capacity: int = 256,
         health_interval_s: float = 0.2,
         backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
-        stable_reset_s: float = 5.0,
-        ring_replicas: int = 64,
-        spawn_timeout_s: float = 20.0,
         log_dir: str | os.PathLike | None = None,
         membership_path: str | os.PathLike | None = None,
         inject_latency_ms: dict[str, float] | None = None,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -168,16 +161,11 @@ class ShardFleet:
         self.cache_capacity = cache_capacity
         self.health_interval_s = health_interval_s
         self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.stable_reset_s = stable_reset_s
-        self.ring_replicas = ring_replicas
-        self.spawn_timeout_s = spawn_timeout_s
         self.log_dir = Path(log_dir) if log_dir is not None else None
         self.membership_path = (
             Path(membership_path) if membership_path is not None else None
         )
         self.inject_latency_ms = dict(inject_latency_ms or {})
-        self.max_frame_bytes = max_frame_bytes
         self._n_initial = n_shards
         self._next_index = n_shards
         self._handles: dict[str, ShardHandle] = {}
@@ -263,12 +251,11 @@ class ShardFleet:
                 response = self._shard_call(
                     handle.spec, {"op": "health"}, timeout_s=1.0
                 )
-            except (OSError, FrameError, FleetError) as error:
+                if read(response, "status", str) in ("serving", "draining"):
+                    return
+            except (OSError, ValueError, FleetError) as error:  # FrameError included
                 last_error = error
-                time.sleep(0.02)
-                continue
-            if response.get("status") in ("serving", "draining"):
-                return
+            time.sleep(0.02)
         raise FleetError(
             f"shard {handle.name!r} did not become ready within {timeout_s}s "
             f"(last error: {last_error})"
@@ -291,7 +278,7 @@ class ShardFleet:
         for handle in list(self._handles.values()):
             self._spawn_process(handle)
         for handle in list(self._handles.values()):
-            self._wait_ready(handle, self.spawn_timeout_s)
+            self._wait_ready(handle, SPAWN_TIMEOUT_S)
         self._write_membership()
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="fleet-monitor", daemon=True
@@ -315,7 +302,7 @@ class ShardFleet:
             if handle.alive():
                 if (
                     handle.consecutive_crashes
-                    and now - handle.last_spawn_at >= self.stable_reset_s
+                    and now - handle.last_spawn_at >= STABLE_RESET_S
                 ):
                     handle.consecutive_crashes = 0
                 continue
@@ -325,7 +312,7 @@ class ShardFleet:
                 # Just observed the crash: schedule the replacement.
                 handle.consecutive_crashes += 1
                 delay = min(
-                    self.backoff_cap_s,
+                    BACKOFF_CAP_S,
                     self.backoff_base_s * (2 ** (handle.consecutive_crashes - 1)),
                 )
                 handle.next_restart_at = now + delay
@@ -340,7 +327,7 @@ class ShardFleet:
                 self._restarts += 1
             self._spawn_process(handle)
             try:
-                self._wait_ready(handle, self.spawn_timeout_s)
+                self._wait_ready(handle, SPAWN_TIMEOUT_S)
             except FleetError:
                 # The replacement died too; the next poll schedules another
                 # attempt one backoff step higher.
@@ -356,21 +343,24 @@ class ShardFleet:
         sock = address.connect(timeout_s)
         try:
             sock.settimeout(timeout_s)
-            handshake(sock, self.max_frame_bytes)
-            send_frame(sock, payload, self.max_frame_bytes)
-            response = recv_frame(sock, self.max_frame_bytes)
+            handshake(sock)
+            send_frame(sock, payload)
+            response = recv_frame(sock)
         finally:
             sock.close()
         if response is None:
             raise FrameError(f"endpoint {spec} closed the connection mid-request")
-        if not response.get("ok"):
-            error = response.get("error") or {}
+        request = f"{payload.get('op')!r}/{payload.get('mode')!r}"
+        try:
+            if read(response, "ok", bool):
+                return response
+            error = read(response, "error", dict)
+            reason = f"{read(error, 'type', str)}: {read(error, 'message', str)}"
+        except ValueError as malformed:
             raise FleetError(
-                f"shard at {spec} refused {payload.get('op')!r}/"
-                f"{payload.get('mode')!r}: {error.get('type')}: "
-                f"{error.get('message')}"
-            )
-        return response
+                f"shard at {spec} sent a malformed reply to {request}: {malformed}"
+            ) from None
+        raise FleetError(f"shard at {spec} refused {request}: {reason}")
 
     # ---------------------------------------------------------------- membership
 
@@ -421,7 +411,7 @@ class ShardFleet:
     # --------------------------------------------------------------- rebalancing
 
     def _ring_of(self, names: list[str]) -> ConsistentHashRing:
-        ring = ConsistentHashRing(replicas=self.ring_replicas)
+        ring = ConsistentHashRing()
         for name in names:
             ring.add(name)
         return ring
@@ -520,7 +510,7 @@ class ShardFleet:
             )
             try:
                 self._spawn_process(handle)
-                self._wait_ready(handle, self.spawn_timeout_s)
+                self._wait_ready(handle, SPAWN_TIMEOUT_S)
                 moved_by_source = self._ship(
                     sources,
                     self._ring_of([*sources, name]),

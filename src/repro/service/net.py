@@ -57,12 +57,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from repro.cluster.network import (
-    DEFAULT_MAX_FRAME_BYTES,
-    FrameError,
-    recv_frame,
-    send_frame,
-)
+from repro.cluster.network import FrameError, recv_frame, send_frame
 from repro.cluster.serialization import (
     plans_from_wire,
     plans_to_wire,
@@ -80,6 +75,11 @@ from repro.util.readers import read, read_float, read_int
 #: Protocol identity exchanged in the hello frame; peers reject mismatches.
 PROTOCOL_FORMAT = "repro-net"
 PROTOCOL_VERSION = 3
+
+#: Virtual nodes per shard on every :class:`ConsistentHashRing`.  Part of
+#: the protocol like the version: a fleet and its routers must place the
+#: same keys on the same shards, so the count is fixed, not configured.
+RING_REPLICAS = 64
 
 #: Floor on the overload-retry sleep.  A shard advertising
 #: ``retry_after_s=0`` (or a malformed field defaulting low) must not turn
@@ -135,7 +135,7 @@ class Address:
         return f"{self.host}:{self.port}"
 
 
-def handshake(sock: socket.socket, max_frame_bytes: int) -> dict[str, Any]:
+def handshake(sock: socket.socket) -> None:
     """Read and validate a freshly connected shard's hello frame.
 
     The one place the protocol identity is enforced: a peer announcing
@@ -144,7 +144,7 @@ def handshake(sock: socket.socket, max_frame_bytes: int) -> dict[str, Any]:
     socket).  There is no negotiation: router and shards ship from one
     checkout.
     """
-    hello = recv_frame(sock, max_frame_bytes)
+    hello = recv_frame(sock)
     if (
         hello is None
         or hello.get("format") != PROTOCOL_FORMAT
@@ -154,7 +154,6 @@ def handshake(sock: socket.socket, max_frame_bytes: int) -> dict[str, Any]:
             f"peer {sock.getpeername()!r} did not speak "
             f"{PROTOCOL_FORMAT} v{PROTOCOL_VERSION} (hello: {hello!r})"
         )
-    return hello
 
 
 # ---------------------------------------------------------------- result codec
@@ -230,7 +229,7 @@ class RemoteOptimizationError(RuntimeError):
 class ConsistentHashRing:
     """Consistent hashing of fingerprints onto named shards.
 
-    Each shard contributes ``replicas`` virtual nodes at sha256-derived
+    Each shard contributes :data:`RING_REPLICAS` virtual nodes at sha256-derived
     positions in the 32-bit key space (the same space the in-process
     gateway's range router uses); a fingerprint routes to the first virtual
     node clockwise from its own 32-bit prefix.  Adding or removing one
@@ -238,10 +237,7 @@ class ConsistentHashRing:
     fingerprint keeps its shard, and with it its warm cache entries.
     """
 
-    def __init__(self, replicas: int = 64) -> None:
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        self.replicas = replicas
+    def __init__(self) -> None:
         self._points: list[int] = []
         self._owners: list[str] = []
         self._shards: set[str] = set()
@@ -257,7 +253,7 @@ class ConsistentHashRing:
         if shard in self._shards:
             return
         self._shards.add(shard)
-        for replica in range(self.replicas):
+        for replica in range(RING_REPLICAS):
             point = self._position(f"{shard}#{replica}")
             index = bisect.bisect(self._points, point)
             self._points.insert(index, point)
@@ -380,15 +376,12 @@ class _ShardLink:
         breaker: CircuitBreaker,
         connect_timeout_s: float,
         request_timeout_s: float,
-        max_frame_bytes: int,
     ) -> None:
         self.name = name
         self.address = address
         self.breaker = breaker
         self.connect_timeout_s = connect_timeout_s
         self.request_timeout_s = request_timeout_s
-        self.max_frame_bytes = max_frame_bytes
-        self.hello: dict[str, Any] = {}
         self._idle: list[socket.socket] = []
         self._closed = False
         self._lock = threading.Lock()
@@ -397,7 +390,7 @@ class _ShardLink:
         sock = self.address.connect(self.connect_timeout_s)
         try:
             sock.settimeout(self.request_timeout_s)
-            self.hello = handshake(sock, self.max_frame_bytes)
+            handshake(sock)
         except BaseException:
             sock.close()
             raise
@@ -427,8 +420,8 @@ class _ShardLink:
         if sock is None:
             sock = self._connect()
         try:
-            send_frame(sock, payload, self.max_frame_bytes)
-            response = recv_frame(sock, self.max_frame_bytes)
+            send_frame(sock, payload)
+            response = recv_frame(sock)
         except BaseException:
             sock.close()
             raise
@@ -491,8 +484,6 @@ class NetworkOptimizerGateway:
             rejection as :class:`GatewayOverloadedError` so callers apply
             their own policy; a thread-herd replayer sets this high enough
             to ride out admission-control bursts.
-        ring_replicas: virtual nodes per shard on the consistent-hash ring.
-        max_frame_bytes: frame-size bound in both directions.
     """
 
     def __init__(
@@ -505,8 +496,6 @@ class NetworkOptimizerGateway:
         failure_threshold: int = 3,
         reset_timeout_s: float = 1.0,
         overload_retries: int = 0,
-        ring_replicas: int = 64,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
     ) -> None:
         if not isinstance(shards, dict):
             shards = {
@@ -521,8 +510,7 @@ class NetworkOptimizerGateway:
         self._failure_threshold = failure_threshold
         self._reset_timeout_s = reset_timeout_s
         self._overload_retries = overload_retries
-        self._max_frame_bytes = max_frame_bytes
-        self._ring = ConsistentHashRing(replicas=ring_replicas)
+        self._ring = ConsistentHashRing()
         self._links: dict[str, _ShardLink] = {}
         self._lock = threading.Lock()
         self._closed = False
@@ -544,7 +532,6 @@ class NetworkOptimizerGateway:
             ),
             connect_timeout_s=self._connect_timeout_s,
             request_timeout_s=self._request_timeout_s,
-            max_frame_bytes=self._max_frame_bytes,
         )
         with self._lock:
             if name in self._links:
@@ -733,10 +720,10 @@ class NetworkOptimizerGateway:
         """Probe every shard once; returns per-shard health/breaker state.
 
         A reachable shard reports its server-side status (``serving`` or
-        ``draining``) and closes its breaker; an unreachable one records a
-        breaker failure.  Open-breaker shards are probed only when their
-        reset timeout has elapsed (the half-open rule), so a dead shard is
-        not hammered.
+        ``draining``) and closes its breaker; an unreachable one, or one
+        whose reply does not read, records a breaker failure.  Open-breaker
+        shards are probed only when their reset timeout has elapsed (the
+        half-open rule), so a dead shard is not hammered.
         """
         with self._lock:
             links = list(self._links.values())
@@ -749,15 +736,17 @@ class NetworkOptimizerGateway:
             else:
                 try:
                     response = link.request({"op": "health"})
-                except (OSError, FrameError) as error:
+                    status = read(response, "status", str)
+                    in_flight = read_int(response, "in_flight", low=0)
+                except (OSError, ValueError) as error:  # FrameError included
                     link.breaker.record_failure()
                     entry["reachable"] = False
                     entry["status"] = f"unreachable: {error}"
                 else:
                     link.breaker.record_success()
                     entry["reachable"] = True
-                    entry["status"] = response.get("status", "unknown")
-                    entry["in_flight"] = response.get("in_flight", 0)
+                    entry["status"] = status
+                    entry["in_flight"] = in_flight
             entry["breaker"] = link.breaker.state
             report[link.name] = entry
         return report
@@ -765,7 +754,11 @@ class NetworkOptimizerGateway:
     # ------------------------------------------------------------------ stats
 
     def stats(self) -> dict[str, Any]:
-        """Client-side counters plus each reachable shard's server stats."""
+        """Client-side counters plus each reachable shard's server stats.
+
+        A shard that cannot be reached, or whose reply does not read, is
+        reported ``reachable: False`` with the reason under ``error``.
+        """
         with self._lock:
             counters = dict(self._counters)
             links = list(self._links.values())
@@ -777,14 +770,15 @@ class NetworkOptimizerGateway:
             }
             if link.breaker.allow():
                 try:
-                    response = link.request({"op": "stats"})
-                except (OSError, FrameError):
+                    shard_stats = read(link.request({"op": "stats"}), "stats", dict)
+                except (OSError, ValueError) as error:  # FrameError included
                     link.breaker.record_failure()
                     entry["reachable"] = False
+                    entry["error"] = str(error)
                 else:
                     link.breaker.record_success()
                     entry["reachable"] = True
-                    entry.update(response.get("stats", {}))
+                    entry.update(shard_stats)
             else:
                 entry["reachable"] = False
             shards[link.name] = entry

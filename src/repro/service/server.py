@@ -77,7 +77,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.cluster.network import (
-    DEFAULT_MAX_FRAME_BYTES,
     FrameError,
     encode_body,
     encode_frame,
@@ -118,7 +117,6 @@ class ShardServer:
             optimizations; requests beyond it are rejected ``overloaded``
             with a ``retry_after_s`` estimating one service time; the
             blocking-DP thread pool has this many threads.
-        max_frame_bytes: protocol frame-size bound.
         inject_latency_s: fault injection for tests and benchmarks — every
             optimize and lookup sleeps this long before running, simulating
             a degraded shard.  0 (default) injects nothing.
@@ -133,7 +131,6 @@ class ShardServer:
         cache_capacity: int = 256,
         cache_dir: str | Path | None = None,
         max_in_flight: int = 8,
-        max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
         inject_latency_s: float = 0.0,
     ) -> None:
         if max_in_flight < 1:
@@ -143,7 +140,6 @@ class ShardServer:
         self.address = Address.parse(listen)
         self.shard_id = shard_id
         self.max_in_flight = max_in_flight
-        self.max_frame_bytes = max_frame_bytes
         self.inject_latency_s = inject_latency_s
         self._handler_pool = ThreadPoolExecutor(
             max_workers=max_in_flight,
@@ -273,7 +269,7 @@ class ShardServer:
             )
             while True:
                 try:
-                    payload = await read_frame(reader, self.max_frame_bytes)
+                    payload = await read_frame(reader)
                 except FrameError as error:
                     # A torn/oversized/malformed frame desynchronizes the
                     # byte stream: answer (best-effort) and drop only this
@@ -316,7 +312,7 @@ class ShardServer:
                 writer.close()
 
     async def _send(self, writer: asyncio.StreamWriter, payload: dict[str, Any]) -> None:
-        writer.write(encode_frame(payload, self.max_frame_bytes))
+        writer.write(encode_frame(payload))
         await writer.drain()
 
     # ----------------------------------------------------------------- dispatch
@@ -458,7 +454,7 @@ class ShardServer:
             answer = entry.wire_memo[slot] = encode_body(result_to_wire(result))
         head = {"ok": True} if theta is None else {"ok": True, "theta": theta}
         body = encode_body(head)[:-1] + b',"canonical":' + answer + b"}"
-        return True, frame_body(body, self.max_frame_bytes)
+        return True, frame_body(body)
 
     async def _admitted(self, work, *args: Any) -> dict[str, Any] | bytes:
         """Run blocking ``work(*args) -> (served, frame)`` on the handler
@@ -525,7 +521,7 @@ class ShardServer:
             return False, self._error("bad-request", f"malformed optimize request: {error}")
         result = self.gateway.optimize(query, settings, workers)
         response = {"ok": True, "result": result_to_wire(result)}
-        return True, encode_frame(response, self.max_frame_bytes)
+        return True, encode_frame(response)
 
     @staticmethod
     def _error(
@@ -570,31 +566,15 @@ async def _run_until_signalled(server: ShardServer) -> None:
     await server.serve_forever()
 
 
-def run_shard_server(
-    listen: str,
-    shard_id: int = 0,
-    n_workers: int = 8,
-    settings: OptimizerSettings = DEFAULT_SETTINGS,
-    cache_capacity: int = 256,
-    cache_dir: str | Path | None = None,
-    max_in_flight: int = 8,
-    inject_latency_s: float = 0.0,
-) -> None:
-    """Blocking entry point used by ``python -m repro shard-server``."""
+def run_shard_server(listen: str, **kwargs: Any) -> None:
+    """Blocking entry point used by ``python -m repro shard-server``.
+
+    ``kwargs`` are :class:`ShardServer`'s.
+    """
     # A shard server mixes an IO loop with CPU-bound DP handler threads;
     # at the default 5 ms GIL switch interval every loop wakeup (accept,
     # frame read, response write) can stall behind a DP thread's full
     # quantum.  A shorter interval trades a little enumeration throughput
     # for far lower protocol latency under load.
     sys.setswitchinterval(1e-3)
-    server = ShardServer(
-        listen=listen,
-        shard_id=shard_id,
-        n_workers=n_workers,
-        settings=settings,
-        cache_capacity=cache_capacity,
-        cache_dir=cache_dir,
-        max_in_flight=max_in_flight,
-        inject_latency_s=inject_latency_s,
-    )
-    asyncio.run(_run_until_signalled(server))
+    asyncio.run(_run_until_signalled(ShardServer(listen, **kwargs)))

@@ -24,9 +24,7 @@ with injected latency answers its own keys slowly and nobody else's.
 
 from __future__ import annotations
 
-import asyncio
 import socket
-import threading
 import time
 
 import pytest
@@ -52,12 +50,13 @@ from repro.service import (
     FleetRebalanceError,
     NetworkOptimizerGateway,
     ShardFleet,
-    ShardServer,
     ShardUnavailableError,
     fingerprint,
 )
+from repro.service.fleet import ShardHandle
 from repro.service.net import result_to_wire
 from repro.service.remap import invert, remap_plan
+from tests.test_net import ServerThread, stub_endpoint
 from tests.test_service import permute_query, shuffled
 
 
@@ -101,39 +100,6 @@ class TestSnapshotCodec:
 
 
 # ------------------------------------------------- snapshot op between servers
-
-
-class ServerThread:
-    """Run a :class:`ShardServer` on its own event loop in a daemon thread."""
-
-    def __init__(self, listen: str, **kwargs) -> None:
-        self.server = ShardServer(listen, **kwargs)
-        self._ready = threading.Event()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread = threading.Thread(target=self._run, daemon=True)
-        self._thread.start()
-        assert self._ready.wait(10), "server never started"
-
-    def _run(self) -> None:
-        async def main():
-            self._loop = asyncio.get_running_loop()
-            await self.server.start()
-            self._ready.set()
-            await self.server.serve_forever()
-
-        asyncio.run(main())
-
-    def stop(self) -> None:
-        if self._loop is not None and not self.server._stopped.is_set():
-            asyncio.run_coroutine_threadsafe(self.server.stop(), self._loop).result(10)
-        self._thread.join(10)
-        self.server.gateway.close()
-
-    def __enter__(self) -> "ServerThread":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
 
 
 def request(server: ServerThread, payload: dict) -> dict:
@@ -262,6 +228,25 @@ def optimize_until_served(gateway, queries, timeout_s: float = 20.0):
             if time.monotonic() > deadline:
                 raise
             time.sleep(0.1)
+
+
+class TestMalformedShardReply:
+    """A control reply that does not read through the strict readers is a
+    :class:`FleetError` naming the field, which every caller handles."""
+
+    def test_refusal_without_an_error_object_is_a_fleet_error(self, tmp_path):
+        fleet = ShardFleet(1, tmp_path)
+        reply = {"ok": False, "error": "boom"}
+        with stub_endpoint(tmp_path / "odd.sock", reply) as spec:
+            with pytest.raises(FleetError, match="malformed reply .*'error'"):
+                fleet._shard_call(spec, {"op": "snapshot", "mode": "keys"})
+
+    def test_health_status_that_does_not_read_is_the_last_error(self, tmp_path):
+        fleet = ShardFleet(1, tmp_path)
+        with stub_endpoint(tmp_path / "odd.sock", {"ok": True, "status": 5}) as spec:
+            handle = ShardHandle(name="odd", spec=spec, argv=[])
+            with pytest.raises(FleetError, match="did not become ready .*'status'"):
+                fleet._wait_ready(handle, 0.3)
 
 
 class TestFleetSupervision:

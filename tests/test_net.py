@@ -22,6 +22,7 @@ Four layers of test, cheapest first:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import os
 import socket
 import struct
@@ -40,6 +41,7 @@ from repro.bench.traffic import (
     unique_fingerprints,
 )
 from repro.cluster.network import (
+    DEFAULT_MAX_FRAME_BYTES,
     FrameError,
     OversizedFrameError,
     decode_frame_payload,
@@ -59,7 +61,13 @@ from repro.service import (
     ShardServer,
     ShardUnavailableError,
 )
-from repro.service.net import Address, result_from_wire, result_to_wire
+from repro.service.net import (
+    PROTOCOL_FORMAT,
+    PROTOCOL_VERSION,
+    Address,
+    result_from_wire,
+    result_to_wire,
+)
 from tests.test_service import permute_query, shuffled
 
 
@@ -251,10 +259,6 @@ class TestConsistentHashRing:
         with pytest.raises(LookupError):
             ConsistentHashRing().route("00000000" + "0" * 56)
 
-    def test_bad_replicas(self):
-        with pytest.raises(ValueError):
-            ConsistentHashRing(replicas=0)
-
 
 # ---------------------------------------------------------------------- breaker
 
@@ -399,6 +403,41 @@ def server(tmp_path):
         yield running
 
 
+@contextlib.contextmanager
+def stub_endpoint(path: Path, reply: dict):
+    """A peer on unix socket ``path`` that says hello, then answers every
+    frame with ``reply``; yields its address spec."""
+    stop = threading.Event()
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(str(path))
+    listener.listen(8)
+    listener.settimeout(0.05)
+
+    def answer(conn: socket.socket) -> None:
+        with conn, contextlib.suppress(OSError, FrameError):
+            send_frame(
+                conn,
+                {"op": "hello", "format": PROTOCOL_FORMAT, "version": PROTOCOL_VERSION},
+            )
+            while recv_frame(conn) is not None:
+                send_frame(conn, reply)
+
+    def accept() -> None:
+        while not stop.is_set():
+            with contextlib.suppress(socket.timeout):
+                conn, __ = listener.accept()
+                threading.Thread(target=answer, args=(conn,), daemon=True).start()
+
+    thread = threading.Thread(target=accept, daemon=True)
+    thread.start()
+    try:
+        yield f"unix:{path}"
+    finally:
+        stop.set()
+        thread.join(5)
+        listener.close()
+
+
 def connect_raw(server: ServerThread) -> socket.socket:
     """A raw client socket past the hello handshake."""
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -425,21 +464,19 @@ class TestProtocolFaults:
             assert recv_frame(sock)["status"] == "serving"
         assert server.server._protocol_errors >= 1
 
-    def test_oversized_frame_rejected_with_typed_error(self, tmp_path):
-        with ServerThread(
-            f"unix:{tmp_path / 'small.sock'}", n_workers=2, max_frame_bytes=4096
-        ) as small:
-            with connect_raw(small) as sock:
-                sock.sendall(struct.pack(">I", 1 << 20))
-                response = recv_frame(sock)
-                assert response["ok"] is False
-                assert response["error"]["type"] == "protocol"
-                assert "limit" in response["error"]["message"]
-                # The stream is desynchronized; the server hangs up on us.
-                assert sock.recv(4096) == b""
-            with connect_raw(small) as sock:
-                send_frame(sock, {"op": "health"})
-                assert recv_frame(sock)["ok"] is True
+    def test_oversized_frame_rejected_with_typed_error(self, server):
+        with connect_raw(server) as sock:
+            # The header alone is refused, before any body is allocated.
+            sock.sendall(struct.pack(">I", DEFAULT_MAX_FRAME_BYTES + 1))
+            response = recv_frame(sock)
+            assert response["ok"] is False
+            assert response["error"]["type"] == "protocol"
+            assert "limit" in response["error"]["message"]
+            # The stream is desynchronized; the server hangs up on us.
+            assert sock.recv(4096) == b""
+        with connect_raw(server) as sock:
+            send_frame(sock, {"op": "health"})
+            assert recv_frame(sock)["ok"] is True
 
     def test_malformed_json_rejected(self, server):
         with connect_raw(server) as sock:
@@ -666,14 +703,14 @@ class TestProtocolFaults:
         """No negotiation: a peer announcing another protocol version (v2
         replies still carried the modelled cluster timing) fails the
         handshake with a clear message, and the socket is closed."""
-        from repro.service.net import PROTOCOL_VERSION, handshake
+        from repro.service.net import handshake
 
         assert PROTOCOL_VERSION == 3
         left, right = socket.socketpair()
         with left, right:
             send_frame(left, {"op": "hello", "format": "repro-net", "version": 2})
             with pytest.raises(FrameError, match="did not speak repro-net v3"):
-                handshake(right, 1 << 20)
+                handshake(right)
 
 
 class TestConnectLeaks:
@@ -701,7 +738,6 @@ class TestConnectLeaks:
                 CircuitBreaker(),
                 connect_timeout_s=1.0,
                 request_timeout_s=0.05,
-                max_frame_bytes=1 << 20,
             )
             with pytest.raises(OSError):
                 link.request({"op": "health"})
@@ -852,6 +888,34 @@ class TestNetworkGateway:
             assert report["dead"]["reachable"] is False
             assert gateway.check_health()["dead"]["status"] == "circuit-open"
 
+    @pytest.mark.parametrize(
+        "reply, field",
+        [
+            ({"ok": True, "status": 5, "in_flight": 0}, "'status'"),
+            ({"ok": True, "status": "serving", "in_flight": "x"}, "'in_flight'"),
+        ],
+    )
+    def test_health_reply_that_does_not_read_reports_the_shard_unreachable(
+        self, tmp_path, reply, field
+    ):
+        with stub_endpoint(tmp_path / "odd.sock", reply) as spec, (
+            NetworkOptimizerGateway({"odd": spec})
+        ) as gateway:
+            entry = gateway.check_health()["odd"]
+        assert entry["reachable"] is False
+        assert field in entry["status"]
+
+    def test_stats_reply_that_does_not_read_reports_the_shard_unreachable(
+        self, tmp_path
+    ):
+        reply = {"ok": True, "stats": "not-an-object"}
+        with stub_endpoint(tmp_path / "odd.sock", reply) as spec, (
+            NetworkOptimizerGateway({"odd": spec})
+        ) as gateway:
+            entry = gateway.stats()["shards"]["odd"]
+        assert entry["reachable"] is False
+        assert "'stats'" in entry["error"]
+
     def test_add_remove_shard(self, server, tmp_path):
         with NetworkOptimizerGateway(
             {"s0": f"unix:{tmp_path / 'shard.sock'}"}, n_workers=2
@@ -991,7 +1055,7 @@ class TestOneRouteOneCall:
     the key, and each frame is sent exactly once — to that owner only."""
 
     def test_every_attempt_goes_to_the_rings_owner(self, tmp_path):
-        ring = ConsistentHashRing(replicas=64)
+        ring = ConsistentHashRing()
         for name in ("s0", "s1", "s2", "s3"):
             ring.add(name)
         with stub_gateway(tmp_path, n_shards=4) as gateway:
@@ -1335,7 +1399,7 @@ class TestRingRebalanceProperties:
 
         rng = random.Random(seed)
         keys = self.keys()
-        ring = ConsistentHashRing(replicas=32)
+        ring = ConsistentHashRing()
         members: list[str] = []
         for index in range(3):  # never let the ring go empty
             name = f"seed-{index}"
@@ -1369,7 +1433,7 @@ class TestRingRebalanceProperties:
 
         rng = random.Random(seed)
         keys = self.keys()
-        ring = ConsistentHashRing(replicas=32)
+        ring = ConsistentHashRing()
         for index in range(6):
             ring.add(f"shard-{index}")
         baseline = {key: ring.route(key) for key in keys}

@@ -520,6 +520,40 @@ class TestMalformedLogLine:
         with DiskTier(log) as tier:
             assert len(tier) == 0
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["inspect", "{log}"],
+            ["invalidate", "{log}", "--all"],
+            ["export", "{log}", "-o", "{snap}"],
+            ["import", "{good}", "--into", "{log}"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_cache_command_refuses_a_file_that_is_not_a_log_in_one_line(
+        self, tmp_path, command
+    ):
+        from repro.cli import main
+
+        log = tmp_path / "cache.log"
+        log.write_text("5\n")
+        good = tmp_path / "good.snap"
+        with DiskTier(tmp_path / "good.log") as tier:
+            tier.export_snapshot(good)
+        paths = {"log": log, "snap": tmp_path / "out.snap", "good": good}
+        argv = ["cache", *(part.format(**paths) for part in command)]
+        with pytest.raises(SystemExit, match="nothing done: .* is not a plan-cache log"):
+            main(argv)
+        assert log.read_text() == "5\n"
+
+    def test_cache_command_refuses_a_log_in_use_in_one_line(self, tmp_path):
+        from repro.cli import main
+
+        log = tmp_path / "cache.log"
+        with DiskTier(log):
+            with pytest.raises(SystemExit, match="nothing done: .* is in use by pid"):
+                main(["cache", "inspect", str(log)])
+
 
 class CountingSerialExecutor(SerialPartitionExecutor):
     """Serial executor counting DP runs (``map_partitions`` invocations)."""
