@@ -351,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cache_import = cache_commands.add_parser(
         "import", help="merge a snapshot's entries into a log"
     )
-    cache_import.add_argument("snapshot", help="snapshot (or log) file to read")
+    cache_import.add_argument("snapshot", help="snapshot (or log: its live entries) to read")
     cache_import.add_argument(
         "--into", required=True, help="plan-cache log to merge into"
     )
@@ -815,7 +815,10 @@ def _run_cache(args: argparse.Namespace) -> int:
 
     if args.cache_command == "export":
         with _open_log(args.log) as tier:
-            exported = tier.export_snapshot(args.output)
+            try:
+                exported = tier.export_snapshot(args.output)
+            except ValueError as error:
+                raise SystemExit(f"nothing done: {error}") from None
         print(f"exported {exported} entries from {args.log} to {args.output}")
         return 0
 

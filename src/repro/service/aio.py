@@ -67,6 +67,13 @@ from repro.service.gateway import GatewayStats, LedFlight, ShardedOptimizerGatew
 from repro.service.service import ServiceResult, resolve
 from repro.service.tiers import CacheEntry
 
+#: Entries in the served-result edge memo (fully relabeled answers by
+#: fingerprint, θ and numbering; least recently served beyond).  The memo
+#: never changes an answer — results are a pure function of the
+#: fingerprint — it only skips re-relabeling, but a memo-served answer does
+#: not refresh the shard cache's LRU recency for that key.
+RESULT_MEMO_SIZE = 1024
+
 
 class GatewayOverloadedError(RuntimeError):
     """The request was rejected by admission control; retry after a delay.
@@ -170,15 +177,12 @@ class AsyncOptimizerGateway:
         tenant_share: fraction of ``max_pending`` a single tenant may hold
             (at least one slot).  The remainder stays available to other
             tenants no matter how hot one tenant runs.
-        result_memo_size: entries in the served-result edge memo (fully
-            relabeled answers by fingerprint, LRU beyond); ``0`` disables
-            it.  The memo never changes an answer — results are a pure
-            function of the fingerprint — it only skips re-relabeling, but
-            a memo-served answer does not refresh the shard cache's LRU
-            recency for that key.
         own_gateway: close ``gateway`` when this front-end closes.
         **gateway_kwargs: forwarded to :class:`ShardedOptimizerGateway` when
             ``gateway`` is ``None``.
+
+    Served answers are memoised at the edge, :data:`RESULT_MEMO_SIZE` of
+    them, least recently served dropped first.
 
     Single-loop discipline: all bookkeeping runs on the event loop that
     first calls :meth:`optimize`; using the instance from a second loop is
@@ -193,7 +197,6 @@ class AsyncOptimizerGateway:
         *,
         max_pending: int = 128,
         tenant_share: float = 0.5,
-        result_memo_size: int = 1024,
         own_gateway: bool = False,
         **gateway_kwargs: object,
     ) -> None:
@@ -201,8 +204,6 @@ class AsyncOptimizerGateway:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if not 0.0 < tenant_share <= 1.0:
             raise ValueError(f"tenant_share must be in (0, 1], got {tenant_share}")
-        if result_memo_size < 0:
-            raise ValueError(f"result_memo_size must be >= 0, got {result_memo_size}")
         if gateway is None:
             gateway = ShardedOptimizerGateway(**gateway_kwargs)  # type: ignore[arg-type]
             own_gateway = True
@@ -228,7 +229,6 @@ class AsyncOptimizerGateway:
         self._served: OrderedDict[
             tuple[str, float | None], tuple[tuple[int, ...], ServiceResult]
         ] = OrderedDict()
-        self.result_memo_size = result_memo_size
         self._counters = AsyncGatewayStats()
         #: EWMA of one dispatch's time, submission to completion, seeding the
         #: retry-after estimate.
@@ -447,11 +447,9 @@ class AsyncOptimizerGateway:
         mutations to later requesters.  The frozen plan objects themselves
         are shared.
         """
-        if self.result_memo_size == 0:
-            return
         self._served[key] = (numbering, _cached_copy(result))
         self._served.move_to_end(key)
-        while len(self._served) > self.result_memo_size:
+        while len(self._served) > RESULT_MEMO_SIZE:
             self._served.popitem(last=False)
 
     # ------------------------------------------------------------------- stats

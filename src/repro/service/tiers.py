@@ -213,20 +213,26 @@ def decode_put_record(record: dict[str, Any]) -> tuple[str, CacheEntry]:
 def decode_put_records(
     records: Iterable[Any],
 ) -> list[tuple[dict[str, Any], str, CacheEntry]]:
-    """``(record, key, entry)`` for every ``put`` record of a shipment.
+    """``(record, key, entry)`` for every ``put`` record a shipment leaves live.
 
-    Other record types are skipped (a shipment carries entries, not
-    deletion history).  A record that is not a JSON object raises
-    ``ValueError`` naming its position, a malformed ``put`` one naming its
-    key, so an importer refuses a bad shipment before it stores any of it.
+    Records apply in order, as a log's do when it is opened: a later ``put``
+    supersedes an earlier one for its key and a ``del`` retires it, so a log
+    shipped whole yields exactly the entries it serves, never one it
+    evicted or invalidated.  Other record types are skipped.  A record that
+    is not a JSON object raises ``ValueError`` naming its position, a
+    malformed live ``put`` one naming its key, so an importer refuses a bad
+    shipment before it stores any of it.
     """
-    decoded = []
+    live: dict[str, dict[str, Any]] = {}
     for position, record in enumerate(records, start=1):
         if type(record) is not dict:
             raise ValueError(f"plan-cache record {position} is not a JSON object: {record!r:.80}")
-        if record.get("t") == "put":
-            decoded.append((record, *decode_put_record(record)))
-    return decoded
+        record_type = record.get("t")
+        if record_type == "put":
+            live[read(record, "k", str)] = record
+        elif record_type == "del":
+            live.pop(read(record, "k", str), None)
+    return [(record, *decode_put_record(record)) for record in live.values()]
 
 
 # -------------------------------------------------------------------- disk tier
@@ -241,19 +247,12 @@ class DiskTier:
     record's :class:`Provenance` resident, so invalidation predicates
     evaluate without touching the file and :meth:`entries` can enumerate
     provenance cheaply.  Superseded and tombstoned records stay in the log
-    until :meth:`compact` rewrites it.
+    until an explicit :meth:`compact` rewrites it; opening or closing a
+    log never does.
 
     ``sync=True`` fsyncs after every append (durable against power loss,
     slow); the default flushes to the OS only, which survives process
     crashes — the failure mode restarts actually come from.
-
-    ``compact_ratio`` enables automatic compaction: whenever the fraction
-    of live records among all log records drops below the ratio, the log is
-    rewritten at the next open (right after recovery) or close.  Those two
-    points are deliberately the only triggers — compaction holds the tier
-    lock for a full log rewrite, which is acceptable at lifecycle edges but
-    not mid-serving.  ``0.0`` (default) never auto-compacts; explicit
-    :meth:`compact` always works regardless.
 
     The tier keeps no hit or miss counters: :class:`TieredPlanCache` reads
     it through :meth:`peek` and classifies every lookup itself, once.
@@ -266,26 +265,12 @@ class DiskTier:
     query overwrites the key instead of failing on it for good.
     """
 
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        sync: bool = False,
-        compact_ratio: float = 0.0,
-    ) -> None:
-        if not 0.0 <= compact_ratio <= 1.0:
-            raise ValueError(
-                f"compact_ratio must be in [0, 1], got {compact_ratio}"
-            )
+    def __init__(self, path: str | os.PathLike, sync: bool = False) -> None:
         self.path = Path(path)
         self.sync = sync
-        self.compact_ratio = compact_ratio
         self._lock = threading.RLock()
         #: Each live key's ``(offset of its put record, provenance, kind)``.
         self._index: dict[str, tuple[int, Provenance | None, str]] = {}
-        #: Records in the log (not the header), dead ones included;
-        #: ``len(_index) / _total_records`` is the live ratio the
-        #: auto-compaction policy watches.
-        self._total_records = 0
         self._lockfile: io.BufferedRandom | None = None
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._acquire_writer_lock()
@@ -304,11 +289,6 @@ class DiskTier:
         except BaseException:
             self._release_writer_lock()
             raise
-        # Open-time auto-compaction: recovery just counted the dead weight a
-        # previous process left behind; shedding it now is the one moment a
-        # rewrite delays nothing but startup.
-        if self._needs_compaction():
-            self.compact()
 
     # ----------------------------------------------------------- writer lock
 
@@ -357,7 +337,7 @@ class DiskTier:
         """Rebuild the index by one forward scan; truncate any torn tail.
 
         A parsed line that is not a well-formed ``put`` or ``del`` never
-        fails the open: it is dead weight, counted toward ``compact_ratio``.
+        fails the open: it is dead weight, which :meth:`compact` drops.
         A ``put`` whose entry, provenance or kind does not decode unindexes
         its key, which then reads as a miss.  No plan is decoded here.
         """
@@ -381,7 +361,6 @@ class DiskTier:
                 if not line.endswith(b"\n"):
                     break  # complete JSON but unterminated: also torn
                 good_end = log.tell()
-                self._total_records += 1
                 try:
                     key, record_type = read(record, "k", str), read(record, "t", str)
                 except ValueError:
@@ -410,7 +389,6 @@ class DiskTier:
         self._appender.flush()
         if self.sync:
             os.fsync(self._appender.fileno())
-        self._total_records += 1
         return offset
 
     def peek(self, key: str) -> CacheEntry | None:
@@ -485,21 +463,6 @@ class DiskTier:
             items = [(key, provenance, kind) for key, (__, provenance, kind) in self._index.items()]
         yield from items
 
-    def live_ratio(self) -> float:
-        """Fraction of log records still live (1.0 on an empty log)."""
-        with self._lock:
-            if self._total_records == 0:
-                return 1.0
-            return len(self._index) / self._total_records
-
-    def _needs_compaction(self) -> bool:
-        """Whether the auto-compaction policy says the log is worth rewriting.
-
-        Never at ``compact_ratio=0`` (no live ratio is below it), nor on an
-        empty log (its live ratio is 1.0, and the ratio is at most 1).
-        """
-        return self.live_ratio() < self.compact_ratio
-
     def log_bytes(self) -> int:
         """Current size of the log file (includes dead records)."""
         with self._lock:
@@ -532,12 +495,13 @@ class DiskTier:
         The append path is identical to :meth:`put` — each record lands in
         the log and the offset/provenance indexes — so imported entries are
         durable and survive this process exactly like locally computed
-        ones.  Non-``put`` records are ignored.
+        ones.  Only the ``put`` records the shipment leaves live are merged
+        (:func:`decode_put_records`).
 
-        Every record is decoded before anything is appended
-        (:func:`decode_put_records`): a malformed one raises ``ValueError``
-        and leaves the log and its index as they were, instead of storing a
-        record no later read could decode.
+        Every one of them is decoded before anything is appended: a
+        malformed one raises ``ValueError`` and leaves the log and its index
+        as they were, instead of storing a record no later read could
+        decode.
         """
         puts = decode_put_records(records)
         imported = 0
@@ -553,9 +517,13 @@ class DiskTier:
 
         The snapshot is itself a valid tier log (header plus ``put``
         records only), so it can be opened directly as a :class:`DiskTier`
-        on another shard or imported into an existing one.
+        on another shard or imported into an existing one.  A destination
+        that is this log itself raises ``ValueError``: writing it would
+        empty the log before its records were read back.
         """
         destination = Path(path)
+        if destination.exists() and os.path.samefile(destination, self.path):
+            raise ValueError(f"cannot export {self.path} onto itself")
         destination.parent.mkdir(parents=True, exist_ok=True)
         with self._lock:
             live = sorted(offset for offset, __, __kind in self._index.values())
@@ -573,8 +541,10 @@ class DiskTier:
 
         With ``overwrite=False`` keys already live here are kept as-is
         (merge semantics for unioning shard snapshots); the default lets
-        the snapshot win.  Tombstones in the source are ignored — a
-        snapshot ships *entries*, not deletion history.
+        the snapshot win.  A log given as the source imports its live
+        entries only: its ``del`` records retire the ``put`` records before
+        them, so a key it evicted or invalidated is not brought back.  Its
+        tombstones never remove a key live here.
         """
         with open(path, "rb") as snapshot:
             _check_header(snapshot.readline(), f"{path} is not a plan-cache snapshot")
@@ -608,7 +578,6 @@ class DiskTier:
             finally:
                 try:
                     self._index.clear()
-                    self._total_records = 0
                     self._recover()
                 finally:
                     # Whatever happened above — swap refused, recovery
@@ -622,15 +591,8 @@ class DiskTier:
     # --------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Flush and release the file handles and writer lock.  Idempotent.
-
-        With ``compact_ratio`` set, a log that accumulated too much dead
-        weight is compacted on the way out, so the next opener recovers a
-        minimal log instead of replaying superseded records.
-        """
+        """Flush and release the file handles and writer lock.  Idempotent."""
         with self._lock:
-            if not self._appender.closed and self._needs_compaction():
-                self.compact()
             for handle in (self._appender, self._reader):
                 try:
                     handle.close()
@@ -878,8 +840,8 @@ class TieredPlanCache:
     def import_records(self, records: Iterable[dict[str, Any]]) -> int:
         """Merge shipped ``put`` records through :meth:`put`; returns count.
 
-        Every record is decoded before any is stored
-        (:func:`decode_put_records`), so a malformed one raises
+        The records the shipment leaves live (:func:`decode_put_records`)
+        are all decoded before any is stored, so a malformed one raises
         ``ValueError`` and imports nothing.  Each entry is durable in the
         disk log before this returns, which is what lets a rebalanced key's
         new owner restart and still serve it.

@@ -22,6 +22,7 @@ from repro.service import (
     AsyncOptimizerGateway,
     GatewayOverloadedError,
     ShardedOptimizerGateway,
+    aio,
 )
 from tests.test_service import permute_query, shuffled
 
@@ -286,35 +287,18 @@ class TestResultMemo:
         assert copy.plans is not plans
         assert all(a is b for a, b in zip(copy.plans, plans))
 
-    def test_memo_can_be_disabled(self):
-        async def scenario():
-            query = SteinbrunnGenerator(64).query(5)
-            async with AsyncOptimizerGateway(
-                n_shards=1, n_workers=2, result_memo_size=0
-            ) as front:
-                await front.optimize(query)
-                hit = await front.optimize(query)
-                assert hit.cached
-                assert front.stats().result_memo_hits == 0
+    def test_memo_is_lru_bounded(self, monkeypatch):
+        monkeypatch.setattr(aio, "RESULT_MEMO_SIZE", 2)
 
-        run(scenario())
-
-    def test_memo_is_lru_bounded(self):
         async def scenario():
             generator = SteinbrunnGenerator(65)
             queries = [generator.query(4) for __ in range(4)]
-            async with AsyncOptimizerGateway(
-                n_shards=1, n_workers=2, result_memo_size=2
-            ) as front:
+            async with AsyncOptimizerGateway(n_shards=1, n_workers=2) as front:
                 for query in queries:
                     await front.optimize(query)
-                assert len(front._served) <= 2
+                assert len(front._served) == 2
 
         run(scenario())
-
-    def test_rejects_negative_memo_size(self):
-        with pytest.raises(ValueError):
-            AsyncOptimizerGateway(result_memo_size=-1)
 
 
 class TestBackpressure:

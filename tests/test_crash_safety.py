@@ -261,101 +261,3 @@ class TestStrictLogEncoding:
             served = tier.peek("inf-cost")
             assert served is not None
             assert served.canonical_plans[0].cost == (math.inf,)
-
-
-class TestAutoCompaction:
-    """The ``compact_ratio`` policy: compaction fires only at open and
-    close, never loses a live record, and a crash mid-auto-compaction
-    recovers through the same orphan-cleanup path as a manual one."""
-
-    def churned_tier(self, path: Path, compact_ratio: float = 0.0) -> DiskTier:
-        # 6 live keys over 16 log records: live ratio 6/16 = 0.375.
-        tier = DiskTier(path, compact_ratio=compact_ratio)
-        for i in range(6):
-            tier.put(f"key-{i}", make_entry(created=i))
-        for generation in range(10):
-            tier.put("key-0", make_entry(created=0))
-        return tier
-
-    def test_close_compacts_churned_log(self, tmp_path):
-        log = tmp_path / "cache.log"
-        tier = self.churned_tier(log, compact_ratio=0.5)
-        assert tier.live_ratio() == pytest.approx(6 / 16)
-        dirty_bytes = tier.log_bytes()
-        tier.close()
-        assert log.stat().st_size < dirty_bytes
-        with DiskTier(log) as reopened:
-            # The compacted log is all-live: nothing left to rewrite.
-            assert reopened.live_ratio() == 1.0
-            assert sorted(reopened.keys()) == [f"key-{i}" for i in range(6)]
-            for i in range(6):
-                assert reopened.peek(f"key-{i}") == make_entry(created=i)
-
-    def test_open_compacts_a_dirty_log(self, tmp_path):
-        log = tmp_path / "cache.log"
-        # Written without a policy, so the churn survives the close...
-        self.churned_tier(log).close()
-        dirty_bytes = log.stat().st_size
-        # ...and the next opener with a policy pays the rewrite up front.
-        with DiskTier(log, compact_ratio=0.5) as reopened:
-            assert reopened.live_ratio() == 1.0
-            assert reopened.log_bytes() < dirty_bytes
-            assert sorted(reopened.keys()) == [f"key-{i}" for i in range(6)]
-
-    def test_healthy_log_is_left_alone(self, tmp_path):
-        log = tmp_path / "cache.log"
-        with DiskTier(log, compact_ratio=0.5) as tier:
-            for i in range(6):
-                tier.put(f"key-{i}", make_entry(created=i))
-            clean_bytes = tier.log_bytes()
-        assert log.stat().st_size == clean_bytes  # close rewrote nothing
-        with DiskTier(log, compact_ratio=0.5) as reopened:
-            assert reopened.log_bytes() == clean_bytes
-
-    def test_torn_tail_then_auto_compact_at_open(self, tmp_path):
-        # A crash tore the final append AND the log is mostly dead weight:
-        # recovery must first drop the torn tail, then compact what's live.
-        log = tmp_path / "cache.log"
-        self.churned_tier(log).close()
-        with open(log, "ab") as handle:
-            handle.write(b'{"t": "put", "k": "torn", "en')
-        with DiskTier(log, compact_ratio=0.5) as reopened:
-            assert reopened.live_ratio() == 1.0
-            assert reopened.peek("torn") is None
-            assert sorted(reopened.keys()) == [f"key-{i}" for i in range(6)]
-
-    def test_crash_mid_close_compaction_loses_nothing(self, tmp_path, monkeypatch):
-        log = tmp_path / "cache.log"
-        tier = self.churned_tier(log, compact_ratio=0.5)
-
-        def failing_replace(src, dst):
-            raise OSError(5, "injected replace failure")
-
-        monkeypatch.setattr(os, "replace", failing_replace)
-        with pytest.raises(OSError):
-            tier.close()  # the close-time compaction dies at the swap
-        monkeypatch.undo()
-        # The tier survived with open handles (compact()'s contract), the
-        # retry compacts, and every live record is still there.
-        assert tier.peek("key-3") == make_entry(created=3)
-        tier.close()
-        with DiskTier(log) as reopened:
-            assert reopened.live_ratio() == 1.0
-            assert sorted(reopened.keys()) == [f"key-{i}" for i in range(6)]
-        assert not list(tmp_path.glob("*.compact"))
-
-    def test_orphaned_compact_file_from_dead_auto_compaction(self, tmp_path):
-        # Process death after the snapshot was written but before the swap:
-        # the orphan must not shadow the live log at the next open.
-        log = tmp_path / "cache.log"
-        self.churned_tier(log).close()
-        orphan = log.with_suffix(log.suffix + ".compact")
-        orphan.write_bytes(b"half-written snapshot")
-        with DiskTier(log, compact_ratio=0.5) as reopened:
-            assert sorted(reopened.keys()) == [f"key-{i}" for i in range(6)]
-        assert not orphan.exists()
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.5])
-    def test_ratio_validation(self, tmp_path, bad):
-        with pytest.raises(ValueError):
-            DiskTier(tmp_path / "cache.log", compact_ratio=bad)

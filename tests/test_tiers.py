@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 
@@ -165,6 +166,51 @@ class TestDiskTier:
         with DiskTier(tmp_path / "cache.log") as tier:
             with pytest.raises(ValueError, match="not a plan-cache snapshot"):
                 tier.import_snapshot(bogus)
+
+    def test_importing_a_log_brings_back_no_retired_key(self, tmp_path, capsys):
+        from repro.cli import main
+
+        source, dest = tmp_path / "src.log", tmp_path / "dst.log"
+        with DiskTier(source) as tier:
+            tier.put("evicted", make_entry())
+            tier.put("invalidated", make_entry(backend="legacy"))
+            tier.put("kept", make_entry(created=3.0))
+            tier.put("re-put", make_entry())
+            tier.evict("evicted")
+            tier.invalidate(InvalidationPredicate(backend="legacy"))
+            tier.evict("re-put")
+            tier.put("re-put", make_entry(created=4.0))
+            served = tier.keys()
+        assert main(["cache", "import", str(source), "--into", str(dest)]) == 0
+        assert "imported 2 entries" in capsys.readouterr().out
+        with DiskTier(dest) as tier:
+            assert tier.keys() == served == ["kept", "re-put"]
+            assert tier.peek("re-put").provenance.created_at_s == 4.0
+
+    def test_export_onto_the_log_itself_is_refused(self, tmp_path, capsys):
+        from repro.cli import main
+
+        log = tmp_path / "a.log"
+        with DiskTier(log) as tier:
+            for key in "abc":
+                tier.put(key, make_entry())
+            with pytest.raises(ValueError, match="onto itself"):
+                tier.export_snapshot(log)
+        with pytest.raises(SystemExit, match="nothing done: .* onto itself"):
+            main(["cache", "export", str(log), "-o", str(log)])
+        assert "exported" not in capsys.readouterr().out
+        with DiskTier(log) as tier:
+            assert tier.keys() == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("sync, calls", [(True, 3), (False, 0)])
+    def test_sync_fsyncs_every_append(self, tmp_path, monkeypatch, sync, calls):
+        synced = []
+        monkeypatch.setattr(os, "fsync", synced.append)
+        with DiskTier(tmp_path / "cache.log", sync=sync) as tier:
+            tier.put("a", make_entry())
+            tier.put("b", make_entry())
+            tier.evict("a")  # the tombstone is an append too
+            assert len(synced) == calls
 
     def test_compact_reclaims_dead_records(self, tmp_path):
         with DiskTier(tmp_path / "cache.log") as tier:
@@ -428,6 +474,49 @@ class TestMalformedImport:
         assert cache.get("good") == make_entry()
 
 
+class TestShipmentReplay:
+    """A shipment's records apply in order, as a log's do when it opens."""
+
+    def put(self, key):
+        return {"t": "put", "k": key, "entry": entry_to_wire(make_entry())}
+
+    def test_superseded_put_is_imported_once(self, tmp_path):
+        with DiskTier(tmp_path / "src.log") as source:
+            source.put("a", make_entry(created=1.0))
+            source.put("a", make_entry(created=2.0))
+        with DiskTier(tmp_path / "dst.log") as dest:
+            assert dest.import_snapshot(tmp_path / "src.log") == 1
+            assert dest.peek("a").provenance.created_at_s == 2.0
+            assert len(dest.path.read_text().splitlines()) == 2  # header + one put
+
+    def test_malformed_put_retired_by_a_later_del_is_not_refused(self, tmp_path):
+        records = [TestMalformedImport.POISON, {"t": "del", "k": "abc"}, self.put("good")]
+        with DiskTier(tmp_path / "cache.log") as tier:
+            assert tier.import_records(records) == 1
+            assert tier.keys() == ["good"]
+
+    def test_del_whose_key_is_not_a_string_refuses_the_shipment(self, tmp_path):
+        with DiskTier(tmp_path / "cache.log") as tier:
+            with pytest.raises(ValueError, match="'k'"):
+                tier.import_records([self.put("good"), {"t": "del", "k": 5}])
+            assert tier.keys() == []
+
+    def test_cache_import_records_honours_del(self):
+        cache = TieredPlanCache(memory_capacity=4)
+        shipment = [self.put("a"), self.put("b"), {"t": "del", "k": "a"}]
+        assert cache.import_records(shipment) == 1
+        assert cache.keys() == ["b"]
+
+    def test_export_onto_a_hard_link_of_the_log_is_refused(self, tmp_path):
+        log, link = tmp_path / "a.log", tmp_path / "b.log"
+        with DiskTier(log) as tier:
+            tier.put("a", make_entry())
+            os.link(log, link)
+            with pytest.raises(ValueError, match="onto itself"):
+                tier.export_snapshot(link)
+            assert tier.peek("a") == make_entry()
+
+
 class TestMalformedLogRecord:
     """A ``put`` record already in a log whose entry does not decode is
     retired when first read: the lookup is a miss, and the re-run's entry
@@ -468,26 +557,31 @@ class TestMalformedLogLine:
     string but whose entry, provenance or kind does not decode unindexes
     that key.  A header that is not this format's refuses the file."""
 
-    def open_log(self, tmp_path, *lines, **tier_options):
+    def open_log(self, tmp_path, *lines):
         log = tmp_path / "cache.log"
         good = {"t": "put", "k": "good", "entry": entry_to_wire(make_entry())}
         log.write_text("".join(json.dumps(line) + "\n" for line in (LOG_MAGIC, good, *lines)))
-        return DiskTier(log, **tier_options)
+        return DiskTier(log)
+
+    def assert_compact_drops_the_bad_line(self, tier, live):
+        """An explicit ``compact()`` keeps the live keys and nothing else."""
+        tier.compact()
+        assert tier.keys() == live
+        lines = tier.path.read_text().splitlines()[1:]
+        assert [json.loads(line)["k"] for line in lines] == live
+        assert all(tier.peek(key) == make_entry() for key in live)
 
     def test_record_that_is_not_an_object_is_dead_weight(self, tmp_path):
         with self.open_log(tmp_path, 5) as tier:
             assert tier.keys() == ["good"] and tier.peek("good") == make_entry()
-            assert tier.live_ratio() == 0.5
-        with self.open_log(tmp_path, 5, compact_ratio=0.6) as tier:
-            assert tier.live_ratio() == 1.0  # open-time compaction dropped it
-        assert "\n5\n" not in (tmp_path / "cache.log").read_text()
+            self.assert_compact_drops_the_bad_line(tier, ["good"])
 
     def test_put_whose_provenance_does_not_decode_unindexes_its_key(self, tmp_path):
         entry = entry_to_wire(make_entry())
         del entry["provenance"]["backend_used"]
         with self.open_log(tmp_path, {"t": "put", "k": "good", "entry": entry}) as tier:
             assert "good" not in tier and tier.peek("good") is None
-            assert tier.live_ratio() == 0.0
+            self.assert_compact_drops_the_bad_line(tier, [])
 
     def test_put_whose_entry_is_not_an_object_unindexes_its_key(self, tmp_path):
         with self.open_log(tmp_path, {"t": "put", "k": "good", "entry": [1]}) as tier:
@@ -501,7 +595,8 @@ class TestMalformedLogLine:
         assert main(["cache", "inspect", str(tmp_path / "cache.log")]) == 0
         assert "1 entries" in capsys.readouterr().out
         with DiskTier(tmp_path / "cache.log") as tier:
-            assert tier.keys() == ["good"] and tier.live_ratio() == 0.5
+            assert tier.keys() == ["good"]
+            self.assert_compact_drops_the_bad_line(tier, ["good"])
 
     def test_header_that_is_not_an_object_refuses_the_log(self, tmp_path):
         log = tmp_path / "cache.log"
