@@ -56,32 +56,47 @@ class FigureResult:
         return "\n".join(lines)
 
 
-def fig1(scale_name: str = "default", cluster: ClusterModel | None = None) -> FigureResult:
-    """Figure 1: MPQ vs SMA, single objective — time and network vs workers."""
+def _figure(
+    scale_name: str, cluster: ClusterModel | None, figure: str, title: str, notes: str = ""
+) -> tuple[ExperimentScale, ClusterModel, FigureResult]:
+    """A figure's scale, its cluster (the scale's unless one is given) and an
+    empty result."""
     scale = _scale(scale_name)
     cluster = cluster if cluster is not None else scale.cluster()
-    result = FigureResult(
-        figure="Figure 1",
-        title="MPQ vs SMA (single objective): time and network vs workers",
-        notes=f"scale={scale.name}; medians over {scale.queries_per_point} queries",
-    )
-    configs = [(PlanSpace.LINEAR, n) for n in scale.fig1_linear] + [
-        (PlanSpace.BUSHY, n) for n in scale.fig1_bushy
-    ]
+    notes = f"scale={scale.name}; medians over {scale.queries_per_point} queries{notes}"
+    return scale, cluster, FigureResult(figure=figure, title=title, notes=notes)
+
+
+def _mpq_vs_sma(
+    result: FigureResult,
+    scale: ExperimentScale,
+    cluster: ClusterModel,
+    sizes: tuple[tuple[int, ...], tuple[int, ...]],
+    label: str,
+    **objectives,
+) -> FigureResult:
+    """One MPQ and one SMA series per (linear, bushy) size: Figures 1 and 4."""
+    linear, bushy = sizes
+    configs = [(PlanSpace.LINEAR, n) for n in linear] + [(PlanSpace.BUSHY, n) for n in bushy]
     for plan_space, n_tables in configs:
-        settings = OptimizerSettings(plan_space=plan_space)
+        settings = OptimizerSettings(plan_space=plan_space, **objectives)
         queries = _queries(n_tables, scale.queries_per_point)
         counts = worker_counts(min(scale.max_workers, 128))
         mpq_counts = [w for w in counts if w <= max_partitions(n_tables, plan_space)]
         sma_counts = [w for w in counts if w <= scale.max_sma_workers]
-        label = f"{plan_space.value} {n_tables}"
-        result.series.append(
-            mpq_scaling(f"MPQ {label}", queries, mpq_counts, settings, cluster)
-        )
-        result.series.append(
-            sma_scaling(f"SMA {label}", queries, sma_counts, settings, cluster)
-        )
+        series = f"{label}{plan_space.value} {n_tables}"
+        result.series.append(mpq_scaling(f"MPQ {series}", queries, mpq_counts, settings, cluster))
+        result.series.append(sma_scaling(f"SMA {series}", queries, sma_counts, settings, cluster))
     return result
+
+
+def fig1(scale_name: str = "default", cluster: ClusterModel | None = None) -> FigureResult:
+    """Figure 1: MPQ vs SMA, single objective — time and network vs workers."""
+    scale, cluster, result = _figure(
+        scale_name, cluster, "Figure 1",
+        "MPQ vs SMA (single objective): time and network vs workers",
+    )
+    return _mpq_vs_sma(result, scale, cluster, (scale.fig1_linear, scale.fig1_bushy), "")
 
 
 def fig2(scale_name: str = "default", cluster: ClusterModel | None = None) -> FigureResult:
@@ -91,15 +106,9 @@ def fig2(scale_name: str = "default", cluster: ClusterModel | None = None) -> Fi
     at the paper's own sizes (:func:`~repro.bench.analytic.paper_scale_fig2`),
     which pure-Python DP cannot execute.
     """
-    scale = _scale(scale_name)
-    cluster = cluster if cluster is not None else scale.cluster()
-    result = FigureResult(
-        figure="Figure 2",
-        title="MPQ scaling (single objective, larger search spaces)",
-        notes=(
-            f"scale={scale.name}; medians over {scale.queries_per_point} queries; "
-            "analytic series: closed forms at the paper's sizes, default cluster"
-        ),
+    scale, cluster, result = _figure(
+        scale_name, cluster, "Figure 2", "MPQ scaling (single objective, larger search spaces)",
+        "; analytic series: closed forms at the paper's sizes, default cluster",
     )
     configs = [(PlanSpace.LINEAR, n) for n in scale.fig2_linear] + [
         (PlanSpace.BUSHY, n) for n in scale.fig2_bushy
@@ -120,12 +129,9 @@ def fig2(scale_name: str = "default", cluster: ClusterModel | None = None) -> Fi
 
 def fig3(scale_name: str = "default", cluster: ClusterModel | None = None) -> FigureResult:
     """Figure 3: join-graph structure has negligible impact on DP time."""
-    scale = _scale(scale_name)
-    cluster = cluster if cluster is not None else scale.cluster()
-    result = FigureResult(
-        figure="Figure 3",
-        title="Join graph structure (chain/star/cycle) vs optimization time",
-        notes=f"scale={scale.name}; medians over {scale.queries_per_point} queries",
+    scale, cluster, result = _figure(
+        scale_name, cluster, "Figure 3",
+        "Join graph structure (chain/star/cycle) vs optimization time",
     )
     kinds = (JoinGraphKind.CHAIN, JoinGraphKind.STAR, JoinGraphKind.CYCLE)
     settings = OptimizerSettings(plan_space=PlanSpace.LINEAR)
@@ -134,70 +140,34 @@ def fig3(scale_name: str = "default", cluster: ClusterModel | None = None) -> Fi
         for kind in kinds:
             queries = _queries(n_tables, scale.queries_per_point, kind)
             counts = [w for w in sweep if w <= scale.max_sma_workers]
-            result.series.append(
-                sma_scaling(
-                    f"SMA {n_tables} tables / {kind.value}",
-                    queries,
-                    counts,
-                    settings,
-                    cluster,
-                )
-            )
+            label = f"SMA {n_tables} tables / {kind.value}"
+            result.series.append(sma_scaling(label, queries, counts, settings, cluster))
     for n_tables in scale.fig3_mpq:
         limit = max_partitions(n_tables, PlanSpace.LINEAR)
         counts = sorted({min(w, limit) for w in sweep})
         for kind in kinds:
             queries = _queries(n_tables, scale.queries_per_point, kind)
-            result.series.append(
-                mpq_scaling(
-                    f"MPQ {n_tables} tables / {kind.value}",
-                    queries,
-                    counts,
-                    settings,
-                    cluster,
-                )
-            )
+            label = f"MPQ {n_tables} tables / {kind.value}"
+            result.series.append(mpq_scaling(label, queries, counts, settings, cluster))
     return result
 
 
 def fig4(scale_name: str = "default", cluster: ClusterModel | None = None) -> FigureResult:
     """Figure 4: multi-objective MPQ vs SMA — time and network vs workers."""
-    scale = _scale(scale_name)
-    cluster = cluster if cluster is not None else scale.cluster()
-    result = FigureResult(
-        figure="Figure 4",
-        title="MPQ vs SMA (two cost metrics, alpha=10): time and network",
-        notes=f"scale={scale.name}; medians over {scale.queries_per_point} queries",
+    scale, cluster, result = _figure(
+        scale_name, cluster, "Figure 4", "MPQ vs SMA (two cost metrics, alpha=10): time and network"
     )
-    configs = [(PlanSpace.LINEAR, n) for n in scale.fig4_linear] + [
-        (PlanSpace.BUSHY, n) for n in scale.fig4_bushy
-    ]
-    for plan_space, n_tables in configs:
-        settings = OptimizerSettings(
-            plan_space=plan_space, objectives=MULTI_OBJECTIVE, alpha=10.0
-        )
-        queries = _queries(n_tables, scale.queries_per_point)
-        counts = worker_counts(min(scale.max_workers, 128))
-        mpq_counts = [w for w in counts if w <= max_partitions(n_tables, plan_space)]
-        sma_counts = [w for w in counts if w <= scale.max_sma_workers]
-        label = f"{plan_space.value} {n_tables}"
-        result.series.append(
-            mpq_scaling(f"MPQ MO {label}", queries, mpq_counts, settings, cluster)
-        )
-        result.series.append(
-            sma_scaling(f"SMA MO {label}", queries, sma_counts, settings, cluster)
-        )
-    return result
+    return _mpq_vs_sma(
+        result, scale, cluster, (scale.fig4_linear, scale.fig4_bushy), "MO ",
+        objectives=MULTI_OBJECTIVE, alpha=10.0,
+    )
 
 
 def fig5(scale_name: str = "default", cluster: ClusterModel | None = None) -> FigureResult:
     """Figure 5: multi-objective MPQ scaling (linear plan spaces)."""
-    scale = _scale(scale_name)
-    cluster = cluster if cluster is not None else scale.cluster()
-    result = FigureResult(
-        figure="Figure 5",
-        title="MPQ scaling with two cost metrics (alpha=10, linear plans)",
-        notes=f"scale={scale.name}; medians over {scale.queries_per_point} queries",
+    scale, cluster, result = _figure(
+        scale_name, cluster, "Figure 5",
+        "MPQ scaling with two cost metrics (alpha=10, linear plans)",
     )
     for n_tables in scale.fig5_linear:
         settings = OptimizerSettings(

@@ -13,7 +13,8 @@ Two layers live here:
 * **actual wire codecs** for the objects the persistent plan-cache tier and
   the out-of-process gateway ship between processes: plan trees (including
   interesting orders and parametric cost vectors — a serialized frontier is
-  just a list of plans) and optimizer settings.
+  just a list of plans, each plan a flat list of post-order node rows) and
+  optimizer settings.
   Encoding is **strict standard JSON**: finite floats survive
   bit-identically because Python's ``repr``-based float formatting is
   shortest-round-trip exact, and *non-finite* floats — parametric envelopes
@@ -38,7 +39,7 @@ from typing import Any
 from repro.config import Backend, Objective, OptimizerSettings, PlanSpace
 from repro.plans.operators import JoinAlgorithm, ScanAlgorithm
 from repro.plans.orders import SortOrder
-from repro.plans.plan import JoinPlan, Plan, ScanPlan
+from repro.plans.plan import JoinPlan, Plan, ScanPlan, plan_join_count
 from repro.query.query import Query
 from repro.util.readers import MISSING, float_from_wire, read, read_enum, read_float, read_int
 
@@ -83,23 +84,16 @@ def task_bytes(query: Query) -> int:
     return query_bytes(query) + TASK_HEADER_BYTES
 
 
-def plan_node_count(plan: Plan) -> int:
-    """Number of operator nodes in a plan tree (2n - 1 for n tables)."""
-    if isinstance(plan, ScanPlan):
-        return 1
-    assert isinstance(plan, JoinPlan)
-    return 1 + plan_node_count(plan.left) + plan_node_count(plan.right)
-
-
 def plans_bytes(plans: list[Plan]) -> int:
     """Worker-to-master result message: all partition-optimal plans.
 
     A worker returning an empty result still sends a header-only message.
+    A plan of ``j`` joins has ``2j + 1`` operator nodes.
     """
     if not plans:
         return MESSAGE_HEADER_BYTES
     per_plan = sum(
-        PLAN_NODE_BYTES * plan_node_count(plan) + PER_METRIC_BYTES * len(plan.cost)
+        PLAN_NODE_BYTES * (2 * plan_join_count(plan) + 1) + PER_METRIC_BYTES * len(plan.cost)
         for plan in plans
     )
     return MESSAGE_HEADER_BYTES + per_plan
@@ -142,42 +136,44 @@ def float_to_wire(value: float) -> float | str:
     return value
 
 
-def order_to_wire(order: SortOrder | None) -> list | None:
-    """Wire form of a sort order: ``[table, column]``, or ``None``."""
-    if order is None:
-        return None
-    return [order.table, order.column]
+def plan_to_wire(plan: Plan) -> list[list]:
+    """JSON-compatible encoding of a plan tree, lossless: flat post-order rows.
 
-
-def plan_to_wire(plan: Plan) -> dict[str, Any]:
-    """JSON-compatible encoding of a plan tree, lossless.
-
-    Unlike :func:`repro.query.io.plan_to_dict` (human-facing explain
-    output), this encoding round-trips *exactly*: masks, float
-    cardinalities and cost vectors, operator algorithms, and sort orders
-    are all preserved, so ``plan_from_wire(plan_to_wire(p)) == p`` for any
-    plan of any query class (plain, interesting orders, parametric).
+    One array per node, children before their parent: a scan is ``[0,
+    table, alg, rows, cost, order]`` and a join ``[1, alg, rows, cost,
+    order]``, whose operands are the two subtrees just before it.  ``order``
+    is ``[table, column]`` or ``null``.  Masks are not written: a scan's is
+    its table's bit and a join's the union of its operands', as the cost
+    model builds them.  Unlike :func:`repro.query.io.plan_to_dict`
+    (human-facing explain output), this encoding round-trips *exactly*:
+    ``plan_from_wire(plan_to_wire(p)) == p`` for any plan of any query class
+    (plain, interesting orders, parametric).
     """
-    common: dict[str, Any] = {
-        "mask": plan.mask,
-        "rows": float_to_wire(plan.rows),
-        "cost": [float_to_wire(value) for value in plan.cost],
-        "order": order_to_wire(plan.order),
-    }
-    if isinstance(plan, ScanPlan):
-        return {"op": "scan", "table": plan.table, "alg": plan.algorithm.value, **common}
-    assert isinstance(plan, JoinPlan)
-    return {
-        "op": "join",
-        "alg": plan.algorithm.value,
-        "left": plan_to_wire(plan.left),
-        "right": plan_to_wire(plan.right),
-        **common,
-    }
+    rows: list[list] = []
+    _rows_into(plan, rows)
+    return rows
+
+
+def _rows_into(plan: Plan, rows: list[list]) -> None:
+    order = plan.order
+    if order is not None:
+        order = [order.table, order.column]
+    tail = [float_to_wire(plan.rows), [float_to_wire(value) for value in plan.cost], order]
+    if type(plan) is ScanPlan:
+        rows.append([0, plan.table, plan.algorithm.value, *tail])
+        return
+    _rows_into(plan.left, rows)
+    _rows_into(plan.right, rows)
+    rows.append([1, plan.algorithm.value, *tail])
 
 
 _SCAN_ALGORITHMS = {member.value: member for member in ScanAlgorithm}
 _JOIN_ALGORITHMS = {member.value: member for member in JoinAlgorithm}
+
+#: Table numbers a plan decoded without a mapping may name: a mask has one
+#: bit per table, and no DP here gets near 64 tables.  The bound keeps a
+#: hostile table number from building a mask of a billion bits.
+_TABLE_LIMIT = 64
 
 
 class _TableMap(dict):
@@ -193,63 +189,109 @@ def _table_map(mapping: tuple[int, ...] | None) -> dict[int, int] | None:
     return None if mapping is None else _TableMap(enumerate(mapping))
 
 
-def _decode(data: Any, tables: dict[int, int] | None) -> Plan:
-    # A well-formed field passes its inline type check and is taken as is;
-    # anything else goes through the strict readers, which normalise it
-    # (an integral float mask, a sentinel infinity) or raise ValueError.
-    if type(data) is not dict:
-        raise ValueError(f"a plan node must be a JSON object, got {data!r:.80}")
+def _decode_rows(data: list, tables: dict[int, int] | None) -> Plan:
+    # Each field passes an inline type check or goes through the strict
+    # readers, which normalise it (an integral float, a sentinel infinity)
+    # or raise ValueError.  A row ends in rows, cost, order either way.
     isfinite = math.isfinite
-    rows = data.get("rows")
-    if type(rows) is not float or not isfinite(rows):
-        rows = read_float(data, "rows", infinite=True)
-    cost = data.get("cost")
-    if type(cost) is not list:
-        cost = read(data, "cost", list)
-    cost = tuple(
-        [
-            value if type(value) is float and isfinite(value) else float_from_wire(value, "cost")
-            for value in cost
-        ]
-    )
-    order = data.get("order", MISSING)
-    if order is not None:
-        pair = type(order) is list and len(order) == 2
-        if not (pair and type(order[0]) is int and type(order[1]) is str):
-            order = read(data, "order", list)
-            if len(order) != 2:
-                raise ValueError(f"field 'order' must be [table, column], got {order!r}")
-            order = [read_int(order, 0), read(order, 1, str)]
-        order = SortOrder(order[0] if tables is None else tables[order[0]], order[1])
-    if tables is None:
-        mask = data.get("mask")
-        if type(mask) is not int:
-            mask = read_int(data, "mask")
-    op, algorithm = data.get("op"), data.get("alg")
-    if type(algorithm) is not str:
-        algorithm = read(data, "alg", str)
-    if op == "scan":
-        table = data.get("table")
-        if type(table) is not int:
-            table = read_int(data, "table")
-        if tables is not None:
-            table = tables[table]
-            mask = 1 << table
-        algorithm = _SCAN_ALGORITHMS.get(algorithm) or read_enum(data, "alg", ScanAlgorithm)
-        return ScanPlan(mask, rows, cost, order, table, algorithm)
-    if op == "join":
-        left, right = _decode(data.get("left"), tables), _decode(data.get("right"), tables)
-        if tables is not None:
-            mask = left.mask | right.mask
-        algorithm = _JOIN_ALGORITHMS.get(algorithm) or read_enum(data, "alg", JoinAlgorithm)
-        return JoinPlan(mask, rows, cost, order, left, right, algorithm)
-    raise ValueError(f"unknown plan operator {op!r}")
+    stack: list[Plan] = []
+    for row in data:
+        size = len(row) if type(row) is list else 0
+        if size == 6:
+            tag, table, algorithm, rows, cost, order = row
+        elif size == 5:
+            tag, algorithm, rows, cost, order = row
+        else:
+            tag = None
+        if type(tag) is not int and tag is not None:
+            tag = read_int(row, 0)
+        if tag != 6 - size:  # a scan row is tagged 0, a join row 1, any other row refused
+            raise ValueError(
+                "a plan row must be [0, table, alg, rows, cost, order] or "
+                f"[1, alg, rows, cost, order], got {row!r:.80}"
+            )
+        if type(rows) is not float or not isfinite(rows):
+            rows = read_float(row, size - 3, infinite=True)
+        if type(cost) is not list:
+            cost = read(row, size - 2, list)
+        for value in cost:
+            if type(value) is not float or not isfinite(value):
+                cost = [float_from_wire(value, "cost") for value in cost]
+                break
+        cost = tuple(cost)
+        if order is not None:
+            pair = type(order) is list and len(order) == 2
+            if not (pair and type(order[0]) is int and type(order[1]) is str):
+                order = read(row, size - 1, list)
+                if len(order) != 2:
+                    raise ValueError(f"a plan's order must be [table, column], got {order!r}")
+                order = [read_int(order, 0), read(order, 1, str)]
+            order = SortOrder(order[0] if tables is None else tables[order[0]], order[1])
+        if size == 6:
+            if type(table) is not int:
+                table = read_int(row, 1)
+            if tables is not None:
+                table = tables[table]
+            elif not 0 <= table < _TABLE_LIMIT:
+                raise ValueError(f"plan names table {table}, outside [0, {_TABLE_LIMIT})")
+            algorithm = type(algorithm) is str and _SCAN_ALGORITHMS.get(algorithm)
+            algorithm = algorithm or read_enum(row, 2, ScanAlgorithm)
+            stack.append(ScanPlan(1 << table, rows, cost, order, table, algorithm))
+            continue
+        if len(stack) < 2:
+            raise ValueError(f"plan join row {row!r:.80} has fewer than two operands before it")
+        right, left = stack.pop(), stack.pop()
+        if left.mask & right.mask:
+            raise ValueError(f"plan join row {row!r:.80} joins operands that share a table")
+        algorithm = type(algorithm) is str and _JOIN_ALGORITHMS.get(algorithm)
+        algorithm = algorithm or read_enum(row, 1, JoinAlgorithm)
+        stack.append(JoinPlan(left.mask | right.mask, rows, cost, order, left, right, algorithm))
+    if len(stack) != 1:
+        raise ValueError(f"plan rows must build one tree, they build {len(stack)}")
+    return stack[0]
 
 
-def plan_from_wire(
-    data: dict[str, Any], mapping: tuple[int, ...] | None = None
-) -> Plan:
+def _nested_rows(node: Any, rows: list, masks: bool) -> int:
+    # The nested form older versions wrote: one object per node, children
+    # inside, each with its mask.  Read as the flat rows it stands for; a
+    # mask is checked against its tables unless a mapping replaces it.
+    # Returns the node's mask as its tables make it (0 for a bad table,
+    # which the rows decoder then refuses).
+    if type(node) is not dict:
+        raise ValueError(f"a plan node must be a JSON object, got {node!r:.80}")
+    get = node.get
+    if get("op") == "join":
+        mask = _nested_rows(get("left"), rows, masks) | _nested_rows(get("right"), rows, masks)
+        rows.append([1, get("alg"), get("rows"), get("cost"), get("order", MISSING)])
+    elif get("op") == "scan":
+        table = get("table")
+        mask = 1 << table if type(table) is int and 0 <= table < _TABLE_LIMIT else 0
+        rows.append([0, table, get("alg"), get("rows"), get("cost"), get("order", MISSING)])
+    else:
+        raise ValueError(f"unknown plan operator {get('op')!r}")
+    if masks and read_int(node, "mask") != mask:
+        raise ValueError(f"a plan node's mask {get('mask')!r} is not its tables' {mask}")
+    return mask
+
+
+def _decode(data: Any, tables: dict[int, int] | None) -> Plan:
+    # A plan's JSON type tells its form: an array is flat rows, an object
+    # the nested form.
+    if type(data) is list:
+        return _decode_rows(data, tables)
+    if type(data) is not dict:
+        raise ValueError(f"a plan must be a JSON array or object, got {data!r:.80}")
+    rows: list[list] = []
+    _nested_rows(data, rows, tables is None)
+    return _decode_rows(rows, tables)
+
+
+def plan_from_wire(data: list | dict[str, Any], mapping: tuple[int, ...] | None = None) -> Plan:
     """Rebuild a plan tree from :func:`plan_to_wire` output.
+
+    A JSON array is read as flat rows; a JSON object as the nested form
+    (one object per node, ``"op"``, ``"mask"`` and children inside) that
+    versions before the flat rows wrote to logs, snapshots and the wire.
 
     With a ``mapping`` (``mapping[old] = new``, a permutation of the
     query's tables) the tree is decoded straight into the new numbering:
@@ -259,13 +301,15 @@ def plan_from_wire(
     are copied verbatim — at the price of one tree build, not two.
 
     Raises ``ValueError`` on malformed input — a persistent cache decoding
-    a corrupt record must fail loudly, not serve a half-built plan.  A
-    table number outside ``mapping`` is malformed input too.
+    a corrupt record must fail loudly, not serve a half-built plan.  For
+    rows that includes a bad tag or arity, a join with fewer than two
+    operands before it, rows left over, and a join whose operands share a
+    table.  A table number outside ``mapping`` is malformed input too.
     """
     return _decode(data, _table_map(mapping))
 
 
-def plans_to_wire(plans: list[Plan]) -> list[dict[str, Any]]:
+def plans_to_wire(plans: list[Plan]) -> list[list[list]]:
     """Encode a plan list — a Pareto or parametric lower-envelope frontier.
 
     Frontier order is meaningful (backends pin it; golden tests assert it)
@@ -274,12 +318,11 @@ def plans_to_wire(plans: list[Plan]) -> list[dict[str, Any]]:
     return [plan_to_wire(plan) for plan in plans]
 
 
-def plans_from_wire(
-    data: list[dict[str, Any]], mapping: tuple[int, ...] | None = None
-) -> list[Plan]:
+def plans_from_wire(data: list, mapping: tuple[int, ...] | None = None) -> list[Plan]:
     """Inverse of :func:`plans_to_wire`, preserving frontier order.
 
-    ``mapping`` renumbers every plan as in :func:`plan_from_wire`.
+    Each plan is read in its own form (see :func:`plan_from_wire`), and
+    ``mapping`` renumbers every plan as there.
     """
     tables = _table_map(mapping)
     return [_decode(item, tables) for item in data]

@@ -14,7 +14,17 @@ Every plan node carries the derived properties the optimizer needs:
 
 Plan objects are created exclusively by a cost model (``repro.cost``), which
 guarantees the derived fields are consistent.  As noted in the paper's space
-analysis, each DP plan is just two pointers to sub-plans plus O(1) fields.
+analysis, each DP plan is just two pointers to sub-plans plus O(1) fields,
+and that is all a node holds: the classes are frozen dataclasses with
+``__slots__``, so a node has no per-instance ``__dict__`` and cannot be
+assigned to.  Equality, hashing, ``dataclasses.replace`` and pickling are
+the dataclass's, field by field.  :class:`ScanPlan` and :class:`JoinPlan`
+fill their slots through their own slot descriptors rather than the
+frozen dataclass's ``object.__setattr__`` per field, which costs about twice
+as much; a disk hit or a relabelling builds every node of a plan again.  A
+named tuple would build faster still, but a plan would then be a sequence
+(``json.dumps`` writes it as an array, ``np.array`` unpacks it) equal to a
+plain tuple of its fields, and no longer a dataclass.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from repro.plans.operators import JoinAlgorithm, ScanAlgorithm
 from repro.plans.orders import SortOrder
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plan:
     """Base class for plan nodes; use :class:`ScanPlan` or :class:`JoinPlan`."""
 
@@ -55,12 +65,20 @@ class Plan:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScanPlan(Plan):
     """Scan of a single base table (the paper's ``Scan(q)``)."""
 
     table: int
     algorithm: ScanAlgorithm = ScanAlgorithm.FULL_SCAN
+
+    def __init__(self, mask, rows, cost, order, table, algorithm=ScanAlgorithm.FULL_SCAN) -> None:
+        _scan_mask(self, mask)
+        _scan_rows(self, rows)
+        _scan_cost(self, cost)
+        _scan_order(self, order)
+        _scan_table(self, table)
+        _scan_algorithm(self, algorithm)
 
     def is_left_deep(self) -> bool:
         return True
@@ -75,7 +93,7 @@ class ScanPlan(Plan):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class JoinPlan(Plan):
     """Join of two sub-plans (the paper's ``Join(p_L, p_R)``).
 
@@ -85,6 +103,17 @@ class JoinPlan(Plan):
     left: Plan
     right: Plan
     algorithm: JoinAlgorithm = JoinAlgorithm.BLOCK_NESTED_LOOP
+
+    def __init__(
+        self, mask, rows, cost, order, left, right, algorithm=JoinAlgorithm.BLOCK_NESTED_LOOP
+    ) -> None:
+        _join_mask(self, mask)
+        _join_rows(self, rows)
+        _join_cost(self, cost)
+        _join_order(self, order)
+        _join_left(self, left)
+        _join_right(self, right)
+        _join_algorithm(self, algorithm)
 
     def is_left_deep(self) -> bool:
         return isinstance(self.right, ScanPlan) and self.left.is_left_deep()
@@ -119,6 +148,19 @@ class JoinPlan(Plan):
         )
         self.left._pretty_into(lines, depth + 1, table_names)
         self.right._pretty_into(lines, depth + 1, table_names)
+
+
+# Each class's own descriptors: Python 3.10 re-declares a base class's slots
+# in a slotted dataclass subclass, 3.11 and later inherit them, and a read
+# finds the class's own descriptor under either.
+_scan_mask, _scan_rows, _scan_cost, _scan_order, _scan_table, _scan_algorithm = (
+    getattr(ScanPlan, name).__set__
+    for name in ("mask", "rows", "cost", "order", "table", "algorithm")
+)
+_join_mask, _join_rows, _join_cost, _join_order, _join_left, _join_right, _join_algorithm = (
+    getattr(JoinPlan, name).__set__
+    for name in ("mask", "rows", "cost", "order", "left", "right", "algorithm")
+)
 
 
 def _fmt_cost(cost: tuple[float, ...]) -> str:
@@ -165,7 +207,7 @@ def plan_tie_key(plan: Plan) -> tuple:
 
 
 def plan_join_count(plan: Plan) -> int:
-    """Number of join operators in the plan tree."""
+    """Number of join operators in the plan tree, which has ``2 * joins + 1`` nodes."""
     if isinstance(plan, ScanPlan):
         return 0
     assert isinstance(plan, JoinPlan)

@@ -74,7 +74,7 @@ from repro.util.readers import read, read_float, read_int
 
 #: Protocol identity exchanged in the hello frame; peers reject mismatches.
 PROTOCOL_FORMAT = "repro-net"
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Virtual nodes per shard on every :class:`ConsistentHashRing`.  Part of
 #: the protocol like the version: a fleet and its routers must place the

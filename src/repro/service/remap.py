@@ -23,9 +23,9 @@ def remap_plan(plan: Plan, mapping: tuple[int, ...]) -> Plan:
     plan the DP would have produced for the relabeled query.  Nodes are
     constructed directly, children first: a scan's mask is its table's bit
     and a join's the union of its operands', so no mask is walked bit by bit.
-    ``tests/test_fingerprint_properties.py`` holds the ``dataclasses.replace``
-    formulation as the reference, field for field, so a field added to a
-    plan class cannot be dropped here unnoticed.
+    ``tests/test_fingerprint_properties.py`` holds a formulation that copies
+    every declared field it does not rename as the reference, field for
+    field, so a field added to a plan class cannot be dropped here unnoticed.
     """
     order = plan.order
     if order is not None:

@@ -51,7 +51,7 @@ from repro.cluster.serialization import plans_from_wire, plans_to_wire
 from repro.core.envelope import EnvelopeIndex, best_index_at
 from repro.plans.plan import Plan
 from repro.service.provenance import InvalidationPredicate, Provenance
-from repro.util.readers import read, read_int
+from repro.util.readers import MISSING, read, read_int
 
 #: First line of every log and snapshot file; readers reject other formats.
 LOG_MAGIC = {"t": "header", "format": "repro-plan-cache", "version": 1}
@@ -173,20 +173,24 @@ def entry_to_wire(entry: CacheEntry) -> dict[str, Any]:
     return wire
 
 
-def entry_from_wire(data: dict[str, Any]) -> CacheEntry:
+def entry_from_wire(data: dict[str, Any], provenance: Any = MISSING) -> CacheEntry:
     """Rebuild a cache entry from :func:`entry_to_wire` output.
 
     Keys this version does not read are ignored: records written by older
     versions also carry a modelled ``"simulated"`` cluster timing, and
-    decode unchanged.
+    decode unchanged.  A given ``provenance`` is the entry's, already
+    decoded (the disk tier's index holds it), and the record's copy is not
+    read again.
     """
-    provenance = read(data, "provenance", dict, None)
+    if provenance is MISSING:
+        provenance = read(data, "provenance", dict, None)
+        provenance = None if provenance is None else Provenance.from_wire(provenance)
     envelope = read(data, "envelope", dict, None)
     entry = CacheEntry(
         canonical_plans=plans_from_wire(read(data, "plans", list)),
         n_partitions=read_int(data, "n_partitions", low=1),
         backend_used=read(data, "backend_used", str, ""),
-        provenance=None if provenance is None else Provenance.from_wire(provenance),
+        provenance=provenance,
         kind=read(data, "kind", str, SCALAR_ENTRY),
         envelope=None if envelope is None else EnvelopeIndex.from_wire(envelope),
     )
@@ -196,16 +200,17 @@ def entry_from_wire(data: dict[str, Any]) -> CacheEntry:
     return entry
 
 
-def decode_put_record(record: dict[str, Any]) -> tuple[str, CacheEntry]:
+def decode_put_record(record: dict[str, Any], provenance: Any = MISSING) -> tuple[str, CacheEntry]:
     """The key and decoded entry of one ``put`` record.
 
-    Raises ``ValueError`` naming the key when the record is malformed.
+    ``provenance`` is passed to :func:`entry_from_wire`.  Raises
+    ``ValueError`` naming the key when the record is malformed.
     """
     key = read(record, "k", str)
     if read(record, "t", str) != "put":
         raise ValueError(f"plan-cache record for key {key!r} is not a put")
     try:
-        return key, entry_from_wire(read(record, "entry", dict))
+        return key, entry_from_wire(read(record, "entry", dict), provenance)
     except ValueError as error:
         raise ValueError(f"malformed plan-cache record for key {key!r}: {error}") from None
 
@@ -262,7 +267,15 @@ class DiskTier:
     still opens at full speed.  :meth:`peek` retires such a record when it
     meets it: it appends a ``del`` tombstone, drops the key from the index
     and returns ``None``, so the lookup is a miss and the next run of that
-    query overwrites the key instead of failing on it for good.
+    query overwrites the key instead of failing on it for good.  Exports,
+    snapshots and compaction decode each record they ship or keep and
+    retire it the same way, so none of them passes one on.
+
+    A ``put`` record is ``{"t": "put", "k": <fingerprint>, "entry": {...}}``
+    (:func:`entry_to_wire`), each of whose ``plans`` is a JSON array of flat
+    node rows (:func:`~repro.cluster.serialization.plan_to_wire`); a plan
+    that is a JSON object is the nested form older versions wrote, and still
+    reads.
     """
 
     def __init__(self, path: str | os.PathLike, sync: bool = False) -> None:
@@ -395,18 +408,25 @@ class DiskTier:
         """Read the live entry for ``key`` (one disk read), or ``None``.
 
         A record that does not decode is tombstoned and reads as ``None``
-        (see the class docstring).
+        (see the class docstring).  The entry's provenance is the one the
+        index holds, not decoded again.
         """
         with self._lock:
-            indexed = self._index.get(key)
-            if indexed is None:
-                return None
-            self._reader.seek(indexed[0])
-            try:
-                return decode_put_record(json.loads(self._reader.readline()))[1]
-            except ValueError:
-                self._tombstone(key)
-                return None
+            read = self._read(key) if key in self._index else None
+            return None if read is None else read[2]
+
+    def _read(self, key: str) -> tuple[bytes, dict[str, Any], CacheEntry] | None:
+        """Live ``key``'s line, record and entry; ``None`` after tombstoning
+        a record that does not decode.  Caller holds the lock."""
+        offset, provenance, __ = self._index[key]
+        self._reader.seek(offset)
+        line = self._reader.readline()
+        try:
+            record = json.loads(line.decode())  # str parses faster than bytes
+            return line, record, decode_put_record(record, provenance)[1]
+        except ValueError:
+            self._tombstone(key)
+            return None
 
     def put(self, key: str, entry: CacheEntry) -> None:
         """Append the entry; the new record supersedes any older one."""
@@ -478,14 +498,20 @@ class DiskTier:
         rebalancer can ship a subset of one shard's entries over a frame
         without touching the filesystem.  Unknown keys are skipped (the
         caller asked for a routing slice, not a guarantee).  Stat-free.
+        A record that does not decode is tombstoned and left out, as
+        :meth:`peek` does, so no shipment carries one.
         """
         with self._lock:
-            wanted = self._index if keys is None else set(keys) & self._index.keys()
-            records = []
-            for offset in sorted(self._index[key][0] for key in wanted):
-                self._reader.seek(offset)
-                records.append(json.loads(self._reader.readline()))
-            return records
+            return [record for __, record, __entry in self._live_reads(keys)]
+
+    def _live_reads(self, keys: Iterable[str] | None) -> Iterator[tuple[bytes, dict, CacheEntry]]:
+        """:meth:`_read` of each live key in ``keys`` (default: all), in log
+        order, skipping the ones it retires.  Caller holds the lock."""
+        wanted = self._index if keys is None else set(keys) & self._index.keys()
+        for __, key in sorted((self._index[key][0], key) for key in wanted):
+            read = self._read(key)
+            if read is not None:
+                yield read
 
     def import_records(
         self, records: Iterable[dict[str, Any]], overwrite: bool = True
@@ -519,20 +545,18 @@ class DiskTier:
         records only), so it can be opened directly as a :class:`DiskTier`
         on another shard or imported into an existing one.  A destination
         that is this log itself raises ``ValueError``: writing it would
-        empty the log before its records were read back.
+        empty the log before its records were read back.  A record that
+        does not decode is tombstoned and left out, as :meth:`peek` does.
         """
         destination = Path(path)
         if destination.exists() and os.path.samefile(destination, self.path):
             raise ValueError(f"cannot export {self.path} onto itself")
         destination.parent.mkdir(parents=True, exist_ok=True)
         with self._lock:
-            live = sorted(offset for offset, __, __kind in self._index.values())
             with open(destination, "wb") as snapshot:
                 snapshot.write(_record_bytes(LOG_MAGIC))
-                for offset in live:
-                    self._reader.seek(offset)
-                    snapshot.write(self._reader.readline())
-            return len(live)
+                snapshot.writelines(line for line, __, __entry in self._live_reads(None))
+            return len(self._index)  # what is left once the export retired the rest
 
     def import_snapshot(
         self, path: str | os.PathLike, overwrite: bool = True
@@ -553,6 +577,9 @@ class DiskTier:
 
     def compact(self) -> int:
         """Rewrite the log with live records only; returns bytes reclaimed.
+
+        A ``put`` that does not decode is retired, not copied (see
+        :meth:`export_snapshot`).
 
         Crash-safe at every step: a failure while exporting the snapshot
         (ENOSPC is the classic) leaves the live log, the open handles, and
@@ -719,16 +746,7 @@ class TieredPlanCache:
 
     def get(self, key: str) -> CacheEntry | None:
         """Memory, then disk (promoting); counts one hit or one miss."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return entry
-            if self.disk is None:
-                self.stats.misses += 1
-                return None
-        return self._read_disk(key, miss=1)
+        return self._lookup(key, miss=1)
 
     def probe(self, key: str) -> CacheEntry | None:
         """Like :meth:`get`, but an absent key is *not* counted as a miss.
@@ -738,16 +756,20 @@ class TieredPlanCache:
         would double-count one logical miss, breaking the
         ``misses == optimizations`` accounting identity.
         """
+        return self._lookup(key, miss=0)
+
+    def _lookup(self, key: str, miss: int) -> CacheEntry | None:
+        """Memory, then disk (promoting); an absent key adds ``miss`` to the
+        misses."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
                 return entry
-        return None if self.disk is None else self._read_disk(key, miss=0)
-
-    def _read_disk(self, key: str, miss: int) -> CacheEntry | None:
-        """A memory miss's disk read, promotion and accounting."""
+            if self.disk is None:
+                self.stats.misses += miss
+                return None
         entry = self.disk.peek(key)
         with self._lock:
             if entry is None:
@@ -817,25 +839,18 @@ class TieredPlanCache:
     def export_records(self, keys: Iterable[str] | None = None) -> list[dict[str, Any]]:
         """Stat-free ``put`` records for live entries (default: all), by key.
 
-        The disk tier serves what it holds verbatim (no decode/re-encode
-        round trip); entries resident only in memory — all of them, without
-        a disk tier — are encoded on the fly into the same log-line form as
-        :meth:`DiskTier.export_records`.  Unknown keys are skipped.
+        With a disk tier, the disk tier serves what it holds verbatim (no
+        decode/re-encode round trip): every put writes through, so memory
+        holds nothing the log does not.  Without one, the memory entries are
+        encoded into the same log-line form as :meth:`DiskTier.export_records`.
+        Unknown keys are skipped.
         """
-        wanted = None if keys is None else list(keys)
-        records: dict[str, dict[str, Any]] = {}
         if self.disk is not None:
-            for record in self.disk.export_records(wanted):
-                records[record["k"]] = record
+            return sorted(self.disk.export_records(keys), key=lambda record: record["k"])
         with self._lock:
-            resident = [
-                (key, self._entries[key])
-                for key in (self._entries if wanted is None else wanted)
-                if key not in records and key in self._entries
-            ]
-        for key, entry in resident:
-            records[key] = {"t": "put", "k": key, "entry": entry_to_wire(entry)}
-        return [records[key] for key in sorted(records)]
+            wanted = self._entries.keys() if keys is None else self._entries.keys() & set(keys)
+            resident = [(key, self._entries[key]) for key in sorted(wanted)]
+        return [{"t": "put", "k": key, "entry": entry_to_wire(entry)} for key, entry in resident]
 
     def import_records(self, records: Iterable[dict[str, Any]]) -> int:
         """Merge shipped ``put`` records through :meth:`put`; returns count.

@@ -14,7 +14,7 @@ few hundred seeded random queries spanning every join-graph topology:
 * the rank-colored search itself: invariance on Hypothesis-drawn queries
   and on the fully symmetric family the seeded sweeps never reach, the
   branch cap, no cyclic garbage, the same answer under every hash seed,
-  and ``remap_plan`` against the ``dataclasses.replace`` formulation.
+  and ``remap_plan`` against a field-generic copy formulation.
 
 Everything is seeded — a failure reproduces with the printed seed.
 """
@@ -340,35 +340,33 @@ def reference_mask(mask: int, mapping: tuple[int, ...]) -> int:
 
 
 def reference_remap(plan: Plan, mapping: tuple[int, ...]) -> Plan:
-    """``remap_plan`` as ``dataclasses.replace`` wrote it: every field the
-    call does not name is copied, whatever fields ``Plan`` grows."""
+    """``remap_plan`` as a field-generic copy wrote it: every declared field
+    the call does not name is copied, whatever fields ``Plan`` grows."""
     order = plan.order
     if order is not None:
         order = SortOrder(table=mapping[order.table], column=order.column)
+    changes = {"mask": reference_mask(plan.mask, mapping), "order": order}
     if isinstance(plan, ScanPlan):
-        return dataclasses.replace(
-            plan,
-            mask=reference_mask(plan.mask, mapping),
-            order=order,
-            table=mapping[plan.table],
-        )
-    return dataclasses.replace(
-        plan,
-        mask=reference_mask(plan.mask, mapping),
-        order=order,
-        left=reference_remap(plan.left, mapping),
-        right=reference_remap(plan.right, mapping),
+        changes["table"] = mapping[plan.table]
+    else:
+        changes["left"] = reference_remap(plan.left, mapping)
+        changes["right"] = reference_remap(plan.right, mapping)
+    return type(plan)(
+        **{
+            field.name: changes.get(field.name, getattr(plan, field.name))
+            for field in dataclasses.fields(plan)
+        }
     )
 
 
 def assert_same_fields(actual: Plan, expected: Plan) -> None:
     assert type(actual) is type(expected)
-    for spec in dataclasses.fields(expected):
-        ours, theirs = getattr(actual, spec.name), getattr(expected, spec.name)
+    for name in (field.name for field in dataclasses.fields(expected)):
+        ours, theirs = getattr(actual, name), getattr(expected, name)
         if isinstance(theirs, Plan):
             assert_same_fields(ours, theirs)
         else:
-            assert ours == theirs, spec.name
+            assert ours == theirs, name
 
 
 def content(query: Query) -> tuple:

@@ -699,17 +699,19 @@ class TestProtocolFaults:
             send_frame(sock, {"op": "health"})
             assert recv_frame(sock)["ok"] is True
 
-    def test_version_2_peer_is_refused_at_hello(self, tmp_path):
-        """No negotiation: a peer announcing another protocol version (v2
-        replies still carried the modelled cluster timing) fails the
-        handshake with a clear message, and the socket is closed."""
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_older_peer_is_refused_at_hello(self, version):
+        """No negotiation: a peer announcing another protocol version fails
+        the handshake with a clear message.  v2 replies still carried the
+        modelled cluster timing; v3 replies carry plans as nested objects
+        where v4 sends flat rows."""
         from repro.service.net import handshake
 
-        assert PROTOCOL_VERSION == 3
+        assert PROTOCOL_VERSION == 4
         left, right = socket.socketpair()
         with left, right:
-            send_frame(left, {"op": "hello", "format": "repro-net", "version": 2})
-            with pytest.raises(FrameError, match="did not speak repro-net v3"):
+            send_frame(left, {"op": "hello", "format": "repro-net", "version": version})
+            with pytest.raises(FrameError, match="did not speak repro-net v4"):
                 handshake(right)
 
 

@@ -11,7 +11,11 @@ returns re-encodes to the input it was given.  Checked three ways:
   sentinel, a dropped key, an out-of-range index or enum value) and the
   result is decoded — it must raise ``ValueError`` or read back exactly,
   up to integral floats (``3.0`` is ``3``) and ``null`` standing for an
-  absent optional field.
+  absent optional field;
+* for a plan's flat rows, the same property under mutations of the row
+  structure: a tag, a row's arity, a dropped or an extra row, and a scan
+  table repeated (which must be refused), decoded with and without a
+  mapping.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.serialization import (
+    plan_from_wire,
+    plan_to_wire,
     plans_from_wire,
     plans_to_wire,
     settings_from_wire,
@@ -41,9 +47,11 @@ from repro.query.query import JoinGraphKind
 from repro.query.schema import Catalog
 from repro.service import CacheEntry, Provenance
 from repro.service.net import result_from_wire, result_to_wire
+from repro.service.remap import remap_plan
 from repro.service.service import ServiceResult
 from repro.service.tiers import ENVELOPE_ENTRY, decode_put_record, entry_from_wire, entry_to_wire
 from repro.util.readers import MISSING, read, read_enum, read_float, read_int
+from tests.test_serialization import nested_plan_wire
 
 # ---------------------------------------------------------------- the readers
 
@@ -219,6 +227,8 @@ def _decoders() -> dict[str, tuple[list, Callable, Callable, frozenset]]:
                   frozenset({"row_bytes", "columns", "predicates", "name", "selectivity"})),
         "catalog": ([catalog], catalog_to_dict, catalog_from_dict, frozenset({"row_bytes", "columns", "tables"})),
         "plans": ([plans for __, plans in _frontiers()], plans_to_wire, plans_from_wire, frozenset()),
+        "nested-plans": ([plans for __, plans in _frontiers()],
+                         lambda plans: [nested_plan_wire(plan) for plan in plans], plans_from_wire, frozenset()),
         "settings": (settings_samples, settings_to_wire, settings_from_wire, frozenset()),
         "snapshot": ([records], snapshot_to_wire, snapshot_from_wire, frozenset()),
         "envelope": ([build_envelope_index(parametric)], EnvelopeIndex.to_wire, EnvelopeIndex.from_wire, frozenset()),
@@ -294,8 +304,8 @@ def _check_mutation(name: str, data: st.DataObject) -> None:
 
 
 DECODER_NAMES = [
-    "catalog", "entry", "envelope", "plans", "provenance", "put-record", "query", "result",
-    "settings", "snapshot",
+    "catalog", "entry", "envelope", "nested-plans", "plans", "provenance", "put-record", "query",
+    "result", "settings", "snapshot",
 ]
 
 
@@ -312,3 +322,53 @@ def test_mutated_input_is_refused_or_read_back(name, data):
 @given(data=st.data())
 def test_mutated_input_is_refused_or_read_back_soak(name, data):
     _check_mutation(name, data)
+
+
+# ------------------------------------------------------ a plan's row structure
+
+ROW_MUTATIONS = ["tag", "arity", "drop", "extra", "repeat-table"]
+
+
+def _check_row_mutation(data: st.DataObject) -> None:
+    plans = data.draw(st.sampled_from([plans for __, plans in _frontiers()]))
+    rows = json.loads(json.dumps(plan_to_wire(data.draw(st.sampled_from(plans)))))
+    mutation = data.draw(st.sampled_from(ROW_MUTATIONS))
+    position = data.draw(st.integers(0, len(rows) - 1))
+    row = rows[position]
+    if mutation == "tag":
+        row[0] = data.draw(st.sampled_from([0, 1, 2, -1, 0.0, 1.0, True, False, "1", None]))
+    elif mutation == "arity" and data.draw(st.booleans()):
+        del row[data.draw(st.integers(0, len(row) - 1))]
+    elif mutation == "arity":
+        row.insert(data.draw(st.integers(0, len(row))), data.draw(st.sampled_from(REPLACEMENTS)))
+    elif mutation == "drop":
+        del rows[position]
+    elif mutation == "extra":
+        rows.insert(data.draw(st.integers(0, len(rows))), list(data.draw(st.sampled_from(rows))))
+    else:
+        scans = [each for each in rows if each[0] == 0]
+        first, second = data.draw(st.permutations(scans))[:2]
+        second[1] = first[1]
+    mapping = tuple(data.draw(st.permutations(range(4))))
+    try:
+        decoded = plan_from_wire(rows)
+    except ValueError:
+        with pytest.raises(ValueError):
+            plan_from_wire(rows, mapping)
+        return
+    assert mutation != "repeat-table", rows
+    assert _normal(plan_to_wire(decoded)) == _normal(rows), (mutation, rows)
+    assert plan_from_wire(rows, mapping) == remap_plan(decoded, mapping)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_plan_rows_are_refused_or_read_back(data):
+    _check_row_mutation(data)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_mutated_plan_rows_are_refused_or_read_back_soak(data):
+    _check_row_mutation(data)

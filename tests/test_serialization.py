@@ -24,7 +24,6 @@ from repro.cluster.serialization import (
     TASK_HEADER_BYTES,
     memo_entries_bytes,
     plan_from_wire,
-    plan_node_count,
     plan_to_wire,
     plans_bytes,
     plans_from_wire,
@@ -40,6 +39,8 @@ from repro.config import (
     PlanSpace,
 )
 from repro.core.serial import best_plan, optimize_serial
+from repro.plans.operators import JoinAlgorithm, ScanAlgorithm
+from repro.plans.plan import JoinPlan, ScanPlan, plan_join_count
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind
 from repro.service.remap import remap_plan
@@ -75,7 +76,7 @@ class TestQueryBytes:
 
 class TestPlanBytes:
     def test_node_count(self, plan):
-        assert plan_node_count(plan) == 2 * 6 - 1
+        assert 2 * plan_join_count(plan) + 1 == 2 * 6 - 1
 
     def test_plan_bytes_formula(self, plan):
         expected = (
@@ -134,6 +135,91 @@ QUERY_CLASSES = {
 }
 
 
+def nested_plan_wire(plan) -> dict:
+    """The nested form versions before the flat rows wrote: one object per
+    node, children inside.  Only read today, by logs and snapshots that
+    hold it; this is its encoder, kept for the tests of that reader."""
+    common = {
+        "mask": plan.mask,
+        "rows": float_to_wire(plan.rows),
+        "cost": [float_to_wire(value) for value in plan.cost],
+        "order": None if plan.order is None else [plan.order.table, plan.order.column],
+    }
+    if isinstance(plan, ScanPlan):
+        return {"op": "scan", "table": plan.table, "alg": plan.algorithm.value, **common}
+    return {
+        "op": "join",
+        "alg": plan.algorithm.value,
+        "left": nested_plan_wire(plan.left),
+        "right": nested_plan_wire(plan.right),
+        **common,
+    }
+
+
+def small_plan():
+    return best_plan(optimize_serial(SteinbrunnGenerator(1).query(4), OptimizerSettings()))
+
+
+class TestPlanNode:
+    """The node is immutable, pickles, and compares field by field."""
+
+    def test_a_node_holds_its_fields_only(self, plan):
+        def names(node):
+            return [field.name for field in dataclasses.fields(node)]
+
+        common = ["mask", "rows", "cost", "order"]
+        assert names(plan.right) == [*common, "table", "algorithm"]
+        assert names(plan) == [*common, "left", "right", "algorithm"]
+        for node in (plan, plan.right):
+            assert not hasattr(node, "__dict__")
+            # Not a field: the frozen slotted dataclass's generated
+            # __setattr__ raises TypeError here (Python 3.11), where a
+            # __dict__-free object would raise AttributeError.  Either way
+            # nothing is set.
+            with pytest.raises((TypeError, AttributeError)):
+                node.extra = 1
+            assert not hasattr(node, "extra")
+
+    def test_fields_cannot_be_assigned_or_deleted(self, plan):
+        for node in (plan, plan.right):
+            for field in dataclasses.fields(node):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(node, field.name, getattr(node, field.name))
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(node, field.name)
+
+    def test_pickle_round_trip_is_equal(self, plan):
+        import pickle
+
+        copy = pickle.loads(pickle.dumps(plan))
+        assert copy == plan and type(copy) is JoinPlan
+        assert plan_to_wire(copy) == plan_to_wire(plan)
+
+    def test_a_scan_never_equals_a_join(self):
+        scan = ScanPlan(1, 1.0, (1.0,), None, 0)
+        join = JoinPlan(3, 1.0, (1.0,), None, scan, ScanPlan(2, 1.0, (1.0,), None, 1))
+        assert scan != join and join != scan
+        assert scan != ScanPlan(1, 1.0, (1.0,), None, 1) and scan == join.left
+
+    def test_equal_plans_hash_equal(self, query):
+        first = best_plan(optimize_serial(query, OptimizerSettings()))
+        second = plan_from_wire(json.loads(json.dumps(plan_to_wire(first))))
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    def test_positional_keyword_and_default_construction_agree(self):
+        scan = ScanPlan(mask=1, rows=2.0, cost=(3.0,), order=None, table=0)
+        assert scan == ScanPlan(1, 2.0, (3.0,), None, 0, ScanAlgorithm.FULL_SCAN)
+        join = JoinPlan(3, 4.0, (5.0,), None, scan, ScanPlan(2, 2.0, (3.0,), None, 1))
+        assert join.algorithm is JoinAlgorithm.BLOCK_NESTED_LOOP
+        assert join == JoinPlan(
+            mask=3, rows=4.0, cost=(5.0,), order=None, left=scan, right=join.right,
+            algorithm=JoinAlgorithm.BLOCK_NESTED_LOOP,
+        )
+        assert dataclasses.replace(join, rows=6.0) == JoinPlan(3, 6.0, (5.0,), None, scan, join.right)
+
+
 class TestWireCodecs:
     @pytest.mark.parametrize("class_name", sorted(QUERY_CLASSES))
     @pytest.mark.parametrize("seed", [1, 7, 23])
@@ -143,7 +229,7 @@ class TestWireCodecs:
     def test_frontiers_round_trip_bit_identically(self, class_name, seed, kind):
         """Property sweep: every plan of every frontier of every class
         survives encode -> JSON text -> decode with equality on every field
-        — frozen dataclasses compare exactly, so ``==`` is bit-identity for
+        — plan nodes compare field by field, so ``==`` is bit-identity for
         the float cost vectors and cardinalities too."""
         settings = QUERY_CLASSES[class_name]
         query = SteinbrunnGenerator(seed, clustered_tables=True).query(6, kind)
@@ -163,34 +249,98 @@ class TestWireCodecs:
         decoded = plans_from_wire(plans_to_wire(frontier))
         assert [plan.mask for plan in decoded] == [plan.mask for plan in frontier]
 
-    def test_malformed_plan_record_fails_loudly(self):
-        query = SteinbrunnGenerator(1).query(4)
-        record = plan_to_wire(best_plan(optimize_serial(query, OptimizerSettings())))
+    def test_rows_are_post_order_without_masks(self):
+        plan = small_plan()
+        rows = plan_to_wire(plan)
+        assert len(rows) == 2 * plan_join_count(plan) + 1
+        assert rows[-1] == [1, plan.algorithm.value, plan.rows, list(plan.cost), None]
+        right = plan.right  # left-deep: the last join's inner is a scan
+        assert rows[-2] == [0, right.table, right.algorithm.value, right.rows, list(right.cost), None]
+        assert [row[0] for row in rows[:2]] == [0, 0]
+
+    def test_json_type_tells_the_form(self, query):
+        """An array is flat rows, an object the nested form older versions
+        wrote: both read back to the same plan, and a frontier may mix
+        them."""
+        frontier = optimize_serial(query, QUERY_CLASSES["parametric"]).plans
+        nested = [nested_plan_wire(plan) for plan in frontier]
+        flat = plans_to_wire(frontier)
+        assert plans_from_wire(json.loads(json.dumps(nested))) == frontier
+        mixed = [nested[0], *flat[1:]]
+        assert plans_from_wire(mixed) == frontier
+        for wire in (5, "x", None, True):
+            with pytest.raises(ValueError, match="array or object"):
+                plan_from_wire(wire)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda rows: rows[0].pop(),  # arity
+            lambda rows: rows[0].append(None),  # arity
+            lambda rows: rows[0].__setitem__(0, 7),  # tag
+            lambda rows: rows[-1].__setitem__(0, True),  # a boolean is no tag
+            lambda rows: rows.pop(0),  # a join runs out of operands
+            lambda rows: rows.append(list(rows[0])),  # a row left over
+            lambda rows: rows.clear(),  # no tree at all
+            lambda rows: rows[1].__setitem__(1, rows[0][1]),  # a table twice
+            lambda rows: rows[0].__setitem__(2, "quantum"),
+            lambda rows: rows[-1].__setitem__(1, "quantum"),
+            lambda rows: rows[0].__setitem__(1, 64),  # past any mask
+            lambda rows: rows[0].__setitem__(1, 10**18),
+            lambda rows: rows.__setitem__(0, {"op": "scan"}),  # no mixing in one plan
+        ],
+    )
+    @pytest.mark.parametrize("mapping", [None, (0, 1, 2, 3)])
+    def test_malformed_rows_fail_loudly(self, damage, mapping):
+        rows = plan_to_wire(small_plan())
+        damage(rows)
+        with pytest.raises(ValueError):
+            plan_from_wire(rows, mapping)
+        with pytest.raises(ValueError):
+            plans_from_wire([rows], mapping)
+
+    def test_malformed_nested_record_fails_loudly(self):
+        record = nested_plan_wire(small_plan())
         del record["cost"]
         with pytest.raises(ValueError):
             plan_from_wire(record)
         with pytest.raises(ValueError):
             plan_from_wire({"op": "reduce", "mask": 1})
-        record = plan_to_wire(best_plan(optimize_serial(query, OptimizerSettings())))
+        record = nested_plan_wire(small_plan())
         record["left"]["alg"] = "quantum"
         with pytest.raises(ValueError):
             plan_from_wire(record)
         with pytest.raises(ValueError):
             plans_from_wire([record], (0, 1, 2, 3))
+        record = nested_plan_wire(small_plan())
+        record["left"] = plan_to_wire(small_plan().left)
+        with pytest.raises(ValueError, match="JSON object"):
+            plan_from_wire(record)
+        record = nested_plan_wire(small_plan())
+        record["right"]["mask"] = record["left"]["mask"]  # not the scan's table
+        with pytest.raises(ValueError, match="mask"):
+            plan_from_wire(record)
+        assert plan_from_wire(record, (0, 1, 2, 3)) == small_plan()  # a mapping derives masks
 
+    @pytest.mark.parametrize("form", ["flat", "nested"])
     @pytest.mark.parametrize("where", ["scan", "order"])
     @pytest.mark.parametrize("table", [4, -1])
-    def test_table_outside_the_mapping_fails_loudly(self, where, table):
+    def test_table_outside_the_mapping_fails_loudly(self, form, where, table):
         """A scan or order naming a table a 4-table mapping does not cover
         — past its end, or negative, which a tuple index would silently
         wrap — is a malformed record, not an ``IndexError``."""
-        query = SteinbrunnGenerator(1).query(4)
-        record = plan_to_wire(best_plan(optimize_serial(query, OptimizerSettings())))
-        scan = record["right"]  # left-deep: the last join's inner is a scan
-        if where == "scan":
-            scan["table"] = table
+        plan = small_plan()
+        if form == "flat":
+            record = plan_to_wire(plan)
+            scan = record[-2]  # left-deep: the last join's inner is a scan
+            scan[1 if where == "scan" else 5] = table if where == "scan" else [table, "c0"]
         else:
-            scan["order"] = [table, "c0"]
+            record = nested_plan_wire(plan)
+            scan = record["right"]
+            if where == "scan":
+                scan["table"] = table
+            else:
+                scan["order"] = [table, "c0"]
         mapping = (3, 2, 1, 0)
         with pytest.raises(ValueError):
             plan_from_wire(record, mapping)
@@ -241,12 +391,17 @@ class TestNonFiniteFloats:
         with pytest.raises(ValueError):
             float_from_wire(value)
 
+    @pytest.mark.parametrize("form", ["flat", "nested"])
     @pytest.mark.parametrize("field", ["rows", "cost"])
     @pytest.mark.parametrize("mapping", [None, (0, 1, 2, 3)])
-    def test_boolean_in_a_plan_record_fails_loudly(self, field, mapping):
-        query = SteinbrunnGenerator(1).query(4)
-        record = plan_to_wire(best_plan(optimize_serial(query, OptimizerSettings())))
-        record["left"][field] = True if field == "rows" else [False]
+    def test_boolean_in_a_plan_record_fails_loudly(self, form, field, mapping):
+        value = True if field == "rows" else [False]
+        if form == "flat":
+            record = plan_to_wire(small_plan())
+            record[0][3 if field == "rows" else 4] = value
+        else:
+            record = nested_plan_wire(small_plan())
+            record["left"][field] = value
         with pytest.raises(ValueError):
             plan_from_wire(json.loads(json.dumps(record)), mapping)
 
@@ -276,7 +431,9 @@ class TestNonFiniteFloats:
         assert decoded == frontier
 
     def test_nan_cost_refused_at_encode_time(self, plan):
-        poisoned = dataclasses.replace(plan, cost=(math.nan,))
+        poisoned = JoinPlan(
+            plan.mask, plan.rows, (math.nan,), plan.order, plan.left, plan.right, plan.algorithm
+        )
         with pytest.raises(ValueError):
             plan_to_wire(poisoned)
 
@@ -345,13 +502,14 @@ class TestDecodeIntoNumbering:
     def test_equals_decode_then_remap(self, query, class_name, data):
         plans = frontier(query, class_name)
         mapping = tuple(data.draw(st.permutations(range(query.n_tables))))
-        wire = json.loads(json.dumps(plans_to_wire(plans), allow_nan=False))
-        for plan, record in zip(plans, wire):
-            assert plan_from_wire(record, mapping) == remap_plan(plan, mapping)
-            assert plan_from_wire(record) == plan
-        assert plans_from_wire(wire, mapping) == [
-            remap_plan(plan, mapping) for plan in plans
-        ]
+        for encode in (plan_to_wire, nested_plan_wire):
+            wire = json.loads(json.dumps([encode(plan) for plan in plans], allow_nan=False))
+            for plan, record in zip(plans, wire):
+                assert plan_from_wire(record, mapping) == remap_plan(plan, mapping)
+                assert plan_from_wire(record) == plan
+            assert plans_from_wire(wire, mapping) == [
+                remap_plan(plan, mapping) for plan in plans
+            ]
 
     def test_overflow_query_ships_infinite_costs_and_orders(self):
         """What the property draws reaches the cases that matter: the

@@ -399,6 +399,19 @@ class TestTieredPlanCache:
             assert "memory-only" in cache and "disk-only" in cache
 
 
+class TestDiskHit:
+    def test_a_disk_hit_reuses_the_indexed_provenance(self, tmp_path):
+        """The index decoded each record's provenance at open; a read hands
+        out that object instead of decoding the record's copy again."""
+        with DiskTier(tmp_path / "cache.log") as tier:
+            tier.put("a", make_entry())
+        with DiskTier(tmp_path / "cache.log") as tier:
+            [(__, indexed, __kind)] = tier.entries()
+            first, second = tier.peek("a"), tier.peek("a")
+            assert first == make_entry() and first is not second
+            assert first.provenance is indexed and second.provenance is indexed
+
+
 class TestMalformedImport:
     """A shipped record whose entry does not decode is refused, not stored.
 
@@ -549,6 +562,40 @@ class TestMalformedLogRecord:
             again = service.optimize(query)
         assert executor.calls == 0 and again.cached
         assert again.plans == expected.plans
+
+
+    def poisoned_log(self, tmp_path):
+        log = tmp_path / "cache.log"
+        good = {"t": "put", "k": "good", "entry": entry_to_wire(make_entry())}
+        poison = {"t": "put", "k": "bad", "entry": {"plans": "oops"}}
+        log.write_text("".join(json.dumps(line) + "\n" for line in (LOG_MAGIC, good, poison)))
+        return log
+
+    def test_an_export_ships_only_what_decodes(self, tmp_path):
+        """An export retires a poisoned put as a read would, so the
+        shipment it hands a rebalance imports instead of being refused."""
+        cache = TieredPlanCache(memory_capacity=2, disk=DiskTier(self.poisoned_log(tmp_path)))
+        second = TieredPlanCache(memory_capacity=2, disk=DiskTier(tmp_path / "second.log"))
+        try:
+            records = cache.export_records()
+            assert [record["k"] for record in records] == ["good"]
+            assert cache.keys() == ["good"]
+            assert second.import_records(records) == 1
+            assert second.get("good") == make_entry()
+        finally:
+            cache.close()
+            second.close()
+
+    def test_compaction_drops_a_poisoned_put(self, tmp_path):
+        log = self.poisoned_log(tmp_path)
+        with DiskTier(log) as tier:
+            tier.compact()
+            assert tier.keys() == ["good"]
+            assert tier.export_snapshot(tmp_path / "snapshot.log") == 1
+        assert "oops" not in log.read_text()
+        assert [json.loads(line)["t"] for line in log.read_text().splitlines()] == ["header", "put"]
+        with DiskTier(log) as tier:
+            assert tier.peek("good") == make_entry()
 
 
 class TestMalformedLogLine:

@@ -12,7 +12,10 @@ key.  ``simulated-era-export.log`` (a ``cache export`` file) and
 ``simulated-era-snapshot.json`` (a fleet snapshot frame, the
 ``snapshot_to_wire`` payload a shard ships when rebalancing) were written
 while every entry still carried a modelled ``"simulated"`` cluster timing;
-today's decoder ignores that block too.
+today's decoder ignores that block too.  ``nested-era.log`` was written
+while plans were stored as nested objects, one per node, before the flat
+post-order rows; today's decoder still reads that form, and tells it from
+the rows by its JSON type.
 
 To write an artifact for a new corpus entry, put the older checkout's
 ``src`` first on ``PYTHONPATH`` and run::
@@ -52,6 +55,7 @@ DATA = Path(__file__).parent / "data"
 REGISTRY_ERA_LOG = DATA / "registry-era.log"
 SIMULATED_ERA_EXPORT = DATA / "simulated-era-export.log"
 SIMULATED_ERA_SNAPSHOT = DATA / "simulated-era-snapshot.json"
+NESTED_ERA_LOG = DATA / "nested-era.log"
 
 WORKERS = 2
 
@@ -142,6 +146,54 @@ def test_registry_era_log_serves_every_key_without_dp(tmp_path):
         "parametric": "fastdp",
         "multi": "vecdp",
     }
+    assert_fresh_plans({name: result.plans for name, result in served.items()})
+
+
+def log_puts(log: Path) -> list[dict]:
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    return [record for record in records if record.get("t") == "put"]
+
+
+def test_nested_era_log_is_what_it_claims():
+    puts = log_puts(NESTED_ERA_LOG)
+    assert len(puts) == len(CORPUS)
+    assert all(type(plan) is dict for put in puts for plan in put["entry"]["plans"])
+
+
+def test_nested_era_log_serves_every_key_without_dp(tmp_path):
+    log = tmp_path / "cache.log"
+    shutil.copyfile(NESTED_ERA_LOG, log)
+    served = serve_corpus_without_dp(
+        TieredPlanCache(memory_capacity=0, disk=DiskTier(log))
+    )
+    assert_fresh_plans({name: result.plans for name, result in served.items()})
+
+
+def test_nested_era_log_after_flat_appends_reopens_and_serves_both_forms(tmp_path):
+    """Today's appends land as flat rows in the older log; reopened, it
+    serves its nested entries and the new flat ones, all without DP."""
+    log = tmp_path / "cache.log"
+    shutil.copyfile(NESTED_ERA_LOG, log)
+    extra = SteinbrunnGenerator(seed=85).query(5, JoinGraphKind.CYCLE)
+    with OptimizerService(
+        n_workers=WORKERS,
+        executor=SerialPartitionExecutor(),
+        cache=TieredPlanCache(memory_capacity=0, disk=DiskTier(log)),
+    ) as service:
+        fresh = service.optimize(extra)
+    assert not fresh.cached
+    forms = [type(put["entry"]["plans"][0]) for put in log_puts(log)]
+    assert forms == [dict] * len(CORPUS) + [list]
+
+    from tests.test_tiers import CountingSerialExecutor
+
+    executor = CountingSerialExecutor()
+    cache = TieredPlanCache(memory_capacity=0, disk=DiskTier(log))
+    with OptimizerService(n_workers=WORKERS, executor=executor, cache=cache) as service:
+        again = service.optimize(extra)
+        served = {name: service.optimize(query, settings) for name, (query, settings) in CORPUS.items()}
+    assert executor.calls == 0 and again.cached and again.plans == fresh.plans
+    assert all(result.cached for result in served.values())
     assert_fresh_plans({name: result.plans for name, result in served.items()})
 
 
