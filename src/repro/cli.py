@@ -500,8 +500,8 @@ def _run_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-#: ``serve-batch --async`` defaults, applied when the flag is not given.
-_ASYNC_DEFAULTS = {"max_pending": 256}
+#: ``serve-batch --async``'s admission bound when ``--max-pending`` is not given.
+_DEFAULT_MAX_PENDING = 256
 
 
 class _AsyncDoor:
@@ -536,13 +536,6 @@ class _AsyncDoor:
     def close(self) -> None:
         self._loop.run_until_complete(self._front.close())
         self._loop.close()
-
-
-def _async_options(args: argparse.Namespace) -> dict:
-    return {
-        name: default if getattr(args, name) is None else getattr(args, name)
-        for name, default in _ASYNC_DEFAULTS.items()
-    }
 
 
 def _connect_specs(args: argparse.Namespace) -> list[str]:
@@ -606,7 +599,8 @@ def _open_door(args: argparse.Namespace, settings: OptimizerSettings):
         return ShardedOptimizerGateway(**gateway_options)
     # The CLI is a single tenant; a fairness share would silently halve
     # --max-pending for it.
-    return _AsyncDoor(**gateway_options, **_async_options(args), tenant_share=1.0)
+    max_pending = args.max_pending or _DEFAULT_MAX_PENDING
+    return _AsyncDoor(**gateway_options, max_pending=max_pending, tenant_share=1.0)
 
 
 def _leaves(tree, path: str = ""):
@@ -629,9 +623,7 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
                 "--connect routes to remote shard servers; "
                 "--shards/--async/--cache-dir are server-side options"
             )
-    elif not args.use_async and any(
-        getattr(args, name) is not None for name in _ASYNC_DEFAULTS
-    ):
+    elif not args.use_async and args.max_pending is not None:
         raise SystemExit("--max-pending requires --async")
     settings = _settings_from_args(args)
     queries = [load_query(path) for path in args.queries]
@@ -659,7 +651,7 @@ def _run_serve_batch(args: argparse.Namespace) -> int:
                 "shards": args.shards,
                 "async": args.use_async,
                 "cache_dir": args.cache_dir,
-                **(_async_options(args) if args.use_async else {}),
+                **({"max_pending": args.max_pending or _DEFAULT_MAX_PENDING} if args.use_async else {}),
             }
         header["rounds"] = [
             {

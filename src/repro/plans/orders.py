@@ -10,18 +10,43 @@ accounts for in Section 5.4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 
-@dataclass(frozen=True, order=True)
+def refuse_assignment(self, name: str, *value: object) -> None:
+    """``__setattr__`` and ``__delattr__`` of the frozen slotted classes.
+
+    Every assignment and deletion raises ``FrozenInstanceError``.  For a
+    name that is not a field, a frozen ``slots=True`` dataclass's generated
+    ``__setattr__`` calls ``super()`` on the class it was created as, not on
+    its slotted copy, and raises ``TypeError`` on Python 3.11.
+    """
+    raise FrozenInstanceError(f"cannot assign to or delete {name!r}")
+
+
+@dataclass(frozen=True, order=True, slots=True, init=False)
 class SortOrder:
-    """Output sorted on column ``column`` of query table number ``table``."""
+    """Output sorted on column ``column`` of query table number ``table``.
+
+    Built like the plan nodes (:mod:`repro.plans.plan`): the constructor
+    fills the slots through the class's own descriptors, not through
+    ``object.__setattr__`` per field, since every ordered node builds one
+    again on each relabelling and each decode.
+    """
 
     table: int
     column: str
 
+    def __init__(self, table: int, column: str) -> None:
+        _order_table(self, table)
+        _order_column(self, column)
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"T{self.table}.{self.column}"
+
+
+SortOrder.__setattr__ = SortOrder.__delattr__ = refuse_assignment
+_order_table, _order_column = SortOrder.table.__set__, SortOrder.column.__set__
 
 
 def order_satisfies(produced: SortOrder | None, required: SortOrder | None) -> bool:

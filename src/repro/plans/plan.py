@@ -18,13 +18,15 @@ analysis, each DP plan is just two pointers to sub-plans plus O(1) fields,
 and that is all a node holds: the classes are frozen dataclasses with
 ``__slots__``, so a node has no per-instance ``__dict__`` and cannot be
 assigned to.  Equality, hashing, ``dataclasses.replace`` and pickling are
-the dataclass's, field by field.  :class:`ScanPlan` and :class:`JoinPlan`
-fill their slots through their own slot descriptors rather than the
-frozen dataclass's ``object.__setattr__`` per field, which costs about twice
-as much; a disk hit or a relabelling builds every node of a plan again.  A
-named tuple would build faster still, but a plan would then be a sequence
-(``json.dumps`` writes it as an array, ``np.array`` unpacks it) equal to a
-plain tuple of its fields, and no longer a dataclass.
+the dataclass's, field by field; assigning or deleting any name raises
+``FrozenInstanceError`` (:func:`~repro.plans.orders.refuse_assignment`).
+:class:`ScanPlan` and :class:`JoinPlan` fill their slots through their own
+slot descriptors rather than the frozen dataclass's ``object.__setattr__``
+per field, which costs about twice as much; a disk hit or a relabelling
+builds every node of a plan again.  A named tuple would build faster still,
+but a plan would then be a sequence (``json.dumps`` writes it as an array,
+``np.array`` unpacks it) equal to a plain tuple of its fields, and no
+longer a dataclass.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.plans.operators import JoinAlgorithm, ScanAlgorithm
-from repro.plans.orders import SortOrder
+from repro.plans.orders import SortOrder, refuse_assignment
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,6 +163,9 @@ _join_mask, _join_rows, _join_cost, _join_order, _join_left, _join_right, _join_
     getattr(JoinPlan, name).__set__
     for name in ("mask", "rows", "cost", "order", "left", "right", "algorithm")
 )
+# Any name, field or not, is refused with FrozenInstanceError.
+ScanPlan.__setattr__ = ScanPlan.__delattr__ = refuse_assignment
+JoinPlan.__setattr__ = JoinPlan.__delattr__ = refuse_assignment
 
 
 def _fmt_cost(cost: tuple[float, ...]) -> str:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from repro.query.predicates import JoinPredicate, equi_join_selectivity
 from repro.query.query import Query
 from repro.query.schema import Catalog
-from repro.util import bitset as _bitset  # noqa: F401 (documentation link)
 
 
 class SqlError(ValueError):

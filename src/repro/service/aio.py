@@ -37,11 +37,12 @@ threads*.  :class:`AsyncOptimizerGateway` is that tier:
 * **a served-result edge memo** — the shard caches store plans in
   *canonical* numbering and keep one rendered copy per θ slot on the
   entry; the front-end additionally keeps a small LRU of whole answers
-  keyed by fingerprint (render once, serve many).  A hot client repeating
-  the same query object skips the shard entirely — the single-threaded
-  event loop makes this a plain dictionary, no locking.  Plans are frozen,
-  so served answers share plan objects safely; only the result envelope is
-  copied per response.
+  keyed by fingerprint, θ and numbering (render once, serve many), so a
+  one-off relabelling adds an answer beside the hot numbering's instead of
+  replacing it.  A hot client repeating the same query object skips the
+  shard entirely — the single-threaded event loop makes this a plain
+  dictionary, no locking.  Plans are frozen, so served answers share plan
+  objects safely; only the result envelope is copied per response.
 
 Everything above happens on the event loop — the only blocking work (the
 DP runs) happens on the gateway's handler pool, so the loop stays
@@ -67,8 +68,9 @@ from repro.service.gateway import GatewayStats, LedFlight, ShardedOptimizerGatew
 from repro.service.service import ServiceResult, resolve
 from repro.service.tiers import CacheEntry
 
-#: Entries in the served-result edge memo (fully relabeled answers by
-#: fingerprint, θ and numbering; least recently served beyond).  The memo
+#: Answers in the served-result edge memo, one per (fingerprint, θ,
+#: numbering) — each numbering of a key counts on its own; the least
+#: recently served drop out beyond.  The memo
 #: never changes an answer — results are a pure function of the
 #: fingerprint — it only skips re-relabeling, but a memo-served answer does
 #: not refresh the shard cache's LRU recency for that key.
@@ -222,12 +224,11 @@ class AsyncOptimizerGateway:
         ] = {}
         #: Admitted requests not yet answered (the ``outstanding`` gauge).
         self._waiters: set[asyncio.Future] = set()
-        #: Fully-relabeled answers by (fingerprint, θ): value is (numbering
-        #: the plans are in, result to copy from).  θ is part of the memo key
-        #: because one θ-free fingerprint serves many bound answers; touched
-        #: only on the loop.
+        #: Fully-relabeled answers to copy from, by (fingerprint, θ,
+        #: numbering).  θ is part of the memo key because one θ-free
+        #: fingerprint serves many bound answers; touched only on the loop.
         self._served: OrderedDict[
-            tuple[str, float | None], tuple[tuple[int, ...], ServiceResult]
+            tuple[str, float | None, tuple[int, ...]], ServiceResult
         ] = OrderedDict()
         self._counters = AsyncGatewayStats()
         #: EWMA of one dispatch's time, submission to completion, seeding the
@@ -265,16 +266,17 @@ class AsyncOptimizerGateway:
         counters.requests += 1
         state.requests += 1
 
-        memo = self._served.get((key, theta))
-        if memo is not None and memo[0] == canonical.numbering:
+        memo_key = (key, theta, canonical.numbering)
+        memo = self._served.get(memo_key)
+        if memo is not None:
             # Edge-memo hit: the fully-relabeled answer for this exact
             # numbering (and θ binding) was already rendered — serve a fresh
             # envelope over the shared frozen plans.
-            self._served.move_to_end((key, theta))
+            self._served.move_to_end(memo_key)
             counters.fast_path_hits += 1
             counters.result_memo_hits += 1
             state.completed += 1
-            return _cached_copy(memo[1])
+            return _cached_copy(memo)
         served = self._gateway.serve_if_cached(canonical, key, theta=theta)
         if served is None:
             reason = self._admission_verdict(state)
@@ -291,7 +293,7 @@ class AsyncOptimizerGateway:
         if served is not None:
             counters.fast_path_hits += 1
             state.completed += 1
-            self._remember((key, theta), canonical.numbering, served)
+            self._remember(memo_key, served)
             return served
 
         assert self._loop is not None
@@ -420,8 +422,8 @@ class AsyncOptimizerGateway:
         """Deliver a resolved flight to one waiter: its numbering, its θ.
 
         A waiter cancelled meanwhile is skipped — only its own answer is
-        discarded.  Each answer is memoized under its ``(key, θ)`` so the
-        next identical request is an edge-memo hit.
+        discarded.  Each answer is memoized under its ``(key, θ,
+        numbering)`` so the next identical request is an edge-memo hit.
         """
         if waiter.done():
             return
@@ -430,14 +432,11 @@ class AsyncOptimizerGateway:
             waiter.set_exception(error)
             return
         result = self._gateway.finish(role, flight, canonical, key, theta)
-        self._remember((key, theta), canonical.numbering, result)
+        self._remember((key, theta, canonical.numbering), result)
         waiter.set_result(result)
 
     def _remember(
-        self,
-        key: tuple[str, float | None],
-        numbering: tuple[int, ...],
-        result: ServiceResult,
+        self, memo_key: tuple[str, float | None, tuple[int, ...]], result: ServiceResult
     ) -> None:
         """LRU-memoize a served answer for its (fingerprint, θ, numbering).
 
@@ -447,8 +446,8 @@ class AsyncOptimizerGateway:
         mutations to later requesters.  The frozen plan objects themselves
         are shared.
         """
-        self._served[key] = (numbering, _cached_copy(result))
-        self._served.move_to_end(key)
+        self._served[memo_key] = _cached_copy(result)
+        self._served.move_to_end(memo_key)
         while len(self._served) > RESULT_MEMO_SIZE:
             self._served.popitem(last=False)
 

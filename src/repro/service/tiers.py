@@ -127,10 +127,13 @@ class CacheEntry:
     #: :meth:`OptimizerService.answer`'s rendered plans, by θ slot (``None``,
     #: or :meth:`select_index`'s result): ``(numbering, plans)`` for the last
     #: numbering that slot was relabelled into.  Same lifetime as
-    #: ``wire_memo``, and at most one rendered copy per slot.  Unlocked on
-    #: purpose: a slot is replaced by one dict store of a complete pair, and
-    #: a reader compares against the pair it fetched, so racing renders
-    #: cost a duplicate relabel, never a wrong answer.
+    #: ``wire_memo``, and at most one rendered copy per slot: the asyncio
+    #: door's edge memo keeps its answers per numbering, so a one-off
+    #: relabelling does not evict the hot numbering's answer there (a
+    #: threaded-door A, B, A renders A twice).  Unlocked on purpose: a slot
+    #: is replaced by one dict store of a complete pair, and a reader
+    #: compares against the pair it fetched, so racing renders cost a
+    #: duplicate relabel, never a wrong answer.
     render_memo: dict[int | None, tuple[tuple[int, ...], list[Plan]]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )

@@ -23,6 +23,7 @@ from repro.service import (
     GatewayOverloadedError,
     ShardedOptimizerGateway,
     aio,
+    canonicalize,
 )
 from tests.test_service import permute_query, shuffled
 
@@ -274,6 +275,23 @@ class TestResultMemo:
 
         run(scenario())
 
+    def test_another_numbering_keeps_the_first_answer(self):
+        # A, B, A: B's answer lands beside A's, so the second A is served
+        # from the edge memo.
+        async def scenario():
+            query = SteinbrunnGenerator(64).query(6)
+            permuted = permute_query(query, shuffled(6, seed=2))
+            async with AsyncOptimizerGateway(n_shards=2, n_workers=2) as front:
+                first = await front.optimize(query)
+                await front.optimize(permuted)
+                before = front.stats().result_memo_hits
+                again = await front.optimize(query)
+                assert front.stats().result_memo_hits == before + 1
+                assert again.plans == first.plans
+                assert all(a is b for a, b in zip(first.plans, again.plans, strict=True))
+
+        run(scenario())
+
     def test_cached_copy_matches_dataclasses_replace(self):
         # The edge memo builds its copies positionally for speed; this is
         # the reference formulation, field for field.
@@ -297,6 +315,16 @@ class TestResultMemo:
                 for query in queries:
                     await front.optimize(query)
                 assert len(front._served) == 2
+                # Each numbering of one key counts against the bound on its
+                # own: three numberings of the last query keep the two
+                # most recently served.
+                numberings = []
+                for seed in (1, 2):
+                    permuted = permute_query(queries[-1], shuffled(4, seed=seed))
+                    await front.optimize(permuted)
+                    numberings.append(canonicalize(permuted).numbering)
+                assert len(set(numberings)) == 2
+                assert [memo_key[2] for memo_key in front._served] == numberings
 
         run(scenario())
 

@@ -40,6 +40,7 @@ from repro.config import (
 )
 from repro.core.serial import best_plan, optimize_serial
 from repro.plans.operators import JoinAlgorithm, ScanAlgorithm
+from repro.plans.orders import SortOrder
 from repro.plans.plan import JoinPlan, ScanPlan, plan_join_count
 from repro.query.generator import SteinbrunnGenerator
 from repro.query.query import JoinGraphKind
@@ -170,14 +171,14 @@ class TestPlanNode:
         common = ["mask", "rows", "cost", "order"]
         assert names(plan.right) == [*common, "table", "algorithm"]
         assert names(plan) == [*common, "left", "right", "algorithm"]
-        for node in (plan, plan.right):
+        assert [field.name for field in dataclasses.fields(SortOrder)] == ["table", "column"]
+        for node in (plan, plan.right, SortOrder(0, "c0")):
             assert not hasattr(node, "__dict__")
-            # Not a field: the frozen slotted dataclass's generated
-            # __setattr__ raises TypeError here (Python 3.11), where a
-            # __dict__-free object would raise AttributeError.  Either way
-            # nothing is set.
-            with pytest.raises((TypeError, AttributeError)):
+            # Not a field: refused as a field is, and nothing is set.
+            with pytest.raises(dataclasses.FrozenInstanceError):
                 node.extra = 1
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del node.extra
             assert not hasattr(node, "extra")
 
     def test_fields_cannot_be_assigned_or_deleted(self, plan):
@@ -194,6 +195,12 @@ class TestPlanNode:
         copy = pickle.loads(pickle.dumps(plan))
         assert copy == plan and type(copy) is JoinPlan
         assert plan_to_wire(copy) == plan_to_wire(plan)
+        order = SortOrder(2, "c1")
+        copy = pickle.loads(pickle.dumps(order))
+        assert copy == order and hash(copy) == hash((2, "c1"))
+        assert sorted([order, SortOrder(0, "c9"), SortOrder(2, "c0")]) == [
+            SortOrder(0, "c9"), SortOrder(2, "c0"), order,
+        ]
 
     def test_a_scan_never_equals_a_join(self):
         scan = ScanPlan(1, 1.0, (1.0,), None, 0)
