@@ -219,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="request-handler threads driving the gateway's per-shard "
         "sub-batches and, with --async, its led misses (default: one per "
-        "shard; requires --shards > 1)",
+        "shard; requires a handler pool: --shards > 1 or --async)",
     )
     serve.add_argument(
         "--async",
@@ -615,8 +615,8 @@ def _leaves(tree, path: str = ""):
 def _run_serve_batch(args: argparse.Namespace) -> int:
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-    if args.gateway_threads is not None and args.shards < 2:
-        raise SystemExit("--gateway-threads requires --shards > 1")
+    if args.gateway_threads is not None and args.shards < 2 and not args.use_async:
+        raise SystemExit("--gateway-threads requires --shards > 1 or --async")
     if args.connect is not None:
         if args.shards > 1 or args.use_async or args.cache_dir is not None:
             raise SystemExit(

@@ -94,19 +94,14 @@ class EnvelopeIndex:
         float slack of) a breakpoint two owners tie, so the adjacent
         segments' owners join the candidate set and the selection key
         breaks the tie the same way the linear reference rule does.
-        Candidates are compared in ascending position order, preserving
-        the stable-``min`` first-position tiebreak.
+        Equal keys fall to the lower position, preserving the stable-``min``
+        first-position tiebreak.
         """
         segment = bisect_right(self.breakpoints, theta)
-        candidates = {self.segments[segment]}
-        if segment > 0:
-            candidates.add(self.segments[segment - 1])
-        if segment + 1 < len(self.segments):
-            candidates.add(self.segments[segment + 1])
         return min(
-            sorted(candidates),
-            key=lambda i: theta_selection_key(costs[i], theta),
-        )
+            (theta_selection_key(costs[i], theta), i)
+            for i in self.segments[max(segment - 1, 0) : segment + 2]
+        )[1]
 
     # ------------------------------------------------------------------ wire
 

@@ -41,8 +41,12 @@ threads*.  :class:`AsyncOptimizerGateway` is that tier:
   one-off relabelling adds an answer beside the hot numbering's instead of
   replacing it.  A hot client repeating the same query object skips the
   shard entirely — the single-threaded event loop makes this a plain
-  dictionary, no locking.  Plans are frozen, so served answers share plan
-  objects safely; only the result envelope is copied per response.
+  dictionary, no locking.  Each answer is stored beside its shard cache
+  and the cache's ``generation`` read before the lookup that produced it;
+  once the entry is evicted, invalidated or replaced the generation has
+  moved and the memo misses, so no answer outlives its entry.  Plans are
+  frozen, so served answers share plan objects safely; only the result
+  envelope is copied per response.
 
 Everything above happens on the event loop — the only blocking work (the
 DP runs) happens on the gateway's handler pool, so the loop stays
@@ -66,14 +70,14 @@ from repro.query.query import Query
 from repro.service.fingerprint import CanonicalForm
 from repro.service.gateway import GatewayStats, LedFlight, ShardedOptimizerGateway
 from repro.service.service import ServiceResult, resolve
-from repro.service.tiers import CacheEntry
+from repro.service.tiers import CacheEntry, TieredPlanCache
 
 #: Answers in the served-result edge memo, one per (fingerprint, θ,
 #: numbering) — each numbering of a key counts on its own; the least
-#: recently served drop out beyond.  The memo
-#: never changes an answer — results are a pure function of the
-#: fingerprint — it only skips re-relabeling, but a memo-served answer does
-#: not refresh the shard cache's LRU recency for that key.
+#: recently served drop out beyond.  The memo never changes an answer — it
+#: serves one only while the entry that produced it is live — it only skips
+#: re-relabeling, but a memo-served answer does not refresh the shard
+#: cache's LRU recency for that key.
 RESULT_MEMO_SIZE = 1024
 
 
@@ -171,15 +175,13 @@ class AsyncOptimizerGateway:
     Args:
         gateway: the threaded sharded gateway to serve through.  ``None``
             builds one from ``gateway_kwargs`` and owns it (closed with this
-            front-end); a passed-in gateway is borrowed and left open unless
-            ``own_gateway=True``.
+            front-end); a passed-in gateway is borrowed and left open.
         max_pending: bound on outstanding admitted requests (queued plus
             dispatched, not yet answered); beyond it requests are rejected
             with ``reason="queue-full"``.
         tenant_share: fraction of ``max_pending`` a single tenant may hold
             (at least one slot).  The remainder stays available to other
             tenants no matter how hot one tenant runs.
-        own_gateway: close ``gateway`` when this front-end closes.
         **gateway_kwargs: forwarded to :class:`ShardedOptimizerGateway` when
             ``gateway`` is ``None``.
 
@@ -199,18 +201,16 @@ class AsyncOptimizerGateway:
         *,
         max_pending: int = 128,
         tenant_share: float = 0.5,
-        own_gateway: bool = False,
         **gateway_kwargs: object,
     ) -> None:
         if max_pending < 1:
             raise ValueError(f"max_pending must be >= 1, got {max_pending}")
         if not 0.0 < tenant_share <= 1.0:
             raise ValueError(f"tenant_share must be in (0, 1], got {tenant_share}")
+        self._own_gateway = gateway is None
         if gateway is None:
             gateway = ShardedOptimizerGateway(**gateway_kwargs)  # type: ignore[arg-type]
-            own_gateway = True
         self._gateway = gateway
-        self._own_gateway = own_gateway
         self.max_pending = max_pending
         self.tenant_cap = max(1, math.floor(max_pending * tenant_share))
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -225,10 +225,13 @@ class AsyncOptimizerGateway:
         #: Admitted requests not yet answered (the ``outstanding`` gauge).
         self._waiters: set[asyncio.Future] = set()
         #: Fully-relabeled answers to copy from, by (fingerprint, θ,
-        #: numbering).  θ is part of the memo key because one θ-free
-        #: fingerprint serves many bound answers; touched only on the loop.
+        #: numbering), each beside its shard cache and that cache's
+        #: generation before the lookup.  θ is part of the memo key because
+        #: one θ-free fingerprint serves many bound answers; touched only on
+        #: the loop.
         self._served: OrderedDict[
-            tuple[str, float | None, tuple[int, ...]], ServiceResult
+            tuple[str, float | None, tuple[int, ...]],
+            tuple[ServiceResult, TieredPlanCache, int],
         ] = OrderedDict()
         self._counters = AsyncGatewayStats()
         #: EWMA of one dispatch's time, submission to completion, seeding the
@@ -268,16 +271,20 @@ class AsyncOptimizerGateway:
 
         memo_key = (key, theta, canonical.numbering)
         memo = self._served.get(memo_key)
-        if memo is not None:
+        if memo is not None and memo[1].generation == memo[2]:
             # Edge-memo hit: the fully-relabeled answer for this exact
-            # numbering (and θ binding) was already rendered — serve a fresh
-            # envelope over the shared frozen plans.
+            # numbering (and θ binding) was already rendered, and its entry
+            # is still live — serve a fresh envelope over the shared frozen
+            # plans.
             self._served.move_to_end(memo_key)
             counters.fast_path_hits += 1
             counters.result_memo_hits += 1
             state.completed += 1
-            return _cached_copy(memo)
-        served = self._gateway.serve_if_cached(canonical, key, theta=theta)
+            return _cached_copy(memo[0])
+        gateway = self._gateway
+        cache = gateway.shards[gateway.shard_for(key)].cache
+        generation = cache.generation
+        served = gateway.serve_if_cached(canonical, key, theta=theta)
         if served is None:
             reason = self._admission_verdict(state)
             if reason is not None:
@@ -287,13 +294,13 @@ class AsyncOptimizerGateway:
                 else:
                     counters.rejected_tenant_share += 1
                 raise GatewayOverloadedError(reason, self._retry_after_s(), tenant)
-            role, flight = self._gateway.claim(key)
+            role, flight = gateway.claim(key)
             if role == "hit":  # the entry landed between the probe and the claim
-                served = self._gateway.finish(role, flight, canonical, key, theta)
+                served = gateway.finish(role, flight, canonical, key, theta)
         if served is not None:
             counters.fast_path_hits += 1
             state.completed += 1
-            self._remember(memo_key, served)
+            self._remember(memo_key, served, cache, generation)
             return served
 
         assert self._loop is not None
@@ -320,11 +327,12 @@ class AsyncOptimizerGateway:
         # ``add_done_callback`` (never ``asyncio.wrap_future``): cancelling
         # this waiter must not propagate into the flight others share.  The
         # flight resolves on whichever thread ran it; hop to the loop with
-        # ``_settle(waiter, role, canonical, key, theta, flight)``.
+        # ``_settle(waiter, role, canonical, key, theta, cache, generation,
+        # flight)``.
         flight.add_done_callback(
             partial(
                 self._loop.call_soon_threadsafe,
-                self._settle, waiter, role, canonical, key, theta,
+                self._settle, waiter, role, canonical, key, theta, cache, generation,
             )
         )
         return await waiter
@@ -417,13 +425,17 @@ class AsyncOptimizerGateway:
         canonical: CanonicalForm,
         key: str,
         theta: float | None,
+        cache: TieredPlanCache,
+        generation: int,
         flight: Future[CacheEntry],
     ) -> None:
         """Deliver a resolved flight to one waiter: its numbering, its θ.
 
         A waiter cancelled meanwhile is skipped — only its own answer is
         discarded.  Each answer is memoized under its ``(key, θ,
-        numbering)`` so the next identical request is an edge-memo hit.
+        numbering)``, beside the shard ``cache`` and the ``generation`` read
+        before the claim, so the next identical request is an edge-memo hit
+        while the entry stays live.
         """
         if waiter.done():
             return
@@ -432,11 +444,15 @@ class AsyncOptimizerGateway:
             waiter.set_exception(error)
             return
         result = self._gateway.finish(role, flight, canonical, key, theta)
-        self._remember((key, theta, canonical.numbering), result)
+        self._remember((key, theta, canonical.numbering), result, cache, generation)
         waiter.set_result(result)
 
     def _remember(
-        self, memo_key: tuple[str, float | None, tuple[int, ...]], result: ServiceResult
+        self,
+        memo_key: tuple[str, float | None, tuple[int, ...]],
+        result: ServiceResult,
+        cache: TieredPlanCache,
+        generation: int,
     ) -> None:
         """LRU-memoize a served answer for its (fingerprint, θ, numbering).
 
@@ -446,7 +462,7 @@ class AsyncOptimizerGateway:
         mutations to later requesters.  The frozen plan objects themselves
         are shared.
         """
-        self._served[memo_key] = _cached_copy(result)
+        self._served[memo_key] = (_cached_copy(result), cache, generation)
         self._served.move_to_end(memo_key)
         while len(self._served) > RESULT_MEMO_SIZE:
             self._served.popitem(last=False)

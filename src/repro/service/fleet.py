@@ -8,8 +8,8 @@ actually *runs* a fleet:
 * **supervision** — :class:`ShardFleet` spawns N ``python -m repro
   shard-server`` processes (one unix socket each, optional per-shard disk
   cache logs), health-watches them, and restarts a crashed shard with
-  exponential backoff (``backoff_base_s * 2^consecutive-crashes``, capped
-  at :data:`BACKOFF_CAP_S`).
+  exponential backoff (:data:`BACKOFF_BASE_S` ``* 2^consecutive-crashes``,
+  capped at :data:`BACKOFF_CAP_S`).
   A restarted shard re-binds the same endpoint, so connected routers need
   no topology change: their circuit breaker opens on the crash, then
   re-admits the shard through its half-open probe once the replacement
@@ -71,6 +71,12 @@ from repro.util.readers import read, read_int
 MEMBERSHIP_FORMAT = "repro-fleet"
 MEMBERSHIP_VERSION = 1
 
+#: Supervisor poll cadence: process liveness and restart scheduling.
+HEALTH_INTERVAL_S = 0.2
+#: Restart backoff: the k-th consecutive crash waits
+#: ``min(BACKOFF_CAP_S, BACKOFF_BASE_S * 2^(k-1))`` before the replacement
+#: spawns.
+BACKOFF_BASE_S = 0.05
 #: Longest wait between a crash and the replacement's spawn.
 BACKOFF_CAP_S = 2.0
 #: A shard alive this long has its crash streak forgiven: its next crash
@@ -121,12 +127,6 @@ class ShardFleet:
             restarted shard come back warm.
         n_workers / max_in_flight / cache_capacity: forwarded to every
             ``shard-server`` process.
-        health_interval_s: supervisor poll cadence (process liveness and
-            restart scheduling).
-        backoff_base_s: restart backoff — the k-th consecutive crash
-            waits ``min(BACKOFF_CAP_S, base * 2^(k-1))`` before the
-            replacement spawns; a shard alive :data:`STABLE_RESET_S` has
-            its crash streak forgiven.
         log_dir: when set, each shard's stdout/stderr is appended to
             ``log_dir/<name>.log`` (CI uploads these on failure); default
             inherits the supervisor's own stderr.
@@ -145,8 +145,6 @@ class ShardFleet:
         n_workers: int = 4,
         max_in_flight: int = 16,
         cache_capacity: int = 256,
-        health_interval_s: float = 0.2,
-        backoff_base_s: float = 0.05,
         log_dir: str | os.PathLike | None = None,
         membership_path: str | os.PathLike | None = None,
         inject_latency_ms: dict[str, float] | None = None,
@@ -159,8 +157,6 @@ class ShardFleet:
         self.n_workers = n_workers
         self.max_in_flight = max_in_flight
         self.cache_capacity = cache_capacity
-        self.health_interval_s = health_interval_s
-        self.backoff_base_s = backoff_base_s
         self.log_dir = Path(log_dir) if log_dir is not None else None
         self.membership_path = (
             Path(membership_path) if membership_path is not None else None
@@ -288,7 +284,7 @@ class ShardFleet:
     # -------------------------------------------------------------- supervision
 
     def _monitor_loop(self) -> None:
-        while not self._stop.wait(self.health_interval_s):
+        while not self._stop.wait(HEALTH_INTERVAL_S):
             try:
                 self._check_once()
             except Exception:  # pragma: no cover - supervisor must never die
@@ -313,7 +309,7 @@ class ShardFleet:
                 handle.consecutive_crashes += 1
                 delay = min(
                     BACKOFF_CAP_S,
-                    self.backoff_base_s * (2 ** (handle.consecutive_crashes - 1)),
+                    BACKOFF_BASE_S * (2 ** (handle.consecutive_crashes - 1)),
                 )
                 handle.next_restart_at = now + delay
                 continue

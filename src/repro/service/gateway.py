@@ -40,11 +40,10 @@ disk read never stalls the flight table.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import threading
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 from repro.config import DEFAULT_SETTINGS, OptimizerSettings
@@ -193,7 +192,6 @@ class ShardedOptimizerGateway:
         query: Query,
         settings: OptimizerSettings | None = None,
         n_workers: int | None = None,
-        timeout_s: float | None = None,
     ) -> ServiceResult:
         """Optimize one query; safe to call from many threads concurrently.
 
@@ -201,13 +199,6 @@ class ShardedOptimizerGateway:
         an identical/isomorphic optimization already in flight waits for it
         (coalescing); otherwise this request leads the optimization and
         every concurrent duplicate rides along.
-
-        ``timeout_s`` bounds only how long a *follower* waits on another
-        request's in-flight run; on expiry it raises :class:`TimeoutError`
-        and abandons the flight cleanly — the leader keeps running, its
-        other followers are unaffected, and the in-flight gauge is released.
-        A leader is never interrupted (a half-run DP has no safe abort
-        point), and a cache hit never waits at all.
         """
         settings, workers, canonical, key, theta = resolve(
             self, query, settings, n_workers
@@ -218,7 +209,7 @@ class ShardedOptimizerGateway:
             if role == "lead":
                 flight = (query, canonical, key, payload)
                 self._lead_shard_batch(self.shard_for(key), [flight], settings, workers)
-            return self.finish(role, payload, canonical, key, theta, timeout_s)
+            return self.finish(role, payload, canonical, key, theta)
         finally:
             self._exit_requests(1)
 
@@ -362,9 +353,7 @@ class ShardedOptimizerGateway:
         finds no flight and leads afresh.
         """
         key = flight[2]
-        error = concurrent.futures.CancelledError(
-            f"flight for {key[:12]}… was withdrawn before it ran"
-        )
+        error = CancelledError(f"flight for {key[:12]}… was withdrawn before it ran")
         self._resolve_flights([flight], error=error, release=1)
 
     def _enter_requests(self, count: int) -> None:
@@ -425,7 +414,7 @@ class ShardedOptimizerGateway:
                 cache.reclassify_miss_as_hit()
                 return "hit", resident
             flight = self._flights[key] = Future()
-            # Running from birth: a follower that gives up (timeout, asyncio
+            # Running from birth: a follower that gives up (asyncio
             # cancellation) can never cancel the flight under the others.
             flight.set_running_or_notify_cancel()
             return "lead", flight
@@ -489,26 +478,17 @@ class ShardedOptimizerGateway:
         canonical: CanonicalForm,
         key: str,
         theta: float | None,
-        timeout_s: float | None = None,
     ) -> ServiceResult:
         """Answer one classified request once its entry is available.
 
-        A follower waits for the in-flight leader.  With ``timeout_s``, an
-        expired wait abandons the flight: nothing was registered by this
-        follower, so abandonment needs no cleanup beyond raising — the
-        flight, its leader, and its other followers are untouched.  (The
-        follower's lookup already counted a cache miss; that stands, since
-        this request was indeed not answered from cache.)
+        A follower waits for the in-flight leader, however long it runs;
+        a leader's failure is raised here, to the leader and every
+        follower alike.
         """
         shard = self.shards[self.shard_for(key)]
         if role == "hit":
             entry = payload
         else:
-            if not concurrent.futures.wait([payload], timeout_s).done:
-                raise TimeoutError(
-                    f"coalesced flight for {key[:12]}… did not complete "
-                    f"within {timeout_s}s; the leader is still running"
-                )
             entry = payload.result()
             if role == "follow":
                 # The follower's lookup counted a miss, but no optimization

@@ -14,9 +14,9 @@ is the front door:
   the same shard server, whose in-process singleflight then pays exactly
   one DP run — the system invariant holds across process boundaries;
 * :class:`CircuitBreaker` — per-shard failure containment.  ``closed``
-  until ``failure_threshold`` consecutive transport failures, then ``open``
+  until :data:`BREAKER_FAILURES` consecutive transport failures, then ``open``
   (requests fail fast with :class:`ShardUnavailableError`, no connection
-  attempted) for ``reset_timeout_s``, then ``half-open`` (exactly one probe
+  attempted) for :data:`BREAKER_RESET_S`, then ``half-open`` (exactly one probe
   allowed through; success closes the breaker, failure reopens it);
 * :class:`NetworkOptimizerGateway` — the router.  ``optimize`` fingerprints
   the query, routes it on the ring, and speaks the length-prefixed frame
@@ -85,6 +85,12 @@ RING_REPLICAS = 64
 #: ``retry_after_s=0`` (or a malformed field defaulting low) must not turn
 #: the retry loop into a busy-spin that hammers the shard it is waiting on.
 OVERLOAD_RETRY_FLOOR_S = 0.005
+
+#: Consecutive transport failures that open a shard's breaker.
+BREAKER_FAILURES = 3
+
+#: Seconds an open breaker refuses before it admits one half-open probe.
+BREAKER_RESET_S = 1.0
 
 
 # ------------------------------------------------------------------ addresses
@@ -296,25 +302,14 @@ class ConsistentHashRing:
 class CircuitBreaker:
     """Closed / open / half-open failure containment for one shard.
 
-    ``failure_threshold`` *consecutive* failures open the breaker; while
-    open, :meth:`allow` refuses instantly.  After ``reset_timeout_s`` the
-    next :meth:`allow` admits exactly one half-open probe: its success
+    :data:`BREAKER_FAILURES` *consecutive* failures open the breaker; while
+    open, :meth:`allow` refuses instantly.  After :data:`BREAKER_RESET_S`
+    the next :meth:`allow` admits exactly one half-open probe: its success
     closes the breaker, its failure reopens it for another timeout.
     Thread-safe — many client threads consult one breaker.
     """
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        reset_timeout_s: float = 1.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError(f"failure_threshold must be >= 1, got {failure_threshold}")
-        if reset_timeout_s <= 0:
-            raise ValueError(f"reset_timeout_s must be > 0, got {reset_timeout_s}")
-        self.failure_threshold = failure_threshold
-        self.reset_timeout_s = reset_timeout_s
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._state = "closed"
@@ -332,7 +327,7 @@ class CircuitBreaker:
             if self._state == "closed":
                 return True
             if self._state == "open":
-                if self._clock() - self._opened_at >= self.reset_timeout_s:
+                if self._clock() - self._opened_at >= BREAKER_RESET_S:
                     self._state = "half-open"
                     return True
                 return False
@@ -348,7 +343,7 @@ class CircuitBreaker:
             self._consecutive_failures += 1
             if (
                 self._state == "half-open"
-                or self._consecutive_failures >= self.failure_threshold
+                or self._consecutive_failures >= BREAKER_FAILURES
             ):
                 self._state = "open"
                 self._opened_at = self._clock()
@@ -358,9 +353,7 @@ class CircuitBreaker:
         with self._lock:
             if self._state != "open":
                 return 0.0
-            return max(
-                0.0, self._opened_at + self.reset_timeout_s - self._clock()
-            )
+            return max(0.0, self._opened_at + BREAKER_RESET_S - self._clock())
 
 
 # ------------------------------------------------------------ shard link
@@ -475,7 +468,6 @@ class NetworkOptimizerGateway:
         connect_timeout_s / request_timeout_s: socket bounds; a shard that
             stops answering fails the request (and counts against its
             breaker) instead of hanging the client thread.
-        failure_threshold / reset_timeout_s: breaker tuning, per shard.
         overload_retries: how many times :meth:`optimize` resubmits after a
             shard's ``overloaded`` rejection, sleeping the advertised
             ``retry_after_s`` between attempts (clamped to
@@ -493,8 +485,6 @@ class NetworkOptimizerGateway:
         n_workers: int = 8,
         connect_timeout_s: float = 5.0,
         request_timeout_s: float = 60.0,
-        failure_threshold: int = 3,
-        reset_timeout_s: float = 1.0,
         overload_retries: int = 0,
     ) -> None:
         if not isinstance(shards, dict):
@@ -507,8 +497,6 @@ class NetworkOptimizerGateway:
         self.n_workers = n_workers
         self._connect_timeout_s = connect_timeout_s
         self._request_timeout_s = request_timeout_s
-        self._failure_threshold = failure_threshold
-        self._reset_timeout_s = reset_timeout_s
         self._overload_retries = overload_retries
         self._ring = ConsistentHashRing()
         self._links: dict[str, _ShardLink] = {}
@@ -526,10 +514,7 @@ class NetworkOptimizerGateway:
         link = _ShardLink(
             name=name,
             address=Address.parse(spec),
-            breaker=CircuitBreaker(
-                failure_threshold=self._failure_threshold,
-                reset_timeout_s=self._reset_timeout_s,
-            ),
+            breaker=CircuitBreaker(),
             connect_timeout_s=self._connect_timeout_s,
             request_timeout_s=self._request_timeout_s,
         )

@@ -14,7 +14,7 @@ client processes.
 Protocol (all frames are strict-JSON objects):
 
 * on connect the server sends a **hello** frame
-  ``{"op": "hello", "format": "repro-net", "version": 3, "shard_id": ...}``;
+  ``{"op": "hello", "format": "repro-net", "version": 4, "shard_id": ...}``;
   a client that reads anything else hangs up
   (:func:`repro.service.net.handshake`);
 * **lookup** ``{"op": "lookup", "key": <fingerprint>, "theta": θ|null}`` —

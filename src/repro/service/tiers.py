@@ -431,11 +431,13 @@ class DiskTier:
             self._tombstone(key)
             return None
 
-    def put(self, key: str, entry: CacheEntry) -> None:
-        """Append the entry; the new record supersedes any older one."""
+    def put(self, key: str, entry: CacheEntry) -> bool:
+        """Append the entry; returns whether it superseded a live record."""
         record = {"t": "put", "k": key, "entry": entry_to_wire(entry)}
         with self._lock:
+            replaced = key in self._index
             self._store(key, record, entry)
+            return replaced
 
     def _store(self, key: str, record: dict[str, Any], entry: CacheEntry) -> None:
         """Append ``key``'s put record and index it.  Caller holds the lock."""
@@ -732,6 +734,14 @@ class TieredPlanCache:
     writes run outside this lock (the disk tier locks its own state), so
     :meth:`get`/:meth:`probe` may do I/O and must be called unlocked (the
     gateway does).
+
+    ``generation`` counts the changes that retire a live entry: an
+    :meth:`evict` that dropped something, an :meth:`invalidate` that removed
+    any key, and a :meth:`put` (or import) that replaced a live key.
+    Promotion, demotion and LRU drops leave it alone — the entry is still
+    live in some tier.  A memo of answers built from this cache stores the
+    generation it read *before* its lookup and treats a mismatch as a miss,
+    so no answer outlives its entry.
     """
 
     def __init__(
@@ -744,6 +754,7 @@ class TieredPlanCache:
         self.stats = CacheStats()
         self._entries: OrderedDict[str, CacheEntry] = OrderedDict()
         self._lock = threading.Lock()
+        self.generation = 0
 
     # ----------------------------------------------------------------- lookups
 
@@ -794,9 +805,10 @@ class TieredPlanCache:
 
     def put(self, key: str, value: CacheEntry) -> None:
         """Write through to disk, then insert into memory."""
-        if self.disk is not None:
-            self.disk.put(key, value)
+        replaced = self.disk is not None and self.disk.put(key, value)
         with self._lock:
+            if replaced or key in self._entries:
+                self.generation += 1
             dropped = self._insert(key, value)
             if self.disk is None:
                 self.stats.evictions += dropped
@@ -827,6 +839,7 @@ class TieredPlanCache:
         if dropped:
             with self._lock:
                 self.stats.evictions += 1
+                self.generation += 1
         return dropped
 
     # ------------------------------------------------------- snapshot shipping
@@ -890,6 +903,7 @@ class TieredPlanCache:
                 self._entries.pop(key, None)
             self.stats.invalidated += len(doomed)
             self.stats.evictions += len(doomed)
+            self.generation += bool(doomed)
         return sorted(doomed)
 
     # ------------------------------------------------------------------- stats

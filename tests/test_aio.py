@@ -21,6 +21,7 @@ from repro.query.generator import SteinbrunnGenerator
 from repro.service import (
     AsyncOptimizerGateway,
     GatewayOverloadedError,
+    InvalidationPredicate,
     ShardedOptimizerGateway,
     aio,
     canonicalize,
@@ -140,17 +141,18 @@ class TestCorrectness:
             ]
             gate = threading.Event()
             gateway, executors = gated_gateway(gate, n_shards=2, n_workers=4)
-            async with AsyncOptimizerGateway(gateway, own_gateway=True) as front:
-                tasks = [
-                    asyncio.ensure_future(front.optimize(variant))
-                    for variant in variants
-                ]
-                assert await poll(
-                    lambda: sum(executor.calls for executor in executors) == 1
-                )
-                gate.set()
-                results = await asyncio.gather(*tasks)
-                stats = front.stats()
+            with gateway:
+                async with AsyncOptimizerGateway(gateway) as front:
+                    tasks = [
+                        asyncio.ensure_future(front.optimize(variant))
+                        for variant in variants
+                    ]
+                    assert await poll(
+                        lambda: sum(executor.calls for executor in executors) == 1
+                    )
+                    gate.set()
+                    results = await asyncio.gather(*tasks)
+                    stats = front.stats()
             assert stats.gateway.optimizations == 1
             assert sum(executor.calls for executor in executors) == 1
             reference = best_plan(optimize_serial(base)).cost[0]
@@ -171,22 +173,23 @@ class TestCorrectness:
             other = generator.query(6)
             gate = threading.Event()
             gateway, executors = gated_gateway(gate, n_shards=1, n_workers=2)
-            async with AsyncOptimizerGateway(gateway, own_gateway=True) as front:
-                first = asyncio.ensure_future(front.optimize(query, n_workers=2))
-                assert await poll(
-                    lambda: sum(executor.calls for executor in executors) >= 1
-                )
-                # Queued behind the gated dispatch: same query at different
-                # parallelism, plus a different query at each parallelism.
-                tasks = [
-                    asyncio.ensure_future(front.optimize(query, n_workers=4)),
-                    asyncio.ensure_future(front.optimize(other, n_workers=2)),
-                    asyncio.ensure_future(front.optimize(other, n_workers=4)),
-                ]
-                await asyncio.sleep(0)
-                gate.set()
-                await asyncio.gather(first, *tasks)
-                stats = front.stats()
+            with gateway:
+                async with AsyncOptimizerGateway(gateway) as front:
+                    first = asyncio.ensure_future(front.optimize(query, n_workers=2))
+                    assert await poll(
+                        lambda: sum(executor.calls for executor in executors) >= 1
+                    )
+                    # Queued behind the gated dispatch: same query at different
+                    # parallelism, plus a different query at each parallelism.
+                    tasks = [
+                        asyncio.ensure_future(front.optimize(query, n_workers=4)),
+                        asyncio.ensure_future(front.optimize(other, n_workers=2)),
+                        asyncio.ensure_future(front.optimize(other, n_workers=4)),
+                    ]
+                    await asyncio.sleep(0)
+                    gate.set()
+                    await asyncio.gather(first, *tasks)
+                    stats = front.stats()
             assert stats.dispatched_batches == 4
             assert stats.batch_sizes == {1: 4}
 
@@ -214,20 +217,21 @@ class TestCorrectness:
             gateway = ShardedOptimizerGateway(
                 n_shards=2, n_workers=2, executor_factory=FailingExecutor
             )
-            async with AsyncOptimizerGateway(gateway, own_gateway=True) as front:
-                tasks = [
-                    asyncio.ensure_future(front.optimize(query)) for __ in range(3)
-                ]
-                outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-                assert all(
-                    isinstance(outcome, ConnectionError) for outcome in outcomes
-                )
-                stats = front.stats()
-                assert stats.outstanding == 0
-                assert stats.gateway.in_flight == 0
-                # A retry after the failure leads afresh (and fails afresh).
-                with pytest.raises(ConnectionError):
-                    await front.optimize(query)
+            with gateway:
+                async with AsyncOptimizerGateway(gateway) as front:
+                    tasks = [
+                        asyncio.ensure_future(front.optimize(query)) for __ in range(3)
+                    ]
+                    outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+                    assert all(
+                        isinstance(outcome, ConnectionError) for outcome in outcomes
+                    )
+                    stats = front.stats()
+                    assert stats.outstanding == 0
+                    assert stats.gateway.in_flight == 0
+                    # A retry after the failure leads afresh (and fails afresh).
+                    with pytest.raises(ConnectionError):
+                        await front.optimize(query)
 
         run(scenario())
 
@@ -329,31 +333,90 @@ class TestResultMemo:
         run(scenario())
 
 
+class TestMemoDiesWithItsEntry:
+    """An edge-memo answer is served only while the entry behind it is live."""
+
+    @staticmethod
+    def retire(cache, how, key, backend):
+        if how == "evict":
+            assert cache.evict(key)
+        else:
+            assert cache.invalidate(InvalidationPredicate(backend=backend)) == [key]
+
+    @pytest.mark.parametrize("how", ["evict", "invalidate"])
+    def test_a_dropped_entry_runs_again_as_at_the_threaded_door(self, how):
+        query = SteinbrunnGenerator(67).query(6)
+        with ShardedOptimizerGateway(n_shards=1, n_workers=2) as gateway:
+            first = gateway.optimize(query)
+            gateway.optimize(query)
+            self.retire(gateway.shards[0].cache, how, first.fingerprint, first.backend_used)
+            assert not gateway.optimize(query).cached
+            threaded_runs = gateway.stats().optimizations
+
+        async def scenario():
+            async with AsyncOptimizerGateway(n_shards=1, n_workers=2) as front:
+                first = await front.optimize(query)
+                await front.optimize(query)
+                assert front.stats().result_memo_hits == 1
+                cache = front.gateway.shards[0].cache
+                self.retire(cache, how, first.fingerprint, first.backend_used)
+                again = await front.optimize(query)
+                return first, again, front.stats()
+
+        first, again, stats = run(scenario())
+        assert not again.cached and again.plans == first.plans
+        assert stats.gateway.optimizations == threaded_runs == 2
+        assert stats.result_memo_hits == 1
+
+    def test_a_replaced_entry_serves_the_new_plans(self):
+        async def scenario():
+            generator = SteinbrunnGenerator(68)
+            query, other = generator.query(6), generator.query(6)
+            async with AsyncOptimizerGateway(n_shards=1, n_workers=2) as front:
+                first = await front.optimize(query)
+                donor = await front.optimize(other)
+                await front.optimize(query)
+                shard = front.gateway.shards[0]
+                [record] = shard.cache.export_records([donor.fingerprint])
+                assert shard.cache.import_records([{**record, "k": first.fingerprint}]) == 1
+                again = await front.optimize(query)
+                entry = shard.cache.peek(first.fingerprint)
+                expected = shard.answer(entry, canonicalize(query), first.fingerprint, None)
+                return first, again, expected, front.stats()
+
+        first, again, expected, stats = run(scenario())
+        assert again.cached and again.plans == expected.plans
+        assert again.plans != first.plans
+        assert stats.gateway.optimizations == 2
+        assert stats.result_memo_hits == 1
+
+
 class TestBackpressure:
     def test_queue_full_rejection_carries_retry_after(self):
         async def scenario():
             generator = SteinbrunnGenerator(55)
             gate = threading.Event()
             gateway, __ = gated_gateway(gate)
-            async with AsyncOptimizerGateway(
-                gateway, own_gateway=True, max_pending=2, tenant_share=1.0
-            ) as front:
-                tasks = [
-                    asyncio.ensure_future(front.optimize(generator.query(5)))
-                    for __ in range(2)
-                ]
-                assert await poll(lambda: front.stats().outstanding == 2)
-                with pytest.raises(GatewayOverloadedError) as rejection:
-                    await front.optimize(generator.query(5))
-                assert rejection.value.reason == "queue-full"
-                assert rejection.value.retry_after_s > 0
-                gate.set()
-                await asyncio.gather(*tasks)
-                stats = front.stats()
-                assert stats.rejected_queue_full == 1
-                assert stats.rejections == 1
-                # After the queue drained, admission works again.
-                assert (await front.optimize(generator.query(5))) is not None
+            with gateway:
+                async with AsyncOptimizerGateway(
+                    gateway, max_pending=2, tenant_share=1.0
+                ) as front:
+                    tasks = [
+                        asyncio.ensure_future(front.optimize(generator.query(5)))
+                        for __ in range(2)
+                    ]
+                    assert await poll(lambda: front.stats().outstanding == 2)
+                    with pytest.raises(GatewayOverloadedError) as rejection:
+                        await front.optimize(generator.query(5))
+                    assert rejection.value.reason == "queue-full"
+                    assert rejection.value.retry_after_s > 0
+                    gate.set()
+                    await asyncio.gather(*tasks)
+                    stats = front.stats()
+                    assert stats.rejected_queue_full == 1
+                    assert stats.rejections == 1
+                    # After the queue drained, admission works again.
+                    assert (await front.optimize(generator.query(5))) is not None
 
         run(scenario())
 
@@ -362,34 +425,35 @@ class TestBackpressure:
             generator = SteinbrunnGenerator(56)
             gate = threading.Event()
             gateway, __ = gated_gateway(gate)
-            async with AsyncOptimizerGateway(
-                gateway, own_gateway=True, max_pending=4, tenant_share=0.5
-            ) as front:
-                # The hot tenant fills its share (2 of 4 slots) ...
-                hot = [
-                    asyncio.ensure_future(
-                        front.optimize(generator.query(5), tenant="hot")
+            with gateway:
+                async with AsyncOptimizerGateway(
+                    gateway, max_pending=4, tenant_share=0.5
+                ) as front:
+                    # The hot tenant fills its share (2 of 4 slots) ...
+                    hot = [
+                        asyncio.ensure_future(
+                            front.optimize(generator.query(5), tenant="hot")
+                        )
+                        for __ in range(2)
+                    ]
+                    assert await poll(lambda: front.stats().outstanding == 2)
+                    # ... and its next request is rejected for fairness ...
+                    with pytest.raises(GatewayOverloadedError) as rejection:
+                        await front.optimize(generator.query(5), tenant="hot")
+                    assert rejection.value.reason == "tenant-share"
+                    assert rejection.value.tenant == "hot"
+                    # ... while another tenant is still admitted.
+                    cold = asyncio.ensure_future(
+                        front.optimize(generator.query(5), tenant="cold")
                     )
-                    for __ in range(2)
-                ]
-                assert await poll(lambda: front.stats().outstanding == 2)
-                # ... and its next request is rejected for fairness ...
-                with pytest.raises(GatewayOverloadedError) as rejection:
-                    await front.optimize(generator.query(5), tenant="hot")
-                assert rejection.value.reason == "tenant-share"
-                assert rejection.value.tenant == "hot"
-                # ... while another tenant is still admitted.
-                cold = asyncio.ensure_future(
-                    front.optimize(generator.query(5), tenant="cold")
-                )
-                assert await poll(lambda: front.stats().outstanding == 3)
-                gate.set()
-                await asyncio.gather(*hot, cold)
-                stats = front.stats()
-                assert stats.rejected_tenant_share == 1
-                assert stats.tenants["hot"].rejected == 1
-                assert stats.tenants["cold"].rejected == 0
-                assert stats.tenants["cold"].completed == 1
+                    assert await poll(lambda: front.stats().outstanding == 3)
+                    gate.set()
+                    await asyncio.gather(*hot, cold)
+                    stats = front.stats()
+                    assert stats.rejected_tenant_share == 1
+                    assert stats.tenants["hot"].rejected == 1
+                    assert stats.tenants["cold"].rejected == 0
+                    assert stats.tenants["cold"].completed == 1
 
         run(scenario())
 
@@ -400,20 +464,21 @@ class TestBackpressure:
             cached_query = generator.query(5)
             gate = threading.Event()
             gateway, __ = gated_gateway(gate)
-            async with AsyncOptimizerGateway(
-                gateway, own_gateway=True, max_pending=1, tenant_share=1.0
-            ) as front:
-                gate.set()
-                await front.optimize(cached_query)  # warm the cache
-                gate.clear()
-                blocked = asyncio.ensure_future(
-                    front.optimize(generator.query(5))
-                )
-                assert await poll(lambda: front.stats().outstanding == 1)  # full
-                hit = await front.optimize(cached_query)
-                assert hit.cached
-                gate.set()
-                await blocked
+            with gateway:
+                async with AsyncOptimizerGateway(
+                    gateway, max_pending=1, tenant_share=1.0
+                ) as front:
+                    gate.set()
+                    await front.optimize(cached_query)  # warm the cache
+                    gate.clear()
+                    blocked = asyncio.ensure_future(
+                        front.optimize(generator.query(5))
+                    )
+                    assert await poll(lambda: front.stats().outstanding == 1)  # full
+                    hit = await front.optimize(cached_query)
+                    assert hit.cached
+                    gate.set()
+                    await blocked
 
         run(scenario())
 
@@ -460,24 +525,25 @@ class TestCancellation:
             blocker, shared = generator.query(5), generator.query(6)
             gate = threading.Event()
             gateway, executors = gated_gateway(gate, n_shards=1)
-            async with AsyncOptimizerGateway(gateway, own_gateway=True) as front:
-                first = asyncio.ensure_future(front.optimize(blocker))
-                assert await poll(
-                    lambda: sum(executor.calls for executor in executors) == 1
-                )
-                leader = asyncio.ensure_future(front.optimize(shared))
-                follower = asyncio.ensure_future(front.optimize(shared))
-                assert await poll(lambda: front.stats().coalesced == 1)
-                assert front.stats().queue_depth == 1
-                leader.cancel()
-                assert await poll(lambda: front.stats().cancelled == 1)
-                gate.set()
-                result = await asyncio.wait_for(follower, WAIT_S)
-                await first
-                assert result.best.cost == best_plan(optimize_serial(shared)).cost
-                stats = front.stats()
-                assert stats.outstanding == 0
-                assert stats.gateway.in_flight == 0
+            with gateway:
+                async with AsyncOptimizerGateway(gateway) as front:
+                    first = asyncio.ensure_future(front.optimize(blocker))
+                    assert await poll(
+                        lambda: sum(executor.calls for executor in executors) == 1
+                    )
+                    leader = asyncio.ensure_future(front.optimize(shared))
+                    follower = asyncio.ensure_future(front.optimize(shared))
+                    assert await poll(lambda: front.stats().coalesced == 1)
+                    assert front.stats().queue_depth == 1
+                    leader.cancel()
+                    assert await poll(lambda: front.stats().cancelled == 1)
+                    gate.set()
+                    result = await asyncio.wait_for(follower, WAIT_S)
+                    await first
+                    assert result.best.cost == best_plan(optimize_serial(shared)).cost
+                    stats = front.stats()
+                    assert stats.outstanding == 0
+                    assert stats.gateway.in_flight == 0
             assert sum(executor.calls for executor in executors) == 2
 
         run(scenario())
@@ -487,32 +553,33 @@ class TestCancellation:
             query = SteinbrunnGenerator(59).query(6)
             gate = threading.Event()
             gateway, executors = gated_gateway(gate, n_shards=1)
-            async with AsyncOptimizerGateway(gateway, own_gateway=True) as front:
-                blocker = asyncio.ensure_future(
-                    front.optimize(SteinbrunnGenerator(60).query(5))
-                )
-                assert await poll(
-                    lambda: sum(executor.calls for executor in executors) == 1
-                )
-                survivors = [
-                    asyncio.ensure_future(front.optimize(query)) for __ in range(2)
-                ]
-                casualty = asyncio.ensure_future(front.optimize(query))
-                await asyncio.sleep(0)
-                assert front.stats().coalesced == 2
-                casualty.cancel()
-                await asyncio.sleep(0)
-                gate.set()
-                await blocker
-                results = await asyncio.gather(*survivors)
-                assert all(
-                    result.best.cost == best_plan(optimize_serial(query)).cost
-                    for result in results
-                )
-                stats = front.stats()
-                assert stats.cancelled == 1
-                assert stats.outstanding == 0
-                assert stats.gateway.in_flight == 0
+            with gateway:
+                async with AsyncOptimizerGateway(gateway) as front:
+                    blocker = asyncio.ensure_future(
+                        front.optimize(SteinbrunnGenerator(60).query(5))
+                    )
+                    assert await poll(
+                        lambda: sum(executor.calls for executor in executors) == 1
+                    )
+                    survivors = [
+                        asyncio.ensure_future(front.optimize(query)) for __ in range(2)
+                    ]
+                    casualty = asyncio.ensure_future(front.optimize(query))
+                    await asyncio.sleep(0)
+                    assert front.stats().coalesced == 2
+                    casualty.cancel()
+                    await asyncio.sleep(0)
+                    gate.set()
+                    await blocker
+                    results = await asyncio.gather(*survivors)
+                    assert all(
+                        result.best.cost == best_plan(optimize_serial(query)).cost
+                        for result in results
+                    )
+                    stats = front.stats()
+                    assert stats.cancelled == 1
+                    assert stats.outstanding == 0
+                    assert stats.gateway.in_flight == 0
 
         run(scenario())
 
@@ -523,22 +590,23 @@ class TestCancellation:
             query = SteinbrunnGenerator(61).query(5)
             gate = threading.Event()
             gateway, executors = gated_gateway(gate, n_shards=1)
-            async with AsyncOptimizerGateway(gateway, own_gateway=True) as front:
-                doomed = asyncio.ensure_future(front.optimize(query))
-                assert await poll(
-                    lambda: sum(executor.calls for executor in executors) == 1
-                )
-                doomed.cancel()
-                await asyncio.sleep(0)
-                gate.set()
-                await poll(lambda: front.stats().in_flight_batches == 0)
-                stats = front.stats()
-                assert stats.cancelled == 1
-                assert stats.outstanding == 0
-                assert stats.gateway.in_flight == 0
-                # The run still completed and filled the cache: a retry hits.
-                result = await front.optimize(query)
-                assert result.cached
+            with gateway:
+                async with AsyncOptimizerGateway(gateway) as front:
+                    doomed = asyncio.ensure_future(front.optimize(query))
+                    assert await poll(
+                        lambda: sum(executor.calls for executor in executors) == 1
+                    )
+                    doomed.cancel()
+                    await asyncio.sleep(0)
+                    gate.set()
+                    await poll(lambda: front.stats().in_flight_batches == 0)
+                    stats = front.stats()
+                    assert stats.cancelled == 1
+                    assert stats.outstanding == 0
+                    assert stats.gateway.in_flight == 0
+                    # The run still completed and filled the cache: a retry hits.
+                    result = await front.optimize(query)
+                    assert result.cached
 
         run(scenario())
 
@@ -568,26 +636,27 @@ class TestOneFlightTable:
                 gateway_threads=1,
             )
             loop = asyncio.get_running_loop()
-            async with AsyncOptimizerGateway(gateway, own_gateway=True) as front:
-                # A thread leads the gated flight straight on the gateway.
-                leader = loop.run_in_executor(None, gateway.optimize, gated)
-                assert await poll(lambda: gateway.stats().in_flight == 1)
-                follower = asyncio.ensure_future(front.optimize(gated))
-                doomed = asyncio.ensure_future(front.optimize(gated))
-                assert await poll(lambda: front.stats().coalesced == 2)
-                # The handler thread is free: an unrelated key runs to
-                # completion while the followed flight is still gated.
-                other = await asyncio.wait_for(front.optimize(unrelated), WAIT_S)
-                assert not other.cached and not gate.is_set()
-                doomed.cancel()
-                await asyncio.sleep(0)
-                assert front.stats().cancelled == 1
-                gate.set()
-                led = await asyncio.wait_for(leader, WAIT_S)
-                followed = await asyncio.wait_for(follower, WAIT_S)
-                assert not led.cached and followed.cached
-                assert followed.plans == led.plans
-                stats = front.stats()
+            with gateway:
+                async with AsyncOptimizerGateway(gateway) as front:
+                    # A thread leads the gated flight straight on the gateway.
+                    leader = loop.run_in_executor(None, gateway.optimize, gated)
+                    assert await poll(lambda: gateway.stats().in_flight == 1)
+                    follower = asyncio.ensure_future(front.optimize(gated))
+                    doomed = asyncio.ensure_future(front.optimize(gated))
+                    assert await poll(lambda: front.stats().coalesced == 2)
+                    # The handler thread is free: an unrelated key runs to
+                    # completion while the followed flight is still gated.
+                    other = await asyncio.wait_for(front.optimize(unrelated), WAIT_S)
+                    assert not other.cached and not gate.is_set()
+                    doomed.cancel()
+                    await asyncio.sleep(0)
+                    assert front.stats().cancelled == 1
+                    gate.set()
+                    led = await asyncio.wait_for(leader, WAIT_S)
+                    followed = await asyncio.wait_for(follower, WAIT_S)
+                    assert not led.cached and followed.cached
+                    assert followed.plans == led.plans
+                    stats = front.stats()
             assert stats.outstanding == 0
             assert stats.dispatched_batches == 1  # only the unrelated key
             assert stats.gateway.optimizations == 2
@@ -628,11 +697,10 @@ class TestSoakReplay:
             gateway = ShardedOptimizerGateway(
                 n_shards=4, n_workers=4, executor_factory=factory
             )
-            async with AsyncOptimizerGateway(
-                gateway, own_gateway=True, max_pending=48
-            ) as front:
-                report = await replay_async(front, schedule, n_clients=64)
-                stats = front.stats()
+            with gateway:
+                async with AsyncOptimizerGateway(gateway, max_pending=48) as front:
+                    report = await replay_async(front, schedule, n_clients=64)
+                    stats = front.stats()
             return report, stats, sum(executor.calls for executor in executors)
 
         report, stats, executor_runs = run(scenario())
@@ -760,6 +828,25 @@ class TestServeBatchCLIAsync:
         assert payload["max_pending"] == 4
         front = payload["stats"]
         assert (front["rejected_queue_full"], front["rejected_tenant_share"]) == (0, 0)
+
+    def test_gateway_threads_size_the_async_handler_pool(self, tmp_path, monkeypatch):
+        # At the default --shards 1 the async door still runs its led misses
+        # on a handler pool, and --gateway-threads sizes it.
+        from repro import cli
+
+        path = tmp_path / "q.json"
+        main(["generate", "--tables", "4", "-o", str(path)])
+        doors = []
+        open_door = cli._open_door
+
+        def spying_open_door(args, settings):
+            doors.append(open_door(args, settings))
+            return doors[-1]
+
+        monkeypatch.setattr(cli, "_open_door", spying_open_door)
+        assert main(["serve-batch", str(path), "--async", "--gateway-threads", "3"]) == 0
+        [door] = doors
+        assert door._front.gateway.gateway_threads == 3
 
     def test_async_flags_require_async(self, tmp_path):
         path = tmp_path / "q.json"

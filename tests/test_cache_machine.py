@@ -15,8 +15,9 @@ so compaction, truncation and imports need no rules of their own.  A
 its entry does not decode, and the first read, export or compaction that
 meets it retires it with a ``del``.  Beside the log the model keeps the memory
 tier's LRU order, so it knows whether each lookup is a memory hit, a disk
-hit or a miss, and every rule checks each :class:`CacheStats` counter by
-the delta it predicts.
+hit or a miss, and every rule checks each :class:`CacheStats` counter, and
+the cache's ``generation``, by the delta it predicts: only an eviction, an
+invalidation or a put that retires a live entry moves the generation.
 """
 
 from __future__ import annotations
@@ -150,11 +151,14 @@ class CacheMachine(RuleBasedStateMachine):
 
     # ------------------------------------------------------------ model helpers
 
+    def _counters(self) -> dict[str, int]:
+        return {**dataclasses.asdict(self.cache.snapshot()), "generation": self.cache.generation}
+
     def _counted(self, action, **delta: int) -> Any:
         """Run ``action``; every counter must move by ``delta`` (default 0)."""
-        before = dataclasses.asdict(self.cache.snapshot())
+        before = self._counters()
         result = action()
-        after = dataclasses.asdict(self.cache.snapshot())
+        after = self._counters()
         assert {name: after[name] - before[name] for name in after} == {
             name: delta.get(name, 0) for name in after
         }
@@ -182,8 +186,10 @@ class CacheMachine(RuleBasedStateMachine):
 
     @rule(key=st.sampled_from(KEYS), entry=st.sampled_from(ENTRIES))
     def put(self, key, entry):
+        live = key in _replay(self.records) or key in self.memory
         dropped = self._touch(key)
-        self._counted(lambda: self.cache.put(key, entry), disk_writes=1, demotions=dropped)
+        self._counted(lambda: self.cache.put(key, entry), disk_writes=1, demotions=dropped,
+                      generation=int(live))
         self.records.append(("put", key, _wire(entry), entry.provenance))
 
     @rule(key=st.sampled_from(KEYS), counted=st.booleans())
@@ -218,7 +224,8 @@ class CacheMachine(RuleBasedStateMachine):
             self.memory.remove(key)
         if on_disk:
             self.records.append(("del", key))
-        assert self._counted(lambda: self.cache.evict(key), evictions=int(held)) == held
+        assert self._counted(lambda: self.cache.evict(key), evictions=int(held),
+                             generation=int(held)) == held
 
     @rule(predicate=PREDICATES)
     def invalidate(self, predicate):
@@ -227,7 +234,8 @@ class CacheMachine(RuleBasedStateMachine):
         self.records += [("del", key) for key in doomed]
         self.memory = [key for key in self.memory if key not in doomed]
         got = self._counted(lambda: self.cache.invalidate(predicate),
-                            invalidated=len(doomed), evictions=len(doomed))
+                            invalidated=len(doomed), evictions=len(doomed),
+                            generation=int(bool(doomed)))
         assert got == sorted(doomed)
 
     @rule()

@@ -53,6 +53,8 @@ from repro.service import (
     ShardUnavailableError,
     fingerprint,
 )
+import repro.service.fleet as fleet_module
+import repro.service.net as net_module
 from repro.service.fleet import ShardHandle
 from repro.service.net import result_to_wire
 from repro.service.remap import invert, remap_plan
@@ -250,20 +252,20 @@ class TestMalformedShardReply:
 
 
 class TestFleetSupervision:
-    def test_restart_readmission_and_warm_recovery(self, tmp_path):
+    def test_restart_readmission_and_warm_recovery(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fleet_module, "HEALTH_INTERVAL_S", 0.05)
+        monkeypatch.setattr(net_module, "BREAKER_RESET_S", 0.2)
         queries = SteinbrunnGenerator(31).queries(6, n_tables=4)
         with ShardFleet(
             2,
             tmp_path / "socks",
             cache_dir=tmp_path / "cache",
             n_workers=2,
-            health_interval_s=0.05,
-            backoff_base_s=0.05,
             log_dir=tmp_path / "logs",
             membership_path=tmp_path / "membership.json",
         ) as fleet:
             with NetworkOptimizerGateway(
-                fleet.endpoints(), overload_retries=100, reset_timeout_s=0.2
+                fleet.endpoints(), overload_retries=100
             ) as gateway:
                 fleet.attach_router(gateway)
                 first = [gateway.optimize(query) for query in queries]
@@ -483,21 +485,22 @@ class TestLiveRebalance:
                 assert all(result.cached for result in after)
                 assert added in gateway.shard_names()
 
-    def test_source_shard_killed_mid_shipment(self, tmp_path):
+    def test_source_shard_killed_mid_shipment(self, tmp_path, monkeypatch):
         """A *real* SIGKILL of a source shard mid-shipment: the rebalance
         rolls back, the supervisor restarts the victim, and — because its
         cache log survived — every entry is served warm afterwards."""
+        monkeypatch.setattr(fleet_module, "HEALTH_INTERVAL_S", 0.05)
+        monkeypatch.setattr(fleet_module, "BACKOFF_BASE_S", 0.5)
+        monkeypatch.setattr(net_module, "BREAKER_RESET_S", 0.2)
         queries = SteinbrunnGenerator(44).queries(8, n_tables=4)
         with ShardFleet(
             2,
             tmp_path / "socks",
             cache_dir=tmp_path / "cache",
             n_workers=2,
-            health_interval_s=0.05,
-            backoff_base_s=0.5,
         ) as fleet:
             with NetworkOptimizerGateway(
-                fleet.endpoints(), overload_retries=100, reset_timeout_s=0.2
+                fleet.endpoints(), overload_retries=100
             ) as gateway:
                 fleet.attach_router(gateway)
                 for query in queries:

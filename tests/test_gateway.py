@@ -323,9 +323,15 @@ class TestCoalescing:
                 assert not thread.is_alive()
             assert results == [None, None]
             assert all(isinstance(error, ConnectionError) for error in errors)
-            # The failed flight was deregistered: a retry leads afresh
-            # rather than waiting on a dead leader.
-            gate.clear()
+            stats = gateway.stats()
+            assert stats.in_flight == 0, "in-flight gauge leaked"
+            assert stats.peak_in_flight == 2
+            # The failed flight was deregistered: a retry leads afresh (and
+            # fails on its own run) rather than following the dead flight.
+            with pytest.raises(ConnectionError):
+                gateway.optimize(query)
+            stats = gateway.stats()
+            assert (stats.coalesced, stats.in_flight) == (1, 0)
 
     def test_batch_coalesces_against_inflight_single_request(self):
         query = SteinbrunnGenerator(42).query(6)
@@ -363,127 +369,6 @@ class TestCoalescing:
             assert sum(executor.calls for executor in executors) == 1
             assert batch_results[0][0].cached
             assert batch_results[0][0].best.cost == single[0].best.cost
-
-
-class TestAbandonedFlights:
-    """Followers that stop waiting must never wedge leaders or leak gauges."""
-
-    def test_follower_timeout_abandons_cleanly(self):
-        query = SteinbrunnGenerator(46).query(6)
-        gate = threading.Event()
-        executors: list[GatedSerialExecutor] = []
-
-        def factory():
-            executor = GatedSerialExecutor(gate)
-            executors.append(executor)
-            return executor
-
-        with ShardedOptimizerGateway(
-            n_shards=2, n_workers=2, executor_factory=factory
-        ) as gateway:
-            box: list = [None]
-            leader = threading.Thread(
-                target=lambda: box.__setitem__(0, gateway.optimize(query))
-            )
-            leader.start()
-            assert _poll(lambda: sum(e.calls for e in executors) == 1)
-            # The follower gives up long before the gated leader finishes.
-            with pytest.raises(TimeoutError, match="did not complete"):
-                gateway.optimize(query, timeout_s=0.05)
-            # Abandonment released the follower's admission immediately …
-            assert gateway.stats().in_flight == 1  # only the leader remains
-            # … and the leader is not wedged: open the gate, it completes.
-            gate.set()
-            leader.join(timeout=WAIT_S)
-            assert not leader.is_alive()
-            assert box[0] is not None and not box[0].cached
-            stats = gateway.stats()
-            assert stats.in_flight == 0
-            assert stats.optimizations == 1
-            # The timed-out requester retries into a plain cache hit.
-            assert gateway.optimize(query, timeout_s=0.05).cached
-
-    def test_mass_abandonment_under_leader_failure_leaks_nothing(self):
-        """Stress: a herd of followers, some timing out, some staying, while
-        the leader ultimately *fails* — ``in_flight`` must return to 0 and a
-        retry must lead a fresh flight."""
-        query = SteinbrunnGenerator(47).query(6)
-        gate = threading.Event()
-        with ShardedOptimizerGateway(
-            n_shards=2,
-            n_workers=2,
-            executor_factory=lambda: FailingGatedExecutor(gate),
-        ) as gateway:
-            n_threads = 8
-            outcomes: list = [None] * n_threads
-            barrier = threading.Barrier(n_threads)
-
-            def work(index):
-                barrier.wait(timeout=WAIT_S)
-                try:
-                    # Half the followers abandon almost immediately; the
-                    # leader (index 0 usually) and the rest wait it out.
-                    timeout = 0.02 if index % 2 else None
-                    outcomes[index] = gateway.optimize(query, timeout_s=timeout)
-                except BaseException as error:  # noqa: BLE001 - asserted below
-                    outcomes[index] = error
-
-            threads = [
-                threading.Thread(target=work, args=(index,))
-                for index in range(n_threads)
-            ]
-            for thread in threads:
-                thread.start()
-            assert _poll(lambda: gateway.stats().coalesced >= 1)
-            # Let the abandoning half time out before the leader fails.
-            assert _poll(
-                lambda: sum(
-                    isinstance(outcome, TimeoutError) for outcome in outcomes
-                )
-                > 0
-            )
-            gate.set()
-            for thread in threads:
-                thread.join(timeout=WAIT_S)
-                assert not thread.is_alive()
-            # Every thread saw either a timeout (abandoned) or the leader's
-            # failure (stayed) — and nothing hangs or half-succeeds.
-            assert all(
-                isinstance(outcome, (TimeoutError, ConnectionError))
-                for outcome in outcomes
-            ), outcomes
-            assert any(isinstance(o, ConnectionError) for o in outcomes)
-            stats = gateway.stats()
-            assert stats.in_flight == 0, "in-flight gauge leaked"
-            assert stats.peak_in_flight == n_threads
-            # The failed flight was deregistered: a retry leads afresh.
-            gate.clear()
-            retry: list = [None]
-            fresh = threading.Thread(
-                target=lambda: retry.__setitem__(
-                    0,
-                    _catch(lambda: gateway.optimize(query)),
-                )
-            )
-            fresh.start()
-            gate.set()
-            fresh.join(timeout=WAIT_S)
-            assert not fresh.is_alive()
-            assert isinstance(retry[0], ConnectionError)
-            assert gateway.stats().in_flight == 0
-
-    def test_timeout_irrelevant_when_leader_is_fast(self):
-        query = SteinbrunnGenerator(49).query(5)
-        with ShardedOptimizerGateway(n_shards=2, n_workers=2) as gateway:
-            assert not gateway.optimize(query, timeout_s=WAIT_S).cached
-            assert gateway.optimize(query, timeout_s=0.0001).cached
-
-
-def _catch(call):
-    try:
-        return call()
-    except BaseException as error:  # noqa: BLE001 - inspected by the test
-        return error
 
 
 class TestLifecycleAndStats:

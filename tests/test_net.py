@@ -61,6 +61,7 @@ from repro.service import (
     ShardServer,
     ShardUnavailableError,
 )
+import repro.service.net as net_module
 from repro.service.net import (
     PROTOCOL_FORMAT,
     PROTOCOL_VERSION,
@@ -272,9 +273,9 @@ class FakeClock:
 
 
 class TestCircuitBreaker:
-    def make(self, threshold=3, reset=1.0):
+    def make(self):
         clock = FakeClock()
-        return CircuitBreaker(threshold, reset, clock=clock), clock
+        return CircuitBreaker(clock=clock), clock
 
     def test_stays_closed_below_threshold(self):
         breaker, __ = self.make()
@@ -333,12 +334,6 @@ class TestCircuitBreaker:
         assert not breaker.allow()
         clock.now += 1.0
         assert breaker.allow()  # next probe window
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(reset_timeout_s=0)
 
 
 # ----------------------------------------------------------------- result codec
@@ -719,7 +714,6 @@ class TestConnectLeaks:
     def test_failed_hello_closes_the_socket(self, tmp_path, monkeypatch):
         """Regression: a hello that timed out (or was torn) leaked the
         connected socket; so did a unix ``connect`` that raised."""
-        import repro.service.net as net_module
 
         opened: list[socket.socket] = []
         real_socket = socket.socket
@@ -797,7 +791,6 @@ class TestNetworkGateway:
         DP on an event, and the client's first overload back-off — the one
         ``time.sleep`` in this scenario — is what releases it.
         """
-        import repro.service.net as net_module
 
         spec = f"unix:{tmp_path / 'busy.sock'}"
         first, second = SteinbrunnGenerator(21).queries(2, n_tables=4)
@@ -845,11 +838,10 @@ class TestNetworkGateway:
             assert excinfo.value.error_type == "optimization-failed"
             assert "injected" in str(excinfo.value)
 
-    def test_dead_endpoint_trips_breaker_then_fails_fast(self, tmp_path):
+    def test_dead_endpoint_trips_breaker_then_fails_fast(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(net_module, "BREAKER_RESET_S", 60.0)
         with NetworkOptimizerGateway(
-            {"dead": f"unix:{tmp_path / 'nobody-home.sock'}"},
-            failure_threshold=3,
-            reset_timeout_s=60.0,
+            {"dead": f"unix:{tmp_path / 'nobody-home.sock'}"}
         ) as gateway:
             query = SteinbrunnGenerator(9).query(4)
             for __ in range(3):
@@ -863,14 +855,11 @@ class TestNetworkGateway:
             assert excinfo.value.retry_after_s > 0
             assert gateway.stats()["breaker_rejections"] >= 1
 
-    def test_breaker_recovers_through_half_open_probe(self, tmp_path):
+    def test_breaker_recovers_through_half_open_probe(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(net_module, "BREAKER_FAILURES", 2)
+        monkeypatch.setattr(net_module, "BREAKER_RESET_S", 0.2)
         sock_path = tmp_path / "late.sock"
-        with NetworkOptimizerGateway(
-            {"late": f"unix:{sock_path}"},
-            failure_threshold=2,
-            reset_timeout_s=0.2,
-            n_workers=2,
-        ) as gateway:
+        with NetworkOptimizerGateway({"late": f"unix:{sock_path}"}, n_workers=2) as gateway:
             query = SteinbrunnGenerator(9).query(4)
             for __ in range(2):
                 with pytest.raises(ShardUnavailableError):
@@ -882,10 +871,9 @@ class TestNetworkGateway:
                 report = gateway.check_health()
                 assert report["late"]["breaker"] == "closed"
 
-    def test_health_check_reports_unreachable(self, tmp_path):
-        with NetworkOptimizerGateway(
-            {"dead": f"unix:{tmp_path / 'void.sock'}"}, failure_threshold=1
-        ) as gateway:
+    def test_health_check_reports_unreachable(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(net_module, "BREAKER_FAILURES", 1)
+        with NetworkOptimizerGateway({"dead": f"unix:{tmp_path / 'void.sock'}"}) as gateway:
             report = gateway.check_health()
             assert report["dead"]["reachable"] is False
             assert gateway.check_health()["dead"]["status"] == "circuit-open"
@@ -936,7 +924,6 @@ class TestNetworkGateway:
         busy-spin the retry loop — every sleep is clamped to the positive
         floor (and still capped at one second from above)."""
         from repro.service.net import OVERLOAD_RETRY_FLOOR_S
-        import repro.service.net as net_module
 
         sleeps: list[float] = []
         monkeypatch.setattr(net_module.time, "sleep", sleeps.append)
@@ -1104,8 +1091,9 @@ class TestOneRouteOneCall:
             gateway.optimize(SteinbrunnGenerator(33).query(4))
         assert calls == []
 
-    def test_transport_failure_counts_against_the_owner_only(self, tmp_path):
-        with stub_gateway(tmp_path, failure_threshold=1) as gateway:
+    def test_transport_failure_counts_against_the_owner_only(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(net_module, "BREAKER_FAILURES", 1)
+        with stub_gateway(tmp_path) as gateway:
             links = gateway._links
 
             def refuse(payload):
@@ -1128,8 +1116,6 @@ class TestOneRouteOneCall:
             assert gateway.stats()["breaker_rejections"] == 1
 
     def test_overload_retry_follows_the_key_to_its_new_owner(self, tmp_path, monkeypatch):
-        import repro.service.net as net_module
-
         with stub_gateway(tmp_path, overload_retries=1) as gateway:
             calls = recording_call(
                 gateway,
@@ -1271,19 +1257,18 @@ class TestCrossProcessInvariant:
             assert result.best.cost == baseline.best.cost
             assert result.plans == baseline.plans
 
-    def test_killing_one_shard_trips_breaker_and_spares_the_rest(self, two_shards):
+    def test_killing_one_shard_trips_breaker_and_spares_the_rest(
+        self, two_shards, monkeypatch
+    ):
         """Kill a shard mid-traffic: its keys fail with typed errors (first
         transport failures, then instant breaker rejections, each carrying
         ``retry_after_s``), the surviving shard keeps serving its keys, and
         no client hangs."""
         shards, procs = two_shards
         pool = SteinbrunnGenerator(11).queries(12, n_tables=4)
+        monkeypatch.setattr(net_module, "BREAKER_RESET_S", 30.0)
         with NetworkOptimizerGateway(
-            shards,
-            failure_threshold=3,
-            reset_timeout_s=30.0,
-            connect_timeout_s=2.0,
-            request_timeout_s=15.0,
+            shards, connect_timeout_s=2.0, request_timeout_s=15.0
         ) as gateway:
             by_shard: dict[str, list] = {"shard-0": [], "shard-1": []}
             for query in pool:
@@ -1449,13 +1434,14 @@ class TestRingRebalanceProperties:
 
 
 class TestCircuitBreakerHalfOpenRace:
-    def test_exactly_one_probe_wins_the_race(self):
+    def test_exactly_one_probe_wins_the_race(self, monkeypatch):
         # Many client threads consult an open breaker the instant its reset
         # timeout elapses: exactly one must be admitted as the half-open
         # probe, all others refused, on every seeded rerun.
+        monkeypatch.setattr(net_module, "BREAKER_FAILURES", 1)
         for round_index in range(20):
             clock = FakeClock()
-            breaker = CircuitBreaker(1, 1.0, clock=clock)
+            breaker = CircuitBreaker(clock=clock)
             breaker.record_failure()
             assert breaker.state == "open"
             clock.now += 1.0 + round_index * 0.1
@@ -1478,11 +1464,12 @@ class TestCircuitBreakerHalfOpenRace:
             assert admitted.count(True) == 1
             assert breaker.state == "half-open"
 
-    def test_probe_outcome_race_settles_deterministically(self):
+    def test_probe_outcome_race_settles_deterministically(self, monkeypatch):
         # While the probe is in flight, concurrent allow() calls keep
         # refusing; the probe's failure reopens and restarts the timeout.
+        monkeypatch.setattr(net_module, "BREAKER_FAILURES", 1)
         clock = FakeClock()
-        breaker = CircuitBreaker(1, 1.0, clock=clock)
+        breaker = CircuitBreaker(clock=clock)
         breaker.record_failure()
         clock.now += 1.0
         assert breaker.allow()
