@@ -105,14 +105,12 @@ multi-objective α > 1).
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from math import inf, log2
 
 from repro.config import Backend, Objective, OptimizerSettings
-from repro.core.constraints import partition_constraints
 from repro.core.partitioning import admissible_results_by_size
-from repro.core.worker import PartitionResult, WorkerStats, split_source
+from repro.core.worker import WorkerStats, split_source
 from repro.cost.costmodel import CostModel
 from repro.cost.metrics import HASH_FACTOR, ExecutionTimeMetric
 from repro.cost.parametric import IncrementalEnvelope
@@ -155,29 +153,17 @@ def _connected(left_mask: int, right_mask: int, adjacency: list[int]) -> bool:
 
 
 def optimize_partition_fastdp(
-    query: Query,
-    partition_id: int,
-    n_partitions: int,
-    settings: OptimizerSettings,
-) -> PartitionResult:
-    """Optimize one plan-space partition with the fast enumeration core.
+    query: Query, constraints: tuple, settings: OptimizerSettings, stats: WorkerStats
+) -> list[Plan]:
+    """One plan-space partition on the fast enumeration core: its plans, with
+    ``stats`` filled in.
 
-    Same contract as :func:`repro.core.worker.optimize_partition`; callers
-    normally go through the worker, which dispatches on
-    ``settings.backend`` (this core declares every capability, so it is
-    eligible for any settings value).
+    The worker's :func:`repro.core.worker.optimize_partition` calls it when
+    ``settings.backend`` resolves here (this core declares every
+    capability, so it is eligible for any settings value).
     """
-    started = time.perf_counter()
+    stats.backend_used = Backend.FASTDP.value
     n = query.n_tables
-    constraints = partition_constraints(
-        n, partition_id, n_partitions, settings.plan_space
-    )
-    stats = WorkerStats(
-        partition_id=partition_id,
-        n_partitions=n_partitions,
-        n_constraints=len(constraints),
-        backend_used=Backend.FASTDP.value,
-    )
     by_size = admissible_results_by_size(n, constraints, settings.plan_space)
     stats.admissible_results = sum(len(masks) for masks in by_size.values())
 
@@ -185,17 +171,10 @@ def optimize_partition_fastdp(
     adjacency = _adjacency_masks(query)
     splits_of = split_source(n, constraints, settings.plan_space)
     if settings.consider_orders and not settings.is_multi_objective:
-        plans = _run_single_orders(
-            query, splits_of, by_size, cost_model, adjacency, stats
-        )
-    else:
-        plans = _run_frontier(
-            query, splits_of, by_size, cost_model, adjacency, stats,
-            parametric=settings.parametric,
-        )
-    stats.result_plans = len(plans)
-    stats.wall_time_s = time.perf_counter() - started
-    return PartitionResult(plans=plans, stats=stats)
+        return _run_single_orders(query, splits_of, by_size, cost_model, adjacency, stats)
+    return _run_frontier(
+        query, splits_of, by_size, cost_model, adjacency, stats, parametric=settings.parametric
+    )
 
 
 # -------------------------------------------------------------------- orders

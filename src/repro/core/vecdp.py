@@ -1,7 +1,7 @@
 """Vectorized array-native enumeration core — the ``vecdp`` backend.
 
-A level-at-a-time reformulation of the worker DP where each level's state
-lives in contiguous numpy ``float64``/``int64`` arrays instead of per-entry
+A level-at-a-time reformulation of the worker DP where the state lives in
+contiguous numpy arrays indexed by table-set bitmask instead of per-entry
 Python objects, selected via
 :attr:`repro.config.OptimizerSettings.backend`.  It searches exactly the
 same plan space under exactly the same partition constraints as the
@@ -10,9 +10,10 @@ statistics; the differential-testing oracle in :mod:`repro.testing`
 enforces the equivalence plan-for-plan.
 
 Every partition — constrained or not — runs the same array path.  The
-admissible masks of a level are ``arange(2**n)`` filtered by each
-constraint's ``excludes`` rule and bucketed by popcount (at p = 2 a
-partition keeps three quarters of the masks — 196,590 of 262,125 at 18
+admissible masks are Algorithm 4's per-group Cartesian product
+(:func:`~repro.core.partitioning.group_admissible_subsets`), built as
+one ``int32`` array sorted by popcount, each level a view of it (at p = 2
+a partition keeps three quarters of the masks — 196,590 of 262,125 at 18
 tables — so enumerating them one by one costs more than the DP), and
 ``rows`` is filled for the whole dense state: values of masks that never
 store an entry are dead, every read is gated on a stored entry.
@@ -23,20 +24,31 @@ of the same operands comes right before it and costs no more in any metric
 (see :func:`_run_single_vec`), so vecdp evaluates no transcendental —
 every per-candidate operation is a pure elementwise IEEE add/mul/max.
 
-Flat-array state layout (single objective):
+Flat-array state layout (single objective), bytes per mask of ``2**n``:
 
-* ``cost``   — dense ``float64[2**n]`` indexed by table-set bitmask;
-  ``+inf`` means "no stored plan" (the dict-miss of the scalar cores);
-* ``rows``   — estimated cardinality per mask, a vectorized replication of
-  the cardinality estimator over the dense state;
-* ``neighbours`` — per mask the OR of its tables' join-graph adjacency
+* ``cost`` (8) — dense ``float64`` indexed by table-set bitmask; ``+inf``
+  means "no stored plan" (the dict-miss of the scalar cores);
+* ``rows`` (8) — estimated cardinality per mask, a vectorized replication
+  of the cardinality estimator over the dense state;
+* ``neighbours`` (8) — per mask the OR of its tables' join-graph adjacency
   masks, filled like ``rows`` by ``n`` strided in-place ORs: an equi
   predicate straddles ``(left, right)`` iff ``neighbours[right] & left``
-  (only singleton masks are filled, and read, in the linear space);
-* ``bp_right``/``bp_algo`` — packed back-pointers (the right operand's
-  mask — the left one is ``mask ^ right`` — plus an index into
-  ``ALL_JOIN_ALGORITHMS``) from which plan trees are materialized once, at
-  the end.
+  (only singleton masks are filled, and read, in the linear space, as are
+  the constraints' ``after`` sets (8): both are zero-filled allocations
+  the linear sweep writes only at the singletons);
+* ``bp`` (4) — back-pointers from which plan trees are materialized once,
+  at the end: ``right << 1 | algo``, the right operand's mask (the left
+  one is ``mask ^ right``) and an index into ``ALL_JOIN_ALGORITHMS``
+  (vecdp keeps only block-nested-loop and hash, 0 and 1); a linear right
+  operand is a singleton, so there its bit number stands in and ``bp``
+  is ``int8`` (1);
+* the level masks (4 per admissible mask, ``int32``).
+
+None of this shrinks with the number of partitions p: a constraint removes
+masks from the levels (a quarter per linear constraint) and cells from the
+rectangles, not slots from the dense arrays.  Above the dense state a run
+holds the per-level ``best`` / ``win_*`` vectors (13 bytes per mask of the
+widest level) and one operand block of bounded size (below).
 
 Per level, candidate joins are generated in bulk from the level's ``(masks,
 splits)`` operand rectangle (:class:`_Splits`).  Linear spaces: each
@@ -49,27 +61,30 @@ of the low and of the high half of the constraint groups, 64 + 64 calls at
 broadcast ``table_A[…][:, :, None] | table_B[…][:, None, :]``.
 
 The single-objective sweep never holds a level's whole rectangle: it takes
-it in blocks of about ``_BLOCK_CELLS`` cells (:meth:`_Splits.blocks`) and
-carries the scalar loop's running minimum — per-level ``best`` /
-``win_right`` / ``win_algo`` vectors, one slot per mask — from block to
-block.  Within a block the candidate order is the scalar one (splits
-ascending, operators in ``ALL_JOIN_ALGORITHMS`` order, ``+inf`` in
-inapplicable cells): the exclusive running minimum before a cell is the
-carried ``best`` folded with the block's earlier columns, counting strict
-improvements against it recovers ``plans_kept``, ``argmin`` lands on the
-*first* split achieving the block minimum, and the block's winner replaces
-the carried one only where it is strictly cheaper — the strict-``<``
-first-wins tie rule of the scalar cores.  Linear rectangles are tall and
-narrow (48,620 × 9 at 18 tables), so they are cut by *columns*: a block is
-a few bit-peels over the whole level, and once a level has ``_BLOCK_CELLS``
-masks exactly one — every operation is then contiguous and the short-axis
-``accumulate`` / ``argmin`` (≈ 10 ns a cell, unvectorisable over rows of
-≤ 18) drop out.  Bushy rectangles are short and wide (up to ``2**size − 2``
-splits), so they are cut by *rows*: a mask's whole split list stays in one
-block and the half-table broadcast is unchanged.  The budget is small
-because a block's dozen ``float64`` temporaries should stay in cache:
-level-wide temporaries (3.5 MB each at 18 tables) made the sweep
-memory-bound.
+it in blocks of bounded size (:meth:`_Splits.blocks`) and carries the
+scalar loop's running minimum — per-level ``best`` / ``win_right`` /
+``win_algo`` vectors, one slot per mask — from block to block.  Within a
+block the candidate order is the scalar one (splits ascending, operators
+in ``ALL_JOIN_ALGORITHMS`` order, ``+inf`` in inapplicable cells): the
+exclusive running minimum before a cell is the carried ``best`` folded
+with the block's earlier columns, counting strict improvements against it
+recovers ``plans_kept``, ``argmin`` lands on the *first* split achieving
+the block minimum, and the block's winner replaces the carried one only
+where it is strictly cheaper — the strict-``<`` first-wins tie rule of
+the scalar cores.  Linear rectangles are tall and narrow (48,620 × 9 at 18
+tables), so they are cut into row tiles of at most ``_LINEAR_TILE_ROWS``
+masks and each tile into runs of *columns*, a few bit-peels per block and
+exactly one once a tile has ``_BLOCK_CELLS`` masks — every operation is
+then contiguous and
+the short-axis ``accumulate`` / ``argmin`` (≈ 10 ns a cell, unvectorisable
+over rows of ≤ 18) drop out.  Bushy rectangles are short and wide (up to
+``2**size − 2`` splits), so they are cut by *rows*: a mask's whole split
+list stays in one block and the half-table broadcast is unchanged.  The
+budgets are small because a block's dozen ``float64`` temporaries should
+stay in cache and out of the peak: whole-level rectangles (3.5 MB a
+temporary at 18 tables) made the sweep memory-bound, and whole-level
+columns (389 KB a temporary) still put the peak at a multiple of the
+widest level.
 
 Multi-objective frontiers (α = 1 only) keep their state in CSR form:
 ``first``/``count`` are dense per-mask arrays pointing into one flat
@@ -92,24 +107,24 @@ for this backend and leaves ``ALPHA_APPROXIMATION``,
 ``INTERESTING_ORDERS``, and ``PARAMETRIC_COSTS`` honestly undeclared:
 ``AUTO`` routes those query classes to fastdp.
 
-numpy is a package dependency (``numpy>=2``: ``bitwise_count`` buckets the
-levels).  The worker imports this module only when a partition runs on
-it — resolving ``AUTO`` and fingerprinting do not — so a process that only
-serves cache hits never pays numpy's import time and memory.
+numpy is a package dependency (``numpy>=2``: ``bitwise_count`` turns a
+linear back-pointer's singleton into its bit number).  The worker imports
+this module only when a partition runs on it — resolving ``AUTO`` and
+fingerprinting do not — so a process that only serves cache hits never
+pays numpy's import time and memory.
 """
 
 from __future__ import annotations
 
-import time
 from math import inf
 
 import numpy as np
 
 from repro.config import Backend, OptimizerSettings, PlanSpace
-from repro.core.constraints import LinearConstraint, partition_constraints
+from repro.core.constraints import constraint_groups
 from repro.core.fastdp import _adjacency_masks
+from repro.core.partitioning import _constraints_by_group, group_admissible_subsets
 from repro.core.worker import (
-    PartitionResult,
     WorkerStats,
     _bushy_groups,
     bushy_operands,
@@ -134,9 +149,24 @@ _CELL_BUDGET = 1 << 22
 
 #: Cells per operand block of the single-objective sweep
 #: (:meth:`_Splits.blocks`): small enough that a block's dozen float64
-#: temporaries stay cache-resident, and that a level of this many masks is
-#: swept one contiguous column at a time (sweep of 2¹¹…2¹⁵ in CHANGES.md).
+#: temporaries stay cache-resident (sweep of 2¹¹…2¹⁵ in CHANGES.md).  A
+#: bushy block is whole rows; a linear one a run of a tile's columns, one
+#: column once the tile has this many masks.
 _BLOCK_CELLS = 1 << 12
+
+#: Masks per linear row tile: a wider level is cut into tiles, so no linear
+#: block exceeds this many cells — whole-level columns made the widest level
+#: set a run's peak memory (interleaved sweep of 2¹²…2¹⁶ in CHANGES.md).
+_LINEAR_TILE_ROWS = 1 << 13
+
+#: Largest query vecdp takes.  Level masks are ``int32`` and sorted by the
+#: key ``(popcount << n) | mask``, whose largest value ``(n + 1)·2**n − 1``
+#: fits up to 26 tables; the dense ``2**n`` state gives out long before.
+_MAX_TABLES = 26
+
+#: Dispatch tag of the vectorized cost formulas, per metric type (the three
+#: :func:`~repro.cost.metrics.make_metrics` builds).
+_METRIC_KINDS = {ExecutionTimeMetric: "time", BufferSpaceMetric: "buffer", OutputRowsMetric: "io"}
 
 #: Columns per block of the Pareto filter (block² comparisons per mask),
 #: and candidates per cell of its first pass.
@@ -145,83 +175,53 @@ _PARETO_CELL = 32
 
 
 def optimize_partition_vecdp(
-    query: Query,
-    partition_id: int,
-    n_partitions: int,
-    settings: OptimizerSettings,
-) -> PartitionResult:
-    """Optimize one plan-space partition with the array-native core.
+    query: Query, constraints: tuple, settings: OptimizerSettings, stats: WorkerStats
+) -> list[Plan]:
+    """One plan-space partition on the array-native core: its plans, with
+    ``stats`` filled in.
 
-    Same contract as :func:`repro.core.worker.optimize_partition`; callers
-    normally go through the worker, which only routes settings covered by
-    this core's entry in :data:`repro.core.worker.BACKEND_CAPABILITIES`.
+    The worker's :func:`repro.core.worker.optimize_partition` calls it, and
+    routes here only settings covered by this core's entry in
+    :data:`repro.core.worker.BACKEND_CAPABILITIES`.
     """
-    started = time.perf_counter()
-    n = query.n_tables
-    constraints = partition_constraints(
-        n, partition_id, n_partitions, settings.plan_space
-    )
-    stats = WorkerStats(
-        partition_id=partition_id,
-        n_partitions=n_partitions,
-        n_constraints=len(constraints),
-        backend_used=Backend.VECDP.value,
-    )
-    by_size = _levels(n, constraints, stats)
+    stats.backend_used = Backend.VECDP.value
+    by_size = _levels(query.n_tables, constraints, settings.plan_space, stats)
     run = _run_frontier_vec if settings.is_multi_objective else _run_single_vec
     # Genuine candidate costs may overflow to +inf (the scalar cores
     # produce the same IEEE inf silently); placeholder cells add inf to
     # finite garbage.  Neither is an error worth a RuntimeWarning.
     with np.errstate(over="ignore", invalid="ignore"):
-        plans = run(query, constraints, by_size, CostModel(query, settings), stats)
-    stats.result_plans = len(plans)
-    stats.wall_time_s = time.perf_counter() - started
-    return PartitionResult(plans=plans, stats=stats)
+        return run(query, constraints, by_size, CostModel(query, settings), stats)
 
 
 # ------------------------------------------------------------ shared helpers
 
 
-def _levels(n: int, constraints: tuple, stats: WorkerStats):
+def _levels(n: int, constraints: tuple, plan_space: PlanSpace, stats: WorkerStats):
     """Per-level admissible-mask arrays, plus ``stats.admissible_results``.
 
-    One bulk popcount-bucketing of ``arange(2**n)``, minus the masks some
-    constraint excludes (linear ``before ≺ after``: has ``after``, lacks
-    ``before``; bushy ``x ⪯ y|z``: has ``y`` and ``z``, lacks ``x``) —
-    the set :func:`repro.core.partitioning.admissible_results_by_size`
-    builds by Cartesian product, which stays the specification the tests
-    compare against.  Mask *order* within a level is irrelevant to
-    results: every level mask is costed independently from strictly
-    smaller levels.
+    Algorithm 4: the Cartesian product of every group's admissible subsets
+    (:func:`~repro.core.partitioning.group_admissible_subsets`, the
+    definition the scalar cores expand too), built as one ``int32`` array of
+    keys ``(popcount << n) | mask`` and sorted once in place, so a level is a
+    view of it with its masks ascending — for gather locality; the order
+    does not change results, every level mask is costed independently from
+    strictly smaller levels.  Groups hold disjoint bits, so adding a group's
+    ``subset + (popcount << n)`` ORs the masks and sums their popcounts.
     """
-    masks = np.arange(1 << n, dtype=np.int64)
-    if constraints:
-        keep = np.ones(1 << n, dtype=bool)
-        for constraint in constraints:
-            if isinstance(constraint, LinearConstraint):
-                has, lacks = 1 << constraint.after, 1 << constraint.before
-            else:
-                has = (1 << constraint.y) | (1 << constraint.z)
-                lacks = 1 << constraint.x
-            keep &= ((masks & has) != has) | ((masks & lacks) != 0)
-        masks = masks[keep]
-    sizes = np.bitwise_count(masks)
-    by_size = {size: masks[sizes == size] for size in range(2, n + 1)}
-    stats.admissible_results = sum(len(level) for level in by_size.values())
+    if n > _MAX_TABLES:
+        raise ValueError(f"vecdp takes at most {_MAX_TABLES} tables, got {n}")
+    groups = constraint_groups(n, plan_space)
+    masks = np.zeros(1, dtype=np.int32)
+    for group, constraint in zip(groups, _constraints_by_group(groups, constraints)):
+        keys = [sub + (sub.bit_count() << n) for sub in group_admissible_subsets(group, constraint)]
+        masks = (masks[:, None] + np.asarray(keys, dtype=np.int32)).ravel()
+    masks.sort()
+    ends = np.searchsorted(masks, np.arange(n + 2, dtype=np.int32) << n).tolist()
+    masks &= (1 << n) - 1
+    by_size = {size: masks[ends[size] : ends[size + 1]] for size in range(2, n + 1)}
+    stats.admissible_results = ends[n + 1] - ends[2]
     return by_size
-
-
-def _metric_kind(metric) -> str:
-    """Dispatch tag for the vectorized cost formulas."""
-    if type(metric) is ExecutionTimeMetric:
-        return "time"
-    if type(metric) is BufferSpaceMetric:
-        return "buffer"
-    if type(metric) is OutputRowsMetric:
-        return "io"
-    raise ValueError(
-        f"vecdp has no vectorized formula for metric {metric!r}"
-    )  # pragma: no cover - make_metrics only builds the three above
 
 
 def _prefill(query: Query, cost_model: CostModel):
@@ -310,32 +310,41 @@ class _Splits:
                 table[pattern, : len(operands)] = operands
             self.halves.append((low, table, lengths))
 
-    def blocks(self, masks, size: int):
+    def blocks(self, masks, size: int, whole: bool = False):
         """Yield the level's operand rectangle as ``(span, left, right)``
-        blocks of about ``_BLOCK_CELLS`` cells, a mask's blocks in split order.
+        blocks, a mask's blocks in split order (``whole``: as one block).
 
-        ``span`` is the slice of ``masks`` a block's rows belong to.  Linear:
+        ``span`` is the slice of ``masks`` a block's rows belong to; operands
+        are ``intp`` gather indices whatever the dtype of ``masks``.  Linear:
         every mask has exactly ``size`` candidate splits, its set bits in
         ascending order — the scalar bit-peel order; the rectangle is tall
-        and narrow, so blocks are runs of *columns* over the whole level
-        (all of them while the level is small, one bit-peel per block once
-        it has ``_BLOCK_CELLS`` masks).  Bushy: the admissible splits in
-        ``bushy_operands`` order, padded with left operand 0, which never
-        holds an entry and so can never validate; the rectangle is short
-        and wide, so blocks are runs of *rows* — per ``(len_A, len_B)`` class
-        of a block's masks one broadcast OR of the two halves' table rows,
-        minus the first column (the mask itself) and the last (0).
+        and narrow, so it is cut into row tiles of at most
+        ``_LINEAR_TILE_ROWS`` masks and a tile into runs of *columns* of
+        about ``_BLOCK_CELLS`` cells (all of them while the level is small,
+        one bit-peel per block once a tile has ``_BLOCK_CELLS`` masks), no
+        block above ``max(_LINEAR_TILE_ROWS, _BLOCK_CELLS)`` cells.  Bushy: the
+        admissible splits in ``bushy_operands`` order, padded with left
+        operand 0, which never holds an entry and so can never validate;
+        the rectangle is short and wide, so blocks are runs of about
+        ``_BLOCK_CELLS`` cells of whole *rows* — per ``(len_A, len_B)``
+        class of a block's masks one broadcast OR of the two halves' table
+        rows, minus the first column (the mask itself) and the last (0).
         """
         if self.linear:
-            columns = max(1, _BLOCK_CELLS // masks.shape[0])
-            remaining = masks.copy()
-            for start in range(0, size, columns):
-                right = np.empty((masks.shape[0], min(columns, size - start)), dtype=np.int64)
-                for column in range(right.shape[1]):
-                    np.bitwise_and(remaining, -remaining, out=right[:, column])
-                    remaining ^= right[:, column]
-                yield slice(0, masks.shape[0]), masks[:, None] ^ right, right
+            height = masks.shape[0] if whole else min(masks.shape[0], _LINEAR_TILE_ROWS)
+            step = size if whole else max(1, _BLOCK_CELLS // height)
+            for start in range(0, masks.shape[0], height):
+                span = slice(start, min(start + height, masks.shape[0]))
+                tile = masks[span].astype(np.intp)
+                remaining = tile.copy()
+                for first in range(0, size, step):
+                    right = np.empty((tile.shape[0], min(step, size - first)), dtype=np.intp)
+                    for column in range(right.shape[1]):
+                        np.bitwise_and(remaining, -remaining, out=right[:, column])
+                        remaining ^= right[:, column]
+                    yield span, tile[:, None] ^ right, right
             return
+        masks = masks.astype(np.intp)
         (rows_a, table_a, lengths_a), (rows_b, table_b, lengths_b) = (
             ((masks >> low) & (table.shape[0] - 1), table, lengths)
             for low, table, lengths in self.halves
@@ -344,10 +353,10 @@ class _Splits:
         width = max(1, int((len_a * len_b).max()) - 2)
         radix = table_b.shape[1] + 1
         classes = len_a * radix + len_b
-        per_block = max(1, _BLOCK_CELLS // width)
+        per_block = masks.shape[0] if whole else max(1, _BLOCK_CELLS // width)
         for start in range(0, masks.shape[0], per_block):
             span = slice(start, min(start + per_block, masks.shape[0]))
-            left = np.zeros((span.stop - start, width), dtype=np.int64)
+            left = np.zeros((span.stop - start, width), dtype=np.intp)
             for key in np.unique(classes[span]).tolist():
                 in_a, in_b = divmod(key, radix)
                 members = np.flatnonzero(classes[span] == key)
@@ -360,10 +369,9 @@ class _Splits:
 
     def rect(self, masks, size: int):
         """The whole ``(left, right)`` rectangle, one row per mask in split
-        order: the concatenation of :meth:`blocks`."""
-        _, lefts, rights = zip(*self.blocks(masks, size))
-        axis = 1 if self.linear else 0
-        return np.concatenate(lefts, axis), np.concatenate(rights, axis)
+        order: :meth:`blocks` as one block."""
+        ((_, left, right),) = self.blocks(masks, size, whole=True)
+        return left, right
 
     def unblocked(self, masks, right):
         """Cells whose singleton may be joined last (constrained linear)."""
@@ -407,20 +415,21 @@ def _run_single_vec(
     """
     n = query.n_tables
     settings = cost_model.settings
-    kind = _metric_kind(cost_model.metrics[0])
+    kind = _METRIC_KINDS[type(cost_model.metrics[0])]
     algos_all = settings.use_all_join_algorithms
     state = 1 << n
+    source = _Splits(query, constraints, settings)
     cost = np.full(state, inf, dtype=np.float64)
-    bp_right = np.zeros(state, dtype=np.int64)
-    bp_algo = np.full(state, -1, dtype=np.int8)
+    # Back-pointers ``right << 1 | algo``: the right operand (the left one is
+    # ``mask ^ right``) and the operator's index into ALL_JOIN_ALGORITHMS.
+    # A linear right operand is a singleton: its bit number stands in, int8.
+    bp = np.zeros(state, dtype=np.int8 if source.linear else np.int32)
     rows, scan_list = _prefill(query, cost_model)
     scans: dict[int, Plan] = {}
     for table_number, scan in enumerate(scan_list):
         scans[1 << table_number] = scan
         cost[1 << table_number] = scan.cost[0]
 
-    source = _Splits(query, constraints, settings)
-    splits = considered = kept = 0
     stored = n
     # True while every admissible mask so far stored an entry — the normal
     # case, since the always-applicable BNL candidate only fails by
@@ -434,7 +443,7 @@ def _run_single_vec(
             continue
         # The scalar loop's ``best`` and its winner, for every mask at once.
         best = np.full(masks.shape[0], inf, dtype=np.float64)
-        win_right = np.zeros(masks.shape[0], dtype=np.int64)
+        win_right = np.zeros(masks.shape[0], dtype=np.int32)
         win_algo = np.zeros(masks.shape[0], dtype=np.int8)
         for span, left, right in source.blocks(masks, size):
             left_cost = cost[left]
@@ -457,16 +466,22 @@ def _run_single_vec(
             else:
                 equi_total = 0
             valid_total = left.size if valid is None else int(np.count_nonzero(valid))
-            splits += valid_total
-            considered += valid_total + 2 * equi_total
+            stats.splits_considered += valid_total
+            stats.plans_considered += valid_total + 2 * equi_total
 
             with_hash = kind != "io" and equi_total > 0
             if kind == "time":
-                base = left_cost + right_cost
+                # In place, to hold fewer block-sized temporaries: ``+`` and
+                # ``*`` commute exactly in IEEE arithmetic, so this is
+                # ``base + l·r`` and ``base + HASH_FACTOR·(l + r)``.
+                base = np.add(left_cost, right_cost, out=left_cost)
                 left_rows, right_rows = rows[left], rows[right]
-                c_bnl = base + left_rows * right_rows
                 if with_hash:
-                    c_hash = base + HASH_FACTOR * (left_rows + right_rows)
+                    c_hash = left_rows + right_rows
+                    c_hash *= HASH_FACTOR
+                    c_hash += base
+                c_bnl = np.multiply(left_rows, right_rows, out=right_rows)
+                c_bnl += base
             elif kind == "buffer":
                 pair = np.maximum(left_cost, right_cost)
                 c_bnl = np.maximum(pair, BNL_BLOCK_TUPLES)
@@ -502,11 +517,11 @@ def _run_single_vec(
                 # algorithm within it below): the scalar first-wins rule.
                 win = (np.arange(left.shape[0]), best2.argmin(axis=1))
             block_best = best2[win]
-            kept += int(np.count_nonzero(c_bnl < before))
+            stats.plans_kept += int(np.count_nonzero(c_bnl < before))
             # Strict: an earlier block's split keeps a tie, as in the scan.
             improved = block_best < carry
             if with_hash:
-                kept += int(np.count_nonzero(c_hash < np.minimum(before, c_bnl)))
+                stats.plans_kept += int(np.count_nonzero(c_hash < np.minimum(before, c_bnl)))
                 np.copyto(win_algo[span], c_bnl[win] != block_best, where=improved)
             else:
                 np.copyto(win_algo[span], 0, where=improved)
@@ -514,38 +529,37 @@ def _run_single_vec(
             np.copyto(carry, block_best, where=improved)
         # Masks whose every candidate overflowed keep cost +inf: no entry.
         cost[masks] = best
-        bp_right[masks] = win_right
-        bp_algo[masks] = win_algo
+        right = np.bitwise_count(win_right - 1) if source.linear else win_right
+        bp[masks] = (right << 1) | win_algo
         level_entries = int(np.count_nonzero(best < inf))
         stored += level_entries
         if level_entries != masks.shape[0]:
             all_stored = False
 
-    stats.splits_considered = splits
-    stats.plans_considered = considered
-    stats.plans_kept = kept
     stats.table_entries = stored
     stats.stored_plans = stored
     full_mask = query.all_tables_mask
     if full_mask not in scans and not cost[full_mask] < inf:
         return []
-    return [_build_single_vec(full_mask, cost, rows, bp_right, bp_algo, scans)]
+    return [_build_single_vec(full_mask, cost, rows, bp, source.linear, scans)]
 
 
-def _build_single_vec(mask: int, cost, rows, bp_right, bp_algo, memo: dict[int, Plan]) -> Plan:
+def _build_single_vec(mask: int, cost, rows, bp, linear: bool, memo: dict[int, Plan]) -> Plan:
     """Materialize the stored plan for ``mask`` from the packed arrays;
     ``memo`` starts out as the scans by singleton mask."""
     plan = memo.get(mask)
     if plan is None:
-        right = int(bp_right[mask])
+        right, algo = divmod(int(bp[mask]), 2)
+        if linear:
+            right = 1 << right
         plan = memo[mask] = JoinPlan(
             mask=mask,
             rows=float(rows[mask]),
             cost=(float(cost[mask]),),
             order=None,
-            left=_build_single_vec(mask ^ right, cost, rows, bp_right, bp_algo, memo),
-            right=_build_single_vec(right, cost, rows, bp_right, bp_algo, memo),
-            algorithm=ALL_JOIN_ALGORITHMS[int(bp_algo[mask])],
+            left=_build_single_vec(mask ^ right, cost, rows, bp, linear, memo),
+            right=_build_single_vec(right, cost, rows, bp, linear, memo),
+            algorithm=ALL_JOIN_ALGORITHMS[algo],
         )
     return plan
 
@@ -687,7 +701,7 @@ def _run_frontier_vec(
     """
     n = query.n_tables
     settings = cost_model.settings
-    kinds = [_metric_kind(metric) for metric in cost_model.metrics]
+    kinds = [_METRIC_KINDS[type(metric)] for metric in cost_model.metrics]
     rows, scans = _prefill(query, cost_model)
     source = _Splits(query, constraints, settings)
 
@@ -701,11 +715,11 @@ def _run_frontier_vec(
     entry_ptr = np.zeros((n, 4), dtype=np.int64)
     entry_ptr[:, 0] = singletons
 
-    splits = considered = kept = 0
     for size in range(2, n + 1):
         masks = by_size[size]
         if masks.shape[0] == 0:
             continue
+        masks = masks.astype(np.intp)
         left, right = source.rect(masks, size)
         n_left = count[left]
         n_right = count[right]
@@ -717,13 +731,13 @@ def _run_frontier_vec(
         if settings.use_all_join_algorithms:
             equi = source.equi(left, right)
             n_algos = np.where(equi, 2, 1)
-            considered += int(pairs[equi].sum())  # the sort-merge candidates
+            stats.plans_considered += int(pairs[equi].sum())  # the sort-merge candidates
         else:
             n_algos = np.ones_like(left)
         per_split = pairs * n_algos
         per_mask = per_split.sum(axis=1)
-        splits += int(valid.sum())
-        considered += int(per_mask.sum())
+        stats.splits_considered += int(valid.sum())
+        stats.plans_considered += int(per_mask.sum())
 
         # Masks are independent within a level: chunk them so that one
         # chunk's candidate stream stays under the cell budget.
@@ -779,7 +793,7 @@ def _run_frontier_vec(
                     )
 
             accepted, survivors = _pareto_filter(candidates, per_mask[chunk])
-            kept += accepted
+            stats.plans_kept += accepted
             owner = split_row[split_of[survivors]]
             stored = np.bincount(owner, minlength=chunk_masks.shape[0])
             count[chunk_masks] = stored
@@ -800,9 +814,6 @@ def _run_frontier_vec(
                 ]
             )
 
-    stats.splits_considered = splits
-    stats.plans_considered = considered
-    stats.plans_kept = kept
     stats.table_entries = int(np.count_nonzero(count))
     stats.stored_plans = entry_cost.shape[0]
     full_mask = query.all_tables_mask

@@ -240,27 +240,24 @@ def optimize_partition(
         run = fastdp.optimize_partition_fastdp
     else:
         run = _optimize_partition_legacy
-    return run(query, partition_id, n_partitions, settings)
+    started = time.perf_counter()
+    constraints = partition_constraints(
+        query.n_tables, partition_id, n_partitions, settings.plan_space
+    )
+    stats = WorkerStats(partition_id, n_partitions, len(constraints))
+    plans = run(query, constraints, settings, stats)
+    stats.result_plans = len(plans)
+    stats.wall_time_s = time.perf_counter() - started
+    return PartitionResult(plans=plans, stats=stats)
 
 
 def _optimize_partition_legacy(
-    query: Query,
-    partition_id: int,
-    n_partitions: int,
-    settings: OptimizerSettings,
-) -> PartitionResult:
-    """The object-based reference DP (the ``legacy`` backend's entry point)."""
-    started = time.perf_counter()
+    query: Query, constraints: tuple, settings: OptimizerSettings, stats: WorkerStats
+) -> list[Plan]:
+    """The object-based reference DP (the ``legacy`` backend's kernel): the
+    partition's plans, with ``stats`` filled in."""
+    stats.backend_used = Backend.LEGACY.value
     n = query.n_tables
-    constraints = partition_constraints(
-        n, partition_id, n_partitions, settings.plan_space
-    )
-    stats = WorkerStats(
-        partition_id=partition_id,
-        n_partitions=n_partitions,
-        n_constraints=len(constraints),
-        backend_used=Backend.LEGACY.value,
-    )
     by_size = admissible_results_by_size(n, constraints, settings.plan_space)
     stats.admissible_results = sum(len(masks) for masks in by_size.values())
 
@@ -274,11 +271,7 @@ def _optimize_partition_legacy(
 
     stats.table_entries = len(table)
     stats.stored_plans = sum(len(entry) for entry in table.values())
-    full_mask = query.all_tables_mask
-    plans = list(table.get(full_mask, []))
-    stats.result_plans = len(plans)
-    stats.wall_time_s = time.perf_counter() - started
-    return PartitionResult(plans=plans, stats=stats)
+    return list(table.get(query.all_tables_mask, []))
 
 
 def scan_table(cost_model: CostModel, pruning: PruningPolicy) -> PlanTable:

@@ -741,7 +741,13 @@ class TieredPlanCache:
     Promotion, demotion and LRU drops leave it alone — the entry is still
     live in some tier.  A memo of answers built from this cache stores the
     generation it read *before* its lookup and treats a mismatch as a miss,
-    so no answer outlives its entry.
+    so no answer outlives its entry.  The cache reads it the same way around
+    its own disk steps: a lookup promotes what it read from disk, and a put
+    inserts into memory, only if the generation has not moved since the
+    call began — a retirement in between may have tombstoned that record
+    (a spurious skip only costs a later disk hit).  :meth:`evict` and
+    :meth:`invalidate` change the disk tier first and memory second, so a
+    promotion that slipped in before their memory step is popped there.
     """
 
     def __init__(
@@ -781,17 +787,17 @@ class TieredPlanCache:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
                 return entry
-            if self.disk is None:
-                self.stats.misses += miss
-                return None
-        entry = self.disk.peek(key)
+            generation = self.generation
+        entry = None if self.disk is None else self.disk.peek(key)
         with self._lock:
             if entry is None:
                 self.stats.misses += miss
                 return None
             self.stats.hits += 1
             self.stats.disk_hits += 1
-            if self.capacity:
+            # A retirement since the memory miss may be this key's: then the
+            # disk read is stale, and promoting it would bring the key back.
+            if self.capacity and self.generation == generation:
                 self.stats.promotions += 1
                 self.stats.demotions += self._insert(key, entry)
         return entry
@@ -804,12 +810,15 @@ class TieredPlanCache:
     # ------------------------------------------------------------------ writes
 
     def put(self, key: str, value: CacheEntry) -> None:
-        """Write through to disk, then insert into memory."""
+        """Write through to disk, then insert into memory — unless a
+        retirement landed in between, which may have tombstoned this write."""
+        generation = self.generation
         replaced = self.disk is not None and self.disk.put(key, value)
         with self._lock:
-            if replaced or key in self._entries:
+            current = self.disk is None or self.generation == generation
+            if self._entries.pop(key, None) is not None or replaced:
                 self.generation += 1
-            dropped = self._insert(key, value)
+            dropped = self._insert(key, value) if current else 0
             if self.disk is None:
                 self.stats.evictions += dropped
             else:
@@ -831,16 +840,19 @@ class TieredPlanCache:
         return dropped
 
     def evict(self, key: str) -> bool:
-        """Drop ``key`` from both tiers; counted once if either held it."""
+        """Drop ``key`` from both tiers; counted once if either held it.
+
+        Disk first, as :meth:`invalidate` does: a lookup that read the disk
+        record before the tombstone either promoted it before the memory
+        pop below, or sees the generation bump and does not promote.
+        """
+        dropped = self.disk is not None and self.disk.evict(key)
         with self._lock:
-            dropped = self._entries.pop(key, None) is not None
-        if self.disk is not None and self.disk.evict(key):
-            dropped = True
-        if dropped:
-            with self._lock:
+            if self._entries.pop(key, None) is not None or dropped:
                 self.stats.evictions += 1
                 self.generation += 1
-        return dropped
+                return True
+        return False
 
     # ------------------------------------------------------- snapshot shipping
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 import time
 
@@ -398,6 +399,141 @@ class TestTieredPlanCache:
             assert len(cache) == 3
             assert "memory-only" in cache and "disk-only" in cache
 
+
+
+class TestRetirementInsideADiskStep:
+    """An evict, invalidate or replacing put that lands between another
+    call's disk step and its memory step: the memory step must not bring the
+    retired key, or the replaced value, back into memory."""
+
+    @pytest.fixture
+    def tiers(self, tmp_path):
+        with DiskTier(tmp_path / "cache.log") as disk:
+            yield TieredPlanCache(memory_capacity=4, disk=disk), disk
+
+    @staticmethod
+    def assert_gone(cache, disk, key):
+        assert cache.peek(key) is None and key not in disk
+        assert cache.get(key) is None
+
+    def test_lookup_inside_an_evict_does_not_resurrect_the_key(self, tiers, monkeypatch):
+        cache, disk = tiers
+        cache.put("a", make_entry())
+        evict = disk.evict
+
+        def looked_up_first(key):
+            assert cache.get(key) is not None
+            return evict(key)
+
+        monkeypatch.setattr(disk, "evict", looked_up_first)
+        assert cache.evict("a")
+        monkeypatch.undo()
+        self.assert_gone(cache, disk, "a")
+        assert cache.snapshot().evictions == 1
+
+    @pytest.mark.parametrize("retire", ["evict", "invalidate"])
+    def test_retirement_inside_a_lookup_is_not_promoted_back(self, tiers, monkeypatch, retire):
+        cache, disk = tiers
+        disk.put("a", make_entry())  # disk only: the lookup reads the disk
+        peek = disk.peek
+
+        def retired_after_the_read(key):
+            entry = peek(key)
+            if retire == "evict":
+                assert cache.evict(key)
+            else:
+                assert cache.invalidate(InvalidationPredicate(backend="fastdp")) == [key]
+            return entry
+
+        monkeypatch.setattr(disk, "peek", retired_after_the_read)
+        assert cache.get("a") is not None  # read before the retirement
+        monkeypatch.undo()
+        self.assert_gone(cache, disk, "a")
+
+    def test_replacing_put_inside_a_lookup_keeps_the_new_value(self, tiers, monkeypatch):
+        cache, disk = tiers
+        disk.put("a", make_entry(backend="legacy"))
+        peek = disk.peek
+
+        def replaced_after_the_read(key):
+            entry = peek(key)
+            cache.put(key, make_entry(backend="vecdp"))
+            return entry
+
+        monkeypatch.setattr(disk, "peek", replaced_after_the_read)
+        assert cache.get("a").backend_used == "legacy"  # read before the put
+        monkeypatch.undo()
+        assert cache.peek("a").backend_used == "vecdp"
+        assert disk.peek("a").backend_used == "vecdp"
+
+    def test_evict_inside_a_put_leaves_the_key_in_neither_tier(self, tiers, monkeypatch):
+        cache, disk = tiers
+        put = disk.put
+
+        def evicted_after_the_write(key, entry):
+            replaced = put(key, entry)
+            assert cache.evict(key)
+            return replaced
+
+        monkeypatch.setattr(disk, "put", evicted_after_the_write)
+        cache.put("a", make_entry())
+        monkeypatch.undo()
+        self.assert_gone(cache, disk, "a")
+
+    def test_put_that_skips_memory_drops_the_stale_copy(self, tiers, monkeypatch):
+        """A retirement of *another* key also makes a put leave memory alone:
+        the put must not leave the value it replaced there."""
+        cache, disk = tiers
+        cache.put("a", make_entry(backend="legacy"))
+        cache.put("b", make_entry())
+        put = disk.put
+
+        def other_key_evicted_after_the_write(key, entry):
+            replaced = put(key, entry)
+            assert cache.evict("b")
+            return replaced
+
+        monkeypatch.setattr(disk, "put", other_key_evicted_after_the_write)
+        cache.put("a", make_entry(backend="vecdp"))
+        monkeypatch.undo()
+        assert cache.peek("a") is None
+        assert cache.get("a").backend_used == "vecdp"
+
+    def test_threads_racing_on_few_keys_leave_memory_a_copy_of_disk(self, tiers):
+        """More threads than cores, a tiny switch interval, three keys: once
+        they are done, every memory-resident entry is the disk's live one."""
+        cache, disk = tiers
+        keys = ("a", "b", "c")
+        stamps = iter(range(10**6))
+
+        def work(seed):
+            for step in range(150):
+                key = keys[(seed + step) % len(keys)]
+                operation = (seed * 7 + step) % 4
+                if operation == 0:
+                    cache.put(key, make_entry(created=float(next(stamps))))
+                elif operation == 1:
+                    cache.evict(key)
+                else:
+                    cache.get(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for key in keys:
+            resident = cache.peek(key)
+            if resident is not None:
+                on_disk = disk.peek(key)
+                assert on_disk is not None
+                assert on_disk.provenance.created_at_s == resident.provenance.created_at_s
 
 class TestDiskHit:
     def test_a_disk_hit_reuses_the_indexed_provenance(self, tmp_path):

@@ -13,7 +13,8 @@ test.
 from __future__ import annotations
 
 import dataclasses
-from math import inf
+import tracemalloc
+from math import comb, inf
 from types import SimpleNamespace
 
 import numpy as np
@@ -117,12 +118,21 @@ class TestLevels:
     def test_equals_scalar_enumeration_for_every_partition(self, space, n_tables):
         for partition_id, n_partitions, constraints in _every_partition(n_tables, space):
             stats = WorkerStats(partition_id, n_partitions, len(constraints))
-            levels = vecdp._levels(n_tables, constraints, stats)
+            levels = vecdp._levels(n_tables, constraints, space, stats)
             expected = admissible_results_by_size(n_tables, constraints, space)
-            assert {
-                size: set(masks.tolist()) for size, masks in levels.items()
-            } == {size: set(masks) for size, masks in expected.items()}
+            assert {size: masks.tolist() for size, masks in levels.items()} == {
+                size: sorted(masks) for size, masks in expected.items()
+            }
+            assert all(masks.dtype == np.int32 for masks in levels.values())
             assert stats.admissible_results == sum(map(len, expected.values()))
+
+    def test_refuses_queries_whose_sort_key_would_overflow_int32(self):
+        """``(popcount << n) | mask`` fits ``int32`` up to 26 tables; the
+        guard fires before anything is allocated."""
+        assert (vecdp._MAX_TABLES + 1) << vecdp._MAX_TABLES <= np.iinfo(np.int32).max + 1
+        assert (vecdp._MAX_TABLES + 2) << (vecdp._MAX_TABLES + 1) > np.iinfo(np.int32).max + 1
+        with pytest.raises(ValueError, match="at most 26 tables"):
+            vecdp._levels(vecdp._MAX_TABLES + 1, (), PlanSpace.LINEAR, WorkerStats(0, 1, 0))
 
 
 BUSHY = OptimizerSettings(plan_space=PlanSpace.BUSHY)
@@ -162,12 +172,12 @@ def _assert_rectangles_match_spec(n_tables: int, constraints: tuple):
     """Every level's rectangle is ``split_source``'s splits, padded."""
     query = SteinbrunnGenerator(5).query(n_tables, JoinGraphKind.CHAIN)
     source = vecdp._Splits(query, constraints, BUSHY)
-    levels = vecdp._levels(n_tables, constraints, WorkerStats(0, 1, 0))
+    levels = vecdp._levels(n_tables, constraints, PlanSpace.BUSHY, WorkerStats(0, 1, 0))
     for size, masks in levels.items():
         if masks.shape[0] == 0:
             continue
         left, right = source.rect(masks, size)
-        assert left.dtype == right.dtype == np.int64
+        assert left.dtype == right.dtype == np.intp
         assert (left.tolist(), right.tolist()) == _scalar_rect(
             n_tables, constraints, PlanSpace.BUSHY, masks.tolist()
         )
@@ -195,7 +205,7 @@ class TestBushyRectangles:
 
         monkeypatch.setattr(vecdp, "bushy_operands", counting)
         query = SteinbrunnGenerator(5).query(9, JoinGraphKind.STAR)
-        result = vecdp.optimize_partition_vecdp(query, 0, n_partitions, BUSHY)
+        result = optimize_partition(query, 0, n_partitions, BUSHY.replace(backend=Backend.VECDP))
         assert 0 < len(calls) <= 8 + 64 < result.stats.admissible_results
 
 
@@ -228,7 +238,7 @@ class TestEqui:
         constraints = partition_constraints(n, partition_id, n_partitions, PlanSpace.BUSHY)
         source = vecdp._Splits(query, constraints, BUSHY)
         adjacency = _adjacency_masks(query)
-        levels = vecdp._levels(n, constraints, WorkerStats(0, 1, 0))
+        levels = vecdp._levels(n, constraints, PlanSpace.BUSHY, WorkerStats(0, 1, 0))
         for size, masks in levels.items():
             if masks.shape[0] == 0:
                 continue
@@ -253,15 +263,16 @@ class TestBlocks:
         _queries_with_extra_predicates(),
         st.sampled_from(list(PlanSpace)),
         st.sampled_from([1, 2, 3, 5, 17, 64, 1 << 12]),
+        st.sampled_from([1, 3, 17, 64, 1 << 13]),
     )
-    def test_blocks_tile_the_rectangle_in_split_order(self, drawn, space, cells):
+    def test_blocks_tile_the_rectangle_in_split_order(self, drawn, space, cells, rows):
         query, partition_id, n_partitions = drawn
         n = query.n_tables
         constraints = partition_constraints(n, partition_id, n_partitions, space)
         source = vecdp._Splits(query, constraints, OptimizerSettings(plan_space=space))
-        levels = vecdp._levels(n, constraints, WorkerStats(0, 1, 0))
+        levels = vecdp._levels(n, constraints, space, WorkerStats(0, 1, 0))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(vecdp, "_BLOCK_CELLS", cells)
+            _patch_budgets(patch, cells, rows)
             for size, masks in levels.items():
                 if masks.shape[0] == 0:
                     continue
@@ -271,27 +282,31 @@ class TestBlocks:
                     _assert_linear_cells_admitted(
                         source, n, constraints, masks.tolist(), left, right
                     )
-                row = column = 0  # where the next block must start
+                # The current tile's first row and height; the next block's column.
+                row = height = column = 0
                 for span, block_left, block_right in source.blocks(masks, size):
+                    if column == len(left[0]):  # the tile is done: the next lies below
+                        row, column = row + height, 0
                     height, width = block_left.shape
-                    assert block_left.dtype == block_right.dtype == np.int64
+                    assert block_left.dtype == block_right.dtype == np.intp
                     assert block_right.shape == (height, width)
-                    if space is PlanSpace.LINEAR:  # runs of columns, whole level
-                        assert (span.start, span.stop) == (0, len(left))
-                        assert block_left.size <= max(cells, height)
-                        columns = slice(column, column + width)
-                        column += width
-                    else:  # runs of rows, whole width
-                        assert (span.start, span.stop) == (row, row + height)
+                    assert (span.start, span.stop) == (row, row + height)
+                    columns = slice(column, column + width)
+                    column += width
+                    if space is PlanSpace.LINEAR:  # row tiles, each in runs of columns
+                        assert height <= rows and block_left.size <= max(cells, rows)
+                    else:  # runs of whole rows
+                        assert width == len(left[0])
                         assert block_left.size <= max(cells, width)
-                        columns = slice(0, len(left[0]))
-                        row += height
                     assert block_left.tolist() == [splits[columns] for splits in left[span]]
                     assert block_right.tolist() == [splits[columns] for splits in right[span]]
-                if space is PlanSpace.LINEAR:
-                    assert column == size
-                else:
-                    assert row == len(left)
+                assert (row + height, column) == (len(left), len(left[0]))
+
+
+def _patch_budgets(patch, cells: int, rows: int | None = None) -> None:
+    """Block budget ``cells``; linear tiles of ``rows`` masks (default: as many)."""
+    patch.setattr(vecdp, "_BLOCK_CELLS", cells)
+    patch.setattr(vecdp, "_LINEAR_TILE_ROWS", cells if rows is None else rows)
 
 
 def _assert_partitions_equal(reference: Backend, query, settings, n_partitions, budgets):
@@ -303,7 +318,7 @@ def _assert_partitions_equal(reference: Backend, query, settings, n_partitions, 
                 query, partition_id, n_partitions, settings.replace(backend=reference)
             )
             for cells in budgets:
-                patch.setattr(vecdp, "_BLOCK_CELLS", cells)
+                _patch_budgets(patch, cells)
                 vec = optimize_partition(
                     query, partition_id, n_partitions, settings.replace(backend=Backend.VECDP)
                 )
@@ -314,11 +329,12 @@ def _assert_partitions_equal(reference: Backend, query, settings, n_partitions, 
 
 
 class TestBlockedSweep:
-    """At the shipped ``_BLOCK_CELLS`` no query the parity grids run (≤ 9
-    tables, ≤ 126 masks a level) ever splits a mask's row over two blocks, so
-    the carried running minimum is driven here with budgets of 1, 3 and 17
-    cells — linear: one and two-to-three columns per block and a ragged last
-    block; bushy: one row per block."""
+    """At the shipped budgets no query the parity grids run (≤ 9 tables,
+    ≤ 126 masks a level) ever splits a mask's row over two blocks, so the
+    carried running minimum is driven here with budgets of 1, 3 and 17 cells
+    — linear: row tiles of 1, 3 or 17 masks, a ragged last tile, and a
+    small level's tile cut into runs of two or more columns; bushy: one row
+    per block."""
 
     TINY = (1, 3, 17)
 
@@ -360,3 +376,44 @@ class TestBlockedSweep:
             query, 0, 1, OptimizerSettings(plan_space=space, backend=Backend.VECDP)
         )
         assert 7 < serial.stats.table_entries < 7 + serial.stats.admissible_results
+
+
+class TestWorkingSet:
+    """vecdp's peak memory is its dense per-mask state plus one block, not a
+    multiple of a level's width: at 18 tables the widest linear level has
+    48,620 masks, and level-wide block temporaries (389 KB each) once put
+    the traced peak at 18.2 MiB (p = 1) and 16.1 MiB (p = 2)."""
+
+    #: Dense bytes per mask of the plain linear state, all ``2**n`` masks:
+    #: ``cost`` and ``rows`` (float64), the packed ``bp`` (int8),
+    #: ``neighbours`` and ``after`` (int64, zero-filled: traced at full size,
+    #: though written only at the singletons), the int32 level masks.
+    STATE = 8 + 8 + 1 + 8 + 8 + 4
+    #: Per mask of the widest level: ``best``, ``win_right``, ``win_algo``,
+    #: and the intp copy of the level's masks a scatter into the state makes.
+    LEVEL = 8 + 4 + 1 + 8
+    #: float64-sized arrays a block holds at once, and the plans, query and
+    #: cost model around the arrays.
+    TEMPORARIES = 16
+    SLACK = 1 << 18
+
+    @pytest.mark.parametrize("n_partitions", [1, 2])
+    def test_linear_18_tables_peak_is_state_plus_one_block(self, n_partitions):
+        n = 18
+        query = SteinbrunnGenerator(7).query(n, JoinGraphKind.CHAIN)
+        settings = OptimizerSettings(backend=Backend.VECDP)
+        optimize_partition(SteinbrunnGenerator(7).query(6, JoinGraphKind.CHAIN), 0, 1, settings)
+        tracemalloc.start()
+        try:
+            result = optimize_partition(query, 0, n_partitions, settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.stats.backend_used == "vecdp" and result.plans
+        bound = (
+            self.STATE * 2**n
+            + self.LEVEL * comb(n, n // 2)
+            + max(vecdp._LINEAR_TILE_ROWS, vecdp._BLOCK_CELLS) * 8 * self.TEMPORARIES
+            + self.SLACK
+        )
+        assert peak <= bound, f"traced peak {peak / 2**20:.2f} MiB > {bound / 2**20:.2f} MiB"

@@ -17,8 +17,14 @@ time spent *inside* the generator) and plan materialisation; what is left
 of the run is costing + reduction.  ``--by-level`` splits split generation
 and that remainder per DP level.
 
+``--memory`` prints, instead, the run's ``tracemalloc`` peak and every array
+the vecdp kernel holds, each at its largest over the run — the dense
+per-mask state, its ``_Splits``' arrays, the level masks, the widest level's
+vectors and the largest block's temporaries — with bytes per mask of the
+``2**n`` state.
+
     python tools/dp_profile.py --class plain_bushy --tables 12 --kind chain
-        [--partition i/p] [--top 15] [--phases [--by-level]]
+        [--partition i/p] [--top 15] [--phases [--by-level] | --memory]
 """
 
 import argparse
@@ -29,6 +35,7 @@ import gc
 import pstats
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -70,9 +77,9 @@ def phase_profile(run):
                 phases[name] += clock() - started
         return wrapper
 
-    def blocks(self, masks, size):
+    def blocks(self, masks, size, whole=False):
         level = levels[size] = [len(masks), 0, 0, clock()]
-        generator = original_blocks(self, masks, size)
+        generator = original_blocks(self, masks, size, whole)
         while True:
             started = clock()
             block = next(generator, None)
@@ -125,6 +132,39 @@ def print_phases(wall, phases, levels, by_level: bool) -> None:
                   f"{(level_wall - split_gen) / 1e6:24.2f}")
 
 
+def print_memory(run, n_tables: int) -> None:
+    """Print one run's ``tracemalloc`` peak, then the arrays of another: a
+    profile hook reads them off the vecdp kernel's frame at every call it
+    makes and keeps each name's largest — the widest level's vectors and the
+    largest block's, which are not all live at once."""
+    tracemalloc.start()
+    run()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    kernels = {vecdp._run_single_vec.__code__, vecdp._run_frontier_vec.__code__}
+    largest: dict[str, tuple] = {}
+
+    def hook(frame, event, arg):
+        if frame.f_code in kernels:
+            local = frame.f_locals
+            source = getattr(local.get("source"), "__dict__", {})
+            named = {**local, **{"source." + name: array for name, array in source.items()},
+                     "level masks": local["by_size"][2].base}  # the levels view one array
+            for name, array in named.items():
+                if isinstance(array, vecdp.np.ndarray):
+                    size = (array.nbytes, str(array.dtype), array.size)
+                    largest[name] = max(largest.get(name, size), size)
+
+    sys.setprofile(hook)
+    run()
+    sys.setprofile(None)
+    print(f"traced peak {peak / 2**20:.2f} MiB, {peak / 2**n_tables:.1f} B per mask "
+          f"of 2**{n_tables}")
+    print(f"{'array (largest)':<18}{'dtype':>9}{'elements':>10}{'MiB':>8}{'B/mask':>8}")
+    for name, (size, dtype, elements) in sorted(largest.items(), key=lambda item: -item[1][0]):
+        print(f"{name:<18}{dtype:>9}{elements:10d}{size / 2**20:8.3f}{size / 2**n_tables:8.2f}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--class", dest="kernel", default="plain_bushy",
@@ -138,6 +178,8 @@ def main() -> int:
                         help="ms per vecdp phase instead of the cProfile table")
     parser.add_argument("--by-level", action="store_true",
                         help="with --phases: split generation and the rest per DP level")
+    parser.add_argument("--memory", action="store_true",
+                        help="traced peak and the vecdp arrays instead of the cProfile table")
     args = parser.parse_args()
     shape = (args.tables, JoinGraphKind(args.kind))
     case = schedules.dp_cases(0, {args.kernel: (shape,)})[0]
@@ -156,11 +198,15 @@ def main() -> int:
           f"{stats.plans_considered} plans considered "
           f"({wall_ms * 1e6 / max(stats.plans_considered, 1):.0f} ns per plan considered, "
           f"{100 * stats.plans_kept / max(stats.plans_considered, 1):.0f} % accepted)")
-    if args.phases:
+    if args.phases or args.memory:
         if stats.backend_used != "vecdp":
-            print("--phases clocks the vecdp cores; this class runs on " + stats.backend_used)
+            print("--phases and --memory read the vecdp cores; this class runs on "
+                  + stats.backend_used)
             return 2
-        print_phases(*phase_profile(run), args.by_level)
+        if args.memory:
+            print_memory(run, args.tables)
+        else:
+            print_phases(*phase_profile(run), args.by_level)
         return 0
     profile = cProfile.Profile()
     profile.runcall(run)
