@@ -78,13 +78,18 @@ exactly one once a tile has ``_BLOCK_CELLS`` masks — every operation is
 then contiguous and
 the short-axis ``accumulate`` / ``argmin`` (≈ 10 ns a cell, unvectorisable
 over rows of ≤ 18) drop out.  Bushy rectangles are short and wide (up to
-``2**size − 2`` splits), so they are cut by *rows*: a mask's whole split
-list stays in one block and the half-table broadcast is unchanged.  The
-budgets are small because a block's dozen ``float64`` temporaries should
-stay in cache and out of the peak: whole-level rectangles (3.5 MB a
-temporary at 18 tables) made the sweep memory-bound, and whole-level
-columns (389 KB a temporary) still put the peak at a multiple of the
-widest level.
+``2**size − 2`` splits), so they are cut by *rows*, runs of about
+``_BUSHY_BLOCK_CELLS`` cells: a mask's split list stays in one block and
+the half-table broadcast is unchanged.  A bushy split ``(L, R)`` and its
+mirror ``(R, L)`` sit at reflected positions of that list and cost the
+same under the time and io metrics, so those sweeps take only the first
+half of each row — ``2**(size − 1) − 1`` splits — and count each split
+twice; the buffer metric's hash operator costs its right (build) side's
+rows, so that sweep keeps whole rows.  The budgets are small because a
+block's dozen ``float64`` temporaries should stay in cache and out of the
+peak: whole-level rectangles (3.5 MB a temporary at 18 tables) made the
+sweep memory-bound, and whole-level columns (389 KB a temporary) still
+put the peak at a multiple of the widest level.
 
 Multi-objective frontiers (α = 1 only) keep their state in CSR form:
 ``first``/``count`` are dense per-mask arrays pointing into one flat
@@ -147,12 +152,17 @@ from repro.query.query import Query
 #: are independent of each other).
 _CELL_BUDGET = 1 << 22
 
-#: Cells per operand block of the single-objective sweep
+#: Cells per linear operand block of the single-objective sweep
 #: (:meth:`_Splits.blocks`): small enough that a block's dozen float64
 #: temporaries stay cache-resident (sweep of 2¹¹…2¹⁵ in CHANGES.md).  A
-#: bushy block is whole rows; a linear one a run of a tile's columns, one
-#: column once the tile has this many masks.
+#: linear block is a run of a tile's columns, one column once the tile has
+#: this many masks.
 _BLOCK_CELLS = 1 << 12
+
+#: Cells per bushy operand block, runs of whole (half) rows: fewer blocks
+#: run fewer per-block class loops, and a linear sweep given this budget ran
+#: slower (interleaved sweep of 2¹²…2¹⁵ in CHANGES.md).
+_BUSHY_BLOCK_CELLS = 1 << 13
 
 #: Masks per linear row tile: a wider level is cut into tiles, so no linear
 #: block exceeds this many cells — whole-level columns made the widest level
@@ -310,9 +320,10 @@ class _Splits:
                 table[pattern, : len(operands)] = operands
             self.halves.append((low, table, lengths))
 
-    def blocks(self, masks, size: int, whole: bool = False):
+    def blocks(self, masks, size: int, whole: bool = False, half: bool = False):
         """Yield the level's operand rectangle as ``(span, left, right)``
-        blocks, a mask's blocks in split order (``whole``: as one block).
+        blocks, a mask's blocks in split order (``whole``: as one block;
+        ``half``: bushy rows cut to their first half, below).
 
         ``span`` is the slice of ``masks`` a block's rows belong to; operands
         are ``intp`` gather indices whatever the dtype of ``masks``.  Linear:
@@ -326,9 +337,18 @@ class _Splits:
         admissible splits in ``bushy_operands`` order, padded with left
         operand 0, which never holds an entry and so can never validate;
         the rectangle is short and wide, so blocks are runs of about
-        ``_BLOCK_CELLS`` cells of whole *rows* — per ``(len_A, len_B)``
+        ``_BUSHY_BLOCK_CELLS`` cells of whole *rows* — per ``(len_A, len_B)``
         class of a block's masks one broadcast OR of the two halves' table
         rows, minus the first column (the mask itself) and the last (0).
+
+        Every group's operand list runs in descending order and is closed
+        under complement, which reverses it, so in a product of ``T``
+        operands the mirror ``(R, L)`` of position ``k`` sits at ``T − 1 −
+        k``: the first half of a row holds one split of each mirrored pair,
+        the one that comes first.  ``half`` yields only that half, ``T/2 −
+        1`` splits a row, for the time and io sweeps, whose operators cost a
+        split and its mirror alike; the buffer metric's hash costs its build
+        (right) side's rows, so that sweep takes whole rows.
         """
         if self.linear:
             height = masks.shape[0] if whole else min(masks.shape[0], _LINEAR_TILE_ROWS)
@@ -350,10 +370,10 @@ class _Splits:
             for low, table, lengths in self.halves
         )
         len_a, len_b = lengths_a[rows_a], lengths_b[rows_b]
-        width = max(1, int((len_a * len_b).max()) - 2)
+        width = max(1, (int((len_a * len_b).max()) - 2) >> half)
         radix = table_b.shape[1] + 1
         classes = len_a * radix + len_b
-        per_block = masks.shape[0] if whole else max(1, _BLOCK_CELLS // width)
+        per_block = masks.shape[0] if whole else max(1, _BUSHY_BLOCK_CELLS // width)
         for start in range(0, masks.shape[0], per_block):
             span = slice(start, min(start + per_block, masks.shape[0]))
             left = np.zeros((span.stop - start, width), dtype=np.intp)
@@ -364,7 +384,8 @@ class _Splits:
                     table_a[rows_a[span][members], :in_a, None]
                     | table_b[rows_b[span][members], None, :in_b]
                 )
-                left[members, : in_a * in_b - 2] = block.reshape(members.shape[0], -1)[:, 1:-1]
+                count = (in_a * in_b - 2) >> half
+                left[members, :count] = block.reshape(members.shape[0], -1)[:, 1 : 1 + count]
             yield span, left, masks[span, None] ^ left
 
     def rect(self, masks, size: int):
@@ -430,6 +451,12 @@ def _run_single_vec(
         scans[1 << table_number] = scan
         cost[1 << table_number] = scan.cost[0]
 
+    # A bushy split and its mirror cost the same under every operator but the
+    # buffer metric's hash (``max(pair, rows[right])``), and ``valid`` and
+    # ``equi`` are symmetric: a mirror never strictly improves on the running
+    # minimum and is never the first minimum, so those sweeps cost the first
+    # split of each pair (:meth:`_Splits.blocks`) and count it twice.
+    half = not source.linear and kind != "buffer"
     stored = n
     # True while every admissible mask so far stored an entry — the normal
     # case, since the always-applicable BNL candidate only fails by
@@ -445,7 +472,7 @@ def _run_single_vec(
         best = np.full(masks.shape[0], inf, dtype=np.float64)
         win_right = np.zeros(masks.shape[0], dtype=np.int32)
         win_algo = np.zeros(masks.shape[0], dtype=np.int8)
-        for span, left, right in source.blocks(masks, size):
+        for span, left, right in source.blocks(masks, size, half=half):
             left_cost = cost[left]
             right_cost = cost[right]
             if source.linear:
@@ -466,8 +493,8 @@ def _run_single_vec(
             else:
                 equi_total = 0
             valid_total = left.size if valid is None else int(np.count_nonzero(valid))
-            stats.splits_considered += valid_total
-            stats.plans_considered += valid_total + 2 * equi_total
+            stats.splits_considered += valid_total << half
+            stats.plans_considered += (valid_total + 2 * equi_total) << half
 
             with_hash = kind != "io" and equi_total > 0
             if kind == "time":

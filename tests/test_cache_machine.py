@@ -18,16 +18,24 @@ tier's LRU order, so it knows whether each lookup is a memory hit, a disk
 hit or a miss, and every rule checks each :class:`CacheStats` counter, and
 the cache's ``generation``, by the delta it predicts: only an eviction, an
 invalidation or a put that retires a live entry moves the generation.
+
+Three rules run a second cache call inside one of the disk tier's steps, as
+another thread may: a lookup inside ``DiskTier.evict``; an evict,
+invalidate or put after ``DiskTier.peek`` has read; an evict after
+``DiskTier.put`` has written.  The model applies the steps in that order:
+a lookup returns what it read, and it promotes that read, or a put inserts
+into memory, only if no retirement landed in between.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import pytest
 from hypothesis import settings
@@ -125,6 +133,35 @@ def _mutated_put(data: st.DataObject) -> Any:
     return record
 
 
+def _plus(delta: dict[str, int], **more: int) -> dict[str, int]:
+    """Counter deltas ``delta`` and ``more``, summed."""
+    return {name: delta.get(name, 0) + more.get(name, 0) for name in {*delta, *more}}
+
+
+@contextlib.contextmanager
+def _inside(tier: DiskTier, step: str, call: Callable[[], Any], first: bool = False):
+    """Run ``call`` inside the next ``tier.<step>``, after the real step
+    (``first``: before it), as a second thread could; yields the list its
+    result lands in, empty if the step never ran."""
+    real = getattr(tier, step)
+    results: list[Any] = []
+
+    def wrapped(*args):
+        del vars(tier)[step]  # one call: ``call`` itself runs unwrapped
+        if first:
+            results.append(call())
+        done = real(*args)
+        if not first:
+            results.append(call())
+        return done
+
+    setattr(tier, step, wrapped)
+    try:
+        yield results
+    finally:
+        vars(tier).pop(step, None)
+
+
 class CacheMachine(RuleBasedStateMachine):
     def __init__(self) -> None:
         super().__init__()
@@ -177,6 +214,65 @@ class CacheMachine(RuleBasedStateMachine):
         self.shipments += 1
         return self.dir / f"second-{self.shipments}.log"
 
+    def _put_on_disk(self, key: str, entry: CacheEntry) -> bool:
+        """Model a put's log record; returns whether it replaced a live key."""
+        replaced = key in _replay(self.records)
+        self.records.append(("put", key, _wire(entry), entry.provenance))
+        return replaced
+
+    def _put_in_memory(self, key: str, replaced: bool, current: bool = True) -> dict[str, int]:
+        """Model a put's memory step; returns its counter deltas.  Not
+        ``current`` (a retirement landed since the disk step): the put drops
+        the key from memory instead of inserting it."""
+        stale = key in self.memory
+        if current:
+            dropped = self._touch(key)
+        else:
+            dropped = 0
+            if stale:
+                self.memory.remove(key)
+        return {"disk_writes": 1, "demotions": dropped, "generation": int(stale or replaced)}
+
+    def _lookup(self, key: str, counted: bool,
+                between: Callable[[], dict[str, int]] = dict) -> tuple[dict[str, int], Any]:
+        """Model a ``get`` (``counted``) or ``probe``: its counter deltas and
+        the wire form it returns (``None``: a miss).  ``between`` models a
+        call landing after the disk read and returns that call's deltas; a
+        memory hit reads no disk, so it never runs."""
+        index = _replay(self.records)
+        if key in self.memory:
+            self._touch(key)
+            return {"hits": 1}, index[key][1]
+        read = index[key][1] if key in index else None
+        if key in index and read is None:  # poisoned: the read tombstones it
+            self.records.append(("del", key))
+        delta = between()
+        if read is None:
+            return _plus(delta, misses=int(counted)), None
+        delta = _plus(delta, hits=1, disk_hits=1)
+        if not delta.get("generation"):  # no retirement since the memory miss
+            delta = _plus(delta, promotions=1, demotions=self._touch(key))
+        return delta, read
+
+    def _evict(self, key: str) -> tuple[dict[str, int], bool]:
+        """Model an evict: its counter deltas and whether it dropped anything."""
+        on_disk = key in _replay(self.records)
+        held = on_disk or key in self.memory
+        if key in self.memory:
+            self.memory.remove(key)
+        if on_disk:
+            self.records.append(("del", key))
+        return {"evictions": int(held), "generation": int(held)}, held
+
+    def _invalidate(self, predicate: InvalidationPredicate) -> tuple[dict[str, int], list[str]]:
+        """Model an invalidation: its counter deltas and the keys it removes."""
+        doomed = [key for key, (__, __wire, provenance) in _replay(self.records).items()
+                  if predicate.matches(provenance)]
+        self.records += [("del", key) for key in doomed]
+        self.memory = [key for key in self.memory if key not in doomed]
+        return ({"invalidated": len(doomed), "evictions": len(doomed),
+                 "generation": int(bool(doomed))}, sorted(doomed))
+
     def _clean(self) -> bool:
         """Whether every record in the log is a ``put`` that decodes or a ``del``."""
         return all(record[0] == "del" or record[0] == "put" and record[2] is not None
@@ -184,32 +280,19 @@ class CacheMachine(RuleBasedStateMachine):
 
     # -------------------------------------------------------------------- rules
 
+    def _lookup_call(self, key: str, counted: bool) -> Callable[[], Any]:
+        return lambda: (self.cache.get if counted else self.cache.probe)(key)
+
     @rule(key=st.sampled_from(KEYS), entry=st.sampled_from(ENTRIES))
     def put(self, key, entry):
-        live = key in _replay(self.records) or key in self.memory
-        dropped = self._touch(key)
-        self._counted(lambda: self.cache.put(key, entry), disk_writes=1, demotions=dropped,
-                      generation=int(live))
-        self.records.append(("put", key, _wire(entry), entry.provenance))
+        delta = self._put_in_memory(key, self._put_on_disk(key, entry))
+        self._counted(lambda: self.cache.put(key, entry), **delta)
 
     @rule(key=st.sampled_from(KEYS), counted=st.booleans())
     def get_or_probe(self, key, counted):
-        lookup = self.cache.get if counted else self.cache.probe
-        indexed = _replay(self.records).get(key)
-        if key in self.memory:
-            self._touch(key)
-            got = self._counted(lambda: lookup(key), hits=1)
-        elif indexed is not None and indexed[1] is not None:
-            dropped = self._touch(key)
-            got = self._counted(lambda: lookup(key), hits=1, disk_hits=1, promotions=1,
-                                demotions=dropped)
-        else:
-            if indexed is not None:  # poisoned: the read tombstones it
-                self.records.append(("del", key))
-            got = self._counted(lambda: lookup(key), misses=int(counted))
-            assert got is None
-            return
-        assert _wire(got) == indexed[1]
+        delta, wire = self._lookup(key, counted)
+        got = self._counted(self._lookup_call(key, counted), **delta)
+        assert (None if got is None else _wire(got)) == wire
 
     @rule(key=st.sampled_from(KEYS))
     def peek(self, key):
@@ -218,25 +301,65 @@ class CacheMachine(RuleBasedStateMachine):
 
     @rule(key=st.sampled_from(KEYS))
     def evict(self, key):
-        on_disk = key in _replay(self.records)
-        held = on_disk or key in self.memory
-        if key in self.memory:
-            self.memory.remove(key)
-        if on_disk:
-            self.records.append(("del", key))
-        assert self._counted(lambda: self.cache.evict(key), evictions=int(held),
-                             generation=int(held)) == held
+        delta, held = self._evict(key)
+        assert self._counted(lambda: self.cache.evict(key), **delta) == held
 
     @rule(predicate=PREDICATES)
     def invalidate(self, predicate):
-        doomed = [key for key, (__, __wire, provenance) in _replay(self.records).items()
-                  if predicate.matches(provenance)]
-        self.records += [("del", key) for key in doomed]
-        self.memory = [key for key in self.memory if key not in doomed]
-        got = self._counted(lambda: self.cache.invalidate(predicate),
-                            invalidated=len(doomed), evictions=len(doomed),
-                            generation=int(bool(doomed)))
-        assert got == sorted(doomed)
+        delta, doomed = self._invalidate(predicate)
+        assert self._counted(lambda: self.cache.invalidate(predicate), **delta) == doomed
+
+    # ------------------------------------------- a call inside another's disk step
+
+    @rule(key=st.sampled_from(KEYS), counted=st.booleans())
+    def lookup_inside_evict(self, key, counted):
+        """A lookup of the key lands between the evict's start and its
+        tombstone (another key's would not interleave with it)."""
+        looked_up, wire = self._lookup(key, counted)
+        delta, held = self._evict(key)
+        with _inside(self.cache.disk, "evict", self._lookup_call(key, counted),
+                     first=True) as got:
+            assert self._counted(lambda: self.cache.evict(key), **_plus(looked_up, **delta)) == held
+        assert [None if entry is None else _wire(entry) for entry in got] == [wire]
+
+    @rule(key=st.sampled_from(KEYS), counted=st.booleans(),
+          inner=st.tuples(st.just("evict"), st.sampled_from(KEYS))
+          | st.tuples(st.just("invalidate"), PREDICATES)
+          | st.tuples(st.just("put"), st.sampled_from(KEYS), st.sampled_from(ENTRIES)))
+    def retire_inside_lookup(self, key, counted, inner):
+        """An evict, invalidate or put lands between a lookup's disk read
+        and its promotion."""
+        expected = []
+
+        def between() -> dict[str, int]:
+            if inner[0] == "put":
+                expected.append(None)
+                return self._put_in_memory(inner[1], self._put_on_disk(*inner[1:]))
+            delta, result = self._evict(inner[1]) if inner[0] == "evict" else self._invalidate(inner[1])
+            expected.append(result)
+            return delta
+
+        delta, wire = self._lookup(key, counted, between)
+        call = {"evict": self.cache.evict, "invalidate": self.cache.invalidate,
+                "put": self.cache.put}[inner[0]]
+        with _inside(self.cache.disk, "peek", lambda: call(*inner[1:])) as results:
+            got = self._counted(self._lookup_call(key, counted), **delta)
+        assert (None if got is None else _wire(got)) == wire
+        assert results == expected
+
+    @rule(data=st.data(), entry=st.sampled_from(ENTRIES), inner=st.sampled_from(KEYS))
+    def evict_inside_put(self, data, entry, inner):
+        """An evict lands between a put's disk write and its memory step.
+        The put's key is as often one the memory tier holds: a stale copy
+        there is what the put must drop once the evict retired anything."""
+        keys = st.sampled_from(KEYS)
+        key = data.draw(st.sampled_from(tuple(self.memory)) | keys if self.memory else keys)
+        replaced = self._put_on_disk(key, entry)
+        evicted, held = self._evict(inner)
+        delta = _plus(evicted, **self._put_in_memory(key, replaced, current=not held))
+        with _inside(self.cache.disk, "put", lambda: self.cache.evict(inner)) as results:
+            self._counted(lambda: self.cache.put(key, entry), **delta)
+        assert results == [held]
 
     @rule()
     def compact(self):

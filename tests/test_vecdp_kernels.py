@@ -13,6 +13,7 @@ test.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import tracemalloc
 from math import comb, inf
 from types import SimpleNamespace
@@ -138,17 +139,20 @@ class TestLevels:
 BUSHY = OptimizerSettings(plan_space=PlanSpace.BUSHY)
 
 
-def _scalar_rect(n_tables, constraints, space, masks):
+def _scalar_rect(n_tables, constraints, space, masks, half: bool = False):
     """``(left, right)`` rows per mask from :func:`split_source`.
 
-    Bushy: the partition's splits, zero-padded.  Linear: every bit-peel of
-    the mask — the unconstrained source — since a linear rectangle keeps the
-    cells a constraint blocks; :func:`_assert_linear_cells_admitted` checks
-    which of them the constrained source admits."""
+    Bushy: the partition's splits (``half``: the first half of each mask's),
+    zero-padded.  Linear: every bit-peel of the mask — the unconstrained
+    source — since a linear rectangle keeps the cells a constraint blocks;
+    :func:`_assert_linear_cells_admitted` checks which of them the
+    constrained source admits."""
     splits_of = split_source(
         n_tables, constraints if space is PlanSpace.BUSHY else (), space
     )
     rows = [splits_of(mask) for mask in masks]
+    if half:
+        rows = [row[: len(row) // 2] for row in rows]
     width = max(1, *map(len, rows))
     rows = [row + [(0, mask)] * (width - len(row)) for mask, row in zip(masks, rows)]
     return [[left for left, _ in row] for row in rows], [[right for _, right in row] for row in rows]
@@ -256,7 +260,8 @@ class TestEqui:
 
 
 class TestBlocks:
-    """``_Splits.blocks`` cuts the rectangle, it never reorders it."""
+    """``_Splits.blocks`` cuts the rectangle, it never reorders it; ``half``
+    keeps the first half of each bushy row."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -264,27 +269,30 @@ class TestBlocks:
         st.sampled_from(list(PlanSpace)),
         st.sampled_from([1, 2, 3, 5, 17, 64, 1 << 12]),
         st.sampled_from([1, 3, 17, 64, 1 << 13]),
+        st.booleans(),
     )
-    def test_blocks_tile_the_rectangle_in_split_order(self, drawn, space, cells, rows):
+    def test_blocks_tile_the_rectangle_in_split_order(self, drawn, space, cells, rows, half):
         query, partition_id, n_partitions = drawn
         n = query.n_tables
         constraints = partition_constraints(n, partition_id, n_partitions, space)
         source = vecdp._Splits(query, constraints, OptimizerSettings(plan_space=space))
         levels = vecdp._levels(n, constraints, space, WorkerStats(0, 1, 0))
+        half &= space is PlanSpace.BUSHY
         with pytest.MonkeyPatch.context() as patch:
             _patch_budgets(patch, cells, rows)
             for size, masks in levels.items():
                 if masks.shape[0] == 0:
                     continue
-                left, right = (side.tolist() for side in source.rect(masks, size))
-                assert (left, right) == _scalar_rect(n, constraints, space, masks.tolist())
+                full_left, full_right = (side.tolist() for side in source.rect(masks, size))
+                assert (full_left, full_right) == _scalar_rect(n, constraints, space, masks.tolist())
                 if space is PlanSpace.LINEAR:
                     _assert_linear_cells_admitted(
-                        source, n, constraints, masks.tolist(), left, right
+                        source, n, constraints, masks.tolist(), full_left, full_right
                     )
+                left, right = _scalar_rect(n, constraints, space, masks.tolist(), half)
                 # The current tile's first row and height; the next block's column.
                 row = height = column = 0
-                for span, block_left, block_right in source.blocks(masks, size):
+                for span, block_left, block_right in source.blocks(masks, size, half=half):
                     if column == len(left[0]):  # the tile is done: the next lies below
                         row, column = row + height, 0
                     height, width = block_left.shape
@@ -295,36 +303,82 @@ class TestBlocks:
                     column += width
                     if space is PlanSpace.LINEAR:  # row tiles, each in runs of columns
                         assert height <= rows and block_left.size <= max(cells, rows)
-                    else:  # runs of whole rows
-                        assert width == len(left[0])
+                    else:  # runs of whole rows, or of their first halves
+                        assert width == (max(1, len(full_left[0]) // 2) if half else len(full_left[0]))
                         assert block_left.size <= max(cells, width)
                     assert block_left.tolist() == [splits[columns] for splits in left[span]]
                     assert block_right.tolist() == [splits[columns] for splits in right[span]]
                 assert (row + height, column) == (len(left), len(left[0]))
 
 
+class TestMirroredSplits:
+    """A bushy split ``(L, R)`` and its mirror ``(R, L)`` sit at reflected
+    positions of a mask's split list, with the same ``equi`` cell, so the
+    half blocks the time and io sweeps take hold one split of each pair."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_queries_with_extra_predicates(), st.sampled_from([1, 3, 64, 1 << 13]))
+    def test_half_blocks_hold_the_first_of_each_mirrored_pair(self, drawn, cells):
+        query = drawn[0]
+        n = query.n_tables
+        for __, n_partitions, constraints in _every_partition(n, PlanSpace.BUSHY):
+            if n_partitions > 16:
+                break
+            splits_of = split_source(n, constraints, PlanSpace.BUSHY)
+            source = vecdp._Splits(query, constraints, BUSHY)
+            levels = vecdp._levels(n, constraints, PlanSpace.BUSHY, WorkerStats(0, 1, 0))
+            for size, masks in levels.items():
+                if masks.shape[0] == 0:
+                    continue
+                for mask in masks.tolist():
+                    splits = splits_of(mask)  # position k mirrors (T − 3) − k
+                    assert [(right, left) for left, right in reversed(splits)] == splits
+                left, right = source.rect(masks, size)
+                equi = source.equi(left, right).tolist()
+                for row, mask in zip(equi, masks.tolist()):
+                    count = len(splits_of(mask))
+                    assert row[:count] == row[:count][::-1]
+                expected = _scalar_rect(n, constraints, PlanSpace.BUSHY, masks.tolist(), half=True)
+                halves = ([], [])
+                with pytest.MonkeyPatch.context() as patch:
+                    _patch_budgets(patch, cells)
+                    for __, block_left, block_right in source.blocks(masks, size, half=True):
+                        halves[0].extend(block_left.tolist())
+                        halves[1].extend(block_right.tolist())
+                assert halves == expected
+
+
 def _patch_budgets(patch, cells: int, rows: int | None = None) -> None:
-    """Block budget ``cells``; linear tiles of ``rows`` masks (default: as many)."""
+    """Block budgets ``cells`` (linear and bushy); linear tiles of ``rows``
+    masks (default: as many)."""
     patch.setattr(vecdp, "_BLOCK_CELLS", cells)
+    patch.setattr(vecdp, "_BUSHY_BLOCK_CELLS", cells)
     patch.setattr(vecdp, "_LINEAR_TILE_ROWS", cells if rows is None else rows)
 
 
 def _assert_partitions_equal(reference: Backend, query, settings, n_partitions, budgets):
     """Counters, costs and plan trees of every vecdp partition, at each
-    block budget, against ``reference``'s."""
+    block budget, against ``reference``'s.  Bushy runs with all join
+    algorithms on and off: the time and io sweeps cost one split of each
+    mirrored pair and double its split and plan counts, the buffer sweep
+    costs every split (the grid's bushy cases run all three metrics)."""
+    variants = [settings]
+    if settings.plan_space is PlanSpace.BUSHY:
+        variants = [settings.replace(use_all_join_algorithms=algos) for algos in (True, False)]
     with pytest.MonkeyPatch.context() as patch:
-        for partition_id in range(n_partitions):
+        for variant, partition_id in itertools.product(variants, range(n_partitions)):
             expected = optimize_partition(
-                query, partition_id, n_partitions, settings.replace(backend=reference)
+                query, partition_id, n_partitions, variant.replace(backend=reference)
             )
             for cells in budgets:
                 _patch_budgets(patch, cells)
                 vec = optimize_partition(
-                    query, partition_id, n_partitions, settings.replace(backend=Backend.VECDP)
+                    query, partition_id, n_partitions, variant.replace(backend=Backend.VECDP)
                 )
                 assert vec.stats.backend_used == "vecdp"
                 parity._assert_results_equal(
-                    expected, vec, f"vecdp partition {partition_id}/{n_partitions}, {cells}-cell blocks"
+                    expected, vec,
+                    f"vecdp partition {partition_id}/{n_partitions}, {cells}-cell blocks, {variant}",
                 )
 
 
@@ -376,6 +430,20 @@ class TestBlockedSweep:
             query, 0, 1, OptimizerSettings(plan_space=space, backend=Backend.VECDP)
         )
         assert 7 < serial.stats.table_entries < 7 + serial.stats.admissible_results
+
+    def test_buffer_hash_cost_depends_on_the_build_side(self):
+        """The buffer metric's hash candidate costs its right (build) side's
+        rows, so a bushy split and its mirror cost differently once a table
+        has fewer rows than a nested-loop block: that sweep costs them both."""
+        query = SteinbrunnGenerator(5).query(7, JoinGraphKind.CHAIN)
+        tables = tuple(
+            dataclasses.replace(table, cardinality=10 if number % 2 else 10**4)
+            for number, table in enumerate(query.tables)
+        )
+        query = dataclasses.replace(query, tables=tables)
+        settings = OptimizerSettings(plan_space=PlanSpace.BUSHY, objectives=(Objective.BUFFER_SPACE,))
+        for n_partitions in (1, 2, 4):
+            _assert_partitions_equal(Backend.FASTDP, query, settings, n_partitions, self.TINY)
 
 
 class TestWorkingSet:

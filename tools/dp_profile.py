@@ -15,7 +15,10 @@ vecdp cores, clocked from outside with ``perf_counter_ns`` wrappers around
 ``_levels``, ``_prefill``, ``_Splits.__init__``, ``_Splits.blocks`` (the
 time spent *inside* the generator) and plan materialisation; what is left
 of the run is costing + reduction.  ``--by-level`` splits split generation
-and that remainder per DP level.
+and that remainder per DP level, beside the level's splits considered and
+the operand cells its blocks held: the cells costed.  A bushy level of the
+time or io metric costs one split of each mirrored pair, so there the
+splits are twice the cells (less the padding).
 
 ``--memory`` prints, instead, the run's ``tracemalloc`` peak and every array
 the vecdp kernel holds, each at its largest over the run — the dense
@@ -53,19 +56,21 @@ SPLIT_GEN, BUILD, REST = "_Splits.blocks", "plan build", "costing + reduction"
 def phase_profile(run):
     """Run ``run`` with vecdp's phase functions wrapped in ``perf_counter_ns``.
 
-    Returns ``(wall ns, {phase: ns}, {level: [masks, blocks, split-gen ns,
-    level wall ns]})``.  The wrappers replace module and class attributes for
-    the duration of the call, so nothing is clocked inside a phase and the
-    sweep itself runs unobserved (a ``sys.setprofile`` / ``settrace`` hook
-    costs 12–30 % on a block-heavy bushy case).  ``blocks`` is clocked
-    around each ``next``; plan materialisation, a closure in the frontier
-    DP, runs from the first ``JoinPlan`` either kernel constructs to the
-    end of the run.
+    Returns ``(wall ns, {phase: ns}, {level: [masks, blocks, cells,
+    split-gen ns, level wall ns, splits considered]})``.  The wrappers
+    replace module and class attributes for the duration of the call, so
+    nothing is clocked inside a phase and the sweep itself runs unobserved
+    (a ``sys.setprofile`` / ``settrace`` hook costs 12–30 % on a
+    block-heavy bushy case).  ``blocks`` is clocked around each ``next``;
+    plan materialisation, a closure in the frontier DP, runs from the first
+    ``JoinPlan`` either kernel constructs to the end of the run.  A level's
+    splits are read off the kernel's ``WorkerStats`` as its blocks begin.
     """
     clock = time.perf_counter_ns
     phases = dict.fromkeys(("_levels", "_prefill", "_Splits.__init__", SPLIT_GEN, BUILD), 0)
     levels: dict[int, list[int]] = {}
     build_started: list[int] = []  # when either kernel constructed its first JoinPlan
+    kernel_stats = []  # the kernel's WorkerStats, its last argument
 
     def clocked(name, function):
         @functools.wraps(function)
@@ -77,16 +82,23 @@ def phase_profile(run):
                 phases[name] += clock() - started
         return wrapper
 
-    def blocks(self, masks, size, whole=False):
-        level = levels[size] = [len(masks), 0, 0, clock()]
-        generator = original_blocks(self, masks, size, whole)
+    def kernel(original):
+        def wrapper(*args):
+            kernel_stats.append(args[-1])
+            return original(*args)
+        return wrapper
+
+    def blocks(self, masks, size, *args, **kwargs):
+        level = levels[size] = [len(masks), 0, 0, 0, clock(), kernel_stats[0].splits_considered]
+        generator = original_blocks(self, masks, size, *args, **kwargs)
         while True:
             started = clock()
             block = next(generator, None)
-            level[2] += clock() - started
+            level[3] += clock() - started
             if block is None:
                 return
             level[1] += 1
+            level[2] += block[1].size
             yield block
 
     def join_plan(*args, **kwargs):
@@ -100,6 +112,8 @@ def phase_profile(run):
         (vecdp, "_prefill", clocked("_prefill", vecdp._prefill)),
         (vecdp._Splits, "__init__", clocked("_Splits.__init__", vecdp._Splits.__init__)),
         (vecdp._Splits, "blocks", blocks),
+        (vecdp, "_run_single_vec", kernel(vecdp._run_single_vec)),
+        (vecdp, "_run_frontier_vec", kernel(vecdp._run_frontier_vec)),
         (vecdp, "JoinPlan", join_plan),
     ]
     with contextlib.ExitStack() as stack:
@@ -111,11 +125,15 @@ def phase_profile(run):
     # Plan materialisation is a kernel's last act: what follows its return
     # (two stats fields, the result object) is microseconds.
     build_started.append(ended)
-    phases[SPLIT_GEN] = sum(level[2] for level in levels.values())
+    phases[SPLIT_GEN] = sum(level[3] for level in levels.values())
     phases[BUILD] = ended - build_started[0]
     by_size = [level for _, level in sorted(levels.items())]
-    for level, left in zip(by_size, [level[3] for level in by_size[1:]] + build_started[:1]):
-        level[3] = left - level[3]
+    for level, left in zip(by_size, [level[4] for level in by_size[1:]] + build_started[:1]):
+        level[4] = left - level[4]
+    # A level's splits are all counted before the next level's blocks begin.
+    splits = [level[5] for level in by_size[1:]] + [kernel_stats[0].splits_considered]
+    for level, counted in zip(by_size, splits):
+        level[5] = counted - level[5]
     return ended - started, phases, levels
 
 
@@ -126,9 +144,10 @@ def print_phases(wall, phases, levels, by_level: bool) -> None:
         print(f"{name:<22}{spent / 1e6:9.2f}{100 * spent / wall:7.1f}")
     print(f"{'total':<22}{wall / 1e6:9.2f}")
     if by_level:
-        print(f"\n{'level':>5}{'masks':>8}{'blocks':>8}{SPLIT_GEN + ' ms':>18}{REST + ' ms':>24}")
-        for size, (masks, blocks, split_gen, level_wall) in sorted(levels.items()):
-            print(f"{size:5d}{masks:8d}{blocks:8d}{split_gen / 1e6:18.2f}"
+        print(f"\n{'level':>5}{'masks':>8}{'blocks':>8}{'splits':>10}{'cells':>10}"
+              f"{SPLIT_GEN + ' ms':>18}{REST + ' ms':>24}")
+        for size, (masks, blocks, cells, split_gen, level_wall, splits) in sorted(levels.items()):
+            print(f"{size:5d}{masks:8d}{blocks:8d}{splits:10d}{cells:10d}{split_gen / 1e6:18.2f}"
                   f"{(level_wall - split_gen) / 1e6:24.2f}")
 
 
