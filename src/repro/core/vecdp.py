@@ -18,6 +18,19 @@ tables — so enumerating them one by one costs more than the DP), and
 ``rows`` is filled for the whole dense state: values of masks that never
 store an entry are dead, every read is gated on a stored entry.
 
+Per process and per run.  What a partition enumerates depends on its shape
+only — ``(n, plan space, constraints)``, the constraints sitting on table
+positions — so that part, the *skeleton* (:class:`_Skeleton`), is built
+once per process and kept, keyed by shape and by the bushy rows a sweep
+takes: the level masks (4 bytes per admissible mask), the linear
+constraints' ``after`` masks (``n`` values), the bushy half-tables and every
+bushy level's left-operand blocks, 1 byte a cell up to 8 tables, 2 up to
+16, 4 above, widened to ``intp`` as each block is yielded.  Every array
+is read-only and an entry never changes after insertion.  The cache keeps
+at most :data:`_SKELETON_BYTES` per process, least recently used out first;
+a larger skeleton is built for its run only.  A run builds only the query's
+part: ``rows`` and the scans, ``neighbours``, ``cost`` and ``bp``.
+
 Only the block-nested-loop and hash operators are costed.  Without
 interesting orders a sort-merge candidate is never kept: the hash candidate
 of the same operands comes right before it and costs no more in any metric
@@ -42,7 +55,8 @@ Flat-array state layout (single objective), bytes per mask of ``2**n``:
   (vecdp keeps only block-nested-loop and hash, 0 and 1); a linear right
   operand is a singleton, so there its bit number stands in and ``bp``
   is ``int8`` (1);
-* the level masks (4 per admissible mask, ``int32``).
+* the level masks (4 per admissible mask, ``int32``), kept per process
+  with the rest of the skeleton.
 
 None of this shrinks with the number of partitions p: a constraint removes
 masks from the levels (a quarter per linear constraint) and cells from the
@@ -79,8 +93,9 @@ then contiguous and
 the short-axis ``accumulate`` / ``argmin`` (≈ 10 ns a cell, unvectorisable
 over rows of ≤ 18) drop out.  Bushy rectangles are short and wide (up to
 ``2**size − 2`` splits), so they are cut by *rows*, runs of about
-``_BUSHY_BLOCK_CELLS`` cells: a mask's split list stays in one block and
-the half-table broadcast is unchanged.  A bushy split ``(L, R)`` and its
+``_BUSHY_BLOCK_CELLS`` cells of masks with one split count (a level's
+masks are ordered by it): a mask's split list stays in one block and no
+cell is padding.  A bushy split ``(L, R)`` and its
 mirror ``(R, L)`` sit at reflected positions of that list and cost the
 same under the time and io metrics, so those sweeps take only the first
 half of each row — ``2**(size − 1) − 1`` splits — and count each split
@@ -94,10 +109,10 @@ put the peak at a multiple of the widest level.
 Multi-objective frontiers (α = 1 only) keep their state in CSR form:
 ``first``/``count`` are dense per-mask arrays pointing into one flat
 ``(entries, K)`` cost array, and every entry carries ``(left entry, right
-entry, algorithm)`` back-pointers.  A level's whole candidate stream is
+entry, algorithm)`` back-pointers.  A level's candidate stream is
 generated by ``repeat``/``cumsum`` index arithmetic over the same operand
-rectangles, in the scalar order (mask → split → left entry → right entry →
-operator), and pruned by one order-faithful weak-Pareto filter batched
+blocks (whole rows), in the scalar order (mask → split → left entry →
+right entry → operator), and pruned by one order-faithful weak-Pareto filter batched
 over masks (:func:`_pareto_filter`).  Weak dominance is transitive, so a
 candidate is rejected iff *some earlier candidate* weakly dominates it — a
 property of the candidate stream alone, independent of the evolving
@@ -125,7 +140,7 @@ from math import inf
 
 import numpy as np
 
-from repro.config import Backend, OptimizerSettings, PlanSpace
+from repro.config import Backend, Objective, OptimizerSettings, PlanSpace
 from repro.core.constraints import constraint_groups
 from repro.core.fastdp import _adjacency_masks
 from repro.core.partitioning import _constraints_by_group, group_admissible_subsets
@@ -164,6 +179,12 @@ _BLOCK_CELLS = 1 << 12
 #: slower (interleaved sweep of 2¹²…2¹⁵ in CHANGES.md).
 _BUSHY_BLOCK_CELLS = 1 << 13
 
+#: Bytes of skeletons (:class:`_Skeleton`) one process keeps, least recently
+#: used out first: the spine's largest shapes fit at p ≤ 2 (linear 18, 1.00 MiB
+#: of level masks at p = 1; bushy 12, 0.58 MiB, mostly ``uint16`` half-row
+#: operands), bushy 14 at p = 1 (5.1 MiB) is built per run and not kept.
+_SKELETON_BYTES = 1 << 22
+
 #: Masks per linear row tile: a wider level is cut into tiles, so no linear
 #: block exceeds this many cells — whole-level columns made the widest level
 #: set a run's peak memory (interleaved sweep of 2¹²…2¹⁶ in CHANGES.md).
@@ -195,20 +216,25 @@ def optimize_partition_vecdp(
     :data:`repro.core.worker.BACKEND_CAPABILITIES`.
     """
     stats.backend_used = Backend.VECDP.value
-    by_size = _levels(query.n_tables, constraints, settings.plan_space, stats)
+    # The frontier keeps every split, and the buffer metric's hash costs the
+    # build side: both take whole bushy rows, the time and io sweeps half.
+    whole = settings.is_multi_objective or settings.objectives[0] is Objective.BUFFER_SPACE
+    cut = None if settings.plan_space is PlanSpace.LINEAR else "whole" if whole else "half"
+    skeleton = _skeleton(query.n_tables, constraints, settings.plan_space, cut)
+    stats.admissible_results = skeleton.admissible
     run = _run_frontier_vec if settings.is_multi_objective else _run_single_vec
     # Genuine candidate costs may overflow to +inf (the scalar cores
     # produce the same IEEE inf silently); placeholder cells add inf to
     # finite garbage.  Neither is an error worth a RuntimeWarning.
     with np.errstate(over="ignore", invalid="ignore"):
-        return run(query, constraints, by_size, CostModel(query, settings), stats)
+        return run(query, _Splits(query, skeleton), CostModel(query, settings), stats)
 
 
 # ------------------------------------------------------------ shared helpers
 
 
-def _levels(n: int, constraints: tuple, plan_space: PlanSpace, stats: WorkerStats):
-    """Per-level admissible-mask arrays, plus ``stats.admissible_results``.
+def _levels(n: int, constraints: tuple, plan_space: PlanSpace) -> dict:
+    """Per-level admissible-mask arrays.
 
     Algorithm 4: the Cartesian product of every group's admissible subsets
     (:func:`~repro.core.partitioning.group_admissible_subsets`, the
@@ -229,9 +255,7 @@ def _levels(n: int, constraints: tuple, plan_space: PlanSpace, stats: WorkerStat
     masks.sort()
     ends = np.searchsorted(masks, np.arange(n + 2, dtype=np.int32) << n).tolist()
     masks &= (1 << n) - 1
-    by_size = {size: masks[ends[size] : ends[size + 1]] for size in range(2, n + 1)}
-    stats.admissible_results = ends[n + 1] - ends[2]
-    return by_size
+    return {size: masks[ends[size] : ends[size + 1]] for size in range(2, n + 1)}
 
 
 def _prefill(query: Query, cost_model: CostModel):
@@ -264,19 +288,40 @@ def _prefill(query: Query, cost_model: CostModel):
     return rows, scans
 
 
-class _Splits:
-    """The ``(masks, splits)`` operand rectangles of one partition.
+# ------------------------------------------------------------------- skeleton
 
-    Shared by both DPs: the single-objective sweep takes a level's
-    rectangle block by block (:meth:`blocks`), the frontier DP whole
-    (:meth:`rect`).  ``neighbours[mask]`` is the OR of the adjacency
-    masks of ``mask``'s tables, so a predicate straddles ``(left, right)``
-    iff ``neighbours[right] & left`` (equally ``neighbours[left] & right``)
-    is non-zero — the scalar cores' ``_connected`` as one gather.  In the
-    linear space the right operand is always a singleton, so only the
-    singleton *masks* are filled, and the constraints' "must be joined
-    after" sets are keyed the same way — the rectangles hold bit values,
-    not bit numbers.
+
+#: The process's skeletons by ``(n, plan space, constraints, cut)``, least
+#: recently used first.  Entries never change after insertion and every access
+#: is one atomic dict operation, on the dict or on a snapshot of it: threads
+#: need no lock (two that build one key both get a correct skeleton, the last
+#: inserted stays) and a forked pool worker inherits a consistent cache.
+_skeletons: dict = {}
+
+
+def _skeleton(n: int, constraints: tuple, plan_space: PlanSpace, cut) -> "_Skeleton":
+    """The partition's skeleton: this process's cached one, or a new one,
+    kept if it fits :data:`_SKELETON_BYTES` (evicting the least recently
+    used)."""
+    key = (n, plan_space, constraints, cut)
+    skeleton = _skeletons.pop(key, None) or _Skeleton(n, constraints, plan_space, cut)
+    if skeleton.nbytes <= _SKELETON_BYTES:
+        _skeletons[key] = skeleton
+        while sum(kept.nbytes for kept in list(_skeletons.values())) > _SKELETON_BYTES:
+            _skeletons.pop(next(iter(list(_skeletons)), None), None)  # the oldest, if any
+    return skeleton
+
+
+class _Skeleton:
+    """The query-independent part of one partition's DP.
+
+    What a partition enumerates depends on ``(n, plan space, constraints)``
+    only — constraints sit on table positions — so one skeleton serves every
+    query of that shape: the level masks and ``admissible`` (the partition's
+    ``admissible_results``), the linear constraints' ``after`` masks, and the
+    bushy half-tables and operand blocks of one ``cut``: ``"half"`` rows (the
+    time and io sweeps) or ``"whole"`` rows (the buffer sweep and the
+    frontier DP).  Every array is read-only.
 
     In the bushy space ``bushy_operands`` is a per-group Cartesian product,
     last group innermost, and a group reads only its own bits of the mask:
@@ -288,68 +333,176 @@ class _Splits:
     :func:`~repro.core.worker.split_source`, the scalar cores' one
     definition of admissibility and of split order, constraints included
     (``tests/test_vecdp_kernels.py`` checks every rectangle against it).
+
+    A bushy level's masks are ordered by split count, then by ``(len_A,
+    len_B)`` class, and ``spans[size]`` cuts them into runs ``(start, stop,
+    width)`` of rows of one width, each of at most ``_BUSHY_BLOCK_CELLS``
+    cells (or one row), so no cell is padding; every mask is costed
+    independently, so the order changes no result.  ``blocks[size]`` holds
+    each span's left operands in the narrowest unsigned dtype that holds a
+    mask (1, 2 or 4 bytes a cell) when the whole skeleton fits
+    :data:`_SKELETON_BYTES`; otherwise it is ``None`` and the blocks are
+    generated per run.
     """
 
-    def __init__(self, query: Query, constraints: tuple, settings):
-        self.linear = settings.plan_space is PlanSpace.LINEAR
+    def __init__(self, n: int, constraints: tuple, plan_space: PlanSpace, cut) -> None:
+        self.linear = plan_space is PlanSpace.LINEAR
         self.constrained = self.linear and bool(constraints)
+        self.cut = cut
+        self.levels = _levels(n, constraints, plan_space)
+        self.admissible = sum(masks.shape[0] for masks in self.levels.values())
+        self.blocks, cells = None, 0
+        if self.linear:
+            self.after = np.asarray(linear_after_masks(n, constraints), dtype=np.int64)
+            arrays = [self.after]
+        else:
+            self.halves = _bushy_halves(n, constraints)
+            self.spans = {}
+            for size, masks in self.levels.items():
+                len_a, len_b = self.classes(masks)[2:]
+                order = np.lexsort((len_a, len_a * len_b))  # split count, then class
+                self.levels[size] = masks[order]
+                splits = (len_a * len_b)[order] - 2
+                self.spans[size] = _spans(np.maximum(1, splits >> (cut == "half")))
+            arrays = [array for _, table, lengths in self.halves for array in (table, lengths)]
+            cells = sum((b - a) * width for spans in self.spans.values() for a, b, width in spans)
+        arrays += self.levels.values()
+        cell = np.min_scalar_type((1 << n) - 1)
+        self.nbytes = sum(array.nbytes for array in arrays) + cells * cell.itemsize
+        if not self.linear and self.nbytes <= _SKELETON_BYTES:
+            self.blocks = {
+                size: [left.astype(cell) for left in self.generate(size)] for size in self.levels
+            }
+            arrays += [left for lefts in self.blocks.values() for left in lefts]
+        for array in arrays:
+            array.flags.writeable = False
+
+    def classes(self, masks):
+        """Each mask's rows of the two half-tables, and its operand counts
+        there."""
+        (_, _, lengths_a), (_, _, lengths_b) = self.halves
+        rows_a, rows_b = [(masks >> low) & (table.shape[0] - 1) for low, table, _ in self.halves]
+        return rows_a, rows_b, lengths_a[rows_a], lengths_b[rows_b]
+
+    def generate(self, size: int):
+        """Yield each span's left operands, ``intp``, in split order and
+        padded with left operand 0 — per ``(len_A, len_B)`` class of a
+        span's masks, a run of rows, one broadcast ``table_A[…][:, :, None]
+        | table_B[…][:, None, :]``, minus the first column (the mask itself)
+        and the last (0); a ``"half"`` row keeps its first ``T/2 − 1``
+        splits."""
+        (_, table_a, _), (_, table_b, _) = self.halves
+        rows_a, rows_b, len_a, len_b = self.classes(self.levels[size])
+        changes = np.flatnonzero((len_a[1:] != len_a[:-1]) | (len_b[1:] != len_b[:-1])) + 1
+        edges = [0, *changes.tolist(), len_a.shape[0]]
+        for start, stop, width in self.spans[size]:
+            left = np.zeros((stop - start, width), dtype=np.intp)
+            for low, high in zip(edges, edges[1:]):
+                low, high = max(low, start), min(high, stop)
+                if low < high:
+                    in_a, in_b = int(len_a[low]), int(len_b[low])
+                    rect = table_a[rows_a[low:high], :in_a, None]
+                    rect = rect | table_b[rows_b[low:high], None, :in_b]
+                    count = (in_a * in_b - 2) >> (self.cut == "half")
+                    part = rect.reshape(high - low, -1)[:, 1 : 1 + count]
+                    left[low - start : high - start, :count] = part
+            yield left
+
+
+def _bushy_halves(n: int, constraints: tuple) -> list:
+    """``(low bit, padded operand table, lengths)`` per half of the bushy
+    constraint groups (:class:`_Skeleton`): 64 + 64 ``bushy_operands`` calls
+    at 12 tables, none per mask."""
+    groups = _bushy_groups(n, constraints)
+    # Groups are consecutive bit ranges; cut where the halves balance.
+    ends = [group.group_mask.bit_length() for group in groups]
+    shift = min(ends, key=lambda end: abs(2 * end - n))
+    cut = ends.index(shift) + 1
+    halves = []
+    for low, bits, half in ((0, shift, groups[:cut]), (shift, n - shift, groups[cut:])):
+        lists = [bushy_operands(pattern << low, half) for pattern in range(1 << bits)]
+        lengths = np.asarray([len(operands) for operands in lists])
+        table = np.zeros((1 << bits, int(lengths.max())), dtype=np.int64)
+        for pattern, operands in enumerate(lists):
+            table[pattern, : len(operands)] = operands
+        halves.append((low, table, lengths))
+    return halves
+
+
+def _spans(widths) -> list[tuple[int, int, int]]:
+    """Runs ``(start, stop, width)`` of a level's rows, ``widths``
+    ascending: runs of rows of one width, each of at most
+    ``_BUSHY_BLOCK_CELLS`` cells (or one row)."""
+    spans, start = [], 0
+    while start < widths.shape[0]:
+        width = int(widths[start])
+        end = int(np.searchsorted(widths, width, "right"))
+        spans.append((start, min(end, start + max(1, _BUSHY_BLOCK_CELLS // width)), width))
+        start = spans[-1][1]
+    return spans
+
+
+class _Splits:
+    """The ``(masks, splits)`` operand rectangles of one partition's run:
+    its :class:`_Skeleton` and the query's ``neighbours``.
+
+    Shared by both DPs: both take a level's rectangle block by block
+    (:meth:`blocks`), the frontier DP a linear level as one block
+    (``whole``).  ``neighbours[mask]`` is the OR of the adjacency
+    masks of ``mask``'s tables, so a predicate straddles ``(left, right)``
+    iff ``neighbours[right] & left`` (equally ``neighbours[left] & right``)
+    is non-zero — the scalar cores' ``_connected`` as one gather.  In the
+    linear space the right operand is always a singleton, so only the
+    singleton *masks* are filled, and the constraints' "must be joined
+    after" sets are keyed the same way — the rectangles hold bit values,
+    not bit numbers.
+    """
+
+    def __init__(self, query: Query, skeleton: _Skeleton) -> None:
+        self.skeleton = skeleton
+        self.linear = skeleton.linear
+        self.constrained = skeleton.constrained
         n = query.n_tables
         self.neighbours = np.zeros(1 << n, dtype=np.int64)
         if self.linear:
             bit_values = np.int64(1) << np.arange(n, dtype=np.int64)
             self.neighbours[bit_values] = _adjacency_masks(query)
             self.after = np.zeros(1 << n, dtype=np.int64)
-            self.after[bit_values] = linear_after_masks(n, constraints)
+            self.after[bit_values] = skeleton.after
             return
         for number, adjacent in enumerate(_adjacency_masks(query)):
             view = self.neighbours.reshape(1 << (n - 1 - number), 2, 1 << number)
             view[:, 1, :] |= adjacent
-        groups = _bushy_groups(n, constraints)
-        # Groups are consecutive bit ranges; cut where the halves balance.
-        ends = [group.group_mask.bit_length() for group in groups]
-        shift = min(ends, key=lambda end: abs(2 * end - n))
-        cut = ends.index(shift) + 1
-        self.halves = []
-        for low, bits, half in ((0, shift, groups[:cut]), (shift, n - shift, groups[cut:])):
-            lists = [
-                bushy_operands(pattern << low, half) for pattern in range(1 << bits)
-            ]
-            lengths = np.asarray([len(operands) for operands in lists])
-            table = np.zeros((1 << bits, int(lengths.max())), dtype=np.int64)
-            for pattern, operands in enumerate(lists):
-                table[pattern, : len(operands)] = operands
-            self.halves.append((low, table, lengths))
 
-    def blocks(self, masks, size: int, whole: bool = False, half: bool = False):
+    def blocks(self, size: int, whole: bool = False):
         """Yield the level's operand rectangle as ``(span, left, right)``
-        blocks, a mask's blocks in split order (``whole``: as one block;
-        ``half``: bushy rows cut to their first half, below).
+        blocks, a mask's blocks in split order (``whole``: a linear level as
+        one block).
 
-        ``span`` is the slice of ``masks`` a block's rows belong to; operands
-        are ``intp`` gather indices whatever the dtype of ``masks``.  Linear:
-        every mask has exactly ``size`` candidate splits, its set bits in
-        ascending order — the scalar bit-peel order; the rectangle is tall
-        and narrow, so it is cut into row tiles of at most
-        ``_LINEAR_TILE_ROWS`` masks and a tile into runs of *columns* of
-        about ``_BLOCK_CELLS`` cells (all of them while the level is small,
-        one bit-peel per block once a tile has ``_BLOCK_CELLS`` masks), no
-        block above ``max(_LINEAR_TILE_ROWS, _BLOCK_CELLS)`` cells.  Bushy: the
-        admissible splits in ``bushy_operands`` order, padded with left
-        operand 0, which never holds an entry and so can never validate;
-        the rectangle is short and wide, so blocks are runs of about
-        ``_BUSHY_BLOCK_CELLS`` cells of whole *rows* — per ``(len_A, len_B)``
-        class of a block's masks one broadcast OR of the two halves' table
-        rows, minus the first column (the mask itself) and the last (0).
+        ``span`` is the slice of the skeleton's level masks a block's rows
+        belong to; operands are ``intp`` gather indices whatever the dtype
+        of the masks or of the cached blocks.  Linear: every mask has
+        exactly ``size`` candidate splits, its set bits in ascending order
+        — the scalar bit-peel order; the rectangle is tall and narrow, so it
+        is cut into row tiles of at most ``_LINEAR_TILE_ROWS`` masks and a
+        tile into runs of *columns* of about ``_BLOCK_CELLS`` cells (all of
+        them while the level is small, one bit-peel per block once a tile
+        has ``_BLOCK_CELLS`` masks), no block above ``max(_LINEAR_TILE_ROWS,
+        _BLOCK_CELLS)`` cells.  Bushy: the skeleton's spans, runs of whole
+        (or half) rows (:meth:`_Skeleton.generate`).
 
         Every group's operand list runs in descending order and is closed
         under complement, which reverses it, so in a product of ``T``
         operands the mirror ``(R, L)`` of position ``k`` sits at ``T − 1 −
         k``: the first half of a row holds one split of each mirrored pair,
-        the one that comes first.  ``half`` yields only that half, ``T/2 −
-        1`` splits a row, for the time and io sweeps, whose operators cost a
-        split and its mirror alike; the buffer metric's hash costs its build
-        (right) side's rows, so that sweep takes whole rows.
+        the one that comes first.  A ``"half"`` skeleton yields only that
+        half, ``T/2 − 1`` splits a row, for the time and io sweeps, whose
+        operators cost a split and its mirror alike; the buffer metric's
+        hash costs its build (right) side's rows, so that sweep takes whole
+        rows.
         """
+        skeleton = self.skeleton
+        masks = skeleton.levels[size]
         if self.linear:
             height = masks.shape[0] if whole else min(masks.shape[0], _LINEAR_TILE_ROWS)
             step = size if whole else max(1, _BLOCK_CELLS // height)
@@ -364,35 +517,10 @@ class _Splits:
                         remaining ^= right[:, column]
                     yield span, tile[:, None] ^ right, right
             return
-        masks = masks.astype(np.intp)
-        (rows_a, table_a, lengths_a), (rows_b, table_b, lengths_b) = (
-            ((masks >> low) & (table.shape[0] - 1), table, lengths)
-            for low, table, lengths in self.halves
-        )
-        len_a, len_b = lengths_a[rows_a], lengths_b[rows_b]
-        width = max(1, (int((len_a * len_b).max()) - 2) >> half)
-        radix = table_b.shape[1] + 1
-        classes = len_a * radix + len_b
-        per_block = masks.shape[0] if whole else max(1, _BUSHY_BLOCK_CELLS // width)
-        for start in range(0, masks.shape[0], per_block):
-            span = slice(start, min(start + per_block, masks.shape[0]))
-            left = np.zeros((span.stop - start, width), dtype=np.intp)
-            for key in np.unique(classes[span]).tolist():
-                in_a, in_b = divmod(key, radix)
-                members = np.flatnonzero(classes[span] == key)
-                block = (
-                    table_a[rows_a[span][members], :in_a, None]
-                    | table_b[rows_b[span][members], None, :in_b]
-                )
-                count = (in_a * in_b - 2) >> half
-                left[members, :count] = block.reshape(members.shape[0], -1)[:, 1 : 1 + count]
-            yield span, left, masks[span, None] ^ left
-
-    def rect(self, masks, size: int):
-        """The whole ``(left, right)`` rectangle, one row per mask in split
-        order: :meth:`blocks` as one block."""
-        ((_, left, right),) = self.blocks(masks, size, whole=True)
-        return left, right
+        lefts = skeleton.generate(size) if skeleton.blocks is None else skeleton.blocks[size]
+        for (start, stop, _), left in zip(skeleton.spans[size], lefts):
+            left = left.astype(np.intp, copy=False)
+            yield slice(start, stop), left, masks[start:stop, None] ^ left
 
     def unblocked(self, masks, right):
         """Cells whose singleton may be joined last (constrained linear)."""
@@ -408,11 +536,7 @@ class _Splits:
 
 
 def _run_single_vec(
-    query: Query,
-    constraints: tuple,
-    by_size: dict,
-    cost_model: CostModel,
-    stats: WorkerStats,
+    query: Query, source: _Splits, cost_model: CostModel, stats: WorkerStats
 ) -> list[Plan]:
     """Single-objective DP on dense per-mask arrays.
 
@@ -439,7 +563,6 @@ def _run_single_vec(
     kind = _METRIC_KINDS[type(cost_model.metrics[0])]
     algos_all = settings.use_all_join_algorithms
     state = 1 << n
-    source = _Splits(query, constraints, settings)
     cost = np.full(state, inf, dtype=np.float64)
     # Back-pointers ``right << 1 | algo``: the right operand (the left one is
     # ``mask ^ right``) and the operator's index into ALL_JOIN_ALGORITHMS.
@@ -455,8 +578,8 @@ def _run_single_vec(
     # buffer metric's hash (``max(pair, rows[right])``), and ``valid`` and
     # ``equi`` are symmetric: a mirror never strictly improves on the running
     # minimum and is never the first minimum, so those sweeps cost the first
-    # split of each pair (:meth:`_Splits.blocks`) and count it twice.
-    half = not source.linear and kind != "buffer"
+    # split of each pair (a ``"half"`` skeleton) and count it twice.
+    half = source.skeleton.cut == "half"
     stored = n
     # True while every admissible mask so far stored an entry — the normal
     # case, since the always-applicable BNL candidate only fails by
@@ -465,14 +588,14 @@ def _run_single_vec(
     all_stored = source.linear
 
     for size in range(2, n + 1):
-        masks = by_size[size]
+        masks = source.skeleton.levels[size]
         if masks.shape[0] == 0:
             continue
         # The scalar loop's ``best`` and its winner, for every mask at once.
         best = np.full(masks.shape[0], inf, dtype=np.float64)
         win_right = np.zeros(masks.shape[0], dtype=np.int32)
         win_algo = np.zeros(masks.shape[0], dtype=np.int8)
-        for span, left, right in source.blocks(masks, size, half=half):
+        for span, left, right in source.blocks(size):
             left_cost = cost[left]
             right_cost = cost[right]
             if source.linear:
@@ -705,11 +828,7 @@ def _pareto_filter(candidates, widths):
 
 
 def _run_frontier_vec(
-    query: Query,
-    constraints: tuple,
-    by_size: dict,
-    cost_model: CostModel,
-    stats: WorkerStats,
+    query: Query, source: _Splits, cost_model: CostModel, stats: WorkerStats
 ) -> list[Plan]:
     """Exact (α = 1) Pareto-frontier DP, one level of masks at a time.
 
@@ -730,7 +849,6 @@ def _run_frontier_vec(
     settings = cost_model.settings
     kinds = [_METRIC_KINDS[type(metric)] for metric in cost_model.metrics]
     rows, scans = _prefill(query, cost_model)
-    source = _Splits(query, constraints, settings)
 
     singletons = np.int64(1) << np.arange(n, dtype=np.int64)
     first = np.zeros(1 << n, dtype=np.int64)
@@ -743,103 +861,104 @@ def _run_frontier_vec(
     entry_ptr[:, 0] = singletons
 
     for size in range(2, n + 1):
-        masks = by_size[size]
-        if masks.shape[0] == 0:
+        level = source.skeleton.levels[size]
+        if level.shape[0] == 0:
             continue
-        masks = masks.astype(np.intp)
-        left, right = source.rect(masks, size)
-        n_left = count[left]
-        n_right = count[right]
-        valid = (n_left > 0) & (n_right > 0)
-        if source.constrained:
-            valid &= source.unblocked(masks, right)
-        pairs = n_left * n_right
-        pairs[~valid] = 0
-        if settings.use_all_join_algorithms:
-            equi = source.equi(left, right)
-            n_algos = np.where(equi, 2, 1)
-            stats.plans_considered += int(pairs[equi].sum())  # the sort-merge candidates
-        else:
-            n_algos = np.ones_like(left)
-        per_split = pairs * n_algos
-        per_mask = per_split.sum(axis=1)
-        stats.splits_considered += int(valid.sum())
-        stats.plans_considered += int(per_mask.sum())
+        # A linear level as one block, a bushy one by runs of whole rows.
+        for span, left, right in source.blocks(size, whole=source.linear):
+            masks = level[span]
+            n_left = count[left]
+            n_right = count[right]
+            valid = (n_left > 0) & (n_right > 0)
+            if source.constrained:
+                valid &= source.unblocked(masks, right)
+            pairs = n_left * n_right
+            pairs[~valid] = 0
+            if settings.use_all_join_algorithms:
+                equi = source.equi(left, right)
+                n_algos = np.where(equi, 2, 1)
+                stats.plans_considered += int(pairs[equi].sum())  # the sort-merge candidates
+            else:
+                n_algos = np.ones_like(left)
+            per_split = pairs * n_algos
+            per_mask = per_split.sum(axis=1)
+            stats.splits_considered += int(valid.sum())
+            stats.plans_considered += int(per_mask.sum())
 
-        # Masks are independent within a level: chunk them so that one
-        # chunk's candidate stream stays under the cell budget.
-        ends = np.cumsum(per_mask)
-        low = 0
-        while low < masks.shape[0]:
-            done = int(ends[low - 1]) if low else 0
-            high = max(
-                low + 1,
-                int(np.searchsorted(ends, done + _CELL_BUDGET // len(kinds), "right")),
-            )
-            total = int(ends[high - 1]) - done
-            chunk = slice(low, high)
-            low = high
-            if total == 0:
-                continue
-            chunk_masks = masks[chunk]
-            # Row-major nonzero is the stream order: mask, then split.
-            split_row, split_col = np.nonzero(valid[chunk])
-            left_mask = left[chunk][split_row, split_col]
-            right_mask = right[chunk][split_row, split_col]
-            width = per_split[chunk][split_row, split_col]
-            split_of = np.repeat(np.arange(width.shape[0]), width)
-            within = np.arange(total) - np.repeat(np.cumsum(width) - width, width)
-            pair, algo = np.divmod(within, n_algos[chunk][split_row, split_col][split_of])
-            left_index, right_index = np.divmod(pair, count[right_mask][split_of])
-            left_entry = first[left_mask][split_of] + left_index
-            right_entry = first[right_mask][split_of] + right_index
+            # Masks are independent within a level: chunk them so that one
+            # chunk's candidate stream stays under the cell budget.
+            ends = np.cumsum(per_mask)
+            low = 0
+            while low < masks.shape[0]:
+                done = int(ends[low - 1]) if low else 0
+                high = max(
+                    low + 1,
+                    int(np.searchsorted(ends, done + _CELL_BUDGET // len(kinds), "right")),
+                )
+                total = int(ends[high - 1]) - done
+                chunk = slice(low, high)
+                low = high
+                if total == 0:
+                    continue
+                chunk_masks = masks[chunk]
+                # Row-major nonzero is the stream order: mask, then split.
+                split_row, split_col = np.nonzero(valid[chunk])
+                left_mask = left[chunk][split_row, split_col]
+                right_mask = right[chunk][split_row, split_col]
+                width = per_split[chunk][split_row, split_col]
+                split_of = np.repeat(np.arange(width.shape[0]), width)
+                within = np.arange(total) - np.repeat(np.cumsum(width) - width, width)
+                pair, algo = np.divmod(within, n_algos[chunk][split_row, split_col][split_of])
+                left_index, right_index = np.divmod(pair, count[right_mask][split_of])
+                left_entry = first[left_mask][split_of] + left_index
+                right_entry = first[right_mask][split_of] + right_index
 
-            left_cost = entry_cost[left_entry]
-            right_cost = entry_cost[right_entry]
-            left_rows = rows[left_mask]
-            right_rows = rows[right_mask]
-            candidates = np.empty((total, len(kinds)), dtype=np.float64)
-            for metric, kind in enumerate(kinds):
-                lc = left_cost[:, metric]
-                rc = right_cost[:, metric]
-                if kind == "io":
-                    out_rows = rows[chunk_masks][split_row]
-                    candidates[:, metric] = (lc + rc) + out_rows[split_of]
-                elif kind == "time":
-                    operators = np.stack(
-                        [left_rows * right_rows, HASH_FACTOR * (left_rows + right_rows)],
-                        axis=1,
-                    )
-                    candidates[:, metric] = (lc + rc) + operators[split_of, algo]
-                else:  # buffer
-                    operators = np.stack(
-                        [np.full(width.shape[0], BNL_BLOCK_TUPLES), right_rows], axis=1
-                    )
-                    candidates[:, metric] = np.maximum(
-                        np.maximum(lc, rc), operators[split_of, algo]
-                    )
+                left_cost = entry_cost[left_entry]
+                right_cost = entry_cost[right_entry]
+                left_rows = rows[left_mask]
+                right_rows = rows[right_mask]
+                candidates = np.empty((total, len(kinds)), dtype=np.float64)
+                for metric, kind in enumerate(kinds):
+                    lc = left_cost[:, metric]
+                    rc = right_cost[:, metric]
+                    if kind == "io":
+                        out_rows = rows[chunk_masks][split_row]
+                        candidates[:, metric] = (lc + rc) + out_rows[split_of]
+                    elif kind == "time":
+                        operators = np.stack(
+                            [left_rows * right_rows, HASH_FACTOR * (left_rows + right_rows)],
+                            axis=1,
+                        )
+                        candidates[:, metric] = (lc + rc) + operators[split_of, algo]
+                    else:  # buffer
+                        operators = np.stack(
+                            [np.full(width.shape[0], BNL_BLOCK_TUPLES), right_rows], axis=1
+                        )
+                        candidates[:, metric] = np.maximum(
+                            np.maximum(lc, rc), operators[split_of, algo]
+                        )
 
-            accepted, survivors = _pareto_filter(candidates, per_mask[chunk])
-            stats.plans_kept += accepted
-            owner = split_row[split_of[survivors]]
-            stored = np.bincount(owner, minlength=chunk_masks.shape[0])
-            count[chunk_masks] = stored
-            first[chunk_masks] = entry_cost.shape[0] + np.cumsum(stored) - stored
-            entry_cost = np.concatenate([entry_cost, candidates[survivors]])
-            entry_ptr = np.concatenate(
-                [
-                    entry_ptr,
-                    np.stack(
-                        [
-                            chunk_masks[owner],
-                            left_entry[survivors],
-                            right_entry[survivors],
-                            algo[survivors],
-                        ],
-                        axis=1,
-                    ),
-                ]
-            )
+                accepted, survivors = _pareto_filter(candidates, per_mask[chunk])
+                stats.plans_kept += accepted
+                owner = split_row[split_of[survivors]]
+                stored = np.bincount(owner, minlength=chunk_masks.shape[0])
+                count[chunk_masks] = stored
+                first[chunk_masks] = entry_cost.shape[0] + np.cumsum(stored) - stored
+                entry_cost = np.concatenate([entry_cost, candidates[survivors]])
+                entry_ptr = np.concatenate(
+                    [
+                        entry_ptr,
+                        np.stack(
+                            [
+                                chunk_masks[owner],
+                                left_entry[survivors],
+                                right_entry[survivors],
+                                algo[survivors],
+                            ],
+                            axis=1,
+                        ),
+                    ]
+                )
 
     stats.table_entries = int(np.count_nonzero(count))
     stats.stored_plans = entry_cost.shape[0]

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import pickle
+import threading
 import tracemalloc
 from math import comb, inf
 from types import SimpleNamespace
@@ -23,6 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.mpq import optimize_mpq
+from repro.cluster.executors import PersistentProcessPoolExecutor
 from repro.config import Backend, Objective, OptimizerSettings, PlanSpace
 from repro.core import vecdp
 from repro.core.constraints import max_constraints, partition_constraints
@@ -118,14 +122,14 @@ class TestLevels:
     @pytest.mark.parametrize("n_tables", range(2, 11))
     def test_equals_scalar_enumeration_for_every_partition(self, space, n_tables):
         for partition_id, n_partitions, constraints in _every_partition(n_tables, space):
-            stats = WorkerStats(partition_id, n_partitions, len(constraints))
-            levels = vecdp._levels(n_tables, constraints, space, stats)
+            levels = vecdp._levels(n_tables, constraints, space)
             expected = admissible_results_by_size(n_tables, constraints, space)
             assert {size: masks.tolist() for size, masks in levels.items()} == {
                 size: sorted(masks) for size, masks in expected.items()
             }
             assert all(masks.dtype == np.int32 for masks in levels.values())
-            assert stats.admissible_results == sum(map(len, expected.values()))
+            skeleton = vecdp._Skeleton(n_tables, constraints, space, _cut(space))
+            assert skeleton.admissible == sum(map(len, expected.values()))
 
     def test_refuses_queries_whose_sort_key_would_overflow_int32(self):
         """``(popcount << n) | mask`` fits ``int32`` up to 26 tables; the
@@ -133,10 +137,46 @@ class TestLevels:
         assert (vecdp._MAX_TABLES + 1) << vecdp._MAX_TABLES <= np.iinfo(np.int32).max + 1
         assert (vecdp._MAX_TABLES + 2) << (vecdp._MAX_TABLES + 1) > np.iinfo(np.int32).max + 1
         with pytest.raises(ValueError, match="at most 26 tables"):
-            vecdp._levels(vecdp._MAX_TABLES + 1, (), PlanSpace.LINEAR, WorkerStats(0, 1, 0))
+            vecdp._levels(vecdp._MAX_TABLES + 1, (), PlanSpace.LINEAR)
+
+    def test_refuses_before_anything_is_cached(self, monkeypatch):
+        cache = _cold(monkeypatch)
+        query = SteinbrunnGenerator(5).query(vecdp._MAX_TABLES + 1, JoinGraphKind.CHAIN)
+        with pytest.raises(ValueError, match="at most 26 tables"):
+            optimize_partition(query, 0, 1, OptimizerSettings(backend=Backend.VECDP))
+        assert not cache
 
 
 BUSHY = OptimizerSettings(plan_space=PlanSpace.BUSHY)
+
+
+def _cut(space: PlanSpace, half: bool = False):
+    """The skeleton cut a single-objective sweep takes in ``space``."""
+    if space is PlanSpace.LINEAR:
+        return None
+    return "half" if half else "whole"
+
+
+def _source(query, constraints, space: PlanSpace, cut) -> "vecdp._Splits":
+    """A run's operand source over the process's skeleton of that shape."""
+    return vecdp._Splits(query, vecdp._skeleton(query.n_tables, constraints, space, cut))
+
+
+def _cold(monkeypatch) -> dict:
+    """An empty skeleton cache for the test's duration."""
+    cache = {}
+    monkeypatch.setattr(vecdp, "_skeletons", cache)
+    return cache
+
+
+def _rect(source, size: int):
+    """The level's whole ``(left, right)`` rectangle, rows padded with left
+    operand 0 to the widest: linear, the one ``whole`` block; bushy, the
+    blocks stacked (a ``"whole"`` skeleton's hold every split)."""
+    lefts = [left for _, left, _ in source.blocks(size, whole=True)]
+    width = max(left.shape[1] for left in lefts)
+    left = np.concatenate([np.pad(block, ((0, 0), (0, width - block.shape[1]))) for block in lefts])
+    return left, source.skeleton.levels[size][:, None] ^ left
 
 
 def _scalar_rect(n_tables, constraints, space, masks, half: bool = False):
@@ -175,12 +215,11 @@ def _assert_linear_cells_admitted(source, n_tables, constraints, masks, left, ri
 def _assert_rectangles_match_spec(n_tables: int, constraints: tuple):
     """Every level's rectangle is ``split_source``'s splits, padded."""
     query = SteinbrunnGenerator(5).query(n_tables, JoinGraphKind.CHAIN)
-    source = vecdp._Splits(query, constraints, BUSHY)
-    levels = vecdp._levels(n_tables, constraints, PlanSpace.BUSHY, WorkerStats(0, 1, 0))
-    for size, masks in levels.items():
+    source = _source(query, constraints, PlanSpace.BUSHY, "whole")
+    for size, masks in source.skeleton.levels.items():
         if masks.shape[0] == 0:
             continue
-        left, right = source.rect(masks, size)
+        left, right = _rect(source, size)
         assert left.dtype == right.dtype == np.intp
         assert (left.tolist(), right.tolist()) == _scalar_rect(
             n_tables, constraints, PlanSpace.BUSHY, masks.tolist()
@@ -200,17 +239,24 @@ class TestBushyRectangles:
     def test_split_listing_stays_out_of_the_per_mask_loop(self, monkeypatch, n_partitions):
         """``bushy_operands`` only fills the two half-tables: one call per
         bit pattern of a half (8 + 64 at 9 tables), never one per admissible
-        mask (502 serially)."""
+        mask (502 serially) — and only while the skeleton is built: a warm
+        run of a *different* query of that size makes none."""
         calls = []
 
         def counting(mask, groups):
             calls.append(mask)
             return bushy_operands(mask, groups)
 
+        _cold(monkeypatch)
         monkeypatch.setattr(vecdp, "bushy_operands", counting)
+        settings = BUSHY.replace(backend=Backend.VECDP)
         query = SteinbrunnGenerator(5).query(9, JoinGraphKind.STAR)
-        result = optimize_partition(query, 0, n_partitions, BUSHY.replace(backend=Backend.VECDP))
+        result = optimize_partition(query, 0, n_partitions, settings)
         assert 0 < len(calls) <= 8 + 64 < result.stats.admissible_results
+        calls.clear()
+        other = SteinbrunnGenerator(6).query(9, JoinGraphKind.CYCLE)
+        assert optimize_partition(other, 0, n_partitions, settings).plans
+        assert calls == []
 
 
 @st.composite
@@ -240,13 +286,12 @@ class TestEqui:
         query, partition_id, n_partitions = drawn
         n = query.n_tables
         constraints = partition_constraints(n, partition_id, n_partitions, PlanSpace.BUSHY)
-        source = vecdp._Splits(query, constraints, BUSHY)
+        source = _source(query, constraints, PlanSpace.BUSHY, "whole")
         adjacency = _adjacency_masks(query)
-        levels = vecdp._levels(n, constraints, PlanSpace.BUSHY, WorkerStats(0, 1, 0))
-        for size, masks in levels.items():
+        for size, masks in source.skeleton.levels.items():
             if masks.shape[0] == 0:
                 continue
-            left, right = source.rect(masks, size)
+            left, right = _rect(source, size)
             equi = source.equi(left, right)
             for row, (lefts, rights) in enumerate(zip(left.tolist(), right.tolist())):
                 for column, (left_mask, right_mask) in enumerate(zip(lefts, rights)):
@@ -261,7 +306,9 @@ class TestEqui:
 
 class TestBlocks:
     """``_Splits.blocks`` cuts the rectangle, it never reorders it; ``half``
-    keeps the first half of each bushy row."""
+    keeps the first half of each bushy row.  A bushy skeleton orders a
+    level's masks by split count, whatever its cut, and a block's rows all
+    have its width: no cell of a bushy block is padding."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -275,39 +322,46 @@ class TestBlocks:
         query, partition_id, n_partitions = drawn
         n = query.n_tables
         constraints = partition_constraints(n, partition_id, n_partitions, space)
-        source = vecdp._Splits(query, constraints, OptimizerSettings(plan_space=space))
-        levels = vecdp._levels(n, constraints, space, WorkerStats(0, 1, 0))
         half &= space is PlanSpace.BUSHY
         with pytest.MonkeyPatch.context() as patch:
             _patch_budgets(patch, cells, rows)
-            for size, masks in levels.items():
+            whole = _source(query, constraints, space, _cut(space))
+            source = _source(query, constraints, space, _cut(space, half))
+            for size, masks in source.skeleton.levels.items():
+                assert masks.tolist() == whole.skeleton.levels[size].tolist()
                 if masks.shape[0] == 0:
                     continue
-                full_left, full_right = (side.tolist() for side in source.rect(masks, size))
+                full_left, full_right = (side.tolist() for side in _rect(whole, size))
                 assert (full_left, full_right) == _scalar_rect(n, constraints, space, masks.tolist())
                 if space is PlanSpace.LINEAR:
                     _assert_linear_cells_admitted(
                         source, n, constraints, masks.tolist(), full_left, full_right
                     )
                 left, right = _scalar_rect(n, constraints, space, masks.tolist(), half)
+                splits_of = split_source(n, constraints, space)
                 # The current tile's first row and height; the next block's column.
                 row = height = column = 0
-                for span, block_left, block_right in source.blocks(masks, size, half=half):
+                for span, block_left, block_right in source.blocks(size):
                     if column == len(left[0]):  # the tile is done: the next lies below
                         row, column = row + height, 0
                     height, width = block_left.shape
                     assert block_left.dtype == block_right.dtype == np.intp
                     assert block_right.shape == (height, width)
                     assert (span.start, span.stop) == (row, row + height)
-                    columns = slice(column, column + width)
-                    column += width
                     if space is PlanSpace.LINEAR:  # row tiles, each in runs of columns
+                        columns = slice(column, column + width)
+                        column += width
                         assert height <= rows and block_left.size <= max(cells, rows)
-                    else:  # runs of whole rows, or of their first halves
-                        assert width == (max(1, len(full_left[0]) // 2) if half else len(full_left[0]))
-                        assert block_left.size <= max(cells, width)
-                    assert block_left.tolist() == [splits[columns] for splits in left[span]]
-                    assert block_right.tolist() == [splits[columns] for splits in right[span]]
+                        assert block_left.tolist() == [splits[columns] for splits in left[span]]
+                        assert block_right.tolist() == [splits[columns] for splits in right[span]]
+                        continue
+                    # Runs of whole rows, or of their first halves, of one width.
+                    column = len(left[0])
+                    counts = {len(splits_of(mask)) for mask in masks[span].tolist()}
+                    assert len(counts) == 1 and width == max(1, counts.pop() >> half)
+                    assert block_left.size <= max(cells, width)
+                    assert block_left.tolist() == [splits[:width] for splits in left[span]]
+                    assert block_right.tolist() == [splits[:width] for splits in right[span]]
                 assert (row + height, column) == (len(left), len(left[0]))
 
 
@@ -325,15 +379,14 @@ class TestMirroredSplits:
             if n_partitions > 16:
                 break
             splits_of = split_source(n, constraints, PlanSpace.BUSHY)
-            source = vecdp._Splits(query, constraints, BUSHY)
-            levels = vecdp._levels(n, constraints, PlanSpace.BUSHY, WorkerStats(0, 1, 0))
-            for size, masks in levels.items():
+            source = _source(query, constraints, PlanSpace.BUSHY, "whole")
+            for size, masks in source.skeleton.levels.items():
                 if masks.shape[0] == 0:
                     continue
                 for mask in masks.tolist():
                     splits = splits_of(mask)  # position k mirrors (T − 3) − k
                     assert [(right, left) for left, right in reversed(splits)] == splits
-                left, right = source.rect(masks, size)
+                left, right = _rect(source, size)
                 equi = source.equi(left, right).tolist()
                 for row, mask in zip(equi, masks.tolist()):
                     count = len(splits_of(mask))
@@ -342,15 +395,23 @@ class TestMirroredSplits:
                 halves = ([], [])
                 with pytest.MonkeyPatch.context() as patch:
                     _patch_budgets(patch, cells)
-                    for __, block_left, block_right in source.blocks(masks, size, half=True):
+                    half = _source(query, constraints, PlanSpace.BUSHY, "half")
+                    for __, block_left, block_right in half.blocks(size):
                         halves[0].extend(block_left.tolist())
                         halves[1].extend(block_right.tolist())
-                assert halves == expected
+                width = len(expected[0][0])  # the blocks pad no row: pad them here
+                padded = (
+                    [row + [0] * (width - len(row)) for row in halves[0]],
+                    [row + [mask] * (width - len(row)) for row, mask in zip(halves[1], masks.tolist())],
+                )
+                assert padded == expected
 
 
 def _patch_budgets(patch, cells: int, rows: int | None = None) -> None:
     """Block budgets ``cells`` (linear and bushy); linear tiles of ``rows``
-    masks (default: as many)."""
+    masks (default: as many).  A skeleton's spans are cut at its build, so
+    the cache starts empty under each budget."""
+    patch.setattr(vecdp, "_skeletons", {})
     patch.setattr(vecdp, "_BLOCK_CELLS", cells)
     patch.setattr(vecdp, "_BUSHY_BLOCK_CELLS", cells)
     patch.setattr(vecdp, "_LINEAR_TILE_ROWS", cells if rows is None else rows)
@@ -444,6 +505,150 @@ class TestBlockedSweep:
         settings = OptimizerSettings(plan_space=PlanSpace.BUSHY, objectives=(Objective.BUFFER_SPACE,))
         for n_partitions in (1, 2, 4):
             _assert_partitions_equal(Backend.FASTDP, query, settings, n_partitions, self.TINY)
+
+
+def _outcome(result) -> tuple:
+    """A partition run's plans and every ``WorkerStats`` counter."""
+    stats = dataclasses.asdict(result.stats)
+    del stats["wall_time_s"]
+    return pickle.dumps(result.plans), stats
+
+
+def _skeleton_arrays(skeleton) -> list:
+    arrays = list(skeleton.levels.values())
+    if skeleton.linear:
+        return arrays + [skeleton.after]
+    for _, table, lengths in skeleton.halves:
+        arrays += [table, lengths]
+    return arrays + [left for lefts in (skeleton.blocks or {}).values() for left in lefts]
+
+
+class TestSkeletonCache:
+    """A partition's skeleton is built once per process and shape: a warm run
+    of any query of that shape only gathers and costs, and gives what a cold
+    run gives."""
+
+    OBJECTIVES = (
+        (Objective.EXECUTION_TIME,),
+        (Objective.BUFFER_SPACE,),
+        (Objective.OUTPUT_ROWS,),
+        (Objective.EXECUTION_TIME, Objective.BUFFER_SPACE),
+    )
+
+    def test_warm_runs_match_cold_runs_across_queries(self, monkeypatch):
+        """Cold (cache cleared before each run), then every shape warm from
+        the same query and from another query of that size — kinds and
+        catalogue seeds differ — with nothing cleared between partitions,
+        metrics and spaces, so a key that dropped the constraints or the
+        cut hands a run another shape's skeleton."""
+        queries = (
+            SteinbrunnGenerator(11).query(7, JoinGraphKind.STAR),
+            SteinbrunnGenerator(12, clustered_tables=True).query(7, JoinGraphKind.CYCLE),
+        )
+        runs = [
+            (space, OptimizerSettings(plan_space=space, objectives=objectives, backend=Backend.VECDP), p, i)
+            for space in PlanSpace
+            for objectives in self.OBJECTIVES
+            for p in (1, 2, 4)
+            for i in range(p)
+        ]
+        cache = _cold(monkeypatch)
+        cold = {}
+        for index, query in enumerate(queries):
+            for space, settings, p, partition in runs:
+                cache.clear()
+                cold[index, settings, p, partition] = _outcome(
+                    optimize_partition(query, partition, p, settings)
+                )
+        cache.clear()
+        for order in ((0, 0, 1), (1, 0, 1)):  # same query warm; the other query warm
+            for index in order:
+                for space, settings, p, partition in runs:
+                    result = optimize_partition(queries[index], partition, p, settings)
+                    assert _outcome(result) == cold[index, settings, p, partition], (
+                        f"query {index}, {settings}, partition {partition}/{p}"
+                    )
+        # Seven partitions; linear ones share a skeleton across metrics, bushy
+        # ones keep one per cut: half rows, whole rows (buffer and frontier).
+        assert len(cache) == 7 + 2 * 7
+
+    def test_cached_arrays_refuse_writes(self, monkeypatch):
+        cache = _cold(monkeypatch)
+        query = SteinbrunnGenerator(5).query(8, JoinGraphKind.CHAIN)
+        for space in PlanSpace:
+            for objectives in self.OBJECTIVES:
+                settings = OptimizerSettings(plan_space=space, objectives=objectives)
+                optimize_partition(query, 1, 2, settings.replace(backend=Backend.VECDP))
+        assert len(cache) == 3  # linear; bushy half and whole rows
+        for skeleton in cache.values():
+            arrays = _skeleton_arrays(skeleton)
+            assert arrays and all(not array.flags.writeable for array in arrays)
+            with pytest.raises(ValueError, match="read-only"):
+                arrays[-1][...] = 0
+
+    def test_the_cache_keeps_to_its_byte_budget(self, monkeypatch):
+        """More shapes than fit: the least recently used leave, the kept
+        bytes never exceed the budget, and a shape over the budget is built
+        per run, not kept — its run still matches a kept one's."""
+        cache = _cold(monkeypatch)
+        query = SteinbrunnGenerator(8).query(9, JoinGraphKind.CYCLE)
+        settings = BUSHY.replace(backend=Backend.VECDP)
+        expected = _outcome(optimize_partition(query, 0, 1, settings))
+        budget = next(iter(cache.values())).nbytes  # bushy 9, half rows, p = 1
+        cache.clear()
+        monkeypatch.setattr(vecdp, "_SKELETON_BYTES", budget + 1)
+        for n_tables in (6, 7, 8):
+            for space in PlanSpace:
+                shape = SteinbrunnGenerator(n_tables).query(n_tables, JoinGraphKind.CHAIN)
+                for p in (1, 2):
+                    optimize_partition(shape, 0, p, OptimizerSettings(plan_space=space, backend=Backend.VECDP))
+                    assert sum(kept.nbytes for kept in cache.values()) <= budget + 1
+        assert len(cache) >= 2
+        assert _outcome(optimize_partition(query, 0, 1, settings)) == expected
+        assert list(cache)[-1][0] == 9  # kept, most recently used
+        assert sum(kept.nbytes for kept in cache.values()) <= budget + 1
+        monkeypatch.setattr(vecdp, "_SKELETON_BYTES", budget - 1)
+        cache.clear()
+        assert _outcome(optimize_partition(query, 0, 1, settings)) == expected
+        assert not cache
+
+    def test_threads_building_one_shape_match_serial_runs(self, monkeypatch):
+        queries = [
+            SteinbrunnGenerator(20 + index).query(9, list(JoinGraphKind)[index % 3])
+            for index in range(8)
+        ]
+        settings = BUSHY.replace(backend=Backend.VECDP)
+        cache = _cold(monkeypatch)
+        serial = []
+        for query in queries:
+            cache.clear()
+            serial.append(_outcome(optimize_partition(query, 1, 2, settings)))
+        cache.clear()
+        barrier = threading.Barrier(len(queries))
+        outcomes = [None] * len(queries)
+
+        def run(index):
+            barrier.wait()
+            outcomes[index] = _outcome(optimize_partition(queries[index], 1, 2, settings))
+
+        threads = [threading.Thread(target=run, args=(index,)) for index in range(len(queries))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert outcomes == serial
+        assert len(cache) == 1
+
+    def test_a_pool_forked_from_a_warm_master_matches_serial(self):
+        """Pool workers forked from the master inherit its skeletons."""
+        query = SteinbrunnGenerator(9).query(9, JoinGraphKind.STAR)
+        settings = BUSHY.replace(backend=Backend.VECDP)
+        serial = optimize_partition(query, 0, 1, settings)
+        for partition in range(2):  # warm the partitions' skeletons here
+            optimize_partition(query, partition, 2, settings)
+        with PersistentProcessPoolExecutor(max_workers=2) as pool:
+            report = optimize_mpq(query, 2, settings, executor=pool)
+        assert [plan.cost for plan in report.plans] == [plan.cost for plan in serial.plans]
 
 
 class TestWorkingSet:

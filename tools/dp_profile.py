@@ -11,26 +11,31 @@ against the reject path).
 
 ``--phases`` replaces the ``cProfile`` table, which cannot see inside a
 kernel that is one function body of numpy calls, by ms per phase of the
-vecdp cores, clocked from outside with ``perf_counter_ns`` wrappers around
-``_levels``, ``_prefill``, ``_Splits.__init__``, ``_Splits.blocks`` (the
-time spent *inside* the generator) and plan materialisation; what is left
-of the run is costing + reduction.  ``--by-level`` splits split generation
+vecdp cores, clocked from outside with ``perf_counter_ns`` wrappers.
+First the fastest of three cold runs, each with an empty skeleton cache:
+its total and the skeleton build (levels, bushy half-tables and operand
+blocks — what every later query of that shape reuses).  Then a warm run:
+``_prefill``, ``_Splits.__init__``, ``_Splits.blocks`` (the time spent
+*inside* the generator) and plan materialisation; what is left of the run
+is costing + reduction.  ``--by-level`` splits split generation
 and that remainder per DP level, beside the level's splits considered and
 the operand cells its blocks held: the cells costed.  A bushy level of the
 time or io metric costs one split of each mirrored pair, so there the
 splits are twice the cells (less the padding).
 
-``--memory`` prints, instead, the run's ``tracemalloc`` peak and every array
-the vecdp kernel holds, each at its largest over the run — the dense
-per-mask state, its ``_Splits``' arrays, the level masks, the widest level's
-vectors and the largest block's temporaries — with bytes per mask of the
-``2**n`` state.
+``--memory`` prints, instead, a warm run's ``tracemalloc`` peak and every
+array the vecdp kernel holds, each at its largest over the run — the dense
+per-mask state, its ``_Splits``' arrays, the widest level's vectors and the
+largest block's temporaries — with bytes per mask of the ``2**n`` state,
+then the bytes of the partition's skeleton, which the process keeps across
+runs.
 
     python tools/dp_profile.py --class plain_bushy --tables 12 --kind chain
         [--partition i/p] [--top 15] [--phases [--by-level] | --memory]
 """
 
 import argparse
+import collections
 import contextlib
 import cProfile
 import functools
@@ -51,6 +56,32 @@ from repro.core.worker import optimize_partition  # noqa: E402
 from repro.query.query import JoinGraphKind  # noqa: E402
 
 SPLIT_GEN, BUILD, REST = "_Splits.blocks", "plan build", "costing + reduction"
+SKELETON = "skeleton build"
+
+
+def cold_profile(run, repeats: int = 3):
+    """``(wall ns, skeleton build ns)`` of the fastest of ``repeats`` runs,
+    each with an empty skeleton cache (the process's own is left as it was)."""
+    clock = time.perf_counter_ns
+    original = vecdp._Skeleton
+    best = None
+    for _ in range(repeats):
+        spent = []
+
+        def build(*args):
+            started = clock()
+            try:
+                return original(*args)
+            finally:
+                spent.append(clock() - started)
+
+        with mock.patch.object(vecdp, "_skeletons", collections.OrderedDict()), \
+                mock.patch.object(vecdp, "_Skeleton", build):
+            started = clock()
+            run()
+            ended = clock()
+        best = min(best or (ended - started, sum(spent)), (ended - started, sum(spent)))
+    return best
 
 
 def phase_profile(run):
@@ -67,7 +98,7 @@ def phase_profile(run):
     splits are read off the kernel's ``WorkerStats`` as its blocks begin.
     """
     clock = time.perf_counter_ns
-    phases = dict.fromkeys(("_levels", "_prefill", "_Splits.__init__", SPLIT_GEN, BUILD), 0)
+    phases = dict.fromkeys(("_prefill", "_Splits.__init__", SPLIT_GEN, BUILD), 0)
     levels: dict[int, list[int]] = {}
     build_started: list[int] = []  # when either kernel constructed its first JoinPlan
     kernel_stats = []  # the kernel's WorkerStats, its last argument
@@ -88,9 +119,11 @@ def phase_profile(run):
             return original(*args)
         return wrapper
 
-    def blocks(self, masks, size, *args, **kwargs):
-        level = levels[size] = [len(masks), 0, 0, 0, clock(), kernel_stats[0].splits_considered]
-        generator = original_blocks(self, masks, size, *args, **kwargs)
+    def blocks(self, size, *args, **kwargs):
+        level = levels[size] = [
+            len(self.skeleton.levels[size]), 0, 0, 0, clock(), kernel_stats[0].splits_considered
+        ]
+        generator = original_blocks(self, size, *args, **kwargs)
         while True:
             started = clock()
             block = next(generator, None)
@@ -108,7 +141,6 @@ def phase_profile(run):
 
     original_blocks, original_join_plan = vecdp._Splits.blocks, vecdp.JoinPlan
     patches = [
-        (vecdp, "_levels", clocked("_levels", vecdp._levels)),
         (vecdp, "_prefill", clocked("_prefill", vecdp._prefill)),
         (vecdp._Splits, "__init__", clocked("_Splits.__init__", vecdp._Splits.__init__)),
         (vecdp._Splits, "blocks", blocks),
@@ -137,9 +169,13 @@ def phase_profile(run):
     return ended - started, phases, levels
 
 
-def print_phases(wall, phases, levels, by_level: bool) -> None:
+def print_phases(cold, wall, phases, levels, by_level: bool) -> None:
+    cold_wall, skeleton = cold
+    print(f"{'cold run':<22}{'ms':>9}{'%':>7}")
+    print(f"{SKELETON:<22}{skeleton / 1e6:9.2f}{100 * skeleton / cold_wall:7.1f}")
+    print(f"{'total':<22}{cold_wall / 1e6:9.2f}\n")
     phases = {**phases, REST: wall - sum(phases.values())}
-    print(f"{'phase':<22}{'ms':>9}{'%':>7}")
+    print(f"{'warm run':<22}{'ms':>9}{'%':>7}")
     for name, spent in phases.items():
         print(f"{name:<22}{spent / 1e6:9.2f}{100 * spent / wall:7.1f}")
     print(f"{'total':<22}{wall / 1e6:9.2f}")
@@ -162,13 +198,14 @@ def print_memory(run, n_tables: int) -> None:
     tracemalloc.stop()
     kernels = {vecdp._run_single_vec.__code__, vecdp._run_frontier_vec.__code__}
     largest: dict[str, tuple] = {}
+    skeletons = set()
 
     def hook(frame, event, arg):
         if frame.f_code in kernels:
             local = frame.f_locals
-            source = getattr(local.get("source"), "__dict__", {})
-            named = {**local, **{"source." + name: array for name, array in source.items()},
-                     "level masks": local["by_size"][2].base}  # the levels view one array
+            skeletons.add(local["source"].skeleton)
+            source = vars(local["source"])
+            named = {**local, **{"source." + name: array for name, array in source.items()}}
             for name, array in named.items():
                 if isinstance(array, vecdp.np.ndarray):
                     size = (array.nbytes, str(array.dtype), array.size)
@@ -182,6 +219,10 @@ def print_memory(run, n_tables: int) -> None:
     print(f"{'array (largest)':<18}{'dtype':>9}{'elements':>10}{'MiB':>8}{'B/mask':>8}")
     for name, (size, dtype, elements) in sorted(largest.items(), key=lambda item: -item[1][0]):
         print(f"{name:<18}{dtype:>9}{elements:10d}{size / 2**20:8.3f}{size / 2**n_tables:8.2f}")
+    (skeleton,) = skeletons
+    print(f"skeleton (kept by the process, not traced above): {skeleton.nbytes / 2**20:.3f} MiB, "
+          f"{skeleton.nbytes / 2**n_tables:.2f} B per mask"
+          + ("" if skeleton.linear or skeleton.blocks is not None else ", over budget: not kept"))
 
 
 def main() -> int:
@@ -225,7 +266,7 @@ def main() -> int:
         if args.memory:
             print_memory(run, args.tables)
         else:
-            print_phases(*phase_profile(run), args.by_level)
+            print_phases(cold_profile(run), *phase_profile(run), args.by_level)
         return 0
     profile = cProfile.Profile()
     profile.runcall(run)
